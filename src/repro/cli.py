@@ -24,10 +24,6 @@ One console script, ``hydra``, fronts every tool as a subcommand:
   randomized scenarios, round-trip them through the pipeline and check
   every result route against a SQLite oracle, minimizing failures to a
   replayable corpus.
-
-The historical per-tool scripts (``hydra-generate``, ``hydra-client``,
-``hydra-vendor``, ``hydra-verify``) remain as thin deprecated aliases that
-print a one-line notice to stderr and dispatch to the subcommand.
 """
 
 from __future__ import annotations
@@ -168,7 +164,7 @@ def _build_package(dataset: str, scale: float, seed: int, queries: int) -> Infor
 def generate_main(argv: Sequence[str] | None = None) -> int:
     """Generate a synthetic client environment and write its package."""
     parser = argparse.ArgumentParser(
-        prog="hydra-generate",
+        prog="hydra generate",
         description="Generate a synthetic client information package.",
     )
     parser.add_argument("--dataset", default="tpcds", choices=["tpcds", "tpch", "toy"])
@@ -188,7 +184,7 @@ def generate_main(argv: Sequence[str] | None = None) -> int:
 def client_main(argv: Sequence[str] | None = None) -> int:
     """Client site: profile, extract AQPs and optionally anonymise."""
     parser = argparse.ArgumentParser(
-        prog="hydra-client",
+        prog="hydra client",
         description="Build (and optionally anonymise) the client information package.",
     )
     parser.add_argument("--dataset", default="tpcds", choices=["tpcds", "tpch", "toy"])
@@ -211,7 +207,7 @@ def client_main(argv: Sequence[str] | None = None) -> int:
 def vendor_main(argv: Sequence[str] | None = None) -> int:
     """Vendor site: build the regeneration summary from a package."""
     parser = argparse.ArgumentParser(
-        prog="hydra-vendor",
+        prog="hydra vendor",
         description="Build the HYDRA database summary from an information package.",
     )
     parser.add_argument(
@@ -250,7 +246,7 @@ def vendor_main(argv: Sequence[str] | None = None) -> int:
         "--out", type=Path, default=None, metavar="DIR",
         help="export directory for --format (created if missing; a "
         "MANIFEST.json with row counts and content checksums is written "
-        "alongside the data files for hydra-verify --against)",
+        "alongside the data files for hydra verify --against)",
     )
     parser.add_argument(
         "--workers", type=int, default=None, metavar="N",
@@ -430,7 +426,7 @@ def verify_main(argv: Sequence[str] | None = None) -> int:
     are re-read and re-hashed — no tuple is regenerated.
     """
     parser = argparse.ArgumentParser(
-        prog="hydra-verify",
+        prog="hydra verify",
         description="Verify volumetric similarity of a regenerated database, "
         "or validate an export directory against its summary (--against).",
     )
@@ -438,7 +434,7 @@ def verify_main(argv: Sequence[str] | None = None) -> int:
     parser.add_argument("summary", type=Path, help="database summary JSON")
     parser.add_argument(
         "--against", type=Path, default=None, metavar="EXPORT_DIR",
-        help="validate this export directory (written by hydra-vendor "
+        help="validate this export directory (written by hydra vendor "
         "--format/--out) against the summary: manifest fingerprint, row "
         "counts and content checksums, without regenerating tuples",
     )
@@ -548,10 +544,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     """The unified ``hydra`` dispatcher (``hydra <command> ...``).
 
     One console script fronts every tool: ``hydra
-    generate|client|vendor|verify|serve|trace|lint|fuzz``.  The historical
-    ``hydra-<command>`` scripts remain as thin deprecated aliases of the
-    first four; ``hydra-trace`` and ``hydra-lint`` stay first-class spellings
-    of ``hydra trace`` / ``hydra lint``.
+    generate|client|vendor|verify|serve|trace|lint|fuzz``; ``hydra-trace``
+    and ``hydra-lint`` stay first-class spellings of ``hydra trace`` /
+    ``hydra lint``.
     """
     parser = argparse.ArgumentParser(
         prog="hydra",
@@ -562,35 +557,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser.add_argument("rest", nargs=argparse.REMAINDER)
     args = parser.parse_args(argv)
     return resolve_subcommand(args.command)(args.rest)
-
-
-def _legacy_main(tool: str, command: str, argv: Sequence[str] | None) -> int:
-    """Run a legacy ``hydra-*`` alias with a one-line deprecation notice."""
-    print(
-        f"{tool} is deprecated; use `hydra {command}` instead",
-        file=sys.stderr,
-    )
-    return resolve_subcommand(command)(argv)
-
-
-def generate_legacy(argv: Sequence[str] | None = None) -> int:
-    """Deprecated ``hydra-generate`` alias of ``hydra generate``."""
-    return _legacy_main("hydra-generate", "generate", argv)
-
-
-def client_legacy(argv: Sequence[str] | None = None) -> int:
-    """Deprecated ``hydra-client`` alias of ``hydra client``."""
-    return _legacy_main("hydra-client", "client", argv)
-
-
-def vendor_legacy(argv: Sequence[str] | None = None) -> int:
-    """Deprecated ``hydra-vendor`` alias of ``hydra vendor``."""
-    return _legacy_main("hydra-vendor", "vendor", argv)
-
-
-def verify_legacy(argv: Sequence[str] | None = None) -> int:
-    """Deprecated ``hydra-verify`` alias of ``hydra verify``."""
-    return _legacy_main("hydra-verify", "verify", argv)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -10,7 +10,7 @@ Dynamic workloads ship *deltas*: once the vendor holds a base package, the
 client only sends the newly collected AQPs as a :class:`DeltaPackage` tagged
 with the base package's fingerprint.  The vendor applies the delta to its
 archived base (:meth:`InformationPackage.apply_delta`) — or feeds it straight
-into incremental summary maintenance (``hydra-vendor --extend-from``).
+into incremental summary maintenance (``hydra vendor --extend-from``).
 """
 
 from __future__ import annotations

@@ -1,22 +1,26 @@
 """The end-to-end HYDRA vendor pipeline.
 
-``Hydra`` wires together the components of the paper's architecture
-(Figure 2) on the vendor side:
+``Hydra`` is the facade over the paper's vendor-side architecture
+(Figure 2):
 
     AQPs + metadata
         → Preprocessor (per-relation constraint decomposition)
-        → LP Formulator (region partitioning, one LP per relation)
-        → LP solver (SciPy/HiGHS standing in for Z3)
-        → Summary Generator (deterministic alignment)
+        → per relation, in foreign-key topological order, the stage sequence
+          of :mod:`repro.core.stages`:
+          ground → partition → formulate → solve → align
         → referential-integrity post-processing
         → database summary
         → Tuple Generator / datagen scan (dynamic regeneration)
 
 Relations are processed in topological order of the foreign-key graph so that
 borrowed predicates can be grounded against the already-aligned referenced
-relations.  The pipeline records per-relation build statistics (LP size,
-solve time, residual errors, grid-baseline complexity) — the numbers the
-demo's vendor interface tabulates and that the benchmarks report.
+relations.  There is one build loop: :meth:`Hydra.build_summary` is an
+:meth:`Hydra.extend_summary` from an empty base (every relation touched),
+and :meth:`Hydra.restore_result` runs the same ``ground`` / ``partition`` /
+``align`` stages on persisted boxes and counts.  The pipeline records per-relation
+build statistics (LP size, solve time, residual errors, grid-baseline
+complexity) — the numbers the demo's vendor interface tabulates and that the
+benchmarks report.
 """
 
 from __future__ import annotations
@@ -24,31 +28,30 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Any, Iterable, Iterator, Literal, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Iterable, Iterator, Literal, Mapping
 
 import numpy as np
 from numpy.typing import NDArray
 
 from ..catalog.metadata import DatabaseMetadata
-from ..catalog.schema import Table
+from ..catalog.schema import Schema, Table
 from ..executor.datagen import DataGenRelation, ParallelDataGenRelation
 from ..executor.rate import RateLimiter
 from ..parallel.pool import default_min_parallel_rows, default_workers
 from ..plans.aqp import AnnotatedQueryPlan
-from ..sql.predicates import BoxCondition, Interval, IntervalSet
+from ..sql.predicates import BoxCondition
 from ..storage.database import Database, MaterializedRelation
 from ..telemetry.profile import profile_stage
-from ..telemetry.session import add_counter, observe, span
+from ..telemetry.session import add_counter, span
+from . import stages
 from .alignment import AlignedRelation, DeterministicAligner
-from .constraints import CardinalityConstraint, RelationConstraints, SymbolicPredicate
-from .errors import HydraError, InfeasibleConstraintsError
+from .errors import HydraError
 from .grid import grid_variable_count
-from .lp import LPProblem, build_lp
 from .preprocessor import WorkloadConstraints, decompose_workload
 from .refint import ReferentialReport, enforce_referential_integrity
-from .regions import PartitionCheckpoint, Region, RegionPartitioner
 from .sampling import SamplingAligner
-from .solver import LPSolution, LPSolver
+from .solver import SolveMode
+from .stages import RelationBuildState, relation_signatures
 from .summary import DatabaseSummary, RelationSummary
 from .tuplegen import SummaryDatabaseFactory, TupleGenerator
 
@@ -67,7 +70,6 @@ __all__ = [
 EXTENSION_STATE_VERSION = 1
 
 AlignmentStrategy = Literal["deterministic", "sampling"]
-SolveMode = Literal["exact", "soft"]
 
 
 @dataclass
@@ -158,39 +160,6 @@ class SummaryBuildReport:
         return "\n".join(lines)
 
 
-@dataclass
-class RelationBuildState:
-    """Everything a later incremental build can warm-start from.
-
-    Captured per relation by :meth:`Hydra.build_summary` (and refreshed by
-    :meth:`Hydra.extend_summary`): the partition checkpoint and its regions,
-    the domain box the partition ran under, signatures of the constraint and
-    tracking-predicate sets (the inputs of constraint diffing), plus the LP
-    problem/targets/solution for the provably-identical-reuse fast path.
-    """
-
-    checkpoint: PartitionCheckpoint
-    regions: list[Region]
-    domain: BoxCondition
-    constraint_signature: tuple
-    tracking_signature: tuple
-    row_count: int
-    problem: LPProblem | None = None
-    targets: NDArray[Any] | None = None
-    solution: LPSolution | None = None
-    fallback: bool = False
-    # Checkpoint taken after the grounded constraint boxes, before the
-    # trailing tracking boxes.  A delta that appends a constraint inserts its
-    # box *between* those groups, so the final checkpoint stops being a
-    # prefix — this boundary checkpoint still is, and keeps the partition
-    # warm start engaged for tracking-bearing relations.
-    grounded_checkpoint: PartitionCheckpoint | None = None
-
-    @property
-    def partition_boxes(self) -> tuple[BoxCondition, ...]:
-        """The full box sequence the relation's partition was built from."""
-        return self.checkpoint.boxes
-
 
 @dataclass
 class HydraBuildResult:
@@ -253,6 +222,46 @@ class HydraBuildResult:
         self.summary.extension_state = self.extension_state(package_fingerprint)
 
 
+
+def _parse_extension_state(
+    payload: Any, schema: Schema
+) -> tuple[
+    list[AnnotatedQueryPlan],
+    dict[str, tuple[list[BoxCondition], NDArray[Any], int | None]],
+]:
+    """Validate a persisted extension state up front (it arrives from disk).
+
+    Returns the base workload and, per relation of ``schema``, the persisted
+    ``(partition boxes, region counts, built-for row count)``.  Anything
+    malformed raises :class:`HydraError` naming the offending field instead
+    of leaking a raw exception from deep inside the restore.
+    """
+    if not payload:
+        raise HydraError(
+            "summary carries no extension state; rebuild it with "
+            "build_summary and attach_extension_state before saving"
+        )
+    where = "format_version"
+    try:
+        if payload.get(where) != EXTENSION_STATE_VERSION:
+            raise HydraError(f"unsupported extension-state version {payload.get(where)!r}")
+        where = "aqps"
+        aqps = [AnnotatedQueryPlan.from_dict(item) for item in payload.get(where, [])]
+        relations = {}
+        for name in schema.table_names:
+            where = f"relations[{name!r}]"
+            entry = payload.get("relations", {})[name]
+            counts, row_count = entry.get("counts", []), entry.get("row_count")
+            integers = [*counts, 0 if row_count is None else row_count]
+            if not all(type(value) is int for value in integers):
+                raise TypeError("'counts' and 'row_count' must be integers")
+            boxes = [BoxCondition.from_dict(item) for item in entry.get("partition_boxes", [])]
+            relations[name] = (boxes, np.asarray(counts, dtype=np.int64), row_count)
+    except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
+        raise HydraError(f"malformed extension state at {where}: {exc!r}") from exc
+    return aqps, relations
+
+
 @dataclass
 class Hydra:
     """The vendor-site regeneration pipeline.
@@ -295,40 +304,16 @@ class Hydra:
     # -- public API --------------------------------------------------------
 
     def build_summary(self, aqps: Iterable[AnnotatedQueryPlan]) -> HydraBuildResult:
-        """Run the full pipeline over a workload of AQPs."""
-        start = time.perf_counter()
+        """Run the full pipeline over a workload of AQPs.
+
+        A cold build is an extension of an empty base: no relation has a
+        previous state, so every one is touched and solved from scratch, and
+        the result is a fresh version-1 summary.
+        """
         aqps = list(aqps)
+        empty = HydraBuildResult(DatabaseSummary(schema=self.metadata.schema), SummaryBuildReport())
         with span("hydra.build_summary", queries=len(aqps)), profile_stage("build_summary"):
-            workload = decompose_workload(aqps, self.metadata)
-
-            report = SummaryBuildReport()
-            summary = DatabaseSummary(schema=self.metadata.schema)
-            aligned: dict[str, AlignedRelation] = {}
-            states: dict[str, RelationBuildState] = {}
-
-            for table_name in self.metadata.schema.topological_order():
-                table = self.metadata.schema.table(table_name)
-                info, aligned_relation, state = self._build_relation(table, workload, aligned)
-                aligned[table_name] = aligned_relation
-                states[table_name] = state
-                summary.add_relation(aligned_relation.summary)
-                report.relations[table_name] = info
-                add_counter("pipeline.relations_built")
-
-            with span("hydra.referential_integrity"):
-                report.referential = enforce_referential_integrity(summary)
-            summary.validate()
-            report.total_seconds = time.perf_counter() - start
-            summary.build_info = {
-                "mode": self.mode,
-                "alignment": self.alignment,
-                "total_seconds": report.total_seconds,
-                "lp_variables": report.total_lp_variables(),
-                "constraints": report.total_constraints(),
-            }
-        return HydraBuildResult(
-            summary=summary, report=report, aqps=aqps, aligned=aligned, states=states
-        )
+            return self._refresh(empty, aqps)
 
     def extend_summary(
         self,
@@ -370,107 +355,24 @@ class Hydra:
         same configuration (mode, alignment, row-count overrides).
         """
         with span("hydra.extend_summary"), profile_stage("extend_summary"):
-            return self._extend_summary_impl(result, new_aqps, reuse_feasible_solutions)
-
-    def _extend_summary_impl(
-        self,
-        result: HydraBuildResult,
-        new_aqps: Iterable[AnnotatedQueryPlan],
-        reuse_feasible_solutions: bool,
-    ) -> HydraBuildResult:
-        start = time.perf_counter()
-        new_aqps = list(new_aqps)
-        if not result.supports_extension:
-            raise HydraError(
-                "build result carries no extension state; use build_summary, "
-                "or restore_result on a summary saved with extension state"
-            )
-        # Deduplicate replayed AQPs by content: a delta batch that is retried
-        # (or a full package replayed against its own summary) must not grow
-        # the stored workload — otherwise the persisted extension state and
-        # the union-package fingerprint drift on every replay even though the
-        # summary itself is unchanged.
-        seen = {self._aqp_key(aqp) for aqp in result.aqps}
-        appended: list[AnnotatedQueryPlan] = []
-        for aqp in new_aqps:
-            key = self._aqp_key(aqp)
-            if key in seen:
-                continue
-            seen.add(key)
-            appended.append(aqp)
-        union_aqps = [*result.aqps, *appended]
-        workload = decompose_workload(union_aqps, self.metadata)
-        touched = self._touched_relations(result, workload)
-
-        report = SummaryBuildReport()
-        aligned: dict[str, AlignedRelation] = {}
-        states: dict[str, RelationBuildState] = {}
-        replacements: dict[str, RelationSummary] = {}
-
-        for table_name in self.metadata.schema.topological_order():
-            if table_name not in touched:
-                aligned[table_name] = result.aligned[table_name]
-                states[table_name] = result.states[table_name]
-                previous_info = result.report.relations.get(table_name)
-                if previous_info is not None:
-                    report.relations[table_name] = replace(previous_info, reused=True)
-                add_counter("pipeline.relations_reused")
-                continue
-            table = self.metadata.schema.table(table_name)
-            warm_counts = None
-            if reuse_feasible_solutions and table_name in result.aligned:
-                warm_counts = result.aligned[table_name].counts
-            info, aligned_relation, state = self._build_relation(
-                table,
-                workload,
-                aligned,
-                prev_state=result.states.get(table_name),
-                warm_counts=warm_counts,
-            )
-            aligned[table_name] = aligned_relation
-            states[table_name] = state
-            report.relations[table_name] = info
-            replacements[table_name] = aligned_relation.summary
-            add_counter("pipeline.relations_resolved")
-
-        if replacements:
-            summary = result.summary.splice(replacements)
-            # Restricted to the re-solved relations: the untouched ones share
-            # their row objects with the base summary and must never be
-            # mutated by this pass (see enforce_referential_integrity).
-            report.referential = enforce_referential_integrity(
-                summary, only=replacements
-            )
-            summary.validate()
-            report.total_seconds = time.perf_counter() - start
-            summary.build_info = {
-                "mode": self.mode,
-                "alignment": self.alignment,
-                "total_seconds": report.total_seconds,
-                "lp_variables": report.total_lp_variables(),
-                "constraints": report.total_constraints(),
-                "extended": True,
-                "delta_queries": len(appended),
-                "resolved_relations": sorted(replacements),
-            }
-        else:
-            # The delta added nothing new (or was empty): the base summary is
-            # reused as-is, build_info untouched.
-            summary = result.summary
-            report.referential = result.report.referential
-            report.total_seconds = time.perf_counter() - start
-        return HydraBuildResult(
-            summary=summary,
-            report=report,
-            aqps=union_aqps,
-            aligned=aligned,
-            states=states,
-        )
-
-    @staticmethod
-    def _aqp_key(aqp: AnnotatedQueryPlan) -> str:
-        """Content identity of one AQP (used to drop replayed delta queries)."""
-        return json.dumps(aqp.to_dict(), sort_keys=True, separators=(",", ":"))
+            if not result.supports_extension:
+                raise HydraError(
+                    "build result carries no extension state; use build_summary, "
+                    "or restore_result on a summary saved with extension state"
+                )
+            # Deduplicate replayed AQPs by content: a delta batch that is
+            # retried (or a full package replayed against its own summary)
+            # must not grow the stored workload — otherwise the persisted
+            # extension state and the union-package fingerprint drift on
+            # every replay even though the summary itself is unchanged.
+            union_aqps = list(result.aqps)
+            seen = {_aqp_key(aqp) for aqp in union_aqps}
+            for aqp in new_aqps:
+                key = _aqp_key(aqp)
+                if key not in seen:
+                    seen.add(key)
+                    union_aqps.append(aqp)
+            return self._refresh(result, union_aqps, reuse_feasible_solutions)
 
     def touched_relations(
         self, result: HydraBuildResult, new_aqps: Iterable[AnnotatedQueryPlan]
@@ -478,8 +380,7 @@ class Hydra:
         """Relations a delta workload would force :meth:`extend_summary` to re-solve."""
         if not result.supports_extension:
             raise HydraError("build result carries no extension state")
-        union_aqps = [*result.aqps, *list(new_aqps)]
-        workload = decompose_workload(union_aqps, self.metadata)
+        workload = decompose_workload([*result.aqps, *new_aqps], self.metadata)
         return sorted(self._touched_relations(result, workload))
 
     def restore_result(self, summary: DatabaseSummary) -> HydraBuildResult:
@@ -489,94 +390,51 @@ class Hydra:
         partition boxes (deterministic, no LP is solved) and re-derives the
         alignment bookkeeping that grounding needs, so incremental
         maintenance can resume across vendor sessions from the summary JSON
-        alone.  The Hydra configuration must match the one that produced the
-        summary.
+        alone: ``ground`` takes the persisted boxes instead of grounding
+        predicates, ``partition`` and ``align`` run exactly as in a live
+        build, and the persisted counts stand in for ``formulate`` /
+        ``solve``.  The Hydra configuration must match the one that produced
+        the summary.
         """
-        payload = summary.extension_state
-        if not payload:
-            raise HydraError(
-                "summary carries no extension state; rebuild it with "
-                "build_summary and attach_extension_state before saving"
-            )
-        version = payload.get("format_version")
-        if version != EXTENSION_STATE_VERSION:
-            raise HydraError(f"unsupported extension-state version {version!r}")
-        aqps = [AnnotatedQueryPlan.from_dict(item) for item in payload.get("aqps", [])]
+        schema = self.metadata.schema
+        aqps, persisted = _parse_extension_state(summary.extension_state, schema)
         workload = decompose_workload(aqps, self.metadata)
-        relation_payloads = payload.get("relations", {})
-
         report = SummaryBuildReport()
         aligned: dict[str, AlignedRelation] = {}
         states: dict[str, RelationBuildState] = {}
-        for table_name in self.metadata.schema.topological_order():
-            if table_name not in relation_payloads:
-                raise HydraError(f"extension state lacks relation {table_name!r}")
-            relation_payload = relation_payloads[table_name]
-            table = self.metadata.schema.table(table_name)
-            boxes = [
-                BoxCondition.from_dict(item)
-                for item in relation_payload.get("partition_boxes", [])
-            ]
-            counts = np.asarray(relation_payload.get("counts", []), dtype=np.int64)
-            domain = self._domain_box(table, aligned)
-            discrete = {
-                column.name: column.dtype.is_discrete for column in table.columns
-            }
-            relation_constraints = workload.for_relation(table_name)
-            row_count, constraints, _cardinalities, signature = (
-                self._relation_signatures(table_name, relation_constraints)
-            )
-            # The diffing baseline is the row count the summary was *built*
-            # for, not the one the current metadata reports: if they differ
-            # (client data drifted between sessions), the touched-set diff
-            # must flag the relation rather than compare new-vs-new.
-            row_count = int(relation_payload.get("row_count", row_count))
-            # Rebuild through the grounded/tracking boundary so the restored
-            # state carries both warm-start checkpoints, exactly like a live
-            # build (grounded boxes lead, one per non-trivial constraint).
-            boundary = min(len(constraints), len(boxes))
-            partitioner = RegionPartitioner(
-                discrete=discrete, domain=domain, max_regions=self.max_regions
-            )
-            grounded_checkpoint = partitioner.advance(None, boxes[:boundary])
-            regions = partitioner.resume(grounded_checkpoint, boxes[boundary:])
-            if counts.shape != (len(regions),):
+        for table_name in schema.topological_order():
+            table = schema.table(table_name)
+            boxes, counts, built_rows = persisted[table_name]
+            constraints = workload.for_relation(table_name)
+            row_count = self._row_count(table_name)
+            grounded = stages.ground(self.metadata, table, constraints, row_count, aligned, boxes)
+            if built_rows is not None:
+                # The diffing baseline is the row count the summary was
+                # *built* for, not the one the current metadata reports: if
+                # they differ (client data drifted between sessions), the
+                # touched-set diff must flag the relation rather than
+                # compare new-vs-new.
+                grounded = grounded._replace(row_count=built_rows)
+            state = stages.partition(table, grounded, self.max_regions).state
+            if counts.shape != (len(state.regions),):
                 raise HydraError(
                     f"extension state of {table_name!r} is stale: "
-                    f"{counts.size} counts for {len(regions)} regions"
+                    f"{counts.size} counts for {len(state.regions)} regions"
                 )
-            aligner = self._make_aligner(table)
-            ref_row_counts = {
-                name: relation.total_rows for name, relation in aligned.items()
-            }
-            aligned_relation = aligner.align(
-                table=table,
-                regions=regions,
-                counts=counts,
-                ref_row_counts=ref_row_counts,
-                domain=domain,
-            )
+            aligned_relation = stages.align(self._aligner(table), table, state, counts, aligned)
             if aligned_relation.total_rows != summary.relation(table_name).total_rows:
                 raise HydraError(
                     f"extension state of {table_name!r} is stale: restored "
                     f"{aligned_relation.total_rows} rows, summary has "
                     f"{summary.relation(table_name).total_rows}"
                 )
-            states[table_name] = RelationBuildState(
-                checkpoint=partitioner.last_checkpoint,
-                regions=regions,
-                domain=domain,
-                constraint_signature=signature,
-                tracking_signature=tuple(relation_constraints.tracking),
-                row_count=row_count,
-                grounded_checkpoint=grounded_checkpoint,
-            )
             aligned[table_name] = aligned_relation
+            states[table_name] = state
             report.relations[table_name] = RelationBuildInfo(
                 relation=table_name,
-                row_count=row_count,
-                num_constraints=len(constraints),
-                num_regions=len(regions),
+                row_count=state.row_count,
+                num_constraints=len(grounded.constraints),
+                num_regions=len(state.regions),
                 grid_variables=None,
                 partition_seconds=0.0,
                 solve_seconds=0.0,
@@ -584,9 +442,7 @@ class Hydra:
                 max_relative_error=0.0,
                 reused=True,
             )
-        return HydraBuildResult(
-            summary=summary, report=report, aqps=aqps, aligned=aligned, states=states
-        )
+        return HydraBuildResult(summary, report, aqps, aligned, states)
 
     def regenerate(
         self,
@@ -644,8 +500,8 @@ class Hydra:
         ``workers`` > 1 that budget likewise paces the merged streams, not
         each worker separately.
         """
-        materialize_set = set(materialize)
-        unknown = sorted(materialize_set - set(summary.relations))
+        wanted = set(materialize)
+        unknown = sorted(wanted - set(summary.relations))
         if unknown:
             raise HydraError(
                 "cannot materialize unknown relation(s) "
@@ -653,111 +509,167 @@ class Hydra:
                 + "; summary has: "
                 + ", ".join(repr(name) for name in sorted(summary.relations))
             )
-        with span("hydra.regenerate", materialized=len(materialize_set)), profile_stage(
-            "regenerate"
-        ):
-            return self._regenerate_impl(
-                summary,
-                materialize_set,
-                rate_limiter,
-                batch_size,
-                shared_rate_limiter,
-                workers,
-                min_parallel_rows,
-                sink,
-            )
+        with span("hydra.regenerate", materialized=len(wanted)), profile_stage("regenerate"):
+            if sink is not None:
+                # Imported lazily: repro.sinks imports this module at package
+                # init, so a module-level import back would be circular.  The
+                # export drives its *own* providers (per-relation limiter
+                # clones, or the caller's single limiter under
+                # shared_rate_limiter), so the providers attached below start
+                # with fresh pacing state — query-time streams are throttled
+                # exactly as without a sink.
+                from ..sinks.export import export_summary
 
-    def _regenerate_impl(
-        self,
-        summary: DatabaseSummary,
-        materialize_set: set[str],
-        rate_limiter: RateLimiter | None,
-        batch_size: int,
-        shared_rate_limiter: bool,
-        workers: int | None,
-        min_parallel_rows: int | None,
-        sink: "Sink | None",
-    ) -> Database:
-        if sink is not None:
-            # Imported lazily: repro.sinks imports this module at package
-            # init, so a module-level import back would be circular.  The
-            # export drives its *own* providers (per-relation limiter clones,
-            # or the caller's single limiter under shared_rate_limiter), so
-            # the providers attached below start with fresh pacing state —
-            # query-time streams are throttled exactly as without a sink.
-            from ..sinks.export import export_summary
-
-            export_summary(
+                export_summary(
+                    summary,
+                    sink,
+                    rate_limiter=rate_limiter,
+                    batch_size=batch_size,
+                    shared_rate_limiter=shared_rate_limiter,
+                    workers=workers,
+                    min_parallel_rows=min_parallel_rows,
+                )
+            database = Database(schema=summary.schema, providers={})
+            for table_name, relation in summary_relation_providers(
                 summary,
-                sink,
                 rate_limiter=rate_limiter,
                 batch_size=batch_size,
                 shared_rate_limiter=shared_rate_limiter,
                 workers=workers,
                 min_parallel_rows=min_parallel_rows,
-            )
-        database = Database(schema=summary.schema, providers={})
-        for table_name, relation in summary_relation_providers(
-            summary,
-            rate_limiter=rate_limiter,
-            batch_size=batch_size,
-            shared_rate_limiter=shared_rate_limiter,
-            workers=workers,
-            min_parallel_rows=min_parallel_rows,
-        ):
-            table = summary.schema.table(table_name)
-            if table_name in materialize_set:
-                with span("regen.materialize", relation=table_name):
-                    database.attach(
-                        table_name, MaterializedRelation(relation.materialize(table))
-                    )
-            else:
-                database.attach(table_name, relation)
-        return database
+            ):
+                if table_name in wanted:
+                    with span("regen.materialize", relation=table_name):
+                        data = relation.materialize(summary.schema.table(table_name))
+                        database.attach(table_name, MaterializedRelation(data))
+                else:
+                    database.attach(table_name, relation)
+            return database
 
     def tuple_generator(self, summary: DatabaseSummary, table_name: str) -> TupleGenerator:
         """Convenience accessor for a single relation's tuple generator."""
         return SummaryDatabaseFactory(summary=summary).generator(table_name)
 
-    # -- per-relation processing --------------------------------------------
+    # -- the one build / extend loop -----------------------------------------
 
-    def _row_count(self, table_name: str) -> int:
-        if table_name in self.row_count_overrides:
-            return int(self.row_count_overrides[table_name])
-        return self.metadata.row_count(table_name)
+    def _refresh(
+        self, base: HydraBuildResult, aqps: list[AnnotatedQueryPlan], reuse_solutions: bool = False
+    ) -> HydraBuildResult:
+        """Re-solve the relations ``aqps`` touches relative to ``base``.
 
-    def _relation_signatures(
-        self, table_name: str, relation_constraints: RelationConstraints
-    ) -> tuple[int, list[CardinalityConstraint], list[int], tuple]:
-        """Shared constraint-diffing inputs of one relation.
-
-        Returns ``(row_count, constraints, scaled_cardinalities, signature)``
-        where ``signature`` is the hashable (predicate, cardinality) tuple the
-        incremental pipeline compares across builds — two builds with equal
-        signatures (and equal tracking predicates, domains and referenced
-        alignments) derive the identical LP.
+        Untouched relations carry their state, alignment and summary rows
+        over from ``base``; touched ones run the stage sequence, warm-started
+        from their previous state.  A ``base`` without states is a cold
+        build: everything is touched and the summary is assembled fresh
+        instead of spliced.
         """
-        row_count = self._row_count(table_name)
-        scale = self._annotation_scale(
-            table_name, row_count, relation_constraints.row_count
-        )
-        constraints = [
-            constraint
-            for constraint in relation_constraints.deduplicated()
-            if not constraint.predicate.is_trivial
-        ]
-        cardinalities = [
-            int(round(constraint.cardinality * scale)) for constraint in constraints
-        ]
-        signature = tuple(
-            (constraint.predicate, cardinality)
-            for constraint, cardinality in zip(constraints, cardinalities)
-        )
-        return row_count, constraints, cardinalities, signature
+        start = time.perf_counter()
+        schema = self.metadata.schema
+        cold = not base.states
+        workload = decompose_workload(aqps, self.metadata)
+        touched = self._touched_relations(base, workload)
 
-    def _touched_relations(
-        self, result: HydraBuildResult, workload: WorkloadConstraints
-    ) -> set[str]:
+        report = SummaryBuildReport()
+        aligned: dict[str, AlignedRelation] = {}
+        states: dict[str, RelationBuildState] = {}
+        replacements: dict[str, RelationSummary] = {}
+        for table_name in schema.topological_order():
+            if table_name not in touched:
+                aligned[table_name] = base.aligned[table_name]
+                states[table_name] = base.states[table_name]
+                previous_info = base.report.relations.get(table_name)
+                if previous_info is not None:
+                    report.relations[table_name] = replace(previous_info, reused=True)
+                add_counter("pipeline.relations_reused")
+                continue
+            table, prev = schema.table(table_name), base.states.get(table_name)
+            warm_counts = None
+            if reuse_solutions and table_name in base.aligned:
+                warm_counts = base.aligned[table_name].counts
+            built = self._build_relation(table, workload, aligned, prev, warm_counts)
+            report.relations[table_name], aligned[table_name], states[table_name] = built
+            replacements[table_name] = aligned[table_name].summary
+            add_counter("pipeline.relations_built" if cold else "pipeline.relations_resolved")
+
+        if cold or replacements:
+            if cold:
+                summary = DatabaseSummary(schema=schema, relations=replacements)
+            else:
+                summary = base.summary.splice(replacements)
+            # Restricted to the re-solved relations: the untouched ones share
+            # their row objects with the base summary and must never be
+            # mutated by this pass (see enforce_referential_integrity).
+            with span("hydra.referential_integrity"):
+                report.referential = enforce_referential_integrity(summary, only=replacements)
+            summary.validate()
+            report.total_seconds = time.perf_counter() - start
+            summary.build_info = {
+                "mode": self.mode,
+                "alignment": self.alignment,
+                "total_seconds": report.total_seconds,
+                "lp_variables": report.total_lp_variables(),
+                "constraints": report.total_constraints(),
+            }
+            if not cold:
+                summary.build_info.update(
+                    extended=True,
+                    delta_queries=len(aqps) - len(base.aqps),
+                    resolved_relations=sorted(replacements),
+                )
+        else:
+            # The delta added nothing new (or was empty): the base summary is
+            # reused as-is, build_info untouched.
+            summary = base.summary
+            report.referential = base.report.referential
+            report.total_seconds = time.perf_counter() - start
+        return HydraBuildResult(summary, report, aqps, aligned, states)
+
+    def _build_relation(
+        self,
+        table: Table,
+        workload: WorkloadConstraints,
+        aligned: Mapping[str, AlignedRelation],
+        prev: RelationBuildState | None,
+        warm_counts: NDArray[Any] | None,
+    ) -> tuple[RelationBuildInfo, AlignedRelation, RelationBuildState]:
+        """Run the stage sequence of :mod:`repro.core.stages` for one relation."""
+        with span("solve.relation", relation=table.name) as relation_span:
+            constraints = workload.for_relation(table.name)
+            row_count = self._row_count(table.name)
+            grounded = stages.ground(self.metadata, table, constraints, row_count, aligned)
+            part = stages.partition(table, grounded, self.max_regions, prev)
+            guided = self.mode == "exact" and self.guided_solutions
+            problem = stages.formulate(self.metadata, table, grounded, part, guided, aligned, prev)
+            state = part.state
+            solution = stages.solve(
+                problem, state, self.mode, self.fallback_to_soft, prev, warm_counts
+            )
+            counts = solution.integral_counts
+            aligned_relation = stages.align(self._aligner(table), table, state, counts, aligned)
+            lp_skipped = prev is not None and solution is prev.solution
+            grid = None
+            if self.compute_grid_baseline:
+                grounded_boxes = grounded.boxes[: len(grounded.constraints)]
+                grid = grid_variable_count(grounded_boxes, state.domain)
+            info = RelationBuildInfo(
+                relation=table.name,
+                row_count=row_count,
+                num_constraints=len(grounded.constraints),
+                num_regions=len(state.regions),
+                grid_variables=grid,
+                partition_seconds=part.seconds,
+                solve_seconds=0.0 if lp_skipped else solution.solve_seconds,
+                status=solution.status,
+                max_relative_error=solution.max_relative_error,
+                fallback_to_soft=state.fallback,
+                warm_start=part.resumed or lp_skipped or solution.status == "warm-reused",
+            )
+            relation_span.annotate(
+                regions=info.num_regions, status=info.status, warm_start=info.warm_start
+            )
+        return info, aligned_relation, state
+
+    def _touched_relations(self, base: HydraBuildResult, workload: WorkloadConstraints) -> set[str]:
         """Relations whose build inputs changed under the union workload.
 
         Directly touched: the deduplicated constraint signature or the
@@ -769,18 +681,15 @@ class Hydra:
         """
         touched: set[str] = set()
         for table in self.metadata.schema:
-            state = result.states.get(table.name)
+            state = base.states.get(table.name)
             if state is None:
                 touched.add(table.name)
                 continue
-            relation_constraints = workload.for_relation(table.name)
-            row_count, _constraints, _cardinalities, signature = (
-                self._relation_signatures(table.name, relation_constraints)
-            )
-            if (
-                signature != state.constraint_signature
-                or tuple(relation_constraints.tracking) != state.tracking_signature
-                or row_count != state.row_count
+            constraints = workload.for_relation(table.name)
+            row_count = self._row_count(table.name)
+            _, _, signature = relation_signatures(constraints, row_count)
+            if (signature, tuple(constraints.tracking), row_count) != (
+                state.constraint_signature, state.tracking_signature, state.row_count
             ):
                 touched.add(table.name)
 
@@ -793,395 +702,21 @@ class Hydra:
                     frontier.append(referencing_table.name)
         return touched
 
-    @staticmethod
-    def _remap_counts(
-        prev_regions: Sequence[Region],
-        regions: Sequence[Region],
-        prev_counts: NDArray[Any],
-    ) -> NDArray[Any] | None:
-        """Carry per-region counts across a re-partition, matching by geometry.
+    def _row_count(self, table_name: str) -> int:
+        if table_name in self.row_count_overrides:
+            return int(self.row_count_overrides[table_name])
+        return self.metadata.row_count(table_name)
 
-        Only possible when the new predicates split nothing geometrically —
-        every new region's box set then equals exactly one old region's (by
-        value), and the old counts transfer one-to-one.  Returns ``None``
-        whenever the correspondence is not a bijection.
-        """
-        if len(prev_regions) != len(regions):
-            return None
-        by_boxes: dict[tuple[BoxCondition, ...], int] = {}
-        for region in prev_regions:
-            if region.boxes in by_boxes:
-                return None
-            by_boxes[region.boxes] = region.index
-        remapped = np.zeros(len(regions), dtype=np.int64)
-        for region in regions:
-            prev_index = by_boxes.get(region.boxes)
-            if prev_index is None:
-                return None
-            remapped[region.index] = prev_counts[prev_index]
-        return remapped
-
-    def _build_relation(
-        self,
-        table: Table,
-        workload: WorkloadConstraints,
-        aligned: Mapping[str, AlignedRelation],
-        prev_state: RelationBuildState | None = None,
-        warm_counts: NDArray[Any] | None = None,
-    ) -> tuple[RelationBuildInfo, AlignedRelation, RelationBuildState]:
-        with span("solve.relation", relation=table.name) as relation_span:
-            info, aligned_relation, state = self._build_relation_impl(
-                table, workload, aligned, prev_state, warm_counts
-            )
-            relation_span.annotate(
-                regions=info.num_regions,
-                status=info.status,
-                warm_start=info.warm_start,
-            )
-        return info, aligned_relation, state
-
-    def _build_relation_impl(
-        self,
-        table: Table,
-        workload: WorkloadConstraints,
-        aligned: Mapping[str, AlignedRelation],
-        prev_state: RelationBuildState | None,
-        warm_counts: NDArray[Any] | None,
-    ) -> tuple[RelationBuildInfo, AlignedRelation, RelationBuildState]:
-        relation_constraints = workload.for_relation(table.name)
-        row_count, constraints, cardinalities, constraint_signature = (
-            self._relation_signatures(table.name, relation_constraints)
-        )
-        tracking_signature = tuple(relation_constraints.tracking)
-
-        grounded_boxes = [
-            self._ground(constraint.predicate, table, aligned)
-            for constraint in constraints
-        ]
-        labels = [constraint.source for constraint in constraints]
-
-        # Borrowed (tracking) predicates shape the partition but add no LP row:
-        # they are appended after the constraint boxes so constraint indices
-        # keep matching the LP rows.
-        tracking_boxes = [
-            self._ground(predicate, table, aligned)
-            for predicate in relation_constraints.tracking
-        ]
-        partition_boxes = grounded_boxes + [
-            box for box in tracking_boxes if box not in grounded_boxes
-        ]
-
-        domain = self._domain_box(table, aligned)
-        discrete = {column.name: column.dtype.is_discrete for column in table.columns}
-
-        # Warm start tier 1 — incremental partitioning: when a previous
-        # build's box sequence is a prefix of the new one, resume splitting
-        # from the stored checkpoint, which is bit-identical to partitioning
-        # from scratch but only pays for the boxes past the prefix.  Two
-        # checkpoints are candidates: the final one (covers the tracking
-        # boxes too — a prefix when the delta only appends tracking
-        # predicates, or changes nothing) and the grounded-boundary one (a
-        # prefix when the delta appends constraint boxes, which land between
-        # the constraint and tracking groups).  The partition is always built
-        # through the boundary so both checkpoints exist for the next build.
-        partition_start = time.perf_counter()
-        partitioner = RegionPartitioner(
-            discrete=discrete, domain=domain, max_regions=self.max_regions
-        )
-        boundary = len(grounded_boxes)
-        best: PartitionCheckpoint | None = None
-        if prev_state is not None and prev_state.domain == domain:
-            for candidate in (prev_state.checkpoint, prev_state.grounded_checkpoint):
-                if candidate is not None and candidate.is_prefix_of(partition_boxes):
-                    best = candidate
-                    break
-        warm_partition = best is not None
-        identical_partition = (
-            best is not None and best.num_boxes == len(partition_boxes)
-        )
-        if best is not None and best.num_boxes >= boundary:
-            if best.num_boxes == boundary:
-                grounded_checkpoint = best
-            else:
-                # ``best`` is the final checkpoint; the previous boundary
-                # checkpoint stays valid as long as the grounded prefix is
-                # unchanged, so carry it over for the next build.
-                previous_boundary = prev_state.grounded_checkpoint
-                grounded_checkpoint = (
-                    previous_boundary
-                    if previous_boundary is not None
-                    and previous_boundary.num_boxes == boundary
-                    and previous_boundary.is_prefix_of(partition_boxes)
-                    else None
-                )
-            regions = partitioner.resume(best, partition_boxes[best.num_boxes:])
-        else:
-            grounded_checkpoint = partitioner.advance(
-                best, grounded_boxes[best.num_boxes if best is not None else 0:]
-            )
-            regions = partitioner.resume(grounded_checkpoint, partition_boxes[boundary:])
-        partition_seconds = time.perf_counter() - partition_start
-        checkpoint = partitioner.last_checkpoint
-        observe("solve.partition_seconds", partition_seconds)
-        if warm_partition:
-            add_counter("warmstart.partition_resumed")
-        if identical_partition:
-            add_counter("warmstart.partition_identical")
-
-        # Warm start tier 3 — provably identical LP: unchanged partition,
-        # constraint signature and row count derive the exact problem already
-        # solved, so the previous solution is reused without touching the
-        # backend (a fresh deterministic solve would reproduce it).  This is
-        # how a transitively-touched relation whose grounded predicates came
-        # out unchanged costs almost nothing.
-        if (
-            identical_partition
-            and prev_state is not None
-            and prev_state.solution is not None
-            and constraint_signature == prev_state.constraint_signature
-            and row_count == prev_state.row_count
-        ):
-            solution = prev_state.solution
-            problem = prev_state.problem
-            targets = prev_state.targets
-            fallback = prev_state.fallback
-            solve_seconds = 0.0
-            warm_solve = True
-            add_counter("warmstart.lp_skipped")
-        else:
-            problem = build_lp(
-                relation=table.name,
-                regions=regions,
-                cardinalities=cardinalities,
-                constraint_labels=labels,
-                row_count=row_count,
-            )
-
-            # Statistics-guided solution selection is applied to *referenced*
-            # relations only: that is where an arbitrary vertex solution can
-            # empty out predicate overlaps and break the feasibility of
-            # referencing relations.  Relations nothing points at (the fact
-            # tables) keep the sparse vertex solution, which also keeps their
-            # summaries minuscule.  Warm start tier 2: an unchanged partition
-            # derives unchanged targets, so the cached array is reused.
-            targets = None
-            is_referenced = bool(self.metadata.schema.referencing_tables(table.name))
-            if self.mode == "exact" and self.guided_solutions and is_referenced:
-                if (
-                    identical_partition
-                    and prev_state is not None
-                    and prev_state.targets is not None
-                ):
-                    targets = prev_state.targets
-                    add_counter("warmstart.targets_reused")
-                else:
-                    targets = self._region_targets(table, regions, row_count, aligned)
-
-            # Optional warm start from the previous solution (see
-            # extend_summary's reuse_feasible_solutions): remap the previous
-            # integral counts onto the new region order and let the solver
-            # reuse them when still exactly feasible.
-            warm_candidate = None
-            if warm_counts is not None and prev_state is not None:
-                if identical_partition:
-                    warm_candidate = np.asarray(warm_counts, dtype=np.int64)
-                else:
-                    warm_candidate = self._remap_counts(
-                        prev_state.regions, regions, np.asarray(warm_counts)
-                    )
-
-            fallback = False
-            solver = LPSolver(mode=self.mode)
-            try:
-                solution = solver.solve(problem, targets=targets, warm_start=warm_candidate)
-            except InfeasibleConstraintsError:
-                if self.mode == "exact" and self.fallback_to_soft:
-                    fallback = True
-                    solution = LPSolver(mode="soft").solve(problem)
-                else:
-                    raise
-            solve_seconds = solution.solve_seconds
-            warm_solve = solution.status == "warm-reused"
-
-        aligner = self._make_aligner(table)
-        ref_row_counts = {
-            name: relation.total_rows for name, relation in aligned.items()
-        }
-        aligned_relation = aligner.align(
-            table=table,
-            regions=regions,
-            counts=solution.integral_counts,
-            ref_row_counts=ref_row_counts,
-            domain=domain,
-        )
-
-        grid_vars = (
-            grid_variable_count(grounded_boxes, domain)
-            if self.compute_grid_baseline
-            else None
-        )
-        info = RelationBuildInfo(
-            relation=table.name,
-            row_count=row_count,
-            num_constraints=len(constraints),
-            num_regions=len(regions),
-            grid_variables=grid_vars,
-            partition_seconds=partition_seconds,
-            solve_seconds=solve_seconds,
-            status=solution.status,
-            max_relative_error=solution.max_relative_error,
-            fallback_to_soft=fallback,
-            warm_start=warm_partition or warm_solve,
-        )
-        state = RelationBuildState(
-            checkpoint=checkpoint,
-            regions=list(regions),
-            domain=domain,
-            constraint_signature=constraint_signature,
-            tracking_signature=tracking_signature,
-            row_count=row_count,
-            problem=problem,
-            targets=targets,
-            solution=solution,
-            fallback=fallback,
-            grounded_checkpoint=grounded_checkpoint,
-        )
-        return info, aligned_relation, state
-
-    def _annotation_scale(self, table_name: str, target_rows: int, metadata_rows: int) -> float:
-        """Scale factor applied to constraint cardinalities.
-
-        When the caller overrides a relation's row count (scenario scaling),
-        the workload's absolute cardinalities are scaled proportionally so the
-        constraint set remains consistent — this is how the demo's
-        "extrapolated exabyte scenario" is modelled.
-        """
-        del table_name
-        if metadata_rows <= 0:
-            return 1.0
-        if target_rows == metadata_rows:
-            return 1.0
-        return target_rows / metadata_rows
-
-    def _make_aligner(self, table: Table) -> SamplingAligner | DeterministicAligner:
+    def _aligner(self, table: Table) -> SamplingAligner | DeterministicAligner:
         statistics = self.metadata.statistics.get(table.name)
         if self.alignment == "sampling":
             return SamplingAligner(statistics=statistics, seed=self.sampling_seed)
         return DeterministicAligner(statistics=statistics)
 
-    # -- statistics-guided region targets --------------------------------------
 
-    def _region_targets(
-        self,
-        table: Table,
-        regions: Sequence,
-        row_count: int,
-        aligned: Mapping[str, AlignedRelation],
-    ) -> NDArray[Any]:
-        """Per-region row-count estimates from the client statistics.
-
-        Each region's expected size is ``row_count`` times the product of its
-        per-column selectivities, estimated per column from the client's
-        MCV/histogram statistics (value columns) or uniformly over the
-        regenerated referenced relation (foreign-key columns) — the usual
-        attribute-independence assumption.  The estimates are normalised to
-        sum to the relation's row count.
-        """
-        statistics = self.metadata.statistics.get(table.name)
-        fk_totals = {
-            fk.column: float(
-                aligned[fk.ref_table].total_rows
-                if fk.ref_table in aligned
-                else self._row_count(fk.ref_table)
-            )
-            for fk in table.foreign_keys
-        }
-        estimates = np.zeros(len(regions), dtype=np.float64)
-        for region in regions:
-            fraction = 0.0
-            for box in region.boxes:
-                piece = 1.0
-                for column, intervals in box.conditions.items():
-                    if column in fk_totals and fk_totals[column] > 0:
-                        bounded = intervals.intersect(
-                            IntervalSet([Interval(0.0, fk_totals[column])])
-                        )
-                        piece *= min(1.0, bounded.count_integers() / fk_totals[column])
-                    elif statistics is not None and column in statistics.columns:
-                        piece *= statistics.columns[column].estimate_intervals_fraction(
-                            intervals
-                        )
-                    # Columns without statistics contribute no information.
-                    if piece == 0.0:
-                        break
-                fraction += piece
-            estimates[region.index] = fraction
-        total = estimates.sum()
-        if total <= 0:
-            return np.full(len(regions), row_count / max(len(regions), 1))
-        return estimates * (row_count / total)
-
-    # -- grounding -----------------------------------------------------------
-
-    def _ground(
-        self,
-        predicate: SymbolicPredicate,
-        table: Table,
-        aligned: Mapping[str, AlignedRelation],
-    ) -> BoxCondition:
-        """Ground a symbolic predicate into a box over the relation's columns.
-
-        Conditions borrowed through foreign keys are translated into pk-index
-        interval sets using the already-aligned referenced relations.
-        """
-        box = predicate.box
-        for fk_column, referenced in predicate.references:
-            if referenced.table not in aligned:
-                raise InfeasibleConstraintsError(
-                    table.name,
-                    f"referenced relation {referenced.table!r} has not been aligned yet "
-                    "(foreign-key graph is not being processed in topological order)",
-                )
-            ref_relation = aligned[referenced.table]
-            ref_table = self.metadata.schema.table(referenced.table)
-            ref_box = self._ground(referenced.predicate, ref_table, aligned)
-            intervals = ref_relation.pk_intervals_matching(ref_box)
-            box = box.with_condition(fk_column, intervals)
-        return box
-
-    # -- domains -------------------------------------------------------------
-
-    def _domain_box(
-        self, table: Table, aligned: Mapping[str, AlignedRelation]
-    ) -> BoxCondition:
-        """Domain bounds of every column of ``table``.
-
-        Value columns are bounded by the client statistics; foreign-key
-        columns by the pk-index range of the referenced relation.
-        """
-        conditions: dict[str, IntervalSet] = {}
-        statistics = self.metadata.statistics.get(table.name)
-        for column in table.columns:
-            if column.name == table.primary_key:
-                continue
-            fk = table.foreign_key_for(column.name)
-            if fk is not None:
-                if fk.ref_table in aligned:
-                    upper = float(aligned[fk.ref_table].total_rows)
-                else:
-                    upper = float(self._row_count(fk.ref_table))
-                conditions[column.name] = IntervalSet([Interval(0.0, max(upper, 1.0))])
-                continue
-            if statistics is None or column.name not in statistics.columns:
-                continue
-            column_stats = statistics.columns[column.name]
-            if column_stats.min_value is None or column_stats.max_value is None:
-                continue
-            low = float(column_stats.min_value)
-            high = float(column_stats.max_value)
-            padding = 1.0 if column.dtype.is_discrete else max(abs(high), 1.0) * 1e-9
-            conditions[column.name] = IntervalSet([Interval(low, high + padding)])
-        return BoxCondition(conditions)
+def _aqp_key(aqp: AnnotatedQueryPlan) -> str:
+    """Content identity of one AQP (used to drop replayed delta queries)."""
+    return json.dumps(aqp.to_dict(), sort_keys=True, separators=(",", ":"))
 
 
 def summary_relation_providers(
@@ -1240,21 +775,9 @@ def summary_relation_providers(
         yield table_name, relation
 
 
-def constraint_count(constraints: Iterable[CardinalityConstraint]) -> int:
-    """Number of non-trivial constraints (helper shared by benchmarks)."""
-    return sum(1 for constraint in constraints if not constraint.predicate.is_trivial)
-
-
 def scale_row_counts(metadata: DatabaseMetadata, factor: float) -> dict[str, int]:
     """Row-count overrides scaling every relation by ``factor``."""
     return {
         name: max(1, int(round(stats.row_count * factor)))
         for name, stats in metadata.statistics.items()
     }
-
-
-def rounded_counts(counts: NDArray[Any]) -> NDArray[Any]:
-    """Re-exported rounding helper (kept for API stability of benchmarks)."""
-    from .solver import round_preserving_total
-
-    return round_preserving_total(counts)

@@ -608,7 +608,7 @@ class DatabaseSummary(JsonDocument):
         the same summary would differ) and vendor-side ``extension_state``
         are excluded: rebuilding an identical summary yields an identical
         fingerprint.  Exports record this value in their ``MANIFEST.json``
-        so ``hydra-verify --against`` can pin an export directory to the
+        so ``hydra verify --against`` can pin an export directory to the
         summary content that produced it.
         """
         payload = self.to_dict()

@@ -1,12 +1,10 @@
 """HYD4xx — import-boundary rules.
 
-PR 6 left ``repro.sql.expressions`` behind as a deprecation shim so external
-code keeps importing; *internal* code importing it re-entrenches the old
-surface and (because the shim emits a :class:`DeprecationWarning` on import)
-turns warning-as-error test runs red.  Separately, the executor consumes the
-parallel subsystem through exactly two documented seams; any other
-``executor``/``core`` → ``parallel`` import couples the layers the wrong way
-round and reintroduces the circular-import risk the seams exist to avoid.
+The executor consumes the parallel subsystem through exactly two documented
+seams; any other ``executor``/``core`` → ``parallel`` import couples the
+layers the wrong way round and reintroduces the circular-import risk the
+seams exist to avoid.  The range's first code is retired together with the
+deprecation shim it guarded (a retired code is never reused).
 """
 
 from __future__ import annotations
@@ -16,48 +14,7 @@ from typing import ClassVar, Iterator
 
 from ..framework import FileContext, Finding, Rule, register, resolve_import_targets
 
-__all__ = ["DeprecatedShimImportRule", "LayerBoundaryRule", "LayerEdge"]
-
-#: The deprecated module no internal code may import.
-_SHIM_MODULE = "repro.sql.expressions"
-
-#: Files allowed to reference the shim (the shim itself).
-_SHIM_ALLOWED_FILES = ("src/repro/sql/expressions.py",)
-
-
-@register
-class DeprecatedShimImportRule(Rule):
-    """HYD401: internal code must not import the ``repro.sql.expressions`` shim.
-
-    The shim exists solely for external callers; ``repro.sql.predicates`` is
-    the only internal surface.  An internal shim import re-entrenches the
-    deprecated names and trips the shim's import-time
-    :class:`DeprecationWarning` in every consumer.
-    """
-
-    code: ClassVar[str] = "HYD401"
-    name: ClassVar[str] = "deprecated-shim-import"
-    summary: ClassVar[str] = (
-        "no internal import of the deprecated repro.sql.expressions shim "
-        "(repro.sql.predicates is the internal surface)"
-    )
-
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        """Flag absolute and relative imports resolving to the shim."""
-        if ctx.rel_path in _SHIM_ALLOWED_FILES:
-            return
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, (ast.Import, ast.ImportFrom)):
-                continue
-            for target in resolve_import_targets(ctx, node):
-                if target == _SHIM_MODULE or target.startswith(_SHIM_MODULE + "."):
-                    yield self.finding(
-                        ctx,
-                        node,
-                        "import of the deprecated repro.sql.expressions shim; "
-                        "import from repro.sql.predicates instead",
-                    )
-                    break
+__all__ = ["LayerBoundaryRule", "LayerEdge"]
 
 
 class LayerEdge:

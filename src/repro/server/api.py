@@ -448,7 +448,7 @@ class VerifyRequest:
     workload.  Without ``against_dir`` the AQPs are re-executed over the
     regenerated database and compared volumetrically; with it, the export
     directory is validated against the cached summary through the same
-    helper ``hydra-verify --against`` uses — no tuple is regenerated.
+    helper ``hydra verify --against`` uses — no tuple is regenerated.
     """
 
     package: Mapping[str, Any] | None = None

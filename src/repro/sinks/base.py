@@ -12,7 +12,7 @@ export.
 Backends subclass :class:`Sink` and implement the four ``_backend_*`` hooks;
 the base class owns the open/close state machine and the streaming checksum
 accounting, so every backend's manifest is computed identically (and
-identically to the in-memory stream ``hydra-verify --against`` recomputes).
+identically to the in-memory stream ``hydra verify --against`` recomputes).
 """
 
 from __future__ import annotations

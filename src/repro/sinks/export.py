@@ -5,7 +5,7 @@ block stream of every relation through a :class:`~repro.sinks.base.Sink`
 without ever materialising a relation, and seals the export with its
 ``MANIFEST.json``.
 
-:func:`verify_export` is the inverse check used by ``hydra-verify
+:func:`verify_export` is the inverse check used by ``hydra verify
 --against``: given a summary and an export directory, it validates the
 manifest's summary fingerprint and per-relation row counts, then re-reads
 the backend files (CSV / SQLite / Parquet), re-encodes the external values
@@ -278,7 +278,7 @@ def validate_export_against(
 ) -> ExportValidation:
     """Validate an export for a client: schema membership + :func:`verify_export`.
 
-    This is the one shared implementation behind ``hydra-verify --against``
+    This is the one shared implementation behind ``hydra verify --against``
     and the server's verify endpoint.  It first proves the client package
     and the summary describe the same database (identical relation-name
     sets — an export of a *different* client's summary must fail loudly,

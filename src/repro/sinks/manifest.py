@@ -12,7 +12,7 @@ fed block by block), which makes them
   row-identical, only chunked differently; and
 * independent of the backend — CSV, SQLite and Parquet exports of the same
   summary share the same checksums, and so does the in-memory stream, which
-  is what lets ``hydra-verify --against`` validate an export without
+  is what lets ``hydra verify --against`` validate an export without
   regenerating a single tuple.
 """
 

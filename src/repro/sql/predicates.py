@@ -22,9 +22,6 @@ floors, bottom to top:
   column traversal (:meth:`AbstractPredicate.itercolumns`), join/filter
   classification (:meth:`AbstractPredicate.is_join`), NNF/CNF normalisation
   and canonical hashing/equality.
-
-``repro.sql.expressions`` re-exports everything here for backwards
-compatibility and emits a :class:`DeprecationWarning` on import.
 """
 
 from __future__ import annotations

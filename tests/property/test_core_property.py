@@ -15,7 +15,7 @@ from repro.core.regions import RegionPartitioner
 from repro.core.solver import LPSolver, repair_rounding, round_preserving_total
 from repro.core.summary import FKReference, RelationSummary, SummaryRow
 from repro.core.tuplegen import TupleGenerator
-from repro.sql.expressions import BoxCondition, Interval, IntervalSet
+from repro.sql.predicates import BoxCondition, Interval, IntervalSet
 
 
 class TestRoundingProperties:

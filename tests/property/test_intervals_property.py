@@ -5,7 +5,7 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sql.expressions import Interval, IntervalSet
+from repro.sql.predicates import Interval, IntervalSet
 
 
 @st.composite

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from repro.core.grid import grid_variable_count
 from repro.core.regions import RegionPartitioner
-from repro.sql.expressions import BoxCondition, Interval, IntervalSet
+from repro.sql.predicates import BoxCondition, Interval, IntervalSet
 
 COLUMNS = ("a", "b", "c")
 

@@ -23,7 +23,7 @@ from repro.catalog.types import FLOAT, INTEGER
 from repro.core.summary import FKReference, RelationSummary, SummaryRow
 from repro.core.tuplegen import TupleGenerator
 from repro.parallel.sharding import ShardPlan
-from repro.sql.expressions import BoxCondition, Interval, IntervalSet
+from repro.sql.predicates import BoxCondition, Interval, IntervalSet
 
 
 def _table() -> Table:

@@ -32,7 +32,7 @@ from repro.core.summary import (
 from repro.sinks import CsvSink, SqliteSink, export_summary, verify_export
 from repro.sinks.export import _read_csv, _read_sqlite
 from repro.sinks.sqlite_sink import DATABASE_NAME
-from repro.sql.expressions import Interval, IntervalSet
+from repro.sql.predicates import Interval, IntervalSet
 
 DIM_ROWS = 30
 

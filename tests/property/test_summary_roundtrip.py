@@ -21,7 +21,7 @@ from repro.core.summary import (
     RelationSummary,
     SummaryRow,
 )
-from repro.sql.expressions import Interval, IntervalSet
+from repro.sql.predicates import Interval, IntervalSet
 from repro.workload.toy import toy_schema
 
 # JSON-exact floats: avoid NaN (not JSON) and keep magnitudes where repr

@@ -16,7 +16,7 @@ from repro.catalog.schema import Column, ForeignKey, Table
 from repro.catalog.types import DATE, FLOAT, INTEGER, StringType
 from repro.core.summary import FKReference, RelationSummary, SummaryRow
 from repro.core.tuplegen import TupleGenerator
-from repro.sql.expressions import BoxCondition, Interval, IntervalSet
+from repro.sql.predicates import BoxCondition, Interval, IntervalSet
 
 
 REF_ROWS = 40

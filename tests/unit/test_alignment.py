@@ -11,7 +11,7 @@ from repro.catalog.types import INTEGER
 from repro.core.alignment import DeterministicAligner
 from repro.core.regions import RegionPartitioner
 from repro.core.sampling import SamplingAligner
-from repro.sql.expressions import BoxCondition, Interval, IntervalSet
+from repro.sql.predicates import BoxCondition, Interval, IntervalSet
 
 
 def box(**conditions: tuple[float, float]) -> BoxCondition:

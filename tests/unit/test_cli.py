@@ -391,33 +391,3 @@ class TestUnifiedCli:
             cli.main(["serve", "--help"])
         assert excinfo.value.code == 0
         assert "--load" in capsys.readouterr().out
-
-    def test_legacy_aliases_warn_and_dispatch(self, tmp_path, capsys):
-        import repro.cli as cli
-
-        path = tmp_path / "legacy.json"
-        code = cli.generate_legacy(
-            ["--dataset", "toy", "--queries", "2", "--output", str(path)]
-        )
-        assert code == 0
-        assert path.exists()
-        captured = capsys.readouterr()
-        assert "hydra-generate is deprecated" in captured.err
-        assert "hydra generate" in captured.err
-
-    @pytest.mark.parametrize(
-        ("alias", "command"),
-        [
-            ("generate_legacy", "generate"),
-            ("client_legacy", "client"),
-            ("vendor_legacy", "vendor"),
-            ("verify_legacy", "verify"),
-        ],
-    )
-    def test_all_legacy_aliases_name_their_replacement(self, alias, command, capsys):
-        import repro.cli as cli
-
-        with pytest.raises(SystemExit):
-            getattr(cli, alias)(["--help"])
-        captured = capsys.readouterr()
-        assert f"use `hydra {command}` instead" in captured.err

@@ -10,7 +10,7 @@ from repro.core.constraints import (
     RelationConstraints,
     SymbolicPredicate,
 )
-from repro.sql.expressions import BoxCondition, Interval, IntervalSet
+from repro.sql.predicates import BoxCondition, Interval, IntervalSet
 
 
 def box(**conditions: tuple[float, float]) -> BoxCondition:

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.sql.expressions import (
+from repro.sql.predicates import (
     And,
     BoxCondition,
     Comparison,

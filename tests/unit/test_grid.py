@@ -7,7 +7,7 @@ import pytest
 from repro.core.errors import RegionExplosionError
 from repro.core.grid import GridPartitioner, column_cut_points, grid_variable_count
 from repro.core.regions import RegionPartitioner
-from repro.sql.expressions import BoxCondition, Interval, IntervalSet
+from repro.sql.predicates import BoxCondition, Interval, IntervalSet
 
 
 def box(**conditions: tuple[float, float]) -> BoxCondition:

@@ -30,7 +30,6 @@ EXPECTED_CODES = [
     "HYD202",
     "HYD301",
     "HYD302",
-    "HYD401",
     "HYD402",
     "HYD501",
     "HYD502",
@@ -359,48 +358,6 @@ class TestHYD302BareFloatSum:
         assert findings == []
 
 
-class TestHYD401DeprecatedShimImport:
-    def test_flags_from_import_of_shim(self):
-        findings = check(
-            "HYD401",
-            "from repro.sql.expressions import Interval\n",
-            rel_path="benchmarks/bench_fixture.py",
-        )
-        assert [f.code for f in findings] == ["HYD401"]
-
-    def test_flags_plain_import_of_shim(self):
-        findings = check(
-            "HYD401",
-            "import repro.sql.expressions\n",
-            rel_path="src/repro/core/fixture.py",
-        )
-        assert [f.code for f in findings] == ["HYD401"]
-
-    def test_flags_relative_import_resolving_to_shim(self):
-        findings = check(
-            "HYD401",
-            "from ..sql.expressions import Interval\n",
-            rel_path="src/repro/core/fixture.py",
-        )
-        assert [f.code for f in findings] == ["HYD401"]
-
-    def test_predicates_import_passes(self):
-        findings = check(
-            "HYD401",
-            "from repro.sql.predicates import Interval\n",
-            rel_path="src/repro/core/fixture.py",
-        )
-        assert findings == []
-
-    def test_shim_module_itself_is_exempt(self):
-        findings = check(
-            "HYD401",
-            "import repro.sql.expressions\n",
-            rel_path="src/repro/sql/expressions.py",
-        )
-        assert findings == []
-
-
 class TestHYD402LayerBoundary:
     def test_flags_executor_import_outside_seam(self):
         findings = check(
@@ -557,11 +514,6 @@ class TestRepositoryIsClean:
         """Regression: the one sanctioned HYD502 site keeps its justification."""
         source = (REPO_ROOT / "src/repro/parallel/pool.py").read_text()
         assert "hydralint: disable=HYD502 --" in source
-
-    def test_benchmarks_do_not_import_the_shim(self):
-        """Regression: bench_lp_complexity.py imports repro.sql.predicates now."""
-        source = (REPO_ROOT / "benchmarks/bench_lp_complexity.py").read_text()
-        assert "repro.sql.expressions" not in source
 
 
 class TestRegionsIsinfRegression:

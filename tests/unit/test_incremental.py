@@ -10,13 +10,18 @@ complete no-op.
 
 from __future__ import annotations
 
+import json
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from repro.catalog.metadata import collect_metadata
 from repro.catalog.schema import Column, Schema, Table
 from repro.catalog.types import INTEGER
+from repro.cli import vendor_main
 from repro.client.extractor import AQPExtractor
+from repro.client.package import InformationPackage
 from repro.core import solver as solver_module
 from repro.core.errors import HydraError, SummaryError
 from repro.core.pipeline import Hydra
@@ -57,6 +62,29 @@ def s_touching_delta(toy_database):
             "delta_s_scan",
         )
     ]
+
+
+@pytest.fixture(params=["toy", "tpcds"])
+def client_and_delta(request):
+    """``(metadata, base AQPs A, delta AQPs B)`` for the toy and tpcds clients."""
+    if request.param == "toy":
+        _db, metadata, aqps = request.getfixturevalue("toy_client")
+        return metadata, aqps, request.getfixturevalue("r_only_delta")
+    aqps = list(request.getfixturevalue("tpcds_aqps"))
+    return request.getfixturevalue("tpcds_metadata"), aqps[:14], aqps[14:]
+
+
+def _artifacts(result, version):
+    """What the three drivers must agree on, byte for byte.
+
+    A cold build is version 1 and every splice bumps it, so the version is
+    pinned before fingerprinting; everything else must match as built.
+    """
+    return (
+        replace(result.summary, version=version).fingerprint(),
+        {name: rel.to_dict() for name, rel in result.summary.relations.items()},
+        json.dumps(result.extension_state(), sort_keys=True, separators=(",", ":")),
+    )
 
 
 def _solver_call_log(monkeypatch):
@@ -135,17 +163,14 @@ class TestExtendSummary:
         assert extended.report.resolved_relations() == ["R"]
         assert sorted(extended.report.reused_relations()) == ["S", "T"]
 
-    def test_matches_from_scratch_union_build(self, toy_client, r_only_delta):
-        _db, metadata, aqps = toy_client
+    def test_matches_from_scratch_union_build(self, client_and_delta):
+        metadata, aqps, delta = client_and_delta
         hydra = Hydra(metadata=metadata)
         base = hydra.build_summary(aqps)
-        extended = hydra.extend_summary(base, r_only_delta)
-        fresh = hydra.build_summary(aqps + r_only_delta)
-        for name in fresh.summary.relations:
-            assert (
-                fresh.summary.relations[name].to_dict()
-                == extended.summary.relations[name].to_dict()
-            ), f"summary of {name} diverged from the union build"
+        extended = hydra.extend_summary(base, delta)
+        fresh = hydra.build_summary(aqps + delta)
+        version = extended.summary.version
+        assert _artifacts(fresh, version) == _artifacts(extended, version)
         _assert_identical_rows(
             _materialized(hydra, fresh.summary), _materialized(hydra, extended.summary)
         )
@@ -282,21 +307,91 @@ class TestSpliceAndState:
         with pytest.raises(SummaryError, match="summarises"):
             summary.splice({"R": summary.relations["S"]})
 
-    def test_restore_result_roundtrips_through_json(self, toy_client, r_only_delta):
-        _db, metadata, aqps = toy_client
+    def test_restore_result_roundtrips_through_json(self, client_and_delta):
+        """build(A∪B) ≡ extend(build(A), B) ≡ extend(restore(load(save(build(A)))), B):
+        the three drivers are one stage sequence, so they must agree on the
+        fingerprint, every relation's rows and the extension state."""
+        metadata, aqps, delta = client_and_delta
         hydra = Hydra(metadata=metadata)
         base = hydra.build_summary(aqps)
         base.attach_extension_state("fingerprint-1")
         reloaded = DatabaseSummary.from_json(base.summary.to_json())
         assert reloaded.extension_state["package_fingerprint"] == "fingerprint-1"
         restored = hydra.restore_result(reloaded)
-        extended = hydra.extend_summary(restored, r_only_delta)
-        fresh = hydra.build_summary(aqps + r_only_delta)
-        for name in fresh.summary.relations:
-            assert (
-                fresh.summary.relations[name].to_dict()
-                == extended.summary.relations[name].to_dict()
+        assert _artifacts(restored, 1) == _artifacts(base, 1)
+        re_extended = hydra.extend_summary(restored, delta)
+        version = re_extended.summary.version
+        assert _artifacts(re_extended, version) == _artifacts(
+            hydra.extend_summary(base, delta), version
+        )
+        assert _artifacts(re_extended, version) == _artifacts(
+            hydra.build_summary(aqps + delta), version
+        )
+
+    @pytest.mark.parametrize(
+        ("corrupt", "named"),
+        [
+            pytest.param(
+                lambda state: state["relations"].update(R=None), "'R'", id="null-relation"
+            ),
+            pytest.param(
+                lambda state: state["relations"]["R"].update(counts=[1.5]),
+                "'R'.*must be integers",
+                id="float-counts",
+            ),
+            pytest.param(
+                lambda state: state["relations"]["R"].update(counts=["12"]),
+                "'R'.*must be integers",
+                id="string-counts",
+            ),
+            pytest.param(
+                lambda state: state["relations"]["S"].update(row_count="500"),
+                "'S'.*must be integers",
+                id="string-row-count",
+            ),
+            pytest.param(
+                lambda state: state["relations"]["S"].update(partition_boxes=[7]),
+                "'S'",
+                id="non-dict-box",
+            ),
+            pytest.param(lambda state: state.update(aqps=5), "aqps", id="non-list-aqps"),
+            pytest.param(lambda state: state.update(aqps=[{}]), "aqps", id="key-less-aqp"),
+            pytest.param(
+                lambda state: state.update(relations="RST"), "relations", id="non-dict-relations"
+            ),
+        ],
+    )
+    def test_restore_rejects_malformed_state(self, toy_client, corrupt, named):
+        """Extension state arrives from disk: whatever is wrong with it must
+        surface as a HydraError naming the offending relation/field."""
+        _db, metadata, aqps = toy_client
+        hydra = Hydra(metadata=metadata)
+        base = hydra.build_summary(aqps)
+        base.attach_extension_state()
+        reloaded = DatabaseSummary.from_json(base.summary.to_json())
+        corrupt(reloaded.extension_state)
+        with pytest.raises(HydraError, match=named):
+            hydra.restore_result(reloaded)
+
+    def test_cli_extend_from_malformed_summary_exits_cleanly(self, toy_client, tmp_path):
+        _db, metadata, aqps = toy_client
+        package_path, summary_path = tmp_path / "package.json", tmp_path / "summary.json"
+        InformationPackage(metadata=metadata, aqps=aqps, client_name="toy").save(package_path)
+        assert vendor_main([str(package_path), "--output", str(summary_path)]) == 0
+        payload = json.loads(summary_path.read_text())
+        payload["extension_state"]["relations"]["R"] = None
+        summary_path.write_text(json.dumps(payload))
+        # A message-carrying SystemExit: exit status 1, the message on stderr,
+        # no traceback.
+        with pytest.raises(SystemExit, match="malformed extension state") as excinfo:
+            vendor_main(
+                [
+                    str(package_path),
+                    "--extend-from", str(summary_path),
+                    "--output", str(tmp_path / "extended.json"),
+                ]
             )
+        assert isinstance(excinfo.value.code, str)
 
     def test_restore_without_state_raises(self, toy_client):
         _db, metadata, aqps = toy_client

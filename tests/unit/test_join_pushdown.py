@@ -32,7 +32,7 @@ from repro.executor.engine import ExecutionEngine
 from repro.executor.rate import RateLimiter
 from repro.plans.logical import plan_from_dict
 from repro.plans.planner import build_plan, compute_semijoin_pushdowns
-from repro.sql.expressions import (
+from repro.sql.predicates import (
     BoxCondition,
     Comparison,
     Interval,
@@ -509,7 +509,7 @@ class TestEmptyDisjunctionBox(object):
 
     def test_nested_and_column_free_disjunctions(self):
         assert Or((Or(()),)).to_box().is_empty
-        from repro.sql.expressions import TruePredicate
+        from repro.sql.predicates import TruePredicate
 
         assert not Or((TruePredicate(),)).to_box().is_empty
 
@@ -524,7 +524,7 @@ class TestEmptyDisjunctionBox(object):
         assert box.evaluate(values).tolist() == predicate.evaluate(values).tolist()
         assert box.conditions["x"] == IntervalSet([Interval(float("-inf"), 5.0)])
         # All-unsatisfiable children on a referenced column stay all-false.
-        from repro.sql.expressions import And
+        from repro.sql.predicates import And
 
         contradiction = And((Comparison("x", "<", 1.0), Comparison("x", ">=", 5.0)))
         assert Or((contradiction,)).to_box({"x": True}).is_empty
@@ -540,7 +540,7 @@ class TestEmptyDisjunctionBox(object):
         # NOT(x < 5 AND <empty disjunction>) evaluates all-true; complementing
         # the child's per-column intervals while ignoring the satisfiable
         # flag would yield x >= 5 instead.
-        from repro.sql.expressions import And, Not
+        from repro.sql.predicates import And, Not
 
         predicate = Not(And((Comparison("x", "<", 5.0), Or(()))))
         assert box_semantics_exact(predicate, {"x": True})

@@ -9,7 +9,7 @@ from repro.core.errors import InfeasibleConstraintsError
 from repro.core.lp import build_lp
 from repro.core.regions import RegionPartitioner
 from repro.core.solver import LPSolver, round_preserving_total
-from repro.sql.expressions import BoxCondition, Interval, IntervalSet
+from repro.sql.predicates import BoxCondition, Interval, IntervalSet
 
 
 def box(**conditions: tuple[float, float]) -> BoxCondition:

@@ -23,7 +23,7 @@ from repro.executor.engine import ExecutionEngine
 from repro.executor.rate import RateLimiter
 from repro.parallel import ShardPlan, default_workers
 from repro.plans.planner import build_plan
-from repro.sql.expressions import BoxCondition, Interval, IntervalSet
+from repro.sql.predicates import BoxCondition, Interval, IntervalSet
 from repro.sql.parser import parse_query
 
 

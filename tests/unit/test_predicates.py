@@ -2,17 +2,13 @@
 
 Covers the ``AbstractPredicate`` hierarchy introduced by the
 expression-layer refactor: join/filter classification, column iteration,
-NNF/CNF normalisation, canonical equality and hashing, the NaN guards on
-``Interval``/``IntervalSet`` and the ``repro.sql.expressions``
-deprecation shim.
+NNF/CNF normalisation, canonical equality and hashing, and the NaN guards
+on ``Interval``/``IntervalSet``.
 """
 
 from __future__ import annotations
 
-import importlib
 import math
-import sys
-import warnings
 
 import numpy as np
 import pytest
@@ -241,16 +237,8 @@ class TestNaNGuards:
             Interval.from_dict({"low": math.nan, "high": 2.0})
 
 
-class TestDeprecationShim:
-    def test_expressions_import_warns_once_and_aliases(self):
-        sys.modules.pop("repro.sql.expressions", None)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            module = importlib.import_module("repro.sql.expressions")
-        deprecations = [w for w in caught if issubclass(w.category, DeprecationWarning)]
-        assert len(deprecations) == 1
-        assert "repro.sql.predicates" in str(deprecations[0].message)
-        # The shim re-exports the real classes, not copies.
-        assert module.Comparison is Comparison
-        assert module.BoxCondition is not None
-        assert module.Predicate is AbstractPredicate
+class TestLegacyAliases:
+    def test_predicate_alias_is_the_abstract_base(self):
+        from repro.sql import predicates
+
+        assert predicates.Predicate is AbstractPredicate

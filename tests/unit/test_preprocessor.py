@@ -10,7 +10,7 @@ from repro.core.errors import DecompositionError
 from repro.core.preprocessor import decompose_workload
 from repro.plans.aqp import AnnotatedQueryPlan
 from repro.plans.logical import FilterNode, JoinNode, ScanNode
-from repro.sql.expressions import Comparison
+from repro.sql.predicates import Comparison
 from repro.sql.parser import parse_query
 from repro.sql.query import JoinCondition, Query
 from repro.workload.toy import FIGURE1_QUERY

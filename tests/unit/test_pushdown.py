@@ -27,7 +27,7 @@ from repro.executor.engine import ExecutionEngine, ExecutionResult
 from repro.executor.rate import RateLimiter
 from repro.plans.logical import plan_from_dict
 from repro.plans.planner import build_plan, compute_pushdowns
-from repro.sql.expressions import BoxCondition, Interval, IntervalSet
+from repro.sql.predicates import BoxCondition, Interval, IntervalSet
 from repro.sql.parser import parse_query
 from repro.storage.database import Database
 from repro.workload.toy import FIGURE1_QUERY, ToyConfig, generate_toy_database
@@ -405,7 +405,7 @@ class TestFastpathOnHandBuiltSummary:
         # Deserialised AQPs can carry trivial or empty predicates; fused
         # scans must give them the same constant verdict as the naive route.
         from repro.plans.logical import AggregateNode, FilterNode, ScanNode
-        from repro.sql.expressions import predicate_from_dict
+        from repro.sql.predicates import predicate_from_dict
 
         plan = AggregateNode(
             child=FilterNode(
@@ -430,7 +430,7 @@ class TestFastpathOnHandBuiltSummary:
         # A malformed AQP package can carry a predicate on a column the table
         # does not have; no route may silently fabricate a count for it.
         from repro.plans.logical import AggregateNode, FilterNode, ScanNode
-        from repro.sql.expressions import Comparison
+        from repro.sql.predicates import Comparison
 
         plan = AggregateNode(
             child=FilterNode(

@@ -14,7 +14,7 @@ from repro.core.regions import (
     domain_box_from_bounds,
     regions_satisfying,
 )
-from repro.sql.expressions import BoxCondition, Interval, IntervalSet
+from repro.sql.predicates import BoxCondition, Interval, IntervalSet
 
 
 def box(**conditions: tuple[float, float]) -> BoxCondition:

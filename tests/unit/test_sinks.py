@@ -32,7 +32,7 @@ from repro.sinks import (
     verify_export,
 )
 from repro.sinks.sqlite_sink import DATABASE_NAME
-from repro.sql.expressions import Interval, IntervalSet
+from repro.sql.predicates import Interval, IntervalSet
 
 
 DIM = Table(name="dim", columns=[Column("dim_pk", INTEGER)], primary_key="dim_pk")

@@ -16,7 +16,7 @@ from repro.core.summary import (
     SummaryRow,
 )
 from repro.core.tuplegen import SummaryDatabaseFactory, TupleGenerator
-from repro.sql.expressions import Interval, IntervalSet
+from repro.sql.predicates import Interval, IntervalSet
 
 
 @pytest.fixture()
