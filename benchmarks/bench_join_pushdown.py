@@ -1,36 +1,34 @@
 """E12 — Streaming summary-aware joins and the join-COUNT fast path.
 
 PR 1 made single-table scans scale-free; this experiment shows the same for
-multi-table SPJ queries.  A selective FK–PK join over the dataless Figure-1
-fact relation is executed along three routes:
+multi-table SPJ queries.  A selective FK–PK join over the Figure-1 fact
+relation is executed along three routes (see ``bench_pushdown.Vendor``: a
+route is what the vendor attaches plus the one engine option):
 
-* **materialising** — streaming pushdown scans, but the join materialises
-  both inputs before probing (the PR 1 behaviour): peak memory is
-  O(probe-side relation);
-* **streaming** — build/probe: the dimension side (smaller summary
+* **materialised** — materialise both joined relations, then execute: the
+  materialising hash join over full scans.  One measured region — time and
+  peak memory include the materialisation (O(both relations));
+* **streaming** — dataless build/probe: the dimension side (smaller summary
   cardinality) is built, the fact side streams batch-by-batch with semi-join
   FK pushdown skipping summary segments that cannot join: peak memory is
   O(build + batch + output);
-* **fast-path** — ``COUNT`` over the single FK–PK join is answered from the
-  two summaries in O(#summary rows) via round-robin interval arithmetic,
-  generating zero tuples.
+* **default** — dataless: ``COUNT`` over the single FK–PK join is answered
+  from the two summaries in O(#summary rows) via round-robin interval
+  arithmetic, generating zero tuples.
 
 All routes must produce bit-identical counts and AQP annotations.  The
-streaming route must allocate ≥5× less peak memory than the materialising
-route, the fast path must be ≥10× faster at the largest scale, and the
+streaming route must allocate ≥5× less peak memory than the materialised
+route, the summary route must be ≥10× faster at the largest scale, and the
 volumetric-verification results must not depend on the route.
 """
 
 from __future__ import annotations
 
-import time
 import tracemalloc
 
+from bench_pushdown import ROUTES, Vendor, run_route
 from reporting import record
 
-from repro.core.pipeline import Hydra, scale_row_counts
-from repro.executor.engine import ExecutionEngine
-from repro.plans.logical import plan_from_dict
 from repro.plans.planner import build_plan
 from repro.sql.parser import parse_query
 from repro.telemetry import telemetry_session
@@ -39,12 +37,6 @@ from repro.verify.comparator import VolumetricComparator
 JOIN_COUNT_SQL = (
     "select count(*) from R, S where R.S_fk = S.S_pk and S.A >= 20 and S.A < 22"
 )
-
-ROUTES = {
-    "materialising": dict(pushdown=True, summary_fastpath=False, streaming_join=False),
-    "streaming": dict(pushdown=True, summary_fastpath=False, streaming_join=True),
-    "fast-path": dict(pushdown=True, summary_fastpath=True, streaming_join=True),
-}
 
 
 def _workload_aqps(database, aqps):
@@ -62,33 +54,6 @@ def _workload_aqps(database, aqps):
     return list(aqps) + [extractor.extract(query)]
 
 
-def _regenerated_database(metadata, aqps, factor):
-    hydra = Hydra(
-        metadata=metadata,
-        row_count_overrides=scale_row_counts(metadata, factor) if factor != 1 else {},
-    )
-    result = hydra.build_summary(aqps)
-    return hydra.regenerate(result.summary)
-
-
-def _run_route(database, plan, **engine_options):
-    engine = ExecutionEngine(database=database, annotate=True, **engine_options)
-    cloned = plan_from_dict(plan.to_dict())
-    cloned.clear_annotations()
-    start = time.perf_counter()
-    result = engine.execute(cloned)
-    elapsed = time.perf_counter() - start
-    annotations = [node.cardinality for node in cloned.iter_nodes()]
-    # The engine records which route answered the aggregate; the join-COUNT
-    # fast path must actually fire (not silently fall back) for the speedup
-    # claims below to measure what they say they measure.
-    expected_route = "summary" if engine_options.get("summary_fastpath") else "streaming"
-    assert result.aggregate_route == expected_route, (
-        f"expected aggregate_route={expected_route!r}, got {result.aggregate_route!r}"
-    )
-    return int(result.column("count")[0]), annotations, elapsed, result.scanned_rows
-
-
 def test_e12_join_routes_and_count_fastpath(benchmark, toy_client):
     database, metadata, _queries, aqps = toy_client
     aqps = _workload_aqps(database, aqps)
@@ -97,21 +62,17 @@ def test_e12_join_routes_and_count_fastpath(benchmark, toy_client):
     )
 
     print()
-    print(f"E12: selective FK–PK join COUNT(*) over dataless R ⋈ S — {JOIN_COUNT_SQL!r}")
+    print(f"E12: selective FK–PK join COUNT(*) over R ⋈ S — {JOIN_COUNT_SQL!r}")
     timings: dict[int, dict[str, float]] = {}
     factors = (1, 10, 100)
     for factor in factors:
-        database = _regenerated_database(metadata, aqps, factor)
-        rows = database.row_count("R")
-        outcomes = {name: _run_route(database, plan, **opts) for name, opts in ROUTES.items()}
+        vendor = Vendor(metadata, aqps, factor)
+        rows = vendor.dataless.row_count("R")
+        outcomes = {name: run_route(vendor, plan, name) for name in ROUTES}
         counts = {name: outcome[0] for name, outcome in outcomes.items()}
         annotations = {name: outcome[1] for name, outcome in outcomes.items()}
-        assert counts["materialising"] == counts["streaming"] == counts["fast-path"]
-        assert (
-            annotations["materialising"]
-            == annotations["streaming"]
-            == annotations["fast-path"]
-        )
+        assert counts["materialised"] == counts["streaming"] == counts["default"]
+        assert annotations["materialised"] == annotations["streaming"] == annotations["default"]
         timings[factor] = {name: outcome[2] for name, outcome in outcomes.items()}
         for name, (count, _annotations, elapsed, scanned) in outcomes.items():
             print(
@@ -120,11 +81,11 @@ def test_e12_join_routes_and_count_fastpath(benchmark, toy_client):
             )
 
     largest = timings[factors[-1]]
-    speedup = largest["materialising"] / max(largest["fast-path"], 1e-9)
-    print(f"  join-COUNT fast-path speedup over materialising at x{factors[-1]}: {speedup:,.0f}x")
+    speedup = largest["materialised"] / max(largest["default"], 1e-9)
+    print(f"  summary route vs materialise-then-execute at x{factors[-1]}: {speedup:,.0f}x faster")
     assert speedup >= 10.0
-    # The fast path is O(#summary rows): it must not degrade with scale.
-    assert timings[factors[-1]]["fast-path"] < timings[factors[0]]["materialising"] * 10
+    # The summary route is O(#summary rows): it must not degrade with scale.
+    assert timings[factors[-1]]["default"] < timings[factors[0]]["materialised"] * 10
 
     benchmark.extra_info["timings_ms"] = {
         str(factor): {name: round(seconds * 1e3, 3) for name, seconds in routes.items()}
@@ -132,44 +93,39 @@ def test_e12_join_routes_and_count_fastpath(benchmark, toy_client):
     }
     benchmark.extra_info["speedup_at_largest_scale"] = round(speedup, 1)
 
-    database = _regenerated_database(metadata, aqps, factors[-1])
-    # Attach the join-route counters of one instrumented fast-path run.
+    # Attach the join-route counters of one instrumented summary-route run.
     with telemetry_session() as session:
-        _run_route(database, plan, **ROUTES["fast-path"])
+        run_route(vendor, plan, "default")
     counters = session.metrics.snapshot()["counters"]
     record("E12", "join_count_fastpath_speedup", speedup, metrics=counters)
-    benchmark.pedantic(
-        lambda: _run_route(database, plan, **ROUTES["fast-path"]), rounds=5, iterations=1
-    )
+    benchmark.pedantic(lambda: run_route(vendor, plan, "default"), rounds=5, iterations=1)
 
 
 def test_e12_streaming_join_is_memory_bounded(toy_client):
-    """Probe-side peak allocation drops ≥5× versus the materialising join."""
+    """Probe-side peak allocation drops ≥5× versus materialise-then-join."""
     database, metadata, _queries, aqps = toy_client
     aqps = _workload_aqps(database, aqps)
-    database = _regenerated_database(metadata, aqps, 40)
+    vendor = Vendor(metadata, aqps, 40)
     plan = build_plan(parse_query(JOIN_COUNT_SQL, metadata.schema), metadata.schema)
 
     peaks = {}
-    for name in ("materialising", "streaming"):
-        engine = ExecutionEngine(database=database, annotate=False, **ROUTES[name])
-        cloned = plan_from_dict(plan.to_dict())
+    for name in ("materialised", "streaming"):
         tracemalloc.start()
-        engine.execute(cloned)
+        run_route(vendor, plan, name, annotate=False)
         _current, peak = tracemalloc.get_traced_memory()
         tracemalloc.stop()
         peaks[name] = peak
 
-    rows = database.row_count("R")
+    rows = vendor.dataless.row_count("R")
     print()
-    print(f"E12 (memory): {rows:,} dataless probe-side rows")
+    print(f"E12 (memory): {rows:,} probe-side rows")
     for name, peak in peaks.items():
         print(f"  {name:>13}: peak allocation {peak / 1e6:8.2f} MB")
-    # The materialising join holds the probe side's full join-key column (at
+    # The materialised route holds the probe side's full join-key column (at
     # least); streaming stays within the build side plus a few batches.
-    assert peaks["materialising"] > rows * 8
-    assert peaks["streaming"] < peaks["materialising"] / 5
-    record("E12", "probe_peak_bytes_materialising", peaks["materialising"])
+    assert peaks["materialised"] > rows * 8
+    assert peaks["streaming"] < peaks["materialised"] / 5
+    record("E12", "probe_peak_bytes_materialising", peaks["materialised"])
     record("E12", "probe_peak_bytes_streaming", peaks["streaming"])
 
 
@@ -177,17 +133,14 @@ def test_e12_verification_is_route_independent(toy_client):
     """Volumetric-accuracy results are bit-identical between join routes."""
     database, metadata, _queries, aqps = toy_client
     aqps = _workload_aqps(database, aqps)
-    database = _regenerated_database(metadata, aqps, 1)
+    vendor = Vendor(metadata, aqps, 1)
+    materialised = vendor.hydra.regenerate(vendor.summary, materialize=vendor.summary.relations)
 
-    results = {
-        name: VolumetricComparator(database=database, **opts).verify(aqps)
-        for name, opts in ROUTES.items()
-    }
-    baseline = results["materialising"].comparisons
-    for name, result in results.items():
-        assert result.comparisons == baseline, name
+    baseline = VolumetricComparator(database=materialised).verify(aqps).comparisons
+    assert baseline
+    assert VolumetricComparator(database=vendor.dataless).verify(aqps).comparisons == baseline
     print()
     print(
-        f"E12 (verification): {len(baseline)} operator edges identical across "
-        f"{', '.join(ROUTES)}"
+        f"E12 (verification): {len(baseline)} operator edges identical on the "
+        "materialised and the dataless database"
     )

@@ -53,13 +53,7 @@ CONCURRENCY_LEVELS = (1, 4, 16)
 def _direct_baseline(metadata, summary):
     """Serial direct-engine execution of the mix: the bit-identity oracle."""
     database = Hydra(metadata=metadata).regenerate(summary)
-    engine = ExecutionEngine(
-        database=database,
-        annotate=True,
-        pushdown=True,
-        summary_fastpath=True,
-        streaming_join=True,
-    )
+    engine = ExecutionEngine(database=database, annotate=True)
     baseline = {}
     for sql in QUERIES:
         plan = build_plan(parse_query(sql, database.schema), database.schema)

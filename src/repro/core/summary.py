@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping, SupportsIndex
 
@@ -156,25 +157,21 @@ class RowBoxMatch:
 
     Produced by :meth:`RelationSummary.classify_row` — the single source of
     truth for the per-row pass/fail/partial column arithmetic that every
-    exact summary consumer (counting, pk-interval projection, the engine's
-    join-COUNT fast path) builds on.  ``count`` is the row's tuple count;
+    exact summary consumer (:meth:`RelationSummary.count_matching_row`,
+    pk-interval projection, the engine's SUM route) builds on.  ``count`` is the row's tuple count;
     columns whose constraint passes for *all* tuples are omitted entirely;
     ``pk_window`` is the sub-segment of pk indices matching a partial
     primary-key constraint (``None`` when the pk is unconstrained or fully
     covered); ``partial_fks`` maps each foreign-key column whose round-robin
     spread matches the box only partially to ``(allowed_intervals,
-    matched_count)``.  Two or more partial columns are correlated through
-    the tuple offset and generally not exactly combinable.
+    matched_count)``.  Partial columns are correlated through the tuple
+    offset; :meth:`RelationSummary.count_matching_row` says which
+    combinations are still exactly countable.
     """
 
     count: int
     pk_window: "IntervalSet | None" = None
     partial_fks: Mapping[str, tuple[IntervalSet, int]] = field(default_factory=dict)
-
-    @property
-    def partial_columns(self) -> int:
-        """Number of columns whose match is partial (not all-or-nothing)."""
-        return (1 if self.pk_window is not None else 0) + len(self.partial_fks)
 
 
 class _InvalidatingRows(list["SummaryRow"]):
@@ -377,21 +374,38 @@ class RelationSummary:
     ) -> int | None:
         """Exact number of tuples of summary row ``position`` satisfying ``box``.
 
-        When two or more columns match only partially the matched subsets
-        are correlated through the tuple offset, so the method returns
-        ``None`` and the caller must fall back to streaming generation.
+        The one exact per-row count every summary consumer shares (the
+        engine's summary route and build/probe size estimate, the filtered
+        block iterator's skip path, the shard planner).  A partial pk window
+        *plus* one partially-matching FK spread is still countable: offsets
+        are pk indices shifted by the segment start, so the window is an
+        offset range and prefix-count differences of
+        :meth:`FKReference.count_matching_offsets` count its matching tuples.
+        Two partial FK columns are correlated through the tuple offset: the
+        method returns ``None`` and the caller must generate the segment.
         """
         match = self.classify_row(position, box, pk_column=pk_column)
         if match is None:
             return 0
-        if match.partial_columns > 1:
+        if not match.partial_fks:
+            if match.pk_window is not None:
+                return match.pk_window.count_integers()
+            return match.count
+        if len(match.partial_fks) > 1:
             return None
-        if match.pk_window is not None:
-            return match.pk_window.count_integers()
-        if match.partial_fks:
-            (_intervals, matched), = match.partial_fks.values()
+        ((column, (allowed, matched)),) = match.partial_fks.items()
+        if match.pk_window is None:
             return matched
-        return match.count
+        ref = self.rows[position].fk_refs[column]
+        start, _end = self.pk_interval_of_row(position)
+        counted = 0
+        for piece in match.pk_window:
+            low = int(math.ceil(piece.low)) - start
+            high = low + piece.count_integers()
+            counted += ref.count_matching_offsets(
+                high, allowed
+            ) - ref.count_matching_offsets(low, allowed)
+        return counted
 
     def count_matching(self, box: BoxCondition, pk_column: str | None = None) -> int | None:
         """Exact number of regenerated tuples satisfying ``box`` — or ``None``.

@@ -85,6 +85,13 @@ class DataGenRelation:
 
     # -- bulk interface used by the execution engine -----------------------
 
+    def _effective_batch(self, batch_size: int | None) -> int:
+        """The batch size of one stream; a non-positive one could never end."""
+        effective = batch_size or self.batch_size
+        if effective < 1:
+            raise ValueError(f"batch size must be >= 1, got {effective}")
+        return effective
+
     def fetch_columns(
         self, columns: Sequence[str], batch_size: int | None = None
     ) -> dict[str, NDArray[Any]]:
@@ -93,7 +100,7 @@ class DataGenRelation:
         Generation happens in batches so that the rate limiter can pace the
         stream; the concatenated arrays are returned to the engine.
         """
-        effective_batch = batch_size or self.batch_size
+        effective_batch = self._effective_batch(batch_size)
         pieces: dict[str, list[NDArray[Any]]] = {name: [] for name in columns}
         for start, count, block in self.iter_blocks(effective_batch, columns):
             del start, count
@@ -117,7 +124,7 @@ class DataGenRelation:
         self, batch_size: int | None = None, columns: Sequence[str] | None = None
     ) -> Iterator[tuple[int, int, dict[str, NDArray[Any]]]]:
         """Yield ``(start, count, columns)`` blocks, honouring the rate limit."""
-        effective_batch = batch_size or self.batch_size
+        effective_batch = self._effective_batch(batch_size)
         total = self.source.row_count
         requested = list(columns) if columns is not None else self.source.column_names
         start = 0
@@ -155,7 +162,7 @@ class DataGenRelation:
         can be replaced by an exact ``matched`` count without generation; the
         masking fallback ignores it, leaving the consumer to apply it.
         """
-        effective_batch = batch_size or self.batch_size
+        effective_batch = self._effective_batch(batch_size)
         requested = list(columns) if columns is not None else self.source.column_names
         source_filtered = getattr(self.source, "iter_filtered_blocks", None)
         if box is not None and callable(source_filtered):
@@ -320,7 +327,7 @@ class ParallelDataGenRelation(DataGenRelation):
         if source is None:
             yield from super().iter_blocks(batch_size, columns)
             return
-        effective_batch = batch_size or self.batch_size
+        effective_batch = self._effective_batch(batch_size)
         requested = list(columns) if columns is not None else self.source.column_names
         # An unconstrained box generates every tuple exactly once; batches
         # are anchored per summary segment rather than at offset 0, which
@@ -350,6 +357,6 @@ class ParallelDataGenRelation(DataGenRelation):
                 skip_box=skip_box,
             )
             return
-        effective_batch = batch_size or self.batch_size
+        effective_batch = self._effective_batch(batch_size)
         requested = list(columns) if columns is not None else self.source.column_names
         yield from self._iter_merged(source, box, requested, effective_batch, skip_box)

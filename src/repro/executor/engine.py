@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Mapping, TYPE_CHECKING, cast
+from typing import Any, Mapping, NoReturn, TYPE_CHECKING, cast
 
 import numpy as np
 from numpy.typing import NDArray
@@ -49,7 +49,7 @@ from ..sql.predicates import (
     Predicate,
     columns_with_dependencies,
 )
-from ..sql.query import DisjunctiveJoinCondition
+from ..sql.query import DisjunctiveJoinCondition, JoinCondition
 from ..storage.database import Database, MaterializedRelation, RelationProvider
 from ..telemetry.session import add_counter, is_active, span
 
@@ -67,12 +67,13 @@ class ExecutorError(RuntimeError):
 class RouteEvent:
     """One routing decision made during a plan execution.
 
-    ``kind`` is the decision point (``"aggregate"`` for the summary
-    fast path vs streaming, ``"join"`` for streaming vs materialising
-    joins); ``route`` is the route taken; ``reason`` explains *why* a fast
-    path was not taken (``None`` when it was).  The same names feed the
+    Pure reporting — no caller can request a route.  ``kind`` is the
+    decision point (``"aggregate"`` for the summary route vs executing the
+    child plan, ``"join"`` for streaming vs materialising joins); ``route``
+    is the route taken; ``reason`` explains *why* the faster route was not
+    taken (``None`` when it was).  The same names feed the
     ``engine.route.<kind>.<route>`` and ``engine.fallback.<kind>.<reason>``
-    telemetry counters (see docs/OBSERVABILITY.md).
+    telemetry counters; docs/OBSERVABILITY.md lists every value.
     """
 
     kind: str
@@ -137,30 +138,65 @@ class _Block:
     row_count: int
 
 
+class _Bail(Exception):
+    """A fast-path attempt was abandoned; ``reason`` is the catalogued why."""
+
+    def __init__(self, reason: str) -> None:
+        super().__init__(reason)
+        self.reason = reason
+
+
+@dataclass
+class _Leaf:
+    """A leaf access path (scan, optionally under its own filter), resolved.
+
+    Everything the routes observe about a leaf, derived once per
+    ``execute``: ``summary`` is the relation summary behind a dataless
+    provider (``None`` for a materialised one), ``stream`` the provider's
+    filtered block iterator (``None`` when it cannot stream), ``box`` the
+    pushed filter as an *exactly equivalent* box — unconstrained without a
+    filter, ``None`` when only an epsilon-approximation exists, in which
+    case streaming masks with the original predicate and the summary route
+    does not apply.
+    """
+
+    scan: ScanNode
+    filter: FilterNode | None
+    table: Table
+    provider: RelationProvider
+    summary: "RelationSummary | None"
+    stream: Any
+    box: BoxCondition | None
+
+
 @dataclass
 class ExecutionEngine:
     """Executes plan trees over a :class:`Database`.
 
-    With ``pushdown`` enabled (the default) every scan generates only the
-    columns referenced upstream, and a filter sitting directly on a scan is
-    fused into it: dataless relations stream batch-by-batch through the
-    predicate so peak memory is bounded by the batch size plus the matching
-    rows, never O(rows × columns) of the whole relation.  With
-    ``summary_fastpath`` enabled, ``COUNT`` aggregates over a single
-    summary-backed relation — or over a left-deep tree of key/foreign-key
-    joins of summary-backed relations (single joins, ``A→B→C`` chains,
-    star fan-outs) — and ``SUM``/``AVG`` aggregates over a single
-    summary-backed relation are answered directly from the relation
-    summaries (count × interval arithmetic, O(#summary rows)) whenever the
-    pushed filters are expressible as box conditions and the summaries can
-    answer them exactly; otherwise execution falls back to the streaming
-    scan.  :attr:`ExecutionResult.aggregate_route` reports which of the two
-    served a given aggregate.  With ``streaming_join`` enabled (requires ``pushdown``), joins
-    with a dataless leaf input run build/probe: the smaller side (by summary
-    cardinality) is materialised as the build table and the other side is
-    streamed through it batch-by-batch, with semi-join FK pushdown skipping
-    probe summary segments that cannot join.  All knobs leave every AQP
-    annotation and every output block bit-identical to the naive route.
+    The route is a function of what the engine observes — nothing a caller
+    sets.  Whether a relation is attached materialised or dataless
+    (``Hydra.regenerate(materialize=...)``) is the only selector a user has:
+
+    * every scan produces only the columns referenced upstream, and a filter
+      sitting directly on a scan is fused into it; a dataless relation
+      streams batch-by-batch through the predicate, so peak memory is
+      bounded by the batch size plus the matching rows;
+    * a join with a dataless leaf input runs build/probe: the side with the
+      smaller summary cardinality is the build table, the other side streams
+      through it, and semi-join FK pushdown skips probe summary segments
+      that cannot join.  Disjunctive joins, self-joins and joins without a
+      streamable leaf materialise both inputs;
+    * ``COUNT`` over a summary-backed relation or a left-deep tree of
+      key/foreign-key joins of such relations, and ``SUM``/``AVG`` over a
+      single one, are answered from the relation summaries (count ×
+      interval arithmetic, O(#summary rows)) whenever every pushed filter is
+      an exact box the summaries can count; otherwise the child plan runs.
+
+    Every route leaves every AQP annotation and every output block
+    bit-identical; :attr:`ExecutionResult.route_events` reports which ran
+    and why a faster one did not.  ``summary_fastpath=False`` keeps
+    aggregates off the summary route — the differential fuzzer compares the
+    two.
 
     Parallel regeneration is transparent to the engine: when a relation is
     attached as a :class:`~repro.executor.datagen.ParallelDataGenRelation`,
@@ -176,14 +212,14 @@ class ExecutionEngine:
     database: Database
     annotate: bool = True
     batch_size: int = 65536
-    pushdown: bool = True
     summary_fastpath: bool = True
-    streaming_join: bool = True
     _scanned_rows: int = field(default=0, init=False)
     _route_events: list[RouteEvent] = field(default_factory=list, init=False)
-    _fallback_reason: "str | None" = field(default=None, init=False)
-    _pushdowns: dict[int, ScanPushdown] = field(default_factory=dict, init=False)
-    _semijoins: dict[int, BoxCondition] = field(default_factory=dict, init=False)
+    _plan: PlanNode = field(init=False, repr=False)
+    _analysed: "tuple[dict[int, ScanPushdown], dict[int, BoxCondition]] | None" = field(
+        default=None, init=False
+    )
+    _leaves: dict[int, _Leaf] = field(default_factory=dict, init=False)
 
     @property
     def schema(self) -> Schema:
@@ -195,13 +231,9 @@ class ExecutionEngine:
         """Execute a plan, optionally annotating node cardinalities in place."""
         self._scanned_rows = 0
         self._route_events = []
-        self._fallback_reason = None
-        self._pushdowns = compute_pushdowns(plan, self.schema) if self.pushdown else {}
-        self._semijoins = (
-            compute_semijoin_pushdowns(plan, self.schema, self._plan_summaries(plan))
-            if self.pushdown and self.streaming_join
-            else {}
-        )
+        self._plan = plan
+        self._analysed = None
+        self._leaves = {}
         with span("engine.execute") as execute_span:
             block = self._execute_node(plan)
             if is_active() and self._route_events:
@@ -227,19 +259,70 @@ class ExecutionEngine:
         if reason is not None:
             add_counter(f"engine.fallback.{kind}.{reason}")
 
-    def _fallback(self, reason: str) -> None:
-        """Note why the current fast-path attempt is about to bail out.
+    def _fallback(self, reason: str) -> NoReturn:
+        """Abandon the current fast-path attempt.
 
-        The pending reason is attached to the route event recorded by the
-        caller that initiated the attempt (``_execute_join`` /
-        ``_execute_count`` / ``_execute_sum_avg``).
+        ``reason`` travels with the :class:`_Bail` to the operator that made
+        the attempt (``_execute_join`` / ``_execute_aggregate``), which
+        records it on the route event of the route it takes instead.
         """
-        self._fallback_reason = reason
+        raise _Bail(reason)
 
-    def _take_fallback_reason(self) -> str | None:
-        pending = self._fallback_reason
-        self._fallback_reason = None
-        return pending
+    # -- what the routes observe -------------------------------------------
+
+    def _analysis(self) -> tuple[dict[int, ScanPushdown], dict[int, BoxCondition]]:
+        """Scan pushdowns and semi-join boxes of the running plan.
+
+        Derived on first use: a plan the summaries answer never asks.
+        """
+        if self._analysed is None:
+            plan = self._plan
+            summaries = {
+                node.table: summary
+                for node in plan.iter_nodes()
+                if isinstance(node, ScanNode)
+                and (summary := self._relation_summary(node.table)) is not None
+            }
+            self._analysed = (
+                compute_pushdowns(plan, self.schema),
+                compute_semijoin_pushdowns(plan, self.schema, summaries),
+            )
+        return self._analysed
+
+    def _relation_summary(self, table_name: str) -> "RelationSummary | None":
+        """The relation summary backing a dataless provider, if any."""
+        source = getattr(self.database.providers.get(table_name), "source", None)
+        return cast("RelationSummary | None", getattr(source, "summary", None))
+
+    def _leaf(self, node: PlanNode) -> _Leaf | None:
+        """The resolved leaf access path rooted at ``node``, if it is one."""
+        leaf = self._leaves.get(node.node_id)
+        if leaf is None:
+            pair = leaf_scan(node)
+            if pair is None:
+                return None
+            scan, filter_node = pair
+            table = self.schema.table(scan.table)
+            provider = self.database.provider(scan.table)
+            leaf = self._leaves[node.node_id] = _Leaf(
+                scan=scan,
+                filter=filter_node,
+                table=table,
+                provider=provider,
+                summary=self._relation_summary(scan.table),
+                stream=getattr(provider, "iter_filtered_blocks", None),
+                box=(
+                    BoxCondition({})
+                    if filter_node is None
+                    else exact_predicate_box(filter_node.predicate, table)
+                ),
+            )
+        return leaf
+
+    def _output_columns(self, leaf: _Leaf) -> list[str]:
+        """The columns that must survive past the leaf's own filter."""
+        selection = self._analysis()[0][leaf.scan.node_id].output_columns
+        return leaf.table.column_names if selection is None else list(selection)
 
     # -- node dispatch ---------------------------------------------------
 
@@ -263,7 +346,7 @@ class ExecutionEngine:
     # -- scans -----------------------------------------------------------
 
     def _provider_columns(
-        self, provider: RelationProvider, table: str, column_names: list[str]
+        self, provider: RelationProvider, table: Table, column_names: list[str]
     ) -> dict[str, NDArray[Any]]:
         """Fetch the requested columns from a provider, however it is backed."""
         if isinstance(provider, MaterializedRelation):
@@ -275,158 +358,78 @@ class ExecutionEngine:
         # Last resort: row-at-a-time generation through the provider protocol.
         # Arrays take the schema column dtypes: collapsing everything to
         # float64 here would poison join/key dtypes downstream.
-        table_obj = self.schema.table(table)
         order = provider.column_names
         indices = [order.index(name) for name in column_names]
         rows = [provider.row(i) for i in range(provider.row_count)]
         return {
             name: np.asarray(
                 [row[idx] for row in rows],
-                dtype=table_obj.column(name).dtype.numpy_dtype,
+                dtype=table.column(name).dtype.numpy_dtype,
             )
             for name, idx in zip(column_names, indices)
         }
 
-    def _relation_summary(self, table_name: str) -> "RelationSummary | None":
-        """The relation summary backing a dataless provider, if any."""
-        try:
-            provider = self.database.provider(table_name)
-        except KeyError:
-            return None
-        source = getattr(provider, "source", None)
-        summary = getattr(source, "summary", None)
-        if summary is None or not callable(getattr(summary, "count_matching", None)):
-            return None
-        return cast("RelationSummary", summary)
-
-    def _plan_summaries(self, plan: PlanNode) -> dict[str, Any]:
-        """Summaries of every summary-backed relation scanned by the plan."""
-        summaries: dict[str, Any] = {}
-        for node in plan.iter_nodes():
-            if isinstance(node, ScanNode) and node.table not in summaries:
-                summary = self._relation_summary(node.table)
-                if summary is not None and callable(
-                    getattr(summary, "matching_pk_intervals", None)
-                ):
-                    summaries[node.table] = summary
-        return summaries
-
-    @staticmethod
-    def _ordered_columns(selection: tuple[str, ...] | None, table: Table) -> list[str]:
-        """A pushdown column selection in schema order (``None`` = all)."""
-        if selection is None:
-            return table.column_names
-        wanted = set(selection)
-        return [name for name in table.column_names if name in wanted]
-
-    def _scan_column_names(self, node: ScanNode, table: Table) -> list[str]:
-        push = self._pushdowns.get(node.node_id)
-        return self._ordered_columns(
-            None if push is None else push.generate_columns, table
-        )
-
     def _execute_scan(self, node: ScanNode) -> _Block:
         table = self.schema.table(node.table)
         provider = self.database.provider(node.table)
-        names = self._scan_column_names(node, table)
-        columns = self._provider_columns(provider, node.table, names) if names else {}
-        qualified = {f"{node.table}.{name}": values for name, values in columns.items()}
+        selection = self._analysis()[0][node.node_id].generate_columns
+        names = table.column_names if selection is None else list(selection)
+        columns = self._provider_columns(provider, table, names) if names else {}
         self._scanned_rows += provider.row_count
-        return _Block(columns=qualified, row_count=provider.row_count)
+        return _Block(_qualified(table, columns), provider.row_count)
 
     # -- filters ----------------------------------------------------------
 
-    def _predicate_box(self, predicate: Predicate, table: Table) -> BoxCondition | None:
-        """Convert a predicate to an *exactly equivalent* box, else ``None``.
-
-        Delegates to :func:`~repro.plans.planner.exact_predicate_box`: when
-        the box would be an epsilon-approximation the streaming scan masks
-        with the original predicate instead and the fast paths do not apply,
-        keeping every route bit-identical.
-        """
-        return exact_predicate_box(predicate, table)
-
-    def _empty_column(self, table: Table, name: str) -> NDArray[Any]:
-        return np.empty(0, dtype=table.column(name).dtype.numpy_dtype)
-
-    def _execute_filtered_scan(self, scan: ScanNode, node: FilterNode) -> _Block:
+    def _execute_filtered_scan(self, leaf: _Leaf, predicate: Predicate) -> _Block:
         """Fused filter+scan: stream batches, keep only matching rows.
 
         The scan is annotated with the full relation cardinality and the
         returned block carries the filtered rows, so AQP annotations are
-        identical to the unfused route while the dataless relation is never
-        materialised in full.
+        those of an unfused filter over a full scan while a dataless
+        relation is never materialised in full.
         """
-        table = self.schema.table(scan.table)
-        provider = self.database.provider(scan.table)
-        predicate = node.predicate
-        push = self._pushdowns.get(scan.node_id)
-        output = self._ordered_columns(
-            None if push is None else push.output_columns, table
-        )
+        table, provider = leaf.table, leaf.provider
+        output = self._output_columns(leaf)
+        if self.annotate:
+            leaf.scan.cardinality = provider.row_count
 
         if not predicate.columns():
             # Column-free predicate (TruePredicate, empty conjunction/
             # disjunction from a deserialised AQP): its verdict is constant,
             # so decide it once instead of masking per batch — a length-0
             # column dict would otherwise produce a length-0 mask.
-            verdict = bool(predicate.evaluate({"_": np.zeros(1, dtype=np.float64)})[0])
-            if self.annotate:
-                scan.cardinality = provider.row_count
-            if not verdict:
-                return _Block(
-                    columns={
-                        f"{scan.table}.{name}": self._empty_column(table, name)
-                        for name in output
-                    },
-                    row_count=0,
-                )
-            local = self._provider_columns(provider, scan.table, output) if output else {}
+            if not predicate.evaluate({"_": np.zeros(1, dtype=np.float64)})[0]:
+                empty = {name: _empty_column(table, name) for name in output}
+                return _Block(_qualified(table, empty), 0)
+            local = self._provider_columns(provider, table, output) if output else {}
             self._scanned_rows += provider.row_count
-            return _Block(
-                columns={f"{scan.table}.{name}": values for name, values in local.items()},
-                row_count=provider.row_count,
-            )
+            return _Block(_qualified(table, local), provider.row_count)
 
-        if callable(getattr(provider, "iter_filtered_blocks", None)):
-            box = self._predicate_box(predicate, table)
-            pieces: dict[str, list[NDArray[Any]]] = {name: [] for name in output}
-            matched = 0
-            for _start, generated, batch_matched, block in provider.iter_filtered_blocks(
-                predicate=predicate, box=box, columns=output, batch_size=self.batch_size
-            ):
-                self._scanned_rows += generated
-                if batch_matched == 0:
-                    continue
-                matched += batch_matched
-                for name in output:
-                    pieces[name].append(block[name])
-            columns = {
-                f"{scan.table}.{name}": (
-                    np.concatenate(chunks) if chunks else self._empty_column(table, name)
-                )
-                for name, chunks in pieces.items()
-            }
-        else:
+        if leaf.stream is None:
             needed = columns_with_dependencies(output, predicate.columns())
-            local = self._provider_columns(provider, scan.table, needed)
+            local = self._provider_columns(provider, table, needed)
             mask = predicate.evaluate(local)
-            matched = int(mask.sum())
-            columns = {f"{scan.table}.{name}": local[name][mask] for name in output}
             self._scanned_rows += provider.row_count
+            kept = {name: local[name][mask] for name in output}
+            return _Block(_qualified(table, kept), int(mask.sum()))
 
-        if self.annotate:
-            scan.cardinality = provider.row_count
-        return _Block(columns=columns, row_count=matched)
+        pieces: dict[str, list[NDArray[Any]]] = {name: [] for name in output}
+        matched = 0
+        for _start, generated, batch_matched, block in leaf.stream(
+            predicate=predicate, box=leaf.box, columns=output, batch_size=self.batch_size
+        ):
+            self._scanned_rows += generated
+            if batch_matched == 0:
+                continue
+            matched += batch_matched
+            for name in output:
+                pieces[name].append(block[name])
+        return _Block(_qualified(table, _concatenated(table, pieces)), matched)
 
     def _execute_filter(self, node: FilterNode) -> _Block:
-        if self.pushdown and isinstance(node.child, ScanNode):
-            # Fuse exactly when the planner's pushdown pass marked this
-            # filter as pushable into the scan — one source of truth for the
-            # fusion decision and the column bookkeeping it implies.
-            push = self._pushdowns.get(node.child.node_id)
-            if push is not None and push.predicate is node.predicate:
-                return self._execute_filtered_scan(node.child, node)
+        leaf = self._leaf(node)
+        if leaf is not None:
+            return self._execute_filtered_scan(leaf, node.predicate)
         child = self._execute_node(node.child)
         prefix = node.table + "."
         local = {
@@ -445,15 +448,14 @@ class ExecutionEngine:
     # -- joins -------------------------------------------------------------
 
     def _execute_join(self, node: JoinNode) -> _Block:
-        if self.pushdown and self.streaming_join:
-            self._fallback_reason = None
-            block = self._execute_streaming_join(node)
-            if block is not None:
-                self._record_route("join", "streaming")
-                return block
-            self._record_route(
-                "join", "materializing", self._take_fallback_reason() or "not-applicable"
-            )
+        try:
+            probe, probe_is_left = self._choose_probe(node)
+        except _Bail as bail:
+            self._record_route("join", "materializing", bail.reason)
+        else:
+            block = self._execute_streaming_join(node, probe, probe_is_left)
+            self._record_route("join", "streaming")
+            return block
         left = self._execute_node(node.left)
         right = self._execute_node(node.right)
         condition = node.condition
@@ -511,109 +513,83 @@ class ExecutionEngine:
         encoded = np.unique(np.concatenate(encoded_sets))
         return encoded // stride, encoded % stride
 
-    def _streamable_leaf(self, child: PlanNode) -> tuple[ScanNode, FilterNode | None] | None:
+    def _streamable_leaf(self, child: PlanNode) -> _Leaf | None:
         """The child's leaf access path, if it can be streamed as a probe side."""
-        leaf = leaf_scan(child)
-        if leaf is None:
+        leaf = self._leaf(child)
+        if leaf is None or leaf.stream is None:
             return None
-        scan, filter_node = leaf
-        if not self.schema.has_table(scan.table):
+        if leaf.filter is not None and not leaf.filter.predicate.columns():
+            # Column-free predicates have a constant verdict; the fused
+            # filtered-scan route handles them, keep joins off them.
             return None
-        try:
-            provider = self.database.provider(scan.table)
-        except KeyError:
-            return None
-        if not callable(getattr(provider, "iter_filtered_blocks", None)):
-            return None
-        if filter_node is not None:
-            push = self._pushdowns.get(scan.node_id)
-            if push is None or push.predicate is not filter_node.predicate:
-                return None
-            if not filter_node.predicate.columns():
-                # Column-free predicates have a constant verdict; the fused
-                # filtered-scan route handles them, keep joins off them.
-                return None
         return leaf
 
-    def _estimated_leaf_rows(self, scan: ScanNode, filter_node: FilterNode | None) -> int:
+    @staticmethod
+    def _estimated_rows(leaf: _Leaf) -> int:
         """Summary-estimated output rows of a leaf (exact when computable)."""
-        provider = self.database.provider(scan.table)
-        total = provider.row_count
-        if filter_node is None:
+        total = leaf.provider.row_count
+        if leaf.filter is None or leaf.summary is None or leaf.box is None:
             return total
-        summary = self._relation_summary(scan.table)
-        if summary is None:
-            return total
-        table = self.schema.table(scan.table)
-        box = self._predicate_box(filter_node.predicate, table)
-        if box is None:
-            return total
-        count = summary.count_matching(box, pk_column=table.primary_key)
-        return total if count is None else int(count)
+        count = leaf.summary.count_matching(leaf.box, pk_column=leaf.table.primary_key)
+        return total if count is None else count
 
-    def _execute_streaming_join(self, node: JoinNode) -> _Block | None:
+    def _choose_probe(self, node: JoinNode) -> tuple[_Leaf, bool]:
+        """``(probe leaf, probe is the left input)`` of a build/probe join.
+
+        The probe side must be the leaf access path of a relation that
+        streams filtered blocks; with two candidates the one with the larger
+        summary cardinality streams and the smaller becomes the build table.
+        Bails (the caller then materialises both inputs) when the join shape
+        has no single streamable probe key.
+        """
+        condition = node.condition
+        if isinstance(condition, DisjunctiveJoinCondition):
+            # No single probe key column exists; the materialising join
+            # unions the alternatives instead.
+            self._fallback("disjunctive-condition")
+        if condition.left_table == condition.right_table:
+            self._fallback("self-join")
+        left = self._streamable_leaf(node.left)
+        right = self._streamable_leaf(node.right)
+        if left is not None and right is not None:
+            probe_is_left = self._estimated_rows(left) >= self._estimated_rows(right)
+        else:
+            probe_is_left = left is not None
+        probe = left if probe_is_left else right
+        if probe is None:
+            self._fallback("no-streamable-leaf")
+        if not condition.involves(probe.scan.table):
+            self._fallback("condition-table-mismatch")
+        probe_key = condition.side_column(probe.scan.table)
+        if not probe.table.has_column(probe_key):
+            self._fallback("probe-key-missing")
+        if probe_key not in self._output_columns(probe):
+            # The join key must flow out of the probe scan.
+            self._fallback("probe-key-not-in-output")
+        return probe, probe_is_left
+
+    def _execute_streaming_join(
+        self, node: JoinNode, probe: _Leaf, probe_is_left: bool
+    ) -> _Block:
         """Build/probe hash join with the probe side streamed batch-by-batch.
 
-        The build side — chosen as the input with the smaller summary
-        cardinality — is materialised by ordinary (itself pushdown-enabled)
-        execution; the probe side, which must be the leaf access path of a
-        relation that supports filtered block iteration, streams through the
-        build hash table so peak memory is O(build + batch + output) instead
-        of O(both relations).  A semi-join box computed by the planner
+        The build side is materialised by ordinary execution; the probe leaf
+        (see :meth:`_choose_probe`) streams through the build hash table so
+        peak memory is O(build + batch + output) instead of O(both
+        relations).  A semi-join box computed by the planner
         (:func:`~repro.plans.planner.compute_semijoin_pushdowns`) lets whole
         probe summary segments be skipped — their contribution to the probe
         filter's AQP annotation is recovered exactly from the summary — and
         masks generated probe rows that provably have no join partner.
         Output rows, column order and all annotations are bit-identical to
-        the materialising route.  Returns ``None`` when the pattern does not
-        apply (the caller then materialises both inputs).
+        the materialising join.
         """
-        condition = node.condition
-        if isinstance(condition, DisjunctiveJoinCondition):
-            # No single probe key column exists; the materialising route
-            # unions the alternatives instead.
-            self._fallback("disjunctive-condition")
-            return None
-        if condition.left_table == condition.right_table:
-            self._fallback("self-join")
-            return None  # self-joins keep the materialising route
-        left_leaf = self._streamable_leaf(node.left)
-        right_leaf = self._streamable_leaf(node.right)
-        if left_leaf is None and right_leaf is None:
-            self._fallback("no-streamable-leaf")
-            return None
-        if left_leaf is not None and right_leaf is not None:
-            left_rows = self._estimated_leaf_rows(*left_leaf)
-            right_rows = self._estimated_leaf_rows(*right_leaf)
-            probe_is_left = left_rows >= right_rows
-        else:
-            probe_is_left = left_leaf is not None
-        scan, filter_node = left_leaf if probe_is_left else right_leaf  # type: ignore[misc]
-        if not condition.involves(scan.table):
-            self._fallback("condition-table-mismatch")
-            return None
+        condition = cast(JoinCondition, node.condition)
+        scan, table = probe.scan, probe.table
         probe_key = condition.side_column(scan.table)
         build_table, build_key = condition.other_side(scan.table)
-        table = self.schema.table(scan.table)
-        if not table.has_column(probe_key):
-            self._fallback("probe-key-missing")
-            return None
-        provider = self.database.provider(scan.table)
-
-        push = self._pushdowns.get(scan.node_id)
-        output = self._ordered_columns(
-            None if push is None else push.output_columns, table
-        )
-        if probe_key not in output:
-            self._fallback("probe-key-not-in-output")
-            return None  # the join key must flow out of the probe scan
-        predicate = filter_node.predicate if filter_node is not None else None
-        box = (
-            self._predicate_box(predicate, table)
-            if predicate is not None
-            else BoxCondition({})
-        )
-        semijoin = self._semijoins.get(scan.node_id)
+        output = self._output_columns(probe)
+        semijoin = self._analysis()[1].get(scan.node_id)
         if semijoin is not None and not set(semijoin.conditions) <= set(output):
             semijoin = None
 
@@ -625,24 +601,22 @@ class ExecutionEngine:
             )
         build_keys = build.columns[build_key_name]
 
-        stream_kwargs: dict[str, Any] = dict(
-            predicate=predicate, box=box, columns=output, batch_size=self.batch_size
-        )
-        if semijoin is not None:
-            stream_kwargs["skip_box"] = semijoin
         matched_total = 0
         probe_chunks: dict[str, list[NDArray[Any]]] = {name: [] for name in output}
         build_index_chunks: list[NDArray[Any]] = []
-        for _start, generated, batch_matched, block in provider.iter_filtered_blocks(
-            **stream_kwargs
+        for _start, generated, batch_matched, batch in probe.stream(
+            predicate=None if probe.filter is None else probe.filter.predicate,
+            box=probe.box,
+            columns=output,
+            batch_size=self.batch_size,
+            skip_box=semijoin,
         ):
             self._scanned_rows += generated
             matched_total += batch_matched
-            if batch_matched == 0 or not block:
+            if batch_matched == 0 or not batch:
                 # Semi-join-skipped segment: only its exact filter count
                 # matters; none of its rows can produce a join partner.
                 continue
-            batch = block
             if semijoin is not None and generated:
                 semi_mask = semijoin.evaluate(batch)
                 if not semi_mask.all():
@@ -655,37 +629,27 @@ class ExecutionEngine:
             build_index_chunks.append(build_idx)
 
         if self.annotate:
-            scan.cardinality = provider.row_count
-            if filter_node is not None:
-                filter_node.cardinality = matched_total
+            scan.cardinality = probe.provider.row_count
+            if probe.filter is not None:
+                probe.filter.cardinality = matched_total
 
         build_indices = (
             np.concatenate(build_index_chunks)
             if build_index_chunks
             else np.empty(0, dtype=np.int64)
         )
-        probe_columns = {
-            name: (np.concatenate(chunks) if chunks else self._empty_column(table, name))
-            for name, chunks in probe_chunks.items()
-        }
+        probe_columns = _concatenated(table, probe_chunks)
         if not probe_is_left:
-            # The materialising route orders output by left (here: build) row,
+            # The materialising join orders output by left (here: build) row,
             # each left row's matches in probe order; a stable sort on the
             # accumulated build indices restores exactly that order.
             perm = np.argsort(build_indices, kind="stable")
             build_indices = build_indices[perm]
             probe_columns = {name: values[perm] for name, values in probe_columns.items()}
 
-        probe_qualified = {
-            f"{scan.table}.{name}": values for name, values in probe_columns.items()
-        }
-        build_gathered = {
-            name: values[build_indices] for name, values in build.columns.items()
-        }
-        if probe_is_left:
-            columns = {**probe_qualified, **build_gathered}
-        else:
-            columns = {**build_gathered, **probe_qualified}
+        probe_side = _qualified(table, probe_columns)
+        build_side = {name: values[build_indices] for name, values in build.columns.items()}
+        columns = {**probe_side, **build_side} if probe_is_left else {**build_side, **probe_side}
         return _Block(columns=columns, row_count=int(len(build_indices)))
 
     # -- projection / aggregation -----------------------------------------
@@ -709,240 +673,149 @@ class ExecutionEngine:
         return _Block(columns=columns, row_count=child.row_count)
 
     def _execute_aggregate(self, node: AggregateNode) -> _Block:
-        if node.function == "count":
-            return self._execute_count(node)
-        if node.function in ("sum", "avg"):
-            return self._execute_sum_avg(node)
-        raise ExecutorError(f"unsupported aggregate {node.function!r}")
-
-    def _execute_count(self, node: AggregateNode) -> _Block:
-        reason = "fastpath-disabled"
-        if self.summary_fastpath:
-            self._fallback_reason = None
-            fast = self._summary_count(node.child)
-            if fast is None:
-                fast = self._summary_join_count(node.child)
-            if fast is not None:
-                self._record_route("aggregate", "summary")
-                return _Block(
-                    columns={"count": np.asarray([fast], dtype=np.int64)},
-                    row_count=1,
-                )
-            reason = self._take_fallback_reason() or "not-applicable"
-        child = self._execute_node(node.child)
-        self._record_route("aggregate", "streaming", reason)
-        return _Block(
-            columns={"count": np.asarray([child.row_count], dtype=np.int64)},
-            row_count=1,
-        )
-
-    def _execute_sum_avg(self, node: AggregateNode) -> _Block:
-        if node.argument is None:
-            raise ExecutorError(
-                f"aggregate {node.function!r} requires a column argument"
-            )
-        reason = "fastpath-disabled"
-        if self.summary_fastpath:
-            self._fallback_reason = None
-            fast = self._summary_sum(node.child, node.argument)
-            if fast is not None:
-                count, total = fast
-                self._record_route("aggregate", "summary")
-                value = total if node.function == "sum" else (
-                    total / count if count else 0.0
-                )
-                return _Block(
-                    columns={node.function: np.asarray([value], dtype=np.float64)},
-                    row_count=1,
-                )
-            reason = self._take_fallback_reason() or "not-applicable"
-        child = self._execute_node(node.child)
-        resolved = self._resolve_output_column(child, node.argument)
-        values = np.asarray(child.columns[resolved], dtype=np.float64)
-        total = math.fsum(values.tolist())
-        count = child.row_count
-        self._record_route("aggregate", "streaming", reason)
-        value = total if node.function == "sum" else (total / count if count else 0.0)
-        return _Block(
-            columns={node.function: np.asarray([value], dtype=np.float64)},
-            row_count=1,
-        )
-
-    def _summary_count(self, child: PlanNode) -> int | None:
-        """Answer a COUNT aggregate straight from a relation summary.
-
-        Applies when the aggregate input is a (possibly filtered) scan of a
-        summary-backed dataless relation and the filter normalises to a box
-        condition the summary can count *exactly* (see
-        :meth:`~repro.core.summary.RelationSummary.count_matching`); returns
-        ``None`` otherwise so the caller falls back to streaming execution.
-        Annotates the scan/filter nodes with the same cardinalities streaming
-        would produce, without generating a single tuple.
-        """
-        leaf = leaf_scan(child)
-        if leaf is None:
-            self._fallback("no-leaf-scan")
-            return None
-        scan, filter_node = leaf
-
-        summary = self._relation_summary(scan.table)
-        if summary is None:
-            self._fallback("not-summary-backed")
-            return None
-        provider = self.database.provider(scan.table)
-
-        table = self.schema.table(scan.table)
-        if filter_node is None:
-            box = BoxCondition({})
+        """``COUNT`` / ``SUM`` / ``AVG``: from the summaries, else over the child."""
+        counting = node.function == "count"
+        if node.function not in ("count", "sum", "avg"):
+            raise ExecutorError(f"unsupported aggregate {node.function!r}")
+        if not counting and node.argument is None:
+            raise ExecutorError(f"aggregate {node.function!r} requires a column argument")
+        answer: tuple[int, float] | None = None
+        reason: str | None = None
+        try:
+            if not self.summary_fastpath:
+                self._fallback("fastpath-disabled")
+            answer = self._summary_aggregate(node)
+        except _Bail as bail:
+            reason = bail.reason
+        if answer is None:
+            child = self._execute_node(node.child)
+            total = 0.0
+            if not counting:
+                resolved = self._resolve_output_column(child, cast(str, node.argument))
+                values = np.asarray(child.columns[resolved], dtype=np.float64)
+                total = math.fsum(values.tolist())
+            answer = child.row_count, total
+        self._record_route("aggregate", "summary" if reason is None else "streaming", reason)
+        count, total = answer
+        if counting:
+            result: NDArray[Any] = np.asarray([count], dtype=np.int64)
+        elif node.function == "sum":
+            result = np.asarray([total], dtype=np.float64)
         else:
-            box = self._predicate_box(filter_node.predicate, table)
-            if box is None:
-                self._fallback("predicate-not-box")
-                return None
-        count = summary.count_matching(box, pk_column=table.primary_key)
-        if count is None:
-            self._fallback("summary-not-exact")
-            return None
-        if self.annotate:
-            scan.cardinality = provider.row_count
-            if filter_node is not None:
-                filter_node.cardinality = int(count)
-        return int(count)
+            result = np.asarray([total / count if count else 0.0], dtype=np.float64)
+        return _Block(columns={node.function: result}, row_count=1)
 
-    def _summary_join_count(self, child: PlanNode) -> int | None:
-        """Answer COUNT over a left-deep FK–PK join tree from the summaries.
+    def _summary_aggregate(self, node: AggregateNode) -> tuple[int, float]:
+        """``(count, sum)`` of an aggregate straight from the relation summaries.
 
-        Applies when every input of the left-deep join chain is the leaf
-        access path of a summary-backed dataless relation, every join
-        condition follows a schema foreign-key edge onto the referenced
-        primary key (:func:`~repro.plans.planner.fk_join_edge`), and every
-        pushed filter normalises to an exact box.  This covers the single
-        FK–PK join, multi-way chains (``A→B→C``: the middle relation's
-        matching pks are first narrowed by *its own* FK condition toward
-        ``C``) and stars (one fact referencing several dimensions) — any
-        join subset whose FK edges form an out-tree from a single
-        referencing root.
+        Applies to ``COUNT`` over a left-deep FK–PK join tree — a single
+        leaf is its zero-join case — and to ``SUM``/``AVG`` over a single
+        leaf, when every input is the leaf access path of a summary-backed
+        dataless relation, every join condition follows a schema
+        foreign-key edge onto the referenced primary key
+        (:func:`~repro.plans.planner.fk_join_edge`) and every pushed filter
+        is an exact box.  This covers the single FK–PK join, multi-way
+        chains (``A→B→C``: the middle relation's matching pks are first
+        narrowed by *its own* FK condition toward ``C``) and stars (one fact
+        referencing several dimensions) — any join subset whose FK edges
+        form an out-tree from a single referencing root.
 
-        Each referenced relation's exactly-matching pk indices are projected
-        with :meth:`~repro.core.summary.RelationSummary.matching_pk_intervals`
-        (``exact=True``), folded into the referencing side's box as a
-        condition on its FK column, and the root is counted with
-        :meth:`_count_rows_matching` — O(#summary rows × #joins) total, zero
+        Every leaf's own filter is counted with
+        :meth:`~repro.core.summary.RelationSummary.count_matching`; each
+        intermediate join is counted against only the tables joined so far
+        (:meth:`_count_fk_prefix`).  O(#summary rows × #joins) total, zero
         tuples generated, and exact because every referencing tuple joins at
-        most one (unique, auto-numbered) referenced pk.  Returns ``None``
-        whenever any step is not exactly countable, so the caller falls back
-        to streaming execution — mirroring :meth:`_summary_count`'s
-        bit-identical guarantee.  Annotates every leaf and every join node
-        with the cardinalities streaming would produce (each intermediate
-        join is counted against only the tables joined so far).
+        most one (unique, auto-numbered) referenced pk.  Bails whenever a
+        step is not exactly countable, so the caller executes the child
+        plan instead; otherwise annotates every leaf and join node with the
+        cardinalities that execution would produce.
         """
         spine: list[JoinNode] = []
-        node = child
-        while isinstance(node, JoinNode):
-            spine.append(node)
-            node = node.left
-        if not spine:
-            return None
+        anchor = node.child
+        while isinstance(anchor, JoinNode):
+            spine.append(anchor)
+            anchor = anchor.left
         spine.reverse()
-
-        anchor_leaf = leaf_scan(node)
-        if anchor_leaf is None:
+        root = self._leaf(anchor)
+        if root is None or (spine and node.function != "count"):
             self._fallback("no-leaf-scan")
-            return None
-        leaves: dict[str, tuple[ScanNode, FilterNode | None]] = {
-            anchor_leaf[0].table: anchor_leaf
-        }
-        step_tables: list[str] = []
+        leaves = {root.scan.table: root}
         for join in spine:
-            right_leaf = leaf_scan(join.right)
-            if right_leaf is None or right_leaf[0].table in leaves:
+            leaf = self._leaf(join.right)
+            if leaf is None or leaf.scan.table in leaves:
                 self._fallback("join-shape-unsupported")
-                return None
-            leaves[right_leaf[0].table] = right_leaf
-            step_tables.append(right_leaf[0].table)
-
+            leaves[leaf.scan.table] = leaf
         edges: list[tuple[str, str, str, str]] = []
         for join in spine:
             edge = fk_join_edge(join.condition, self.schema)
             if edge is None or not set(edge[::2]) <= set(leaves):
                 self._fallback("non-fk-join")
-                return None
             edges.append(edge)
-
-        summaries: dict[str, Any] = {}
+        summaries: dict[str, RelationSummary] = {}
         boxes: dict[str, BoxCondition] = {}
-        for table_name, (_scan, filter_node) in leaves.items():
-            summary = self._relation_summary(table_name)
-            if summary is None or not callable(
-                getattr(summary, "matching_pk_intervals", None)
-            ):
+        for name, leaf in leaves.items():
+            if leaf.summary is None:
                 self._fallback("not-summary-backed")
-                return None
-            summaries[table_name] = summary
-            table = self.schema.table(table_name)
-            if filter_node is None:
-                box: BoxCondition | None = BoxCondition({})
-            else:
-                box = self._predicate_box(filter_node.predicate, table)
-                if box is None:
-                    self._fallback("predicate-not-box")
-                    return None
-            boxes[table_name] = box
+            if leaf.box is None:
+                self._fallback("predicate-not-box")
+            summaries[name], boxes[name] = leaf.summary, leaf.box
 
         # Filter annotations: tuples matching each table's own box only.
         filter_counts: dict[str, int] = {}
-        for table_name in leaves:
-            count = summaries[table_name].count_matching(
-                boxes[table_name],
-                pk_column=self.schema.table(table_name).primary_key,
+        total = 0.0
+        if node.function != "count":
+            filter_counts[root.scan.table], total = self._summary_sum(
+                root.table, summaries[root.scan.table], boxes[root.scan.table], node.argument
             )
-            if count is None:
-                self._fallback("summary-not-exact")
-                return None
-            filter_counts[table_name] = int(count)
-
+        else:
+            for name, leaf in leaves.items():
+                count = summaries[name].count_matching(
+                    boxes[name], pk_column=leaf.table.primary_key
+                )
+                if count is None:
+                    self._fallback("summary-not-exact")
+                filter_counts[name] = count
         # Each intermediate join is the join of the tables attached so far,
         # so its cardinality uses only the edges inside that prefix.
-        prefix = [anchor_leaf[0].table]
         join_counts: list[int] = []
-        for index, table_name in enumerate(step_tables):
-            prefix.append(table_name)
-            count = self._count_fk_prefix(
-                prefix, edges[: index + 1], boxes, summaries
+        for index in range(len(spine)):
+            joined = self._count_fk_prefix(
+                list(leaves)[: index + 2], edges[: index + 1], boxes, summaries
             )
-            if count is None:
+            if joined is None:
                 self._fallback("join-not-exactly-countable")
-                return None
-            join_counts.append(count)
+            join_counts.append(joined)
 
         if self.annotate:
-            for table_name, (scan, filter_node) in leaves.items():
-                scan.cardinality = self.database.provider(table_name).row_count
-                if filter_node is not None:
-                    filter_node.cardinality = filter_counts[table_name]
-            for join, count in zip(spine, join_counts):
-                join.cardinality = int(count)
-        return int(join_counts[-1])
+            for name, leaf in leaves.items():
+                leaf.scan.cardinality = leaf.provider.row_count
+                if leaf.filter is not None:
+                    leaf.filter.cardinality = filter_counts[name]
+            for join, joined in zip(spine, join_counts):
+                join.cardinality = joined
+        return (join_counts[-1] if spine else filter_counts[root.scan.table]), total
 
     def _count_fk_prefix(
         self,
         tables: list[str],
         edges: list[tuple[str, str, str, str]],
         boxes: Mapping[str, BoxCondition],
-        summaries: Mapping[str, Any],
+        summaries: "Mapping[str, RelationSummary]",
     ) -> int | None:
         """Exact row count of an FK out-tree join over ``tables``.
 
         ``edges`` are ``(fk_table, fk_column, ref_table, ref_column)``
         resolutions.  The join must form an out-tree from a single
         referencing root (every other table is the referenced side of
-        exactly one edge); every table's matching pk intervals are computed
-        bottom-up — own box plus the FK conditions toward its referenced
-        children — and the root's tuples are counted against its box plus
-        its own FK conditions.  Returns ``None`` when the shape does not
-        apply (two facts sharing a dimension multiply cardinalities, which
-        interval arithmetic cannot express) or a step is not exactly
-        countable.
+        exactly one edge); every table's exactly-matching pk intervals are
+        computed bottom-up
+        (:meth:`~repro.core.summary.RelationSummary.matching_pk_intervals`
+        with ``exact=True``) — own box plus the FK conditions toward its
+        referenced children — and the root's tuples are counted against its
+        box plus its own FK conditions.  Returns ``None`` when the shape
+        does not apply (two facts sharing a dimension multiply
+        cardinalities, which interval arithmetic cannot express) or a step
+        is not exactly countable.
         """
         ref_tables = [edge[2] for edge in edges]
         if len(set(ref_tables)) != len(ref_tables):
@@ -950,7 +823,6 @@ class ExecutionEngine:
         roots = [table for table in tables if table not in ref_tables]
         if len(roots) != 1:
             return None
-        root = roots[0]
         out_edges: dict[str, list[tuple[str, str]]] = {}
         for fk_table, fk_column, ref_table, _ref_column in edges:
             out_edges.setdefault(fk_table, []).append((fk_column, ref_table))
@@ -974,82 +846,19 @@ class ExecutionEngine:
                 exact=True,
             )
 
-        combined = conditioned_box(root)
+        combined = conditioned_box(roots[0])
         if combined is None:
             return None
-        return self._count_rows_matching(
-            summaries[root], self.schema.table(root), combined
+        return summaries[roots[0]].count_matching(
+            combined, pk_column=self.schema.table(roots[0]).primary_key
         )
 
-    def _count_rows_matching(
-        self, summary: Any, table: Table, box: BoxCondition
-    ) -> int | None:
-        """Exact number of tuples of a summary-backed relation matching ``box``.
+    def _summary_sum(
+        self, table: Table, summary: "RelationSummary", box: BoxCondition, argument: str | None
+    ) -> tuple[int, float]:
+        """``(count, sum)`` of column ``argument`` over the tuples matching ``box``.
 
-        Builds on :meth:`~repro.core.summary.RelationSummary.classify_row` —
-        the one place the per-row pass/fail/partial column arithmetic lives —
-        and extends it with round-robin prefix counting for the one
-        combination :meth:`~repro.core.summary.RelationSummary
-        .count_matching_row` cannot fold: a partial pk window *plus* one
-        partially-matching FK spread.  Offsets are pk indices shifted by the
-        segment start, so the pk window is an offset range and prefix-count
-        differences of :meth:`~repro.core.summary.FKReference
-        .count_matching_offsets` count its matching tuples exactly.  Two
-        partial FK columns remain correlated through the tuple offset:
-        returns ``None`` so the caller falls back to streaming.
-        """
-        pk_column = table.primary_key
-        total = 0
-        for position, row in enumerate(summary.rows):
-            match = summary.classify_row(position, box, pk_column=pk_column)
-            if match is None:
-                continue
-            counted = self._row_matched_count(summary, position, row, match)
-            if counted is None:
-                return None
-            total += counted
-        return total
-
-    @staticmethod
-    def _row_matched_count(
-        summary: Any, position: int, row: Any, match: Any
-    ) -> int | None:
-        """Matched tuple count of one classified summary row, if countable."""
-        if not match.partial_fks:
-            if match.pk_window is not None:
-                return match.pk_window.count_integers()
-            return match.count
-        if len(match.partial_fks) > 1:
-            return None
-        ((column, (allowed, matched)),) = match.partial_fks.items()
-        if match.pk_window is None:
-            return matched
-        ref = row.fk_refs[column]
-        start, _end = summary.pk_interval_of_row(position)
-        counted = 0
-        for piece in match.pk_window:
-            low = int(math.ceil(piece.low)) - start
-            high = low + piece.count_integers()
-            counted += ref.count_matching_offsets(
-                high, allowed
-            ) - ref.count_matching_offsets(low, allowed)
-        return counted
-
-    def _aggregate_argument_column(self, table: Table, table_name: str, argument: str) -> str | None:
-        """Resolve a SUM/AVG argument onto one table's column, else ``None``."""
-        name = argument
-        if "." in name:
-            prefix, name = name.split(".", 1)
-            if prefix != table_name:
-                return None
-        return name if table.has_column(name) else None
-
-    def _summary_sum(self, child: PlanNode, argument: str) -> tuple[int, float] | None:
-        """``(count, sum)`` of a column straight from a relation summary.
-
-        Applies when the aggregate input is a (possibly filtered) scan of a
-        summary-backed dataless relation, the filter normalises to an exact
-        box, and every matching region's contribution is exactly summable:
+        Every matching region's contribution must be exactly summable:
 
         * a **value column** is generated as its region's constant
           representative, so the contribution is ``matched × value`` —
@@ -1061,73 +870,59 @@ class ExecutionEngine:
         * a **foreign-key column** varies tuple-by-tuple with the
           round-robin spread: never summable from the summary.
 
-        Region terms are combined with :func:`math.fsum`; streaming
+        Region terms are combined with :func:`math.fsum`; execution
         computes :func:`math.fsum` over the generated tuples, so the two
         routes agree exactly whenever the per-region products are exact
         (integer or dyadic representatives — every workload in this repo).
-        Returns ``None`` otherwise, falling back to streaming.  Annotates
-        the scan/filter nodes with the same cardinalities streaming would
-        produce.
         """
-        leaf = leaf_scan(child)
-        if leaf is None:
-            self._fallback("no-leaf-scan")
-            return None
-        scan, filter_node = leaf
-        summary = self._relation_summary(scan.table)
-        if summary is None:
-            self._fallback("not-summary-backed")
-            return None
-        table = self.schema.table(scan.table)
-        column = self._aggregate_argument_column(table, scan.table, argument)
-        if column is None:
+        prefix, _, column = (argument or "").rpartition(".")
+        if prefix not in ("", table.name) or not table.has_column(column):
             self._fallback("argument-not-resolvable")
-            return None
-        provider = self.database.provider(scan.table)
-        if filter_node is None:
-            box: BoxCondition | None = BoxCondition({})
-        else:
-            box = self._predicate_box(filter_node.predicate, table)
-            if box is None:
-                self._fallback("predicate-not-box")
-                return None
-
         pk_column = table.primary_key
         count_total = 0
         terms: list[float] = []
         for position, row in enumerate(summary.rows):
-            match = summary.classify_row(position, box, pk_column=pk_column)
-            if match is None:
-                continue
-            matched = self._row_matched_count(summary, position, row, match)
+            matched = summary.count_matching_row(position, box, pk_column=pk_column)
             if matched is None:
                 self._fallback("summary-not-exact")
-                return None
             if matched == 0:
                 continue
             count_total += matched
             if column == pk_column:
+                match = summary.classify_row(position, box, pk_column=pk_column)
+                assert match is not None  # matched > 0
                 if match.partial_fks:
                     # Matching pks scattered by the fk spread: not summable.
                     self._fallback("pk-scattered-by-fk")
-                    return None
                 if match.pk_window is not None:
                     terms.append(match.pk_window.sum_integers())
                 else:
                     start, end = summary.pk_interval_of_row(position)
                     terms.append(Interval(float(start), float(end)).sum_integers())
             elif column in row.fk_refs:
-                self._fallback("fk-argument-not-summable")
-                return None  # round-robin targets vary per tuple
+                self._fallback("fk-argument-not-summable")  # targets vary per tuple
             else:
                 terms.append(matched * float(row.values.get(column, 0.0)))
-        total = math.fsum(terms)
+        return count_total, math.fsum(terms)
 
-        if self.annotate:
-            scan.cardinality = provider.row_count
-            if filter_node is not None:
-                filter_node.cardinality = count_total
-        return count_total, total
+
+def _qualified(table: Table, columns: Mapping[str, NDArray[Any]]) -> dict[str, NDArray[Any]]:
+    """``columns`` keyed by qualified ``table.column`` names."""
+    return {f"{table.name}.{name}": values for name, values in columns.items()}
+
+
+def _empty_column(table: Table, name: str) -> NDArray[Any]:
+    return np.empty(0, dtype=table.column(name).dtype.numpy_dtype)
+
+
+def _concatenated(
+    table: Table, pieces: Mapping[str, list[NDArray[Any]]]
+) -> dict[str, NDArray[Any]]:
+    """Per-column concatenation of streamed chunks (schema dtype when none)."""
+    return {
+        name: np.concatenate(chunks) if chunks else _empty_column(table, name)
+        for name, chunks in pieces.items()
+    }
 
 
 def _hash_join_indices(

@@ -51,10 +51,10 @@ __all__ = [
 ]
 
 #: Wire-format version carried by every body (see the module docstring).
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 #: URL prefix of the served API; the major version lives in the path.
-API_PREFIX = "/api/v1"
+API_PREFIX = "/api/v2"
 
 
 class ApiError(ValueError):
@@ -141,7 +141,7 @@ class ErrorBody:
 
 @dataclass(frozen=True)
 class ServerInfo:
-    """``GET /api/v1/healthz`` — liveness plus the served contract."""
+    """``GET /api/v2/healthz`` — liveness plus the served contract."""
 
     server: str
     schema_version: int
@@ -172,7 +172,7 @@ class ServerInfo:
 
 @dataclass(frozen=True)
 class LoadSummaryRequest:
-    """``POST /api/v1/summaries`` — load (or refresh) a summary into the cache.
+    """``POST /api/v2/summaries`` — load (or refresh) a summary into the cache.
 
     Exactly one of ``path`` (a summary JSON on the server's filesystem) or
     ``summary`` (the inline ``DatabaseSummary.to_dict`` payload) must be
@@ -261,7 +261,7 @@ class SummaryInfo:
 
 @dataclass(frozen=True)
 class SummaryListResponse:
-    """``GET /api/v1/summaries`` — every currently-served summary."""
+    """``GET /api/v2/summaries`` — every currently-served summary."""
 
     summaries: list[SummaryInfo] = field(default_factory=list)
 
@@ -281,7 +281,7 @@ class SummaryListResponse:
 
 @dataclass(frozen=True)
 class EvictResponse:
-    """``DELETE /api/v1/summaries/{name}`` — outcome of an eviction."""
+    """``DELETE /api/v2/summaries/{name}`` — outcome of an eviction."""
 
     name: str
     evicted: bool
@@ -302,17 +302,15 @@ class EvictResponse:
 
 @dataclass(frozen=True)
 class QueryRequest:
-    """``POST /api/v1/summaries/{name}/query`` — run one engine query.
+    """``POST /api/v2/summaries/{name}/query`` — run one engine query.
 
-    The engine knobs mirror :class:`repro.executor.engine.ExecutionEngine`;
+    The engine picks the route (summary, streaming, materialising) from the
+    plan and the cached summary; the response's ``route_events`` report it.
     ``rows_per_second`` paces the regenerated streams feeding the query
     through a per-request :class:`repro.executor.rate.RateLimiter` clone.
     """
 
     sql: str
-    pushdown: bool = True
-    summary_fastpath: bool = True
-    streaming_join: bool = True
     rows_per_second: float | None = None
 
     def __post_init__(self) -> None:
@@ -327,18 +325,10 @@ class QueryRequest:
     @classmethod
     def from_dict(cls, payload: Mapping[str, Any]) -> "QueryRequest":
         """Parse and validate an inbound body."""
-        _check(
-            payload,
-            ("sql",),
-            ("pushdown", "summary_fastpath", "streaming_join", "rows_per_second"),
-            "QueryRequest",
-        )
+        _check(payload, ("sql",), ("rows_per_second",), "QueryRequest")
         rate = _typed(payload, "rows_per_second", (int, float), "QueryRequest")
         return cls(
             sql=_typed(payload, "sql", str, "QueryRequest"),
-            pushdown=bool(payload.get("pushdown", True)),
-            summary_fastpath=bool(payload.get("summary_fastpath", True)),
-            streaming_join=bool(payload.get("streaming_join", True)),
             rows_per_second=float(rate) if rate is not None else None,
         )
 
@@ -441,7 +431,7 @@ class QueryResponse:
 
 @dataclass(frozen=True)
 class VerifyRequest:
-    """``POST /api/v1/summaries/{name}/verify`` — submit a workload verification.
+    """``POST /api/v2/summaries/{name}/verify`` — submit a workload verification.
 
     Exactly one of ``package`` (inline ``InformationPackage.to_dict``) or
     ``package_path`` (a package JSON on the server's filesystem) names the
@@ -536,7 +526,7 @@ class VerifyResponse:
 
 @dataclass(frozen=True)
 class ExportRequest:
-    """``POST /api/v1/summaries/{name}/export`` — materialise to a sink."""
+    """``POST /api/v2/summaries/{name}/export`` — materialise to a sink."""
 
     format: str
     out_dir: str
@@ -610,7 +600,7 @@ class ExportResponse:
 
 @dataclass(frozen=True)
 class RegenerateRequest:
-    """``POST /api/v1/summaries/{name}/regenerate`` — stream regeneration.
+    """``POST /api/v2/summaries/{name}/regenerate`` — stream regeneration.
 
     The response is NDJSON: one :class:`ProgressEvent` per line, emitted as
     regeneration proceeds (``workers`` > 1 shards each relation across that
@@ -620,6 +610,13 @@ class RegenerateRequest:
     relations: list[str] | None = None
     workers: int | None = None
     batch_size: int = 8192
+
+    def __post_init__(self) -> None:
+        """Reject a batch size no stream could make progress with."""
+        if self.batch_size < 1:
+            raise ApiError(
+                f"RegenerateRequest: 'batch_size' must be >= 1, got {self.batch_size}"
+            )
 
     def to_dict(self) -> dict[str, Any]:
         """Serialise for the wire."""

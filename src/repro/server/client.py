@@ -111,22 +111,10 @@ class ServerClient:
         return EvictResponse.from_dict(self._request("DELETE", f"/summaries/{name}"))
 
     def query(
-        self,
-        name: str,
-        sql: str,
-        pushdown: bool = True,
-        summary_fastpath: bool = True,
-        streaming_join: bool = True,
-        rows_per_second: float | None = None,
+        self, name: str, sql: str, rows_per_second: float | None = None
     ) -> QueryResponse:
         """Run one engine query against the cached summary ``name``."""
-        request = QueryRequest(
-            sql=sql,
-            pushdown=pushdown,
-            summary_fastpath=summary_fastpath,
-            streaming_join=streaming_join,
-            rows_per_second=rows_per_second,
-        )
+        request = QueryRequest(sql=sql, rows_per_second=rows_per_second)
         return QueryResponse.from_dict(
             self._request("POST", f"/summaries/{name}/query", request.to_dict())
         )

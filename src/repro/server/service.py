@@ -257,13 +257,7 @@ class SummaryService:
         started = time.perf_counter()
         with self._leased(name) as entry:
             database = self._database_for(entry, request.rows_per_second)
-            engine = ExecutionEngine(
-                database=database,
-                annotate=True,
-                pushdown=request.pushdown,
-                summary_fastpath=request.summary_fastpath,
-                streaming_join=request.streaming_join,
-            )
+            engine = ExecutionEngine(database=database, annotate=True)
             try:
                 with span("server.query", summary=name):
                     query = parse_query(request.sql, entry.summary.schema)

@@ -90,28 +90,16 @@ class VerificationResult:
 class VolumetricComparator:
     """Re-executes a workload on a regenerated database and compares AQPs.
 
-    ``pushdown`` / ``summary_fastpath`` / ``streaming_join`` select the
-    execution route (streaming pushdown scans, the summary-fast-paths for
-    counts and join-counts, and build/probe streaming joins — all on by
-    default).  Every route annotates plans with identical cardinalities, so
-    verification results do not depend on the route — the flags only matter
-    for timing comparisons and for exercising a specific path in
-    tests/benchmarks.
+    The engine picks its route per relation from how ``database`` attaches
+    it — dataless relations stream or are answered from their summaries,
+    materialised ones are scanned.  Every route annotates plans with
+    identical cardinalities, so verification results do not depend on it.
     """
 
     database: Database
-    pushdown: bool = True
-    summary_fastpath: bool = True
-    streaming_join: bool = True
 
     def verify(self, aqps: Iterable[AnnotatedQueryPlan]) -> VerificationResult:
-        engine = ExecutionEngine(
-            database=self.database,
-            annotate=True,
-            pushdown=self.pushdown,
-            summary_fastpath=self.summary_fastpath,
-            streaming_join=self.streaming_join,
-        )
+        engine = ExecutionEngine(database=self.database, annotate=True)
         result = VerificationResult()
         for aqp in aqps:
             # Clone the plan so the original annotations are left untouched.

@@ -7,6 +7,7 @@ import pytest
 from repro.catalog.metadata import collect_metadata
 from repro.client.extractor import AQPExtractor
 from repro.sql.parser import parse_query
+from repro.storage.database import Database
 from repro.workload.generator import WorkloadConfig, generate_workload
 from repro.workload.toy import FIGURE1_QUERY, ToyConfig, generate_toy_database, toy_schema
 from repro.workload.tpcds import TPCDSConfig, generate_tpcds_database
@@ -97,3 +98,29 @@ def tpch_database():
 @pytest.fixture(scope="session")
 def tpch_metadata(tpch_database):
     return collect_metadata(tpch_database)
+
+
+@pytest.fixture(scope="session")
+def engine_routes():
+    """``routes(dataless_database)``: the three ways the engine can run a plan.
+
+    The engine picks its route from what it observes, so a route is a
+    ``(database, engine options)`` pair, not a flag set: *materialised*
+    (every relation materialised — scans, generic filters and the
+    materialising hash join; the independent reference), *streaming*
+    (dataless, aggregates kept off the summaries) and *default* (dataless).
+    """
+
+    def routes(dataless: Database) -> dict[str, tuple[Database, dict[str, bool]]]:
+        schema = dataless.schema
+        materialised = Database.from_table_data(
+            schema,
+            [dataless.provider(name).materialize(schema.table(name)) for name in dataless],
+        )
+        return {
+            "materialised": (materialised, {}),
+            "streaming": (dataless, {"summary_fastpath": False}),
+            "default": (dataless, {}),
+        }
+
+    return routes

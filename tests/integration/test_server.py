@@ -79,13 +79,7 @@ def server(toy_summary):
 def _direct_responses(metadata, summary):
     """Serial direct-engine execution of QUERIES: the bit-identity baseline."""
     database = Hydra(metadata=metadata).regenerate(summary)
-    engine = ExecutionEngine(
-        database=database,
-        annotate=True,
-        pushdown=True,
-        summary_fastpath=True,
-        streaming_join=True,
-    )
+    engine = ExecutionEngine(database=database, annotate=True)
     expected = {}
     for sql in QUERIES:
         plan = build_plan(parse_query(sql, database.schema), database.schema)
@@ -300,5 +294,33 @@ class TestVerifyAndExport:
 class TestRequestValidation:
     def test_query_request_defaults_round_trip(self):
         request = QueryRequest.from_dict({"sql": "select count(*) from S"})
-        assert request.pushdown and request.summary_fastpath and request.streaming_join
-        assert request.rows_per_second is None
+        assert request == QueryRequest(sql="select count(*) from S", rows_per_second=None)
+
+    @pytest.mark.parametrize("key", ["pushdown", "summary_fastpath", "streaming_join"])
+    def test_removed_route_keys_are_400_on_the_wire(self, server, key):
+        client = ServerClient("127.0.0.1", server.port)
+        with pytest.raises(ServerClientError) as excinfo:
+            client._request(
+                "POST", "/summaries/toy/query", {"sql": "select count(*) from S", key: True}
+            )
+        assert excinfo.value.status == 400
+        assert f"unknown key(s) '{key}'" in str(excinfo.value)
+
+    @pytest.mark.parametrize("batch_size", [0, -1])
+    def test_non_positive_batch_size_is_400_before_any_event(self, toy_summary, batch_size):
+        service = SummaryService()
+        service.load(LoadSummaryRequest(name="toy", summary=toy_summary.to_dict()))
+        with BackgroundServer(service) as background:
+            client = ServerClient("127.0.0.1", background.port)
+            # A raw body: the client's own RegenerateRequest would refuse it locally.
+            with pytest.raises(ServerClientError) as excinfo:
+                client._request(
+                    "POST", "/summaries/toy/regenerate", {"batch_size": batch_size}
+                )
+            assert excinfo.value.status == 400
+            assert "'batch_size' must be >= 1" in str(excinfo.value)
+            # No lease is left behind and the next request is served.
+            with service.cache.lease("toy") as entry:
+                assert entry.leases == 1
+            events = list(client.regenerate("toy", relations=["T"], batch_size=16))
+            assert events[-1].event == "done"

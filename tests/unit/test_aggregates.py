@@ -2,9 +2,10 @@
 disjunctive join predicates.
 
 Every aggregate is checked against a numpy oracle on the materialised
-client database, then across all engine routes on both the client and
-the regenerated vendor database, asserting the ``aggregate_route`` flag
-and the zero-generation contract of the summary fast path.  A hand-built
+client database, then across all engine routes (the ``engine_routes``
+fixture: materialised, streaming, default) of the regenerated vendor
+database, asserting ``aggregate_route`` and the zero-generation contract
+of the summary route.  A hand-built
 three-relation chain summary pins down the multi-way fast path exactly;
 the ``VolumetricComparator`` closes the loop on AQP annotations.
 """
@@ -46,13 +47,6 @@ from repro.workload.toy import (
     generate_toy_database,
 )
 
-ROUTES = {
-    "naive": dict(pushdown=False, summary_fastpath=False, streaming_join=False),
-    "materialising": dict(pushdown=True, summary_fastpath=False, streaming_join=False),
-    "streaming": dict(pushdown=True, summary_fastpath=False, streaming_join=True),
-    "fast-path": dict(pushdown=True, summary_fastpath=True, streaming_join=True),
-}
-
 WORKLOAD_SQLS = [
     ("sum_b", FIGURE1_SUM_QUERY),
     ("avg_b", FIGURE1_AVG_QUERY),
@@ -81,7 +75,14 @@ def vendor_database(client_database, client_aqps):
     return hydra.regenerate(result.summary)
 
 
-def _run(database, sql, **options):
+@pytest.fixture(scope="module")
+def vendor_routes(vendor_database, engine_routes):
+    return engine_routes(vendor_database)
+
+
+def _run(route, sql):
+    """Plan and execute ``sql`` on a database or a ``(database, options)`` route."""
+    database, options = route if isinstance(route, tuple) else (route, {})
     plan = build_plan(parse_query(sql, database.schema), database.schema)
     engine = ExecutionEngine(database=database, annotate=True, **options)
     return engine.execute(plan)
@@ -96,7 +97,7 @@ class TestSumAvgOracle:
         a = _column(client_database, "S", "A")
         b = _column(client_database, "S", "B")
         expected = math.fsum(b[(a >= 20) & (a < 60)].astype(np.float64).tolist())
-        result = _run(client_database, FIGURE1_SUM_QUERY, **ROUTES["naive"])
+        result = _run(client_database, FIGURE1_SUM_QUERY)
         assert float(result.column("sum")[0]) == expected
 
     def test_avg_matches_numpy(self, client_database):
@@ -104,43 +105,44 @@ class TestSumAvgOracle:
         b = _column(client_database, "S", "B")
         selected = b[(a >= 20) & (a < 60)].astype(np.float64)
         expected = math.fsum(selected.tolist()) / len(selected)
-        result = _run(client_database, FIGURE1_AVG_QUERY, **ROUTES["naive"])
+        result = _run(client_database, FIGURE1_AVG_QUERY)
         assert float(result.column("avg")[0]) == expected
 
     def test_avg_of_empty_selection_is_zero(self, client_database):
-        result = _run(
-            client_database, "select avg(B) from S where S.A >= 500", **ROUTES["naive"]
-        )
+        result = _run(client_database, "select avg(B) from S where S.A >= 500")
         assert float(result.column("avg")[0]) == 0.0
 
 
 class TestSumAvgRoutes:
     @pytest.mark.parametrize("sql", [FIGURE1_SUM_QUERY, FIGURE1_AVG_QUERY])
-    @pytest.mark.parametrize("db_fixture", ["client_database", "vendor_database"])
-    def test_routes_bit_identical(self, sql, db_fixture, request):
-        database = request.getfixturevalue(db_fixture)
-        results = {
-            name: _run(database, sql, **options) for name, options in ROUTES.items()
-        }
+    def test_routes_bit_identical(self, sql, vendor_routes):
+        results = {name: _run(route, sql) for name, route in vendor_routes.items()}
         function = sql.split("(")[0].split()[-1]
-        base = float(results["naive"].column(function)[0])
+        base = results["materialised"].column(function)
         for name, result in results.items():
-            assert float(result.column(function)[0]) == base, name
+            assert list(result.columns) == [function], name
+            assert result.column(function).dtype == base.dtype, name
+            assert float(result.column(function)[0]) == float(base[0]), name
 
-    def test_fast_path_generates_nothing_on_vendor(self, vendor_database):
-        result = _run(vendor_database, FIGURE1_SUM_QUERY, **ROUTES["fast-path"])
+    def test_summary_route_generates_nothing_on_vendor(self, vendor_routes):
+        result = _run(vendor_routes["default"], FIGURE1_SUM_QUERY)
         assert result.aggregate_route == "summary"
         assert result.scanned_rows == 0
 
-    def test_streaming_route_flag(self, vendor_database):
-        result = _run(vendor_database, FIGURE1_SUM_QUERY, **ROUTES["streaming"])
+    @pytest.mark.parametrize(
+        "route, reason",
+        [("streaming", "fastpath-disabled"), ("materialised", "not-summary-backed")],
+    )
+    def test_streaming_route_is_reported(self, vendor_routes, route, reason):
+        result = _run(vendor_routes[route], FIGURE1_SUM_QUERY)
         assert result.aggregate_route == "streaming"
+        assert result.fallback_reasons == [reason]
         assert result.scanned_rows > 0
 
-    def test_sum_over_primary_key_uses_interval_arithmetic(self, vendor_database):
+    def test_sum_over_primary_key_uses_interval_arithmetic(self, vendor_routes):
         sql = "select sum(S_pk) from S where S.S_pk >= 100 and S.S_pk < 300"
-        fast = _run(vendor_database, sql, **ROUTES["fast-path"])
-        slow = _run(vendor_database, sql, **ROUTES["streaming"])
+        fast = _run(vendor_routes["default"], sql)
+        slow = _run(vendor_routes["streaming"], sql)
         # Regenerated primary keys are always 0..N-1, so the answer is the
         # exact arithmetic series regardless of the summary's region layout.
         assert float(fast.column("sum")[0]) == float(sum(range(100, 300)))
@@ -171,17 +173,18 @@ class TestChainCount:
         order_ok = np.isin(o_custkey, custkeys)
         l_orderkey = _column(tpch_client, "lineitem", "l_orderkey")
         expected = int(order_ok[l_orderkey].sum())
-        result = _run(tpch_client, CHAIN_COUNT_QUERY, **ROUTES["naive"])
+        result = _run(tpch_client, CHAIN_COUNT_QUERY)
         assert int(result.column("count")[0]) == expected
 
-    @pytest.mark.parametrize("db_fixture", ["tpch_client", "tpch_vendor"])
-    def test_chain_routes_agree(self, db_fixture, request):
-        database = request.getfixturevalue(db_fixture)
-        counts = {
-            name: int(_run(database, CHAIN_COUNT_QUERY, **options).column("count")[0])
-            for name, options in ROUTES.items()
+    def test_chain_routes_agree(self, tpch_vendor, engine_routes):
+        results = {
+            name: _run(route, CHAIN_COUNT_QUERY)
+            for name, route in engine_routes(tpch_vendor).items()
         }
+        counts = {name: int(result.column("count")[0]) for name, result in results.items()}
         assert len(set(counts.values())) == 1, counts
+        assert results["default"].aggregate_route == "summary"
+        assert results["default"].scanned_rows == 0
 
 
 def _dataless_chain():
@@ -280,32 +283,28 @@ class TestChainFastPath:
         return _dataless_chain()
 
     def test_summary_route_counts_without_generating(self, chain_database):
-        result = _run(chain_database, CHAIN_SQL, **ROUTES["fast-path"])
+        result = _run(chain_database, CHAIN_SQL)
         assert result.aggregate_route == "summary"
         assert result.scanned_rows == 0
         # 250 fully-matching fact tuples plus 40 of the straddling region's
         # 100 tuples (round-robin over [0,50): 20 allowed targets hit twice).
         assert int(result.column("count")[0]) == 290
 
-    def test_naive_route_agrees(self, chain_database):
-        fast = _run(chain_database, CHAIN_SQL, **ROUTES["fast-path"])
-        naive = _run(chain_database, CHAIN_SQL, **ROUTES["naive"])
-        assert naive.aggregate_route == "streaming"
-        assert naive.scanned_rows > 0
-        assert int(naive.column("count")[0]) == int(fast.column("count")[0])
+    @pytest.mark.parametrize("name", ["materialised", "streaming"])
+    def test_executing_routes_agree(self, chain_database, engine_routes, name):
+        fast = _run(chain_database, CHAIN_SQL)
+        slow = _run(engine_routes(chain_database)[name], CHAIN_SQL)
+        assert slow.aggregate_route == "streaming"
+        assert slow.scanned_rows > 0
+        assert int(slow.column("count")[0]) == int(fast.column("count")[0])
 
-    def test_annotations_match_across_routes(self, chain_database):
+    def test_annotations_match_across_routes(self, chain_database, engine_routes):
         plans = {}
-        for name in ("naive", "fast-path"):
-            plan = build_plan(
-                parse_query(CHAIN_SQL, chain_database.schema), chain_database.schema
-            )
-            engine = ExecutionEngine(
-                database=chain_database, annotate=True, **ROUTES[name]
-            )
-            engine.execute(plan)
+        for name, (database, options) in engine_routes(chain_database).items():
+            plan = build_plan(parse_query(CHAIN_SQL, database.schema), database.schema)
+            ExecutionEngine(database=database, annotate=True, **options).execute(plan)
             plans[name] = [node.cardinality for node in plan.iter_nodes()]
-        assert plans["naive"] == plans["fast-path"]
+        assert plans["materialised"] == plans["streaming"] == plans["default"]
 
 
 class TestDisjunctiveJoin:
@@ -323,17 +322,21 @@ class TestDisjunctiveJoin:
 
     def test_count_matches_pair_oracle(self, client_database):
         expected = self._pair_oracle(client_database)
-        result = _run(client_database, FIGURE1_DISJUNCTIVE_QUERY, **ROUTES["naive"])
+        result = _run(client_database, FIGURE1_DISJUNCTIVE_QUERY)
         assert int(result.column("count")[0]) == expected
 
-    def test_all_routes_agree(self, client_database):
-        counts = {
-            name: int(
-                _run(client_database, FIGURE1_DISJUNCTIVE_QUERY, **options).column("count")[0]
-            )
-            for name, options in ROUTES.items()
+    def test_all_routes_agree(self, vendor_routes):
+        # No single probe key exists: every route materialises both inputs
+        # and unions the alternatives, dataless inputs included.
+        results = {
+            name: _run(route, FIGURE1_DISJUNCTIVE_QUERY) for name, route in vendor_routes.items()
         }
+        counts = {name: int(result.column("count")[0]) for name, result in results.items()}
         assert len(set(counts.values())) == 1, counts
+        for name, result in results.items():
+            assert ("join", "materializing", "disjunctive-condition") in [
+                (event.kind, event.route, event.reason) for event in result.route_events
+            ], name
 
     def test_decomposition_rejects_disjunctive_joins(self, client_database):
         extractor = AQPExtractor(database=client_database)
@@ -343,17 +346,14 @@ class TestDisjunctiveJoin:
 
 
 class TestVolumetricVerification:
-    def test_comparator_is_route_independent(self, vendor_database, client_aqps):
+    def test_comparator_is_route_independent(self, vendor_routes, client_aqps):
         outcomes = {
-            name: VolumetricComparator(database=vendor_database, **options).verify(
-                client_aqps
-            )
-            for name, options in ROUTES.items()
+            name: VolumetricComparator(database=vendor_routes[name][0]).verify(client_aqps)
+            for name in ("materialised", "default")
         }
-        base = outcomes["naive"].comparisons
+        base = outcomes["materialised"].comparisons
         assert base, "expected at least one volumetric constraint"
-        for name, result in outcomes.items():
-            assert result.comparisons == base, name
+        assert outcomes["default"].comparisons == base
 
     def test_aggregate_annotations_are_exact_on_vendor(self, vendor_database, client_aqps):
         result = VolumetricComparator(database=vendor_database).verify(client_aqps)

@@ -45,13 +45,6 @@ from repro.storage.database import Database
 from repro.verify.comparator import VolumetricComparator
 from repro.workload.toy import FIGURE1_QUERY, ToyConfig, generate_toy_database
 
-ROUTES = {
-    "naive": dict(pushdown=False, summary_fastpath=False, streaming_join=False),
-    "materialising": dict(pushdown=True, summary_fastpath=False, streaming_join=False),
-    "streaming": dict(pushdown=True, summary_fastpath=False, streaming_join=True),
-    "fast-path": dict(pushdown=True, summary_fastpath=True, streaming_join=True),
-}
-
 JOIN_SQLS = [
     ("figure1", FIGURE1_QUERY),
     ("join_count", "select count(*) from R, S where R.S_fk = S.S_pk and S.A >= 10 and S.A < 30"),
@@ -85,73 +78,89 @@ def vendor_database(client_database, client_aqps):
     return hydra.regenerate(result.summary)
 
 
-def _run_route(database, aqp, **options):
+@pytest.fixture(scope="module")
+def vendor_routes(vendor_database, engine_routes):
+    return engine_routes(vendor_database)
+
+
+def _run_route(route, plan):
+    """Execute a fresh clone of ``plan`` on one ``(database, options)`` route."""
+    database, options = route
     engine = ExecutionEngine(database=database, annotate=True, **options)
-    plan = plan_from_dict(aqp.plan.to_dict())
-    plan.clear_annotations()
-    result = engine.execute(plan)
-    return result, [node.cardinality for node in plan.iter_nodes()]
+    cloned = plan_from_dict(plan.to_dict())
+    cloned.clear_annotations()
+    result = engine.execute(cloned)
+    return result, [node.cardinality for node in cloned.iter_nodes()]
+
+
+def _run_routes(routes, plan):
+    return {name: _run_route(route, plan) for name, route in routes.items()}
+
+
+def _assert_bit_identical(outcomes, label):
+    """Same annotations and blocks (values, dtypes, column and row order)."""
+    reference, reference_cards = outcomes["materialised"]
+    for name, (result, cards) in outcomes.items():
+        assert cards == reference_cards, (label, name)
+        assert result.row_count == reference.row_count, (label, name)
+        assert list(result.columns) == list(reference.columns), (label, name)
+        for key in reference.columns:
+            assert result.columns[key].dtype == reference.columns[key].dtype, (label, name, key)
+            assert np.array_equal(result.columns[key], reference.columns[key]), (
+                label,
+                name,
+                key,
+            )
 
 
 class TestJoinRouteEquivalence:
-    @pytest.mark.parametrize("db_fixture", ["client_database", "vendor_database"])
-    def test_all_routes_bit_identical(self, db_fixture, client_aqps, request):
-        database = request.getfixturevalue(db_fixture)
+    def test_all_routes_bit_identical(self, vendor_routes, client_aqps):
         for aqp in client_aqps:
-            outcomes = {
-                name: _run_route(database, aqp, **options)
-                for name, options in ROUTES.items()
-            }
-            base_result, base_cards = outcomes["naive"]
-            for name, (result, cards) in outcomes.items():
-                assert cards == base_cards, (aqp.name, name)
-                assert result.row_count == base_result.row_count, (aqp.name, name)
-            # Routes sharing the pushdown column set must produce
-            # bit-identical blocks (values, dtypes, column and row order).
-            reference, _ = outcomes["materialising"]
-            for name in ("streaming", "fast-path"):
-                result, _ = outcomes[name]
-                assert list(result.columns) == list(reference.columns), (aqp.name, name)
-                for key in reference.columns:
-                    assert result.columns[key].dtype == reference.columns[key].dtype
-                    assert np.array_equal(result.columns[key], reference.columns[key]), (
-                        aqp.name,
-                        name,
-                        key,
-                    )
+            _assert_bit_identical(_run_routes(vendor_routes, aqp.plan), aqp.name)
 
-    def test_streaming_join_generates_fewer_rows(self, vendor_database, client_aqps):
+    def test_client_database_reproduces_its_own_annotations(self, client_database, client_aqps):
+        # All providers materialised: the materialising hash join is the
+        # only join operator, with or without the summary route enabled.
+        for aqp in client_aqps:
+            expected = [node.cardinality for node in aqp.plan.iter_nodes()]
+            for options in ({}, {"summary_fastpath": False}):
+                result, cards = _run_route((client_database, options), aqp.plan)
+                assert cards == expected, aqp.name
+                assert all(event.route != "streaming" or event.kind != "join"
+                           for event in result.route_events), aqp.name
+
+    def test_streaming_join_generates_fewer_rows(self, vendor_routes, client_aqps):
         aqp = next(a for a in client_aqps if a.name == "figure1")
-        materialising, _ = _run_route(vendor_database, aqp, **ROUTES["materialising"])
-        streaming, _ = _run_route(vendor_database, aqp, **ROUTES["streaming"])
+        materialised, _ = _run_route(vendor_routes["materialised"], aqp.plan)
+        streaming, _ = _run_route(vendor_routes["streaming"], aqp.plan)
         # The probe side streams with semi-join segment skipping: strictly
-        # fewer tuples are generated than when every leaf materialises.
-        assert streaming.scanned_rows < materialising.scanned_rows
-        assert streaming.row_count == materialising.row_count
+        # fewer tuples are generated than the relations hold.
+        assert streaming.scanned_rows < materialised.scanned_rows
+        assert streaming.row_count == materialised.row_count
+        assert [event.route for event in streaming.route_events] == ["streaming"] * 2
+        assert [event.route for event in materialised.route_events] == ["materializing"] * 2
 
-    def test_join_count_fastpath_generates_nothing(self, vendor_database, client_aqps):
+    def test_join_count_summary_route_generates_nothing(self, vendor_routes, client_aqps):
         for name in ("join_count", "join_count_unfiltered"):
             aqp = next(a for a in client_aqps if a.name == name)
-            naive, naive_cards = _run_route(vendor_database, aqp, **ROUTES["naive"])
-            fast, fast_cards = _run_route(vendor_database, aqp, **ROUTES["fast-path"])
+            reference, reference_cards = _run_route(vendor_routes["materialised"], aqp.plan)
+            fast, fast_cards = _run_route(vendor_routes["default"], aqp.plan)
             assert fast.scanned_rows == 0, name
-            assert int(fast.column("count")[0]) == int(naive.column("count")[0])
-            assert fast_cards == naive_cards
+            assert int(fast.column("count")[0]) == int(reference.column("count")[0])
+            assert fast_cards == reference_cards
 
-    def test_verification_is_route_independent(self, vendor_database, client_aqps):
-        results = {
-            name: VolumetricComparator(database=vendor_database, **options).verify(client_aqps)
-            for name, options in ROUTES.items()
-        }
-        baseline = results["naive"].comparisons
-        for name, result in results.items():
-            assert result.comparisons == baseline, name
+    def test_verification_is_route_independent(self, vendor_routes, client_aqps):
+        materialised, _options = vendor_routes["materialised"]
+        dataless, _options = vendor_routes["default"]
+        baseline = VolumetricComparator(database=materialised).verify(client_aqps).comparisons
+        assert baseline
+        assert VolumetricComparator(database=dataless).verify(client_aqps).comparisons == baseline
 
 
 class TestBuildSideChoice:
     def test_probe_is_larger_side_by_summary_cardinality(self, vendor_database, client_aqps):
         aqp = next(a for a in client_aqps if a.name == "join_count")
-        engine = ExecutionEngine(database=vendor_database, **ROUTES["streaming"])
+        engine = ExecutionEngine(database=vendor_database, summary_fastpath=False)
         r_before = vendor_database.provider("R").stats.rows_generated
         s_before = vendor_database.provider("S").stats.rows_generated
         plan = plan_from_dict(aqp.plan.to_dict())
@@ -247,33 +256,30 @@ class TestSemiJoinPushdown:
         # fire, so no box should be emitted at all.
         assert semis == {}
 
-    def test_segment_skipping_preserves_filter_annotation(self, dataless_star):
+    def test_segment_skipping_preserves_filter_annotation(self, dataless_star, engine_routes):
         database, _summary = dataless_star
         sql = (
             "select count(*) from fact, dim "
             "where fact.dim_fk = dim.dim_pk and dim.price >= 50 and fact.qty >= 2"
         )
         plan = build_plan(parse_query(sql, database.schema), database.schema)
-        naive_engine = ExecutionEngine(database=database, **ROUTES["naive"])
-        naive_plan = plan_from_dict(plan.to_dict())
-        naive = naive_engine.execute(naive_plan)
+        routes = engine_routes(database)
+        reference, reference_cards = _run_route(routes["materialised"], plan)
 
-        engine = ExecutionEngine(database=database, **ROUTES["streaming"])
         provider = database.provider("fact")
         before = provider.stats.rows_generated
-        streaming_plan = plan_from_dict(plan.to_dict())
-        streaming = engine.execute(streaming_plan)
+        streaming, streaming_cards = _run_route(routes["streaming"], plan)
         generated = provider.stats.rows_generated - before
         # Fact's first summary row (refs [0, 60)) cannot reach the surviving
         # dim pks [60, 100): its 500 tuples are never generated, yet the
         # fact filter annotation still counts them exactly.
         assert generated == 250
-        assert [n.cardinality for n in streaming_plan.iter_nodes()] == [
-            n.cardinality for n in naive_plan.iter_nodes()
-        ]
-        assert int(streaming.column("count")[0]) == int(naive.column("count")[0])
+        assert streaming_cards == reference_cards
+        assert int(streaming.column("count")[0]) == int(reference.column("count")[0])
 
-    def test_inexact_probe_predicate_masks_instead_of_skipping(self, dataless_star):
+    def test_inexact_probe_predicate_masks_instead_of_skipping(
+        self, dataless_star, engine_routes
+    ):
         # qty <= 2.5 on a discrete column is not box-exact: the probe falls
         # back to predicate masking (no segment skipping) while the semi-join
         # box still masks rows with no partner — all routes must agree.
@@ -283,15 +289,7 @@ class TestSemiJoinPushdown:
             "where fact.dim_fk = dim.dim_pk and dim.price >= 50 and fact.qty <= 2.5"
         )
         plan = build_plan(parse_query(sql, database.schema), database.schema)
-        outcomes = []
-        for options in ROUTES.values():
-            engine = ExecutionEngine(database=database, **options)
-            cloned = plan_from_dict(plan.to_dict())
-            result = engine.execute(cloned)
-            outcomes.append(
-                (int(result.column("count")[0]), [n.cardinality for n in cloned.iter_nodes()])
-            )
-        assert all(outcome == outcomes[0] for outcome in outcomes)
+        _assert_bit_identical(_run_routes(engine_routes(database), plan), sql)
 
     def test_skip_box_yields_exact_counts_without_generation(self, dataless_star):
         database, _summary = dataless_star
@@ -309,19 +307,14 @@ class TestSemiJoinPushdown:
 
 
 class TestJoinCountFastPath:
-    def _counts(self, database, sql):
-        plan = build_plan(parse_query(sql, database.schema), database.schema)
+    @staticmethod
+    def _counts(routes, sql):
+        schema = routes["default"][0].schema
+        plan = build_plan(parse_query(sql, schema), schema)
         outcomes = {}
-        for name in ("naive", "fast-path"):
-            engine = ExecutionEngine(database=database, **ROUTES[name])
-            cloned = plan_from_dict(plan.to_dict())
-            cloned.clear_annotations()
-            result = engine.execute(cloned)
-            outcomes[name] = (
-                int(result.column("count")[0]),
-                [node.cardinality for node in cloned.iter_nodes()],
-                result.scanned_rows,
-            )
+        for name in ("materialised", "default"):
+            result, cards = _run_route(routes[name], plan)
+            outcomes[name] = (int(result.column("count")[0]), cards, result.scanned_rows)
         return outcomes
 
     @pytest.mark.parametrize(
@@ -338,35 +331,36 @@ class TestJoinCountFastPath:
             "where fact.dim_fk = dim.dim_pk and dim.price >= 50 and fact.qty < 5",
             "select count(*) from fact, dim "
             "where fact.dim_fk = dim.dim_pk and dim.dim_pk >= 30 and dim.dim_pk < 70",
+            # pk window and fk constraint both partial on the same fact row:
+            # countable by prefix counting, for the filter annotation as for
+            # the join root.
+            "select count(*) from fact, dim "
+            "where fact.dim_fk = dim.dim_pk and fact.fact_pk >= 100 and fact.fact_pk < 300 "
+            "and fact.dim_fk >= 10 and fact.dim_fk < 30",
         ],
     )
-    def test_exact_cases_generate_nothing(self, dataless_star, sql):
+    def test_exact_cases_generate_nothing(self, dataless_star, engine_routes, sql):
         database, _summary = dataless_star
-        outcomes = self._counts(database, sql)
-        assert outcomes["fast-path"][0] == outcomes["naive"][0], sql
-        assert outcomes["fast-path"][1] == outcomes["naive"][1], sql
-        assert outcomes["fast-path"][2] == 0, sql
+        outcomes = self._counts(engine_routes(database), sql)
+        assert outcomes["default"][0] == outcomes["materialised"][0], sql
+        assert outcomes["default"][1] == outcomes["materialised"][1], sql
+        assert outcomes["default"][2] == 0, sql
 
     @pytest.mark.parametrize(
         "sql",
         [
-            # pk and join-fk constraints both partial on the same summary
-            # row: correlated through the tuple offset.
-            "select count(*) from fact, dim "
-            "where fact.dim_fk = dim.dim_pk and fact.fact_pk >= 100 and fact.fact_pk < 300 "
-            "and fact.dim_fk >= 10 and fact.dim_fk < 30",
             # Epsilon-approximated float comparison on the referenced side.
             "select count(*) from fact, dim where fact.dim_fk = dim.dim_pk and dim.price = 90",
         ],
     )
-    def test_inexact_cases_fall_back_but_stay_exact(self, dataless_star, sql):
+    def test_inexact_cases_fall_back_but_stay_exact(self, dataless_star, engine_routes, sql):
         database, _summary = dataless_star
-        outcomes = self._counts(database, sql)
-        assert outcomes["fast-path"][0] == outcomes["naive"][0], sql
-        assert outcomes["fast-path"][1] == outcomes["naive"][1], sql
-        assert outcomes["fast-path"][2] > 0, sql  # it really streamed
+        outcomes = self._counts(engine_routes(database), sql)
+        assert outcomes["default"][0] == outcomes["materialised"][0], sql
+        assert outcomes["default"][1] == outcomes["materialised"][1], sql
+        assert outcomes["default"][2] > 0, sql  # it really streamed
 
-    def test_constant_fk_summary_row(self):
+    def test_constant_fk_summary_row(self, engine_routes):
         dim = Table(
             name="dim",
             columns=[Column("dim_pk", INTEGER), Column("price", FLOAT)],
@@ -392,17 +386,12 @@ class TestJoinCountFastPath:
         for name in ("dim", "fact"):
             generator = TupleGenerator(table=schema.table(name), summary=summary.relation(name))
             database.attach(name, DataGenRelation(source=generator))
-        outcomes = {}
         sql = "select count(*) from fact, dim where fact.dim_fk = dim.dim_pk and dim.price < 6"
-        plan = build_plan(parse_query(sql, schema), schema)
-        for name in ("naive", "fast-path"):
-            engine = ExecutionEngine(database=database, **ROUTES[name])
-            result = engine.execute(plan_from_dict(plan.to_dict()))
-            outcomes[name] = (int(result.column("count")[0]), result.scanned_rows)
-        assert outcomes["fast-path"][0] == outcomes["naive"][0] == 7
-        assert outcomes["fast-path"][1] == 0
+        outcomes = self._counts(engine_routes(database), sql)
+        assert outcomes["default"][0] == outcomes["materialised"][0] == 7
+        assert outcomes["default"][2] == 0
 
-    def test_chained_reference_falls_back_when_referenced_side_scattered(self):
+    def test_chained_reference_falls_back_when_referenced_side_scattered(self, engine_routes):
         # c -> b -> a: the referenced side b is filtered on *its own* FK
         # column, which matches some b summary rows only partially — the
         # matching b pks are round-robin-scattered, so no exact pk interval
@@ -450,14 +439,9 @@ class TestJoinCountFastPath:
             generator = TupleGenerator(table=schema.table(name), summary=summary.relation(name))
             database.attach(name, DataGenRelation(source=generator))
         sql = "select count(*) from c, b where c.b_fk = b.b_pk and b.a_fk >= 3 and b.a_fk < 6"
-        plan = build_plan(parse_query(sql, schema), schema)
-        outcomes = {}
-        for name in ("naive", "fast-path"):
-            engine = ExecutionEngine(database=database, **ROUTES[name])
-            result = engine.execute(plan_from_dict(plan.to_dict()))
-            outcomes[name] = (int(result.column("count")[0]), result.scanned_rows)
-        assert outcomes["fast-path"][0] == outcomes["naive"][0]
-        assert outcomes["fast-path"][1] > 0  # fell back to streaming
+        outcomes = self._counts(engine_routes(database), sql)
+        assert outcomes["default"][0] == outcomes["materialised"][0]
+        assert outcomes["default"][2] > 0  # fell back to streaming
 
 
 class TestMatchingPkIntervals:
@@ -581,23 +565,16 @@ class TestEmptyDisjunctionBox(object):
         assert summary.count_matching(Or(()).to_box(), pk_column="t_pk") == 0
         assert summary.row_excluded(0, Or(()).to_box(), pk_column="t_pk")
 
-    def test_engine_routes_agree_on_empty_disjunction(self, dataless_star):
+    def test_engine_routes_agree_on_empty_disjunction(self, dataless_star, engine_routes):
         database, _summary = dataless_star
         from repro.plans.logical import AggregateNode, FilterNode, ScanNode
 
         plan = AggregateNode(
             child=FilterNode(child=ScanNode(table="fact"), table="fact", predicate=Or(()))
         )
-        counts = []
-        for options in ROUTES.values():
-            engine = ExecutionEngine(database=database, **options)
-            cloned = plan_from_dict(plan.to_dict())
-            result = engine.execute(cloned)
-            counts.append(
-                (int(result.column("count")[0]), [n.cardinality for n in cloned.iter_nodes()])
-            )
-        assert all(count == counts[0] for count in counts)
-        assert counts[0][0] == 0
+        outcomes = _run_routes(engine_routes(database), plan)
+        _assert_bit_identical(outcomes, "empty disjunction")
+        assert int(outcomes["default"][0].column("count")[0]) == 0
 
 
 class _RowOnlyProvider:
@@ -740,3 +717,48 @@ class TestCountMatchingOffsetsProperty:
             targets = ref.targets_for(np.arange(num_offsets, dtype=np.int64))
             expected = int(allowed.membership_mask(targets.astype(np.float64)).sum())
         assert ref.count_matching_offsets(num_offsets, allowed) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        ref_intervals=st.lists(
+            st.tuples(st.integers(0, 200), st.integers(1, 25)), min_size=1, max_size=4
+        ),
+        allowed=_intervals,
+        leading_rows=st.integers(0, 50),
+        count=st.integers(1, 300),
+        window=st.tuples(st.integers(-20, 360), st.integers(0, 200)),
+    )
+    def test_pk_window_times_partial_fk_matches_brute_force(
+        self, ref_intervals, allowed, leading_rows, count, window
+    ):
+        # One summary row behind ``leading_rows`` others (so its segment does
+        # not start at pk 0), a pk window and an FK allowed set that may each
+        # cover it fully, partially or not at all.
+        pieces = []
+        cursor = 0
+        for gap, width in ref_intervals:
+            low = cursor + gap
+            pieces.append(Interval(low, low + width))
+            cursor = low + width + 1
+        rows = [SummaryRow(count=leading_rows, values={"dim_fk": 0.0})] if leading_rows else []
+        rows.append(
+            SummaryRow(count=count, fk_refs={"dim_fk": FKReference("dim", IntervalSet(pieces))})
+        )
+        summary = RelationSummary(table="fact", rows=rows)
+        table = Table(
+            name="fact",
+            columns=[Column("fact_pk", INTEGER), Column("dim_fk", INTEGER)],
+            primary_key="fact_pk",
+            foreign_keys=[ForeignKey("dim_fk", "dim", "dim_pk")],
+        )
+        low, width = window
+        box = BoxCondition(
+            {
+                "fact_pk": IntervalSet([Interval(float(low), float(low + width))]),
+                "dim_fk": allowed,
+            }
+        )
+        block = TupleGenerator(table=table, summary=summary).generate_block(leading_rows, count)
+        expected = int(box.evaluate(block).sum())
+        position = len(rows) - 1
+        assert summary.count_matching_row(position, box, pk_column="fact_pk") == expected

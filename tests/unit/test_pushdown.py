@@ -1,8 +1,9 @@
 """Tests for streaming pushdown scans and the summary-fast-path for counts.
 
-Covers the planner's pushdown analysis, route equivalence (naive vs streaming
-vs fast-path) on both materialised and regenerated databases, the exact
-summary counting machinery, and the satellite bugfix regressions of this PR.
+Covers the planner's pushdown analysis, route equivalence (materialised vs
+streaming vs summary; see the ``engine_routes`` fixture) on both the client
+and the regenerated database, the exact summary counting machinery, and the
+satellite bugfix regressions of this PR.
 """
 
 from __future__ import annotations
@@ -67,21 +68,25 @@ def vendor_database(client_database, client_aqps):
     return hydra.regenerate(result.summary)
 
 
-def _execute_routes(database, aqp):
-    """Run one AQP along the naive, streaming and fast-path routes."""
+@pytest.fixture(scope="module")
+def vendor_routes(vendor_database, engine_routes):
+    return engine_routes(vendor_database)
+
+
+def _execute_routes(routes, plan):
+    """Run one plan along the materialised, streaming and default routes."""
     outcomes = []
-    for pushdown, fastpath in ((False, False), (True, False), (True, True)):
-        engine = ExecutionEngine(
-            database=database, annotate=True, pushdown=pushdown, summary_fastpath=fastpath
-        )
-        plan = plan_from_dict(aqp.plan.to_dict())
-        plan.clear_annotations()
-        result = engine.execute(plan)
+    for database, options in routes.values():
+        engine = ExecutionEngine(database=database, annotate=True, **options)
+        cloned = plan_from_dict(plan.to_dict())
+        cloned.clear_annotations()
+        result = engine.execute(cloned)
         outcomes.append(
             (
-                [node.cardinality for node in plan.iter_nodes()],
+                [node.cardinality for node in cloned.iter_nodes()],
                 result.row_count,
                 result.scanned_rows,
+                {name: values.tolist() for name, values in result.columns.items()},
             )
         )
     return outcomes
@@ -134,30 +139,38 @@ class TestComputePushdowns:
 
 
 class TestRouteEquivalence:
-    def test_routes_agree_on_materialised_database(self, client_database, client_aqps):
+    def test_client_database_reproduces_its_own_annotations(self, client_database, client_aqps):
+        # Every provider is materialised: asking for the summary route or
+        # not must make no difference, and re-execution is deterministic.
+        routes = {
+            "streaming": (client_database, {"summary_fastpath": False}),
+            "default": (client_database, {}),
+        }
         for aqp in client_aqps:
-            outcomes = _execute_routes(client_database, aqp)
-            cards = [annotations for annotations, _rows, _scanned in outcomes]
-            assert cards[0] == cards[1] == cards[2], aqp.name
-            rows = [row_count for _annotations, row_count, _scanned in outcomes]
-            assert rows[0] == rows[1] == rows[2], aqp.name
+            expected = [node.cardinality for node in aqp.plan.iter_nodes()]
+            for cards, _rows, scanned, _columns in _execute_routes(routes, aqp.plan):
+                assert cards == expected, aqp.name
+                assert scanned > 0, aqp.name
 
-    def test_routes_agree_on_regenerated_database(self, vendor_database, client_aqps):
+    def test_routes_agree_on_regenerated_database(self, vendor_routes, client_aqps):
         for aqp in client_aqps:
-            outcomes = _execute_routes(vendor_database, aqp)
-            cards = [annotations for annotations, _rows, _scanned in outcomes]
-            assert cards[0] == cards[1] == cards[2], aqp.name
+            materialised, streaming, default = _execute_routes(vendor_routes, aqp.plan)
+            # Annotations, row count, column order and every value.
+            assert materialised[0] == streaming[0] == default[0], aqp.name
+            assert materialised[1] == streaming[1] == default[1], aqp.name
+            assert list(materialised[3]) == list(streaming[3]) == list(default[3]), aqp.name
+            assert materialised[3] == streaming[3] == default[3], aqp.name
 
-    def test_fastpath_count_scans_zero_rows(self, vendor_database, client_aqps):
-        fastpath_counts = {
+    def test_summary_route_count_scans_zero_rows(self, vendor_routes, client_aqps):
+        summary_counts = {
             "count_s", "count_t_float", "count_r_fk", "count_r_all", "count_s_two_cols"
         }
         for aqp in client_aqps:
-            if aqp.name not in fastpath_counts:
+            if aqp.name not in summary_counts:
                 continue
-            _naive, streaming, fast = _execute_routes(vendor_database, aqp)
-            assert fast[2] == 0, aqp.name
-            assert streaming[2] <= _naive[2], aqp.name
+            materialised, streaming, default = _execute_routes(vendor_routes, aqp.plan)
+            assert default[2] == 0, aqp.name
+            assert streaming[2] <= materialised[2], aqp.name
 
     def test_streaming_filtered_scan_generates_only_needed_columns(self, vendor_database):
         schema = vendor_database.schema
@@ -165,7 +178,7 @@ class TestRouteEquivalence:
             parse_query("select count(*) from S where S.A >= 10", schema), schema
         )
         engine = ExecutionEngine(
-            database=vendor_database, annotate=True, pushdown=True, summary_fastpath=False
+            database=vendor_database, annotate=True, summary_fastpath=False
         )
         provider = vendor_database.provider("S")
         before = provider.stats.rows_generated
@@ -232,23 +245,47 @@ class TestSummaryCounting:
         expected = int(box.evaluate(block).sum())
         assert summary.count_matching(box, pk_column="fact_pk") == expected
 
-    def test_count_matching_two_partial_columns_falls_back(self):
+    def test_count_matching_pk_window_plus_one_partial_fk_is_exact(self):
         summary = RelationSummary(
             table="fact",
             rows=[
                 SummaryRow(
                     count=10,
-                    fk_refs={"dim_fk": FKReference("dim", IntervalSet([Interval(0, 4)]))},
+                    fk_refs={
+                        "dim_fk": FKReference("dim", IntervalSet([Interval(0, 4)])),
+                        "other_fk": FKReference("other", IntervalSet([Interval(0, 3)])),
+                    },
                 )
             ],
         )
+        table = Table(
+            name="fact",
+            columns=[
+                Column("fact_pk", INTEGER), Column("dim_fk", INTEGER), Column("other_fk", INTEGER)
+            ],
+            primary_key="fact_pk",
+            foreign_keys=[
+                ForeignKey("dim_fk", "dim", "dim_pk"), ForeignKey("other_fk", "other", "other_pk")
+            ],
+        )
+        block = TupleGenerator(table=table, summary=summary).generate_block(0, 10)
         box = BoxCondition(
             {
                 "dim_fk": IntervalSet([Interval(1.0, 3.0)]),
-                "fact_pk": IntervalSet([Interval(0.0, 5.0)]),
+                "fact_pk": IntervalSet([Interval(2.0, 9.0)]),
             }
         )
-        assert summary.count_matching(box, pk_column="fact_pk") is None
+        expected = int(box.evaluate(block).sum())
+        assert 0 < expected < 7  # both constraints really are partial
+        assert summary.count_matching(box, pk_column="fact_pk") == expected
+        # Two partial FK columns stay correlated through the tuple offset.
+        two_fks = BoxCondition(
+            {
+                "dim_fk": IntervalSet([Interval(1.0, 3.0)]),
+                "other_fk": IntervalSet([Interval(0.0, 2.0)]),
+            }
+        )
+        assert summary.count_matching(two_fks, pk_column="fact_pk") is None
 
     def test_row_excluded_skips_unreachable_segments(self):
         summary = RelationSummary(
@@ -321,19 +358,12 @@ class TestFastpathOnHandBuiltSummary:
             "select count(*) from dim where dim.price >= 50",
         ],
     )
-    def test_fastpath_equals_streaming_and_naive(self, dataless, sql):
+    def test_summary_route_equals_streaming_and_materialised(self, dataless, engine_routes, sql):
         plan = build_plan(parse_query(sql, dataless.schema), dataless.schema)
-        counts = []
-        for pushdown, fastpath in ((False, False), (True, False), (True, True)):
-            engine = ExecutionEngine(
-                database=dataless, pushdown=pushdown, summary_fastpath=fastpath
-            )
-            cloned = plan_from_dict(plan.to_dict())
-            cloned.clear_annotations()
-            result = engine.execute(cloned)
-            counts.append((int(result.column("count")[0]), result.scanned_rows))
-        assert counts[0][0] == counts[1][0] == counts[2][0]
-        assert counts[2][1] == 0  # fast path generated nothing
+        materialised, streaming, default = _execute_routes(engine_routes(dataless), plan)
+        assert materialised[3] == streaming[3] == default[3]
+        assert materialised[0] == streaming[0] == default[0]
+        assert default[2] == 0  # the summary route generated nothing
 
     @pytest.mark.parametrize(
         "sql",
@@ -348,29 +378,20 @@ class TestFastpathOnHandBuiltSummary:
             "select count(*) from dim where dim.price > 10",
         ],
     )
-    def test_inexact_float_boxes_fall_back_but_stay_exact(self, dataless, sql):
+    def test_inexact_float_boxes_fall_back_but_stay_exact(self, dataless, engine_routes, sql):
         # Plant a representative inside the epsilon window of 10.0.
-        dim_summary = None
-        for name in dataless:
-            provider = dataless.provider(name)
-            if provider.source.table.name == "dim":
-                dim_summary = provider.source.summary
+        dim_summary = dataless.provider("dim").source.summary
         dim_summary.rows[0].values["price"] = 10.0 + 1e-12
         plan = build_plan(parse_query(sql, dataless.schema), dataless.schema)
-        counts = []
-        for pushdown, fastpath in ((False, False), (True, False), (True, True)):
-            engine = ExecutionEngine(
-                database=dataless, pushdown=pushdown, summary_fastpath=fastpath
-            )
-            result = engine.execute(plan_from_dict(plan.to_dict()))
-            counts.append(int(result.column("count")[0]))
-        assert counts[0] == counts[1] == counts[2]
+        materialised, streaming, default = _execute_routes(engine_routes(dataless), plan)
+        assert materialised[3] == streaming[3] == default[3]
+        assert default[2] > 0  # predicate-not-box: it really streamed
 
     def test_exact_float_range_still_uses_fastpath(self, dataless):
         # < and >= are exact on continuous domains, so the fast path applies.
         sql = "select count(*) from dim where dim.price >= 50 and dim.price < 100"
         plan = build_plan(parse_query(sql, dataless.schema), dataless.schema)
-        engine = ExecutionEngine(database=dataless, pushdown=True, summary_fastpath=True)
+        engine = ExecutionEngine(database=dataless)
         result = engine.execute(plan_from_dict(plan.to_dict()))
         assert int(result.column("count")[0]) == 40
         assert result.scanned_rows == 0
@@ -389,21 +410,15 @@ class TestFastpathOnHandBuiltSummary:
             "select count(*) from fact where fact.qty < 3.5",
         ],
     )
-    def test_non_integral_constants_on_discrete_columns(self, dataless, sql):
+    def test_non_integral_constants_on_discrete_columns(self, dataless, engine_routes, sql):
         plan = build_plan(parse_query(sql, dataless.schema), dataless.schema)
-        counts = []
-        for pushdown, fastpath in ((False, False), (True, False), (True, True)):
-            engine = ExecutionEngine(
-                database=dataless, pushdown=pushdown, summary_fastpath=fastpath
-            )
-            result = engine.execute(plan_from_dict(plan.to_dict()))
-            counts.append(int(result.column("count")[0]))
-        assert counts[0] == counts[1] == counts[2], counts
+        materialised, streaming, default = _execute_routes(engine_routes(dataless), plan)
+        assert materialised[3] == streaming[3] == default[3]
 
     @pytest.mark.parametrize("payload", [{"op": "true"}, {"op": "or", "children": []}])
-    def test_column_free_predicates_from_aqp_payloads(self, dataless, payload):
+    def test_column_free_predicates_from_aqp_payloads(self, dataless, engine_routes, payload):
         # Deserialised AQPs can carry trivial or empty predicates; fused
-        # scans must give them the same constant verdict as the naive route.
+        # scans must give them the same constant verdict on every route.
         from repro.plans.logical import AggregateNode, FilterNode, ScanNode
         from repro.sql.predicates import predicate_from_dict
 
@@ -414,19 +429,11 @@ class TestFastpathOnHandBuiltSummary:
                 predicate=predicate_from_dict(payload),
             )
         )
-        counts = []
-        for pushdown, fastpath in ((False, False), (True, False), (True, True)):
-            engine = ExecutionEngine(
-                database=dataless, pushdown=pushdown, summary_fastpath=fastpath
-            )
-            cloned = plan_from_dict(plan.to_dict())
-            result = engine.execute(cloned)
-            counts.append(
-                (int(result.column("count")[0]), [n.cardinality for n in cloned.iter_nodes()])
-            )
-        assert counts[0] == counts[1] == counts[2], counts
+        materialised, streaming, default = _execute_routes(engine_routes(dataless), plan)
+        assert materialised[0] == streaming[0] == default[0]
+        assert materialised[3] == streaming[3] == default[3]
 
-    def test_unknown_column_raises_on_every_route(self, dataless):
+    def test_unknown_column_raises_on_every_route(self, dataless, engine_routes):
         # A malformed AQP package can carry a predicate on a column the table
         # does not have; no route may silently fabricate a count for it.
         from repro.plans.logical import AggregateNode, FilterNode, ScanNode
@@ -439,27 +446,28 @@ class TestFastpathOnHandBuiltSummary:
                 predicate=Comparison("typo", ">=", 0.0),
             )
         )
-        for pushdown, fastpath in ((False, False), (True, False), (True, True)):
-            engine = ExecutionEngine(
-                database=dataless, pushdown=pushdown, summary_fastpath=fastpath
-            )
+        for database, options in engine_routes(dataless).values():
+            engine = ExecutionEngine(database=database, **options)
             with pytest.raises(KeyError):
                 engine.execute(plan_from_dict(plan.to_dict()))
 
-    def test_correlated_straddle_falls_back_to_streaming(self, dataless):
+    def test_correlated_straddle_is_counted_from_the_summary(self, dataless, engine_routes):
         # Both the pk and the fk constraints are partial on the same summary
-        # row: the fast path must refuse and streaming must still be exact.
+        # row: still exactly countable (prefix counting inside the pk
+        # window), so the summary route answers it.
         sql = (
             "select count(*) from fact where fact.fact_pk >= 100 "
             "and fact.fact_pk < 300 and fact.dim_fk >= 10 and fact.dim_fk < 30"
         )
         plan = build_plan(parse_query(sql, dataless.schema), dataless.schema)
-        naive_engine = ExecutionEngine(database=dataless, pushdown=False, summary_fastpath=False)
-        fast_engine = ExecutionEngine(database=dataless, pushdown=True, summary_fastpath=True)
-        naive = naive_engine.execute(plan_from_dict(plan.to_dict()))
-        fast = fast_engine.execute(plan_from_dict(plan.to_dict()))
-        assert int(fast.column("count")[0]) == int(naive.column("count")[0])
-        assert fast.scanned_rows > 0  # it really streamed
+        routes = engine_routes(dataless)
+        materialised, streaming, default = _execute_routes(routes, plan)
+        assert materialised[3] == streaming[3] == default[3]
+        assert materialised[0] == streaming[0] == default[0]
+        assert default[2] == 0
+        result = ExecutionEngine(database=dataless).execute(plan_from_dict(plan.to_dict()))
+        assert result.aggregate_route == "summary"
+        assert result.fallback_reasons == []
 
 
 class TestSatelliteRegressions:
@@ -485,6 +493,21 @@ class TestSatelliteRegressions:
         assert columns["pk"].dtype == np.int64
         assert columns["v"].dtype == np.float64
         assert len(columns["pk"]) == 0
+
+    @pytest.mark.parametrize("configured, requested", [(0, None), (-5, None), (8192, -1)])
+    def test_non_positive_batch_size_is_refused(self, configured, requested):
+        # ``batch_size=0`` used to yield zero-row blocks forever.
+        table = Table(name="t", columns=[Column("pk", INTEGER)], primary_key="pk")
+        generator = TupleGenerator(
+            table=table, summary=RelationSummary(table="t", rows=[SummaryRow(count=3)])
+        )
+        relation = DataGenRelation(source=generator, batch_size=configured)
+        with pytest.raises(ValueError, match="batch size must be >= 1"):
+            next(relation.iter_blocks(requested))
+        with pytest.raises(ValueError, match="batch size must be >= 1"):
+            next(relation.iter_filtered_blocks(box=BoxCondition({}), batch_size=requested))
+        with pytest.raises(ValueError, match="batch size must be >= 1"):
+            relation.fetch_columns(["pk"], batch_size=requested)
 
     def test_rate_limiter_clone_is_fresh(self):
         limiter, clock = RateLimiter.with_virtual_clock(100.0)

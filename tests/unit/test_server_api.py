@@ -53,8 +53,7 @@ ROUND_TRIPPABLE = [
     SummaryListResponse(),
     EvictResponse(name="toy", evicted=True),
     QueryRequest(sql="select count(*) from S"),
-    QueryRequest(sql="select * from S", pushdown=False, summary_fastpath=False,
-                 streaming_join=False, rows_per_second=1000.0),
+    QueryRequest(sql="select * from S", rows_per_second=1000.0),
     QueryResponse(
         columns={"S.A": [1, 2, 3], "count": [3]},
         row_count=3,
@@ -130,7 +129,7 @@ def test_from_dict_rejects_unknown_keys(body):
 
 def test_missing_required_key_rejected():
     with pytest.raises(ApiError, match="missing required"):
-        QueryRequest.from_dict({"pushdown": True})
+        QueryRequest.from_dict({"rows_per_second": 10.0})
     with pytest.raises(ApiError, match="missing required"):
         EvictResponse.from_dict({"name": "toy"})
 
@@ -143,6 +142,22 @@ def test_wrong_type_rejected():
     # bool is not accepted where an int is required
     with pytest.raises(ApiError, match="'batch_size'"):
         RegenerateRequest.from_dict({"batch_size": True})
+
+
+@pytest.mark.parametrize("key", ["pushdown", "summary_fastpath", "streaming_join"])
+def test_removed_route_keys_are_unknown(key):
+    """The v1 route switches are gone: the engine picks the route itself."""
+    with pytest.raises(ApiError, match=rf"unknown key\(s\) '{key}'"):
+        QueryRequest.from_dict({"sql": "select count(*) from S", key: True})
+
+
+@pytest.mark.parametrize("batch_size", [0, -1])
+def test_regenerate_rejects_non_positive_batch_size(batch_size):
+    """A batch that never advances would stream ``rows: 0`` progress forever."""
+    with pytest.raises(ApiError, match="'batch_size' must be >= 1"):
+        RegenerateRequest.from_dict({"batch_size": batch_size})
+    with pytest.raises(ApiError, match="'batch_size' must be >= 1"):
+        RegenerateRequest(batch_size=batch_size)
 
 
 def test_non_object_body_rejected():

@@ -12,9 +12,12 @@ disabled telemetry costs nothing measurable.
 
 from __future__ import annotations
 
+import ast
 import json
+import re
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -516,7 +519,7 @@ class TestRouteEventViews:
         )
 
     def test_summary_route_recorded(self, regenerated_toy, toy_metadata):
-        engine = ExecutionEngine(database=regenerated_toy, summary_fastpath=True)
+        engine = ExecutionEngine(database=regenerated_toy)
         result = engine.execute(self._plan(toy_metadata))
         assert result.aggregate_route == "summary"
         assert RouteEvent(kind="aggregate", route="summary") in result.route_events
@@ -532,7 +535,7 @@ class TestRouteEventViews:
 
     def test_route_counters_feed_metrics(self, regenerated_toy, toy_metadata):
         with telemetry_session() as session:
-            engine = ExecutionEngine(database=regenerated_toy, summary_fastpath=True)
+            engine = ExecutionEngine(database=regenerated_toy)
             engine.execute(self._plan(toy_metadata))
         counters = session.metrics.snapshot()["counters"]
         assert counters.get("engine.route.aggregate.summary") == 1.0
@@ -541,6 +544,51 @@ class TestRouteEventViews:
         result = ExecutionResult(columns={}, row_count=0)
         assert result.aggregate_route is None
         assert result.fallback_reasons == []
+
+
+class TestRouteCatalogue:
+    """docs/OBSERVABILITY.md lists exactly what the engine can record."""
+
+    REPO = Path(__file__).resolve().parents[2]
+
+    @staticmethod
+    def _literals(node: ast.AST) -> set[str]:
+        return {
+            item.value
+            for item in ast.walk(node)
+            if isinstance(item, ast.Constant) and isinstance(item.value, str)
+        }
+
+    def _engine_catalogue(self) -> tuple[set[tuple[str, str]], set[str]]:
+        """``(kind, route)`` pairs and fallback reasons in the engine source."""
+        source = (self.REPO / "src/repro/executor/engine.py").read_text(encoding="utf-8")
+        routes: set[tuple[str, str]] = set()
+        reasons: set[str] = set()
+        for node in ast.walk(ast.parse(source)):
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
+                continue
+            if node.func.attr == "_record_route":
+                (kind,) = self._literals(node.args[0])
+                routes |= {(kind, route) for route in self._literals(node.args[1])}
+                # A reason never bypasses ``_fallback``.
+                assert not any(self._literals(arg) for arg in node.args[2:])
+            elif node.func.attr == "_fallback":
+                reasons |= self._literals(node.args[0])
+        return routes, reasons
+
+    def _documented_catalogue(self) -> tuple[set[tuple[str, str]], set[str]]:
+        text = (self.REPO / "docs/OBSERVABILITY.md").read_text(encoding="utf-8")
+        section = text.split("### Route and fallback catalogue", 1)[1].split("\n#", 1)[0]
+        rows = re.findall(r"^\| `([\w-]+)` \| `([\w-]+)` \| (?:`([\w-]+)` )?\|", section, re.M)
+        assert rows, "route catalogue table not found"
+        return {(kind, route) for kind, route, _ in rows}, {r for _, _, r in rows if r}
+
+    def test_documented_routes_and_reasons_match_the_engine(self):
+        routes, reasons = self._engine_catalogue()
+        documented_routes, documented_reasons = self._documented_catalogue()
+        assert routes == documented_routes
+        assert reasons == documented_reasons
+        assert "fastpath-disabled" in reasons and len(reasons) > 10
 
 
 class TestTraceCLI:
