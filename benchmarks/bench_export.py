@@ -95,9 +95,7 @@ def test_e15_export_throughput(benchmark, toy_client, bench_tiny, tmp_path_facto
 
     # Parallel export: byte-identical CSV files, same manifest checksums.
     parallel_dir = tmp_path_factory.mktemp("export_parallel")
-    parallel = export_summary(
-        summary, sink_for_format("csv", parallel_dir), workers=2, min_parallel_rows=0
-    )
+    parallel = export_summary(summary, sink_for_format("csv", parallel_dir), workers=2)
     for name, entry in parallel.relations.items():
         assert entry.checksum == reference.relations[name].checksum
         serial_bytes = (Path(out_dirs["csv"]) / f"{name}.csv").read_bytes()

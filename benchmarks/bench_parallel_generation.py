@@ -8,11 +8,15 @@ every surviving summary segment must be generated and masked but almost no
 bytes flow back to the consumer — through ``Hydra.regenerate(workers=N)``
 at 1/2/4 workers and reports tuple throughput (generated rows per second).
 
-Two invariants are asserted at every worker count:
+Three invariants are asserted:
 
-* counts, AQP annotations and ``scanned_rows`` are identical to serial;
+* counts, AQP annotations and ``scanned_rows`` are identical to serial at
+  every worker count;
 * a row-returning SELECT produces bit-identical arrays (values, row order,
-  dtypes) at 4 workers and serial.
+  dtypes) at 4 workers and serial;
+* the *unfiltered* block stream of a relation agrees block for block
+  (boundaries, dtypes, bytes) at 4 workers and serial — there is one stream
+  behind the one provider class.
 
 The ≥2× scaling assertion only holds where the hardware can provide it, so
 it is enforced when the host has ≥ 4 usable cores and the harness is not in
@@ -121,6 +125,23 @@ def test_e13_parallel_generation_scaling(benchmark, toy_client, bench_tiny):
         assert serial_rows.columns[name].dtype == parallel_rows.columns[name].dtype
         assert np.array_equal(serial_rows.columns[name], parallel_rows.columns[name])
     print(f"  row route: {serial_rows.row_count:,} output rows bit-identical at 1 vs 4 workers")
+
+    # Unfiltered stream: the same blocks, not merely the same rows.
+    streams = [
+        hydra.regenerate(summary, workers=workers).provider("S").iter_blocks()
+        for workers in (1, WORKER_COUNTS[-1])
+    ]
+    blocks = 0
+    for (start, count, serial_block), (p_start, p_count, parallel_block) in zip(
+        *streams, strict=True
+    ):
+        assert (start, count) == (p_start, p_count)
+        assert list(serial_block) == list(parallel_block)
+        for name in serial_block:
+            assert serial_block[name].dtype == parallel_block[name].dtype
+            assert np.array_equal(serial_block[name], parallel_block[name])
+        blocks += 1
+    print(f"  unfiltered stream of S: {blocks:,} blocks identical at 1 vs 4 workers")
 
     cores = _usable_cores()
     scaling = throughput[WORKER_COUNTS[-1]] / throughput[WORKER_COUNTS[0]]

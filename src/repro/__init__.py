@@ -46,7 +46,6 @@ from .core import (
 from .executor import (
     DataGenRelation,
     ExecutionEngine,
-    ParallelDataGenRelation,
     RateLimiter,
     VirtualClock,
 )
@@ -132,7 +131,6 @@ __all__ = [
     "InformationPackage",
     "LoadSummaryRequest",
     "Manifest",
-    "ParallelDataGenRelation",
     "ParquetSink",
     "ProgressEvent",
     "QualityReport",

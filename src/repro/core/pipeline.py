@@ -28,16 +28,16 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Any, Iterable, Iterator, Literal, Mapping
+from typing import Any, Iterable, Iterator, Literal, Mapping
 
 import numpy as np
 from numpy.typing import NDArray
 
 from ..catalog.metadata import DatabaseMetadata
 from ..catalog.schema import Schema, Table
-from ..executor.datagen import DataGenRelation, ParallelDataGenRelation
+from ..executor.datagen import DataGenRelation
 from ..executor.rate import RateLimiter
-from ..parallel.pool import default_min_parallel_rows, default_workers
+from ..parallel.pool import default_workers
 from ..plans.aqp import AnnotatedQueryPlan
 from ..sql.predicates import BoxCondition
 from ..storage.database import Database, MaterializedRelation
@@ -54,9 +54,6 @@ from .solver import SolveMode
 from .stages import RelationBuildState, relation_signatures
 from .summary import DatabaseSummary, RelationSummary
 from .tuplegen import SummaryDatabaseFactory, TupleGenerator
-
-if TYPE_CHECKING:  # pragma: no cover - typing only (sinks imports this module)
-    from ..sinks.base import Sink
 
 __all__ = [
     "RelationBuildInfo",
@@ -452,8 +449,6 @@ class Hydra:
         batch_size: int = 8192,
         shared_rate_limiter: bool = False,
         workers: int | None = None,
-        min_parallel_rows: int | None = None,
-        sink: "Sink | None" = None,
     ) -> Database:
         """Create a (mostly dataless) database from a summary.
 
@@ -464,30 +459,17 @@ class Hydra:
         :class:`~repro.core.errors.HydraError` (listing every bad name)
         instead of being silently ignored.
 
-        ``sink`` additionally streams **every** relation's regenerated block
-        stream through a :class:`~repro.sinks.base.Sink` (CSV, SQLite,
-        Parquet, ...), writing a deployable export without ever holding a
-        relation in memory; the sink is finalized (its ``MANIFEST.json``
-        written) before this method returns.  The export drain runs on its
-        own provider set — with per-relation limiter clones it does not
-        consume the attached providers' rate budget, so query-time pacing is
-        unaffected (under ``shared_rate_limiter=True`` the export draws from
-        the one global budget, as every stream does).  Use
-        :func:`repro.sinks.export_summary` when only the export — not the
-        queryable :class:`~repro.storage.database.Database` — is needed.
+        :func:`repro.sinks.export_summary` is the driver that streams the
+        same providers into a deployable export instead.
 
-        ``workers`` > 1 attaches
-        :class:`~repro.executor.datagen.ParallelDataGenRelation` providers
-        that regenerate blocks across that many worker processes per
-        relation — bit-identical output, higher tuple throughput.  ``None``
-        (the default) consults the ``REPRO_WORKERS`` environment variable
+        With ``workers`` > 1 every attached
+        :class:`~repro.executor.datagen.DataGenRelation` regenerates its
+        blocks across that many worker processes — a yield-for-yield
+        identical stream, higher tuple throughput.  ``None`` (the default)
+        consults the ``REPRO_WORKERS`` environment variable
         (:func:`~repro.parallel.pool.default_workers`), so an existing
         deployment can be switched to parallel regeneration without a code
-        change.  ``min_parallel_rows`` keeps relations below that size on
-        the serial in-process path; ``None`` picks the platform default
-        (:func:`~repro.parallel.pool.default_min_parallel_rows`: 0 where
-        ``fork`` is available, a few batches per worker on spawn-only
-        platforms where per-scan process startup is expensive).
+        change.
 
         ``rate_limiter`` provides the velocity configuration.  By default
         every relation gets its own fresh :meth:`~RateLimiter.clone` so each
@@ -510,25 +492,6 @@ class Hydra:
                 + ", ".join(repr(name) for name in sorted(summary.relations))
             )
         with span("hydra.regenerate", materialized=len(wanted)), profile_stage("regenerate"):
-            if sink is not None:
-                # Imported lazily: repro.sinks imports this module at package
-                # init, so a module-level import back would be circular.  The
-                # export drives its *own* providers (per-relation limiter
-                # clones, or the caller's single limiter under
-                # shared_rate_limiter), so the providers attached below start
-                # with fresh pacing state — query-time streams are throttled
-                # exactly as without a sink.
-                from ..sinks.export import export_summary
-
-                export_summary(
-                    summary,
-                    sink,
-                    rate_limiter=rate_limiter,
-                    batch_size=batch_size,
-                    shared_rate_limiter=shared_rate_limiter,
-                    workers=workers,
-                    min_parallel_rows=min_parallel_rows,
-                )
             database = Database(schema=summary.schema, providers={})
             for table_name, relation in summary_relation_providers(
                 summary,
@@ -536,7 +499,6 @@ class Hydra:
                 batch_size=batch_size,
                 shared_rate_limiter=shared_rate_limiter,
                 workers=workers,
-                min_parallel_rows=min_parallel_rows,
             ):
                 if table_name in wanted:
                     with span("regen.materialize", relation=table_name):
@@ -725,29 +687,25 @@ def summary_relation_providers(
     batch_size: int = 8192,
     shared_rate_limiter: bool = False,
     workers: int | None = None,
-    min_parallel_rows: int | None = None,
     relations: Iterable[str] | None = None,
+    factory: SummaryDatabaseFactory | None = None,
 ) -> Iterator[tuple[str, DataGenRelation]]:
     """Yield one configured ``datagen`` provider per relation of ``summary``.
 
     This is the single place regeneration consumers (``Hydra.regenerate``,
-    the streaming export driver :func:`repro.sinks.export_summary`) build
-    their relation providers, so worker, batching and rate-limiting
-    semantics can never drift between the queryable database and an export.
-    Relations are yielded in summary order, restricted to ``relations`` when
-    given (no provider is constructed for unselected ones);
-    ``workers``/``min_parallel_rows`` default from the environment exactly
-    like :meth:`Hydra.regenerate` (``None`` consults ``REPRO_WORKERS`` and
-    the platform default).
+    the streaming export driver :func:`repro.sinks.export_summary`, the
+    server) build their relation providers, so worker, batching and
+    rate-limiting semantics can never drift between the queryable database
+    and an export.  Relations are yielded in summary order, restricted to
+    ``relations`` when given (no provider is constructed for unselected
+    ones); ``workers=None`` consults ``REPRO_WORKERS`` exactly like
+    :meth:`Hydra.regenerate`.  ``factory`` supplies already-built (stateless,
+    shareable) tuple generators of ``summary`` — the server's cache.
     """
-    resolved_workers = default_workers() if workers is None else max(1, int(workers))
-    resolved_min_rows = (
-        default_min_parallel_rows(batch_size, resolved_workers)
-        if min_parallel_rows is None
-        else max(0, int(min_parallel_rows))
-    )
+    resolved_workers = default_workers() if workers is None else workers
     selected = None if relations is None else set(relations)
-    factory = SummaryDatabaseFactory(summary=summary)
+    if factory is None:
+        factory = SummaryDatabaseFactory(summary=summary)
     for table_name in summary.relations:
         if selected is not None and table_name not in selected:
             continue
@@ -758,21 +716,12 @@ def summary_relation_providers(
             limiter = rate_limiter
         else:
             limiter = rate_limiter.clone()
-        if resolved_workers > 1:
-            relation: DataGenRelation = ParallelDataGenRelation(
-                source=generator,
-                rate_limiter=limiter,
-                batch_size=batch_size,
-                workers=resolved_workers,
-                min_parallel_rows=resolved_min_rows,
-            )
-        else:
-            relation = DataGenRelation(
-                source=generator,
-                rate_limiter=limiter,
-                batch_size=batch_size,
-            )
-        yield table_name, relation
+        yield table_name, DataGenRelation(
+            source=generator,
+            rate_limiter=limiter,
+            batch_size=batch_size,
+            workers=resolved_workers,
+        )
 
 
 def scale_row_counts(metadata: DatabaseMetadata, factor: float) -> dict[str, int]:

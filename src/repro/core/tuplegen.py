@@ -95,15 +95,49 @@ class TupleGenerator:
 
     # -- vectorised block generation ---------------------------------------
 
+    def _dtypes(self, columns: Sequence[str]) -> dict[str, Any]:
+        """The schema dtype of each of ``columns`` (``KeyError`` for an unknown one)."""
+        for name in columns:
+            if not self.table.has_column(name):
+                raise KeyError(f"table {self.table.name!r} has no column {name!r}")
+        return {name: self.table.column(name).dtype.numpy_dtype for name in columns}
+
+    def _fill_segment(
+        self,
+        arrays: dict[str, NDArray[Any]],
+        out: slice,
+        position: int,
+        start: int,
+        offset: int,
+        take: int,
+    ) -> None:
+        """The per-segment kernel: rows ``[start, start + take)`` into ``arrays[...][out]``.
+
+        All ``take`` rows lie inside summary row ``position``, the first of
+        them ``offset`` tuples into it; this is the one place the generation
+        rules of the module docstring are vectorised.
+        """
+        summary_row = self.summary.rows[position]
+        offsets = None
+        for name, values in arrays.items():
+            if name == self.table.primary_key:
+                values[out] = np.arange(start, start + take, dtype=np.int64)
+            elif name in summary_row.fk_refs:
+                if offsets is None:
+                    offsets = np.arange(offset, offset + take, dtype=np.int64)
+                values[out] = summary_row.fk_refs[name].targets_for(offsets)
+            else:
+                values[out] = summary_row.values.get(name, 0.0)
+
     def generate_block(
         self, start: int, count: int, columns: Sequence[str] | None = None
     ) -> dict[str, NDArray[Any]]:
         """Generate ``count`` consecutive rows starting at ``start``.
 
-        Returns a dict of column arrays (encoded values).  The block is
-        assembled summary-row segment by summary-row segment, so the cost is
-        proportional to the number of touched summary rows plus the output
-        size, not to the relation size.
+        Random access by offset: the reference the segment-anchored stream
+        (:meth:`iter_filtered_blocks`) is tested against, assembled from the
+        same per-segment kernel.  The cost is proportional to the number of
+        touched summary rows plus the output size, not to the relation size.
         """
         total = self.row_count
         if count < 0 or start < 0 or start + count > total:
@@ -111,38 +145,16 @@ class TupleGenerator:
                 f"block [{start}, {start + count}) out of range for "
                 f"{self.table.name!r} with {total} rows"
             )
-        requested = list(columns) if columns is not None else self.column_names
-        for name in requested:
-            if not self.table.has_column(name):
-                raise KeyError(f"table {self.table.name!r} has no column {name!r}")
-
+        requested = columns if columns is not None else self.column_names
         arrays = {
-            name: np.empty(count, dtype=self.table.column(name).dtype.numpy_dtype)
-            for name in requested
+            name: np.empty(count, dtype=dtype) for name, dtype in self._dtypes(requested).items()
         }
-        if count == 0:
-            return arrays
-
-        cursor = start
-        filled = 0
-        while filled < count:
+        cursor, end = start, start + count
+        while cursor < end:
             position, offset = self.summary.locate(cursor)
-            row_start, row_end = self.summary.pk_interval_of_row(position)
-            take = min(row_end - cursor, count - filled)
-            segment = slice(filled, filled + take)
-            global_indices = np.arange(cursor, cursor + take, dtype=np.int64)
-            offsets = np.arange(offset, offset + take, dtype=np.int64)
-            summary_row = self.summary.rows[position]
-
-            for name in requested:
-                if name == self.table.primary_key:
-                    arrays[name][segment] = global_indices
-                elif name in summary_row.fk_refs:
-                    arrays[name][segment] = summary_row.fk_refs[name].targets_for(offsets)
-                else:
-                    arrays[name][segment] = summary_row.values.get(name, 0.0)
-
-            filled += take
+            take = min(self.summary.pk_interval_of_row(position)[1], end) - cursor
+            out = slice(cursor - start, cursor - start + take)
+            self._fill_segment(arrays, out, position, cursor, offset, take)
             cursor += take
         return arrays
 
@@ -154,12 +166,15 @@ class TupleGenerator:
         skip_box: BoxCondition | None = None,
         offsets: tuple[int, int] | None = None,
     ) -> Iterator[tuple[int, int, int, dict[str, NDArray[Any]]]]:
-        """Stream ``(start, generated, matched, block)`` with only matching rows.
+        """The relation's one block stream: ``(start, generated, matched, block)``.
 
+        Every block lies inside a single summary row: batches are anchored at
+        segment starts (:func:`first_owned_batch_start`), never at offset 0.
         ``block`` holds the requested columns restricted to the rows of the
-        batch that satisfy ``box``; ``generated`` is how many tuples were
-        actually produced for the batch (the velocity the rate limiter should
-        pace).  Summary-row segments that provably cannot contain a match
+        batch that satisfy ``box`` — the unfiltered stream is the empty-box
+        case; ``generated`` is how many tuples were actually produced for the
+        batch (the velocity the rate limiter should pace).  Summary-row
+        segments that provably cannot contain a match
         (:meth:`RelationSummary.row_excluded`) are skipped without generating
         a single tuple, so a selective scan costs O(matching summary rows +
         output), not O(relation size) — and peak memory stays O(batch_size).
@@ -176,26 +191,23 @@ class TupleGenerator:
 
         ``offsets`` restricts the stream to the shard ``[lo, hi)`` of the pk
         offset space: exactly the yields of the unrestricted stream whose
-        ``start`` lies in the shard are produced — batch boundaries stay
-        anchored at segment starts, and a batch owned by the shard is
-        generated in full even when it extends past ``hi``.  Concatenating
-        the streams of any contiguous partition of ``[0, row_count)`` in
-        shard order is therefore yield-for-yield identical to the serial
-        stream, which is the contract ``repro.parallel`` workers rely on.
+        ``start`` lies in the shard are produced, and a batch owned by the
+        shard is generated in full even when it extends past ``hi``.
+        Concatenating the streams of any contiguous partition of
+        ``[0, row_count)`` in shard order is therefore yield-for-yield
+        identical to the serial stream, which is the contract
+        ``repro.parallel`` workers rely on.
         """
+        if batch_size < 1:
+            raise ValueError(f"batch size must be >= 1, got {batch_size}")
         requested = list(columns) if columns is not None else self.column_names
-        needed = columns_with_dependencies(requested, box.conditions)
+        dtypes = self._dtypes(columns_with_dependencies(requested, box.conditions))
         pk = self.table.primary_key
         lo, hi = offsets if offsets is not None else (0, self.row_count)
-        first_position = 0
-        if lo > 0:
-            # Fast-forward to the first segment that can own a yield: every
-            # earlier segment ends at or before ``lo``.  Keeps a shard window
-            # O(#covered segments), not O(#summary rows).
-            cumulative = self.summary.cumulative_offsets
-            first_position = max(
-                0, int(np.searchsorted(cumulative, lo, side="right")) - 1
-            )
+        # Fast-forward to the first segment that can own a yield: every
+        # earlier segment ends at or before ``lo``.  Keeps a shard window
+        # O(#covered segments), not O(#summary rows).
+        first_position = self.summary.locate(lo)[0] if 0 < lo < self.row_count else 0
         for position in range(first_position, len(self.summary.rows)):
             segment_start, segment_end = self.summary.pk_interval_of_row(position)
             if segment_end <= segment_start:
@@ -221,31 +233,18 @@ class TupleGenerator:
             cursor = first_owned_batch_start(segment_start, lo, batch_size)
             while cursor < segment_end and cursor < hi:
                 take = min(batch_size, segment_end - cursor)
-                block = self.generate_block(cursor, take, needed)
+                block = {name: np.empty(take, dtype=dtype) for name, dtype in dtypes.items()}
+                self._fill_segment(
+                    block, slice(None), position, cursor, cursor - segment_start, take
+                )
+                matched = take
                 if box.conditions:
                     mask = box.evaluate(block)
                     matched = int(mask.sum())
-                else:
-                    mask = None
-                    matched = take
-                if mask is None or matched == take:
-                    out = {name: block[name] for name in requested}
-                else:
-                    out = {name: block[name][mask] for name in requested}
-                yield cursor, take, matched, out
+                    if matched < take:
+                        block = {name: block[name][mask] for name in requested}
+                yield cursor, take, matched, {name: block[name] for name in requested}
                 cursor += take
-
-    def iter_rows(self, batch_size: int = 8192) -> Iterator[tuple]:
-        """Stream every tuple of the relation in order."""
-        names = self.column_names
-        start = 0
-        total = self.row_count
-        while start < total:
-            count = min(batch_size, total - start)
-            block = self.generate_block(start, count)
-            for i in range(count):
-                yield tuple(block[name][i] for name in names)
-            start += count
 
     def sample_rows(self, indices: Sequence[int], decoded: bool = True) -> list[tuple]:
         """Generate an arbitrary set of rows (used by the demo-style preview)."""

@@ -1,6 +1,6 @@
 """Execution engine: vectorised SPJ operators, datagen scan and rate control."""
 
-from .datagen import DataGenRelation, GenerationStats, ParallelDataGenRelation, RowSource
+from .datagen import DataGenRelation, GenerationStats
 from .engine import ExecutionEngine, ExecutionResult, ExecutorError
 from .rate import RateLimiter, VirtualClock
 
@@ -10,8 +10,6 @@ __all__ = [
     "ExecutionResult",
     "ExecutorError",
     "GenerationStats",
-    "ParallelDataGenRelation",
     "RateLimiter",
-    "RowSource",
     "VirtualClock",
 ]

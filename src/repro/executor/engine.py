@@ -11,9 +11,10 @@ The engine plays two roles in the reproduction of HYDRA:
   regeneration scan operator runs.
 
 Execution is column-vectorised: every operator consumes and produces a block
-of NumPy column arrays keyed by qualified ``table.column`` names.  Relations
-that are not materialised are pulled through their provider's bulk interface
-(`fetch_columns`) when available, falling back to row-at-a-time generation.
+of NumPy column arrays keyed by qualified ``table.column`` names.  The engine
+knows two kinds of relation provider: a
+:class:`~repro.storage.database.MaterializedRelation` (column arrays) and the
+dataless :class:`~repro.executor.datagen.DataGenRelation` (one block stream).
 """
 
 from __future__ import annotations
@@ -52,6 +53,7 @@ from ..sql.predicates import (
 from ..sql.query import DisjunctiveJoinCondition, JoinCondition
 from ..storage.database import Database, MaterializedRelation, RelationProvider
 from ..telemetry.session import add_counter, is_active, span
+from .datagen import DataGenRelation
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.summary import RelationSummary
@@ -198,15 +200,10 @@ class ExecutionEngine:
     aggregates off the summary route — the differential fuzzer compares the
     two.
 
-    Parallel regeneration is transparent to the engine: when a relation is
-    attached as a :class:`~repro.executor.datagen.ParallelDataGenRelation`,
-    every streaming consumer here (fused filter+scan, streaming-join probe,
-    ``fetch_columns``) receives the ordered merge of the worker shards
-    through the same ``iter_filtered_blocks``/``fetch_columns`` interface —
-    filtered block streams are yield-for-yield identical to serial
-    generation and fetched columns are value-identical, so results, row
-    order, ``scanned_rows`` and annotations do not depend on the worker
-    count.
+    Parallel regeneration is transparent to the engine: a
+    :class:`~repro.executor.datagen.DataGenRelation` delivers the same
+    stream, yield for yield, at every worker count, so results, row order,
+    ``scanned_rows`` and annotations do not depend on it.
     """
 
     database: Database
@@ -278,10 +275,10 @@ class ExecutionEngine:
         if self._analysed is None:
             plan = self._plan
             summaries = {
-                node.table: summary
+                node.table: datagen.source.summary
                 for node in plan.iter_nodes()
                 if isinstance(node, ScanNode)
-                and (summary := self._relation_summary(node.table)) is not None
+                and (datagen := self._datagen(node.table)) is not None
             }
             self._analysed = (
                 compute_pushdowns(plan, self.schema),
@@ -289,10 +286,10 @@ class ExecutionEngine:
             )
         return self._analysed
 
-    def _relation_summary(self, table_name: str) -> "RelationSummary | None":
-        """The relation summary backing a dataless provider, if any."""
-        source = getattr(self.database.providers.get(table_name), "source", None)
-        return cast("RelationSummary | None", getattr(source, "summary", None))
+    def _datagen(self, table_name: str) -> DataGenRelation | None:
+        """The relation's provider when it is the dataless kind."""
+        provider = self.database.provider(table_name)
+        return provider if isinstance(provider, DataGenRelation) else None
 
     def _leaf(self, node: PlanNode) -> _Leaf | None:
         """The resolved leaf access path rooted at ``node``, if it is one."""
@@ -303,14 +300,14 @@ class ExecutionEngine:
                 return None
             scan, filter_node = pair
             table = self.schema.table(scan.table)
-            provider = self.database.provider(scan.table)
+            datagen = self._datagen(scan.table)
             leaf = self._leaves[node.node_id] = _Leaf(
                 scan=scan,
                 filter=filter_node,
                 table=table,
-                provider=provider,
-                summary=self._relation_summary(scan.table),
-                stream=getattr(provider, "iter_filtered_blocks", None),
+                provider=self.database.provider(scan.table),
+                summary=None if datagen is None else datagen.source.summary,
+                stream=None if datagen is None else datagen.iter_filtered_blocks,
                 box=(
                     BoxCondition({})
                     if filter_node is None
@@ -348,26 +345,15 @@ class ExecutionEngine:
     def _provider_columns(
         self, provider: RelationProvider, table: Table, column_names: list[str]
     ) -> dict[str, NDArray[Any]]:
-        """Fetch the requested columns from a provider, however it is backed."""
+        """Fetch the requested columns from either kind of provider."""
         if isinstance(provider, MaterializedRelation):
             return {name: provider.column(name) for name in column_names}
-        fetch = getattr(provider, "fetch_columns", None)
-        if callable(fetch):
-            fetched: Mapping[str, NDArray[Any]] = fetch(column_names, batch_size=self.batch_size)
-            return {name: np.asarray(fetched[name]) for name in column_names}
-        # Last resort: row-at-a-time generation through the provider protocol.
-        # Arrays take the schema column dtypes: collapsing everything to
-        # float64 here would poison join/key dtypes downstream.
-        order = provider.column_names
-        indices = [order.index(name) for name in column_names]
-        rows = [provider.row(i) for i in range(provider.row_count)]
-        return {
-            name: np.asarray(
-                [row[idx] for row in rows],
-                dtype=table.column(name).dtype.numpy_dtype,
-            )
-            for name, idx in zip(column_names, indices)
-        }
+        if isinstance(provider, DataGenRelation):
+            return provider.fetch_columns(column_names, batch_size=self.batch_size)
+        raise ExecutorError(
+            f"relation {table.name!r} is attached as a {type(provider).__name__}; the "
+            "engine reads MaterializedRelation and DataGenRelation providers only"
+        )
 
     def _execute_scan(self, node: ScanNode) -> _Block:
         table = self.schema.table(node.table)

@@ -111,7 +111,7 @@ class LayerBoundaryRule(Rule):
     """HYD402: upward imports only through the documented seams.
 
     The executor and the core pipeline may touch ``repro.parallel`` only in
-    ``executor/datagen.py`` (the ``ParallelDataGenRelation`` seam) and
+    ``executor/datagen.py`` (``DataGenRelation``'s pool handoff) and
     ``core/pipeline.py`` (the facade's worker-default seam).  Any other
     import of the parallel subsystem from those layers is flagged; extend or
     override the edge table via ``[[tool.hydralint.layering]]``.

@@ -8,19 +8,20 @@ process, and merges the block streams back in order with bounded-queue
 backpressure (:mod:`~repro.parallel.pool`) — bit-identical to the serial
 tuple generator, only faster.
 
-The subsystem plugs in one level up as
-:class:`~repro.executor.datagen.ParallelDataGenRelation` and is switched on
-via ``Hydra.regenerate(..., workers=N)``, the CLI ``--workers`` flag, or the
-``REPRO_WORKERS`` environment variable.
+The subsystem plugs in one level up behind
+:class:`~repro.executor.datagen.DataGenRelation`, whose one stream hands over
+to the pool when :func:`~repro.parallel.pool.pool_plan` says it pays; the
+worker count comes from ``Hydra.regenerate(..., workers=N)``, the CLI
+``--workers`` flag, or the ``REPRO_WORKERS`` environment variable.
 """
 
-from .pool import default_min_parallel_rows, default_workers, iter_parallel_blocks
+from .pool import default_workers, iter_parallel_blocks, pool_plan
 from .sharding import Shard, ShardPlan
 
 __all__ = [
     "Shard",
     "ShardPlan",
-    "default_min_parallel_rows",
     "default_workers",
     "iter_parallel_blocks",
+    "pool_plan",
 ]

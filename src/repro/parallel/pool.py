@@ -28,9 +28,10 @@ keeps three promises:
   never serialises the lanes the way K monolithic shards would.
 
 Rate limiting deliberately does **not** happen here: the consumer (a
-:class:`~repro.executor.datagen.ParallelDataGenRelation`) paces the *merged*
-stream, so a shared limiter budgets the relation as one stream rather than
-K independent ones.
+:class:`~repro.executor.datagen.DataGenRelation`) paces the *merged* stream,
+so a shared limiter budgets the relation as one stream rather than K
+independent ones.  Nor does the serial-or-pool choice: :func:`pool_plan`
+makes it, once per stream, before any process exists.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ from ..sql.predicates import BoxCondition
 from ..telemetry.session import TelemetrySession, active_session, telemetry_session
 from .sharding import Shard, ShardPlan
 
-__all__ = ["default_min_parallel_rows", "default_workers", "iter_parallel_blocks"]
+__all__ = ["default_workers", "iter_parallel_blocks", "pool_plan"]
 
 _BLOCK = 0
 _CHUNK_END = 1
@@ -91,7 +92,7 @@ def _preferred_context() -> str:
     return "fork" if "fork" in methods else "spawn"
 
 
-def default_min_parallel_rows(batch_size: int, workers: int) -> int:
+def _spawn_only_threshold(batch_size: int, workers: int) -> int:
     """Smallest relation worth fanning out on this platform.
 
     Under ``fork`` process creation costs ~1ms, so parallelism pays off for
@@ -103,7 +104,35 @@ def default_min_parallel_rows(batch_size: int, workers: int) -> int:
     """
     if "fork" in mp.get_all_start_methods():
         return 0
-    return 4 * batch_size * max(1, workers)
+    return 4 * batch_size * workers
+
+
+def pool_plan(
+    generator: TupleGenerator,
+    workers: int,
+    batch_size: int,
+    box: BoxCondition,
+    skip_box: BoxCondition | None,
+) -> ShardPlan | None:
+    """The one serial-or-pool decision of a block stream.
+
+    Returns the plan to hand to :func:`iter_parallel_blocks`, or ``None``
+    when the stream should stay in-process: one worker, a relation below
+    the platform's fan-out threshold, or a plan (balanced by what
+    ``box``/``skip_box`` leave to generate) with fewer than two lanes of
+    work — process overhead would buy nothing.
+    """
+    if workers <= 1 or generator.row_count < _spawn_only_threshold(batch_size, workers):
+        return None
+    plan = ShardPlan.build(
+        generator.summary,
+        workers=workers,
+        batch_size=batch_size,
+        box=box,
+        skip_box=skip_box,
+        pk_column=generator.table.primary_key,
+    )
+    return plan if sum(map(bool, plan.worker_windows())) > 1 else None
 
 
 def _lane_worker(
@@ -214,19 +243,6 @@ def iter_parallel_blocks(
     """
     windows = plan.worker_windows()
     active_lanes = [lane for lane, lane_windows in enumerate(windows) if lane_windows]
-    if len(active_lanes) <= 1:
-        # One (or zero) lanes of work: process overhead buys nothing.
-        generator = TupleGenerator(table=table, summary=summary)
-        for shard in plan.non_empty_shards():
-            yield from generator.iter_filtered_blocks(
-                box,
-                batch_size=plan.batch_size,
-                columns=columns,
-                skip_box=skip_box,
-                offsets=shard.offsets,
-            )
-        return
-
     session = active_session()
     context = mp.get_context(mp_context or _preferred_context())
     payload = pickle.dumps(

@@ -141,14 +141,14 @@ class ShardPlan:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         if batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {batch_size}")
+            raise ValueError(f"batch size must be >= 1, got {batch_size}")
         if target_chunk_rows is None:
             target_chunk_rows = 4 * batch_size
         target_chunk_rows = max(target_chunk_rows, batch_size)
         total = summary.total_rows
         segments = _segment_workloads(summary, box, skip_box, pk_column)
         total_work = sum(work for _start, _end, work in segments)
-        if workers == 1 or total == 0 or total_work == 0:
+        if total == 0 or total_work == 0:
             shards = (
                 Shard(index=0, start=0, end=total, estimated_rows=total_work, worker=0),
             )

@@ -103,6 +103,12 @@ def _typed(payload: Mapping[str, Any], key: str, kinds: type | tuple[type, ...],
     return value
 
 
+def _check_workers(workers: int | None, what: str) -> None:
+    """Reject a worker count no stream could run with (``None`` = server default)."""
+    if workers is not None and workers < 1:
+        raise ApiError(f"{what}: 'workers' must be >= 1, got {workers}")
+
+
 def _versioned(payload: dict[str, Any]) -> dict[str, Any]:
     """Stamp the contract version onto an outbound body."""
     payload["schema_version"] = SCHEMA_VERSION
@@ -452,6 +458,7 @@ class VerifyRequest:
             raise ApiError(
                 "VerifyRequest: exactly one of 'package' or 'package_path' must be given"
             )
+        _check_workers(self.workers, "VerifyRequest")
 
     def to_dict(self) -> dict[str, Any]:
         """Serialise for the wire."""
@@ -539,6 +546,7 @@ class ExportRequest:
             raise ApiError("ExportRequest: 'format' must be a non-empty string")
         if not self.out_dir:
             raise ApiError("ExportRequest: 'out_dir' must be a non-empty string")
+        _check_workers(self.workers, "ExportRequest")
 
     def to_dict(self) -> dict[str, Any]:
         """Serialise for the wire."""
@@ -612,11 +620,12 @@ class RegenerateRequest:
     batch_size: int = 8192
 
     def __post_init__(self) -> None:
-        """Reject a batch size no stream could make progress with."""
+        """Reject a batch size or worker count no stream could run with."""
         if self.batch_size < 1:
             raise ApiError(
                 f"RegenerateRequest: 'batch_size' must be >= 1, got {self.batch_size}"
             )
+        _check_workers(self.workers, "RegenerateRequest")
 
     def to_dict(self) -> dict[str, Any]:
         """Serialise for the wire."""

@@ -23,6 +23,7 @@ sleep, turning "how long would this request have to wait" into a 429 with
 
 from __future__ import annotations
 
+import os
 import threading
 import time
 from pathlib import Path
@@ -32,7 +33,6 @@ from ..client.package import InformationPackage
 from ..core.errors import HydraError
 from ..core.pipeline import summary_relation_providers
 from ..core.summary import DatabaseSummary
-from ..executor.datagen import DataGenRelation
 from ..executor.engine import ExecutionEngine, ExecutorError
 from ..executor.rate import RateLimiter
 from ..plans.logical import PlanNode
@@ -123,6 +123,15 @@ def external_result_columns(
                 value.item() if hasattr(value, "item") else value for value in values
             ]
     return decoded
+
+
+def _effective_workers(requested: int | None) -> int | None:
+    """A request's worker count clamped to this machine's cores.
+
+    Output is bit-identical at any count, so the clamp is invisible — it
+    only keeps one request from forking more processes than can run.
+    """
+    return None if requested is None else min(requested, os.cpu_count() or 1)
 
 
 def _plan_annotations(plan: PlanNode) -> list[dict[str, Any]]:
@@ -334,7 +343,7 @@ class SummaryService:
                         entry.summary,
                         sink,
                         relations=request.relations,
-                        workers=request.workers,
+                        workers=_effective_workers(request.workers),
                     )
             except HydraError as exc:
                 raise ServiceError(400, "export-failed", str(exc)) from exc
@@ -380,7 +389,7 @@ class SummaryService:
             for table_name, relation in summary_relation_providers(
                 entry.summary,
                 batch_size=request.batch_size,
-                workers=request.workers,
+                workers=_effective_workers(request.workers),
                 relations=selected,
             ):
                 target = entry.summary.row_count(table_name)
@@ -428,32 +437,20 @@ class SummaryService:
 
         Generators are stateless and shared across requests; the
         :class:`~repro.executor.datagen.DataGenRelation` wrappers (which
-        hold per-stream rate state) are fresh per request.  ``workers``
-        stays serial by default: server concurrency comes from serving many
+        hold per-stream rate state) are fresh per request.  Without a
+        requested ``workers`` the streams stay in-process whatever
+        ``REPRO_WORKERS`` says: server concurrency comes from serving many
         requests at once, not from forking processes inside one.
         """
-        limiter = (
-            RateLimiter(rows_per_second=rows_per_second)
-            if rows_per_second
-            else None
-        )
+        limiter = RateLimiter(rows_per_second=rows_per_second) if rows_per_second else None
         database = Database(schema=entry.summary.schema, providers={})
-        if workers is not None and workers > 1:
-            for table_name, relation in summary_relation_providers(
-                entry.summary, rate_limiter=limiter, workers=workers
-            ):
-                database.attach(table_name, relation)
-            return database
-        for table_name in entry.summary.relations:
-            database.attach(
-                table_name,
-                DataGenRelation(
-                    source=entry.factory.generator(table_name),
-                    rate_limiter=(
-                        limiter.clone() if limiter is not None else RateLimiter.unlimited()
-                    ),
-                ),
-            )
+        for table_name, relation in summary_relation_providers(
+            entry.summary,
+            rate_limiter=limiter,
+            workers=_effective_workers(workers) or 1,
+            factory=entry.factory,
+        ):
+            database.attach(table_name, relation)
         return database
 
     @staticmethod

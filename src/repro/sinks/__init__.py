@@ -13,8 +13,8 @@ block stream into exactly that, without ever holding a relation in memory:
   :class:`~repro.sinks.parquet_sink.ParquetSink` (optional ``pyarrow``) —
   the shipped backends;
 * :func:`~repro.sinks.export.export_summary` — the streaming export driver
-  (``Hydra.regenerate(sink=...)`` and ``hydra vendor --format ... --out``
-  route through the same provider construction);
+  (``hydra vendor --format ... --out`` and the server's export endpoint; it
+  builds its providers exactly like ``Hydra.regenerate``);
 * :func:`~repro.sinks.export.verify_export` — ``hydra verify --against``:
   validate an export directory against its summary from the
   ``MANIFEST.json`` fingerprints, row counts and content checksums, without

@@ -80,13 +80,12 @@ def export_summary(
     batch_size: int = 8192,
     shared_rate_limiter: bool = False,
     workers: int | None = None,
-    min_parallel_rows: int | None = None,
 ) -> Manifest:
     """Stream every (or the named) relation of ``summary`` into ``sink``.
 
-    Blocks flow straight from the ``datagen`` providers (parallel when
-    ``workers`` > 1 or ``REPRO_WORKERS`` is set — row-identical streams,
-    higher throughput) into the sink, so peak memory stays bounded by the
+    Blocks flow straight from the ``datagen`` providers (pooled when
+    ``workers`` > 1 or ``REPRO_WORKERS`` is set — identical streams, higher
+    throughput) into the sink, so peak memory stays bounded by the
     batch size.  Rate limiting matches :meth:`~repro.core.pipeline.Hydra.
     regenerate`: each relation's stream is paced by its own clone of
     ``rate_limiter``, or every relation draws from the single caller-supplied
@@ -118,7 +117,6 @@ def export_summary(
                 batch_size=batch_size,
                 shared_rate_limiter=shared_rate_limiter,
                 workers=workers,
-                min_parallel_rows=min_parallel_rows,
                 relations=selected,
             ):
                 with span("export.relation", relation=table_name) as relation_span:

@@ -1,12 +1,13 @@
 """The database abstraction shared by the client and vendor sites.
 
-A :class:`Database` couples a schema with *relation providers*.  A provider is
-either a materialised :class:`~repro.storage.table.TableData` (client site, or
-a vendor-side relation the user chose to materialise) or any object exposing
-the small :class:`RelationProvider` protocol — in particular the dataless
-:class:`~repro.core.tuplegen.TupleGenerator` used for dynamic regeneration.
-The executor only talks to providers, which is what lets the same query plans
-run over real data and over regenerated data (the paper's ``datagen`` scan).
+A :class:`Database` couples a schema with *relation providers*: anything with
+the small :class:`RelationProvider` protocol can be attached and counted.
+The execution engine reads two kinds: a :class:`MaterializedRelation` over a
+:class:`~repro.storage.table.TableData` (client site, or a vendor-side
+relation the user chose to materialise) and the dataless
+:class:`~repro.executor.datagen.DataGenRelation`, which regenerates the
+relation from its summary (the paper's ``datagen`` scan).  That is what lets
+the same query plans run over real data and over regenerated data.
 """
 
 from __future__ import annotations

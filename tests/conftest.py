@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.catalog.metadata import collect_metadata
@@ -98,6 +99,26 @@ def tpch_database():
 @pytest.fixture(scope="session")
 def tpch_metadata(tpch_database):
     return collect_metadata(tpch_database)
+
+
+@pytest.fixture(scope="session")
+def assert_same_stream():
+    """``check(reference, candidate)``: two block streams agree yield for yield.
+
+    Same ``(start, generated, matched)`` accounting, same column order,
+    dtypes and bytes in every block.
+    """
+
+    def check(reference, candidate):
+        assert len(reference) == len(candidate)
+        for (*accounting, left), (*accounting2, right) in zip(reference, candidate):
+            assert accounting == accounting2
+            assert list(left) == list(right)
+            for name in left:
+                assert left[name].dtype == right[name].dtype
+                assert np.array_equal(left[name], right[name])
+
+    return check
 
 
 @pytest.fixture(scope="session")

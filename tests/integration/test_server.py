@@ -324,3 +324,57 @@ class TestRequestValidation:
                 assert entry.leases == 1
             events = list(client.regenerate("toy", relations=["T"], batch_size=16))
             assert events[-1].event == "done"
+
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_non_positive_workers_is_400_on_every_endpoint(self, server, workers, tmp_path):
+        client = ServerClient("127.0.0.1", server.port)
+        out_dir = tmp_path / "out"
+        bodies = {
+            "regenerate": {"workers": workers},
+            "export": {"format": "csv", "out_dir": str(out_dir), "workers": workers},
+            "verify": {"package_path": str(tmp_path / "package.json"), "workers": workers},
+        }
+        for endpoint, body in bodies.items():
+            # Raw bodies: the client's own request types would refuse them locally.
+            with pytest.raises(ServerClientError) as excinfo:
+                client._request("POST", f"/summaries/toy/{endpoint}", body)
+            assert excinfo.value.status == 400, endpoint
+            assert "'workers' must be >= 1" in str(excinfo.value)
+        # Refused before any lease, fork or write.
+        assert not out_dir.exists()
+        with server.service.cache.lease("toy") as entry:
+            assert entry.leases == 1
+
+    def test_huge_worker_count_is_clamped_to_the_cores(
+        self, server, toy_summary, toy_metadata, toy_aqps, tmp_path, monkeypatch
+    ):
+        """``workers=100000`` is served — by at most ``os.cpu_count()`` lanes."""
+        import multiprocessing
+
+        from repro.server import service as service_module
+
+        monkeypatch.setattr(service_module.os, "cpu_count", lambda: 2)
+        assert service_module._effective_workers(100_000) == 2
+        assert service_module._effective_workers(None) is None
+        forked = []
+        start = multiprocessing.process.BaseProcess.start
+        monkeypatch.setattr(
+            multiprocessing.process.BaseProcess,
+            "start",
+            lambda process: (forked.append(process.name), start(process))[1],
+        )
+        client = ServerClient("127.0.0.1", server.port)
+        events = list(client.regenerate("toy", relations=["S"], workers=100_000, batch_size=1))
+        assert events[-1].event == "done" and events[-1].rows == toy_summary.row_count("S")
+        assert 0 < len(set(forked)) <= 2
+
+        package_path = tmp_path / "package.json"
+        InformationPackage(metadata=toy_metadata, aqps=list(toy_aqps)).save(package_path)
+        assert client.verify("toy", package_path=str(package_path), workers=100_000).ok
+        export = client.export(
+            "toy", format="csv", out_dir=str(tmp_path / "out"), workers=100_000
+        )
+        assert export.total_rows == toy_summary.total_rows()
+        assert len(set(forked)) <= 2 * len(toy_summary.relations)
+        with server.service.cache.lease("toy") as entry:
+            assert entry.leases == 1

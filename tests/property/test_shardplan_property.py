@@ -9,7 +9,9 @@ These properties are exercised here over randomly generated summaries
 random pushdown boxes (value, fk and pk conditions), random semi-join skip
 boxes, and random worker counts / batch sizes — all in-process, so the
 invariants are checked thousands of times faster than through real worker
-pools (which `tests/unit/test_parallel.py` covers).
+pools (which `tests/unit/test_parallel.py` covers).  One last property then
+drives the provider itself, real pools included: every stream of
+``DataGenRelation(workers=w)`` is the same sequence at ``w`` = 1, 2, 3.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from repro.catalog.schema import Column, ForeignKey, Table
 from repro.catalog.types import FLOAT, INTEGER
 from repro.core.summary import FKReference, RelationSummary, SummaryRow
 from repro.core.tuplegen import TupleGenerator
+from repro.executor.datagen import DataGenRelation
 from repro.parallel.sharding import ShardPlan
 from repro.sql.predicates import BoxCondition, Interval, IntervalSet
 
@@ -210,3 +213,59 @@ def test_sharded_rows_equal_serial_rows(summary, box, workers, batch_size):
     sharded = concatenated(sharded_blocks)
     for name in table.column_names:
         assert np.array_equal(serial[name], sharded[name])
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    summary=summaries(),
+    box=boxes(),
+    skip_box=skip_boxes(),
+    batch_size=st.sampled_from([1, 3, 7, 16, 64]),
+    data=st.data(),
+)
+def test_provider_streams_identical_at_every_worker_count(
+    assert_same_stream, summary, box, skip_box, batch_size, data
+):
+    """One stream behind the provider: filtered, unfiltered and predicate-only
+    views yield the same ``(start, generated, matched, block)`` sequence at 1,
+    2 and 3 workers, and that sequence is the generator's own."""
+    table = _table()
+    generator = TupleGenerator(table=table, summary=summary)
+    total = summary.total_rows
+    reference = None
+    for workers in (1, 2, 3):
+        relation = DataGenRelation(source=generator, batch_size=batch_size, workers=workers)
+        streams = {
+            "filtered": list(relation.iter_filtered_blocks(box=box, skip_box=skip_box)),
+            "unfiltered": [(s, c, c, b) for s, c, b in relation.iter_blocks()],
+            "predicate": list(relation.iter_filtered_blocks(predicate=box.to_predicate())),
+        }
+        if reference is None:
+            reference = streams
+        for name, stream in streams.items():
+            assert_same_stream(reference[name], stream)
+        assert relation.stats.rows_generated == sum(
+            generated for stream in streams.values() for _s, generated, _m, _b in stream
+        )
+
+    assert_same_stream(
+        list(generator.iter_filtered_blocks(box, batch_size=batch_size, skip_box=skip_box)),
+        reference["filtered"],
+    )
+    # Predicate-only path == box path + mask (the box path drops empty yields).
+    assert_same_stream(
+        [item for item in generator.iter_filtered_blocks(box, batch_size=batch_size) if item[2]],
+        [item for item in reference["predicate"] if item[2]],
+    )
+    # The unfiltered stream is the relation: random access agrees block-wise
+    # and row-wise, and every block lies inside one summary row.
+    whole = generator.generate_block(0, total)
+    for start, count, _matched, block in reference["unfiltered"]:
+        assert summary.locate(start)[0] == summary.locate(start + count - 1)[0]
+        for name in table.column_names:
+            assert block[name].dtype == whole[name].dtype
+            assert np.array_equal(block[name], whole[name][start : start + count])
+    assert sum(count for _s, count, _m, _b in reference["unfiltered"]) == total
+    if total:
+        index = data.draw(st.integers(min_value=0, max_value=total - 1))
+        assert tuple(whole[name][index] for name in table.column_names) == generator.row(index)

@@ -6,8 +6,8 @@ dtype — and the export must re-validate against its manifest.  The CI suite
 re-runs these tests under ``REPRO_WORKERS=2``, where every provider (and
 therefore every export) regenerates through the sharded parallel pool, so
 stream identity and manifest checksums are asserted for merged parallel
-streams too.  A dedicated test additionally pins ``workers=2`` explicitly
-and asserts byte-identical CSV files against the serial export.
+streams too.  A dedicated test additionally pins ``workers`` 1, 2 and 3
+explicitly and asserts identical block streams and byte-identical CSV files.
 """
 
 from __future__ import annotations
@@ -147,14 +147,21 @@ def test_sqlite_export_is_the_in_memory_stream(summary, batch_size):
 @settings(max_examples=10, deadline=None)
 @given(summary=summaries())
 def test_parallel_export_is_byte_identical_to_serial(summary):
-    with tempfile.TemporaryDirectory() as serial_dir, tempfile.TemporaryDirectory() as parallel_dir:
-        serial = export_summary(summary, CsvSink(serial_dir), workers=1, batch_size=8)
-        parallel = export_summary(
-            summary, CsvSink(parallel_dir), workers=2, batch_size=8, min_parallel_rows=0
-        )
-        for name in summary.relations:
-            assert serial.relations[name].checksum == parallel.relations[name].checksum
-            serial_bytes = (Path(serial_dir) / f"{name}.csv").read_bytes()
-            parallel_bytes = (Path(parallel_dir) / f"{name}.csv").read_bytes()
-            assert serial_bytes == parallel_bytes
-        assert serial.summary_fingerprint == parallel.summary_fingerprint
+    """Same blocks into the sink, same bytes out of it, at 1, 2 and 3 workers."""
+    exports = {}
+    for workers in (1, 2, 3):
+        blocks = {
+            name: [
+                (start, count, {column: values.tobytes() for column, values in block.items()})
+                for start, count, block in relation.iter_blocks()
+            ]
+            for name, relation in summary_relation_providers(summary, batch_size=8, workers=workers)
+        }
+        with tempfile.TemporaryDirectory() as out_dir:
+            manifest = export_summary(summary, CsvSink(out_dir), workers=workers, batch_size=8)
+            files = {
+                name: (Path(out_dir) / f"{name}.csv").read_bytes() for name in summary.relations
+            }
+        checksums = {name: entry.checksum for name, entry in manifest.relations.items()}
+        exports[workers] = (blocks, files, checksums, manifest.summary_fingerprint)
+    assert exports[1] == exports[2] == exports[3]

@@ -5,6 +5,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.catalog.schema import Column, Table
+from repro.catalog.types import INTEGER
+from repro.core.summary import RelationSummary, SummaryRow
+from repro.core.tuplegen import TupleGenerator
 from repro.executor.datagen import DataGenRelation
 from repro.executor.engine import ExecutionEngine, ExecutorError
 from repro.executor.rate import RateLimiter, VirtualClock
@@ -188,43 +192,35 @@ class TestRateLimiter:
         assert limiter.throttle(1) == 0.0
 
 
-class _ArraySource:
-    """Minimal RowSource backed by numpy arrays (for datagen tests)."""
-
-    def __init__(self, columns: dict[str, np.ndarray]):
-        self._columns = columns
-        self.column_names = list(columns)
-        self.row_count = len(next(iter(columns.values())))
-
-    def row(self, index):
-        return tuple(self._columns[name][index] for name in self.column_names)
-
-    def generate_block(self, start, count, columns=None):
-        requested = list(columns) if columns is not None else self.column_names
-        return {name: self._columns[name][start : start + count] for name in requested}
-
-
 class TestDataGenRelation:
-    def _source(self, rows: int = 1000) -> _ArraySource:
-        return _ArraySource(
-            {
-                "pk": np.arange(rows, dtype=np.int64),
-                "value": np.arange(rows, dtype=np.int64) % 7,
-            }
+    def _source(self, rows: int = 1000) -> TupleGenerator:
+        """``rows`` tuples in summary segments of 300: ``value`` is the segment number."""
+        table = Table(
+            name="t", columns=[Column("pk", INTEGER), Column("value", INTEGER)], primary_key="pk"
         )
+        counts = [300] * (rows // 300) + [rows % 300]
+        summary = RelationSummary(
+            table="t",
+            rows=[
+                SummaryRow(count=count, values={"value": float(segment)})
+                for segment, count in enumerate(counts)
+            ],
+        )
+        return TupleGenerator(table=table, summary=summary)
 
     def test_provider_protocol(self):
         relation = DataGenRelation(source=self._source())
         assert relation.row_count == 1000
         assert relation.column_names == ["pk", "value"]
-        assert relation.row(5) == (5, 5)
+        assert relation.row(605) == (605, 2)
 
     def test_fetch_columns_concatenates_batches(self):
         relation = DataGenRelation(source=self._source(), batch_size=128)
         columns = relation.fetch_columns(["pk"])
         assert len(columns["pk"]) == 1000
         assert columns["pk"][999] == 999
-        assert relation.stats.batches == int(np.ceil(1000 / 128))
+        # Batches are anchored per summary segment: 3 x ceil(300/128) + ceil(100/128).
+        assert relation.stats.batches == 3 * 3 + 1
 
     def test_rate_limited_generation(self):
         limiter, clock = RateLimiter.with_virtual_clock(500.0)
@@ -238,4 +234,4 @@ class TestDataGenRelation:
         relation = DataGenRelation(source=self._source(10), batch_size=4)
         rows = list(relation.iter_rows())
         assert len(rows) == 10
-        assert rows[3] == (3, 3)
+        assert rows[3] == (3, 0)

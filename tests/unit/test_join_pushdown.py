@@ -28,7 +28,7 @@ from repro.core.summary import (
 )
 from repro.core.tuplegen import TupleGenerator
 from repro.executor.datagen import DataGenRelation
-from repro.executor.engine import ExecutionEngine
+from repro.executor.engine import ExecutionEngine, ExecutorError
 from repro.executor.rate import RateLimiter
 from repro.plans.logical import plan_from_dict
 from repro.plans.planner import build_plan, compute_semijoin_pushdowns
@@ -595,8 +595,9 @@ class _RowOnlyProvider:
         return self._rows[index]
 
 
-class TestProviderColumnDtypes:
-    def test_row_fallback_uses_schema_dtypes(self):
+class TestProviderKinds:
+    def test_unknown_provider_kind_is_a_typed_error(self):
+        """The engine reads materialised and ``datagen`` providers, nothing else."""
         table = Table(
             name="tiny",
             columns=[Column("pk", INTEGER), Column("v", FLOAT)],
@@ -606,43 +607,10 @@ class TestProviderColumnDtypes:
         database = Database(schema=schema, providers={})
         database.attach("tiny", _RowOnlyProvider([(0, 1.5), (1, 2.5), (2, 3.5)]))
         engine = ExecutionEngine(database=database)
-        plan = build_plan(parse_query("select * from tiny", schema), schema)
-        result = engine.execute(plan)
-        assert result.columns["tiny.pk"].dtype == np.int64
-        assert result.columns["tiny.v"].dtype == np.float64
-        assert result.columns["tiny.pk"].tolist() == [0, 1, 2]
-
-    def test_row_fallback_join_key_dtype_survives_join(self):
-        dim = Table(name="dim", columns=[Column("d_pk", INTEGER)], primary_key="d_pk")
-        fact = Table(
-            name="fact",
-            columns=[Column("f_pk", INTEGER), Column("d_fk", INTEGER)],
-            primary_key="f_pk",
-            foreign_keys=[ForeignKey("d_fk", "dim", "d_pk")],
-        )
-        schema = Schema.from_tables([fact, dim])
-
-        class _Rows(_RowOnlyProvider):
-            def __init__(self, rows, names):
-                super().__init__(rows)
-                self._names = names
-
-            @property
-            def column_names(self):
-                return self._names
-
-        database = Database(schema=schema, providers={})
-        database.attach("fact", _Rows([(0, 1), (1, 0), (2, 1)], ["f_pk", "d_fk"]))
-        database.attach("dim", _Rows([(0,), (1,)], ["d_pk"]))
-        engine = ExecutionEngine(database=database)
-        plan = build_plan(
-            parse_query(
-                "select count(*) from fact, dim where fact.d_fk = dim.d_pk", schema
-            ),
-            schema,
-        )
-        result = engine.execute(plan)
-        assert int(result.column("count")[0]) == 3
+        for sql in ("select * from tiny", "select count(*) from tiny where tiny.v < 3"):
+            plan = build_plan(parse_query(sql, schema), schema)
+            with pytest.raises(ExecutorError, match="_RowOnlyProvider"):
+                engine.execute(plan)
 
 
 class TestObservedRate:

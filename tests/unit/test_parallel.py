@@ -18,10 +18,10 @@ from repro.core.errors import HydraError, ParallelGenerationError
 from repro.core.pipeline import Hydra
 from repro.core.summary import FKReference, RelationSummary, SummaryRow
 from repro.core.tuplegen import TupleGenerator
-from repro.executor.datagen import DataGenRelation, ParallelDataGenRelation
+from repro.executor.datagen import DataGenRelation
 from repro.executor.engine import ExecutionEngine
 from repro.executor.rate import RateLimiter
-from repro.parallel import ShardPlan, default_workers
+from repro.parallel import ShardPlan, default_workers, iter_parallel_blocks, pool_plan
 from repro.plans.planner import build_plan
 from repro.sql.predicates import BoxCondition, Interval, IntervalSet
 from repro.sql.parser import parse_query
@@ -55,24 +55,21 @@ class TestRegenerateIntegration:
         unknown_part = message.split("summary has")[0]
         assert "'R'" not in unknown_part  # only the bad names are listed as unknown
 
-    def test_workers_selects_parallel_provider(self, toy_hydra, toy_summary):
+    def test_workers_reach_the_one_provider_class(self, toy_hydra, toy_summary):
         serial = toy_hydra.regenerate(toy_summary, workers=1)
         parallel = toy_hydra.regenerate(toy_summary, workers=3)
-        assert type(serial.provider("R")) is DataGenRelation
-        provider = parallel.provider("R")
-        assert isinstance(provider, ParallelDataGenRelation)
-        assert provider.workers == 3
+        assert type(serial.provider("R")) is type(parallel.provider("R")) is DataGenRelation
+        assert serial.provider("R").workers == 1
+        assert parallel.provider("R").workers == 3
 
     def test_workers_default_from_environment(self, toy_hydra, toy_summary, monkeypatch):
         monkeypatch.delenv("REPRO_WORKERS", raising=False)
         assert default_workers() == 1
-        database = toy_hydra.regenerate(toy_summary)
-        assert type(database.provider("R")) is DataGenRelation
+        assert toy_hydra.regenerate(toy_summary).provider("R").workers == 1
 
         monkeypatch.setenv("REPRO_WORKERS", "2")
         assert default_workers() == 2
-        database = toy_hydra.regenerate(toy_summary)
-        assert isinstance(database.provider("R"), ParallelDataGenRelation)
+        assert toy_hydra.regenerate(toy_summary).provider("R").workers == 2
 
         monkeypatch.setenv("REPRO_WORKERS", "not-a-number")
         assert default_workers() == 1
@@ -151,44 +148,76 @@ class TestParallelRelation:
         table, summary = _tiny_relation()
         generator = TupleGenerator(table=table, summary=summary)
         serial = DataGenRelation(source=generator, batch_size=256)
-        parallel = ParallelDataGenRelation(source=generator, batch_size=256, workers=3)
+        parallel = DataGenRelation(source=generator, batch_size=256, workers=3)
         reference = serial.fetch_columns(table.column_names)
         candidate = parallel.fetch_columns(table.column_names)
         for name in table.column_names:
             assert reference[name].dtype == candidate[name].dtype
             assert np.array_equal(reference[name], candidate[name])
+        assert parallel.stats == serial.stats
         assert parallel.stats.rows_generated == summary.total_rows
 
-    def test_filtered_stream_matches_serial_accounting(self):
+    @pytest.mark.parametrize(
+        "box, skip_box",
+        [
+            (BoxCondition({}), None),
+            (BoxCondition({"S_fk": IntervalSet([Interval(0, 20)])}), None),
+            (
+                BoxCondition({"A": IntervalSet([Interval(1, 4.5)])}),
+                BoxCondition({"S_fk": IntervalSet([Interval(0, 20)])}),
+            ),
+        ],
+    )
+    def test_every_stream_is_identical_at_every_worker_count(
+        self, assert_same_stream, box, skip_box
+    ):
+        """Filtered, unfiltered and predicate-only: same yields at 1/2/3 workers."""
         table, summary = _tiny_relation()
         generator = TupleGenerator(table=table, summary=summary)
-        box = BoxCondition({"S_fk": IntervalSet([Interval(0, 20)])})
-        serial = list(
-            DataGenRelation(source=generator, batch_size=128).iter_filtered_blocks(box=box)
-        )
-        parallel = list(
-            ParallelDataGenRelation(
-                source=generator, batch_size=128, workers=4
-            ).iter_filtered_blocks(box=box)
-        )
-        assert [(s, g, m) for s, g, m, _ in serial] == [(s, g, m) for s, g, m, _ in parallel]
-        for (_s, _g, _m, left), (_s2, _g2, _m2, right) in zip(serial, parallel):
-            for name in left:
-                assert np.array_equal(left[name], right[name])
+        reference = None
+        for workers in (1, 2, 3):
+            relation = DataGenRelation(source=generator, batch_size=128, workers=workers)
+            streams = {
+                "filtered": list(relation.iter_filtered_blocks(box=box, skip_box=skip_box)),
+                "unfiltered": [
+                    (start, count, count, block) for start, count, block in relation.iter_blocks()
+                ],
+                "predicate": list(relation.iter_filtered_blocks(predicate=box.to_predicate())),
+            }
+            if reference is None:
+                reference = streams
+                # Predicate-only path == box path + mask (empty yields aside).
+                assert_same_stream(
+                    [item for item in relation.iter_filtered_blocks(box=box) if item[2]],
+                    [item for item in streams["predicate"] if item[2]],
+                )
+                whole = generator.generate_block(0, summary.total_rows)
+                for name in table.column_names:
+                    streamed = np.concatenate([b[name] for *_, b in streams["unfiltered"]])
+                    assert streamed.dtype == whole[name].dtype
+                    assert np.array_equal(streamed, whole[name])
+                # Every block lies inside one summary row (the segment grid).
+                assert all(
+                    summary.locate(start)[0] == summary.locate(start + count - 1)[0]
+                    for start, count, _m, _b in streams["unfiltered"]
+                )
+            for name, stream in streams.items():
+                assert_same_stream(reference[name], stream)
 
-    def test_spawn_context_parity(self):
+    def test_spawn_context_parity(self, assert_same_stream):
         """The pool is spawn-safe: workers rebuild state purely from the
         pickled payload, no fork-inherited globals."""
         table, summary = _tiny_relation()
         generator = TupleGenerator(table=table, summary=summary)
-        serial = DataGenRelation(source=generator, batch_size=512)
-        parallel = ParallelDataGenRelation(
-            source=generator, batch_size=512, workers=2, mp_context="spawn"
+        box = BoxCondition({})
+        plan = pool_plan(generator, 2, 512, box, None)
+        assert plan is not None
+        merged = iter_parallel_blocks(
+            table, summary, plan, box, queue_blocks=2, mp_context="spawn"
         )
-        reference = serial.fetch_columns(table.column_names)
-        candidate = parallel.fetch_columns(table.column_names)
-        for name in table.column_names:
-            assert np.array_equal(reference[name], candidate[name])
+        assert_same_stream(
+            list(generator.iter_filtered_blocks(box, batch_size=512)), list(merged)
+        )
 
     def test_worker_failure_raises_parallel_error(self):
         table, _summary = _tiny_relation()
@@ -205,34 +234,28 @@ class TestParallelRelation:
             ],
         )
         generator = TupleGenerator(table=table, summary=poisoned)
-        relation = ParallelDataGenRelation(source=generator, batch_size=64, workers=2)
+        relation = DataGenRelation(source=generator, batch_size=64, workers=2)
         with pytest.raises(ParallelGenerationError) as excinfo:
             list(relation.iter_filtered_blocks(box=BoxCondition({})))
         assert "SummaryError" in str(excinfo.value)
 
-    def test_workers_one_stays_in_process(self):
+    def test_pool_decision_is_observed_not_set(self, monkeypatch):
+        """One worker, one lane of work, or a spawn-only platform with a
+        small relation stay in-process; nothing else selects the path."""
         table, summary = _tiny_relation()
         generator = TupleGenerator(table=table, summary=summary)
-        relation = ParallelDataGenRelation(source=generator, batch_size=128, workers=1)
-        assert relation._parallel_source() is None  # serial fallback
-        reference = DataGenRelation(source=generator, batch_size=128).fetch_columns(["A"])
-        assert np.array_equal(relation.fetch_columns(["A"])["A"], reference["A"])
-
-    def test_min_parallel_rows_keeps_small_relations_serial(self):
-        table, summary = _tiny_relation()
-        generator = TupleGenerator(table=table, summary=summary)
-        small = ParallelDataGenRelation(
-            source=generator, batch_size=128, workers=2,
-            min_parallel_rows=summary.total_rows + 1,
+        everything = BoxCondition({})
+        assert pool_plan(generator, 1, 128, everything, None) is None
+        assert pool_plan(generator, 2, 128, everything, None) is not None
+        one_batch = TupleGenerator(
+            table=table, summary=RelationSummary(table="R", rows=summary.rows[:1])
         )
-        assert small._parallel_source() is None
-        engaged = ParallelDataGenRelation(
-            source=generator, batch_size=128, workers=2,
-            min_parallel_rows=summary.total_rows,
+        assert pool_plan(one_batch, 4, 1024, everything, None) is None  # one lane of work
+        monkeypatch.setattr(
+            "repro.parallel.pool.mp.get_all_start_methods", lambda: ["spawn"]
         )
-        assert engaged._parallel_source() is generator
-        reference = DataGenRelation(source=generator, batch_size=128).fetch_columns(["A"])
-        assert np.array_equal(small.fetch_columns(["A"])["A"], reference["A"])
+        assert pool_plan(generator, 2, 128, everything, None) is not None
+        assert pool_plan(generator, 2, 1024, everything, None) is None  # < 4 batches/worker
 
 
 class TestMergedStreamPacing:
@@ -241,7 +264,7 @@ class TestMergedStreamPacing:
         table, summary = _tiny_relation()
         generator = TupleGenerator(table=table, summary=summary)
         limiter, clock = RateLimiter.with_virtual_clock(rows_per_second=10_000)
-        relation = ParallelDataGenRelation(
+        relation = DataGenRelation(
             source=generator, rate_limiter=limiter, batch_size=256, workers=3
         )
         total = sum(generated for _s, generated, _b in relation.iter_blocks())

@@ -494,7 +494,7 @@ class TestSatelliteRegressions:
         assert columns["v"].dtype == np.float64
         assert len(columns["pk"]) == 0
 
-    @pytest.mark.parametrize("configured, requested", [(0, None), (-5, None), (8192, -1)])
+    @pytest.mark.parametrize("configured, requested", [(0, None), (-5, None), (8192, -1), (8192, 0)])
     def test_non_positive_batch_size_is_refused(self, configured, requested):
         # ``batch_size=0`` used to yield zero-row blocks forever.
         table = Table(name="t", columns=[Column("pk", INTEGER)], primary_key="pk")

@@ -144,6 +144,24 @@ def test_wrong_type_rejected():
         RegenerateRequest.from_dict({"batch_size": True})
 
 
+@pytest.mark.parametrize("workers", [0, -1])
+@pytest.mark.parametrize(
+    "request_type, fields",
+    [
+        (RegenerateRequest, {}),
+        (ExportRequest, {"format": "csv", "out_dir": "/tmp/out"}),
+        (VerifyRequest, {"package_path": "/tmp/package.json"}),
+    ],
+)
+def test_non_positive_workers_rejected(request_type, fields, workers):
+    """Constructed or parsed: a stream cannot run with fewer than one worker."""
+    with pytest.raises(ApiError, match="'workers' must be >= 1"):
+        request_type(**fields, workers=workers)
+    with pytest.raises(ApiError, match="'workers' must be >= 1"):
+        request_type.from_dict({**fields, "workers": workers})
+    assert request_type.from_dict({**fields, "workers": 1}).workers == 1
+
+
 @pytest.mark.parametrize("key", ["pushdown", "summary_fastpath", "streaming_join"])
 def test_removed_route_keys_are_unknown(key):
     """The v1 route switches are gone: the engine picks the route itself."""

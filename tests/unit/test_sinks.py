@@ -370,14 +370,14 @@ class TestParquetSink:
 
 
 class TestRegenerateSinkWiring:
-    def test_regenerate_streams_to_sink(self, tmp_path):
+    def test_export_driver_matches_regenerated_database(self, tmp_path):
         summary = build_summary()
         from repro.core.pipeline import Hydra
         from repro.catalog.metadata import DatabaseMetadata
 
         hydra = Hydra(metadata=DatabaseMetadata(schema=summary.schema, statistics={}))
-        database = hydra.regenerate(summary, sink=SqliteSink(tmp_path))
-        assert database.row_count("fact") == 23
+        export_summary(summary, SqliteSink(tmp_path))
+        assert hydra.regenerate(summary).row_count("fact") == 23
         assert verify_export(summary, tmp_path).ok
         payload = json.loads((tmp_path / MANIFEST_NAME).read_text())
         assert payload["summary_fingerprint"] == summary.fingerprint()

@@ -16,7 +16,7 @@ from repro.core.summary import (
     SummaryRow,
 )
 from repro.core.tuplegen import SummaryDatabaseFactory, TupleGenerator
-from repro.sql.predicates import Interval, IntervalSet
+from repro.sql.predicates import BoxCondition, Interval, IntervalSet
 
 
 @pytest.fixture()
@@ -235,10 +235,12 @@ class TestTupleGenerator:
         with pytest.raises(KeyError):
             generator.generate_block(0, 5, columns=["missing"])
 
-    def test_iter_rows_total(self, summary, schema):
+    @pytest.mark.parametrize("batch_size", [0, -1])
+    def test_stream_refuses_non_positive_batch_size(self, summary, schema, batch_size):
+        # ``batch_size=0`` used to yield zero-row blocks forever.
         generator = TupleGenerator(table=schema.table("fact"), summary=summary.relation("fact"))
-        rows = list(generator.iter_rows(batch_size=64))
-        assert len(rows) == 150
+        with pytest.raises(ValueError, match="batch size must be >= 1"):
+            next(generator.iter_filtered_blocks(BoxCondition({}), batch_size=batch_size))
 
     def test_sample_rows(self, summary, schema):
         generator = TupleGenerator(table=schema.table("dim"), summary=summary.relation("dim"))

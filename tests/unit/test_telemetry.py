@@ -29,7 +29,7 @@ from repro.core.errors import ParallelGenerationError
 from repro.core.pipeline import Hydra
 from repro.core.summary import FKReference, RelationSummary, SummaryRow
 from repro.core.tuplegen import TupleGenerator
-from repro.executor.datagen import DataGenRelation, ParallelDataGenRelation
+from repro.executor.datagen import DataGenRelation
 from repro.executor.engine import ExecutionEngine, ExecutionResult, RouteEvent
 from repro.plans.planner import build_plan
 from repro.sinks import export_summary, sink_for_format
@@ -342,7 +342,7 @@ class TestWorkerSpanMerge:
     def _traced_fetch(self):
         table, summary = _tiny_relation()
         generator = TupleGenerator(table=table, summary=summary)
-        relation = ParallelDataGenRelation(source=generator, batch_size=1024, workers=2)
+        relation = DataGenRelation(source=generator, batch_size=1024, workers=2)
         with telemetry_session() as session:
             columns = relation.fetch_columns(table.column_names)
         return session, columns, table, summary
@@ -425,7 +425,7 @@ class TestParallelErrorContext:
             ],
         )
         generator = TupleGenerator(table=table, summary=poisoned)
-        relation = ParallelDataGenRelation(source=generator, batch_size=64, workers=2)
+        relation = DataGenRelation(source=generator, batch_size=64, workers=2)
         with pytest.raises(ParallelGenerationError) as excinfo:
             list(relation.iter_filtered_blocks(box=BoxCondition({})))
         error = excinfo.value
