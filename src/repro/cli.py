@@ -300,7 +300,10 @@ def _vendor_run(
     materialize_all: bool,
 ) -> int:
     """The vendor build proper, running inside the telemetry scope."""
-    loaded = load_package_file(args.package)
+    try:
+        loaded = load_package_file(args.package)
+    except HydraError as exc:
+        raise SystemExit(str(exc))
     if names and not materialize_all:
         known_tables = set(loaded.metadata.schema.table_names)
         unknown = sorted(set(names) - known_tables)
@@ -477,7 +480,10 @@ def verify_main(argv: Sequence[str] | None = None) -> int:
 
 def _verify_run(args: argparse.Namespace) -> int:
     """The verification run proper, running inside the telemetry scope."""
-    package = InformationPackage.load(args.package)
+    try:
+        package = InformationPackage.load(args.package)
+    except HydraError as exc:
+        raise SystemExit(str(exc))
     summary = DatabaseSummary.load(args.summary)
 
     if args.against is not None:

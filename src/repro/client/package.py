@@ -22,12 +22,57 @@ from pathlib import Path
 from typing import Any, Iterable, Mapping
 
 from ..catalog.metadata import DatabaseMetadata
+from ..core.errors import HydraError
 from ..plans.aqp import AnnotatedQueryPlan
 from ..serialization import JsonDocument
 
 __all__ = ["InformationPackage", "DeltaPackage", "load_package_file"]
 
 _FORMAT_VERSION = 1
+
+
+def _decoded(what: str, text: str) -> Any:
+    """``text`` as JSON; :class:`HydraError` when it is not."""
+    try:
+        return json.loads(text)
+    except ValueError as exc:
+        raise HydraError(f"malformed {what} at <document>: {exc}") from exc
+
+
+def _package_fields(what: str, payload: Any, *text_fields: str) -> dict[str, Any]:
+    """The validated constructor fields of either package flavour.
+
+    A package arrives from disk or the wire, so it is validated once, here:
+    a missing key or a value of the wrong type raises :class:`HydraError`
+    naming the offending field instead of leaking a raw exception from deep
+    inside the parse.
+    """
+    where = "<document>"
+    try:
+        if not isinstance(payload, Mapping):
+            raise TypeError(f"expected a JSON object, got {type(payload).__name__}")
+        where = "format_version"
+        if payload.get(where, _FORMAT_VERSION) != _FORMAT_VERSION:
+            raise ValueError(f"unsupported version {payload[where]!r}")
+        where = "metadata"
+        metadata = DatabaseMetadata.from_dict(payload[where])
+        where = "aqps"
+        items = payload.get(where, [])
+        if not isinstance(items, list):
+            raise TypeError(f"expected a list, got {type(items).__name__}")
+        aqps = []
+        for index, item in enumerate(items):
+            where = f"aqps[{index}]"
+            aqps.append(AnnotatedQueryPlan.from_dict(item))
+        fields: dict[str, Any] = {"metadata": metadata, "aqps": aqps}
+        for where in text_fields:
+            if where in payload:
+                if not isinstance(payload[where], str):
+                    raise TypeError(f"expected a string, got {type(payload[where]).__name__}")
+                fields[where] = payload[where]
+    except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
+        raise HydraError(f"malformed {what} at {where}: {exc!r}") from exc
+    return fields
 
 
 @dataclass
@@ -113,15 +158,11 @@ class InformationPackage(JsonDocument):
 
     @classmethod
     def from_dict(cls, payload: Mapping[str, Any]) -> "InformationPackage":
-        version = payload.get("format_version", _FORMAT_VERSION)
-        if version != _FORMAT_VERSION:
-            raise ValueError(f"unsupported information-package version {version}")
-        return cls(
-            metadata=DatabaseMetadata.from_dict(payload["metadata"]),
-            aqps=[AnnotatedQueryPlan.from_dict(item) for item in payload.get("aqps", [])],
-            client_name=payload.get("client_name", "client"),
-            notes=payload.get("notes", ""),
-        )
+        return cls(**_package_fields("information package", payload, "client_name", "notes"))
+
+    @classmethod
+    def from_json(cls, text: str) -> "InformationPackage":
+        return cls.from_dict(_decoded("information package", text))
 
     def size_bytes(self) -> int:
         """Serialised size of the package (what actually gets transferred)."""
@@ -169,18 +210,15 @@ class DeltaPackage(JsonDocument):
 
     @classmethod
     def from_dict(cls, payload: Mapping[str, Any]) -> "DeltaPackage":
-        version = payload.get("format_version", _FORMAT_VERSION)
-        if version != _FORMAT_VERSION:
-            raise ValueError(f"unsupported delta-package version {version}")
-        if payload.get("kind") != "delta":
-            raise ValueError("payload is not a delta package")
+        if isinstance(payload, Mapping) and payload.get("kind") != "delta":
+            raise HydraError("malformed delta package at kind: payload is not a delta package")
         return cls(
-            metadata=DatabaseMetadata.from_dict(payload["metadata"]),
-            aqps=[AnnotatedQueryPlan.from_dict(item) for item in payload.get("aqps", [])],
-            base_fingerprint=payload.get("base_fingerprint", ""),
-            client_name=payload.get("client_name", "client"),
-            notes=payload.get("notes", ""),
+            **_package_fields("delta package", payload, "base_fingerprint", "client_name", "notes")
         )
+
+    @classmethod
+    def from_json(cls, text: str) -> "DeltaPackage":
+        return cls.from_dict(_decoded("delta package", text))
 
     def describe(self) -> str:
         base = self.base_fingerprint or "<unpinned>"
@@ -192,7 +230,7 @@ class DeltaPackage(JsonDocument):
 
 def load_package_file(path: str | Path) -> "InformationPackage | DeltaPackage":
     """Load either package flavour from disk, dispatching on the JSON ``kind``."""
-    payload = json.loads(Path(path).read_text())
+    payload = _decoded("information package", Path(path).read_text())
     if isinstance(payload, Mapping) and payload.get("kind") == "delta":
         return DeltaPackage.from_dict(payload)
     return InformationPackage.from_dict(payload)

@@ -19,7 +19,7 @@ regions tracks the number of *realisable* predicate signatures.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from ..sql.predicates import BoxCondition, Interval, IntervalSet
@@ -195,23 +195,14 @@ class RegionPartitioner:
     discrete: Mapping[str, bool] | None = None
     domain: BoxCondition | None = None
     max_regions: int = 200_000
-    last_boxes_built: int = field(default=0, init=False)
-    last_checkpoint: PartitionCheckpoint | None = field(default=None, init=False)
 
     def partition(self, constraint_boxes: Sequence[BoxCondition]) -> list[Region]:
-        """Partition the space induced by the given predicate boxes.
-
-        ``last_checkpoint`` afterwards holds the resumable splitting state so
-        a later call can :meth:`resume` with appended boxes.
-        """
+        """Partition the space induced by the given predicate boxes."""
         initial_box = self.domain if self.domain is not None else BoxCondition({})
         regions: list[_MutableRegion] = [
             _MutableRegion(signature=set(), boxes=[initial_box])
         ]
         regions = self._consume(regions, constraint_boxes, 0, len(constraint_boxes))
-        self.last_checkpoint = PartitionCheckpoint(
-            boxes=tuple(constraint_boxes), regions=tuple(regions)
-        )
         return self._finalize(regions)
 
     def advance(
@@ -239,10 +230,7 @@ class RegionPartitioner:
             consumed = checkpoint.boxes
         total = len(consumed) + len(boxes)
         state = self._consume(state, boxes, len(consumed), total)
-        self.last_checkpoint = PartitionCheckpoint(
-            boxes=consumed + tuple(boxes), regions=tuple(state)
-        )
-        return self.last_checkpoint
+        return PartitionCheckpoint(boxes=consumed + tuple(boxes), regions=tuple(state))
 
     def resume(
         self,
@@ -260,9 +248,6 @@ class RegionPartitioner:
         total = checkpoint.num_boxes + len(appended_boxes)
         regions = self._consume(
             list(checkpoint.regions), appended_boxes, checkpoint.num_boxes, total
-        )
-        self.last_checkpoint = PartitionCheckpoint(
-            boxes=checkpoint.boxes + tuple(appended_boxes), regions=tuple(regions)
         )
         return self._finalize(regions)
 
@@ -285,7 +270,6 @@ class RegionPartitioner:
         return regions
 
     def _finalize(self, regions: list[_MutableRegion]) -> list[Region]:
-        self.last_boxes_built = sum(len(region.boxes) for region in regions)
         ordered = sorted(regions, key=lambda region: tuple(sorted(region.signature)))
         return [
             Region(

@@ -12,16 +12,20 @@ The engine plays two roles in the reproduction of HYDRA:
 
 Execution is column-vectorised: every operator consumes and produces a block
 of NumPy column arrays keyed by qualified ``table.column`` names.  The engine
-knows two kinds of relation provider: a
-:class:`~repro.storage.database.MaterializedRelation` (column arrays) and the
-dataless :class:`~repro.executor.datagen.DataGenRelation` (one block stream).
+reads every relation through the one entry point of the
+:class:`~repro.storage.database.RelationProvider` protocol,
+``iter_filtered_blocks``: a
+:class:`~repro.storage.database.MaterializedRelation` answers with one masked
+block, the dataless :class:`~repro.executor.datagen.DataGenRelation` with its
+regenerated segments — the paper's ``datagen`` swaps the scan and nothing
+above it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Mapping, NoReturn, TYPE_CHECKING, cast
+from typing import Any, Iterable, Iterator, Mapping, NoReturn, TYPE_CHECKING, cast
 
 import numpy as np
 from numpy.typing import NDArray
@@ -43,15 +47,9 @@ from ..plans.planner import (
     exact_predicate_box,
     fk_join_edge,
 )
-from ..sql.predicates import (
-    BoxCondition,
-    Interval,
-    IntervalSet,
-    Predicate,
-    columns_with_dependencies,
-)
+from ..sql.predicates import BoxCondition, Interval, IntervalSet
 from ..sql.query import DisjunctiveJoinCondition, JoinCondition
-from ..storage.database import Database, MaterializedRelation, RelationProvider
+from ..storage.database import Database, RelationProvider
 from ..telemetry.session import add_counter, is_active, span
 from .datagen import DataGenRelation
 
@@ -71,9 +69,10 @@ class RouteEvent:
 
     Pure reporting — no caller can request a route.  ``kind`` is the
     decision point (``"aggregate"`` for the summary route vs executing the
-    child plan, ``"join"`` for streaming vs materialising joins); ``route``
-    is the route taken; ``reason`` explains *why* the faster route was not
-    taken (``None`` when it was).  The same names feed the
+    child plan, ``"join"`` for a probe side streamed from a dataless leaf vs
+    one held as a single block); ``route`` is the route taken; ``reason``
+    explains *why* the faster route was not taken (``None`` when it was).
+    The same names feed the
     ``engine.route.<kind>.<route>`` and ``engine.fallback.<kind>.<reason>``
     telemetry counters; docs/OBSERVABILITY.md lists every value.
     """
@@ -154,12 +153,11 @@ class _Leaf:
 
     Everything the routes observe about a leaf, derived once per
     ``execute``: ``summary`` is the relation summary behind a dataless
-    provider (``None`` for a materialised one), ``stream`` the provider's
-    filtered block iterator (``None`` when it cannot stream), ``box`` the
-    pushed filter as an *exactly equivalent* box — unconstrained without a
-    filter, ``None`` when only an epsilon-approximation exists, in which
-    case streaming masks with the original predicate and the summary route
-    does not apply.
+    provider (``None`` for a materialised one), ``box`` the pushed filter as
+    an *exactly equivalent* box — unconstrained without a filter, ``None``
+    when only an epsilon-approximation exists, in which case the block
+    stream masks with the original predicate and the summary route does not
+    apply.
     """
 
     scan: ScanNode
@@ -167,7 +165,6 @@ class _Leaf:
     table: Table
     provider: RelationProvider
     summary: "RelationSummary | None"
-    stream: Any
     box: BoxCondition | None
 
 
@@ -179,15 +176,17 @@ class ExecutionEngine:
     sets.  Whether a relation is attached materialised or dataless
     (``Hydra.regenerate(materialize=...)``) is the only selector a user has:
 
-    * every scan produces only the columns referenced upstream, and a filter
-      sitting directly on a scan is fused into it; a dataless relation
-      streams batch-by-batch through the predicate, so peak memory is
-      bounded by the batch size plus the matching rows;
-    * a join with a dataless leaf input runs build/probe: the side with the
-      smaller summary cardinality is the build table, the other side streams
-      through it, and semi-join FK pushdown skips probe summary segments
-      that cannot join.  Disjunctive joins, self-joins and joins without a
-      streamable leaf materialise both inputs;
+    * every leaf (a scan, with the filter sitting directly on it fused in)
+      is read as the provider's filtered block stream and produces only the
+      columns referenced upstream; a dataless relation streams
+      batch-by-batch through the predicate, so peak memory is bounded by the
+      batch size plus the matching rows, a materialised one is one block;
+    * every join — equi or disjunctive — is one build/probe operator.  With
+      a dataless leaf input the side with the smaller summary cardinality is
+      the build table, the other side streams through it
+      (``join:streaming``), and semi-join FK pushdown skips probe summary
+      segments that cannot join; without one the left input probes as a
+      single block (``join:materializing`` / ``no-streamable-leaf``);
     * ``COUNT`` over a summary-backed relation or a left-deep tree of
       key/foreign-key joins of such relations, and ``SUM``/``AVG`` over a
       single one, are answered from the relation summaries (count ×
@@ -260,8 +259,8 @@ class ExecutionEngine:
         """Abandon the current fast-path attempt.
 
         ``reason`` travels with the :class:`_Bail` to the operator that made
-        the attempt (``_execute_join`` / ``_execute_aggregate``), which
-        records it on the route event of the route it takes instead.
+        the attempt (``_execute_aggregate``), which records it on the route
+        event of the route it takes instead.
         """
         raise _Bail(reason)
 
@@ -300,14 +299,19 @@ class ExecutionEngine:
                 return None
             scan, filter_node = pair
             table = self.schema.table(scan.table)
+            provider = self.database.provider(scan.table)
+            if not hasattr(provider, "iter_filtered_blocks"):
+                raise ExecutorError(
+                    f"relation {table.name!r} is attached as a {type(provider).__name__}, "
+                    "which has no iter_filtered_blocks block stream for the engine to read"
+                )
             datagen = self._datagen(scan.table)
             leaf = self._leaves[node.node_id] = _Leaf(
                 scan=scan,
                 filter=filter_node,
                 table=table,
-                provider=self.database.provider(scan.table),
+                provider=provider,
                 summary=None if datagen is None else datagen.source.summary,
-                stream=None if datagen is None else datagen.iter_filtered_blocks,
                 box=(
                     BoxCondition({})
                     if filter_node is None
@@ -324,8 +328,9 @@ class ExecutionEngine:
     # -- node dispatch ---------------------------------------------------
 
     def _execute_node(self, node: PlanNode) -> _Block:
-        if isinstance(node, ScanNode):
-            block = self._execute_scan(node)
+        leaf = self._leaf(node)
+        if leaf is not None:
+            block = self._execute_leaf(leaf)
         elif isinstance(node, FilterNode):
             block = self._execute_filter(node)
         elif isinstance(node, JoinNode):
@@ -340,82 +345,70 @@ class ExecutionEngine:
             node.cardinality = block.row_count
         return block
 
-    # -- scans -----------------------------------------------------------
+    # -- leaves ------------------------------------------------------------
 
-    def _provider_columns(
-        self, provider: RelationProvider, table: Table, column_names: list[str]
-    ) -> dict[str, NDArray[Any]]:
-        """Fetch the requested columns from either kind of provider."""
-        if isinstance(provider, MaterializedRelation):
-            return {name: provider.column(name) for name in column_names}
-        if isinstance(provider, DataGenRelation):
-            return provider.fetch_columns(column_names, batch_size=self.batch_size)
-        raise ExecutorError(
-            f"relation {table.name!r} is attached as a {type(provider).__name__}; the "
-            "engine reads MaterializedRelation and DataGenRelation providers only"
+    def _stream_leaf(
+        self, leaf: _Leaf, skip_box: BoxCondition | None = None
+    ) -> Iterator[tuple[int, dict[str, NDArray[Any]]]]:
+        """The one leaf access path: ``(rows, qualified columns)`` per block.
+
+        Reads the provider's filtered block stream — the segments of a
+        dataless relation, the single masked block of a materialised one —
+        and yields the rows passing the leaf's own filter, reduced to the
+        columns referenced upstream.  ``skip_box`` is a semi-join box of the
+        join above: rows outside it are dropped (whole summary segments
+        without generating a tuple) yet still counted for the filter.  Once
+        exhausted the scan is annotated with the full relation cardinality
+        and the filter with its exact match count, i.e. the annotations of
+        an unfused filter over a full scan.
+        """
+        matched_total = 0
+        for _start, generated, matched, block in leaf.provider.iter_filtered_blocks(
+            predicate=None if leaf.filter is None else leaf.filter.predicate,
+            box=leaf.box,
+            columns=self._output_columns(leaf),
+            batch_size=self.batch_size,
+            skip_box=skip_box,
+        ):
+            self._scanned_rows += generated
+            matched_total += matched
+            if not generated:
+                # Semi-join-skipped segment: only its exact filter count
+                # matters; none of its rows can produce a join partner.
+                continue
+            if skip_box is not None:
+                mask = skip_box.evaluate(block)
+                if not mask.all():
+                    matched = int(mask.sum())
+                    block = {name: values[mask] for name, values in block.items()}
+            yield matched, _qualified(leaf.table, block)
+        if self.annotate:
+            leaf.scan.cardinality = leaf.provider.row_count
+            if leaf.filter is not None:
+                leaf.filter.cardinality = matched_total
+
+    def _leaf_template(self, leaf: _Leaf) -> dict[str, NDArray[Any]]:
+        """Zero-row output columns of a leaf, in the schema dtypes."""
+        return _qualified(
+            leaf.table,
+            {
+                name: np.empty(0, dtype=leaf.table.column(name).dtype.numpy_dtype)
+                for name in self._output_columns(leaf)
+            },
         )
 
-    def _execute_scan(self, node: ScanNode) -> _Block:
-        table = self.schema.table(node.table)
-        provider = self.database.provider(node.table)
-        selection = self._analysis()[0][node.node_id].generate_columns
-        names = table.column_names if selection is None else list(selection)
-        columns = self._provider_columns(provider, table, names) if names else {}
-        self._scanned_rows += provider.row_count
-        return _Block(_qualified(table, columns), provider.row_count)
+    def _execute_leaf(self, leaf: _Leaf) -> _Block:
+        """Scan, or fused filter+scan, of any provider: gather the leaf's stream."""
+        row_count = 0
+        chunks = []
+        for rows, block in self._stream_leaf(leaf):
+            row_count += rows
+            chunks.append(block)
+        return _Block(_gathered(self._leaf_template(leaf), chunks), row_count)
 
     # -- filters ----------------------------------------------------------
 
-    def _execute_filtered_scan(self, leaf: _Leaf, predicate: Predicate) -> _Block:
-        """Fused filter+scan: stream batches, keep only matching rows.
-
-        The scan is annotated with the full relation cardinality and the
-        returned block carries the filtered rows, so AQP annotations are
-        those of an unfused filter over a full scan while a dataless
-        relation is never materialised in full.
-        """
-        table, provider = leaf.table, leaf.provider
-        output = self._output_columns(leaf)
-        if self.annotate:
-            leaf.scan.cardinality = provider.row_count
-
-        if not predicate.columns():
-            # Column-free predicate (TruePredicate, empty conjunction/
-            # disjunction from a deserialised AQP): its verdict is constant,
-            # so decide it once instead of masking per batch — a length-0
-            # column dict would otherwise produce a length-0 mask.
-            if not predicate.evaluate({"_": np.zeros(1, dtype=np.float64)})[0]:
-                empty = {name: _empty_column(table, name) for name in output}
-                return _Block(_qualified(table, empty), 0)
-            local = self._provider_columns(provider, table, output) if output else {}
-            self._scanned_rows += provider.row_count
-            return _Block(_qualified(table, local), provider.row_count)
-
-        if leaf.stream is None:
-            needed = columns_with_dependencies(output, predicate.columns())
-            local = self._provider_columns(provider, table, needed)
-            mask = predicate.evaluate(local)
-            self._scanned_rows += provider.row_count
-            kept = {name: local[name][mask] for name in output}
-            return _Block(_qualified(table, kept), int(mask.sum()))
-
-        pieces: dict[str, list[NDArray[Any]]] = {name: [] for name in output}
-        matched = 0
-        for _start, generated, batch_matched, block in leaf.stream(
-            predicate=predicate, box=leaf.box, columns=output, batch_size=self.batch_size
-        ):
-            self._scanned_rows += generated
-            if batch_matched == 0:
-                continue
-            matched += batch_matched
-            for name in output:
-                pieces[name].append(block[name])
-        return _Block(_qualified(table, _concatenated(table, pieces)), matched)
-
     def _execute_filter(self, node: FilterNode) -> _Block:
-        leaf = self._leaf(node)
-        if leaf is not None:
-            return self._execute_filtered_scan(leaf, node.predicate)
         child = self._execute_node(node.child)
         prefix = node.table + "."
         local = {
@@ -433,83 +426,6 @@ class ExecutionEngine:
 
     # -- joins -------------------------------------------------------------
 
-    def _execute_join(self, node: JoinNode) -> _Block:
-        try:
-            probe, probe_is_left = self._choose_probe(node)
-        except _Bail as bail:
-            self._record_route("join", "materializing", bail.reason)
-        else:
-            block = self._execute_streaming_join(node, probe, probe_is_left)
-            self._record_route("join", "streaming")
-            return block
-        left = self._execute_node(node.left)
-        right = self._execute_node(node.right)
-        condition = node.condition
-
-        if isinstance(condition, DisjunctiveJoinCondition):
-            left_indices, right_indices = self._disjunctive_join_indices(
-                left, right, condition
-            )
-        else:
-            left_keys, right_keys = self._join_key_arrays(left, right, condition)
-            left_indices, right_indices = _hash_join_indices(left_keys, right_keys)
-        columns: dict[str, NDArray[Any]] = {}
-        for name, values in left.columns.items():
-            columns[name] = values[left_indices]
-        for name, values in right.columns.items():
-            columns[name] = values[right_indices]
-        return _Block(columns=columns, row_count=int(len(left_indices)))
-
-    @staticmethod
-    def _join_key_arrays(
-        left: _Block, right: _Block, condition: Any
-    ) -> tuple[NDArray[Any], NDArray[Any]]:
-        """Resolve one equi-join's key arrays out of the two input blocks."""
-        left_key_name = f"{condition.left_table}.{condition.left_column}"
-        right_key_name = f"{condition.right_table}.{condition.right_column}"
-        if left_key_name in left.columns and right_key_name in right.columns:
-            return left.columns[left_key_name], right.columns[right_key_name]
-        if right_key_name in left.columns and left_key_name in right.columns:
-            return left.columns[right_key_name], right.columns[left_key_name]
-        raise ExecutorError(f"join keys {left_key_name}/{right_key_name} not available")
-
-    def _disjunctive_join_indices(
-        self, left: _Block, right: _Block, condition: DisjunctiveJoinCondition
-    ) -> tuple[NDArray[Any], NDArray[Any]]:
-        """Index pairs matching *any* alternative of a disjunctive join.
-
-        Each alternative is evaluated as an ordinary vectorised equi-join;
-        the per-alternative index pairs are unioned with duplicates removed
-        (a row pair satisfying two alternatives appears once) and ordered
-        exactly like a plain join's output: ascending by left row, each left
-        row's partners ascending by right row.
-        """
-        empty = np.empty(0, dtype=np.int64)
-        if left.row_count == 0 or right.row_count == 0:
-            return empty, empty
-        encoded_sets: list[NDArray[Any]] = []
-        stride = np.int64(right.row_count)
-        for alternative in condition.alternatives:
-            left_keys, right_keys = self._join_key_arrays(left, right, alternative)
-            left_idx, right_idx = _hash_join_indices(left_keys, right_keys)
-            if len(left_idx):
-                encoded_sets.append(left_idx * stride + right_idx)
-        if not encoded_sets:
-            return empty, empty
-        encoded = np.unique(np.concatenate(encoded_sets))
-        return encoded // stride, encoded % stride
-
-    def _streamable_leaf(self, child: PlanNode) -> _Leaf | None:
-        """The child's leaf access path, if it can be streamed as a probe side."""
-        leaf = self._leaf(child)
-        if leaf is None or leaf.stream is None:
-            return None
-        if leaf.filter is not None and not leaf.filter.predicate.columns():
-            # Column-free predicates have a constant verdict; the fused
-            # filtered-scan route handles them, keep joins off them.
-            return None
-        return leaf
-
     @staticmethod
     def _estimated_rows(leaf: _Leaf) -> int:
         """Summary-estimated output rows of a leaf (exact when computable)."""
@@ -519,121 +435,89 @@ class ExecutionEngine:
         count = leaf.summary.count_matching(leaf.box, pk_column=leaf.table.primary_key)
         return total if count is None else count
 
-    def _choose_probe(self, node: JoinNode) -> tuple[_Leaf, bool]:
-        """``(probe leaf, probe is the left input)`` of a build/probe join.
+    def _choose_probe(self, node: JoinNode) -> tuple[_Leaf | None, bool]:
+        """``(streaming probe leaf, probe is the left input)`` of a join.
 
-        The probe side must be the leaf access path of a relation that
-        streams filtered blocks; with two candidates the one with the larger
-        summary cardinality streams and the smaller becomes the build table.
-        Bails (the caller then materialises both inputs) when the join shape
-        has no single streamable probe key.
+        An input streams when it is the leaf access path of a dataless
+        relation; with two candidates the one with the larger summary
+        cardinality streams and the smaller becomes the build table.
+        Without a candidate the left input is the (single-block) probe.
         """
-        condition = node.condition
-        if isinstance(condition, DisjunctiveJoinCondition):
-            # No single probe key column exists; the materialising join
-            # unions the alternatives instead.
-            self._fallback("disjunctive-condition")
-        if condition.left_table == condition.right_table:
-            self._fallback("self-join")
-        left = self._streamable_leaf(node.left)
-        right = self._streamable_leaf(node.right)
+        left, right = (
+            leaf if leaf is not None and leaf.summary is not None else None
+            for leaf in (self._leaf(node.left), self._leaf(node.right))
+        )
         if left is not None and right is not None:
             probe_is_left = self._estimated_rows(left) >= self._estimated_rows(right)
         else:
-            probe_is_left = left is not None
-        probe = left if probe_is_left else right
-        if probe is None:
-            self._fallback("no-streamable-leaf")
-        if not condition.involves(probe.scan.table):
-            self._fallback("condition-table-mismatch")
-        probe_key = condition.side_column(probe.scan.table)
-        if not probe.table.has_column(probe_key):
-            self._fallback("probe-key-missing")
-        if probe_key not in self._output_columns(probe):
-            # The join key must flow out of the probe scan.
-            self._fallback("probe-key-not-in-output")
-        return probe, probe_is_left
+            probe_is_left = right is None
+        return (left if probe_is_left else right), probe_is_left
 
-    def _execute_streaming_join(
-        self, node: JoinNode, probe: _Leaf, probe_is_left: bool
-    ) -> _Block:
-        """Build/probe hash join with the probe side streamed batch-by-batch.
+    def _execute_join(self, node: JoinNode) -> _Block:
+        """The one join: build a sorted key table, probe it batch by batch.
 
-        The build side is materialised by ordinary execution; the probe leaf
-        (see :meth:`_choose_probe`) streams through the build hash table so
-        peak memory is O(build + batch + output) instead of O(both
-        relations).  A semi-join box computed by the planner
-        (:func:`~repro.plans.planner.compute_semijoin_pushdowns`) lets whole
-        probe summary segments be skipped — their contribution to the probe
-        filter's AQP annotation is recovered exactly from the summary — and
-        masks generated probe rows that provably have no join partner.
-        Output rows, column order and all annotations are bit-identical to
-        the materialising join.
+        The probe batches are the block stream of a dataless leaf input
+        (:meth:`_choose_probe`) — peak memory O(build + batch + output)
+        instead of O(both relations), and a semi-join box computed by the
+        planner (:func:`~repro.plans.planner.compute_semijoin_pushdowns`)
+        lets whole probe summary segments be skipped — or, when no input is
+        one, the single executed block of the left input.  The other input
+        is executed and each of its key columns sorted once.  An equi-join
+        has one key pair, a disjunctive join one per alternative
+        (:func:`_index_pairs`); output rows are ordered by left row, each
+        left row's partners by right row, whichever side probed.
         """
-        condition = cast(JoinCondition, node.condition)
-        scan, table = probe.scan, probe.table
-        probe_key = condition.side_column(scan.table)
-        build_table, build_key = condition.other_side(scan.table)
-        output = self._output_columns(probe)
-        semijoin = self._analysis()[1].get(scan.node_id)
-        if semijoin is not None and not set(semijoin.conditions) <= set(output):
-            semijoin = None
-
+        probe, probe_is_left = self._choose_probe(node)
+        batches: Iterable[tuple[int, dict[str, NDArray[Any]]]]
+        if probe is None:
+            self._record_route("join", "materializing", "no-streamable-leaf")
+            left = self._execute_node(node.left)
+            batches = [(left.row_count, left.columns)]
+            template = {name: values[:0] for name, values in left.columns.items()}
+        else:
+            template = self._leaf_template(probe)
         build = self._execute_node(node.right if probe_is_left else node.left)
-        build_key_name = f"{build_table}.{build_key}"
-        if build_key_name not in build.columns:
-            raise ExecutorError(
-                f"join keys {scan.table}.{probe_key}/{build_key_name} not available"
+        # (probe key, build key) per alternative, resolved in left/right orientation.
+        if probe_is_left:
+            keys = _join_keys(node.condition, template, build.columns)
+        else:
+            keys = [pair[::-1] for pair in _join_keys(node.condition, build.columns, template)]
+        if probe is not None:
+            semijoin = self._analysis()[1].get(probe.scan.node_id)
+            if semijoin is not None and [
+                f"{probe.table.name}.{name}" for name in semijoin.conditions
+            ] != [keys[0][0]]:
+                semijoin = None  # sound only on the foreign key this join probes with
+            batches = self._stream_leaf(probe, semijoin)
+
+        sorted_keys = []
+        for _probe_key, build_key in keys:
+            values = np.asarray(build.columns[build_key])
+            order = np.argsort(values, kind="stable")
+            sorted_keys.append((order, values[order]))
+        probe_chunks: list[dict[str, NDArray[Any]]] = []
+        index_chunks: list[NDArray[Any]] = []
+        for _rows, batch in batches:
+            probe_idx, build_idx = _index_pairs(
+                [batch[probe_key] for probe_key, _build_key in keys], sorted_keys, build.row_count
             )
-        build_keys = build.columns[build_key_name]
-
-        matched_total = 0
-        probe_chunks: dict[str, list[NDArray[Any]]] = {name: [] for name in output}
-        build_index_chunks: list[NDArray[Any]] = []
-        for _start, generated, batch_matched, batch in probe.stream(
-            predicate=None if probe.filter is None else probe.filter.predicate,
-            box=probe.box,
-            columns=output,
-            batch_size=self.batch_size,
-            skip_box=semijoin,
-        ):
-            self._scanned_rows += generated
-            matched_total += batch_matched
-            if batch_matched == 0 or not batch:
-                # Semi-join-skipped segment: only its exact filter count
-                # matters; none of its rows can produce a join partner.
-                continue
-            if semijoin is not None and generated:
-                semi_mask = semijoin.evaluate(batch)
-                if not semi_mask.all():
-                    batch = {name: values[semi_mask] for name, values in batch.items()}
-            probe_idx, build_idx = _hash_join_indices(batch[probe_key], build_keys)
-            if len(probe_idx) == 0:
-                continue
-            for name in output:
-                probe_chunks[name].append(batch[name][probe_idx])
-            build_index_chunks.append(build_idx)
-
-        if self.annotate:
-            scan.cardinality = probe.provider.row_count
-            if probe.filter is not None:
-                probe.filter.cardinality = matched_total
+            if len(probe_idx):
+                probe_chunks.append({name: values[probe_idx] for name, values in batch.items()})
+                index_chunks.append(build_idx)
+        if probe is not None:
+            self._record_route("join", "streaming")
 
         build_indices = (
-            np.concatenate(build_index_chunks)
-            if build_index_chunks
-            else np.empty(0, dtype=np.int64)
+            np.concatenate(index_chunks) if index_chunks else np.empty(0, dtype=np.int64)
         )
-        probe_columns = _concatenated(table, probe_chunks)
+        probe_side = _gathered(template, probe_chunks)
         if not probe_is_left:
-            # The materialising join orders output by left (here: build) row,
-            # each left row's matches in probe order; a stable sort on the
-            # accumulated build indices restores exactly that order.
+            # Output is ordered by left (here: build) row, each left row's
+            # matches in probe order; a stable sort on the accumulated build
+            # indices restores exactly that order.
             perm = np.argsort(build_indices, kind="stable")
             build_indices = build_indices[perm]
-            probe_columns = {name: values[perm] for name, values in probe_columns.items()}
-
-        probe_side = _qualified(table, probe_columns)
+            probe_side = {name: values[perm] for name, values in probe_side.items()}
         build_side = {name: values[build_indices] for name, values in build.columns.items()}
         columns = {**probe_side, **build_side} if probe_is_left else {**build_side, **probe_side}
         return _Block(columns=columns, row_count=int(len(build_indices)))
@@ -897,49 +781,69 @@ def _qualified(table: Table, columns: Mapping[str, NDArray[Any]]) -> dict[str, N
     return {f"{table.name}.{name}": values for name, values in columns.items()}
 
 
-def _empty_column(table: Table, name: str) -> NDArray[Any]:
-    return np.empty(0, dtype=table.column(name).dtype.numpy_dtype)
-
-
-def _concatenated(
-    table: Table, pieces: Mapping[str, list[NDArray[Any]]]
+def _gathered(
+    template: Mapping[str, NDArray[Any]], chunks: list[dict[str, NDArray[Any]]]
 ) -> dict[str, NDArray[Any]]:
-    """Per-column concatenation of streamed chunks (schema dtype when none)."""
-    return {
-        name: np.concatenate(chunks) if chunks else _empty_column(table, name)
-        for name, chunks in pieces.items()
-    }
+    """Per-column concatenation of streamed chunks (``template``'s zero rows when none)."""
+    if len(chunks) == 1:
+        return chunks[0]
+    if not chunks:
+        return dict(template)
+    return {name: np.concatenate([chunk[name] for chunk in chunks]) for name in template}
 
 
-def _hash_join_indices(
-    left_keys: NDArray[Any], right_keys: NDArray[Any]
+def _join_keys(
+    condition: JoinCondition | DisjunctiveJoinCondition,
+    left: Mapping[str, Any],
+    right: Mapping[str, Any],
+) -> list[tuple[str, str]]:
+    """``(left key, right key)`` column names of each equi-join alternative."""
+    alternatives = (
+        condition.alternatives if isinstance(condition, DisjunctiveJoinCondition) else (condition,)
+    )
+    pairs = []
+    for alternative in alternatives:
+        one = f"{alternative.left_table}.{alternative.left_column}"
+        other = f"{alternative.right_table}.{alternative.right_column}"
+        if one in left and other in right:
+            pairs.append((one, other))
+        elif other in left and one in right:
+            pairs.append((other, one))
+        else:
+            raise ExecutorError(f"join keys {one}/{other} not available")
+    return pairs
+
+
+def _index_pairs(
+    probe_keys: list[NDArray[Any]],
+    sorted_keys: list[tuple[NDArray[Any], NDArray[Any]]],
+    build_rows: int,
 ) -> tuple[NDArray[Any], NDArray[Any]]:
-    """Return index pairs (left_idx, right_idx) of matching key values.
+    """Index pairs ``(probe_idx, build_idx)`` matching *any* key alternative.
 
-    Implemented as a fully vectorised sort-merge join (duplicates on either
-    side are handled), which keeps the client-site AQP extraction fast even
-    for multi-hundred-thousand-row fact tables.
+    ``sorted_keys`` holds, per alternative, the build key column's stable
+    sort order and its sorted values; each alternative is a fully vectorised
+    sort-merge equi-join (duplicates on either side are handled), which keeps
+    the client-site AQP extraction fast even for multi-hundred-thousand-row
+    fact tables.  Pairs are ordered by probe row, each probe row's partners
+    ascending by build row; with several alternatives (a disjunctive join)
+    the pairs are unioned, a row pair satisfying two of them appearing once.
     """
-    left_keys = np.asarray(left_keys)
-    right_keys = np.asarray(right_keys)
-    if len(left_keys) == 0 or len(right_keys) == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty
-
-    # Sort the build (right) side once, then locate each probe key's run.
-    order = np.argsort(right_keys, kind="stable")
-    sorted_right = right_keys[order]
-    run_start = np.searchsorted(sorted_right, left_keys, side="left")
-    run_end = np.searchsorted(sorted_right, left_keys, side="right")
-    counts = run_end - run_start
-    total = int(counts.sum())
-    if total == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty
-
-    left_indices = np.repeat(np.arange(len(left_keys), dtype=np.int64), counts)
-    cumulative = np.cumsum(counts)
-    offsets = np.arange(total, dtype=np.int64) - np.repeat(cumulative - counts, counts)
-    right_positions = np.repeat(run_start, counts) + offsets
-    right_indices = order[right_positions]
-    return left_indices, right_indices
+    found: list[tuple[NDArray[Any], NDArray[Any]]] = []
+    for keys, (order, sorted_build) in zip(probe_keys, sorted_keys):
+        keys = np.asarray(keys)
+        run_start = np.searchsorted(sorted_build, keys, side="left")
+        counts = np.searchsorted(sorted_build, keys, side="right") - run_start
+        total = int(counts.sum())
+        if total == 0:
+            continue
+        probe_idx = np.repeat(np.arange(len(keys), dtype=np.int64), counts)
+        offsets = np.arange(total, dtype=np.int64) - np.repeat(np.cumsum(counts) - counts, counts)
+        found.append((probe_idx, order[np.repeat(run_start, counts) + offsets]))
+    if len(found) == 1:
+        return found[0]
+    if not found:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+    stride = np.int64(build_rows)
+    encoded = np.unique(np.concatenate([probe * stride + build for probe, build in found]))
+    return encoded // stride, encoded % stride

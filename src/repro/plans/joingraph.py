@@ -1,35 +1,30 @@
 """Join graph: tables as nodes, classified join predicates as edges.
 
 The planner, the semi-join pushdown pass and the engine's join fast paths all
-need the same three questions answered about a query's joins: *which tables
-does each join relate* (classification), *is the whole query connected*
-(validity), and *in which deterministic order should the left-deep chain
-attach tables* (plan shape).  :class:`JoinGraph` answers them once, from the
+need the same questions answered about a query's joins: *which tables does
+each join relate* (classification), *which table anchors the left-deep
+chain* and *in which deterministic order does the chain attach the others*
+(plan shape; an edge that never attaches is how the planner detects a
+disconnected query).  :class:`JoinGraph` answers them once, from the
 predicate algebra, instead of each consumer pattern-matching on raw
 conditions.
 
 Edges are built from :class:`repro.sql.query.JoinCondition` /
 :class:`repro.sql.query.DisjunctiveJoinCondition` and carry both the
 condition and its resolution onto the schema's foreign-key graph
-(:func:`classify_fk_edge`).  Graph traversal is hand-rolled breadth-first
-search over insertion-ordered adjacency lists, so component and chain
-enumeration order is a pure function of the query text — the same
-determinism contract the planner gives.
+(:func:`classify_fk_edge`).  Every traversal sweeps the edges in query join
+order, so what the planner derives is a pure function of the query text —
+the same determinism contract the planner gives.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterator, Mapping
+from typing import Iterator
 
 from ..catalog.schema import Schema
 from ..sql.predicates import AbstractPredicate
-from ..sql.query import (
-    DisjunctiveJoinCondition,
-    JoinCondition,
-    Query,
-    join_condition_from_dict,
-)
+from ..sql.query import DisjunctiveJoinCondition, JoinCondition, Query
 
 __all__ = ["JoinEdge", "JoinGraph", "classify_fk_edge"]
 
@@ -105,23 +100,9 @@ class JoinEdge:
         """The ``(left, right)`` table pair the edge relates."""
         return self.condition.left_table, self.condition.right_table
 
-    @property
-    def is_fk_edge(self) -> bool:
-        """Whether the condition resolved onto a foreign-key reference."""
-        return self.fk_table is not None
-
     def involves(self, table: str) -> bool:
         """Whether ``table`` is one of the edge's endpoints."""
         return self.condition.involves(table)
-
-    def other_table(self, table: str) -> str:
-        """The endpoint on the opposite side of ``table``."""
-        left, right = self.tables
-        if table == left:
-            return right
-        if table == right:
-            return left
-        raise ValueError(f"edge {self!r} does not involve table {table!r}")
 
     def predicate(self) -> AbstractPredicate:
         """The edge's condition as a classified join predicate.
@@ -131,30 +112,9 @@ class JoinEdge:
         """
         return self.condition.as_predicate()
 
-    def to_dict(self) -> dict[str, Any]:
-        """Serialise the edge (condition payload plus FK classification)."""
-        return {
-            "condition": self.condition.to_dict(),
-            "fk_table": self.fk_table,
-            "fk_column": self.fk_column,
-            "ref_table": self.ref_table,
-            "ref_column": self.ref_column,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "JoinEdge":
-        """Reconstruct an edge from :meth:`to_dict` output."""
-        return cls(
-            condition=join_condition_from_dict(payload["condition"]),
-            fk_table=payload.get("fk_table"),
-            fk_column=payload.get("fk_column"),
-            ref_table=payload.get("ref_table"),
-            ref_column=payload.get("ref_column"),
-        )
-
     def __repr__(self) -> str:
         """Render the underlying condition with its FK orientation."""
-        if self.is_fk_edge:
+        if self.fk_table is not None:
             return f"JoinEdge({self.condition!r}, fk={self.fk_table}.{self.fk_column})"
         return f"JoinEdge({self.condition!r})"
 
@@ -173,15 +133,9 @@ class JoinGraph:
         tables: "list[str] | tuple[str, ...]",
         edges: "list[JoinEdge] | tuple[JoinEdge, ...]",
     ) -> None:
-        """Store nodes and edges, building the insertion-ordered adjacency."""
+        """Store the nodes (FROM order) and edges (join order)."""
         self.tables: tuple[str, ...] = tuple(tables)
         self.edges: tuple[JoinEdge, ...] = tuple(edges)
-        self._adjacency: dict[str, list[JoinEdge]] = {table: [] for table in self.tables}
-        for edge in self.edges:
-            left, right = edge.tables
-            for endpoint in (left, right):
-                if endpoint in self._adjacency:
-                    self._adjacency[endpoint].append(edge)
 
     @classmethod
     def from_query(cls, query: Query, schema: Schema) -> "JoinGraph":
@@ -190,97 +144,6 @@ class JoinGraph:
             tables=query.tables,
             edges=[JoinEdge.classify(condition, schema) for condition in query.joins],
         )
-
-    # -- structure --------------------------------------------------------
-
-    def edges_for(self, table: str) -> tuple[JoinEdge, ...]:
-        """The edges incident to ``table``, in query join order."""
-        return tuple(self._adjacency.get(table, ()))
-
-    def neighbors(self, table: str) -> tuple[str, ...]:
-        """Tables adjacent to ``table`` (deduplicated, edge order)."""
-        seen: list[str] = []
-        for edge in self._adjacency.get(table, ()):
-            other = edge.other_table(table)
-            if other not in seen:
-                seen.append(other)
-        return tuple(seen)
-
-    def connected_components(self) -> list[list[str]]:
-        """The node partition into connected components, order-stable.
-
-        Components are listed by their first table in FROM order and each
-        component's members appear in breadth-first discovery order.
-        """
-        components: list[list[str]] = []
-        visited: set[str] = set()
-        for start in self.tables:
-            if start in visited:
-                continue
-            component = [start]
-            visited.add(start)
-            frontier = [start]
-            while frontier:
-                table = frontier.pop(0)
-                for neighbor in self.neighbors(table):
-                    if neighbor not in visited and neighbor in self._adjacency:
-                        visited.add(neighbor)
-                        component.append(neighbor)
-                        frontier.append(neighbor)
-            components.append(component)
-        return components
-
-    @property
-    def is_connected(self) -> bool:
-        """Whether every table is reachable from every other (or trivial)."""
-        if len(self.tables) <= 1:
-            return True
-        return len(self.connected_components()) == 1
-
-    def is_chain(self) -> bool:
-        """Whether the graph is a simple path (every node degree ≤ 2).
-
-        A connected acyclic graph whose internal nodes have exactly two
-        neighbours — the A→B→C shape of snowflake FK chains, as opposed to
-        the star shape where one fact table fans out to many dimensions.
-        """
-        if not self.is_connected:
-            return False
-        if len(self.tables) <= 1:
-            return not self.edges
-        if len(self.edges) != len(self.tables) - 1:
-            return False
-        degrees = [len(self.neighbors(table)) for table in self.tables]
-        return max(degrees) <= 2 and degrees.count(1) == 2
-
-    def fk_chain_from(self, anchor: str) -> list[JoinEdge] | None:
-        """The FK-directed chain starting at ``anchor``, if the graph is one.
-
-        Returns the edges in walk order when the graph is a chain whose
-        every edge is FK-classified *and* oriented away from the anchor
-        (each step joins the previous table's foreign key onto the next
-        table's primary key — the shape the engine's multi-way COUNT fast
-        path serves).  Returns ``None`` otherwise.
-        """
-        if not self.is_chain() or anchor not in self._adjacency:
-            return None
-        ordered: list[JoinEdge] = []
-        current = anchor
-        used: set[int] = set()
-        while True:
-            step = None
-            for edge in self._adjacency[current]:
-                if id(edge) not in used:
-                    step = edge
-                    break
-            if step is None:
-                break
-            if not step.is_fk_edge or step.fk_table != current:
-                return None
-            used.add(id(step))
-            ordered.append(step)
-            current = step.other_table(current)
-        return ordered if len(ordered) == len(self.edges) else None
 
     # -- planner services -------------------------------------------------
 

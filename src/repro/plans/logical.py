@@ -152,8 +152,10 @@ class JoinNode(PlanNode):
     """Equi-join of two sub-plans on a key/foreign-key condition.
 
     ``condition`` is normally a plain :class:`JoinCondition`; a
-    :class:`DisjunctiveJoinCondition` carries the ``(a = x OR b = y)`` shape,
-    which the engine executes on the materializing route.
+    :class:`DisjunctiveJoinCondition` carries the ``(a = x OR b = y)`` shape.
+    The engine runs both on one build/probe operator — a disjunction is one
+    key pair per alternative — and streams the probe side whenever an input
+    is the leaf of a dataless relation.
     """
 
     left: PlanNode

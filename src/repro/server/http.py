@@ -154,7 +154,14 @@ class HydraServer:
         """Serve one client connection (keep-alive loop)."""
         try:
             while True:
-                request = await self._read_request(reader)
+                try:
+                    request = await self._read_request(reader)
+                except ApiError as exc:
+                    # Unframeable request: the body length is unknown, so
+                    # answer and close rather than guess where it ends.
+                    body = ErrorBody(error="bad-request", detail=str(exc), status=400)
+                    await self._write_json(writer, 400, body.to_dict(), False)
+                    break
                 if request is None:
                     break
                 keep_alive = await self._dispatch(request, writer)
@@ -172,7 +179,11 @@ class HydraServer:
                 pass  # already torn down by the peer
 
     async def _read_request(self, reader: asyncio.StreamReader) -> _Request | None:
-        """Parse one request off the stream (``None`` on a clean EOF)."""
+        """Parse one request off the stream (``None`` on a clean EOF).
+
+        Raises :class:`ApiError` for a ``Content-Length`` that is not a
+        non-negative integer.
+        """
         line = await reader.readline()
         if not line:
             return None
@@ -187,7 +198,12 @@ class HydraServer:
                 break
             name, _sep, value = raw.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0") or "0")
+        try:
+            length = int(headers.get("content-length", "0") or "0")
+        except ValueError:
+            length = -1
+        if length < 0:
+            raise ApiError(f"invalid Content-Length {headers['content-length']!r}")
         if length > MAX_BODY_BYTES:
             raise ConnectionError(f"request body of {length} bytes exceeds the limit")
         body = await reader.readexactly(length) if length else b""

@@ -238,7 +238,7 @@ class SummaryService:
                 )
             try:
                 summary = DatabaseSummary.load(path)
-            except (HydraError, ValueError, KeyError, OSError) as exc:
+            except (HydraError, OSError) as exc:
                 raise ServiceError(
                     400, "bad-summary", f"cannot load summary from {path}: {exc}"
                 ) from exc
@@ -464,14 +464,14 @@ class SummaryService:
                 )
             try:
                 return InformationPackage.load(path)
-            except (HydraError, ValueError, KeyError, OSError) as exc:
+            except (HydraError, OSError) as exc:
                 raise ServiceError(
                     400, "bad-package", f"cannot load package from {path}: {exc}"
                 ) from exc
         assert request.package is not None  # __post_init__ invariant
         try:
             return InformationPackage.from_dict(request.package)
-        except (HydraError, ValueError, KeyError) as exc:
+        except HydraError as exc:
             raise ServiceError(
                 400, "bad-package", f"cannot parse inline package: {exc}"
             ) from exc

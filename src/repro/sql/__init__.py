@@ -7,7 +7,6 @@ from .predicates import (
     BinaryPredicate,
     BoxCondition,
     ColumnComparison,
-    ColumnCondition,
     ColumnRef,
     Comparison,
     CompoundPredicate,
@@ -19,7 +18,6 @@ from .predicates import (
     Predicate,
     TruePredicate,
     predicate_from_dict,
-    split_conjuncts,
 )
 from .parser import SQLParseError, parse_query
 from .query import DisjunctiveJoinCondition, JoinCondition, Query, join_condition_from_dict
@@ -31,7 +29,6 @@ __all__ = [
     "BinaryPredicate",
     "BoxCondition",
     "ColumnComparison",
-    "ColumnCondition",
     "ColumnRef",
     "Comparison",
     "CompoundPredicate",
@@ -49,5 +46,4 @@ __all__ = [
     "join_condition_from_dict",
     "parse_query",
     "predicate_from_dict",
-    "split_conjuncts",
 ]

@@ -20,15 +20,12 @@ floors, bottom to top:
   join condition — and *compound* predicates (:class:`And`, :class:`Or`,
   :class:`Not`) combine children.  Every node supports vectorised evaluation,
   column traversal (:meth:`AbstractPredicate.itercolumns`), join/filter
-  classification (:meth:`AbstractPredicate.is_join`), NNF/CNF normalisation
-  and canonical hashing/equality.
+  classification (:meth:`AbstractPredicate.is_join`) and lowering to a box
+  (:meth:`AbstractPredicate.to_box`).
 """
 
 from __future__ import annotations
 
-import hashlib
-import itertools
-import json
 import math
 from dataclasses import dataclass
 from typing import Any, Iterable, Iterator, Mapping, Sequence
@@ -52,12 +49,10 @@ __all__ = [
     "And",
     "Or",
     "Not",
-    "ColumnCondition",
     "BoxCondition",
     "box_semantics_exact",
     "columns_with_dependencies",
     "predicate_from_dict",
-    "split_conjuncts",
 ]
 
 
@@ -118,16 +113,6 @@ class Interval:
     def overlaps(self, other: "Interval") -> bool:
         """Whether the two intervals share at least one point."""
         return max(self.low, other.low) < min(self.high, other.high)
-
-    def midpoint(self) -> float:
-        """A central point of the interval (finite even for unbounded ends)."""
-        if math.isinf(self.low) and math.isinf(self.high):
-            return 0.0
-        if math.isinf(self.low):
-            return self.high - 1.0
-        if math.isinf(self.high):
-            return self.low
-        return (self.low + self.high) / 2.0
 
     def representative(self, discrete: bool = True) -> float:
         """A concrete value inside the interval (the lowest usable point)."""
@@ -341,10 +326,6 @@ class IntervalSet:
 
     # -- measurements ----------------------------------------------------
 
-    def total_width(self) -> float:
-        """Sum of the interval widths."""
-        return sum(interval.width for interval in self.intervals)
-
     def count_integers(self) -> int:
         """Number of integer points inside the set."""
         return sum(interval.count_integers() for interval in self.intervals)
@@ -454,8 +435,7 @@ class AbstractPredicate:
     the :class:`BinaryPredicate` column-to-column comparison, and
     :class:`CompoundPredicate` combinators — and share this interface:
     vectorised evaluation, column/table traversal, join vs filter
-    classification, box normalisation, NNF/CNF rewriting and canonical
-    hashing/equality.
+    classification and box normalisation.
     """
 
     def evaluate(self, columns: Mapping[str, NDArray[Any]]) -> NDArray[Any]:
@@ -507,71 +487,6 @@ class AbstractPredicate:
     def to_dict(self) -> dict[str, Any]:
         """Serialise the node to a JSON-compatible mapping."""
         raise NotImplementedError
-
-    # -- normalisation ----------------------------------------------------
-
-    def negated(self) -> "AbstractPredicate":
-        """The logical negation, already in negation normal form."""
-        raise NotImplementedError
-
-    def to_nnf(self) -> "AbstractPredicate":
-        """Rewrite into negation normal form.
-
-        In NNF, ``Not`` appears only directly above a leaf that cannot absorb
-        the negation itself (an :class:`InList`); comparisons flip their
-        operator instead and De Morgan pushes negations through ``And``/``Or``.
-        The rewrite is semantics-preserving row for row.
-        """
-        return self
-
-    def to_cnf(self) -> "AbstractPredicate":
-        """Rewrite into conjunctive normal form (an And of Or-clauses).
-
-        Built on :meth:`to_nnf` followed by distributing disjunctions over
-        conjunctions.  Degenerate shapes collapse: zero clauses yield
-        :class:`TruePredicate`, a single clause is returned bare.  Raises
-        :class:`ValueError` when distribution would exceed
-        ``{max_clauses}`` clauses (exponential blowup guard).
-        """
-        clauses = _cnf_clauses(self.to_nnf())
-        if clauses is None:
-            return Or(())
-        predicates: list[AbstractPredicate] = []
-        for clause in clauses:
-            if len(clause) == 1:
-                predicates.append(clause[0])
-            else:
-                predicates.append(Or(clause))
-        if not predicates:
-            return TruePredicate()
-        if len(predicates) == 1:
-            return predicates[0]
-        return And(predicates)
-
-    # -- canonical form ---------------------------------------------------
-
-    def canonical(self) -> "AbstractPredicate":
-        """A canonical structural form for hashing and equality.
-
-        Nested conjunctions/disjunctions are flattened, neutral elements
-        dropped, duplicate children merged and children sorted by their
-        canonical key; symmetric column comparisons order their operands.
-        Two predicates that differ only in such presentation details have
-        equal canonical forms.
-        """
-        return self
-
-    def canonical_key(self) -> str:
-        """A deterministic string key of the canonical form."""
-        return json.dumps(self.canonical().to_dict(), sort_keys=True)
-
-    def canonical_hash(self) -> str:
-        """The sha256 hex digest of :meth:`canonical_key`."""
-        return hashlib.sha256(self.canonical_key().encode("utf-8")).hexdigest()
-
-    def equivalent(self, other: "AbstractPredicate") -> bool:
-        """Whether the canonical forms of the two predicates coincide."""
-        return self.canonical_key() == other.canonical_key()
 
     # -- sugar ------------------------------------------------------------
 
@@ -629,21 +544,12 @@ class TruePredicate(BasePredicate):
         """Serialise as ``{"op": "true"}``."""
         return {"op": "true"}
 
-    def negated(self) -> AbstractPredicate:
-        """Negate to the canonical *false* predicate (the empty disjunction)."""
-        return Or(())
-
     def __repr__(self) -> str:
         """Render as ``TRUE``."""
         return "TRUE"
 
 
 _COMPARISON_OPS = ("=", "!=", "<", "<=", ">", ">=")
-
-_NEGATED_OPS = {"=": "!=", "!=": "=", "<": ">=", ">=": "<", "<=": ">", ">": "<="}
-
-#: Operator swap when the two operands of a column comparison are exchanged.
-_MIRRORED_OPS = {"=": "=", "!=": "!=", "<": ">", ">": "<", "<=": ">=", ">=": "<="}
 
 
 @dataclass(frozen=True)
@@ -702,10 +608,6 @@ class Comparison(BasePredicate):
         """Serialise as ``{"op": <op>, "column": ..., "value": ...}``."""
         return {"op": self.op, "column": self.column, "value": self.value}
 
-    def negated(self) -> AbstractPredicate:
-        """Negate by flipping the comparison operator."""
-        return Comparison(self.column, _NEGATED_OPS[self.op], self.value)
-
     def __repr__(self) -> str:
         """Render as ``column <op> value``."""
         return f"{self.column} {self.op} {self.value}"
@@ -737,15 +639,6 @@ class InList(BasePredicate):
     def to_dict(self) -> dict[str, Any]:
         """Serialise as ``{"op": "in", "column": ..., "values": [...]}``."""
         return {"op": "in", "column": self.column, "values": list(self.values)}
-
-    def negated(self) -> AbstractPredicate:
-        """Negate to a ``Not`` literal (IN-lists cannot absorb negation)."""
-        return Not(self)
-
-    def canonical(self) -> AbstractPredicate:
-        """Sort and deduplicate the constant list."""
-        ordered = tuple(sorted(set(self.values)))
-        return self if ordered == self.values else InList(self.column, ordered)
 
     def __repr__(self) -> str:
         """Render as ``column IN (...)``."""
@@ -815,16 +708,6 @@ class ColumnComparison(BinaryPredicate):
             "right": self.right.to_dict(),
         }
 
-    def negated(self) -> AbstractPredicate:
-        """Negate by flipping the comparison operator."""
-        return ColumnComparison(self.left, _NEGATED_OPS[self.op], self.right)
-
-    def canonical(self) -> AbstractPredicate:
-        """Order the operands so mirrored comparisons compare equal."""
-        if self.right < self.left:
-            return ColumnComparison(self.right, _MIRRORED_OPS[self.op], self.left)
-        return self
-
     def __repr__(self) -> str:
         """Render as ``left <op> right`` with qualified names."""
         return f"{self.left} {self.op} {self.right}"
@@ -864,34 +747,6 @@ class And(CompoundPredicate):
     def to_dict(self) -> dict[str, Any]:
         """Serialise as ``{"op": "and", "children": [...]}``."""
         return {"op": "and", "children": [child.to_dict() for child in self.children]}
-
-    def negated(self) -> AbstractPredicate:
-        """De Morgan: negate into a disjunction of negated children."""
-        return Or([child.negated() for child in self.children])
-
-    def to_nnf(self) -> AbstractPredicate:
-        """Rewrite every child into NNF."""
-        return And([child.to_nnf() for child in self.children])
-
-    def canonical(self) -> AbstractPredicate:
-        """Flatten, simplify and sort the conjunction."""
-        flat: list[AbstractPredicate] = []
-        for child in self.children:
-            child = child.canonical()
-            if isinstance(child, And):
-                flat.extend(child.children)
-            elif isinstance(child, TruePredicate):
-                continue
-            elif isinstance(child, Or) and not child.children:
-                return Or(())
-            else:
-                flat.append(child)
-        unique = _sorted_unique(flat)
-        if not unique:
-            return TruePredicate()
-        if len(unique) == 1:
-            return unique[0]
-        return And(unique)
 
     def __repr__(self) -> str:
         """Render as a parenthesised AND chain."""
@@ -967,34 +822,6 @@ class Or(CompoundPredicate):
         """Serialise as ``{"op": "or", "children": [...]}``."""
         return {"op": "or", "children": [child.to_dict() for child in self.children]}
 
-    def negated(self) -> AbstractPredicate:
-        """De Morgan: negate into a conjunction of negated children."""
-        if not self.children:
-            return TruePredicate()
-        return And([child.negated() for child in self.children])
-
-    def to_nnf(self) -> AbstractPredicate:
-        """Rewrite every child into NNF."""
-        return Or([child.to_nnf() for child in self.children])
-
-    def canonical(self) -> AbstractPredicate:
-        """Flatten, simplify and sort the disjunction."""
-        flat: list[AbstractPredicate] = []
-        for child in self.children:
-            child = child.canonical()
-            if isinstance(child, Or):
-                flat.extend(child.children)
-            elif isinstance(child, TruePredicate):
-                return TruePredicate()
-            else:
-                flat.append(child)
-        unique = _sorted_unique(flat)
-        if not unique:
-            return Or(())
-        if len(unique) == 1:
-            return unique[0]
-        return Or(unique)
-
     def __repr__(self) -> str:
         """Render as a parenthesised OR chain."""
         return "(" + " OR ".join(repr(child) for child in self.children) + ")"
@@ -1015,138 +842,33 @@ class Not(CompoundPredicate):
         return self.child.itercolumns()
 
     def to_box(self, discrete_columns: Mapping[str, bool] | None = None) -> "BoxCondition":
-        """Complement the single-column child box."""
+        """Complement the child box (at most one column, or a constant verdict)."""
         referenced = self.child.columns()
-        if len(referenced) != 1:
+        if len(referenced) > 1:
             raise ValueError("only single-column negations can be normalised to a box")
-        column = next(iter(referenced))
         child_box = self.child.to_box(discrete_columns)
         if not child_box.satisfiable:
             # NOT of a flag-unsatisfiable child (e.g. AND with an empty
             # disjunction) holds everywhere; the child's per-column intervals
             # are irrelevant and complementing them would be unsound.
             return BoxCondition({})
+        if not referenced:
+            return BoxCondition.never()  # NOT of a column-free truth
+        column = next(iter(referenced))
         return BoxCondition({column: child_box.condition_for(column).complement()})
 
     def to_dict(self) -> dict[str, Any]:
         """Serialise as ``{"op": "not", "child": ...}``."""
         return {"op": "not", "child": self.child.to_dict()}
 
-    def negated(self) -> AbstractPredicate:
-        """Double negation: return the child in NNF."""
-        return self.child.to_nnf()
-
-    def to_nnf(self) -> AbstractPredicate:
-        """Push the negation into the child."""
-        return self.child.negated()
-
-    def canonical(self) -> AbstractPredicate:
-        """Canonicalise the child and collapse double negations."""
-        child = self.child.canonical()
-        if isinstance(child, Not):
-            return child.child
-        return Not(child)
-
     def __repr__(self) -> str:
         """Render as ``NOT (child)``."""
         return f"NOT ({self.child!r})"
 
 
-def _sorted_unique(children: list[AbstractPredicate]) -> list[AbstractPredicate]:
-    """Sort canonical children by key and drop duplicates (order-stable)."""
-    keyed = sorted(
-        (json.dumps(child.to_dict(), sort_keys=True), child) for child in children
-    )
-    unique: list[AbstractPredicate] = []
-    seen: set[str] = set()
-    for key, child in keyed:
-        if key not in seen:
-            seen.add(key)
-            unique.append(child)
-    return unique
-
-
-_MAX_CNF_CLAUSES = 4096
-
-
-def _cnf_clauses(
-    predicate: AbstractPredicate,
-) -> list[list[AbstractPredicate]] | None:
-    """Clause lists of an NNF predicate, or ``None`` for constant falsity.
-
-    A clause is a list of literals joined by OR; the clause lists are joined
-    by AND.  ``[]`` (no clauses) encodes TRUE; ``None`` encodes FALSE (an
-    unsatisfiable empty clause absorbed the conjunction).
-    """
-    if isinstance(predicate, TruePredicate):
-        return []
-    if isinstance(predicate, (BasePredicate, BinaryPredicate, Not)):
-        return [[predicate]]
-    if isinstance(predicate, And):
-        clauses: list[list[AbstractPredicate]] = []
-        for child in predicate.children:
-            child_clauses = _cnf_clauses(child)
-            if child_clauses is None:
-                return None
-            clauses.extend(child_clauses)
-        return clauses
-    if isinstance(predicate, Or):
-        alternatives = []
-        for child in predicate.children:
-            child_clauses = _cnf_clauses(child)
-            if child_clauses is None:
-                continue  # a false disjunct contributes nothing
-            if not child_clauses:
-                return []  # a true disjunct makes the whole clause true
-            alternatives.append(child_clauses)
-        if not alternatives:
-            return None  # empty (or all-false) disjunction: FALSE
-        total = 1
-        for child_clauses in alternatives:
-            total *= len(child_clauses)
-            if total > _MAX_CNF_CLAUSES:
-                raise ValueError(
-                    f"CNF expansion of {predicate} exceeds {_MAX_CNF_CLAUSES} clauses"
-                )
-        distributed: list[list[AbstractPredicate]] = []
-        for combo in itertools.product(*alternatives):
-            merged: list[AbstractPredicate] = []
-            for clause in combo:
-                merged.extend(clause)
-            distributed.append(merged)
-        return distributed
-    raise ValueError(f"cannot convert {type(predicate).__name__} to CNF")
-
-
-def split_conjuncts(predicate: AbstractPredicate) -> tuple[AbstractPredicate, ...]:
-    """Flatten nested conjunctions into a tuple of top-level conjuncts.
-
-    ``TruePredicate`` conjuncts are dropped; any non-And predicate is its own
-    single conjunct.  Together with :meth:`AbstractPredicate.is_join` this is
-    how a parsed WHERE clause is partitioned into join edges and per-table
-    filters.
-    """
-    if isinstance(predicate, TruePredicate):
-        return ()
-    if isinstance(predicate, And):
-        parts: list[AbstractPredicate] = []
-        for child in predicate.children:
-            parts.extend(split_conjuncts(child))
-        return tuple(parts)
-    return (predicate,)
-
-
 # ---------------------------------------------------------------------------
 # Conjunctive box conditions
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ColumnCondition:
-    """A single column restricted to an interval set (used for reporting)."""
-
-    column: str
-    intervals: IntervalSet
 
 
 class BoxCondition:

@@ -1,8 +1,9 @@
 """The database abstraction shared by the client and vendor sites.
 
 A :class:`Database` couples a schema with *relation providers*: anything with
-the small :class:`RelationProvider` protocol can be attached and counted.
-The execution engine reads two kinds: a :class:`MaterializedRelation` over a
+the small :class:`RelationProvider` protocol can be attached, counted and
+read by the execution engine, which knows a relation only as a stream of
+filtered blocks.  Two kinds exist: a :class:`MaterializedRelation` over a
 :class:`~repro.storage.table.TableData` (client site, or a vendor-side
 relation the user chose to materialise) and the dataless
 :class:`~repro.executor.datagen.DataGenRelation`, which regenerates the
@@ -13,11 +14,12 @@ the same query plans run over real data and over regenerated data.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Iterator, Protocol, runtime_checkable
+from typing import Any, Iterable, Iterator, Protocol, Sequence, runtime_checkable
 
 from numpy.typing import NDArray
 
 from ..catalog.schema import Schema, Table
+from ..sql.predicates import BoxCondition, Predicate, columns_with_dependencies
 from .table import TableData
 
 __all__ = ["RelationProvider", "Database"]
@@ -29,8 +31,15 @@ class RelationProvider(Protocol):
 
     ``row_count`` gives the total number of rows, ``row(i)`` returns the i-th
     row as a tuple of *encoded* values ordered like the schema columns, and
-    ``column_names`` lists the column order.  Materialised tables additionally
-    expose vectorised access, which the executor exploits when available.
+    ``column_names`` lists the column order.  ``iter_filtered_blocks`` is the
+    one access path the execution engine reads: the relation as a stream of
+    ``(start, generated, matched, block)`` yields, ``block`` holding the
+    requested ``columns`` of the rows that satisfy ``predicate`` — ``box``
+    is the same filter as an exactly equivalent box when one exists, and a
+    column-free predicate always comes with one.  ``generated`` rows were
+    read or produced for the yield, ``matched`` of them passed.  ``skip_box``
+    marks rows the consumer does not need: a provider may replace a run of
+    them by ``(start, 0, matched, {})``, and the consumer masks the rest.
     """
 
     @property
@@ -42,6 +51,16 @@ class RelationProvider(Protocol):
         ...
 
     def row(self, index: int) -> tuple:  # pragma: no cover - protocol signature
+        ...
+
+    def iter_filtered_blocks(
+        self,
+        predicate: Predicate | None = None,
+        box: BoxCondition | None = None,
+        columns: Sequence[str] | None = None,
+        batch_size: int | None = None,
+        skip_box: BoxCondition | None = None,
+    ) -> Iterator[tuple[int, int, int, dict[str, NDArray[Any]]]]:  # pragma: no cover
         ...
 
 
@@ -64,6 +83,31 @@ class MaterializedRelation:
 
     def column(self, name: str) -> NDArray[Any]:
         return self.data.column(name)
+
+    def iter_filtered_blocks(
+        self,
+        predicate: Predicate | None = None,
+        box: BoxCondition | None = None,
+        columns: Sequence[str] | None = None,
+        batch_size: int | None = None,
+        skip_box: BoxCondition | None = None,
+    ) -> Iterator[tuple[int, int, int, dict[str, NDArray[Any]]]]:
+        """The stored relation as one masked block (nothing when ``box`` is empty).
+
+        The whole relation is one batch, so ``batch_size`` has nothing to
+        split; ``skip_box`` is left to the consumer.
+        """
+        del batch_size, skip_box
+        requested = list(columns) if columns is not None else self.column_names
+        count = self.row_count
+        condition = predicate if predicate is not None and predicate.columns() else box
+        if condition is not None and condition.columns():
+            needed = columns_with_dependencies(requested, condition.columns())
+            local = {name: self.column(name) for name in needed}
+            mask = condition.evaluate(local)
+            yield 0, count, int(mask.sum()), {name: local[name][mask] for name in requested}
+        elif box is None or not box.is_empty:
+            yield 0, count, count, {name: self.column(name) for name in requested}
 
 
 @dataclass

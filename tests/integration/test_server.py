@@ -13,6 +13,8 @@ Covers the ISSUE's acceptance behaviours end to end over real sockets:
 
 from __future__ import annotations
 
+import json
+import socket
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
@@ -291,6 +293,23 @@ class TestVerifyAndExport:
         assert not against.problems
 
 
+    @pytest.mark.parametrize(
+        "package", [{"aqps": []}, {"metadata": 5}, {"metadata": {"schema": []}, "aqps": 3}]
+    )
+    def test_malformed_package_is_400_bad_package(self, server, package, tmp_path):
+        client = ServerClient("127.0.0.1", server.port)
+        path = tmp_path / "package.json"
+        path.write_text(json.dumps(package))
+        for body in ({"package": package}, {"package_path": str(path)}):
+            with pytest.raises(ServerClientError) as excinfo:
+                client._request("POST", "/summaries/toy/verify", body)
+            assert excinfo.value.status == 400
+            assert excinfo.value.body.error == "bad-package"
+            assert "malformed information package at " in str(excinfo.value)
+        with server.service.cache.lease("toy") as entry:
+            assert entry.leases == 1
+
+
 class TestRequestValidation:
     def test_query_request_defaults_round_trip(self):
         request = QueryRequest.from_dict({"sql": "select count(*) from S"})
@@ -378,3 +397,25 @@ class TestRequestValidation:
         assert len(set(forked)) <= 2 * len(toy_summary.relations)
         with server.service.cache.lease("toy") as entry:
             assert entry.leases == 1
+
+    @pytest.mark.parametrize("length", ["abc", "-5", "1e3", "12 12"])
+    def test_invalid_content_length_is_400_and_the_server_lives_on(self, server, length, recwarn):
+        request = (
+            f"POST /api/v2/summaries/toy/query HTTP/1.1\r\nHost: x\r\n"
+            f"Content-Length: {length}\r\n\r\n" + '{"sql": "select count(*) from S"}'
+        )
+        with socket.create_connection(("127.0.0.1", server.port), timeout=10) as raw:
+            raw.sendall(request.encode("latin-1"))
+            received = b""
+            while chunk := raw.recv(65536):  # the server answers, then closes
+                received += chunk
+        head, _, body = received.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400 "), received
+        assert b"Connection: close" in head
+        answer = json.loads(body)
+        assert answer["error"] == "bad-request" and answer["status"] == 400
+        assert "invalid Content-Length" in answer["detail"]
+        # The connection task ended cleanly and the next connection is served.
+        client = ServerClient("127.0.0.1", server.port)
+        assert client.query("toy", "select count(*) from S").row_count == 1
+        assert not [w for w in recwarn if "never retrieved" in str(w.message)]

@@ -326,15 +326,21 @@ class TestDisjunctiveJoin:
         assert int(result.column("count")[0]) == expected
 
     def test_all_routes_agree(self, vendor_routes):
-        # No single probe key exists: every route materialises both inputs
-        # and unions the alternatives, dataless inputs included.
+        # A disjunctive join is the one build/probe join with a key pair per
+        # alternative: a dataless input streams like any other probe side
+        # (shape x attachment table: test_join_pushdown.py::TestOneJoin).
         results = {
             name: _run(route, FIGURE1_DISJUNCTIVE_QUERY) for name, route in vendor_routes.items()
         }
         counts = {name: int(result.column("count")[0]) for name, result in results.items()}
         assert len(set(counts.values())) == 1, counts
         for name, result in results.items():
-            assert ("join", "materializing", "disjunctive-condition") in [
+            expected = (
+                ("join", "materializing", "no-streamable-leaf")
+                if name == "materialised"
+                else ("join", "streaming", None)
+            )
+            assert expected in [
                 (event.kind, event.route, event.reason) for event in result.route_events
             ], name
 

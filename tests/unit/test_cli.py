@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.cli import generate_main, vendor_main, verify_main, client_main
@@ -67,6 +71,20 @@ class TestVendorAndVerify:
         captured = capsys.readouterr()
         assert "constraints satisfied" in captured.out
         assert "sample tuples of S" in captured.out
+
+    @pytest.mark.parametrize("text", ["not json", '{"metadata": 5}'])
+    def test_malformed_package_exits_with_a_message(self, text, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        for command in (["vendor", str(bad)], ["verify", str(bad), str(tmp_path / "s.json")]):
+            finished = subprocess.run(
+                [sys.executable, "-m", "repro.cli", *command],
+                capture_output=True, text=True, cwd=tmp_path,
+                env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+            )
+            assert finished.returncode == 1, command
+            assert finished.stderr.startswith("malformed information package at "), command
+            assert "Traceback" not in finished.stderr, command
 
     def test_vendor_sampling_alignment(self, package_path, tmp_path):
         summary_path = tmp_path / "summary_sampling.json"

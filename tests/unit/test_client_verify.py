@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.client.anonymizer import Anonymizer
 from repro.client.extractor import AQPExtractor, extract_aqps
 from repro.client.package import DeltaPackage, InformationPackage, load_package_file
+from repro.core.errors import HydraError
 from repro.core.pipeline import Hydra
 from repro.verify.comparator import EdgeComparison, VerificationResult, VolumetricComparator
 from repro.verify.report import (
@@ -71,8 +74,34 @@ class TestInformationPackage:
         package = self._package(toy_database, toy_workload)
         payload = package.to_dict()
         payload["format_version"] = 99
-        with pytest.raises(ValueError):
+        with pytest.raises(HydraError, match="at format_version: .*unsupported version 99"):
             InformationPackage.from_dict(payload)
+
+    @pytest.mark.parametrize(
+        ("mutate", "field"),
+        [
+            (lambda payload: payload.pop("metadata"), "metadata"),
+            (lambda payload: payload.update(metadata=5), "metadata"),
+            (lambda payload: payload["metadata"].pop("schema"), "metadata"),
+            (lambda payload: payload.update(aqps={"q": 1}), "aqps"),
+            (lambda payload: payload["aqps"][1]["plan"].pop("operator"), r"aqps\[1\]"),
+            (lambda payload: payload["aqps"].__setitem__(0, "select 1"), r"aqps\[0\]"),
+            (lambda payload: payload.update(client_name=7), "client_name"),
+        ],
+    )
+    def test_malformed_payload_is_a_typed_error(self, toy_database, toy_workload, mutate, field):
+        payload = json.loads(self._package(toy_database, toy_workload).to_json())
+        mutate(payload)
+        with pytest.raises(HydraError, match=f"malformed information package at {field}: "):
+            InformationPackage.from_dict(payload)
+
+    def test_malformed_document_is_a_typed_error(self, tmp_path):
+        for text, field in (("not json", "<document>"), ("[1, 2]", "<document>"), ("{}", "metadata")):
+            path = tmp_path / "bad.json"
+            path.write_text(text)
+            for load in (InformationPackage.load, load_package_file):
+                with pytest.raises(HydraError, match=f"malformed information package at {field}: "):
+                    load(path)
 
     def test_describe_mentions_queries(self, toy_database, toy_workload):
         package = self._package(toy_database, toy_workload)
@@ -161,7 +190,7 @@ class TestDeltaPackage:
 
     def test_from_dict_rejects_non_delta(self, toy_database, toy_workload):
         package = self._package(toy_database, toy_workload)
-        with pytest.raises(ValueError, match="not a delta"):
+        with pytest.raises(HydraError, match="malformed delta package at kind: .*not a delta"):
             DeltaPackage.from_dict(package.to_dict())
 
 

@@ -1,14 +1,17 @@
-"""Tests for streaming summary-aware joins.
+"""Tests for the one build/probe join and the summary-aware routes around it.
 
-Covers the build/probe streaming join (route equivalence down to
-bit-identical output blocks), the planner's semi-join FK pushdown pass and
-its segment-skipping contract, the join-COUNT summary fast path with its
-exact-only fallback rules, and the satellite fixes of this PR (empty
-disjunction boxes, provider dtype fallback, ``observed_rate`` semantics,
+Covers the join operator on every condition shape and attachment
+(:class:`TestOneJoin`: bit-identical output blocks, annotations, pinned
+``scanned_rows`` and route events), its peak-memory bound, the planner's
+semi-join FK pushdown pass and its segment-skipping contract, the join-COUNT
+summary fast path with its exact-only fallback rules, and earlier satellite
+fixes (empty disjunction boxes, provider kinds, ``observed_rate`` semantics,
 ``count_matching_offsets`` property coverage).
 """
 
 from __future__ import annotations
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,7 +22,7 @@ from repro.catalog.metadata import collect_metadata
 from repro.catalog.schema import Column, ForeignKey, Schema, Table
 from repro.catalog.types import FLOAT, INTEGER
 from repro.client.extractor import AQPExtractor
-from repro.core.pipeline import Hydra
+from repro.core.pipeline import Hydra, scale_row_counts
 from repro.core.summary import (
     DatabaseSummary,
     FKReference,
@@ -30,7 +33,7 @@ from repro.core.tuplegen import TupleGenerator
 from repro.executor.datagen import DataGenRelation
 from repro.executor.engine import ExecutionEngine, ExecutorError
 from repro.executor.rate import RateLimiter
-from repro.plans.logical import plan_from_dict
+from repro.plans.logical import FilterNode, JoinNode, ScanNode, plan_from_dict
 from repro.plans.planner import build_plan, compute_semijoin_pushdowns
 from repro.sql.predicates import (
     BoxCondition,
@@ -41,7 +44,8 @@ from repro.sql.predicates import (
     box_semantics_exact,
 )
 from repro.sql.parser import parse_query
-from repro.storage.database import Database
+from repro.sql.query import JoinCondition
+from repro.storage.database import Database, MaterializedRelation
 from repro.verify.comparator import VolumetricComparator
 from repro.workload.toy import FIGURE1_QUERY, ToyConfig, generate_toy_database
 
@@ -119,26 +123,11 @@ class TestJoinRouteEquivalence:
             _assert_bit_identical(_run_routes(vendor_routes, aqp.plan), aqp.name)
 
     def test_client_database_reproduces_its_own_annotations(self, client_database, client_aqps):
-        # All providers materialised: the materialising hash join is the
-        # only join operator, with or without the summary route enabled.
         for aqp in client_aqps:
             expected = [node.cardinality for node in aqp.plan.iter_nodes()]
             for options in ({}, {"summary_fastpath": False}):
-                result, cards = _run_route((client_database, options), aqp.plan)
+                _result, cards = _run_route((client_database, options), aqp.plan)
                 assert cards == expected, aqp.name
-                assert all(event.route != "streaming" or event.kind != "join"
-                           for event in result.route_events), aqp.name
-
-    def test_streaming_join_generates_fewer_rows(self, vendor_routes, client_aqps):
-        aqp = next(a for a in client_aqps if a.name == "figure1")
-        materialised, _ = _run_route(vendor_routes["materialised"], aqp.plan)
-        streaming, _ = _run_route(vendor_routes["streaming"], aqp.plan)
-        # The probe side streams with semi-join segment skipping: strictly
-        # fewer tuples are generated than the relations hold.
-        assert streaming.scanned_rows < materialised.scanned_rows
-        assert streaming.row_count == materialised.row_count
-        assert [event.route for event in streaming.route_events] == ["streaming"] * 2
-        assert [event.route for event in materialised.route_events] == ["materializing"] * 2
 
     def test_join_count_summary_route_generates_nothing(self, vendor_routes, client_aqps):
         for name in ("join_count", "join_count_unfiltered"):
@@ -149,12 +138,194 @@ class TestJoinRouteEquivalence:
             assert int(fast.column("count")[0]) == int(reference.column("count")[0])
             assert fast_cards == reference_cards
 
+    def test_aggregate_route_census(self, vendor_routes):
+        """A silent summary-route regression fails even when the counts agree.
+
+        ``summary`` on the default dataless database, ``streaming`` on the
+        materialised one and with ``summary_fastpath=False`` (formerly the
+        "Aggregate route reporting" CI step over E11 / E12).
+        """
+        schema = vendor_routes["default"][0].schema
+        reasons = {"default": [], "streaming": ["fastpath-disabled"],
+                   "materialised": ["not-summary-backed"]}
+        for sql in (
+            "select count(*) from R where R.T_fk >= 5",
+            "select count(*) from R, S where R.S_fk = S.S_pk and S.A >= 10 and S.A < 30",
+        ):
+            plan = build_plan(parse_query(sql, schema), schema)
+            for name, route in vendor_routes.items():
+                result, _cards = _run_route(route, plan)
+                assert result.aggregate_route == ("summary" if name == "default" else "streaming")
+                assert result.fallback_reasons[-1:] == reasons[name], (sql, name)
+                assert (result.scanned_rows == 0) == (name == "default"), (sql, name)
+
     def test_verification_is_route_independent(self, vendor_routes, client_aqps):
         materialised, _options = vendor_routes["materialised"]
         dataless, _options = vendor_routes["default"]
         baseline = VolumetricComparator(database=materialised).verify(client_aqps).comparisons
         assert baseline
         assert VolumetricComparator(database=dataless).verify(client_aqps).comparisons == baseline
+
+
+def _leaf(table, predicate=None):
+    scan = ScanNode(table=table)
+    return scan if predicate is None else FilterNode(child=scan, table=table, predicate=predicate)
+
+
+STREAMING = ("streaming", None)
+MATERIALIZING = ("materializing", "no-streamable-leaf")
+
+#: Relations attached materialised per attachment (the rest stay dataless).
+ATTACHMENTS = {"dataless": (), "materialised": ("R", "S", "T"), "mixed": ("R", "T")}
+
+#: shape -> (plan factory, per attachment ``(scanned_rows, join route events)``).
+#: ``scanned_rows`` are the parent commit's values for the same attachment.
+JOIN_SHAPES = {
+    "fk_equi": (
+        "select * from R, S where R.S_fk = S.S_pk and S.A >= 10 and S.A < 30",
+        {"dataless": (421, [STREAMING]), "materialised": (4400, [MATERIALIZING]),
+         "mixed": (4084, [STREAMING])},
+    ),
+    "non_fk_equi": (
+        "select R_pk, S_pk, A from R, S where R.T_fk = S.S_pk and S.A < 50",
+        {"dataless": (4253, [STREAMING]), "materialised": (4400, [MATERIALIZING]),
+         "mixed": (4253, [STREAMING])},
+    ),
+    "disjunctive": (
+        "select * from R, S where (R.S_fk = S.S_pk or R.T_fk = S.S_pk) and S.A < 50",
+        {"dataless": (4253, [STREAMING]), "materialised": (4400, [MATERIALIZING]),
+         "mixed": (4253, [STREAMING])},
+    ),
+    "probe_left": (
+        lambda: JoinNode(
+            left=_leaf("R", Comparison("T_fk", ">=", 5.0)),
+            right=_leaf("T"),
+            condition=JoinCondition("R", "T_fk", "T", "T_pk"),
+        ),
+        {"dataless": (3554, [STREAMING]), "materialised": (4040, [MATERIALIZING]),
+         "mixed": (4040, [MATERIALIZING])},
+    ),
+    "probe_right": (
+        lambda: JoinNode(
+            left=_leaf("S", Comparison("A", "<", 30.0)),
+            right=_leaf("R"),
+            condition=JoinCondition("R", "S_fk", "S", "S_pk"),
+        ),
+        {"dataless": (1420, [STREAMING]), "materialised": (4400, [MATERIALIZING]),
+         "mixed": (4123, [STREAMING])},
+    ),
+    "join_of_join": (
+        FIGURE1_QUERY,
+        {"dataless": (984, [STREAMING] * 2), "materialised": (4440, [MATERIALIZING] * 2),
+         "mixed": (4208, [MATERIALIZING, STREAMING])},
+    ),
+    # Both inputs scan S, so the qualified output names collide and the right
+    # input's columns win: behaves as it did on the materialising join.
+    "self_join": (
+        lambda: JoinNode(
+            left=_leaf("S"),
+            right=_leaf("S", Comparison("A", "<", 50.0)),
+            condition=JoinCondition("S", "B", "S", "A"),
+        ),
+        {"dataless": (653, [STREAMING]), "materialised": (800, [MATERIALIZING]),
+         "mixed": (653, [STREAMING])},
+    ),
+}
+
+
+class TestOneJoin:
+    """Every join shape × attachment runs on the one build/probe operator."""
+
+    @pytest.fixture(scope="class")
+    def attachments(self, vendor_database):
+        schema = vendor_database.schema
+        databases = {}
+        for name, materialised in ATTACHMENTS.items():
+            database = databases[name] = Database(schema=schema, providers={})
+            for table in vendor_database:
+                provider = vendor_database.provider(table)
+                if table in materialised:
+                    provider = MaterializedRelation(provider.materialize(schema.table(table)))
+                database.attach(table, provider)
+        return databases
+
+    @pytest.mark.parametrize("shape", sorted(JOIN_SHAPES))
+    def test_shape_on_every_attachment(self, attachments, shape):
+        make, expected = JOIN_SHAPES[shape]
+        schema = attachments["dataless"].schema
+        outcomes = {}
+        for name, database in attachments.items():
+            plan = build_plan(parse_query(make, schema), schema) if isinstance(make, str) else make()
+            result = ExecutionEngine(database=database, batch_size=512).execute(plan)
+            outcomes[name] = (result, [node.cardinality for node in plan.iter_nodes()])
+            joins = [(e.route, e.reason) for e in result.route_events if e.kind == "join"]
+            assert (result.scanned_rows, joins) == expected[name], (shape, name)
+        assert outcomes["materialised"][0].row_count > 0, shape
+        _assert_bit_identical(outcomes, shape)
+
+    def test_unresolvable_keys_are_an_executor_error(self, attachments):
+        for name, database in attachments.items():
+            plan = JoinNode(
+                left=_leaf("R"), right=_leaf("S"), condition=JoinCondition("R", "S_fk", "T", "T_pk")
+            )
+            with pytest.raises(ExecutorError, match="join keys R.S_fk/T.T_pk not available"):
+                ExecutionEngine(database=database).execute(plan)
+
+
+class TestMemoryBound:
+    """Dataless leaves and joins peak at O(build + batch + output).
+
+    The paper's alternative to dynamic regeneration — materialise the
+    scanned relations, then execute — is measured as one region and must
+    peak at least 5x higher (formerly benchmarks E11 / E12, untimed here).
+    """
+
+    QUERIES = {
+        "scan": "select count(*) from R where R.T_fk >= 5",
+        "fk_join": "select count(*) from R, S where R.S_fk = S.S_pk and S.A >= 10 and S.A < 30",
+        "disjunctive_join": (
+            "select count(*) from R, S "
+            "where (R.S_fk = S.S_pk or R.R_pk = S.S_pk) and S.A >= 10 and S.A < 30"
+        ),
+    }
+
+    @pytest.fixture(scope="class")
+    def scaled(self, client_database, client_aqps):
+        metadata = collect_metadata(client_database)
+        hydra = Hydra(metadata=metadata, row_count_overrides=scale_row_counts(metadata, 100))
+        return hydra, hydra.build_summary(client_aqps).summary
+
+    @staticmethod
+    def _peak(run):
+        tracemalloc.start()
+        try:
+            result = run()
+            return result, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("name", sorted(QUERIES))
+    def test_streaming_peaks_5x_below_materialise_then_execute(self, scaled, name):
+        hydra, summary = scaled
+        schema = summary.schema
+        options = {"annotate": False, "batch_size": 8192, "summary_fastpath": False}
+
+        def execute(materialize):
+            plan = build_plan(parse_query(self.QUERIES[name], schema), schema)
+            database = hydra.regenerate(
+                summary, materialize=plan.output_tables() if materialize else ()
+            )
+            return ExecutionEngine(database=database, **options).execute(plan)
+
+        streamed, streaming_peak = self._peak(lambda: execute(False))
+        reference, materialised_peak = self._peak(lambda: execute(True))
+        assert int(streamed.column("count")[0]) == int(reference.column("count")[0]) > 0
+        if name != "scan":
+            assert [e.route for e in streamed.route_events if e.kind == "join"] == ["streaming"]
+        rows = summary.row_count("R")
+        assert materialised_peak > rows * 8  # at least one full int64 column
+        assert streaming_peak < materialised_peak / 5, (streaming_peak, materialised_peak)
+        assert streaming_peak < rows * 8  # never a whole column of the probe relation
 
 
 class TestBuildSideChoice:

@@ -2,8 +2,7 @@
 
 Covers the ``AbstractPredicate`` hierarchy introduced by the
 expression-layer refactor: join/filter classification, column iteration,
-NNF/CNF normalisation, canonical equality and hashing, and the NaN guards
-on ``Interval``/``IntervalSet``.
+evaluation, serialisation, and the NaN guards on ``Interval``/``IntervalSet``.
 """
 
 from __future__ import annotations
@@ -30,7 +29,6 @@ from repro.sql.predicates import (
     Predicate,
     TruePredicate,
     predicate_from_dict,
-    split_conjuncts,
 )
 
 A_LT = Comparison("A", "<", 10.0)
@@ -119,73 +117,6 @@ class TestEvaluation:
         assert np.array_equal(Or(()).evaluate(COLUMNS), np.zeros(4, dtype=bool))
 
 
-class TestNormalisation:
-    def test_nnf_pushes_negation_to_leaves(self):
-        pred = Not(And([A_LT, Or([B_GE, Not(JOIN)])]))
-        nnf = pred.to_nnf()
-
-        def no_compound_negation(node):
-            if isinstance(node, Not):
-                return not isinstance(node.child, CompoundPredicate)
-            if isinstance(node, (And, Or)):
-                return all(no_compound_negation(child) for child in node.children)
-            return True
-
-        assert no_compound_negation(nnf)
-
-    def test_nnf_preserves_semantics(self):
-        pred = Not(And([A_LT, Or([B_GE, Not(Comparison("A", "=", 5.0))])]))
-        assert np.array_equal(pred.evaluate(COLUMNS), pred.to_nnf().evaluate(COLUMNS))
-
-    def test_cnf_is_conjunction_of_clauses(self):
-        pred = Or([And([A_LT, B_GE]), Comparison("A", "=", 25.0)])
-        cnf = pred.to_cnf()
-        assert isinstance(cnf, And)
-        for clause in cnf.children:
-            assert isinstance(clause, Or) or not isinstance(clause, CompoundPredicate)
-        assert np.array_equal(pred.evaluate(COLUMNS), cnf.evaluate(COLUMNS))
-
-    def test_cnf_degenerate_shapes(self):
-        assert isinstance(TruePredicate().to_cnf(), TruePredicate)
-        false = Or(())
-        cnf = false.to_cnf()
-        assert isinstance(cnf, Or) and not cnf.children
-        # A single clause stays bare instead of being wrapped in And.
-        assert A_LT.to_cnf() == A_LT
-
-    def test_negated_flips_comparison_operator(self):
-        assert A_LT.negated() == Comparison("A", ">=", 10.0)
-        assert JOIN.negated().op == "!="
-
-
-class TestCanonical:
-    def test_order_insensitive_equality(self):
-        left = And([A_LT, B_GE, JOIN])
-        right = And([JOIN, B_GE, A_LT])
-        assert left.equivalent(right)
-        assert left.canonical_key() == right.canonical_key()
-        assert left.canonical_hash() == right.canonical_hash()
-
-    def test_flattens_nested_conjunctions(self):
-        nested = And([A_LT, And([B_GE, And([JOIN])])])
-        flat = And([A_LT, B_GE, JOIN])
-        assert nested.equivalent(flat)
-
-    def test_mirrored_join_operands_compare_equal(self):
-        mirrored = ColumnComparison(ColumnRef("S", "S_pk"), "=", ColumnRef("R", "S_fk"))
-        assert JOIN.equivalent(mirrored)
-
-    def test_double_negation_collapses(self):
-        assert Not(Not(A_LT)).canonical() == A_LT
-
-    def test_inequivalent_predicates_have_distinct_hashes(self):
-        assert not A_LT.equivalent(B_GE)
-        assert A_LT.canonical_hash() != B_GE.canonical_hash()
-
-    def test_inlist_canonical_sorts_and_dedupes(self):
-        assert InList("A", (5.0, 1.0, 5.0)).canonical() == InList("A", (1.0, 5.0))
-
-
 class TestSerialisation:
     @pytest.mark.parametrize(
         "pred",
@@ -204,17 +135,6 @@ class TestSerialisation:
     def test_str_names_the_predicate(self):
         assert str(JOIN) == "R.S_fk = S.S_pk"
         assert str(A_LT) == "A < 10.0"
-
-
-class TestSplitConjuncts:
-    def test_partitions_into_join_and_filter(self):
-        pred = And([A_LT, JOIN, B_GE])
-        conjuncts = split_conjuncts(pred)
-        assert len(conjuncts) == 3
-        joins = [c for c in conjuncts if c.is_join()]
-        filters = [c for c in conjuncts if c.is_filter()]
-        assert joins == [JOIN]
-        assert set(filters) == {A_LT, B_GE}
 
 
 class TestNaNGuards:

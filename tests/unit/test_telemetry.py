@@ -570,8 +570,9 @@ class TestRouteCatalogue:
             if node.func.attr == "_record_route":
                 (kind,) = self._literals(node.args[0])
                 routes |= {(kind, route) for route in self._literals(node.args[1])}
-                # A reason never bypasses ``_fallback``.
-                assert not any(self._literals(arg) for arg in node.args[2:])
+                # A route with a single reason names it in place.
+                for arg in node.args[2:]:
+                    reasons |= self._literals(arg)
             elif node.func.attr == "_fallback":
                 reasons |= self._literals(node.args[0])
         return routes, reasons
@@ -589,6 +590,11 @@ class TestRouteCatalogue:
         assert routes == documented_routes
         assert reasons == documented_reasons
         assert "fastpath-disabled" in reasons and len(reasons) > 10
+        assert {(kind, route) for kind, route in routes if kind == "join"} == {
+            ("join", "streaming"),
+            ("join", "materializing"),
+        }
+        assert "no-streamable-leaf" in reasons and "disjunctive-condition" not in reasons
 
 
 class TestTraceCLI:
