@@ -79,10 +79,6 @@ class DataType:
         """Vectorised :meth:`encode`."""
         return np.array([self.encode(v) for v in values], dtype=self.numpy_dtype)
 
-    def decode_many(self, values: Sequence[float]) -> list[Any]:
-        """Vectorised :meth:`decode`."""
-        return [self.decode(v) for v in values]
-
     def name(self) -> str:
         """Short name used in serialised schemas."""
         return self.kind.value

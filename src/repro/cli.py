@@ -43,7 +43,6 @@ from .client.package import DeltaPackage, InformationPackage, load_package_file
 from .core.errors import HydraError
 from .core.pipeline import Hydra
 from .core.summary import DatabaseSummary
-from .core.tuplegen import SummaryDatabaseFactory
 from .storage.database import Database
 from .executor.rate import RateLimiter
 from .sinks import (
@@ -317,7 +316,10 @@ def _vendor_run(
     hydra = Hydra(metadata=loaded.metadata, mode=args.mode, alignment=args.alignment)
 
     if args.extend_from is not None:
-        previous = DatabaseSummary.load(args.extend_from)
+        try:
+            previous = DatabaseSummary.load(args.extend_from)
+        except HydraError as exc:
+            raise SystemExit(str(exc))
         for key in ("mode", "alignment"):
             recorded = previous.build_info.get(key)
             requested = getattr(args, key)
@@ -482,9 +484,9 @@ def _verify_run(args: argparse.Namespace) -> int:
     """The verification run proper, running inside the telemetry scope."""
     try:
         package = InformationPackage.load(args.package)
+        summary = DatabaseSummary.load(args.summary)
     except HydraError as exc:
         raise SystemExit(str(exc))
-    summary = DatabaseSummary.load(args.summary)
 
     if args.against is not None:
         try:
@@ -512,8 +514,7 @@ def _verify_run(args: argparse.Namespace) -> int:
     print(format_error_cdf(result))
 
     if args.sample:
-        factory = SummaryDatabaseFactory(summary=summary)
-        generator = factory.generator(args.sample)
+        generator = hydra.tuple_generator(summary, args.sample)
         count = min(5, generator.row_count)
         indices = [int(i * max(1, generator.row_count // max(count, 1))) for i in range(count)]
         print()

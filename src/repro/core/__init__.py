@@ -34,7 +34,7 @@ from .scenario import (
 )
 from .solver import LPSolution, LPSolver, round_preserving_total
 from .summary import DatabaseSummary, FKReference, RelationSummary, SummaryRow
-from .tuplegen import SummaryDatabaseFactory, TupleGenerator
+from .tuplegen import TupleGenerator
 
 __all__ = [
     "AlignedRelation",
@@ -64,7 +64,6 @@ __all__ = [
     "Scenario",
     "SolverError",
     "SummaryBuildReport",
-    "SummaryDatabaseFactory",
     "SummaryError",
     "SummaryRow",
     "SymbolicPredicate",

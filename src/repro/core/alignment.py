@@ -82,9 +82,6 @@ class AlignedRelation:
                 intervals.append(Interval(float(start), float(end)))
         return IntervalSet(intervals)
 
-    def pk_interval_full(self) -> IntervalSet:
-        return IntervalSet([Interval(0.0, float(self.total_rows))])
-
 
 @dataclass
 class DeterministicAligner:

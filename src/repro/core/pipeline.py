@@ -53,7 +53,7 @@ from .sampling import SamplingAligner
 from .solver import SolveMode
 from .stages import RelationBuildState, relation_signatures
 from .summary import DatabaseSummary, RelationSummary
-from .tuplegen import SummaryDatabaseFactory, TupleGenerator
+from .tuplegen import TupleGenerator
 
 __all__ = [
     "RelationBuildInfo",
@@ -510,7 +510,9 @@ class Hydra:
 
     def tuple_generator(self, summary: DatabaseSummary, table_name: str) -> TupleGenerator:
         """Convenience accessor for a single relation's tuple generator."""
-        return SummaryDatabaseFactory(summary=summary).generator(table_name)
+        return TupleGenerator(
+            table=summary.schema.table(table_name), summary=summary.relation(table_name)
+        )
 
     # -- the one build / extend loop -----------------------------------------
 
@@ -688,7 +690,6 @@ def summary_relation_providers(
     shared_rate_limiter: bool = False,
     workers: int | None = None,
     relations: Iterable[str] | None = None,
-    factory: SummaryDatabaseFactory | None = None,
 ) -> Iterator[tuple[str, DataGenRelation]]:
     """Yield one configured ``datagen`` provider per relation of ``summary``.
 
@@ -699,17 +700,16 @@ def summary_relation_providers(
     and an export.  Relations are yielded in summary order, restricted to
     ``relations`` when given (no provider is constructed for unselected
     ones); ``workers=None`` consults ``REPRO_WORKERS`` exactly like
-    :meth:`Hydra.regenerate`.  ``factory`` supplies already-built (stateless,
-    shareable) tuple generators of ``summary`` — the server's cache.
+    :meth:`Hydra.regenerate`.
     """
     resolved_workers = default_workers() if workers is None else workers
     selected = None if relations is None else set(relations)
-    if factory is None:
-        factory = SummaryDatabaseFactory(summary=summary)
     for table_name in summary.relations:
         if selected is not None and table_name not in selected:
             continue
-        generator = factory.generator(table_name)
+        generator = TupleGenerator(
+            table=summary.schema.table(table_name), summary=summary.relation(table_name)
+        )
         if rate_limiter is None:
             limiter = RateLimiter.unlimited()
         elif shared_rate_limiter:

@@ -13,6 +13,13 @@ LP solution, and each summary row carries
 Primary keys are not stored at all — they are emitted as auto-numbers during
 regeneration, as the paper describes.  The summary is JSON-serialisable, and
 its serialised size is the "few KB" metric of experiment E1.
+
+A relation's rows are a fixed tuple, so the cumulative pk offsets every
+consumer grounds against are computed once, at construction.  A summary read
+back from disk or the wire is validated once, in
+:meth:`DatabaseSummary.from_dict` / ``from_json`` / ``load``: anything
+malformed raises :class:`~repro.core.errors.SummaryError` (``malformed
+database summary at <field>: …``), never a raw parse exception.
 """
 
 from __future__ import annotations
@@ -21,7 +28,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Mapping, SupportsIndex
+from typing import Any, Mapping, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
@@ -174,103 +181,26 @@ class RowBoxMatch:
     partial_fks: Mapping[str, tuple[IntervalSet, int]] = field(default_factory=dict)
 
 
-class _InvalidatingRows(list["SummaryRow"]):
-    """A row list that drops its owner's offset cache on any list mutation."""
-
-    def __init__(self, items: Iterable["SummaryRow"], owner: "RelationSummary") -> None:
-        super().__init__(items)
-        self._owner = owner
-
-    def _invalidate(self) -> None:
-        # The owner is absent while pickle/copy reconstruct the list.
-        owner = getattr(self, "_owner", None)
-        if owner is not None:
-            owner.invalidate_offsets()
-
-    def append(self, item: "SummaryRow") -> None:
-        self._invalidate()
-        super().append(item)
-
-    def extend(self, items: Iterable["SummaryRow"]) -> None:
-        self._invalidate()
-        super().extend(items)
-
-    def insert(self, index: SupportsIndex, item: "SummaryRow") -> None:
-        self._invalidate()
-        super().insert(index, item)
-
-    def remove(self, item: "SummaryRow") -> None:
-        self._invalidate()
-        super().remove(item)
-
-    def pop(self, index: SupportsIndex = -1) -> "SummaryRow":
-        self._invalidate()
-        return super().pop(index)
-
-    def clear(self) -> None:
-        self._invalidate()
-        super().clear()
-
-    def sort(self, *args: Any, **kwargs: Any) -> None:
-        self._invalidate()
-        super().sort(*args, **kwargs)
-
-    def reverse(self) -> None:
-        self._invalidate()
-        super().reverse()
-
-    def __setitem__(self, index: Any, value: Any) -> None:
-        self._invalidate()
-        super().__setitem__(index, value)
-
-    def __delitem__(self, index: SupportsIndex | slice) -> None:
-        self._invalidate()
-        super().__delitem__(index)
-
-    def __iadd__(self, other: Iterable["SummaryRow"]) -> "_InvalidatingRows":
-        self._invalidate()
-        super().__iadd__(other)
-        return self
-
-    def __imul__(self, count: SupportsIndex) -> "_InvalidatingRows":
-        self._invalidate()
-        super().__imul__(count)
-        return self
-
-
 @dataclass
 class RelationSummary:
-    """Summary of one relation: an ordered list of summary rows.
+    """Summary of one relation: an ordered, fixed sequence of summary rows.
 
-    The cumulative pk offsets that back :meth:`locate` are computed lazily and
-    cached: appending rows (:meth:`add_row` / :meth:`extend_rows`) is O(1) and
-    the cache is rebuilt once on the next offset-dependent access.  Direct
-    list mutation of ``rows`` (append/replace/pop on a hand-edited scenario
-    summary) invalidates the cache automatically; the only mutation the cache
-    cannot observe is an in-place edit of an existing row's ``count`` — call
-    :meth:`invalidate_offsets` after such an edit.
+    ``rows`` is stored as a tuple, so the cumulative pk offsets that back
+    :meth:`locate` are computed once, at construction, and cannot go stale:
+    a different row sequence is a different :class:`RelationSummary`.  Editing
+    an existing row's ``values`` / ``fk_refs`` in place is fine (offsets only
+    depend on the counts).
     """
 
     table: str
-    rows: list[SummaryRow] = field(default_factory=list)
+    rows: Sequence[SummaryRow] = ()
 
     def __post_init__(self) -> None:
-        self._cumulative: NDArray[Any] | None = None
-        self.rows = _InvalidatingRows(self.rows, owner=self)
-
-    def invalidate_offsets(self) -> None:
-        """Drop the cached cumulative offsets (after mutating a row's count)."""
-        self._cumulative = None
-
-    @property
-    def cumulative_offsets(self) -> NDArray[Any]:
-        """Cumulative pk offsets, rebuilt when rows were added or invalidated."""
-        cached = self._cumulative
-        if cached is None or len(cached) != len(self.rows) + 1:
-            counts = [max(0, int(row.count)) for row in self.rows]
-            cached = np.cumsum([0] + counts)
-            self._cumulative = cached
-        return cached
+        self.rows = tuple(self.rows)
+        #: Cumulative pk offsets: row ``i`` covers ``[offsets[i], offsets[i + 1])``.
+        self.cumulative_offsets: NDArray[Any] = np.cumsum(
+            [0] + [max(0, int(row.count)) for row in self.rows]
+        )
 
     @property
     def total_rows(self) -> int:
@@ -280,15 +210,6 @@ class RelationSummary:
     def row_offsets(self) -> NDArray[Any]:
         """Starting pk index of each summary row (deterministic alignment)."""
         return self.cumulative_offsets[:-1]
-
-    def add_row(self, row: SummaryRow) -> None:
-        self.rows.append(row)
-        self._cumulative = None
-
-    def extend_rows(self, rows: Iterable[SummaryRow]) -> None:
-        """Append many rows with a single offset invalidation (O(n), not O(n²))."""
-        self.rows.extend(rows)
-        self._cumulative = None
 
     def locate(self, index: int) -> tuple[int, int]:
         """Map a pk index to ``(summary_row_position, offset_within_row)``."""
@@ -590,16 +511,47 @@ class DatabaseSummary(JsonDocument):
 
     @classmethod
     def from_dict(cls, payload: Mapping[str, Any]) -> "DatabaseSummary":
+        """Parse a summary payload, validating it once, here.
+
+        A summary arrives from disk or the wire: a missing key or a value of
+        the wrong type raises :class:`SummaryError` naming the offending
+        field instead of leaking a raw exception from deep inside the parse.
+        """
+        where = "<document>"
+        try:
+            if not isinstance(payload, Mapping):
+                raise TypeError(f"expected a JSON object, got {type(payload).__name__}")
+            where = "schema"
+            schema = Schema.from_dict(payload[where])
+            relations = {}
+            where = "relations"
+            for name, item in payload.get(where, {}).items():
+                where = f"relations[{name!r}]"
+                relation = relations[name] = RelationSummary.from_dict(item)
+                if relation.table != schema.table(name).name:
+                    raise ValueError(f"summarises {relation.table!r}")
+            where = "build_info"
+            build_info = dict(payload.get(where, {}))
+            where = "version"
+            version = int(payload.get(where, 1))
+        except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
+            raise SummaryError(f"malformed database summary at {where}: {exc!r}") from exc
         return cls(
-            schema=Schema.from_dict(payload["schema"]),
-            relations={
-                name: RelationSummary.from_dict(item)
-                for name, item in payload.get("relations", {}).items()
-            },
-            build_info=dict(payload.get("build_info", {})),
-            version=int(payload.get("version", 1)),
+            schema=schema,
+            relations=relations,
+            build_info=build_info,
+            version=version,
             extension_state=payload.get("extension_state"),
         )
+
+    @classmethod
+    def from_json(cls, text: str) -> "DatabaseSummary":
+        """Parse summary JSON (:class:`SummaryError` when it is not JSON)."""
+        try:
+            payload = json.loads(text)
+        except ValueError as exc:
+            raise SummaryError(f"malformed database summary at <document>: {exc}") from exc
+        return cls.from_dict(payload)
 
     def size_bytes(self, include_schema: bool = False) -> int:
         """Serialised size of the summary (excluding the schema by default).
@@ -630,17 +582,3 @@ class DatabaseSummary(JsonDocument):
         payload.pop("build_info", None)
         canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-
-
-def summary_size_report(summary: DatabaseSummary) -> list[tuple[str, int, int]]:
-    """Per-relation (name, summary rows, regenerated rows) listing."""
-    report = []
-    for name, relation in summary.relations.items():
-        report.append((name, len(relation.rows), relation.total_rows))
-    return report
-
-
-def iter_summary_rows(summary: DatabaseSummary) -> Iterable[tuple[str, SummaryRow]]:
-    for name, relation in summary.relations.items():
-        for row in relation.rows:
-            yield name, row

@@ -19,7 +19,7 @@ Generation rules (matching the paper's Figure 4 / Table 1):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Iterator, Sequence
 
 import numpy as np
@@ -29,9 +29,9 @@ from ..catalog.schema import Table
 from ..sql.predicates import BoxCondition, columns_with_dependencies
 from ..telemetry.session import add_counter
 from .errors import SummaryError
-from .summary import DatabaseSummary, RelationSummary
+from .summary import RelationSummary
 
-__all__ = ["TupleGenerator", "SummaryDatabaseFactory", "first_owned_batch_start"]
+__all__ = ["TupleGenerator", "first_owned_batch_start"]
 
 
 def first_owned_batch_start(segment_start: int, lo: int, batch_size: int) -> int:
@@ -251,22 +251,3 @@ class TupleGenerator:
         if decoded:
             return [self.decoded_row(int(i)) for i in indices]
         return [self.row(int(i)) for i in indices]
-
-
-@dataclass
-class SummaryDatabaseFactory:
-    """Creates tuple generators / dataless databases from a full summary."""
-
-    summary: DatabaseSummary
-    generators: dict[str, TupleGenerator] = field(default_factory=dict, init=False)
-
-    def generator(self, table_name: str) -> TupleGenerator:
-        if table_name not in self.generators:
-            table = self.summary.schema.table(table_name)
-            self.generators[table_name] = TupleGenerator(
-                table=table, summary=self.summary.relation(table_name)
-            )
-        return self.generators[table_name]
-
-    def all_generators(self) -> dict[str, TupleGenerator]:
-        return {name: self.generator(name) for name in self.summary.relations}

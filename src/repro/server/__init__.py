@@ -3,14 +3,15 @@
 A long-lived process that loads :class:`~repro.core.summary.DatabaseSummary`
 files **once** into a versioned, refcounted in-memory cache and serves many
 concurrent clients over HTTP/JSON — queries, workload verifications,
-exports and NDJSON-streamed regeneration all run against the same cached,
-pre-grounded summary, amortising load/grounding across requests (the
-ROADMAP's "one tiny summary, heavy traffic" north star).
+exports and NDJSON-streamed regeneration all run against the same cached
+summary, amortising its load across requests (the ROADMAP's "one tiny
+summary, heavy traffic" north star).
 
 Layers, bottom to top:
 
 * :mod:`repro.server.api` — the versioned typed request/response contract
-  (``schema_version``-stamped dataclasses, validated at the boundary);
+  (``schema_version``-stamped dataclasses with one field-derived codec,
+  validated at the boundary) and the one endpoint table;
 * :mod:`repro.server.cache` — fingerprint-keyed refcounted cache with
   lease semantics (in-flight queries finish on the old version while a
   swapped-in version serves new requests);

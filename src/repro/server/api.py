@@ -1,33 +1,33 @@
 """The versioned request/response contract of the regeneration server.
 
-Every body that crosses the HTTP boundary — in either direction — is one of
-the dataclasses below.  They are the *single* public contract: the asyncio
-HTTP layer (:mod:`repro.server.http`) validates inbound payloads through
-``from_dict`` and serialises outbound ones through ``to_dict``; the blocking
-:class:`repro.server.client.ServerClient` round-trips the very same classes;
-and the ``hydra serve`` CLI never invents a shape of its own.
+Every body crossing the HTTP boundary, in either direction, is one of the
+dataclasses below, and the contract is *data*: a class declares its fields
+(plus, where needed, a ``__post_init__`` invariant) and the one codec of
+:class:`_Body` derives ``to_dict`` / ``from_dict`` from them, once per class.
+:mod:`repro.server.http` and :class:`repro.server.client.ServerClient`
+round-trip the same classes and walk the endpoint table at the bottom of this
+module: a new field is one declaration, a new endpoint one row.
 
-Versioning policy
------------------
+``from_dict`` is the only validation: a non-object body, unknown keys,
+missing required keys (the fields without a default), wrongly-typed values
+(``bool`` is not an ``int``; an ``int`` is a ``float``) and a mismatched
+``schema_version`` raise :class:`ApiError` — HTTP 400 — so handlers only ever
+see well-formed typed values.  There is one ``None`` rule: a ``None`` field
+is omitted on write; an absent key or explicit ``null`` reads as the default.
 
-``SCHEMA_VERSION`` names the wire format.  Every response body carries it as
-``schema_version``; requests may carry it and are rejected (HTTP 400) when it
-does not match, so a client built against a different contract fails loudly
-at the boundary instead of mis-parsing deep inside a handler.  Additive,
-backward-compatible fields keep the version; renames/removals/semantic
-changes bump it.  The URL prefix (:data:`API_PREFIX`) carries the major
-version so two incompatible contracts can be served side by side.
-
-Validation happens here and only here: ``from_dict`` rejects unknown keys,
-missing required keys and wrongly-typed values with :class:`ApiError`, which
-the HTTP layer maps to a 400 response.  Handlers therefore only ever see
-well-formed typed values.
+``SCHEMA_VERSION`` names the wire format.  Every response carries it as
+``schema_version``; requests may, and are rejected on a mismatch, so a client
+built against another contract fails loudly at the boundary.  Additive,
+backward-compatible changes keep the version; renames, removals and semantic
+changes bump it; :data:`API_PREFIX` carries the major version.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
-from typing import Any, Mapping
+from dataclasses import MISSING, dataclass, field, fields
+from functools import cache, partial
+from typing import Any, Callable, ClassVar, Mapping, NamedTuple, TypeVar
+from typing import get_args, get_origin, get_type_hints
 
 __all__ = [
     "API_PREFIX",
@@ -56,51 +56,95 @@ SCHEMA_VERSION = 2
 #: URL prefix of the served API; the major version lives in the path.
 API_PREFIX = "/api/v2"
 
+_BodyT = TypeVar("_BodyT", bound="_Body")
+_Convert = Callable[[Any], Any]  #: one compiled direction of a field's codec
+
 
 class ApiError(ValueError):
     """A payload violates the contract (maps to HTTP 400 at the boundary)."""
 
 
-def _check(payload: Mapping[str, Any], required: tuple[str, ...], optional: tuple[str, ...], what: str) -> None:
-    """Reject unknown and missing keys of an inbound mapping."""
-    if not isinstance(payload, Mapping):
-        raise ApiError(f"{what}: body must be a JSON object, got {type(payload).__name__}")
-    allowed = set(required) | set(optional) | {"schema_version"}
-    unknown = sorted(set(payload) - allowed)
-    if unknown:
-        raise ApiError(
-            f"{what}: unknown key(s) {', '.join(map(repr, unknown))}; "
-            f"allowed: {', '.join(sorted(allowed))}"
-        )
-    missing = sorted(set(required) - set(payload))
-    if missing:
-        raise ApiError(f"{what}: missing required key(s) {', '.join(map(repr, missing))}")
-    version = payload.get("schema_version")
-    if version is not None and version != SCHEMA_VERSION:
-        raise ApiError(
-            f"{what}: schema_version {version!r} does not match the served "
-            f"contract (schema_version {SCHEMA_VERSION})"
-        )
+def _each(convert: _Convert, value: Any) -> Any:
+    """Apply ``convert`` to every item of a JSON array or object."""
+    if isinstance(value, list):
+        return [convert(item) for item in value]
+    return {key: convert(item) for key, item in value.items()}
 
 
-def _typed(payload: Mapping[str, Any], key: str, kinds: type | tuple[type, ...], what: str, default: Any = None) -> Any:
-    """Fetch ``key`` checking its type (``None`` passes through as default)."""
-    value = payload.get(key, default)
-    if value is None:
-        return default
-    if isinstance(value, bool) and bool not in (kinds if isinstance(kinds, tuple) else (kinds,)):
-        raise ApiError(f"{what}: key {key!r} must be {kinds}, got bool")
-    if not isinstance(value, kinds):
-        kind_names = (
-            ", ".join(k.__name__ for k in kinds)
-            if isinstance(kinds, tuple)
-            else kinds.__name__
+def _codec(hint: Any, label: str) -> tuple[_Convert | None, _Convert | None]:
+    """``(decode, encode)`` of one type hint (``None`` = pass through); ``label`` is for errors."""
+    origin, args = get_origin(hint), get_args(hint)
+    if type(None) in args:  # ``X | None``: a None value never reaches a codec
+        return _codec(next(arg for arg in args if arg is not type(None)), label)
+    if hint is Any:
+        return None, None
+    if origin is None and issubclass(hint, _Body):
+        return hint.from_dict, _Body.to_dict
+    kind: type = hint if origin is None else list if origin is list else Mapping
+    accepted = (int, float) if kind is float else kind
+    decode_item, encode_item = _codec(args[-1], label + " item") if args else (None, None)
+
+    def decode(value: Any) -> Any:
+        if not isinstance(value, accepted) or (kind is not bool and isinstance(value, bool)):
+            raise ApiError(f"{label} must be of type {kind.__name__}, got {type(value).__name__}")
+        if kind is float:
+            return float(value)
+        return value if decode_item is None else _each(decode_item, value)
+
+    return decode, None if encode_item is None else partial(_each, encode_item)
+
+
+@cache
+def _spec(cls: type[_Body]) -> dict[str, tuple[bool, _Convert | None, _Convert | None]]:
+    """``field name -> (required, decode, encode)`` of a body class, derived once."""
+    hints = get_type_hints(cls)
+    return {
+        item.name: (
+            item.default is MISSING and item.default_factory is MISSING,
+            *_codec(hints[item.name], f"{cls.__name__}: key {item.name!r}"),
         )
-        raise ApiError(
-            f"{what}: key {key!r} must be of type {kind_names}, "
-            f"got {type(value).__name__}"
-        )
-    return value
+        for item in fields(cls)  # type: ignore[arg-type]  # every body is a dataclass
+    }
+
+
+class _Body:
+    """Base of every wire body: the one field-derived codec of the contract."""
+
+    _stamped: ClassVar[bool] = True  #: off for bodies that only ever travel nested
+
+    def to_dict(self) -> dict[str, Any]:
+        """Serialise for the wire: ``None`` fields omitted, version stamped last."""
+        payload = {
+            name: value if encode is None else encode(value)
+            for name, (_required, _decode, encode) in _spec(type(self)).items()
+            if (value := getattr(self, name)) is not None
+        }
+        if self._stamped:
+            payload["schema_version"] = SCHEMA_VERSION
+        return payload
+
+    @classmethod
+    def from_dict(cls: type[_BodyT], payload: Mapping[str, Any]) -> _BodyT:
+        """Parse and validate an inbound body (absent or ``null`` = the default)."""
+        what, spec = cls.__name__, _spec(cls)
+        if not isinstance(payload, Mapping):
+            raise ApiError(f"{what}: body must be a JSON object, got {type(payload).__name__}")
+        unknown = sorted(payload.keys() - spec.keys() - {"schema_version"})
+        if unknown:
+            raise ApiError(
+                f"{what}: unknown key(s) {', '.join(map(repr, unknown))}; "
+                f"allowed: {', '.join(sorted({*spec, 'schema_version'}))}"
+            )
+        missing = [repr(name) for name, row in spec.items() if row[0] and payload.get(name) is None]
+        if missing:
+            raise ApiError(f"{what}: missing required key(s) {', '.join(missing)}")
+        if payload.get("schema_version") not in (None, SCHEMA_VERSION):
+            raise ApiError(f"{what}: schema_version must be {SCHEMA_VERSION} (the served contract)")
+        return cls(**{
+            name: value if decode is None else decode(value)
+            for name, (_required, decode, _encode) in spec.items()
+            if (value := payload.get(name)) is not None
+        })
 
 
 def _check_workers(workers: int | None, what: str) -> None:
@@ -109,14 +153,8 @@ def _check_workers(workers: int | None, what: str) -> None:
         raise ApiError(f"{what}: 'workers' must be >= 1, got {workers}")
 
 
-def _versioned(payload: dict[str, Any]) -> dict[str, Any]:
-    """Stamp the contract version onto an outbound body."""
-    payload["schema_version"] = SCHEMA_VERSION
-    return payload
-
-
 @dataclass(frozen=True)
-class ErrorBody:
+class ErrorBody(_Body):
     """Machine-readable failure envelope of every non-2xx response."""
 
     error: str
@@ -124,60 +162,19 @@ class ErrorBody:
     status: int = 400
     retry_after: float | None = None
 
-    def to_dict(self) -> dict[str, Any]:
-        """Serialise for the wire (``retry_after`` omitted when absent)."""
-        payload: dict[str, Any] = {
-            "error": self.error, "detail": self.detail, "status": self.status,
-        }
-        if self.retry_after is not None:
-            payload["retry_after"] = self.retry_after
-        return _versioned(payload)
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "ErrorBody":
-        """Parse and validate an inbound error body."""
-        _check(payload, ("error", "detail"), ("status", "retry_after"), "ErrorBody")
-        return cls(
-            error=_typed(payload, "error", str, "ErrorBody"),
-            detail=_typed(payload, "detail", str, "ErrorBody"),
-            status=int(_typed(payload, "status", int, "ErrorBody", 400)),
-            retry_after=_typed(payload, "retry_after", (int, float), "ErrorBody"),
-        )
-
 
 @dataclass(frozen=True)
-class ServerInfo:
+class ServerInfo(_Body):
     """``GET /api/v2/healthz`` — liveness plus the served contract."""
 
     server: str
-    schema_version: int
     summaries_loaded: int
     requests_served: int
-
-    def to_dict(self) -> dict[str, Any]:
-        """Serialise for the wire."""
-        return _versioned(
-            {
-                "server": self.server,
-                "summaries_loaded": self.summaries_loaded,
-                "requests_served": self.requests_served,
-            }
-        )
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "ServerInfo":
-        """Parse and validate an inbound body."""
-        _check(payload, ("server", "summaries_loaded", "requests_served"), (), "ServerInfo")
-        return cls(
-            server=_typed(payload, "server", str, "ServerInfo"),
-            schema_version=int(payload.get("schema_version", SCHEMA_VERSION)),
-            summaries_loaded=int(_typed(payload, "summaries_loaded", int, "ServerInfo", 0)),
-            requests_served=int(_typed(payload, "requests_served", int, "ServerInfo", 0)),
-        )
+    schema_version: int = SCHEMA_VERSION
 
 
 @dataclass(frozen=True)
-class LoadSummaryRequest:
+class LoadSummaryRequest(_Body):
     """``POST /api/v2/summaries`` — load (or refresh) a summary into the cache.
 
     Exactly one of ``path`` (a summary JSON on the server's filesystem) or
@@ -196,32 +193,11 @@ class LoadSummaryRequest:
         if not self.name:
             raise ApiError("LoadSummaryRequest: 'name' must be a non-empty string")
         if (self.path is None) == (self.summary is None):
-            raise ApiError(
-                "LoadSummaryRequest: exactly one of 'path' or 'summary' must be given"
-            )
-
-    def to_dict(self) -> dict[str, Any]:
-        """Serialise for the wire."""
-        payload: dict[str, Any] = {"name": self.name}
-        if self.path is not None:
-            payload["path"] = self.path
-        if self.summary is not None:
-            payload["summary"] = dict(self.summary)
-        return _versioned(payload)
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "LoadSummaryRequest":
-        """Parse and validate an inbound body."""
-        _check(payload, ("name",), ("path", "summary"), "LoadSummaryRequest")
-        return cls(
-            name=_typed(payload, "name", str, "LoadSummaryRequest"),
-            path=_typed(payload, "path", str, "LoadSummaryRequest"),
-            summary=_typed(payload, "summary", Mapping, "LoadSummaryRequest"),
-        )
+            raise ApiError("LoadSummaryRequest: exactly one of 'path' or 'summary' must be given")
 
 
 @dataclass(frozen=True)
-class SummaryInfo:
+class SummaryInfo(_Body):
     """One cached summary as the server sees it.
 
     ``generation`` counts swaps under this *name* on this server (1 on first
@@ -238,76 +214,24 @@ class SummaryInfo:
     summary_bytes: int
     cache_hit: bool = False
 
-    def to_dict(self) -> dict[str, Any]:
-        """Serialise for the wire."""
-        return _versioned(asdict(self))
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "SummaryInfo":
-        """Parse and validate an inbound body."""
-        _check(
-            payload,
-            ("name", "fingerprint", "summary_version", "generation", "relations",
-             "total_rows", "summary_bytes"),
-            ("cache_hit",),
-            "SummaryInfo",
-        )
-        relations = _typed(payload, "relations", Mapping, "SummaryInfo", {})
-        return cls(
-            name=_typed(payload, "name", str, "SummaryInfo"),
-            fingerprint=_typed(payload, "fingerprint", str, "SummaryInfo"),
-            summary_version=int(_typed(payload, "summary_version", int, "SummaryInfo", 1)),
-            generation=int(_typed(payload, "generation", int, "SummaryInfo", 1)),
-            relations={str(k): int(v) for k, v in relations.items()},
-            total_rows=int(_typed(payload, "total_rows", int, "SummaryInfo", 0)),
-            summary_bytes=int(_typed(payload, "summary_bytes", int, "SummaryInfo", 0)),
-            cache_hit=bool(payload.get("cache_hit", False)),
-        )
-
 
 @dataclass(frozen=True)
-class SummaryListResponse:
+class SummaryListResponse(_Body):
     """``GET /api/v2/summaries`` — every currently-served summary."""
 
     summaries: list[SummaryInfo] = field(default_factory=list)
 
-    def to_dict(self) -> dict[str, Any]:
-        """Serialise for the wire."""
-        return _versioned({"summaries": [info.to_dict() for info in self.summaries]})
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "SummaryListResponse":
-        """Parse and validate an inbound body."""
-        _check(payload, ("summaries",), (), "SummaryListResponse")
-        items = payload["summaries"]
-        if not isinstance(items, list):
-            raise ApiError("SummaryListResponse: 'summaries' must be a list")
-        return cls(summaries=[SummaryInfo.from_dict(item) for item in items])
-
 
 @dataclass(frozen=True)
-class EvictResponse:
+class EvictResponse(_Body):
     """``DELETE /api/v2/summaries/{name}`` — outcome of an eviction."""
 
     name: str
     evicted: bool
 
-    def to_dict(self) -> dict[str, Any]:
-        """Serialise for the wire."""
-        return _versioned({"name": self.name, "evicted": self.evicted})
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "EvictResponse":
-        """Parse and validate an inbound body."""
-        _check(payload, ("name", "evicted"), (), "EvictResponse")
-        return cls(
-            name=_typed(payload, "name", str, "EvictResponse"),
-            evicted=bool(_typed(payload, "evicted", bool, "EvictResponse", False)),
-        )
-
 
 @dataclass(frozen=True)
-class QueryRequest:
+class QueryRequest(_Body):
     """``POST /api/v2/summaries/{name}/query`` — run one engine query.
 
     The engine picks the route (summary, streaming, materialising) from the
@@ -324,46 +248,19 @@ class QueryRequest:
         if not self.sql or not self.sql.strip():
             raise ApiError("QueryRequest: 'sql' must be a non-empty statement")
 
-    def to_dict(self) -> dict[str, Any]:
-        """Serialise for the wire."""
-        return _versioned(asdict(self))
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "QueryRequest":
-        """Parse and validate an inbound body."""
-        _check(payload, ("sql",), ("rows_per_second",), "QueryRequest")
-        rate = _typed(payload, "rows_per_second", (int, float), "QueryRequest")
-        return cls(
-            sql=_typed(payload, "sql", str, "QueryRequest"),
-            rows_per_second=float(rate) if rate is not None else None,
-        )
-
 
 @dataclass(frozen=True)
-class RouteEventBody:
-    """One engine routing decision, mirrored from ``RouteEvent``."""
+class RouteEventBody(_Body):
+    """One engine routing decision, mirrored from ``RouteEvent`` (always nested)."""
 
+    _stamped: ClassVar[bool] = False
     kind: str
     route: str
     reason: str | None = None
 
-    def to_dict(self) -> dict[str, Any]:
-        """Serialise for the wire (no version stamp: always nested)."""
-        return {"kind": self.kind, "route": self.route, "reason": self.reason}
 
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "RouteEventBody":
-        """Parse and validate a nested route event."""
-        _check(payload, ("kind", "route"), ("reason",), "RouteEventBody")
-        return cls(
-            kind=_typed(payload, "kind", str, "RouteEventBody"),
-            route=_typed(payload, "route", str, "RouteEventBody"),
-            reason=_typed(payload, "reason", str, "RouteEventBody"),
-        )
-
-
-@dataclass(frozen=True)
-class QueryResponse:
+@dataclass(frozen=True, kw_only=True)
+class QueryResponse(_Body):
     """Result of one engine query against a cached summary.
 
     ``columns`` holds external (client-facing) values — dates as ISO
@@ -377,66 +274,17 @@ class QueryResponse:
     columns: dict[str, list[Any]]
     row_count: int
     scanned_rows: int
-    aggregate_route: str | None
-    route_events: list[RouteEventBody]
-    annotations: list[dict[str, Any]]
+    aggregate_route: str | None = None
+    route_events: list[RouteEventBody] = field(default_factory=list)
+    annotations: list[dict[str, Any]] = field(default_factory=list)
     fingerprint: str
-    summary_version: int
-    generation: int
-    elapsed_seconds: float
-
-    def to_dict(self) -> dict[str, Any]:
-        """Serialise for the wire."""
-        return _versioned(
-            {
-                "columns": self.columns,
-                "row_count": self.row_count,
-                "scanned_rows": self.scanned_rows,
-                "aggregate_route": self.aggregate_route,
-                "route_events": [event.to_dict() for event in self.route_events],
-                "annotations": self.annotations,
-                "fingerprint": self.fingerprint,
-                "summary_version": self.summary_version,
-                "generation": self.generation,
-                "elapsed_seconds": self.elapsed_seconds,
-            }
-        )
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "QueryResponse":
-        """Parse and validate an inbound body."""
-        _check(
-            payload,
-            ("columns", "row_count", "scanned_rows", "fingerprint"),
-            ("aggregate_route", "route_events", "annotations", "summary_version",
-             "generation", "elapsed_seconds"),
-            "QueryResponse",
-        )
-        columns = _typed(payload, "columns", Mapping, "QueryResponse", {})
-        events = payload.get("route_events", [])
-        if not isinstance(events, list):
-            raise ApiError("QueryResponse: 'route_events' must be a list")
-        annotations = payload.get("annotations", [])
-        if not isinstance(annotations, list):
-            raise ApiError("QueryResponse: 'annotations' must be a list")
-        return cls(
-            columns={str(k): list(v) for k, v in columns.items()},
-            row_count=int(_typed(payload, "row_count", int, "QueryResponse", 0)),
-            scanned_rows=int(_typed(payload, "scanned_rows", int, "QueryResponse", 0)),
-            aggregate_route=_typed(payload, "aggregate_route", str, "QueryResponse"),
-            route_events=[RouteEventBody.from_dict(item) for item in events],
-            annotations=[dict(item) for item in annotations],
-            fingerprint=_typed(payload, "fingerprint", str, "QueryResponse"),
-            summary_version=int(_typed(payload, "summary_version", int, "QueryResponse", 1)),
-            generation=int(_typed(payload, "generation", int, "QueryResponse", 1)),
-            elapsed_seconds=float(
-                _typed(payload, "elapsed_seconds", (int, float), "QueryResponse", 0.0)
-            ),
-        )
+    summary_version: int = 1
+    generation: int = 1
+    elapsed_seconds: float = 0.0
 
 
 @dataclass(frozen=True)
-class VerifyRequest:
+class VerifyRequest(_Body):
     """``POST /api/v2/summaries/{name}/verify`` — submit a workload verification.
 
     Exactly one of ``package`` (inline ``InformationPackage.to_dict``) or
@@ -460,34 +308,9 @@ class VerifyRequest:
             )
         _check_workers(self.workers, "VerifyRequest")
 
-    def to_dict(self) -> dict[str, Any]:
-        """Serialise for the wire."""
-        payload: dict[str, Any] = {}
-        if self.package is not None:
-            payload["package"] = dict(self.package)
-        if self.package_path is not None:
-            payload["package_path"] = self.package_path
-        if self.against_dir is not None:
-            payload["against_dir"] = self.against_dir
-        if self.workers is not None:
-            payload["workers"] = self.workers
-        return _versioned(payload)
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "VerifyRequest":
-        """Parse and validate an inbound body."""
-        _check(payload, (), ("package", "package_path", "against_dir", "workers"), "VerifyRequest")
-        workers = _typed(payload, "workers", int, "VerifyRequest")
-        return cls(
-            package=_typed(payload, "package", Mapping, "VerifyRequest"),
-            package_path=_typed(payload, "package_path", str, "VerifyRequest"),
-            against_dir=_typed(payload, "against_dir", str, "VerifyRequest"),
-            workers=int(workers) if workers is not None else None,
-        )
-
 
 @dataclass(frozen=True)
-class VerifyResponse:
+class VerifyResponse(_Body):
     """Outcome of a verification (volumetric or export validation)."""
 
     mode: str
@@ -500,39 +323,9 @@ class VerifyResponse:
     rows_checked: int = 0
     problems: list[str] = field(default_factory=list)
 
-    def to_dict(self) -> dict[str, Any]:
-        """Serialise for the wire."""
-        return _versioned(asdict(self))
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "VerifyResponse":
-        """Parse and validate an inbound body."""
-        _check(
-            payload,
-            ("mode", "ok"),
-            ("total_edges", "max_relative_error", "mean_relative_error", "error_cdf",
-             "relations_checked", "rows_checked", "problems"),
-            "VerifyResponse",
-        )
-        return cls(
-            mode=_typed(payload, "mode", str, "VerifyResponse"),
-            ok=bool(_typed(payload, "ok", bool, "VerifyResponse", False)),
-            total_edges=int(_typed(payload, "total_edges", int, "VerifyResponse", 0)),
-            max_relative_error=float(
-                _typed(payload, "max_relative_error", (int, float), "VerifyResponse", 0.0)
-            ),
-            mean_relative_error=float(
-                _typed(payload, "mean_relative_error", (int, float), "VerifyResponse", 0.0)
-            ),
-            error_cdf=[[float(a), float(b)] for a, b in payload.get("error_cdf", [])],
-            relations_checked=[str(item) for item in payload.get("relations_checked", [])],
-            rows_checked=int(_typed(payload, "rows_checked", int, "VerifyResponse", 0)),
-            problems=[str(item) for item in payload.get("problems", [])],
-        )
-
 
 @dataclass(frozen=True)
-class ExportRequest:
+class ExportRequest(_Body):
     """``POST /api/v2/summaries/{name}/export`` — materialise to a sink."""
 
     format: str
@@ -542,72 +335,27 @@ class ExportRequest:
 
     def __post_init__(self) -> None:
         """Reject structurally-empty requests at construction."""
-        if not self.format:
-            raise ApiError("ExportRequest: 'format' must be a non-empty string")
-        if not self.out_dir:
-            raise ApiError("ExportRequest: 'out_dir' must be a non-empty string")
+        for key in ("format", "out_dir"):
+            if not getattr(self, key):
+                raise ApiError(f"ExportRequest: {key!r} must be a non-empty string")
         _check_workers(self.workers, "ExportRequest")
 
-    def to_dict(self) -> dict[str, Any]:
-        """Serialise for the wire."""
-        return _versioned(asdict(self))
 
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "ExportRequest":
-        """Parse and validate an inbound body."""
-        _check(payload, ("format", "out_dir"), ("relations", "workers"), "ExportRequest")
-        relations = payload.get("relations")
-        if relations is not None and not isinstance(relations, list):
-            raise ApiError("ExportRequest: 'relations' must be a list of names")
-        workers = _typed(payload, "workers", int, "ExportRequest")
-        return cls(
-            format=_typed(payload, "format", str, "ExportRequest"),
-            out_dir=_typed(payload, "out_dir", str, "ExportRequest"),
-            relations=[str(item) for item in relations] if relations is not None else None,
-            workers=int(workers) if workers is not None else None,
-        )
-
-
-@dataclass(frozen=True)
-class ExportResponse:
+@dataclass(frozen=True, kw_only=True)
+class ExportResponse(_Body):
     """Outcome of a server-side export."""
 
     format: str
     out_dir: str
     relations: list[str]
     total_rows: int
-    elapsed_seconds: float
+    elapsed_seconds: float = 0.0
     manifest_path: str
     fingerprint: str
 
-    def to_dict(self) -> dict[str, Any]:
-        """Serialise for the wire."""
-        return _versioned(asdict(self))
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "ExportResponse":
-        """Parse and validate an inbound body."""
-        _check(
-            payload,
-            ("format", "out_dir", "relations", "total_rows", "manifest_path", "fingerprint"),
-            ("elapsed_seconds",),
-            "ExportResponse",
-        )
-        return cls(
-            format=_typed(payload, "format", str, "ExportResponse"),
-            out_dir=_typed(payload, "out_dir", str, "ExportResponse"),
-            relations=[str(item) for item in payload.get("relations", [])],
-            total_rows=int(_typed(payload, "total_rows", int, "ExportResponse", 0)),
-            elapsed_seconds=float(
-                _typed(payload, "elapsed_seconds", (int, float), "ExportResponse", 0.0)
-            ),
-            manifest_path=_typed(payload, "manifest_path", str, "ExportResponse"),
-            fingerprint=_typed(payload, "fingerprint", str, "ExportResponse"),
-        )
-
 
 @dataclass(frozen=True)
-class RegenerateRequest:
+class RegenerateRequest(_Body):
     """``POST /api/v2/summaries/{name}/regenerate`` — stream regeneration.
 
     The response is NDJSON: one :class:`ProgressEvent` per line, emitted as
@@ -622,32 +370,12 @@ class RegenerateRequest:
     def __post_init__(self) -> None:
         """Reject a batch size or worker count no stream could run with."""
         if self.batch_size < 1:
-            raise ApiError(
-                f"RegenerateRequest: 'batch_size' must be >= 1, got {self.batch_size}"
-            )
+            raise ApiError(f"RegenerateRequest: 'batch_size' must be >= 1, got {self.batch_size}")
         _check_workers(self.workers, "RegenerateRequest")
-
-    def to_dict(self) -> dict[str, Any]:
-        """Serialise for the wire."""
-        return _versioned(asdict(self))
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "RegenerateRequest":
-        """Parse and validate an inbound body."""
-        _check(payload, (), ("relations", "workers", "batch_size"), "RegenerateRequest")
-        relations = payload.get("relations")
-        if relations is not None and not isinstance(relations, list):
-            raise ApiError("RegenerateRequest: 'relations' must be a list of names")
-        workers = _typed(payload, "workers", int, "RegenerateRequest")
-        return cls(
-            relations=[str(item) for item in relations] if relations is not None else None,
-            workers=int(workers) if workers is not None else None,
-            batch_size=int(_typed(payload, "batch_size", int, "RegenerateRequest", 8192)),
-        )
 
 
 @dataclass(frozen=True)
-class ProgressEvent:
+class ProgressEvent(_Body):
     """One line of the NDJSON regeneration stream.
 
     ``event`` is one of ``start`` / ``relation_start`` / ``progress`` /
@@ -663,32 +391,30 @@ class ProgressEvent:
     seconds: float | None = None
     error: str | None = None
 
-    def to_dict(self) -> dict[str, Any]:
-        """Serialise for the wire (``None`` fields omitted)."""
-        payload: dict[str, Any] = {"event": self.event}
-        for key in ("relation", "rows", "total_rows", "seconds", "error"):
-            value = getattr(self, key)
-            if value is not None:
-                payload[key] = value
-        return _versioned(payload)
 
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "ProgressEvent":
-        """Parse and validate one NDJSON line."""
-        _check(
-            payload,
-            ("event",),
-            ("relation", "rows", "total_rows", "seconds", "error"),
-            "ProgressEvent",
-        )
-        rows = _typed(payload, "rows", int, "ProgressEvent")
-        total = _typed(payload, "total_rows", int, "ProgressEvent")
-        seconds = _typed(payload, "seconds", (int, float), "ProgressEvent")
-        return cls(
-            event=_typed(payload, "event", str, "ProgressEvent"),
-            relation=_typed(payload, "relation", str, "ProgressEvent"),
-            rows=int(rows) if rows is not None else None,
-            total_rows=int(total) if total is not None else None,
-            seconds=float(seconds) if seconds is not None else None,
-            error=_typed(payload, "error", str, "ProgressEvent"),
-        )
+class _Endpoint(NamedTuple):
+    """One served endpoint: all that routing, the client and the docs need."""
+
+    name: str  #: telemetry label (``server.requests.<name>``) and client key
+    method: str
+    path: str  #: under :data:`API_PREFIX`; ``{name}`` is the serving name
+    handler: str  #: the ``SummaryService`` method, called ``([name], [request])``
+    request: type[_Body] | None
+    response: type[_Body]
+    streamed: bool = False  #: NDJSON: one ``response`` body per line
+
+
+#: The served API: ``HydraServer`` routes by it, ``ServerClient`` calls through it.
+_ENDPOINTS = (
+    _Endpoint("healthz", "GET", "/healthz", "server_info", None, ServerInfo),
+    _Endpoint("summaries.list", "GET", "/summaries", "list_summaries", None, SummaryListResponse),
+    _Endpoint("summaries.load", "POST", "/summaries", "load", LoadSummaryRequest, SummaryInfo),
+    _Endpoint("summaries.evict", "DELETE", "/summaries/{name}", "evict", None, EvictResponse),
+    _Endpoint("query", "POST", "/summaries/{name}/query", "query", QueryRequest, QueryResponse),
+    _Endpoint("verify", "POST", "/summaries/{name}/verify", "verify", VerifyRequest, VerifyResponse),
+    _Endpoint("export", "POST", "/summaries/{name}/export", "export", ExportRequest, ExportResponse),
+    _Endpoint(
+        "regenerate", "POST", "/summaries/{name}/regenerate", "iter_regenerate",
+        RegenerateRequest, ProgressEvent, streamed=True,
+    ),
+)

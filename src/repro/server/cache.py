@@ -1,10 +1,12 @@
 """The versioned, refcounted in-memory summary cache of the server.
 
 The whole point of serving HYDRA summaries from a long-lived process is
-that the expensive part of answering a query — loading the summary JSON,
-grounding every relation's :class:`~repro.core.tuplegen.TupleGenerator`
-and materialising the cumulative row offsets — happens **once per summary
-version**, not once per request.  :class:`SummaryCache` owns that state:
+that the expensive part of answering a query — loading and validating the
+summary JSON, which also fixes every relation's cumulative row offsets
+(:class:`~repro.core.summary.RelationSummary` computes them at
+construction) — happens **once per summary version**, not once per request;
+the per-request :class:`~repro.core.tuplegen.TupleGenerator` objects are
+stateless views of it.  :class:`SummaryCache` owns that state:
 
 * entries are keyed by *serving name* and pinned by *content fingerprint*
   (:meth:`~repro.core.summary.DatabaseSummary.fingerprint`), so re-loading
@@ -30,7 +32,6 @@ from dataclasses import dataclass, field
 from typing import Iterator
 
 from ..core.summary import DatabaseSummary
-from ..core.tuplegen import SummaryDatabaseFactory
 from ..telemetry.session import add_counter, set_gauge
 from .api import SummaryInfo
 
@@ -52,11 +53,8 @@ class SummaryNotLoaded(KeyError):
 
 @dataclass
 class CachedSummary:
-    """One grounded summary version held by the cache.
+    """One summary version held by the cache.
 
-    ``factory`` is pre-warmed: every relation's generator exists and its
-    cumulative offsets are materialised before the entry becomes visible,
-    so the first query against a fresh version pays no grounding cost.
     ``leases`` counts in-flight requests pinned to this version; a retired
     entry (superseded by a swap or evicted) is dropped when it reaches zero.
     """
@@ -65,7 +63,6 @@ class CachedSummary:
     summary: DatabaseSummary
     fingerprint: str
     generation: int
-    factory: SummaryDatabaseFactory
     leases: int = 0
     retired: bool = False
 
@@ -86,20 +83,9 @@ class CachedSummary:
         )
 
 
-def _ground(summary: DatabaseSummary) -> SummaryDatabaseFactory:
-    """Build a factory with every generator and offset table pre-warmed."""
-    factory = SummaryDatabaseFactory(summary=summary)
-    for table_name, relation in summary.relations.items():
-        factory.generator(table_name)
-        # Touching the property materialises the row-offset prefix sums the
-        # generators ground against, so no request pays for it later.
-        relation.cumulative_offsets
-    return factory
-
-
 @dataclass
 class SummaryCache:
-    """Fingerprint-keyed cache of grounded summaries with lease semantics."""
+    """Fingerprint-keyed cache of summaries with lease semantics."""
 
     _entries: dict[str, CachedSummary] = field(default_factory=dict)
     _retired: list[CachedSummary] = field(default_factory=list)
@@ -112,16 +98,10 @@ class SummaryCache:
         Identical content (same fingerprint) under the same name is a cache
         hit and changes nothing.  Different content retires the currently
         served entry (kept alive while leased) and atomically publishes the
-        new one under a bumped generation.  Grounding happens *outside* the
-        lock, so concurrent requests keep being served during a slow load.
+        new one under a bumped generation.  Fingerprinting happens *outside*
+        the lock, so concurrent requests keep being served during a load.
         """
         fingerprint = summary.fingerprint()
-        with self._lock:
-            current = self._entries.get(name)
-            if current is not None and current.fingerprint == fingerprint:
-                add_counter("server.cache.hits")
-                return current.info(cache_hit=True)
-        factory = _ground(summary)
         with self._lock:
             current = self._entries.get(name)
             if current is not None and current.fingerprint == fingerprint:
@@ -134,7 +114,6 @@ class SummaryCache:
                 summary=summary,
                 fingerprint=fingerprint,
                 generation=generation,
-                factory=factory,
             )
             if current is not None:
                 self._retire_locked(current)

@@ -1,11 +1,13 @@
 """Blocking HTTP client for the summary server.
 
 :class:`ServerClient` speaks the exact typed contract of
-:mod:`repro.server.api` over stdlib :mod:`http.client` — every call sends a
-request dataclass's ``to_dict()`` and parses the response back through the
-matching ``from_dict()``, so client and server can never drift apart
-silently: an incompatible payload fails validation at the boundary on
-either side.
+:mod:`repro.server.api` over stdlib :mod:`http.client` — every public method
+builds its request dataclass and hands it to the one ``_call`` helper, which
+looks the endpoint up in the very table the server routes by (method, path,
+response type, streamed or not), sends ``to_dict()`` and parses the answer
+back through the row's ``from_dict()``.  Client and server can therefore
+never drift apart silently: an incompatible payload fails validation at the
+boundary on either side.
 
 Each call opens its own connection, which makes one client instance safe to
 share across threads (the concurrency tests drive one instance from many
@@ -17,11 +19,13 @@ from __future__ import annotations
 
 import http.client
 import json
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Iterator, Mapping
+from typing import Any, Iterator, Mapping, cast
 
 from ..core.summary import DatabaseSummary
 from .api import (
+    _ENDPOINTS,
     API_PREFIX,
     ErrorBody,
     EvictResponse,
@@ -37,9 +41,13 @@ from .api import (
     SummaryListResponse,
     VerifyRequest,
     VerifyResponse,
+    _Body,
+    _Endpoint,
 )
 
 __all__ = ["ServerClient", "ServerClientError"]
+
+_ROWS = {row.name: row for row in _ENDPOINTS}
 
 
 class ServerClientError(Exception):
@@ -77,7 +85,7 @@ class ServerClient:
 
     def server_info(self) -> ServerInfo:
         """``GET /healthz``."""
-        return ServerInfo.from_dict(self._request("GET", "/healthz"))
+        return cast(ServerInfo, self._call("healthz"))
 
     def load_summary(
         self,
@@ -86,38 +94,27 @@ class ServerClient:
         summary: "DatabaseSummary | Mapping[str, Any] | None" = None,
     ) -> SummaryInfo:
         """Load a summary (server-side ``path`` or inline ``summary``)."""
-        inline: Mapping[str, Any] | None
-        if isinstance(summary, DatabaseSummary):
-            inline = summary.to_dict()
-        else:
-            inline = summary
         request = LoadSummaryRequest(
             name=name,
             path=str(path) if path is not None else None,
-            summary=inline,
+            summary=summary.to_dict() if isinstance(summary, DatabaseSummary) else summary,
         )
-        return SummaryInfo.from_dict(
-            self._request("POST", "/summaries", request.to_dict())
-        )
+        return cast(SummaryInfo, self._call("summaries.load", request=request))
 
     def list_summaries(self) -> list[SummaryInfo]:
         """``GET /summaries``."""
-        return SummaryListResponse.from_dict(
-            self._request("GET", "/summaries")
-        ).summaries
+        return cast(SummaryListResponse, self._call("summaries.list")).summaries
 
     def evict(self, name: str) -> EvictResponse:
         """``DELETE /summaries/{name}``."""
-        return EvictResponse.from_dict(self._request("DELETE", f"/summaries/{name}"))
+        return cast(EvictResponse, self._call("summaries.evict", name))
 
     def query(
         self, name: str, sql: str, rows_per_second: float | None = None
     ) -> QueryResponse:
         """Run one engine query against the cached summary ``name``."""
         request = QueryRequest(sql=sql, rows_per_second=rows_per_second)
-        return QueryResponse.from_dict(
-            self._request("POST", f"/summaries/{name}/query", request.to_dict())
-        )
+        return cast(QueryResponse, self._call("query", name, request))
 
     def verify(
         self,
@@ -134,9 +131,7 @@ class ServerClient:
             against_dir=str(against_dir) if against_dir is not None else None,
             workers=workers,
         )
-        return VerifyResponse.from_dict(
-            self._request("POST", f"/summaries/{name}/verify", request.to_dict())
-        )
+        return cast(VerifyResponse, self._call("verify", name, request))
 
     def export(
         self,
@@ -148,14 +143,9 @@ class ServerClient:
     ) -> ExportResponse:
         """Kick off a server-side export of the cached summary ``name``."""
         request = ExportRequest(
-            format=format,
-            out_dir=str(out_dir),
-            relations=relations,
-            workers=workers,
+            format=format, out_dir=str(out_dir), relations=relations, workers=workers
         )
-        return ExportResponse.from_dict(
-            self._request("POST", f"/summaries/{name}/export", request.to_dict())
-        )
+        return cast(ExportResponse, self._call("export", name, request))
 
     def regenerate(
         self,
@@ -165,33 +155,23 @@ class ServerClient:
         batch_size: int = 8192,
     ) -> Iterator[ProgressEvent]:
         """Stream regeneration progress events as they are produced."""
-        request = RegenerateRequest(
-            relations=relations, workers=workers, batch_size=batch_size
-        )
-        connection = self._connect()
-        try:
-            connection.request(
-                "POST",
-                API_PREFIX + f"/summaries/{name}/regenerate",
-                body=json.dumps(request.to_dict()),
-                headers=self._headers(),
-            )
-            response = connection.getresponse()
-            if response.status >= 400:
-                raise self._error(response)
-            while True:
-                line = response.readline()
-                if not line:
-                    break
-                yield ProgressEvent.from_dict(json.loads(line))
-        finally:
-            connection.close()
+        request = RegenerateRequest(relations=relations, workers=workers, batch_size=batch_size)
+        return cast("Iterator[ProgressEvent]", self._call("regenerate", name, request))
 
     # -- plumbing ---------------------------------------------------------
 
-    def _connect(self) -> http.client.HTTPConnection:
-        """A fresh connection (per-call connections make sharing safe)."""
-        return http.client.HTTPConnection(self.host, self.port, timeout=self.timeout)
+    def _call(self, endpoint: str, name: str | None = None, request: _Body | None = None) -> Any:
+        """One typed exchange through the endpoint-table row ``endpoint``.
+
+        Returns the row's response body — or, for a streamed row, a lazy
+        iterator of them (nothing is sent before the first ``next()``).
+        """
+        row = _ROWS[endpoint]
+        path = row.path.format(name=name)
+        body = request.to_dict() if request is not None else None
+        if row.streamed:
+            return self._stream(row, path, body)
+        return row.response.from_dict(self._request(row.method, path, body))
 
     def _headers(self) -> dict[str, str]:
         """Common request headers (JSON content type plus the tenant)."""
@@ -200,11 +180,17 @@ class ServerClient:
             headers["X-Hydra-Tenant"] = self.tenant
         return headers
 
-    def _request(
-        self, method: str, path: str, body: Mapping[str, Any] | None = None
-    ) -> dict[str, Any]:
-        """One request/response cycle returning the parsed JSON body."""
-        connection = self._connect()
+    @contextmanager
+    def _exchange(
+        self, method: str, path: str, body: Mapping[str, Any] | None
+    ) -> Iterator[http.client.HTTPResponse]:
+        """One request on a fresh connection (per-call connections make sharing safe).
+
+        Yields the response once its status is known to be below 400 and
+        closes the connection afterwards; raises :class:`ServerClientError`
+        otherwise.
+        """
+        connection = http.client.HTTPConnection(self.host, self.port, timeout=self.timeout)
         try:
             connection.request(
                 method,
@@ -215,14 +201,29 @@ class ServerClient:
             response = connection.getresponse()
             if response.status >= 400:
                 raise self._error(response)
-            payload = json.loads(response.read() or b"{}")
-            if not isinstance(payload, dict):
-                raise ServerClientError(
-                    response.status, None, "server returned a non-object JSON body"
-                )
-            return payload
+            yield response
         finally:
             connection.close()
+
+    def _request(
+        self, method: str, path: str, body: Mapping[str, Any] | None = None
+    ) -> dict[str, Any]:
+        """One request/response cycle returning the parsed JSON body."""
+        with self._exchange(method, path, body) as response:
+            payload = json.loads(response.read() or b"{}")
+        if not isinstance(payload, dict):
+            raise ServerClientError(
+                response.status, None, "server returned a non-object JSON body"
+            )
+        return payload
+
+    def _stream(
+        self, row: _Endpoint, path: str, body: Mapping[str, Any] | None
+    ) -> Iterator[Any]:
+        """The NDJSON response of a streamed row, one decoded body per line."""
+        with self._exchange(row.method, path, body) as response:
+            while line := response.readline():
+                yield row.response.from_dict(json.loads(line))
 
     @staticmethod
     def _error(response: http.client.HTTPResponse) -> ServerClientError:

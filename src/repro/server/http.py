@@ -4,9 +4,11 @@ One event loop accepts connections and frames requests; everything that
 touches a summary (loads, queries, verifications, exports, regeneration)
 runs on a thread-pool executor via ``loop.run_in_executor``, so a slow
 engine query never stalls the accept loop and many clients are served
-concurrently.  Routing, JSON framing and error mapping live here — all
-request/response *content* is the typed contract of
-:mod:`repro.server.api`, produced and consumed by the shared
+concurrently.  JSON framing and error mapping live here; *which* endpoints
+exist does not — ``_route`` walks the endpoint table of
+:mod:`repro.server.api` (method, path shape, request type, handler, streamed
+or not) and decides 404 / 405 from it — and all request/response *content*
+is that module's typed contract, produced and consumed by the shared
 :class:`~repro.server.service.SummaryService`.
 
 Protocol notes
@@ -32,20 +34,10 @@ import asyncio
 import json
 import threading
 from concurrent.futures import Future, ThreadPoolExecutor
-from typing import Any, Callable, Iterator
+from typing import Any, Iterator
 
 from ..telemetry.session import add_counter, observe, span
-from .api import (
-    API_PREFIX,
-    ApiError,
-    ErrorBody,
-    ExportRequest,
-    LoadSummaryRequest,
-    ProgressEvent,
-    QueryRequest,
-    RegenerateRequest,
-    VerifyRequest,
-)
+from .api import _ENDPOINTS, API_PREFIX, ApiError, ErrorBody, ProgressEvent, _Endpoint
 from .service import ServiceError, SummaryService
 
 __all__ = ["BackgroundServer", "HydraServer"]
@@ -65,6 +57,11 @@ MAX_BODY_BYTES = 64 * 1024 * 1024
 
 #: Sentinel marking the end of a streamed NDJSON response.
 _STREAM_END = object()
+
+#: The endpoint table keyed for routing: ``(path segments, row)`` per endpoint.
+_ROUTES = tuple(
+    ([part for part in (API_PREFIX + row.path).split("/") if part], row) for row in _ENDPOINTS
+)
 
 
 class _Request:
@@ -211,51 +208,32 @@ class HydraServer:
 
     # -- routing ---------------------------------------------------------
 
-    def _route(
-        self, request: _Request
-    ) -> tuple[str, Callable[[], Any] | None, Iterator[ProgressEvent] | None]:
-        """Resolve ``(endpoint, sync handler, streaming iterator)``.
+    def _route(self, request: _Request) -> tuple[_Endpoint, list[Any]]:
+        """Resolve the endpoint-table row and the handler arguments of ``request``.
 
-        Exactly one of the two callables is non-``None``; raises
-        :class:`ServiceError` 404/405 for unknown paths and methods.
+        The arguments are the path's serving name (when the row's path has
+        one) and the validated request body (when the row declares one).
+        Raises :class:`ServiceError` 404 when no row has the path and 405
+        when rows have it but none with the method.
         """
-        if not request.path.startswith(API_PREFIX + "/"):
-            raise ServiceError(404, "not-found", f"no route for {request.path!r}")
-        parts = [p for p in request.path[len(API_PREFIX) :].split("/") if p]
-        service = self.service
-        if parts == ["healthz"]:
-            if request.method != "GET":
-                raise ServiceError(405, "method-not-allowed", "healthz is GET-only")
-            return "healthz", lambda: service.server_info().to_dict(), None
-        if parts == ["summaries"]:
-            if request.method == "GET":
-                return "summaries.list", lambda: service.list_summaries().to_dict(), None
-            if request.method == "POST":
-                load_request = LoadSummaryRequest.from_dict(request.json())
-                return "summaries.load", lambda: service.load(load_request).to_dict(), None
-            raise ServiceError(405, "method-not-allowed", "summaries is GET/POST")
-        if len(parts) == 2 and parts[0] == "summaries":
-            name = parts[1]
-            if request.method == "DELETE":
-                return "summaries.evict", lambda: service.evict(name).to_dict(), None
-            raise ServiceError(405, "method-not-allowed", "summary resource is DELETE-only")
-        if len(parts) == 3 and parts[0] == "summaries":
-            name, action = parts[1], parts[2]
-            if request.method != "POST":
-                raise ServiceError(405, "method-not-allowed", f"{action} is POST-only")
-            body = request.json()
-            if action == "query":
-                query_request = QueryRequest.from_dict(body)
-                return "query", lambda: service.query(name, query_request).to_dict(), None
-            if action == "verify":
-                verify_request = VerifyRequest.from_dict(body)
-                return "verify", lambda: service.verify(name, verify_request).to_dict(), None
-            if action == "export":
-                export_request = ExportRequest.from_dict(body)
-                return "export", lambda: service.export(name, export_request).to_dict(), None
-            if action == "regenerate":
-                regen_request = RegenerateRequest.from_dict(body)
-                return "regenerate", None, service.iter_regenerate(name, regen_request)
+        parts = [part for part in request.path.split("/") if part]
+        allowed = []
+        for shape, row in _ROUTES:
+            if len(shape) != len(parts) or any(
+                want != got and want != "{name}" for want, got in zip(shape, parts)
+            ):
+                continue
+            if row.method != request.method:
+                allowed.append(row.method)
+                continue
+            args: list[Any] = [got for want, got in zip(shape, parts) if want == "{name}"]
+            if row.request is not None:
+                args.append(row.request.from_dict(request.json()))
+            return row, args
+        if allowed:
+            raise ServiceError(
+                405, "method-not-allowed", f"{request.path!r} is {'/'.join(allowed)}-only"
+            )
         raise ServiceError(404, "not-found", f"no route for {request.path!r}")
 
     # -- dispatch ---------------------------------------------------------
@@ -266,16 +244,19 @@ class HydraServer:
         started = loop.time()
         endpoint = "unrouted"
         try:
-            endpoint, handler, stream = self._route(request)
+            row, args = self._route(request)
+            endpoint = row.name
             self.service.admit(request.tenant)
+            handler = getattr(self.service, row.handler)
             with span("server.request", endpoint=endpoint, tenant=request.tenant):
-                if handler is not None:
-                    payload = await loop.run_in_executor(self._executor, handler)
-                    await self._write_json(writer, 200, payload, request.keep_alive)
-                    return request.keep_alive
-                assert stream is not None
-                await self._stream_ndjson(writer, stream, loop)
-                return False  # streamed responses close the connection
+                if row.streamed:
+                    await self._stream_ndjson(writer, handler(*args), loop)
+                    return False  # streamed responses close the connection
+                payload = await loop.run_in_executor(
+                    self._executor, lambda: handler(*args).to_dict()
+                )
+                await self._write_json(writer, 200, payload, request.keep_alive)
+                return request.keep_alive
         except ApiError as exc:
             body = ErrorBody(error="bad-request", detail=str(exc), status=400)
             await self._write_json(writer, 400, body.to_dict(), request.keep_alive)

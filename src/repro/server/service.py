@@ -8,9 +8,9 @@ the HTTP layer is nothing but routing + JSON framing.
 
 Handlers never share mutable engine state: every query builds a fresh
 :class:`~repro.storage.database.Database` of per-request
-:class:`~repro.executor.datagen.DataGenRelation` wrappers around the cached
-(pre-grounded, stateless) :class:`~repro.core.tuplegen.TupleGenerator`
-objects, and a fresh :class:`~repro.executor.engine.ExecutionEngine` — so
+:class:`~repro.executor.datagen.DataGenRelation` wrappers over stateless
+:class:`~repro.core.tuplegen.TupleGenerator` views of the cached summary,
+and a fresh :class:`~repro.executor.engine.ExecutionEngine` — so
 any number of requests run concurrently against one cached summary version
 and results are bit-identical to a direct serial engine run.
 
@@ -246,7 +246,7 @@ class SummaryService:
             assert request.summary is not None  # __post_init__ invariant
             try:
                 summary = DatabaseSummary.from_dict(request.summary)
-            except (HydraError, ValueError, KeyError) as exc:
+            except HydraError as exc:
                 raise ServiceError(
                     400, "bad-summary", f"cannot parse inline summary: {exc}"
                 ) from exc
@@ -433,9 +433,9 @@ class SummaryService:
         rows_per_second: float | None,
         workers: int | None = None,
     ) -> Database:
-        """A per-request database over the entry's cached generators.
+        """A per-request database over the entry's cached summary.
 
-        Generators are stateless and shared across requests; the
+        The summary (rows and offsets) is shared across requests; the
         :class:`~repro.executor.datagen.DataGenRelation` wrappers (which
         hold per-stream rate state) are fresh per request.  Without a
         requested ``workers`` the streams stay in-process whatever
@@ -448,7 +448,6 @@ class SummaryService:
             entry.summary,
             rate_limiter=limiter,
             workers=_effective_workers(workers) or 1,
-            factory=entry.factory,
         ):
             database.attach(table_name, relation)
         return database

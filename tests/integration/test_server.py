@@ -2,7 +2,7 @@
 
 Covers the ISSUE's acceptance behaviours end to end over real sockets:
 
-* >= 8 simultaneous clients receive results bit-identical to a direct
+* 16 simultaneous clients receive results bit-identical to a direct
   serial engine run over the same summary;
 * a version swap under load completes every in-flight request on the old
   version with zero failures;
@@ -94,7 +94,7 @@ def _direct_responses(metadata, summary):
 
 
 class TestConcurrentClients:
-    def test_eight_clients_bit_identical_to_direct_run(
+    def test_sixteen_clients_bit_identical_to_direct_run(
         self, server, toy_metadata, toy_summary
     ):
         expected = _direct_responses(toy_metadata, toy_summary)
@@ -110,8 +110,8 @@ class TestConcurrentClients:
                     assert response.row_count == row_count, sql
                     assert response.fingerprint == fingerprint
 
-        with ThreadPoolExecutor(max_workers=8) as pool:
-            futures = [pool.submit(worker, index) for index in range(8)]
+        with ThreadPoolExecutor(max_workers=16) as pool:
+            futures = [pool.submit(worker, index) for index in range(16)]
             for future in futures:
                 future.result()
 

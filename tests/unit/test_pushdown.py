@@ -521,42 +521,6 @@ class TestSatelliteRegressions:
         clone.throttle(100)
         assert clock.now() - start == pytest.approx(1.0)
 
-    def test_summary_offsets_survive_direct_row_append(self):
-        summary = RelationSummary(table="t", rows=[SummaryRow(count=5)])
-        assert summary.total_rows == 5
-        # A hand-edited scenario summary appending directly to `.rows` must
-        # not silently corrupt locate().
-        summary.rows.append(SummaryRow(count=7))
-        assert summary.total_rows == 12
-        assert summary.locate(11) == (1, 6)
-
-    def test_summary_offsets_survive_row_replacement_and_pop(self):
-        summary = RelationSummary(table="t", rows=[SummaryRow(count=3), SummaryRow(count=4)])
-        assert summary.total_rows == 7  # builds the cache
-        summary.rows[0] = SummaryRow(count=10)
-        assert summary.total_rows == 14
-        summary.rows.pop()
-        assert summary.total_rows == 10
-        assert summary.locate(9) == (0, 9)
-
-    def test_summary_count_mutation_with_invalidate(self):
-        summary = RelationSummary(table="t", rows=[SummaryRow(count=5), SummaryRow(count=5)])
-        assert summary.total_rows == 10
-        summary.rows[0].count = 2
-        summary.invalidate_offsets()
-        assert summary.total_rows == 7
-        assert summary.locate(2) == (1, 0)
-
-    def test_extend_rows_matches_repeated_add_row(self):
-        rows = [SummaryRow(count=i + 1) for i in range(10)]
-        one = RelationSummary(table="t")
-        for row in rows:
-            one.add_row(row)
-        other = RelationSummary(table="t")
-        other.extend_rows(rows)
-        assert one.total_rows == other.total_rows
-        assert list(one.row_offsets) == list(other.row_offsets)
-
     def test_regenerate_gives_each_relation_its_own_limiter(self, client_database, client_aqps):
         hydra = Hydra(metadata=collect_metadata(client_database))
         result = hydra.build_summary(client_aqps)

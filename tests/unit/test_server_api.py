@@ -5,11 +5,26 @@ must stamp schema_version, and from_dict must reject unknown keys, missing
 required keys, wrong types and mismatched schema versions with ApiError.
 """
 
+import dataclasses
+import http.client
 import json
+import os
+import re
+import subprocess
+import sys
+import typing
+from pathlib import Path
 
 import pytest
 
+from repro.catalog.schema import Column, Schema, Table
+from repro.catalog.types import INTEGER
+from repro.client.package import InformationPackage
+from repro.core.errors import HydraError, SummaryError
+from repro.core.summary import DatabaseSummary
+from repro.server import BackgroundServer, ServerClient, ServiceError, SummaryService
 from repro.server.api import (
+    _ENDPOINTS,
     API_PREFIX,
     SCHEMA_VERSION,
     ApiError,
@@ -41,90 +56,285 @@ SUMMARY_INFO = SummaryInfo(
     cache_hit=True,
 )
 
-ROUND_TRIPPABLE = [
-    ErrorBody(error="not_found", detail="no summary 'x'", status=404),
-    ErrorBody(error="rate_limited", detail="slow down", status=429, retry_after=0.25),
-    ServerInfo(server="hydra-server", schema_version=SCHEMA_VERSION,
-               summaries_loaded=2, requests_served=17),
-    LoadSummaryRequest(name="toy", path="/tmp/summary.json"),
-    LoadSummaryRequest(name="toy", summary={"relations": {}}),
-    SUMMARY_INFO,
-    SummaryListResponse(summaries=[SUMMARY_INFO]),
-    SummaryListResponse(),
-    EvictResponse(name="toy", evicted=True),
-    QueryRequest(sql="select count(*) from S"),
-    QueryRequest(sql="select * from S", rows_per_second=1000.0),
-    QueryResponse(
-        columns={"S.A": [1, 2, 3], "count": [3]},
-        row_count=3,
-        scanned_rows=2000,
-        aggregate_route="summary",
-        route_events=[RouteEventBody(kind="aggregate", route="summary", reason="exact")],
-        annotations=[{"node_id": 1, "operator": "scan", "description": "S", "cardinality": 2000}],
-        fingerprint="cd34" * 16,
-        summary_version=1,
-        generation=1,
-        elapsed_seconds=0.125,
+#: Every body next to the exact JSON the parent commit (PR 17, hand-written
+#: ``to_dict`` methods) put on the wire for it, ``null``-valued keys dropped —
+#: key order included.  The codec must reproduce these strings byte for byte.
+WIRE = [
+    (
+        ErrorBody(error="not_found", detail="no summary 'x'", status=404),
+        '{"error": "not_found", "detail": "no summary \'x\'", "status": 404, "schema_version": 2}',
     ),
-    VerifyRequest(package={"queries": []}),
-    VerifyRequest(package_path="/tmp/package.json", against_dir="/tmp/out", workers=4),
-    VerifyResponse(mode="volumetric", ok=True, total_edges=12,
-                   max_relative_error=0.01, mean_relative_error=0.001,
-                   error_cdf=[[0.0, 0.5], [0.01, 1.0]]),
-    VerifyResponse(mode="export", ok=False, relations_checked=["S", "T"],
-                   rows_checked=2200, problems=["row 7 of S differs"]),
-    ExportRequest(format="csv", out_dir="/tmp/out"),
-    ExportRequest(format="sqlite", out_dir="/tmp/out", relations=["S"], workers=2),
-    ExportResponse(format="csv", out_dir="/tmp/out", relations=["S", "T"],
-                   total_rows=2200, elapsed_seconds=1.5,
-                   manifest_path="/tmp/out/MANIFEST.json", fingerprint="ef56" * 16),
-    RegenerateRequest(),
-    RegenerateRequest(relations=["S"], workers=2, batch_size=512),
-    ProgressEvent(event="start", total_rows=2200),
-    ProgressEvent(event="progress", relation="S", rows=512, total_rows=2000, seconds=0.5),
-    ProgressEvent(event="error", error="boom"),
+    (
+        ErrorBody(error="rate_limited", detail="slow down", status=429, retry_after=0.25),
+        '{"error": "rate_limited", "detail": "slow down", "status": 429, "retry_after": 0.25, "schema_version": 2}',
+    ),
+    (
+        ServerInfo(server="hydra-server", schema_version=SCHEMA_VERSION,
+                   summaries_loaded=2, requests_served=17),
+        '{"server": "hydra-server", "summaries_loaded": 2, "requests_served": 17, "schema_version": 2}',
+    ),
+    (
+        LoadSummaryRequest(name="toy", path="/tmp/summary.json"),
+        '{"name": "toy", "path": "/tmp/summary.json", "schema_version": 2}',
+    ),
+    (
+        LoadSummaryRequest(name="toy", summary={"relations": {}}),
+        '{"name": "toy", "summary": {"relations": {}}, "schema_version": 2}',
+    ),
+    (
+        SUMMARY_INFO,
+        '{"name": "toy", "fingerprint": "' + "ab12" * 16 + '", "summary_version": 2, "generation": 3, "relations": {"S": 2000, "T": 200}, "total_rows": 2200, "summary_bytes": 4096, "cache_hit": true, "schema_version": 2}',
+    ),
+    (
+        SummaryListResponse(summaries=[SUMMARY_INFO]),
+        '{"summaries": [{"name": "toy", "fingerprint": "' + "ab12" * 16 + '", "summary_version": 2, "generation": 3, "relations": {"S": 2000, "T": 200}, "total_rows": 2200, "summary_bytes": 4096, "cache_hit": true, "schema_version": 2}], "schema_version": 2}',
+    ),
+    (
+        SummaryListResponse(),
+        '{"summaries": [], "schema_version": 2}',
+    ),
+    (
+        EvictResponse(name="toy", evicted=True),
+        '{"name": "toy", "evicted": true, "schema_version": 2}',
+    ),
+    (
+        QueryRequest(sql="select count(*) from S"),
+        '{"sql": "select count(*) from S", "schema_version": 2}',
+    ),
+    (
+        QueryRequest(sql="select * from S", rows_per_second=1000.0),
+        '{"sql": "select * from S", "rows_per_second": 1000.0, "schema_version": 2}',
+    ),
+    (
+        QueryResponse(
+            columns={"S.A": [1, 2, 3], "count": [3]},
+            row_count=3,
+            scanned_rows=2000,
+            aggregate_route="summary",
+            route_events=[RouteEventBody(kind="aggregate", route="summary", reason="exact")],
+            annotations=[{"node_id": 1, "operator": "scan", "description": "S", "cardinality": 2000}],
+            fingerprint="cd34" * 16,
+            summary_version=1,
+            generation=1,
+            elapsed_seconds=0.125,
+        ),
+        '{"columns": {"S.A": [1, 2, 3], "count": [3]}, "row_count": 3, "scanned_rows": 2000, "aggregate_route": "summary", "route_events": [{"kind": "aggregate", "route": "summary", "reason": "exact"}], "annotations": [{"node_id": 1, "operator": "scan", "description": "S", "cardinality": 2000}], "fingerprint": "' + "cd34" * 16 + '", "summary_version": 1, "generation": 1, "elapsed_seconds": 0.125, "schema_version": 2}',
+    ),
+    (
+        VerifyRequest(package={"queries": []}),
+        '{"package": {"queries": []}, "schema_version": 2}',
+    ),
+    (
+        VerifyRequest(package_path="/tmp/package.json", against_dir="/tmp/out", workers=4),
+        '{"package_path": "/tmp/package.json", "against_dir": "/tmp/out", "workers": 4, "schema_version": 2}',
+    ),
+    (
+        VerifyResponse(mode="volumetric", ok=True, total_edges=12,
+                       max_relative_error=0.01, mean_relative_error=0.001,
+                       error_cdf=[[0.0, 0.5], [0.01, 1.0]]),
+        '{"mode": "volumetric", "ok": true, "total_edges": 12, "max_relative_error": 0.01, "mean_relative_error": 0.001, "error_cdf": [[0.0, 0.5], [0.01, 1.0]], "relations_checked": [], "rows_checked": 0, "problems": [], "schema_version": 2}',
+    ),
+    (
+        VerifyResponse(mode="export", ok=False, relations_checked=["S", "T"],
+                       rows_checked=2200, problems=["row 7 of S differs"]),
+        '{"mode": "export", "ok": false, "total_edges": 0, "max_relative_error": 0.0, "mean_relative_error": 0.0, "error_cdf": [], "relations_checked": ["S", "T"], "rows_checked": 2200, "problems": ["row 7 of S differs"], "schema_version": 2}',
+    ),
+    (
+        ExportRequest(format="csv", out_dir="/tmp/out"),
+        '{"format": "csv", "out_dir": "/tmp/out", "schema_version": 2}',
+    ),
+    (
+        ExportRequest(format="sqlite", out_dir="/tmp/out", relations=["S"], workers=2),
+        '{"format": "sqlite", "out_dir": "/tmp/out", "relations": ["S"], "workers": 2, "schema_version": 2}',
+    ),
+    (
+        ExportResponse(format="csv", out_dir="/tmp/out", relations=["S", "T"],
+                       total_rows=2200, elapsed_seconds=1.5,
+                       manifest_path="/tmp/out/MANIFEST.json", fingerprint="ef56" * 16),
+        '{"format": "csv", "out_dir": "/tmp/out", "relations": ["S", "T"], "total_rows": 2200, "elapsed_seconds": 1.5, "manifest_path": "/tmp/out/MANIFEST.json", "fingerprint": "' + "ef56" * 16 + '", "schema_version": 2}',
+    ),
+    (
+        RegenerateRequest(),
+        '{"batch_size": 8192, "schema_version": 2}',
+    ),
+    (
+        RegenerateRequest(relations=["S"], workers=2, batch_size=512),
+        '{"relations": ["S"], "workers": 2, "batch_size": 512, "schema_version": 2}',
+    ),
+    (
+        ProgressEvent(event="start", total_rows=2200),
+        '{"event": "start", "total_rows": 2200, "schema_version": 2}',
+    ),
+    (
+        ProgressEvent(event="progress", relation="S", rows=512, total_rows=2000, seconds=0.5),
+        '{"event": "progress", "relation": "S", "rows": 512, "total_rows": 2000, "seconds": 0.5, "schema_version": 2}',
+    ),
+    (
+        ProgressEvent(event="error", error="boom"),
+        '{"event": "error", "error": "boom", "schema_version": 2}',
+    ),
+    (
+        RouteEventBody(kind="join", route="streaming", reason="no-streamable-leaf"),
+        '{"kind": "join", "route": "streaming", "reason": "no-streamable-leaf"}',
+    ),
+    (
+        RouteEventBody(kind="join", route="streaming"),
+        '{"kind": "join", "route": "streaming"}',
+    ),
 ]
 
+ROUND_TRIPPABLE = [body for body, _golden in WIRE]
+#: Bodies that travel on their own (``RouteEventBody`` is only ever nested).
+TOP_LEVEL = [body for body in ROUND_TRIPPABLE if not isinstance(body, RouteEventBody)]
+BODY_TYPES = sorted({type(body) for body in ROUND_TRIPPABLE}, key=lambda cls: cls.__name__)
 
-@pytest.mark.parametrize(
-    "body", ROUND_TRIPPABLE, ids=lambda body: type(body).__name__
-)
+
+def _ids(value):
+    """Parametrize ids: a body's (or body class's) name; strings keep pytest's default."""
+    if isinstance(value, str):
+        return None
+    return value.__name__ if isinstance(value, type) else type(value).__name__
+
+
+@pytest.mark.parametrize("body", ROUND_TRIPPABLE, ids=_ids)
 def test_round_trip(body):
     """to_dict → JSON → from_dict reproduces the dataclass exactly."""
     payload = json.loads(json.dumps(body.to_dict()))
     assert type(body).from_dict(payload) == body
 
 
-@pytest.mark.parametrize(
-    "body", ROUND_TRIPPABLE, ids=lambda body: type(body).__name__
-)
+@pytest.mark.parametrize("body, golden", WIRE, ids=_ids)
+def test_wire_bytes_are_the_parents(body, golden):
+    """The field-derived codec writes the hand-written methods' exact JSON."""
+    assert json.dumps(body.to_dict()) == golden
+
+
+@pytest.mark.parametrize("body, golden", WIRE, ids=_ids)
+def test_parent_payloads_decode_to_equal_bodies(body, golden):
+    """Both parent spellings of an absent optional — omitted and ``null`` — decode alike."""
+    omitted = json.loads(golden)
+    assert type(body).from_dict(omitted) == body
+    with_nulls = {**{item.name: None for item in dataclasses.fields(body)}, **omitted}
+    assert type(body).from_dict(with_nulls) == body
+
+
+@pytest.mark.parametrize("body", TOP_LEVEL, ids=_ids)
 def test_to_dict_stamps_schema_version(body):
-    """Every wire body carries the served contract's version."""
+    """Every wire body carries the served contract's version — stamped last."""
+    assert list(body.to_dict())[-1] == "schema_version"
     assert body.to_dict()["schema_version"] == SCHEMA_VERSION
 
 
-@pytest.mark.parametrize(
-    "body",
-    [b for b in ROUND_TRIPPABLE if not isinstance(b, RouteEventBody)],
-    ids=lambda body: type(body).__name__,
-)
+def test_nested_only_bodies_are_not_stamped():
+    assert "schema_version" not in RouteEventBody(kind="join", route="streaming").to_dict()
+    response = next(body for body in ROUND_TRIPPABLE if isinstance(body, QueryResponse))
+    assert "schema_version" not in response.to_dict()["route_events"][0]
+
+
+# -- the validation matrix, generated from the field declarations ------------
+
+def _wrong_value(hint):
+    """A JSON value of the wrong type: a string is wrong for everything but ``str``."""
+    return 42 if hint is str else "forty-two"
+
+
+def _field_cases():
+    for cls in BODY_TYPES:
+        hints = typing.get_type_hints(cls)
+        for item in dataclasses.fields(cls):
+            hint = hints[item.name]
+            if type(None) in typing.get_args(hint):  # ``X | None``: test against X
+                hint = next(arg for arg in typing.get_args(hint) if arg is not type(None))
+            yield pytest.param(cls, item, hint, id=f"{cls.__name__}.{item.name}")
+
+
+def _valid_payload(cls):
+    """The payload of the first WIRE body of ``cls``."""
+    return next(body for body in ROUND_TRIPPABLE if type(body) is cls).to_dict()
+
+
+def _full_payload(cls):
+    """Every WIRE payload of ``cls`` merged: all fields present, invariants not honoured."""
+    payload = {}
+    for body in reversed(ROUND_TRIPPABLE):
+        if type(body) is cls:
+            payload.update(body.to_dict())
+    return payload
+
+
+@pytest.mark.parametrize("cls, item, hint", _field_cases())
+def test_field_validation(cls, item, hint):
+    """missing / wrong type / bool-for-int / int-for-float / non-list, per declared field."""
+    base = _full_payload(cls)  # type errors are reported before any invariant runs
+    what = rf"{cls.__name__}: .*{item.name}"  # every error names the class and the key
+    without = {key: value for key, value in base.items() if key != item.name}
+    if item.default is dataclasses.MISSING and item.default_factory is dataclasses.MISSING:
+        for absent in (without, {**without, item.name: None}):
+            with pytest.raises(ApiError, match=rf"{cls.__name__}: missing required .*{item.name!r}"):
+                cls.from_dict(absent)
+    with pytest.raises(ApiError, match=what):
+        cls.from_dict({**base, item.name: _wrong_value(hint)})
+    if hint in (int, float):
+        with pytest.raises(ApiError, match=what):
+            cls.from_dict({**base, item.name: True})
+    if typing.get_origin(hint) is list:
+        for not_a_list in ({}, "S", 7):
+            with pytest.raises(ApiError, match=what + "' must be of type list"):
+                cls.from_dict({**base, item.name: not_a_list})
+    if hint is float:
+        value = getattr(cls.from_dict({**_valid_payload(cls), item.name: 1}), item.name)
+        assert value == 1.0 and type(value) is float
+
+
+@pytest.mark.parametrize("body", ROUND_TRIPPABLE, ids=_ids)
 def test_from_dict_rejects_wrong_schema_version(body):
-    """A mismatched schema_version fails loudly at the boundary."""
+    """A mismatched schema_version fails loudly at the boundary — nested bodies too."""
     payload = body.to_dict()
-    payload["schema_version"] = SCHEMA_VERSION + 1
-    with pytest.raises(ApiError, match="schema_version"):
-        type(body).from_dict(payload)
+    with pytest.raises(ApiError, match=f"{type(body).__name__}: schema_version"):
+        type(body).from_dict({**payload, "schema_version": SCHEMA_VERSION + 1})
+    assert type(body).from_dict({**payload, "schema_version": SCHEMA_VERSION}) == body
 
 
-@pytest.mark.parametrize(
-    "body", ROUND_TRIPPABLE, ids=lambda body: type(body).__name__
-)
+@pytest.mark.parametrize("body", ROUND_TRIPPABLE, ids=_ids)
 def test_from_dict_rejects_unknown_keys(body):
     """Unknown keys are contract violations, not silently dropped."""
     payload = body.to_dict()
     payload["bogus_key"] = 1
-    with pytest.raises(ApiError, match="bogus_key"):
+    with pytest.raises(ApiError, match=rf"{type(body).__name__}: unknown key\(s\) 'bogus_key'"):
         type(body).from_dict(payload)
+
+
+@pytest.mark.parametrize("cls", BODY_TYPES, ids=_ids)
+def test_non_object_body_rejected_by_every_class(cls):
+    for not_an_object in ([_valid_payload(cls)], "body", 7, None):
+        with pytest.raises(ApiError, match=rf"{cls.__name__}: body must be a JSON object"):
+            cls.from_dict(not_an_object)
+
+
+def test_nested_bodies_are_validated_too():
+    query = _valid_payload(QueryResponse)
+    with pytest.raises(ApiError, match="RouteEventBody: missing required key\\(s\\) 'route'"):
+        QueryResponse.from_dict({**query, "route_events": [{"kind": "join"}]})
+    with pytest.raises(ApiError, match="RouteEventBody: body must be a JSON object, got str"):
+        QueryResponse.from_dict({**query, "route_events": ["join"]})
+    with pytest.raises(ApiError, match="SummaryInfo: key 'relations' item must be of type int"):
+        SummaryInfo.from_dict({**_valid_payload(SummaryInfo), "relations": {"S": "many"}})
+    with pytest.raises(ApiError, match="ExportRequest: key 'relations' item must be of type str"):
+        ExportRequest.from_dict({"format": "csv", "out_dir": "/tmp/out", "relations": [1]})
+
+
+def test_defaults_mirror_what_the_parent_treated_as_optional():
+    """Only these keys were required by the hand-written ``from_dict`` methods."""
+    minimal = QueryResponse.from_dict(
+        {"columns": {}, "row_count": 0, "scanned_rows": 0, "fingerprint": "f"}
+    )
+    assert minimal == QueryResponse(columns={}, row_count=0, scanned_rows=0, fingerprint="f")
+    assert (minimal.route_events, minimal.summary_version, minimal.elapsed_seconds) == ([], 1, 0.0)
+    export = {"format": "csv", "out_dir": "o", "relations": [], "total_rows": 0,
+              "manifest_path": "m", "fingerprint": "f"}
+    assert ExportResponse.from_dict(export).elapsed_seconds == 0.0
+    info = {"server": "s", "summaries_loaded": 0, "requests_served": 0}
+    assert ServerInfo.from_dict(info).schema_version == SCHEMA_VERSION
 
 
 def test_missing_required_key_rejected():
@@ -223,3 +433,191 @@ def test_error_body_omits_absent_retry_after():
 
 def test_api_prefix_carries_major_version():
     assert API_PREFIX == f"/api/v{SCHEMA_VERSION}"
+
+
+# -- the endpoint table: server, client and docs/SERVER.md agree -------------
+
+DOCS = Path(__file__).resolve().parents[2] / "docs" / "SERVER.md"
+
+
+def _exchange(port, method, path, body=None):
+    """One raw request over a real socket: ``(status, parsed JSON body or None)``."""
+    connection = http.client.HTTPConnection("127.0.0.1", port, timeout=30)
+    try:
+        connection.request(method, path, body=body)
+        response = connection.getresponse()
+        raw = response.read()
+        if response.getheader("Content-Type") != "application/json":
+            return response.status, None
+        return response.status, json.loads(raw)
+    finally:
+        connection.close()
+
+
+def test_endpoint_table_is_what_the_server_routes():
+    """Every method × path: the table row answers, its siblings are 405, the rest 404."""
+    paths = sorted({API_PREFIX + row.path.format(name="ghost") for row in _ENDPOINTS})
+    routed = {(row.method, API_PREFIX + row.path.format(name="ghost")) for row in _ENDPOINTS}
+    assert len(routed) == len(_ENDPOINTS) == len({row.name for row in _ENDPOINTS})
+    unknown = [API_PREFIX, API_PREFIX + "/nope", API_PREFIX + "/summaries/ghost/nope",
+               API_PREFIX + "/summaries/ghost/query/extra", "/healthz", "/api/v1/healthz"]
+    with BackgroundServer(SummaryService()) as server:
+        for path in paths + unknown:
+            for method in ("GET", "POST", "DELETE", "PUT", "PATCH"):
+                status, answer = _exchange(server.port, method, path, body="{}")
+                where = f"{method} {path}"
+                if (method, path) in routed:
+                    # Routed: whatever the handler says about ``{}`` / 'ghost',
+                    # it is not a routing error.
+                    if answer is not None and status != 200:
+                        assert answer["error"] not in ("not-found", "method-not-allowed"), where
+                    assert status in (200, 400, 404), where
+                elif path in paths:
+                    assert (status, answer["error"]) == (405, "method-not-allowed"), where
+                else:
+                    assert (status, answer["error"]) == (404, "not-found"), where
+        # The bodies are the row's: one unstreamed and the streamed endpoint, end to end.
+        status, answer = _exchange(server.port, "GET", API_PREFIX + "/healthz")
+        assert status == 200 and ServerInfo.from_dict(answer).summaries_loaded == 0
+
+
+def test_endpoint_table_matches_the_documented_headings():
+    """``### `METHOD path` → `Body``` headings of docs/SERVER.md ⇔ table rows."""
+    headings = re.findall(r"^### `(\w+) (\S+)` → `(\w+)`", DOCS.read_text(), flags=re.M)
+    assert sorted(headings) == sorted(
+        (row.method, API_PREFIX + row.path, row.response.__name__) for row in _ENDPOINTS
+    )
+    every_heading = re.findall(r"^### `", DOCS.read_text(), flags=re.M)
+    assert len(every_heading) == len(headings), "an endpoint heading does not parse"
+
+
+def test_client_covers_every_endpoint(monkeypatch):
+    """Each table row is reachable through exactly one ``ServerClient`` method."""
+    called = []
+    monkeypatch.setattr(
+        ServerClient, "_call",
+        lambda self, endpoint, name=None, request=None: called.append(
+            (endpoint, name, type(request))
+        ) or SummaryListResponse(),
+    )
+    client = ServerClient()
+    client.server_info()
+    client.list_summaries()
+    client.load_summary("toy", path="/tmp/s.json")
+    client.evict("toy")
+    client.query("toy", "select count(*) from S")
+    client.verify("toy", package_path="/tmp/p.json")
+    client.export("toy", "csv", "/tmp/out")
+    client.regenerate("toy")
+    assert sorted(called, key=lambda call: call[0]) == sorted(
+        (
+            row.name,
+            "toy" if "{name}" in row.path else None,
+            row.request or type(None),
+        )
+        for row in _ENDPOINTS
+    )
+
+
+# -- malformed summaries are typed errors everywhere -------------------------
+
+_SCHEMA = Schema.from_tables(
+    [Table(name="t", columns=[Column("pk", INTEGER), Column("v", INTEGER)], primary_key="pk")]
+).to_dict()
+
+#: ``(payload, field the error names)`` — each one a traceback / HTTP 500 before this PR.
+MALFORMED_SUMMARIES = [
+    ({"schema": 3}, "schema"),
+    ({"relations": {}}, "schema"),
+    ({"schema": _SCHEMA, "relations": []}, "relations"),
+    ({"schema": _SCHEMA, "relations": {"t": {"table": "t", "rows": [{"count": "x"}]}}},
+     "relations['t']"),
+    ({"schema": _SCHEMA, "relations": {"t": {"rows": 5}}}, "relations['t']"),
+    ({"schema": _SCHEMA, "relations": {"t": {"table": "u", "rows": []}}}, "relations['t']"),
+    ({"schema": _SCHEMA, "relations": {"ghost": {"table": "ghost"}}}, "relations['ghost']"),
+    ({"schema": _SCHEMA, "version": "two"}, "version"),
+    ({"schema": _SCHEMA, "build_info": 7}, "build_info"),
+]
+#: Documents only a file can hold: not an object, not JSON at all.
+MALFORMED_DOCUMENTS = [(json.dumps(payload), field) for payload, field in MALFORMED_SUMMARIES] + [
+    ("[1, 2]", "<document>"),
+    ("not json", "<document>"),
+]
+
+
+@pytest.mark.parametrize("payload, field", MALFORMED_SUMMARIES)
+def test_malformed_summary_is_a_typed_error(payload, field):
+    with pytest.raises(SummaryError, match=re.escape(f"malformed database summary at {field}: ")):
+        DatabaseSummary.from_dict(payload)
+
+
+@pytest.mark.parametrize("text, field", MALFORMED_DOCUMENTS)
+def test_malformed_summary_file_is_a_typed_error(text, field, tmp_path):
+    path = tmp_path / "summary.json"
+    path.write_text(text)
+    message = re.escape(f"malformed database summary at {field}: ")
+    with pytest.raises(HydraError, match=message):
+        DatabaseSummary.load(path)
+    # The service's path form: 400 bad-summary, and the service keeps serving.
+    service = SummaryService()
+    with pytest.raises(ServiceError) as excinfo:
+        service.load(LoadSummaryRequest(name="bad", path=str(path)))
+    assert (excinfo.value.status, excinfo.value.error) == (400, "bad-summary")
+    assert re.search(message, excinfo.value.detail)
+    assert len(service.cache) == 0 and service.server_info().summaries_loaded == 0
+
+
+@pytest.mark.parametrize("payload, field", MALFORMED_SUMMARIES)
+def test_malformed_inline_summary_is_400_bad_summary(payload, field):
+    service = SummaryService()
+    with pytest.raises(ServiceError) as excinfo:
+        service.load(LoadSummaryRequest(name="bad", summary=payload))
+    assert (excinfo.value.status, excinfo.value.error) == (400, "bad-summary")
+    assert f"malformed database summary at {field}: " in excinfo.value.detail
+    assert len(service.cache) == 0
+
+
+def test_malformed_summary_over_the_socket_is_400_and_the_server_lives_on(tmp_path):
+    path = tmp_path / "summary.json"
+    path.write_text(json.dumps(MALFORMED_SUMMARIES[3][0]))
+    with BackgroundServer(SummaryService()) as server:
+        for body in (
+            {"name": "bad", "summary": MALFORMED_SUMMARIES[3][0]},
+            {"name": "bad", "path": str(path)},
+        ):
+            status, answer = _exchange(
+                server.port, "POST", API_PREFIX + "/summaries", body=json.dumps(body)
+            )
+            assert (status, answer["error"]) == (400, "bad-summary"), answer
+            assert "malformed database summary at relations['t']: " in answer["detail"]
+        status, answer = _exchange(server.port, "GET", API_PREFIX + "/healthz")
+        assert status == 200 and answer["summaries_loaded"] == 0
+
+
+@pytest.fixture(scope="module")
+def package_path(tmp_path_factory, toy_metadata, toy_aqps):
+    path = tmp_path_factory.mktemp("api") / "package.json"
+    InformationPackage(metadata=toy_metadata, aqps=list(toy_aqps)).save(path)
+    return path
+
+
+@pytest.mark.parametrize("text, field", MALFORMED_DOCUMENTS[:4] + MALFORMED_DOCUMENTS[-2:])
+def test_malformed_summary_on_the_command_line(text, field, package_path, tmp_path):
+    """``hydra verify`` / ``vendor --extend-from`` / ``serve --load``: exit 1, no traceback."""
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    commands = [["verify", str(package_path), str(bad)]]
+    if field == "<document>" and text == "not json":  # one payload through the other two
+        commands += [
+            ["vendor", str(package_path), "--extend-from", str(bad)],
+            ["serve", "--port", "0", "--load", f"bad={bad}"],
+        ]
+    for command in commands:
+        finished = subprocess.run(
+            [sys.executable, "-m", "repro.cli", *command],
+            capture_output=True, text=True, cwd=tmp_path, timeout=120,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        )
+        assert finished.returncode == 1, (command, finished.stderr)
+        assert f"malformed database summary at {field}: " in finished.stderr, command
+        assert "Traceback" not in finished.stderr, command

@@ -15,7 +15,7 @@ from repro.core.summary import (
     RelationSummary,
     SummaryRow,
 )
-from repro.core.tuplegen import SummaryDatabaseFactory, TupleGenerator
+from repro.core.tuplegen import TupleGenerator
 from repro.sql.predicates import BoxCondition, Interval, IntervalSet
 
 
@@ -246,11 +246,6 @@ class TestTupleGenerator:
         generator = TupleGenerator(table=schema.table("dim"), summary=summary.relation("dim"))
         sample = generator.sample_rows([0, 917, 938])
         assert [row[0] for row in sample] == [0, 917, 938]
-
-    def test_factory_caches_generators(self, summary):
-        factory = SummaryDatabaseFactory(summary=summary)
-        assert factory.generator("dim") is factory.generator("dim")
-        assert set(factory.all_generators()) == {"dim", "fact"}
 
 
 class TestReferentialIntegrity:
