@@ -69,16 +69,16 @@ class AlignedRelation:
         """Union of pk-index intervals of the regions contained in ``box``.
 
         Exact whenever ``box`` is one of the predicates the partition was
-        built from (which the pipeline guarantees for borrowed predicates).
+        built from (which the pipeline guarantees for borrowed predicates):
+        every region is then contained in the box or disjoint from it.
         Regions that merely overlap the box are included conservatively so an
         unregistered probe still yields a usable superset.
         """
+        discrete = {column.name: column.dtype.is_discrete for column in self.table.columns}
         intervals: list[Interval] = []
         for position, region in enumerate(self.regions):
             start, end = self.pk_interval_of_region(position)
-            if end <= start:
-                continue
-            if region.contained_in(box) or region.overlaps(box):
+            if end > start and region.overlaps(box, discrete):
                 intervals.append(Interval(float(start), float(end)))
         return IntervalSet(intervals)
 

@@ -14,15 +14,25 @@ part inside the predicate and the part outside, both represented as unions of
 disjoint hyper-boxes.  Empty parts — including parts that contain no integer
 point for discrete columns — are discarded immediately, so the number of
 regions tracks the number of *realisable* predicate signatures.
+
+The split is **classify, then cut**.  Most box x predicate pairs need no new
+object: walking the predicate's columns in sorted order and comparing interval
+endpoints (:meth:`IntervalSet.side_of`) tells whether the box is contained in
+the predicate (it joins the inside part as it is) or disjoint from it on some
+column (it joins the outside part as it is).  Only a column the predicate
+straddles is cut, once, and only the interval set that cut produced is checked
+for emptiness.  The working state is immutable, so whatever a split leaves
+alone — a box, a region's boxes, a whole region — is shared, not copied.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from operator import itemgetter
+from typing import Mapping, Sequence
 
-from ..sql.predicates import BoxCondition, Interval, IntervalSet
+from ..sql.predicates import BoxCondition, IntervalSet
 from .errors import RegionExplosionError
 
 __all__ = [
@@ -59,35 +69,62 @@ def box_is_empty(box: BoxCondition, discrete: Mapping[str, bool] | None = None) 
     return False
 
 
+_EVERYTHING = IntervalSet.everything()
+
+
+def _cut(
+    box: BoxCondition,
+    cut: BoxCondition,
+    discrete: Mapping[str, bool] | None,
+    outside: list[BoxCondition],
+) -> tuple[BoxCondition | None, bool]:
+    """Split ``box`` by ``cut``: classify per cut column, cut only a straddler.
+
+    Returns the part of ``box`` inside ``cut`` (``None`` when there is none)
+    and whether any column had to be cut; the disjoint parts outside go onto
+    ``outside``.  A box contained in the cut on every column comes back as
+    the same object, one disjoint from it on its first non-contained column
+    goes onto ``outside`` as the same object.  ``box`` must be non-empty, so
+    only the one interval set a cut produces needs its emptiness checked.
+    """
+    if not cut.satisfiable:
+        # The falsum cut contains nothing; its (empty or vestigial) per-column
+        # conditions must not read as constraints.
+        outside.append(box)
+        return None, False
+    current = box
+    for column, cut_set in cut.conditions.items():
+        held = current.conditions.get(column)
+        if held is None:
+            held = _EVERYTHING
+            side = -1 if cut_set.is_empty else 0
+        else:
+            side = held.side_of(cut_set)
+        if side > 0:
+            continue
+        if side < 0:
+            outside.append(current)
+            return None, current is not box
+        is_discrete = discrete is None or discrete.get(column, True)
+        rest = held.subtract(cut_set)
+        if not _condition_is_empty(rest, is_discrete):
+            outside.append(current.replacing(column, rest))
+        kept = held.intersect(cut_set)
+        if _condition_is_empty(kept, is_discrete):
+            return None, True
+        current = current.replacing(column, kept)
+    return current, current is not box
+
+
 def box_difference(box: BoxCondition, cut: BoxCondition) -> list[BoxCondition]:
     """Decompose ``box \\ cut`` into disjoint boxes.
 
-    Standard column-by-column decomposition: for the k-th constrained column
-    of ``cut``, emit the part of ``box`` that lies outside the cut on that
-    column while being inside the cut on all previously processed columns.
+    Column-by-column: for the k-th constrained column of ``cut``, the part of
+    ``box`` outside the cut on that column and inside it on all earlier ones.
     """
-    if not box.satisfiable:
-        return []
-    if not cut.satisfiable:
-        # Subtracting the falsum box removes nothing; iterating its (empty
-        # or vestigial) per-column conditions would instead drop ``box``.
-        return [box]
     pieces: list[BoxCondition] = []
-    current = box
-    for column in sorted(cut.conditions):
-        box_intervals = current.condition_for(column)
-        cut_intervals = cut.conditions[column]
-        outside = box_intervals.subtract(cut_intervals)
-        if not outside.is_empty:
-            piece_conditions = dict(current.conditions)
-            piece_conditions[column] = outside
-            pieces.append(BoxCondition(piece_conditions))
-        inside = box_intervals.intersect(cut_intervals)
-        if inside.is_empty:
-            return pieces
-        next_conditions = dict(current.conditions)
-        next_conditions[column] = inside
-        current = BoxCondition(next_conditions)
+    if not box.is_empty:
+        _cut(box, cut, dict.fromkeys(cut.conditions, False), pieces)
     return pieces
 
 
@@ -106,43 +143,34 @@ class Region:
     def contained_in(self, box: BoxCondition) -> bool:
         """Exact containment test of the region inside an arbitrary box."""
         if not box.satisfiable:
-            # The falsum box contains nothing; its (empty) per-column
-            # conditions must not read as unconstrained.
-            return False
-        for piece in self.boxes:
-            for column, required in box.conditions.items():
-                piece_intervals = piece.condition_for(column)
-                if not required.contains_set(piece_intervals):
-                    return False
-        return True
+            return False  # the falsum box contains nothing
+        return all(
+            column in piece.conditions and piece.conditions[column].side_of(required) > 0
+            for piece in self.boxes
+            for column, required in box.conditions.items()
+        )
 
-    def overlaps(self, box: BoxCondition) -> bool:
-        """Whether any part of the region intersects the box."""
-        for piece in self.boxes:
-            intersection = piece.intersect(box)
-            if not box_is_empty(intersection):
-                return True
-        return False
+    def overlaps(self, box: BoxCondition, discrete: Mapping[str, bool] | None = None) -> bool:
+        """Whether some piece of the region shares an admissible point with ``box``.
+
+        ``discrete`` marks the integer-valued columns (all of them when
+        omitted): only there must a shared stretch hold an integer point.
+        """
+        return any(_cut(piece, box, discrete, [])[0] is not None for piece in self.boxes)
 
     def representative_box(self) -> BoxCondition:
         """The first box of the region (used to pick representative values)."""
         return self.boxes[0]
-
-    def columns(self) -> set[str]:
-        names: set[str] = set()
-        for piece in self.boxes:
-            names |= piece.columns()
-        return names
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         signature = ",".join(str(i) for i in sorted(self.signature))
         return f"Region(#{self.index} sig={{{signature}}} boxes={len(self.boxes)})"
 
 
-@dataclass
-class _MutableRegion:
-    signature: set[int]
-    boxes: list[BoxCondition]
+#: Working form of a region: the (ascending) indices of the predicates it
+#: satisfies — cuts arrive in index order, so appending keeps them sorted —
+#: and its boxes.  Immutable, so split results share what did not change.
+_WorkingRegion = tuple[tuple[int, ...], tuple[BoxCondition, ...]]
 
 
 @dataclass(frozen=True)
@@ -155,11 +183,17 @@ class PartitionCheckpoint:
     (:meth:`RegionPartitioner.resume`) instead of re-splitting from the
     domain box.  Resuming is bit-identical to a fresh
     :meth:`RegionPartitioner.partition` over the concatenated box sequence,
-    because partitioning consumes boxes strictly left to right.
+    because partitioning consumes boxes strictly left to right.  The state is
+    immutable all the way down, so resuming can never alter a checkpoint.
+
+    ``boxes_visited`` / ``boxes_split`` count the box x cut pairs classified,
+    and those of them a cut went through, since the domain box.
     """
 
     boxes: tuple[BoxCondition, ...]
-    regions: tuple[_MutableRegion, ...]
+    regions: tuple[_WorkingRegion, ...]
+    boxes_visited: int = 0
+    boxes_split: int = 0
 
     @property
     def num_boxes(self) -> int:
@@ -198,129 +232,68 @@ class RegionPartitioner:
 
     def partition(self, constraint_boxes: Sequence[BoxCondition]) -> list[Region]:
         """Partition the space induced by the given predicate boxes."""
-        initial_box = self.domain if self.domain is not None else BoxCondition({})
-        regions: list[_MutableRegion] = [
-            _MutableRegion(signature=set(), boxes=[initial_box])
-        ]
-        regions = self._consume(regions, constraint_boxes, 0, len(constraint_boxes))
-        return self._finalize(regions)
-
-    def advance(
-        self,
-        checkpoint: PartitionCheckpoint | None,
-        boxes: Sequence[BoxCondition],
-    ) -> PartitionCheckpoint:
-        """Consume boxes and return the checkpoint, without finalising regions.
-
-        The checkpoint-only sibling of :meth:`partition`/:meth:`resume` for
-        callers that need an *intermediate* resumable state (the incremental
-        pipeline checkpoints the grounded/tracking boundary of every
-        relation): it skips the sort-and-materialise finalisation, which
-        would be thrown away anyway.  ``checkpoint=None`` starts from the
-        domain box.
-        """
-        if checkpoint is None:
-            initial_box = self.domain if self.domain is not None else BoxCondition({})
-            state: list[_MutableRegion] = [
-                _MutableRegion(signature=set(), boxes=[initial_box])
-            ]
-            consumed: tuple[BoxCondition, ...] = ()
-        else:
-            state = list(checkpoint.regions)
-            consumed = checkpoint.boxes
-        total = len(consumed) + len(boxes)
-        state = self._consume(state, boxes, len(consumed), total)
-        return PartitionCheckpoint(boxes=consumed + tuple(boxes), regions=tuple(state))
+        return self.resume(None, constraint_boxes)
 
     def resume(
-        self,
-        checkpoint: PartitionCheckpoint,
-        appended_boxes: Sequence[BoxCondition],
+        self, checkpoint: PartitionCheckpoint | None, appended_boxes: Sequence[BoxCondition]
     ) -> list[Region]:
         """Continue a checkpointed partition with appended predicate boxes.
 
         Bit-identical to ``partition(checkpoint.boxes + appended_boxes)``:
-        splitting consumes boxes strictly left to right, so resuming from the
-        stored mutable state replays exactly the suffix of that computation.
-        The checkpoint itself is never mutated and stays valid for further
-        resumes.
+        splitting consumes boxes strictly left to right, so resuming replays
+        exactly the suffix of that computation.
         """
-        total = checkpoint.num_boxes + len(appended_boxes)
-        regions = self._consume(
-            list(checkpoint.regions), appended_boxes, checkpoint.num_boxes, total
-        )
-        return self._finalize(regions)
+        state = self.advance(checkpoint, appended_boxes)
+        return [
+            Region(index=index, signature=frozenset(signature), boxes=pieces)
+            for index, (signature, pieces) in enumerate(sorted(state.regions, key=itemgetter(0)))
+        ]
 
-    # -- internals --------------------------------------------------------
+    def advance(
+        self, checkpoint: PartitionCheckpoint | None, boxes: Sequence[BoxCondition]
+    ) -> PartitionCheckpoint:
+        """Consume boxes and return the checkpoint, without finalising regions.
 
-    def _consume(
-        self,
-        regions: list[_MutableRegion],
-        boxes: Sequence[BoxCondition],
-        start_index: int,
-        total_boxes: int,
-    ) -> list[_MutableRegion]:
-        for offset, constraint_box in enumerate(boxes):
-            regions = self._split(regions, start_index + offset, constraint_box)
+        The one splitting body (``checkpoint=None`` starts from the domain
+        box); :meth:`partition` and :meth:`resume` sort and materialise its
+        result.  Every box of every region is classified against each cut
+        (:func:`_cut`); a region whose boxes all land on one side is passed
+        on, or re-signed, as it is.
+        """
+        if checkpoint is None:
+            domain = self.domain if self.domain is not None else BoxCondition({})
+            checkpoint = PartitionCheckpoint(boxes=(), regions=(((), (domain,)),))
+        regions = checkpoint.regions
+        visited, split = checkpoint.boxes_visited, checkpoint.boxes_split
+        start = checkpoint.num_boxes
+        if start == 0 and boxes:
+            # Only the domain box can be empty (every later box is checked
+            # when it is cut); the first cut, whatever it is, drops it.
+            regions = tuple(r for r in regions if not box_is_empty(r[1][0], self.discrete))
+        for index, cut in enumerate(boxes, start):
+            result: list[_WorkingRegion] = []
+            for region in regions:
+                signature, pieces = region
+                inside: list[BoxCondition] = []
+                outside: list[BoxCondition] = []
+                whole = True
+                for box in pieces:
+                    kept, was_cut = _cut(box, cut, self.discrete, outside)
+                    if kept is not None:
+                        inside.append(kept)
+                    if was_cut:
+                        whole = False
+                        split += 1
+                visited += len(pieces)
+                if inside:
+                    kept_pieces = pieces if whole and not outside else tuple(inside)
+                    result.append((signature + (index,), kept_pieces))
+                if outside:
+                    result.append(region if whole and not inside else (signature, tuple(outside)))
+            regions = tuple(result)
             if len(regions) > self.max_regions:
                 raise RegionExplosionError(
                     f"region partitioning exceeded {self.max_regions} regions "
-                    f"after {start_index + offset + 1} of {total_boxes} predicates"
+                    f"after {index + 1} of {start + len(boxes)} predicates"
                 )
-        return regions
-
-    def _finalize(self, regions: list[_MutableRegion]) -> list[Region]:
-        ordered = sorted(regions, key=lambda region: tuple(sorted(region.signature)))
-        return [
-            Region(
-                index=i,
-                signature=frozenset(region.signature),
-                boxes=tuple(region.boxes),
-            )
-            for i, region in enumerate(ordered)
-        ]
-
-    def _split(
-        self,
-        regions: list[_MutableRegion],
-        constraint_index: int,
-        constraint_box: BoxCondition,
-    ) -> list[_MutableRegion]:
-        result: list[_MutableRegion] = []
-        for region in regions:
-            inside: list[BoxCondition] = []
-            outside: list[BoxCondition] = []
-            for box in region.boxes:
-                intersection = box.intersect(constraint_box)
-                if not box_is_empty(intersection, self.discrete):
-                    inside.append(intersection)
-                for piece in box_difference(box, constraint_box):
-                    if not box_is_empty(piece, self.discrete):
-                        outside.append(piece)
-            if inside:
-                result.append(
-                    _MutableRegion(signature=region.signature | {constraint_index}, boxes=inside)
-                )
-            if outside:
-                result.append(
-                    _MutableRegion(signature=set(region.signature), boxes=outside)
-                )
-        return result
-
-
-def regions_satisfying(regions: Iterable[Region], box: BoxCondition) -> list[Region]:
-    """Regions entirely contained in an arbitrary box condition.
-
-    When ``box`` is (equal to) one of the predicates the partition was built
-    from, containment coincides with signature membership and the result is
-    exact; the method is also used for borrowed predicates, which the
-    pipeline registers as partition predicates precisely so this holds.
-    """
-    return [region for region in regions if region.contained_in(box)]
-
-
-def domain_box_from_bounds(bounds: Mapping[str, tuple[float, float]]) -> BoxCondition:
-    """Convenience: build a domain box from per-column ``(low, high)`` bounds."""
-    return BoxCondition(
-        {column: IntervalSet([Interval(low, high)]) for column, (low, high) in bounds.items()}
-    )
+        return PartitionCheckpoint(checkpoint.boxes + tuple(boxes), regions, visited, split)

@@ -256,7 +256,7 @@ def partition(
     """
     boxes = grounded.boxes
     boundary = min(len(grounded.constraints), len(boxes))  # grounded boxes lead
-    with span("solve.partition", relation=table.name, boxes=len(boxes)):
+    with span("solve.partition", relation=table.name, boxes=len(boxes)) as handle:
         start = time.perf_counter()
         discrete = {column.name: column.dtype.is_discrete for column in table.columns}
         partitioner = RegionPartitioner(discrete, grounded.domain, max_regions)
@@ -276,6 +276,11 @@ def partition(
         checkpoint = partitioner.advance(reached, boxes[reached.num_boxes:])
         regions = partitioner.resume(checkpoint, ())
         seconds = time.perf_counter() - start
+        # Work this call did: the checkpoint counts from the domain box.
+        handle.annotate(
+            boxes_visited=checkpoint.boxes_visited - (best.boxes_visited if best else 0),
+            boxes_split=checkpoint.boxes_split - (best.boxes_split if best else 0),
+        )
     observe("solve.partition_seconds", seconds)
     identical = best is not None and best.num_boxes == len(boxes)
     if best is not None:

@@ -278,6 +278,30 @@ class IntervalSet:
         """True if ``other`` is a subset of this set."""
         return other.subtract(self).is_empty
 
+    def side_of(self, other: "IntervalSet") -> int:
+        """Where this set lies relative to ``other``, from endpoints alone.
+
+        ``1`` when every point of this set is in ``other``, ``-1`` when the
+        two share no point (in particular when either is empty), ``0`` when
+        ``other`` cuts through this set.  Allocates nothing.
+        """
+        theirs = other.intervals
+        contained = disjoint = True
+        position = 0
+        for interval in self.intervals:
+            while position < len(theirs) and theirs[position].high <= interval.low:
+                position += 1
+            if position < len(theirs) and theirs[position].low < interval.high:
+                disjoint = False
+                covering = theirs[position]
+                if covering.low > interval.low or covering.high < interval.high:
+                    return 0
+            else:
+                contained = False
+            if not (contained or disjoint):
+                return 0
+        return -1 if disjoint else 1
+
     def membership_mask(self, values: NDArray[Any]) -> NDArray[Any]:
         """Vectorised membership test over an array of values."""
         values = np.asarray(values, dtype=np.float64)
@@ -939,6 +963,21 @@ class BoxCondition:
         conditions = dict(self.conditions)
         conditions[column] = self.condition_for(column).intersect(intervals)
         return BoxCondition(conditions, satisfiable=self.satisfiable)
+
+    def replacing(self, column: str, intervals: IntervalSet) -> "BoxCondition":
+        """A copy whose ``column`` condition *is* ``intervals``, not re-cleaned.
+
+        Trusted: the caller guarantees ``intervals`` is not the whole domain,
+        so the copy only has to keep the sorted column order — which it does
+        for free unless ``column`` was unconstrained.
+        """
+        conditions = dict(self.conditions)
+        known = column in conditions
+        conditions[column] = intervals
+        box = BoxCondition.__new__(BoxCondition)
+        box.conditions = conditions if known else dict(sorted(conditions.items()))
+        box.satisfiable = self.satisfiable
+        return box
 
     # -- evaluation ------------------------------------------------------
 

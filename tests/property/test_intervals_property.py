@@ -63,6 +63,17 @@ class TestIntervalSetAlgebra:
         difference = a.subtract(b)
         assert difference.intersect(b).is_empty
 
+    @given(interval_sets(), interval_sets())
+    @settings(max_examples=300)
+    def test_side_of_agrees_with_the_set_algebra(self, a, b):
+        """The endpoint-only classification is what subtract/intersect say."""
+        if a.intersect(b).is_empty:
+            assert a.side_of(b) == -1
+        elif a.subtract(b).is_empty:
+            assert a.side_of(b) == 1
+        else:
+            assert a.side_of(b) == 0
+
     @given(interval_sets())
     @settings(max_examples=100)
     def test_serialisation_roundtrip(self, a):

@@ -7,7 +7,7 @@ import pytest
 
 from repro.catalog.schema import Column, ForeignKey, Table
 from repro.catalog.statistics import TableStatistics, build_column_statistics
-from repro.catalog.types import INTEGER
+from repro.catalog.types import FLOAT, INTEGER
 from repro.core.alignment import DeterministicAligner
 from repro.core.regions import RegionPartitioner
 from repro.core.sampling import SamplingAligner
@@ -97,6 +97,28 @@ class TestDeterministicAligner:
             counts[region.index] for region in regions if 0 in region.signature
         )
         assert matching.count_integers() == expected
+
+    def test_pk_intervals_matching_unregistered_probe_on_a_float_column(self):
+        """The conservative superset holds on float columns too: a probe that
+        shares only an integer-free stretch with a region still matches it."""
+        table = Table(
+            name="item",
+            columns=[Column("item_pk", INTEGER), Column("price", FLOAT)],
+            primary_key="item_pk",
+        )
+        regions = RegionPartitioner(discrete={"price": False}).partition([box(price=(4.2, 9.0))])
+        counts = np.asarray([3, 5], dtype=np.int64)
+        aligned = DeterministicAligner().align(table, regions, counts)
+        inside = next(region for region in regions if region.satisfies(0))
+        start, end = aligned.pk_interval_of_region(inside.index)
+        # [0, 4.8) reaches into the region's [4.2, 9.0): both regions match.
+        assert aligned.pk_intervals_matching(box(price=(0, 4.8))).count_integers() == 8
+        # [0, 4.2) stops at its edge: only the outside region does.
+        assert aligned.pk_intervals_matching(box(price=(0, 4.2))).count_integers() == 3
+        assert aligned.pk_intervals_matching(box(price=(4.2, 9.0))) == IntervalSet(
+            [Interval(start, end)]
+        )
+        assert aligned.pk_intervals_matching(BoxCondition.never()).is_empty
 
     def test_unconstrained_column_uses_statistics(self, dim_table):
         stats = TableStatistics(

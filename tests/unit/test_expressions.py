@@ -281,6 +281,17 @@ class TestBoxCondition:
         assert merged.condition_for("x") == IntervalSet.single(5, 10)
         assert merged.condition_for("y") == IntervalSet.single(0, 1)
 
+    def test_replacing_sets_one_column_and_keeps_the_sorted_order(self):
+        box = BoxCondition({"b": IntervalSet.single(0, 10), "d": IntervalSet.single(5, 6)})
+        narrowed = box.replacing("b", IntervalSet.single(2, 3))
+        assert narrowed == BoxCondition({"b": IntervalSet.single(2, 3), "d": box.conditions["d"]})
+        for column in ("a", "c", "e"):  # unconstrained so far: slots in, sorted
+            added = box.replacing(column, IntervalSet.single(0, 1))
+            assert added == box.intersect(BoxCondition({column: IntervalSet.single(0, 1)}))
+            assert list(added.conditions) == sorted(added.conditions)
+            assert hash(added) == hash(BoxCondition(added.conditions))
+        assert list(box.conditions) == ["b", "d"]  # the original is left alone
+
     def test_contains_point(self):
         box = BoxCondition({"x": IntervalSet.single(0, 10), "y": IntervalSet.single(5, 6)})
         assert box.contains_point({"x": 3, "y": 5})

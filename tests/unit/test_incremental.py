@@ -29,6 +29,7 @@ from repro.core.scenario import check_delta_feasibility
 from repro.core.summary import DatabaseSummary
 from repro.storage.database import Database
 from repro.storage.table import TableData
+from repro.telemetry import telemetry_session
 
 
 @pytest.fixture(scope="module")
@@ -278,6 +279,35 @@ class TestExtendSummary:
         # R has no tracking predicates, so the delta strictly appends boxes
         # and the partition resumes from the checkpoint.
         assert extended.report.relations["R"].warm_start
+
+    def test_partition_span_counts_only_the_work_of_its_call(self, toy_client, r_only_delta):
+        """``boxes_visited`` / ``boxes_split`` on ``solve.partition``: a resumed
+        partition visits only the state it resumes, once per appended box."""
+        _db, metadata, aqps = toy_client
+        hydra = Hydra(metadata=metadata)
+
+        def partition_span(session):
+            (found,) = [
+                item
+                for item in session.tracer.finished_spans()
+                if item.name == "solve.partition" and item.attributes["relation"] == "R"
+            ]
+            return found.attributes
+
+        with telemetry_session() as cold_session:
+            base = hydra.build_summary(aqps)
+        with telemetry_session() as warm_session:
+            extended = hydra.extend_summary(base, r_only_delta)
+        cold, warm = partition_span(cold_session), partition_span(warm_session)
+        checkpoint = extended.states["R"].checkpoint
+        assert type(cold["boxes_visited"]) is type(cold["boxes_split"]) is int
+        assert 0 < cold["boxes_split"] <= cold["boxes_visited"]
+        assert cold["boxes_visited"] == base.states["R"].checkpoint.boxes_visited
+        appended = warm["boxes"] - cold["boxes"]
+        resumed_boxes = sum(len(pieces) for _, pieces in base.states["R"].checkpoint.regions)
+        assert appended >= 1 and warm["boxes_visited"] >= resumed_boxes
+        assert cold["boxes_visited"] + warm["boxes_visited"] == checkpoint.boxes_visited
+        assert cold["boxes_split"] + warm["boxes_split"] == checkpoint.boxes_split
 
     def test_warm_start_engages_for_tracking_bearing_relation(
         self, toy_client, s_touching_delta

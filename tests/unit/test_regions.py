@@ -11,8 +11,6 @@ from repro.core.regions import (
     RegionPartitioner,
     box_difference,
     box_is_empty,
-    domain_box_from_bounds,
-    regions_satisfying,
 )
 from repro.sql.predicates import BoxCondition, Interval, IntervalSet
 
@@ -59,8 +57,10 @@ class TestBoxHelpers:
         assert len(pieces) == 1
         assert pieces[0].condition_for("a") == IntervalSet([Interval(0, 10)])
 
-    def test_domain_box_from_bounds(self):
-        domain = domain_box_from_bounds({"a": (0, 5), "b": (10, 20)})
+    def test_domain_box_bounds_are_half_open(self):
+        domain = BoxCondition(
+            {"a": IntervalSet([Interval(0, 5)]), "b": IntervalSet([Interval(10, 20)])}
+        )
         assert domain.condition_for("a").contains(0)
         assert not domain.condition_for("a").contains(5)
 
@@ -178,12 +178,24 @@ class TestRegionQueries:
         assert not inside_first.contained_in(box(a=(5, 20)))
         assert inside_first.overlaps(box(a=(0, 10)))
 
-    def test_regions_satisfying_matches_signature(self):
+    def test_overlaps_needs_an_integer_point_only_on_discrete_columns(self):
+        """``price in [4.2, 9.0)`` and the probe ``price in [0, 4.8)`` share
+        ``[4.2, 4.8)``: no integer, but plenty of prices."""
+        region = Region(index=0, signature=frozenset(), boxes=(box(price=(4.2, 9.0)),))
+        probe = box(price=(0, 4.8))
+        assert region.overlaps(probe, {"price": False})
+        assert not region.overlaps(probe, {"price": True})
+        assert not region.overlaps(probe)  # unmarked columns are integer-valued
+        assert not region.overlaps(box(price=(0, 4.2)), {"price": False})
+        assert region.overlaps(box(qty=(0, 1)), {"price": False})  # unconstrained column
+        assert not region.overlaps(BoxCondition.never(), {"price": False})
+
+    def test_satisfies_matches_containment(self):
         constraints = [box(a=(0, 10)), box(a=(5, 20))]
         regions = RegionPartitioner().partition(constraints)
-        matching = regions_satisfying(regions, constraints[0])
-        expected = {r.index for r in regions if 0 in r.signature}
-        assert {r.index for r in matching} == expected
+        matching = {r.index for r in regions if r.contained_in(constraints[0])}
+        assert matching == {r.index for r in regions if r.satisfies(0)}
+        assert matching
 
     def test_region_count_is_minimal_for_identical_constraints(self):
         # The same predicate repeated must not create extra regions.
