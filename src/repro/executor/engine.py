@@ -31,6 +31,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from ..catalog.schema import Schema, Table
+from ..plans.joingraph import classify_fk_edge
 from ..plans.logical import (
     AggregateNode,
     FilterNode,
@@ -45,7 +46,6 @@ from ..plans.planner import (
     compute_pushdowns,
     compute_semijoin_pushdowns,
     exact_predicate_box,
-    fk_join_edge,
 )
 from ..sql.predicates import BoxCondition, Interval, IntervalSet
 from ..sql.query import DisjunctiveJoinCondition, JoinCondition
@@ -583,7 +583,7 @@ class ExecutionEngine:
         leaf, when every input is the leaf access path of a summary-backed
         dataless relation, every join condition follows a schema
         foreign-key edge onto the referenced primary key
-        (:func:`~repro.plans.planner.fk_join_edge`) and every pushed filter
+        (:func:`~repro.plans.joingraph.classify_fk_edge`) and every pushed filter
         is an exact box.  This covers the single FK–PK join, multi-way
         chains (``A→B→C``: the middle relation's matching pks are first
         narrowed by *its own* FK condition toward ``C``) and stars (one fact
@@ -617,7 +617,7 @@ class ExecutionEngine:
             leaves[leaf.scan.table] = leaf
         edges: list[tuple[str, str, str, str]] = []
         for join in spine:
-            edge = fk_join_edge(join.condition, self.schema)
+            edge = classify_fk_edge(join.condition, self.schema)
             if edge is None or not set(edge[::2]) <= set(leaves):
                 self._fallback("non-fk-join")
             edges.append(edge)

@@ -98,6 +98,13 @@ DEFAULT_LAYERING: tuple[LayerEdge, ...] = (
         to_package="repro.fuzz",
         allowed_files=(),
     ),
+    # The server has one concurrency model, a blocking thread per connection:
+    # an event loop would need a bridge to the (blocking) handlers again.
+    LayerEdge(
+        from_package="repro.server",
+        to_package="asyncio",
+        allowed_files=(),
+    ),
 )
 
 

@@ -39,7 +39,7 @@ from ..sql.predicates import (
     Predicate,
     box_semantics_exact,
 )
-from ..sql.query import DisjunctiveJoinCondition, JoinCondition, Query
+from ..sql.query import Query
 from .joingraph import JoinGraph, classify_fk_edge
 from .logical import (
     AggregateNode,
@@ -62,7 +62,6 @@ __all__ = [
     "compute_pushdowns",
     "compute_semijoin_pushdowns",
     "exact_predicate_box",
-    "fk_join_edge",
     "parse_aggregate_projection",
 ]
 
@@ -305,22 +304,6 @@ def exact_predicate_box(predicate: Predicate, table: Table) -> BoxCondition | No
         return None
 
 
-def fk_join_edge(
-    condition: "JoinCondition | DisjunctiveJoinCondition", schema: Schema
-) -> tuple[str, str, str, str] | None:
-    """Resolve a join condition onto the schema's foreign-key graph.
-
-    Returns ``(fk_table, fk_column, ref_table, ref_column)`` when the
-    condition equi-joins a foreign-key column onto the primary key it
-    references (in either orientation), else ``None``.  Kept as the
-    planner-level name of :func:`repro.plans.joingraph.classify_fk_edge` —
-    the single eligibility check shared by the semi-join pushdown pass and
-    the engine's join fast paths, so the consumers can never disagree about
-    which joins follow an FK–PK edge.
-    """
-    return classify_fk_edge(condition, schema)
-
-
 def _referenced_filter_box(subtree: PlanNode, table: Table) -> BoxCondition:
     """The referenced side's own pushed filter, as a *sound* box.
 
@@ -358,8 +341,7 @@ def compute_semijoin_pushdowns(
     before the hash probe: either way no join partner exists for them.
 
     Join eligibility is the graph classification
-    (:func:`~repro.plans.joingraph.classify_fk_edge` via
-    :func:`fk_join_edge`): only plain equi-joins that follow a schema FK
+    (:func:`~repro.plans.joingraph.classify_fk_edge`): only plain equi-joins that follow a schema FK
     edge participate — a disjunctive join never classifies, so it never
     contributes a box.
 
@@ -376,7 +358,7 @@ def compute_semijoin_pushdowns(
     for node in plan.iter_nodes():
         if not isinstance(node, JoinNode):
             continue
-        edge = fk_join_edge(node.condition, schema)
+        edge = classify_fk_edge(node.condition, schema)
         if edge is None:
             continue
         fk_table, fk_column, ref_table_name, ref_column = edge

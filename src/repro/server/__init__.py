@@ -16,8 +16,8 @@ Layers, bottom to top:
   lease semantics (in-flight queries finish on the old version while a
   swapped-in version serves new requests);
 * :mod:`repro.server.service` — the transport-independent handlers;
-* :mod:`repro.server.http` — stdlib-asyncio HTTP/1.1 front-end
-  (engine work on a thread-pool executor, chunked NDJSON streaming);
+* :mod:`repro.server.http` — stdlib HTTP/1.1 front-end (a blocking
+  thread per connection, chunked NDJSON streaming);
 * :mod:`repro.server.client` — the blocking client speaking the same
   typed contract;
 * :mod:`repro.server.cli` — ``hydra serve``.

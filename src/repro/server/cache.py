@@ -20,8 +20,8 @@ stateless views of it.  :class:`SummaryCache` owns that state:
 * ``generation`` counts swaps under a name on this server, so responses can
   tell a client exactly which version answered.
 
-All methods are thread-safe: the HTTP layer dispatches handler work onto a
-thread pool, so loads, queries and evictions race by design.
+All methods are thread-safe: the HTTP layer serves every connection on its
+own thread, so loads, queries and evictions race by design.
 """
 
 from __future__ import annotations

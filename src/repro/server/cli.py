@@ -12,7 +12,6 @@ on shutdown.
 from __future__ import annotations
 
 import argparse
-import asyncio
 import sys
 from typing import Sequence
 
@@ -58,11 +57,6 @@ def serve_main(argv: Sequence[str] | None = None) -> int:
         "(repeatable)",
     )
     parser.add_argument(
-        "--executor-threads", type=int, default=8, metavar="N",
-        help="thread-pool size for engine work off the event loop "
-        "(default: 8)",
-    )
-    parser.add_argument(
         "--requests-per-second", type=float, default=None, metavar="RATE",
         help="per-tenant admission rate; over-budget requests get 429 with "
         "Retry-After (default: unlimited)",
@@ -84,25 +78,14 @@ def serve_main(argv: Sequence[str] | None = None) -> int:
                 f"{len(info.relations)} relation(s), fingerprint "
                 f"{info.fingerprint[:12]}..."
             )
-        server = HydraServer(
-            service,
-            host=args.host,
-            port=args.port,
-            executor_threads=args.executor_threads,
+        server = HydraServer(service, host=args.host, port=args.port)
+        server.start()
+        print(
+            f"hydra-server listening on http://{server.host}:{server.port}{API_PREFIX}",
+            flush=True,
         )
-
-        async def _serve() -> None:
-            """Bind, announce the resolved address, serve until cancelled."""
-            await server.start()
-            print(
-                f"hydra-server listening on "
-                f"http://{server.host}:{server.port}{API_PREFIX}",
-                flush=True,
-            )
-            await server.serve_forever()
-
         try:
-            asyncio.run(_serve())
+            server.serve_forever()
         except KeyboardInterrupt:
             print("shutting down", file=sys.stderr)
     return 0

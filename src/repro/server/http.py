@@ -1,15 +1,15 @@
-"""The stdlib-asyncio HTTP/1.1 transport of the summary server.
+"""The stdlib HTTP/1.1 transport of the summary server.
 
-One event loop accepts connections and frames requests; everything that
-touches a summary (loads, queries, verifications, exports, regeneration)
-runs on a thread-pool executor via ``loop.run_in_executor``, so a slow
-engine query never stalls the accept loop and many clients are served
-concurrently.  JSON framing and error mapping live here; *which* endpoints
-exist does not — ``_route`` walks the endpoint table of
-:mod:`repro.server.api` (method, path shape, request type, handler, streamed
-or not) and decides 404 / 405 from it — and all request/response *content*
-is that module's typed contract, produced and consumed by the shared
-:class:`~repro.server.service.SummaryService`.
+One concurrency model: a blocking thread per connection
+(:class:`socketserver.ThreadingTCPServer`).  The connection's thread frames
+the request, runs the handler and writes the answer itself, so a slow engine
+query stalls nobody else and many clients are served concurrently; at most
+``MAX_IN_FLIGHT`` handlers run at once.  JSON framing and error mapping live
+here; *which* endpoints exist does not — ``_route`` walks the endpoint table
+of :mod:`repro.server.api` (method, path shape, request type, handler,
+streamed or not) and decides 404 / 405 from it — and all request/response
+*content* is that module's typed contract, produced and consumed by the
+shared :class:`~repro.server.service.SummaryService`.
 
 Protocol notes
 --------------
@@ -24,17 +24,18 @@ Protocol notes
   ``server.request.seconds`` histogram and one
   ``server.requests.<endpoint>`` counter per request.
 
-:class:`BackgroundServer` runs the whole loop on a daemon thread with an
+:class:`BackgroundServer` runs the accept loop on a daemon thread with an
 ephemeral port — the harness used by tests, benchmarks and examples.
 """
 
 from __future__ import annotations
 
-import asyncio
 import json
+import socketserver
+import sys
 import threading
-from concurrent.futures import Future, ThreadPoolExecutor
-from typing import Any, Iterator
+import time
+from typing import Any, Generator
 
 from ..telemetry.session import add_counter, observe, span
 from .api import _ENDPOINTS, API_PREFIX, ApiError, ErrorBody, ProgressEvent, _Endpoint
@@ -55,8 +56,11 @@ _REASONS = {
 #: Largest accepted request body (inline summaries are a few hundred KB).
 MAX_BODY_BYTES = 64 * 1024 * 1024
 
-#: Sentinel marking the end of a streamed NDJSON response.
-_STREAM_END = object()
+#: Largest accepted request line + header section.
+MAX_HEADER_BYTES = 64 * 1024
+
+#: Handlers running at once, across all connections; further requests wait.
+MAX_IN_FLIGHT = 8
 
 #: The endpoint table keyed for routing: ``(path segments, row)`` per endpoint.
 _ROUTES = tuple(
@@ -97,169 +101,146 @@ class _Request:
         return payload
 
 
-class HydraServer:
-    """Asyncio HTTP server over one :class:`SummaryService`."""
+def _route(request: _Request) -> tuple[_Endpoint, list[Any]]:
+    """Resolve the endpoint-table row and the handler arguments of ``request``.
 
-    def __init__(
-        self,
-        service: SummaryService,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        executor_threads: int = 8,
-    ) -> None:
-        """Configure the listener (``port=0`` binds an ephemeral port)."""
+    The arguments are the path's serving name (when the row's path has
+    one) and the validated request body (when the row declares one).
+    Raises :class:`ServiceError` 404 when no row has the path and 405
+    when rows have it but none with the method.
+    """
+    parts = [part for part in request.path.split("/") if part]
+    allowed = []
+    for shape, row in _ROUTES:
+        if len(shape) != len(parts) or any(
+            want != got and want != "{name}" for want, got in zip(shape, parts)
+        ):
+            continue
+        if row.method != request.method:
+            allowed.append(row.method)
+            continue
+        args: list[Any] = [got for want, got in zip(shape, parts) if want == "{name}"]
+        if row.request is not None:
+            args.append(row.request.from_dict(request.json()))
+        return row, args
+    if allowed:
+        raise ServiceError(
+            405, "method-not-allowed", f"{request.path!r} is {'/'.join(allowed)}-only"
+        )
+    raise ServiceError(404, "not-found", f"no route for {request.path!r}")
+
+
+class _Listener(socketserver.ThreadingTCPServer):
+    """The listening socket: one daemon thread per accepted connection."""
+
+    daemon_threads = True
+    allow_reuse_address = True
+    request_queue_size = 128  # the stdlib's 5 drops SYNs when 16 clients connect at once
+
+    def __init__(self, address: tuple[str, int], service: SummaryService) -> None:
+        """Bind and listen on ``address``; connections are served from ``service``."""
         self.service = service
-        self.host = host
-        self._requested_port = port
-        self._server: asyncio.AbstractServer | None = None
-        self._executor = ThreadPoolExecutor(
-            max_workers=max(1, executor_threads), thread_name_prefix="hydra-server"
-        )
+        self.slots = threading.BoundedSemaphore(MAX_IN_FLIGHT)
+        super().__init__(address, _Connection)
 
-    @property
-    def port(self) -> int:
-        """The bound port (resolves ephemeral ``port=0`` after :meth:`start`)."""
-        if self._server is None or not self._server.sockets:
-            return self._requested_port
-        return int(self._server.sockets[0].getsockname()[1])
+    def handle_error(self, request: Any, client_address: Any) -> None:
+        """Log what ended a connection thread, unless its peer just went away."""
+        if not isinstance(sys.exc_info()[1], ConnectionError):
+            super().handle_error(request, client_address)
 
-    async def start(self) -> None:
-        """Bind the listening socket and start accepting connections."""
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self._requested_port, limit=1 << 20
-        )
 
-    async def serve_forever(self) -> None:
-        """Serve until cancelled (call :meth:`start` first)."""
-        assert self._server is not None, "call start() before serve_forever()"
-        async with self._server:
-            await self._server.serve_forever()
+class _Connection(socketserver.StreamRequestHandler):
+    """One client connection, served to its end on its own thread."""
 
-    async def stop(self) -> None:
-        """Stop accepting connections and release the executor."""
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
-        self._executor.shutdown(wait=False)
+    server: _Listener
+    wbufsize = -1  # buffered: every response / NDJSON chunk is one flush
+    disable_nagle_algorithm = True
 
-    # -- connection handling --------------------------------------------
+    def handle(self) -> None:
+        """Serve the connection (keep-alive loop).
 
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        """Serve one client connection (keep-alive loop)."""
-        try:
-            while True:
-                try:
-                    request = await self._read_request(reader)
-                except ApiError as exc:
-                    # Unframeable request: the body length is unknown, so
-                    # answer and close rather than guess where it ends.
-                    body = ErrorBody(error="bad-request", detail=str(exc), status=400)
-                    await self._write_json(writer, 400, body.to_dict(), False)
-                    break
-                if request is None:
-                    break
-                keep_alive = await self._dispatch(request, writer)
-                if not keep_alive:
-                    break
-        except (ConnectionError, asyncio.IncompleteReadError, asyncio.LimitOverrunError):
-            pass  # client went away mid-request; nothing to answer
-        except asyncio.CancelledError:
-            pass  # loop shutdown with the connection open: close quietly
-        finally:
-            writer.close()
+        A ``ConnectionError`` — the client went away mid-request or mid-response —
+        ends the thread through :meth:`_Listener.handle_error`.
+        """
+        while True:
             try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError, asyncio.CancelledError):
-                pass  # already torn down by the peer
+                request = self._read_request()
+            except ServiceError as exc:
+                # Unframeable request: where its body ends is unknown (or
+                # too far), so answer and close rather than read on.
+                self._write_json(exc.status, exc.body().to_dict(), False)
+                break
+            if request is None or not self._dispatch(request):
+                break
 
-    async def _read_request(self, reader: asyncio.StreamReader) -> _Request | None:
+    def _read_request(self) -> _Request | None:
         """Parse one request off the stream (``None`` on a clean EOF).
 
-        Raises :class:`ApiError` for a ``Content-Length`` that is not a
-        non-negative integer.
+        Raises :class:`ServiceError` for a request that cannot be framed:
+        400 for a request line that is not three parts, a header section
+        above ``MAX_HEADER_BYTES`` or a ``Content-Length`` that is not a
+        non-negative integer, 413 for a body above ``MAX_BODY_BYTES``.
         """
-        line = await reader.readline()
+        line = self.rfile.readline(MAX_HEADER_BYTES + 1)
         if not line:
             return None
         try:
             method, path, _version = line.decode("latin-1").split(None, 2)
         except ValueError:
-            raise ConnectionError("malformed request line") from None
+            raise ServiceError(400, "bad-request", "malformed request line") from None
         headers: dict[str, str] = {}
-        while True:
-            raw = await reader.readline()
+        size = len(line)
+        while size <= MAX_HEADER_BYTES:
+            raw = self.rfile.readline(MAX_HEADER_BYTES + 1 - size)
             if raw in (b"\r\n", b"\n", b""):
                 break
+            size += len(raw)
             name, _sep, value = raw.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip()
+        else:
+            raise ServiceError(
+                400, "bad-request", f"request headers exceed {MAX_HEADER_BYTES} bytes"
+            )
         try:
             length = int(headers.get("content-length", "0") or "0")
         except ValueError:
             length = -1
         if length < 0:
-            raise ApiError(f"invalid Content-Length {headers['content-length']!r}")
+            raise ServiceError(
+                400, "bad-request", f"invalid Content-Length {headers['content-length']!r}"
+            )
         if length > MAX_BODY_BYTES:
-            raise ConnectionError(f"request body of {length} bytes exceeds the limit")
-        body = await reader.readexactly(length) if length else b""
+            raise ServiceError(
+                413,
+                "payload-too-large",
+                f"request body of {length} bytes exceeds the {MAX_BODY_BYTES}-byte limit",
+            )
+        body = self.rfile.read(length) if length else b""
+        if len(body) < length:
+            raise ConnectionError("client closed the connection mid-body")
         return _Request(method=method.upper(), path=path, headers=headers, body=body)
 
-    # -- routing ---------------------------------------------------------
-
-    def _route(self, request: _Request) -> tuple[_Endpoint, list[Any]]:
-        """Resolve the endpoint-table row and the handler arguments of ``request``.
-
-        The arguments are the path's serving name (when the row's path has
-        one) and the validated request body (when the row declares one).
-        Raises :class:`ServiceError` 404 when no row has the path and 405
-        when rows have it but none with the method.
-        """
-        parts = [part for part in request.path.split("/") if part]
-        allowed = []
-        for shape, row in _ROUTES:
-            if len(shape) != len(parts) or any(
-                want != got and want != "{name}" for want, got in zip(shape, parts)
-            ):
-                continue
-            if row.method != request.method:
-                allowed.append(row.method)
-                continue
-            args: list[Any] = [got for want, got in zip(shape, parts) if want == "{name}"]
-            if row.request is not None:
-                args.append(row.request.from_dict(request.json()))
-            return row, args
-        if allowed:
-            raise ServiceError(
-                405, "method-not-allowed", f"{request.path!r} is {'/'.join(allowed)}-only"
-            )
-        raise ServiceError(404, "not-found", f"no route for {request.path!r}")
-
-    # -- dispatch ---------------------------------------------------------
-
-    async def _dispatch(self, request: _Request, writer: asyncio.StreamWriter) -> bool:
+    def _dispatch(self, request: _Request) -> bool:
         """Answer one request; returns whether to keep the connection open."""
-        loop = asyncio.get_running_loop()
-        started = loop.time()
+        started = time.perf_counter()
         endpoint = "unrouted"
         try:
-            row, args = self._route(request)
+            row, args = _route(request)
             endpoint = row.name
-            self.service.admit(request.tenant)
-            handler = getattr(self.service, row.handler)
+            service = self.server.service
+            service.admit(request.tenant)
+            handler = getattr(service, row.handler)
             with span("server.request", endpoint=endpoint, tenant=request.tenant):
-                if row.streamed:
-                    await self._stream_ndjson(writer, handler(*args), loop)
-                    return False  # streamed responses close the connection
-                payload = await loop.run_in_executor(
-                    self._executor, lambda: handler(*args).to_dict()
-                )
-                await self._write_json(writer, 200, payload, request.keep_alive)
+                with self.server.slots:  # held for the whole of a stream
+                    if row.streamed:
+                        self._stream_ndjson(handler(*args))
+                        return False  # streamed responses close the connection
+                    payload = handler(*args).to_dict()
+                self._write_json(200, payload, request.keep_alive)
                 return request.keep_alive
         except ApiError as exc:
             body = ErrorBody(error="bad-request", detail=str(exc), status=400)
-            await self._write_json(writer, 400, body.to_dict(), request.keep_alive)
+            self._write_json(400, body.to_dict(), request.keep_alive)
             return request.keep_alive
         except ServiceError as exc:
             extra = (
@@ -267,11 +248,9 @@ class HydraServer:
                 if exc.retry_after is not None
                 else []
             )
-            await self._write_json(
-                writer, exc.status, exc.body().to_dict(), request.keep_alive, extra
-            )
+            self._write_json(exc.status, exc.body().to_dict(), request.keep_alive, extra)
             return request.keep_alive
-        except (ConnectionError, asyncio.IncompleteReadError):
+        except ConnectionError:
             return False  # peer vanished mid-response
         except Exception as exc:  # noqa: BLE001 - boundary: every failure must answer
             body = ErrorBody(
@@ -279,15 +258,14 @@ class HydraServer:
                 detail=f"{type(exc).__name__}: {exc}",
                 status=500,
             )
-            await self._write_json(writer, 500, body.to_dict(), False)
+            self._write_json(500, body.to_dict(), False)
             return False
         finally:
-            observe("server.request.seconds", loop.time() - started)
+            observe("server.request.seconds", time.perf_counter() - started)
             add_counter(f"server.requests.{endpoint}")
 
-    async def _write_json(
+    def _write_json(
         self,
-        writer: asyncio.StreamWriter,
         status: int,
         payload: dict[str, Any],
         keep_alive: bool,
@@ -303,110 +281,80 @@ class HydraServer:
         ]
         for name, value in extra_headers or []:
             headers.append(f"{name}: {value}")
-        writer.write(("\r\n".join(headers) + "\r\n\r\n").encode("latin-1") + data)
-        await writer.drain()
+        self.wfile.write(("\r\n".join(headers) + "\r\n\r\n").encode("latin-1") + data)
+        self.wfile.flush()
 
-    async def _stream_ndjson(
-        self,
-        writer: asyncio.StreamWriter,
-        stream: Iterator[ProgressEvent],
-        loop: asyncio.AbstractEventLoop,
-    ) -> None:
-        """Stream an iterator of progress events as chunked NDJSON.
+    def _stream_ndjson(self, stream: Generator[ProgressEvent, None, None]) -> None:
+        """Stream a generator of progress events as chunked NDJSON.
 
         The first event is produced *before* the status line goes out, so
         validation failures (unknown summary, bad relation list) still map
         to proper 4xx responses; later failures — headers already sent —
-        become a final ``error`` event on the stream instead.  The iterator
-        runs on the executor and hands events to the loop through a bounded
-        queue, so a slow client backpressures regeneration instead of
-        buffering it.
+        become a final ``error`` event on the stream instead.  Each event is
+        written as it is produced: the blocking socket write is the
+        backpressure on a slow client, and a client that went away fails
+        the write, which closes the generator (and with it its cache lease).
         """
-        queue: asyncio.Queue[object] = asyncio.Queue(maxsize=64)
-        first = await loop.run_in_executor(self._executor, _guarded_next, stream)
-        if isinstance(first, BaseException):
-            raise first
-        writer.write(
-            b"HTTP/1.1 200 OK\r\n"
-            b"Content-Type: application/x-ndjson\r\n"
-            b"Transfer-Encoding: chunked\r\n"
-            b"Connection: close\r\n\r\n"
-        )
-        await writer.drain()
+        try:
+            event: ProgressEvent | None = next(stream)
+            self.wfile.write(
+                b"HTTP/1.1 200 OK\r\n"
+                b"Content-Type: application/x-ndjson\r\n"
+                b"Transfer-Encoding: chunked\r\n"
+                b"Connection: close\r\n\r\n"
+            )
+            while event is not None:
+                self._write_chunk(event)
+                try:
+                    event = next(stream, None)
+                except Exception as exc:  # noqa: BLE001 - headers are out: report on the stream
+                    self._write_chunk(
+                        ProgressEvent(event="error", error=f"{type(exc).__name__}: {exc}")
+                    )
+                    break
+            self.wfile.write(b"0\r\n\r\n")
+            self.wfile.flush()
+        finally:
+            stream.close()
 
-        aborted = threading.Event()
-        if first is not _STREAM_END:
-            assert isinstance(first, ProgressEvent)
-            await self._write_chunk(writer, first)
-            self._executor.submit(_pump_stream, stream, queue, loop, aborted)
-            try:
-                while True:
-                    item = await queue.get()
-                    if item is _STREAM_END:
-                        break
-                    if isinstance(item, BaseException):
-                        await self._write_chunk(
-                            writer,
-                            ProgressEvent(event="error", error=f"{type(item).__name__}: {item}"),
-                        )
-                        break
-                    assert isinstance(item, ProgressEvent)
-                    await self._write_chunk(writer, item)
-            except (ConnectionError, asyncio.IncompleteReadError):
-                # The client went away mid-stream: tell the pump to stop at
-                # the next event, then keep draining so a put blocked on the
-                # bounded queue can finish and the pump thread exits.
-                aborted.set()
-                while True:
-                    item = await queue.get()
-                    if item is _STREAM_END or isinstance(item, BaseException):
-                        break
-                raise
-        writer.write(b"0\r\n\r\n")
-        await writer.drain()
-
-    async def _write_chunk(self, writer: asyncio.StreamWriter, event: ProgressEvent) -> None:
+    def _write_chunk(self, event: ProgressEvent) -> None:
         """Write one NDJSON line as an HTTP chunk."""
         line = json.dumps(event.to_dict()).encode("utf-8") + b"\n"
-        writer.write(f"{len(line):X}\r\n".encode("latin-1") + line + b"\r\n")
-        await writer.drain()
+        self.wfile.write(f"{len(line):X}\r\n".encode("latin-1") + line + b"\r\n")
+        self.wfile.flush()
 
 
-def _pump_stream(
-    stream: Iterator[ProgressEvent],
-    queue: "asyncio.Queue[object]",
-    loop: asyncio.AbstractEventLoop,
-    aborted: threading.Event,
-) -> None:
-    """Drain the event iterator into the loop's queue (runs on the executor).
+class HydraServer:
+    """Blocking thread-per-connection HTTP server over one :class:`SummaryService`."""
 
-    Stops early when ``aborted`` is set (client disconnect); exceptions are
-    forwarded onto the queue for the loop side to render as a final
-    ``error`` event.  The generator is closed before the end sentinel goes
-    out so its cache lease is released deterministically.
-    """
-    try:
-        for event in stream:
-            if aborted.is_set():
-                break
-            asyncio.run_coroutine_threadsafe(queue.put(event), loop).result()
-    except BaseException as exc:  # noqa: BLE001 - forwarded to the stream
-        asyncio.run_coroutine_threadsafe(queue.put(exc), loop).result()
-        return
-    closer = getattr(stream, "close", None)
-    if callable(closer):
-        closer()  # release the cache lease deterministically
-    asyncio.run_coroutine_threadsafe(queue.put(_STREAM_END), loop).result()
+    def __init__(self, service: SummaryService, host: str = "127.0.0.1", port: int = 0) -> None:
+        """Configure the listener (``port=0`` binds an ephemeral port)."""
+        self.service = service
+        self.host = host
+        self._requested_port = port
+        self._listener: _Listener | None = None
 
+    @property
+    def port(self) -> int:
+        """The bound port (resolves ephemeral ``port=0`` after :meth:`start`)."""
+        if self._listener is None:
+            return self._requested_port
+        return int(self._listener.server_address[1])
 
-def _guarded_next(stream: Iterator[ProgressEvent]) -> ProgressEvent | BaseException | object:
-    """``next()`` that never leaks ``StopIteration`` across an executor."""
-    try:
-        return next(stream)
-    except StopIteration:
-        return _STREAM_END
-    except BaseException as exc:  # noqa: BLE001 - re-raised on the loop side
-        return exc
+    def start(self) -> None:
+        """Bind the listening socket; connections queue until :meth:`serve_forever`."""
+        self._listener = _Listener((self.host, self._requested_port), self.service)
+
+    def serve_forever(self) -> None:
+        """Accept connections until :meth:`stop` or an interrupt, then close the socket."""
+        assert self._listener is not None, "call start() before serve_forever()"
+        with self._listener:
+            self._listener.serve_forever()
+
+    def stop(self) -> None:
+        """End a :meth:`serve_forever` running on another thread and wait for it."""
+        if self._listener is not None:
+            self._listener.shutdown()
 
 
 class BackgroundServer:
@@ -418,25 +366,14 @@ class BackgroundServer:
             client = ServerClient("127.0.0.1", server.port)
             ...
 
-    ``start`` blocks until the socket is bound, so ``.port`` is always the
+    ``start`` returns once the socket is bound, so ``.port`` is always the
     resolved (possibly ephemeral) port.
     """
 
-    def __init__(
-        self,
-        service: SummaryService,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        executor_threads: int = 8,
-    ) -> None:
+    def __init__(self, service: SummaryService, host: str = "127.0.0.1", port: int = 0) -> None:
         """Configure (but do not yet start) the background server."""
-        self._server = HydraServer(
-            service, host=host, port=port, executor_threads=executor_threads
-        )
+        self._server = HydraServer(service, host=host, port=port)
         self._thread: threading.Thread | None = None
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._started: Future[int] = Future()
-        self._stop_event: asyncio.Event | None = None
 
     @property
     def host(self) -> str:
@@ -453,22 +390,19 @@ class BackgroundServer:
         """The service this server fronts."""
         return self._server.service
 
-    def start(self, timeout: float = 30.0) -> "BackgroundServer":
-        """Start the loop thread and wait until the socket is bound."""
+    def start(self) -> "BackgroundServer":
+        """Bind the socket and start the accept thread."""
+        self._server.start()
         self._thread = threading.Thread(
-            target=self._run, name="hydra-server-loop", daemon=True
+            target=self._server.serve_forever, name="hydra-server", daemon=True
         )
         self._thread.start()
-        self._started.result(timeout=timeout)
         return self
 
     def stop(self, timeout: float = 30.0) -> None:
-        """Stop the server and join the loop thread."""
-        loop = self._loop
-        stop_event = self._stop_event
-        if loop is not None and stop_event is not None and loop.is_running():
-            loop.call_soon_threadsafe(stop_event.set)
+        """Stop the server and join the accept thread."""
         if self._thread is not None:
+            self._server.stop()
             self._thread.join(timeout=timeout)
             self._thread = None
 
@@ -479,22 +413,3 @@ class BackgroundServer:
     def __exit__(self, *exc_info: object) -> None:
         """Stop on context exit."""
         self.stop()
-
-    def _run(self) -> None:
-        """Thread target: own the event loop for the server's lifetime."""
-        try:
-            asyncio.run(self._main())
-        except BaseException as exc:  # noqa: BLE001 - surfaced via start()
-            if not self._started.done():
-                self._started.set_exception(exc)
-
-    async def _main(self) -> None:
-        """Bind, publish readiness, and serve until told to stop."""
-        self._loop = asyncio.get_running_loop()
-        self._stop_event = asyncio.Event()
-        await self._server.start()
-        self._started.set_result(self._server.port)
-        try:
-            await self._stop_event.wait()
-        finally:
-            await self._server.stop()

@@ -1,8 +1,8 @@
 """Transport-independent request handling of the summary server.
 
 :class:`SummaryService` is the synchronous core every transport shares: the
-asyncio HTTP layer (:mod:`repro.server.http`) dispatches onto it from a
-thread pool, and tests drive it directly without any networking.  Each
+HTTP layer (:mod:`repro.server.http`) calls it from its connection
+threads, and tests drive it directly without any networking.  Each
 method takes and returns the typed bodies of :mod:`repro.server.api`, so
 the HTTP layer is nothing but routing + JSON framing.
 
@@ -18,7 +18,7 @@ Failures surface as :class:`ServiceError`, which carries the HTTP status
 the transport should map it to; per-tenant admission reuses the
 :class:`~repro.executor.rate.RateLimiter` token accounting with a no-op
 sleep, turning "how long would this request have to wait" into a 429 with
-``Retry-After`` instead of blocking an executor thread.
+``Retry-After`` instead of blocking a connection thread.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from __future__ import annotations
 import os
 import threading
 import time
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, Callable, Iterator
 
@@ -423,9 +424,14 @@ class SummaryService:
 
     # -- internals -------------------------------------------------------
 
-    def _leased(self, name: str) -> "_Lease":
+    @contextmanager
+    def _leased(self, name: str) -> Iterator[CachedSummary]:
         """A lease on ``name`` raising the canonical 404 when absent."""
-        return _Lease(self.cache, name)
+        try:
+            with self.cache.lease(name) as entry:
+                yield entry
+        except SummaryNotLoaded as exc:
+            raise ServiceError(404, "summary-not-loaded", str(exc)) from exc
 
     @staticmethod
     def _database_for(
@@ -475,27 +481,3 @@ class SummaryService:
                 400, "bad-package", f"cannot parse inline package: {exc}"
             ) from exc
 
-
-class _Lease:
-    """Context manager translating a missing cache entry into a 404."""
-
-    def __init__(self, cache: SummaryCache, name: str) -> None:
-        """Remember which cache and serving name to lease."""
-        self._cache = cache
-        self._name = name
-        self._ctx: Any = None
-
-    def __enter__(self) -> CachedSummary:
-        """Acquire the lease, mapping ``SummaryNotLoaded`` to 404."""
-        ctx = self._cache.lease(self._name)
-        try:
-            entry = ctx.__enter__()
-        except SummaryNotLoaded as exc:
-            raise ServiceError(404, "summary-not-loaded", str(exc)) from exc
-        self._ctx = ctx
-        return entry
-
-    def __exit__(self, *exc_info: Any) -> None:
-        """Release the lease."""
-        if self._ctx is not None:
-            self._ctx.__exit__(*exc_info)

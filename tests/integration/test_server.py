@@ -13,15 +13,17 @@ Covers the ISSUE's acceptance behaviours end to end over real sockets:
 
 from __future__ import annotations
 
+import http.client
 import json
 import socket
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
 from repro.client.package import InformationPackage
-from repro.core.pipeline import Hydra
+from repro.core.pipeline import Hydra, scale_row_counts
 from repro.executor.engine import ExecutionEngine
 from repro.executor.rate import VirtualClock
 from repro.plans.planner import build_plan
@@ -419,3 +421,134 @@ class TestRequestValidation:
         client = ServerClient("127.0.0.1", server.port)
         assert client.query("toy", "select count(*) from S").row_count == 1
         assert not [w for w in recwarn if "never retrieved" in str(w.message)]
+
+    @pytest.mark.parametrize(
+        "head, status, error, detail",
+        [
+            (
+                "POST /api/v2/summaries/toy/query HTTP/1.1\r\n"
+                f"Content-Length: {64 * 1024 * 1024 + 1}",
+                413, "payload-too-large", "exceeds",
+            ),
+            ("NOT-A-REQUEST-LINE", 400, "bad-request", "malformed request line"),
+            (
+                "GET /api/v2/healthz HTTP/1.1\r\n" + "X-Filler: 0123456789abcdef\r\n" * 2340,
+                400, "bad-request", "request headers exceed",
+            ),
+        ],
+        ids=["body-over-the-limit", "request-line", "header-section-over-the-cap"],
+    )
+    def test_unframeable_request_is_answered_and_the_server_lives_on(
+        self, server, head, status, error, detail
+    ):
+        """A typed answer, then a closed socket: no silent close, no read of the body."""
+        received = _raw_exchange(server.port, (head + "\r\n\r\n").encode("latin-1") + b"{}")
+        head_bytes, _, body = received.partition(b"\r\n\r\n")
+        assert head_bytes.startswith(f"HTTP/1.1 {status} ".encode()), received
+        assert b"Connection: close" in head_bytes
+        answer = json.loads(body)
+        assert (answer["error"], answer["status"]) == (error, status)
+        assert detail in answer["detail"]
+        client = ServerClient("127.0.0.1", server.port)
+        assert client.query("toy", "select count(*) from S").row_count == 1
+
+
+def _raw_exchange(port: int, payload: bytes) -> bytes:
+    """Send ``payload`` on a fresh socket and read until the server closes it."""
+    with socket.create_connection(("127.0.0.1", port), timeout=10) as raw:
+        raw.sendall(payload)
+        received = b""
+        try:
+            while chunk := raw.recv(65536):
+                received += chunk
+        except ConnectionResetError:
+            pass  # the server closed with bytes of ours unread: the answer came first
+    return received
+
+
+def _wait_until(condition, seconds: float = 5.0) -> bool:
+    """Poll ``condition`` until it holds or ``seconds`` have passed."""
+    deadline = time.monotonic() + seconds
+    while not condition() and time.monotonic() < deadline:
+        time.sleep(0.01)
+    return bool(condition())
+
+
+class TestConnections:
+    def test_client_abandoning_a_stream_releases_its_lease(self, toy_metadata, toy_aqps):
+        """Closing the socket mid-stream stops regeneration and frees the entry."""
+        # Large enough that the stream cannot simply finish into the socket buffers.
+        hydra = Hydra(
+            metadata=toy_metadata, row_count_overrides=scale_row_counts(toy_metadata, 1000)
+        )
+        summary = hydra.build_summary(toy_aqps).summary
+        service = SummaryService()
+        service.load(LoadSummaryRequest(name="big", summary=summary.to_dict()))
+        with service.cache.lease("big") as entry:
+            pass
+        body = b'{"batch_size": 1}'
+        request = (
+            f"POST /api/v2/summaries/big/regenerate HTTP/1.1\r\nHost: x\r\n"
+            f"Content-Length: {len(body)}\r\n\r\n"
+        ).encode("latin-1") + body
+        with BackgroundServer(service) as background:
+            with socket.create_connection(("127.0.0.1", background.port), timeout=10) as raw:
+                raw.sendall(request)
+                received = b""
+                while b'"event": "progress"' not in received:
+                    chunk = raw.recv(4096)
+                    assert chunk, received
+                    received += chunk
+                assert entry.leases == 1  # held by the running stream
+                # Under REPRO_WORKERS the in-process server forks pool workers that
+                # inherit this very descriptor: only shutdown() ends the connection.
+                raw.shutdown(socket.SHUT_RDWR)
+            assert _wait_until(lambda: entry.leases == 0), "the abandoned stream kept its lease"
+            client = ServerClient("127.0.0.1", background.port)
+            assert client.evict("big").evicted
+            assert service.cache.retired_count == 0
+            with pytest.raises(ServerClientError) as excinfo:
+                client.query("big", "select count(*) from S")
+            assert excinfo.value.status == 404
+
+    def test_one_connection_serves_request_after_request(self, server):
+        """Keep-alive: a 400 for a body that is not JSON does not cost the connection."""
+        connection = http.client.HTTPConnection("127.0.0.1", server.port, timeout=10)
+        try:
+            path = "/api/v2/summaries/toy/query"
+            statuses = []
+            for body in (
+                '{"sql": "select count(*) from S"}',
+                "{not json",
+                '{"sql": "select count(*) from T"}',
+            ):
+                connection.request("POST", path, body=body)
+                socket_in_use = connection.sock
+                response = connection.getresponse()
+                answer = json.loads(response.read())
+                statuses.append((response.status, answer.get("error"), answer.get("row_count")))
+                assert connection.sock is socket_in_use is not None  # not closed, not reopened
+            assert statuses == [(200, None, 1), (400, "bad-request", None), (200, None, 1)]
+        finally:
+            connection.close()
+
+    def test_stop_ends_every_thread_and_frees_the_port(self, toy_summary):
+        before = set(threading.enumerate())
+        service = SummaryService()
+        service.load(LoadSummaryRequest(name="toy", summary=toy_summary.to_dict()))
+        background = BackgroundServer(service).start()
+        port = background.port
+        client = ServerClient("127.0.0.1", port)
+        assert client.query("toy", "select count(*) from S").row_count == 1
+
+        def ours() -> list[str]:  # other servers (the module fixture's) may be running
+            return [t.name for t in set(threading.enumerate()) - before]
+
+        assert any(name.startswith("hydra-server") for name in ours())
+        background.stop()
+        assert not [name for name in ours() if name.startswith("hydra-server")]
+        # Connection threads end with their (closed) connections.
+        assert _wait_until(lambda: not ours()), ours()
+        with BackgroundServer(service, port=port) as again:  # no TIME_WAIT stall
+            assert again.port == port
+            assert ServerClient("127.0.0.1", port).server_info().summaries_loaded == 1

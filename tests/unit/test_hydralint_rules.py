@@ -11,6 +11,8 @@ from __future__ import annotations
 import textwrap
 from pathlib import Path
 
+import pytest
+
 from repro.lint.config import LintConfig, load_config
 from repro.lint.framework import (
     Finding,
@@ -391,6 +393,15 @@ class TestHYD402LayerBoundary:
             rel_path="src/repro/sinks/fixture.py",
         )
         assert findings == []
+
+    @pytest.mark.parametrize(
+        "source", ["import asyncio\n", "from asyncio import Queue\n", "import asyncio.events\n"]
+    )
+    def test_server_may_not_import_an_event_loop(self, source):
+        """A stdlib target works as a layering row: the server stays blocking."""
+        findings = check("HYD402", source, rel_path="src/repro/server/fixture.py")
+        assert [f.code for f in findings] == ["HYD402"]
+        assert check("HYD402", source, rel_path="src/repro/telemetry/fixture.py") == []
 
 
 class TestHYD501BareExcept:
