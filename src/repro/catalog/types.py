@@ -13,6 +13,7 @@ assumption the paper's region-partitioning algorithm relies on.
 from __future__ import annotations
 
 import datetime
+import functools
 from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Iterable, Sequence
@@ -184,13 +185,20 @@ class StringType(DataType):
     def is_discrete(self) -> bool:
         return True
 
+    @functools.cached_property
     def _code_map(self) -> dict[str, int]:
+        """``string -> code``, built once per instance (not a field: it takes
+        no part in equality, hashing, ``to_dict`` or pickling)."""
         return {value: code for code, value in enumerate(self.dictionary)}
+
+    def __getstate__(self) -> dict[str, Any]:
+        """Pickle the fields only, never the cached code map."""
+        return {name: value for name, value in vars(self).items() if name != "_code_map"}
 
     def encode(self, value: Any) -> float:
         if isinstance(value, (int, np.integer)):
             return int(value)
-        codes = self._code_map()
+        codes = self._code_map
         if value not in codes:
             raise KeyError(f"string value {value!r} not present in dictionary")
         return codes[value]

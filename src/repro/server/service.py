@@ -38,7 +38,7 @@ from ..executor.engine import ExecutionEngine, ExecutorError
 from ..executor.rate import RateLimiter
 from ..plans.logical import PlanNode
 from ..plans.planner import build_plan
-from ..sinks.base import external_value
+from ..sinks.base import external_column
 from ..sinks.export import export_summary, sink_for_format, validate_export_against
 from ..sinks.manifest import MANIFEST_NAME
 from ..sql.parser import parse_query
@@ -103,9 +103,9 @@ def external_result_columns(
 ) -> dict[str, list[Any]]:
     """Decode engine result columns into external (JSON-safe) values.
 
-    Qualified ``table.column`` names decode through the schema type exactly
-    like the export sinks (:func:`repro.sinks.base.external_value`), so a
-    served result cell equals the corresponding exported cell; aggregate
+    Qualified ``table.column`` names decode through the export sinks' own
+    column decoder (:func:`repro.sinks.base.external_column`), so a served
+    result cell equals the corresponding exported cell; aggregate
     outputs (``count`` / ``sum`` / ``avg``) are plain numbers already and
     only need their numpy scalars unboxed.
     """
@@ -118,7 +118,7 @@ def external_result_columns(
             except ValueError:
                 column = None
         if column is not None:
-            decoded[name] = [external_value(column, value) for value in values]
+            decoded[name] = external_column(column, values)
         else:
             decoded[name] = [
                 value.item() if hasattr(value, "item") else value for value in values

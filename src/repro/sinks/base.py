@@ -20,7 +20,7 @@ from __future__ import annotations
 import abc
 import datetime
 from pathlib import Path
-from typing import Any, ClassVar, Mapping
+from typing import Any, Callable, ClassVar, Mapping
 
 import numpy as np
 from numpy.typing import NDArray
@@ -37,17 +37,15 @@ __all__ = ["Sink", "external_columns"]
 def external_columns(table: Table, block: Mapping[str, NDArray[Any]]) -> dict[str, list[Any]]:
     """Decode one encoded block into external (client-facing) values.
 
-    Integers stay ``int``, floats stay ``float``, dictionary-encoded strings
-    decode to ``str`` and dates decode to ISO-8601 strings — the one
-    representation every backend (CSV cells, SQLite ``TEXT``, Parquet
-    strings) stores verbatim, so an export re-encodes losslessly during
-    verification.
+    A backend receives one Python list per schema column — ``int`` / ``float``
+    / ``str`` cells, dates as ISO-8601 strings — the one representation CSV
+    cells, SQLite ``TEXT`` and Parquet strings store verbatim, so an export
+    re-encodes losslessly during verification.
     """
-    decoded: dict[str, list[Any]] = {}
-    for column in table.columns:
-        values = block[column.name]
-        decoded[column.name] = [external_value(column, value) for value in values]
-    return decoded
+    return {
+        column.name: external_column(column, block[column.name])
+        for column in table.columns
+    }
 
 
 def external_value(column: Column, value: float) -> Any:
@@ -65,6 +63,30 @@ def external_value(column: Column, value: float) -> Any:
     if isinstance(external, (float, np.floating)):
         return float(external) + 0.0
     return external
+
+
+def external_column(
+    column: Column, values: NDArray[Any], cell: Callable[[Column, float], Any] = external_value
+) -> list[Any]:
+    """Decode one encoded column without a Python call per cell.
+
+    Numbers convert in numpy by the rules of :func:`external_value` (half-to-even,
+    no ``-0.0``); ``DATE`` / ``STRING`` columns call ``cell`` — it, or a backend's
+    rendering of it — once per *distinct* code, so it stays the one definition.
+    """
+    values = np.asarray(values)
+    if column.dtype.kind is TypeKind.INTEGER:
+        if values.dtype.kind == "f":
+            values = np.rint(values)
+        values = values.astype(np.int64, copy=False)
+    elif column.dtype.kind is TypeKind.FLOAT:
+        values = values + 0.0
+    else:
+        codes, inverse = np.unique(values, return_inverse=True)
+        distinct = [cell(column, code) for code in codes]
+        values = np.array(distinct, dtype=object)[inverse]
+    decoded: list[Any] = values.tolist()
+    return decoded
 
 
 def encode_external(column: Column, value: Any) -> float:
@@ -156,9 +178,15 @@ class Sink(abc.ABC):
         """Append one encoded column block to the open relation."""
         if self._current is None or self._hasher is None:
             raise HydraError("no relation is open; call open_relation first")
-        count = self._hasher.update(block)
-        if count:
-            self._backend_write(self._current, block)
+        table = self._current
+        lengths = {name: len(block[name]) for name in table.column_names if name in block}
+        if len(lengths) < len(table.columns) or len(set(lengths.values())) > 1:
+            raise HydraError(
+                f"relation {table.name!r}: a block needs every schema column "
+                f"{table.column_names} at one length, got lengths {lengths}"
+            )
+        if self._hasher.update(block):
+            self._backend_write(table, block)
 
     def close_relation(self) -> None:
         """Seal the open relation and record its manifest entry."""

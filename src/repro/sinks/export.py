@@ -17,16 +17,20 @@ regenerating a single tuple**.
 from __future__ import annotations
 
 import csv
+import functools
+import itertools
 import sqlite3
 import time
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterable, Iterator, Sequence
+from typing import Any, Callable, Iterator, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
 
 from ..catalog.schema import Schema, Table
+from ..catalog.types import TypeKind
 from ..core.errors import HydraError
 from ..core.pipeline import summary_relation_providers
 from ..core.summary import DatabaseSummary
@@ -46,6 +50,9 @@ __all__ = [
     "verify_export",
     "ExportValidation",
 ]
+
+#: One encoded block: a numpy array per schema column.
+_Block = dict[str, NDArray[Any]]
 
 #: Formats ``sink_for_format`` (and the CLI) accepts, in documentation order.
 EXPORT_FORMATS = ("csv", "sqlite", "parquet")
@@ -190,9 +197,10 @@ def verify_export(
        ``summary`` (the export belongs to exactly this summary);
     2. every exported relation must exist in the summary with the
        manifest's row count and column types;
-    3. the backend files are re-read in batches, re-encoded through the
-       schema types and re-hashed — the recomputed content checksums must
-       equal the manifest's (the files still hold the regenerated stream).
+    3. the backend files are re-read ``batch_size`` rows at a time into typed
+       columns (:func:`_row_decoder`) and re-hashed — the checksums must equal
+       the manifest's; a cell or row that does not parse is a ``cannot re-read
+       export`` problem of its relation, never an exception and never ``ok``.
     """
     export_dir = Path(export_dir)
     manifest = Manifest.load(export_dir)
@@ -243,7 +251,8 @@ def verify_export(
             hasher = ColumnHasher(table)
             for block in reader(export_dir, table, batch_size):
                 hasher.update(block)
-        except (HydraError, OSError, ValueError, KeyError, sqlite3.Error) as exc:
+        except (HydraError, OSError, sqlite3.Error, ValueError, KeyError, TypeError,
+                OverflowError) as exc:  # whatever a malformed cell raises while parsing
             validation.problems.append(f"{name}: cannot re-read export: {exc}")
             continue
         validation.rows_checked += hasher.rows
@@ -295,82 +304,76 @@ def validate_export_against(
     return verify_export(summary, export_dir, batch_size=batch_size)
 
 
-def _encode_block(table: Table, rows: Iterable[Sequence[Any]]) -> dict[str, NDArray[Any]]:
-    """Re-encode a batch of external-value rows into schema-typed arrays."""
-    materialised = list(rows)
-    block: dict[str, NDArray[Any]] = {}
-    for index, column in enumerate(table.columns):
-        block[column.name] = np.array(
-            [encode_external(column, row[index]) for row in materialised],
-            dtype=column.dtype.numpy_dtype,
-        )
-    return block
+def _row_decoder(table: Table) -> tuple[np.dtype[Any], Callable[[NDArray[Any]], _Block]]:
+    """Structured dtype of a batch of external rows, and its split into encoded columns.
+
+    ``DATE`` / ``STRING`` fields stay objects until ``encode`` maps them through
+    :func:`~repro.sinks.base.encode_external`, memoised per distinct value.
+    """
+    encoders = {
+        column.name: functools.cache(functools.partial(encode_external, column))
+        for column in table.columns
+        if column.dtype.kind in (TypeKind.DATE, TypeKind.STRING)
+    }
+
+    def encode(batch: NDArray[Any]) -> _Block:
+        block = {name: batch[name] for name in table.column_names}
+        for name, encoder in encoders.items():
+            block[name] = np.fromiter(map(encoder, batch[name]), np.int64, len(batch))
+        return block
+
+    fields = [
+        (column.name, object if column.name in encoders else column.dtype.numpy_dtype)
+        for column in table.columns
+    ]
+    return np.dtype(fields), encode
 
 
-def _read_csv(
-    export_dir: Path, table: Table, batch_size: int
-) -> Iterator[dict[str, NDArray[Any]]]:
-    """Stream encoded blocks back out of a CSV export."""
+def _read_csv(export_dir: Path, table: Table, batch_size: int) -> Iterator[_Block]:
+    """Stream encoded blocks back out of a CSV export.
+
+    ``np.loadtxt`` parses ``batch_size`` rows at a time: a cell that is not of its
+    column's type, or a row of too few or too many cells, is a ``ValueError`` on every
+    supported numpy (before 2.3 an ``INTEGER`` cell like ``2.5`` only warned and was
+    truncated, so that warning is an error here).  A blank line holds no cell: skipped.
+    """
     path = CsvSink.relation_path(export_dir, table.name)
+    dtype, encode = _row_decoder(table)
     with path.open("r", newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
+        header = next(csv.reader(handle), None)
         if header != table.column_names:
             raise HydraError(
-                f"{path} header {header} does not match schema columns "
-                f"{table.column_names}"
+                f"{path} header {header} does not match schema columns {table.column_names}"
             )
-        typed = _csv_parsers(table)
-        batch: list[tuple] = []
-        for row in reader:
-            batch.append(tuple(parse(cell) for parse, cell in zip(typed, row)))
-            if len(batch) >= batch_size:
-                yield _encode_block(table, batch)
-                batch = []
-        if batch:
-            yield _encode_block(table, batch)
+        for line in handle:  # peek one line per batch: loadtxt warns when asked to parse nothing
+            with warnings.catch_warnings():  # closed before the yield: filters must not leak
+                warnings.simplefilter("error", DeprecationWarning)
+                batch = np.loadtxt(
+                    itertools.chain([line], handle), dtype=dtype, delimiter=",", quotechar='"',
+                    comments=None, max_rows=batch_size, ndmin=1, encoding=None,
+                )
+            yield encode(batch)
 
 
-def _csv_parsers(table: Table) -> list:
-    """Per-column parsers mapping CSV cells to external values."""
-    from ..catalog.types import TypeKind
-
-    parsers = []
-    for column in table.columns:
-        if column.dtype.kind is TypeKind.INTEGER:
-            parsers.append(int)
-        elif column.dtype.kind is TypeKind.FLOAT:
-            parsers.append(float)
-        else:  # DATE and STRING travel as text and re-encode from text
-            parsers.append(str)
-    return parsers
-
-
-def _read_sqlite(
-    export_dir: Path, table: Table, batch_size: int
-) -> Iterator[dict[str, NDArray[Any]]]:
+def _read_sqlite(export_dir: Path, table: Table, batch_size: int) -> Iterator[_Block]:
     """Stream encoded blocks back out of a SQLite export."""
     path = SqliteSink.database_path(export_dir)
     if not path.is_file():
         raise HydraError(f"{path} does not exist")
+    dtype, encode = _row_decoder(table)
     quoted = ", ".join('"' + name.replace('"', '""') + '"' for name in table.column_names)
     connection = sqlite3.connect(f"file:{path}?mode=ro", uri=True)
     try:
         cursor = connection.execute(
             f'SELECT {quoted} FROM "{table.name}" ORDER BY rowid'
         )
-        while True:
-            rows = cursor.fetchmany(batch_size)
-            if not rows:
-                break
-            yield _encode_block(table, rows)
+        for rows in iter(lambda: cursor.fetchmany(batch_size), []):
+            yield encode(np.array(rows, dtype=dtype))
     finally:
         connection.close()
 
 
-def _read_parquet(
-    export_dir: Path, table: Table, batch_size: int
-) -> Iterator[dict[str, NDArray[Any]]]:
+def _read_parquet(export_dir: Path, table: Table, batch_size: int) -> Iterator[_Block]:
     """Stream encoded blocks back out of a Parquet export."""
     from .parquet_sink import _import_pyarrow
 
@@ -378,11 +381,11 @@ def _read_parquet(
     path = ParquetSink.relation_path(export_dir, table.name)
     if not path.is_file():
         raise HydraError(f"{path} does not exist")
+    dtype, encode = _row_decoder(table)
     parquet_file = pq.ParquetFile(path)
     for batch in parquet_file.iter_batches(batch_size=batch_size):
-        columns = {name: batch.column(name).to_pylist() for name in table.column_names}
-        rows = zip(*(columns[name] for name in table.column_names))
-        yield _encode_block(table, rows)
+        rows = zip(*(batch.column(name).to_pylist() for name in table.column_names))
+        yield encode(np.array(list(rows), dtype=dtype))
 
 
 _READERS = {

@@ -80,8 +80,7 @@ class SqliteSink(Sink):
 
     def _backend_write(self, table: Table, block: Mapping[str, NDArray[Any]]) -> None:
         assert self._insert_sql is not None
-        decoded = external_columns(table, block)
-        rows = zip(*(decoded[name] for name in table.column_names))
+        rows = zip(*external_columns(table, block).values())  # lists, in schema order
         self._connection.executemany(self._insert_sql, rows)
 
     def _backend_close(self, table: Table) -> list[str]:

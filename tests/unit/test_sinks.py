@@ -6,6 +6,7 @@ import csv
 import datetime
 import json
 import sqlite3
+import warnings
 
 import numpy as np
 import pytest
@@ -230,6 +231,86 @@ class TestVerifyExport:
         assert not validation.ok
         assert any("checksum mismatch" in problem for problem in validation.problems)
 
+    @pytest.mark.parametrize(
+        "tamper",
+        [
+            pytest.param(lambda cells: cells[:-1], id="row one cell short"),
+            pytest.param(lambda cells: cells + ["999"], id="row one cell long"),
+            pytest.param(lambda cells: ["seven"] + cells[1:], id="text in INTEGER"),
+            pytest.param(lambda cells: cells[:1] + ["2.5"] + cells[2:], id="fraction in INTEGER"),
+            pytest.param(lambda cells: cells[:1] + [cells[1] + ".0"] + cells[2:], id="float text in INTEGER"),
+            pytest.param(lambda cells: cells[:1] + ["1e3"] + cells[2:], id="exponent in INTEGER"),
+            pytest.param(lambda cells: cells[:1] + ["nan"] + cells[2:], id="nan in INTEGER"),
+            pytest.param(lambda cells: cells[:3] + ["delta"] + cells[4:], id="unknown string"),
+            pytest.param(lambda cells: cells[:4] + ["1990-02-30"], id="not a date"),
+        ],
+    )
+    def test_malformed_csv_row_is_a_problem_not_a_crash(self, tmp_path, tamper):
+        summary = build_summary()
+        export_summary(summary, CsvSink(tmp_path))
+        path = tmp_path / "fact.csv"
+        lines = path.read_text().splitlines()
+        lines[3] = ",".join(tamper(lines[3].split(",")))
+        path.write_text("\n".join(lines) + "\n")
+        validation = verify_export(summary, tmp_path)
+        assert not validation.ok
+        assert any(
+            problem.startswith("fact: cannot re-read export: ")
+            for problem in validation.problems
+        ), validation.problems
+
+    def test_csv_reread_turns_numpy_deprecations_into_errors(self, tmp_path, monkeypatch):
+        """numpy < 2.3 parses ``2.5`` in an INTEGER column through float (-> 2) and only
+        warns; the re-read must run ``np.loadtxt`` with that warning raised, and must not
+        leave the filter behind."""
+        summary = build_summary()
+        export_summary(summary, CsvSink(tmp_path))
+        real_loadtxt, raised = np.loadtxt, []
+
+        def spying_loadtxt(*args, **kwargs):
+            with pytest.raises(DeprecationWarning):
+                warnings.warn("loadtxt(): Parsing an integer via a float", DeprecationWarning)
+            raised.append(True)
+            return real_loadtxt(*args, **kwargs)
+
+        monkeypatch.setattr(np, "loadtxt", spying_loadtxt)
+        assert verify_export(summary, tmp_path, batch_size=8).ok
+        assert len(raised) > 2
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert verify_export(summary, tmp_path).ok
+            warnings.warn("afterwards", DeprecationWarning)  # recorded, not raised
+        assert [str(warning.message) for warning in caught] == ["afterwards"]
+
+    @pytest.mark.filterwarnings("ignore:.*contained no data")
+    def test_blank_csv_lines_hold_no_cell_and_are_skipped(self, tmp_path):
+        """Deliberate: a blank line adds no row and no cell, so the row count and the
+        checksums still vouch for the content (numpy warns when a batch is only blank)."""
+        summary = build_summary()
+        export_summary(summary, CsvSink(tmp_path))
+        path = tmp_path / "fact.csv"
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines[:3] + [""] + lines[3:] + ["", ""]) + "\n")
+        for batch_size in (2, 8192):
+            validation = verify_export(summary, tmp_path, batch_size=batch_size)
+            assert validation.ok, validation.problems
+            assert validation.rows_checked == 43
+
+    @pytest.mark.parametrize("value", ["seven", None, b"\x00"])
+    def test_mistyped_sqlite_value_is_a_problem_not_a_crash(self, tmp_path, value):
+        summary = build_summary()
+        export_summary(summary, SqliteSink(tmp_path))
+        connection = sqlite3.connect(tmp_path / DATABASE_NAME)
+        connection.execute("UPDATE fact SET fk = ? WHERE rowid = 2", (value,))
+        connection.commit()
+        connection.close()
+        validation = verify_export(summary, tmp_path)
+        assert not validation.ok
+        assert any(
+            problem.startswith("fact: cannot re-read export: ")
+            for problem in validation.problems
+        ), validation.problems
+
     def test_tampered_sqlite_is_detected(self, tmp_path):
         summary = build_summary()
         export_summary(summary, SqliteSink(tmp_path))
@@ -305,6 +386,29 @@ class TestSinkProtocol:
         sink.finalize(summary)
         with pytest.raises(HydraError, match="finalized"):
             sink.open_relation(FACT)
+
+    @pytest.mark.parametrize("sink_class", [CsvSink, SqliteSink])
+    def test_ragged_or_incomplete_block_is_rejected_before_any_write(
+        self, tmp_path, sink_class
+    ):
+        summary = build_summary()
+        block = stream_columns(summary, "fact")
+        sink = sink_class(tmp_path)
+        sink.open_relation(FACT)
+        with pytest.raises(HydraError, match=r"relation 'fact'.*'pk': 23.*'day': 22"):
+            sink.write_block({**block, "day": block["day"][:-1]})
+        with pytest.raises(HydraError, match=r"relation 'fact'.*'label'.*got") as error:
+            sink.write_block({k: v for k, v in block.items() if k != "label"})
+        assert "'label'" not in str(error.value).split("got")[1]  # named, but not got
+        # Nothing was hashed or written: the good block alone is the export.
+        sink.write_block(block)
+        sink.close_relation()
+        sink.open_relation(DIM)
+        sink.write_block(stream_columns(summary, "dim"))
+        sink.close_relation()
+        manifest = sink.finalize(summary)
+        assert manifest.relations["fact"].rows == 23
+        assert verify_export(summary, tmp_path).ok
 
     def test_partial_export_lists_only_exported_relations(self, tmp_path):
         summary = build_summary()

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import datetime
+import pickle
 
 import numpy as np
 import pytest
@@ -93,6 +94,21 @@ class TestStringType:
     def test_decode_out_of_range_is_synthetic(self):
         dtype = StringType(dictionary=("a",))
         assert dtype.decode(7) == "value_7"
+
+    def test_code_map_is_cached_outside_the_value_identity(self):
+        """encode builds its string -> code map once per instance; the cache
+        is not a field, so equality, hash, to_dict and pickles ignore it."""
+        dtype = StringType(dictionary=("a", "b", "c"))
+        fresh = StringType(dictionary=("a", "b", "c"))
+        pickled, described = pickle.dumps(dtype), dtype.to_dict()
+        assert dtype.encode("b") == 1 and dtype.encode("c") == 2
+        assert dtype._code_map is dtype._code_map  # one map, reused
+        assert dtype == fresh and hash(dtype) == hash(fresh)
+        assert dtype.to_dict() == described == fresh.to_dict()
+        assert pickle.dumps(dtype) == pickled == pickle.dumps(fresh)
+        clone = pickle.loads(pickle.dumps(dtype))
+        assert clone == dtype and "_code_map" not in vars(clone)
+        assert clone.encode("c") == 2
 
     def test_order_preserving_codes(self):
         dtype = StringType.from_values(["dresses", "accessories", "pop"])
