@@ -98,6 +98,22 @@ def _ensure_writable_directory(parser: argparse.ArgumentParser, path: Path) -> N
         parser.error(f"--out {path} is not writable")
 
 
+def _worker_count(text: str) -> int:
+    """argparse ``type=`` of ``--workers``: a process count, at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError("must be >= 1")
+    return value
+
+
+def _row_rate(text: str) -> float:
+    """argparse ``type=`` of ``--rows-per-second``: a rate above 0."""
+    value = float(text)
+    if not value > 0:
+        raise argparse.ArgumentTypeError("must be > 0 (omit the flag for an unpaced stream)")
+    return value
+
+
 def _add_telemetry_arguments(parser: argparse.ArgumentParser) -> None:
     """Attach the shared observability flags (``--trace``/``--metrics``)."""
     group = parser.add_argument_group("observability")
@@ -111,19 +127,6 @@ def _add_telemetry_arguments(parser: argparse.ArgumentParser) -> None:
         help="write the run's metric registry (counters, gauges, histograms) "
         "as pretty-printed JSON",
     )
-    group.add_argument(
-        "--profile", action="store_true",
-        help="with --trace/--metrics: additionally record tracemalloc peak "
-        "memory and wall time per pipeline stage (adds measurable overhead)",
-    )
-
-
-def _check_telemetry_arguments(
-    parser: argparse.ArgumentParser, args: argparse.Namespace
-) -> None:
-    if args.profile and args.trace is None and args.metrics is None:
-        parser.error("--profile only records into --trace/--metrics output; "
-                     "pass at least one of them")
 
 
 @contextmanager
@@ -137,7 +140,7 @@ def _telemetry_scope(args: argparse.Namespace) -> Iterator[None]:
     if args.trace is None and args.metrics is None:
         yield
         return
-    with telemetry_session(profile=args.profile) as session:
+    with telemetry_session() as session:
         try:
             yield
         finally:
@@ -224,13 +227,6 @@ def vendor_main(argv: Sequence[str] | None = None) -> int:
         "delta workload, and re-solve only the touched relations",
     )
     parser.add_argument(
-        "--reuse-solutions", action="store_true",
-        help="with --extend-from: keep a touched relation's previous LP "
-        "solution when it still satisfies the extended constraints exactly "
-        "(keeps already-shipped tuple streams stable, but no longer matches "
-        "a from-scratch build of the union workload)",
-    )
-    parser.add_argument(
         "--materialize", type=str, default=None, metavar="REL[,REL...]|all",
         help="after the build, eagerly regenerate these relations ('all' for "
         "every relation) and report tuple throughput; with --format/--out the "
@@ -248,14 +244,13 @@ def vendor_main(argv: Sequence[str] | None = None) -> int:
         "alongside the data files for hydra verify --against)",
     )
     parser.add_argument(
-        "--workers", type=int, default=None, metavar="N",
+        "--workers", type=_worker_count, default=None, metavar="N",
         help="worker processes for the --materialize regeneration/export "
         "(default: REPRO_WORKERS or serial; output is bit-identical)",
     )
     parser.add_argument("--output", type=Path, default=Path("summary.json"))
     _add_telemetry_arguments(parser)
     args = parser.parse_args(argv)
-    _check_telemetry_arguments(parser, args)
     names: list[str] = []
     if args.materialize is not None:
         seen = set()
@@ -271,8 +266,6 @@ def vendor_main(argv: Sequence[str] | None = None) -> int:
         parser.error("--materialize 'all' cannot be combined with relation names")
     if args.workers is not None and not names:
         parser.error("--workers only applies to the --materialize regeneration")
-    if args.reuse_solutions and args.extend_from is None:
-        parser.error("--reuse-solutions only applies together with --extend-from")
     # Export arguments are validated *before* any solving starts: a typo in
     # the format (argparse choices above), a missing/unwritable output
     # directory, a missing optional dependency or an unknown relation name
@@ -351,10 +344,7 @@ def _vendor_run(
                 )
         try:
             base_result = hydra.restore_result(previous)
-            result = hydra.extend_summary(
-                base_result, loaded.aqps,
-                reuse_feasible_solutions=args.reuse_solutions,
-            )
+            result = hydra.extend_summary(base_result, loaded.aqps)
         except HydraError as exc:
             raise SystemExit(str(exc))
         union_package = InformationPackage(
@@ -444,7 +434,7 @@ def verify_main(argv: Sequence[str] | None = None) -> int:
         "counts and content checksums, without regenerating tuples",
     )
     parser.add_argument(
-        "--rows-per-second", type=float, default=None,
+        "--rows-per-second", type=_row_rate, default=None,
         help="pace each regenerated relation's stream at this rate "
         "(per relation; combine with --shared-rate-limit for one global budget)",
     )
@@ -458,14 +448,13 @@ def verify_main(argv: Sequence[str] | None = None) -> int:
         help="also print sample tuples of the given relation",
     )
     parser.add_argument(
-        "--workers", type=int, default=None, metavar="N",
+        "--workers", type=_worker_count, default=None, metavar="N",
         help="regenerate each relation across N worker processes "
         "(default: REPRO_WORKERS or serial; output is bit-identical, rate "
         "limits pace the merged stream)",
     )
     _add_telemetry_arguments(parser)
     args = parser.parse_args(argv)
-    _check_telemetry_arguments(parser, args)
     if args.against is not None:
         for flag, inapplicable in (
             ("--rows-per-second", args.rows_per_second is not None),
@@ -477,10 +466,10 @@ def verify_main(argv: Sequence[str] | None = None) -> int:
                 parser.error(f"{flag} does not apply to --against export validation")
 
     with _telemetry_scope(args):
-        return _verify_run(args)
+        return _verify_run(parser, args)
 
 
-def _verify_run(args: argparse.Namespace) -> int:
+def _verify_run(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     """The verification run proper, running inside the telemetry scope."""
     try:
         package = InformationPackage.load(args.package)
@@ -498,22 +487,22 @@ def _verify_run(args: argparse.Namespace) -> int:
         print(validation.describe())
         return 0 if validation.ok else 1
 
+    if args.sample is not None and args.sample not in summary.relations:
+        parser.error(
+            f"unknown --sample relation {args.sample!r}; the summary describes: "
+            + ", ".join(sorted(summary.relations))
+        )
     hydra = Hydra(metadata=package.metadata)
-    limiter = (
-        RateLimiter(rows_per_second=args.rows_per_second)
-        if args.rows_per_second
-        else RateLimiter.unlimited()
-    )
     database = hydra.regenerate(
         summary,
-        rate_limiter=limiter,
+        rate_limiter=RateLimiter(rows_per_second=args.rows_per_second),
         shared_rate_limiter=args.shared_rate_limit,
         workers=args.workers,
     )
     result = VolumetricComparator(database=database).verify(package.aqps)
     print(format_error_cdf(result))
 
-    if args.sample:
+    if args.sample is not None:
         generator = hydra.tuple_generator(summary, args.sample)
         count = min(5, generator.row_count)
         indices = [int(i * max(1, generator.row_count // max(count, 1))) for i in range(count)]

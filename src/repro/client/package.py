@@ -97,9 +97,6 @@ class InformationPackage(JsonDocument):
                 return aqp
         raise KeyError(f"package has no AQP named {name!r}")
 
-    def add_aqps(self, aqps: Iterable[AnnotatedQueryPlan]) -> None:
-        self.aqps.extend(aqps)
-
     # -- delta workflow --------------------------------------------------
 
     def fingerprint(self) -> str:

@@ -41,7 +41,6 @@ from ..parallel.pool import default_workers
 from ..plans.aqp import AnnotatedQueryPlan
 from ..sql.predicates import BoxCondition
 from ..storage.database import Database, MaterializedRelation
-from ..telemetry.profile import profile_stage
 from ..telemetry.session import add_counter, span
 from . import stages
 from .alignment import AlignedRelation, DeterministicAligner
@@ -309,14 +308,13 @@ class Hydra:
         """
         aqps = list(aqps)
         empty = HydraBuildResult(DatabaseSummary(schema=self.metadata.schema), SummaryBuildReport())
-        with span("hydra.build_summary", queries=len(aqps)), profile_stage("build_summary"):
+        with span("hydra.build_summary", queries=len(aqps)):
             return self._refresh(empty, aqps)
 
     def extend_summary(
         self,
         result: HydraBuildResult,
         new_aqps: Iterable[AnnotatedQueryPlan],
-        reuse_feasible_solutions: bool = False,
     ) -> HydraBuildResult:
         """Incrementally refresh a summary under a delta workload.
 
@@ -338,20 +336,15 @@ class Hydra:
            (version bumped), leaving untouched relations' summary rows — and
            therefore their regenerated tuple streams — bit-identical.
 
-        The default path is equivalent to ``build_summary`` over the union
-        workload: touched relations go through the exact same computation, so
-        the regenerated database matches a from-scratch union build
-        bit-for-bit.  ``reuse_feasible_solutions=True`` additionally keeps a
-        touched relation's *previous* LP solution whenever it still satisfies
-        the extended constraint set exactly (``"warm-reused"``), which keeps
-        already-shipped tuple streams stable but may then differ from what a
-        cold solve would have picked.
+        The result is equivalent to ``build_summary`` over the union workload:
+        touched relations go through the exact same computation, so the
+        regenerated database matches a from-scratch union build bit-for-bit.
 
         ``result`` must come from :meth:`build_summary`,
         :meth:`extend_summary` or :meth:`restore_result` of a Hydra with the
         same configuration (mode, alignment, row-count overrides).
         """
-        with span("hydra.extend_summary"), profile_stage("extend_summary"):
+        with span("hydra.extend_summary"):
             if not result.supports_extension:
                 raise HydraError(
                     "build result carries no extension state; use build_summary, "
@@ -369,7 +362,7 @@ class Hydra:
                 if key not in seen:
                     seen.add(key)
                     union_aqps.append(aqp)
-            return self._refresh(result, union_aqps, reuse_feasible_solutions)
+            return self._refresh(result, union_aqps)
 
     def touched_relations(
         self, result: HydraBuildResult, new_aqps: Iterable[AnnotatedQueryPlan]
@@ -491,7 +484,7 @@ class Hydra:
                 + "; summary has: "
                 + ", ".join(repr(name) for name in sorted(summary.relations))
             )
-        with span("hydra.regenerate", materialized=len(wanted)), profile_stage("regenerate"):
+        with span("hydra.regenerate", materialized=len(wanted)):
             database = Database(schema=summary.schema, providers={})
             for table_name, relation in summary_relation_providers(
                 summary,
@@ -516,9 +509,7 @@ class Hydra:
 
     # -- the one build / extend loop -----------------------------------------
 
-    def _refresh(
-        self, base: HydraBuildResult, aqps: list[AnnotatedQueryPlan], reuse_solutions: bool = False
-    ) -> HydraBuildResult:
+    def _refresh(self, base: HydraBuildResult, aqps: list[AnnotatedQueryPlan]) -> HydraBuildResult:
         """Re-solve the relations ``aqps`` touches relative to ``base``.
 
         Untouched relations carry their state, alignment and summary rows
@@ -547,10 +538,7 @@ class Hydra:
                 add_counter("pipeline.relations_reused")
                 continue
             table, prev = schema.table(table_name), base.states.get(table_name)
-            warm_counts = None
-            if reuse_solutions and table_name in base.aligned:
-                warm_counts = base.aligned[table_name].counts
-            built = self._build_relation(table, workload, aligned, prev, warm_counts)
+            built = self._build_relation(table, workload, aligned, prev)
             report.relations[table_name], aligned[table_name], states[table_name] = built
             replacements[table_name] = aligned[table_name].summary
             add_counter("pipeline.relations_built" if cold else "pipeline.relations_resolved")
@@ -594,7 +582,6 @@ class Hydra:
         workload: WorkloadConstraints,
         aligned: Mapping[str, AlignedRelation],
         prev: RelationBuildState | None,
-        warm_counts: NDArray[Any] | None,
     ) -> tuple[RelationBuildInfo, AlignedRelation, RelationBuildState]:
         """Run the stage sequence of :mod:`repro.core.stages` for one relation."""
         with span("solve.relation", relation=table.name) as relation_span:
@@ -605,9 +592,7 @@ class Hydra:
             guided = self.mode == "exact" and self.guided_solutions
             problem = stages.formulate(self.metadata, table, grounded, part, guided, aligned, prev)
             state = part.state
-            solution = stages.solve(
-                problem, state, self.mode, self.fallback_to_soft, prev, warm_counts
-            )
+            solution = stages.solve(problem, state, self.mode, self.fallback_to_soft, prev)
             counts = solution.integral_counts
             aligned_relation = stages.align(self._aligner(table), table, state, counts, aligned)
             lp_skipped = prev is not None and solution is prev.solution
@@ -626,7 +611,7 @@ class Hydra:
                 status=solution.status,
                 max_relative_error=solution.max_relative_error,
                 fallback_to_soft=state.fallback,
-                warm_start=part.resumed or lp_skipped or solution.status == "warm-reused",
+                warm_start=part.resumed or lp_skipped,
             )
             relation_span.annotate(
                 regions=info.num_regions, status=info.status, warm_start=info.warm_start

@@ -88,35 +88,14 @@ class LPSolver:
     mode: SolveMode = "exact"
     method: str = "highs"
 
-    def solve(
-        self,
-        problem: LPProblem,
-        targets: NDArray[Any] | None = None,
-        warm_start: NDArray[Any] | None = None,
-    ) -> LPSolution:
+    def solve(self, problem: LPProblem, targets: NDArray[Any] | None = None) -> LPSolution:
         """Solve one per-relation LP.
 
         ``targets`` (optional, exact mode only) are per-region count estimates
         used to select among feasible solutions; see the module docstring.
-
-        ``warm_start`` (optional) is a candidate solution carried over from a
-        previous build of the same relation — the integral region counts the
-        incremental pipeline already regenerated data from.  When the
-        candidate is non-negative and satisfies every constraint row exactly,
-        it is returned as-is (status ``"warm-reused"``) without invoking the
-        LP backend; otherwise it is silently ignored and the problem is
-        solved from scratch.  Reusing a feasible previous solution keeps the
-        already-shipped data stream stable under a delta workload, at the
-        price of no longer matching what a cold solve of the extended problem
-        would have picked — callers opt in accordingly.
         """
         if problem.num_variables == 0:
             return self._empty_solution(problem)
-        if warm_start is not None:
-            warm = self._try_warm_start(problem, warm_start)
-            if warm is not None:
-                add_counter("solver.warm_start.reused")
-                return warm
         start = time.perf_counter()
         if self.mode == "exact":
             counts, status, objective, iterations = self._solve_exact(problem, targets)
@@ -152,32 +131,6 @@ class LPSolver:
             raise SolverError(
                 "scipy is required for LP solving but could not be imported"
             )
-
-    def _try_warm_start(
-        self, problem: LPProblem, candidate: NDArray[Any]
-    ) -> LPSolution | None:
-        """Accept a previous solution when it satisfies the LP exactly."""
-        candidate = np.asarray(candidate, dtype=np.float64)
-        if candidate.shape != (problem.num_variables,):
-            return None
-        if candidate.size and float(candidate.min()) < 0.0:
-            return None
-        residuals = problem.residuals(candidate)
-        if residuals.size and float(np.max(np.abs(residuals))) > 1e-6:
-            return None
-        integral = np.asarray(np.rint(candidate), dtype=np.int64)
-        return LPSolution(
-            relation=problem.relation,
-            counts=candidate,
-            integral_counts=integral,
-            status="warm-reused",
-            solve_seconds=0.0,
-            residuals=residuals,
-            relative_errors=problem.relative_errors(candidate),
-            mode=self.mode,
-            objective=0.0,
-            metadata={"warm_start": True},
-        )
 
     def _empty_solution(self, problem: LPProblem) -> LPSolution:
         counts = np.zeros(0, dtype=np.float64)

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Any, Mapping, NamedTuple, Sequence
+from typing import Any, Mapping, NamedTuple
 
 import numpy as np
 from numpy.typing import NDArray
@@ -392,61 +392,27 @@ def formulate(
 # -- solve -------------------------------------------------------------------
 
 
-def _remap_counts(
-    prev_regions: Sequence[Region], regions: Sequence[Region], prev_counts: NDArray[Any]
-) -> NDArray[Any] | None:
-    """Carry per-region counts across a re-partition, matching by geometry.
-
-    Only possible when the new predicates split nothing geometrically —
-    every new region's box set then equals exactly one old region's (by
-    value), and the old counts transfer one-to-one.  Returns ``None``
-    whenever the correspondence is not a bijection.
-    """
-    if len(prev_regions) != len(regions):
-        return None
-    by_boxes: dict[tuple[BoxCondition, ...], int] = {}
-    for region in prev_regions:
-        if region.boxes in by_boxes:
-            return None
-        by_boxes[region.boxes] = region.index
-    remapped = np.zeros(len(regions), dtype=np.int64)
-    for region in regions:
-        prev_index = by_boxes.get(region.boxes)
-        if prev_index is None:
-            return None
-        remapped[region.index] = prev_counts[prev_index]
-    return remapped
-
-
 def solve(
     problem: LPProblem,
     state: RelationBuildState,
     mode: SolveMode,
     fallback_to_soft: bool,
     prev: RelationBuildState | None = None,
-    warm_counts: NDArray[Any] | None = None,
 ) -> LPSolution:
     """Stage 4: solve the LP; fills ``state.solution`` / ``state.fallback``.
 
     Reuse: when the problem *is* the one ``prev`` solved, its solution is
     kept without touching the backend (a fresh deterministic solve would
-    reproduce it).  ``warm_counts`` (``extend_summary``'s
-    ``reuse_feasible_solutions``) offers the previous integral counts,
-    remapped onto the new region order, for the solver to keep when they are
-    still exactly feasible.  ``fallback_to_soft`` retries an exact-mode
-    infeasibility as a soft solve.
+    reproduce it).  ``fallback_to_soft`` retries an exact-mode infeasibility
+    as a soft solve.
     """
     with span("solve.lp", relation=problem.relation):
         if prev is not None and prev.solution is not None and problem is prev.problem:
             state.solution, state.fallback = prev.solution, prev.fallback
             add_counter("warmstart.lp_skipped")
             return state.solution
-        warm_start = None
-        if warm_counts is not None and prev is not None:
-            warm_start = _remap_counts(prev.regions, state.regions, np.asarray(warm_counts))
         try:
-            solver = LPSolver(mode=mode)
-            state.solution = solver.solve(problem, targets=state.targets, warm_start=warm_start)
+            state.solution = LPSolver(mode=mode).solve(problem, targets=state.targets)
         except InfeasibleConstraintsError:
             if not (mode == "exact" and fallback_to_soft):
                 raise

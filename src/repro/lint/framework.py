@@ -22,7 +22,7 @@ import re
 import tokenize
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, ClassVar, Iterable, Iterator, Mapping
+from typing import ClassVar, Iterable, Iterator, Mapping
 
 __all__ = [
     "Finding",
@@ -206,8 +206,8 @@ def module_name_for(rel_path: str) -> str:
 
     Strips a leading ``src/`` (the repository's package layout) and the
     ``.py``/``/__init__.py`` suffix: ``src/repro/sql/predicates.py`` →
-    ``repro.sql.predicates``, ``benchmarks/bench_export.py`` →
-    ``benchmarks.bench_export``.
+    ``repro.sql.predicates``, ``benchmarks/trajectory/run.py`` →
+    ``benchmarks.trajectory.run``.
     """
     parts = rel_path.split("/")
     if parts and parts[0] == "src":
@@ -334,20 +334,6 @@ def dotted_name(node: ast.AST) -> str | None:
     return None
 
 
-def iter_call_args(node: ast.Call) -> Iterator[ast.expr]:
-    """All positional and keyword argument value expressions of a call."""
-    yield from node.args
-    for keyword in node.keywords:
-        yield keyword.value
-
-
-def walk_functions(tree: ast.Module) -> Iterator[ast.FunctionDef | ast.AsyncFunctionDef]:
-    """Every function definition in the module, outermost first."""
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield node
-
-
 def module_level_mutable_names(tree: ast.Module) -> set[str]:
     """Names bound at module level to expressions that look mutable.
 
@@ -379,13 +365,6 @@ def module_level_mutable_names(tree: ast.Module) -> set[str]:
             if isinstance(target, ast.Name):
                 names.add(target.id)
     return names
-
-
-def visit_calls(tree: ast.Module, callback: Callable[[ast.Call], None]) -> None:
-    """Invoke ``callback`` on every :class:`ast.Call` in the module."""
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Call):
-            callback(node)
 
 
 def resolve_import_targets(ctx: FileContext, node: ast.stmt) -> list[str]:

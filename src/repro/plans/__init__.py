@@ -1,6 +1,6 @@
 """Query plans: logical operators, join graph, deterministic planner and AQPs."""
 
-from .aqp import AnnotatedQueryPlan, AQPEdge, map_workload, total_constraint_count
+from .aqp import AnnotatedQueryPlan, AQPEdge, total_constraint_count
 from .joingraph import JoinEdge, JoinGraph, classify_fk_edge
 from .logical import (
     AggregateNode,
@@ -36,7 +36,6 @@ __all__ = [
     "choose_anchor",
     "classify_fk_edge",
     "compute_pushdowns",
-    "map_workload",
     "plan_from_dict",
     "total_constraint_count",
 ]

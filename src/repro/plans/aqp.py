@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Iterable, Mapping
+from typing import Any, Iterable, Mapping
 
 from ..sql.query import Query
 from .logical import PlanNode, plan_from_dict
@@ -128,10 +128,3 @@ def total_constraint_count(aqps: Iterable[AnnotatedQueryPlan]) -> int:
     """Total number of annotated edges across a workload's AQPs."""
     return sum(len(aqp.edges()) for aqp in aqps)
 
-
-def map_workload(
-    aqps: Iterable[AnnotatedQueryPlan],
-    transform: Callable[[AnnotatedQueryPlan], AnnotatedQueryPlan],
-) -> list[AnnotatedQueryPlan]:
-    """Apply a transformation to every AQP of a workload (scenario helpers)."""
-    return [transform(aqp) for aqp in aqps]

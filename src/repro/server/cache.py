@@ -143,14 +143,6 @@ class SummaryCache:
                 if entry.retired and entry.leases == 0:
                     self._retired.remove(entry)
 
-    def get_info(self, name: str) -> SummaryInfo:
-        """The wire-facing description of the entry served under ``name``."""
-        with self._lock:
-            entry = self._entries.get(name)
-            if entry is None:
-                raise SummaryNotLoaded(name)
-            return entry.info()
-
     def list_entries(self) -> list[SummaryInfo]:
         """Describe every currently served entry, sorted by name."""
         with self._lock:

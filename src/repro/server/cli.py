@@ -4,9 +4,8 @@ Thin argparse front-end over :class:`~repro.server.service.SummaryService`
 and :class:`~repro.server.http.HydraServer`: parse flags, pre-load the
 requested summaries, print the resolved listen address (``--port 0`` binds
 an ephemeral port) and serve until interrupted.  Telemetry flags
-(``--trace`` / ``--metrics`` / ``--profile``) behave exactly like the other
-``hydra`` subcommands: one session spanning the server's lifetime, written
-on shutdown.
+(``--trace`` / ``--metrics``) behave exactly like the other ``hydra``
+subcommands: one session spanning the server's lifetime, written on shutdown.
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ def _parse_load_spec(spec: str) -> tuple[str, str]:
 
 def serve_main(argv: Sequence[str] | None = None) -> int:
     """Start the summary server (``hydra serve``)."""
-    from ..cli import _add_telemetry_arguments, _check_telemetry_arguments, _telemetry_scope
+    from ..cli import _add_telemetry_arguments, _telemetry_scope
 
     parser = argparse.ArgumentParser(
         prog="hydra serve",
@@ -63,7 +62,6 @@ def serve_main(argv: Sequence[str] | None = None) -> int:
     )
     _add_telemetry_arguments(parser)
     args = parser.parse_args(argv)
-    _check_telemetry_arguments(parser, args)
 
     service = SummaryService(requests_per_second=args.requests_per_second)
     with _telemetry_scope(args):

@@ -128,14 +128,6 @@ class DisjunctiveJoinCondition:
     def involves(self, table: str) -> bool:
         return table in (self.left_table, self.right_table)
 
-    def other_table(self, table: str) -> str:
-        """The table on the opposite side of ``table``."""
-        if table == self.left_table:
-            return self.right_table
-        if table == self.right_table:
-            return self.left_table
-        raise ValueError(f"join {self!r} does not involve table {table!r}")
-
     def as_predicate(self) -> Predicate:
         """The disjunction as an ``Or`` of column-comparison predicates."""
         return Or([alt.as_predicate() for alt in self.alternatives])
@@ -178,9 +170,6 @@ class Query:
     def has_filter(self, table: str) -> bool:
         predicate = self.filters.get(table)
         return predicate is not None and not isinstance(predicate, TruePredicate)
-
-    def joins_for(self, table: str) -> "list[JoinCondition | DisjunctiveJoinCondition]":
-        return [join for join in self.joins if join.involves(table)]
 
     def validate(self, schema: Schema) -> None:
         """Check that every table, join column and filter column exists."""

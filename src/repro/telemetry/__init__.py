@@ -1,7 +1,7 @@
 """First-class observability for the HYDRA reproduction.
 
 The package is a *leaf* dependency (it imports nothing from the rest of
-``repro``) providing three zero-dependency building blocks plus the session
+``repro``) providing two zero-dependency building blocks plus the session
 context that ties them together:
 
 * :mod:`repro.telemetry.spans` — a nested-span tracer with thread- and
@@ -10,8 +10,6 @@ context that ties them together:
 * :mod:`repro.telemetry.metrics` — a thread-safe registry of named
   counters, gauges and bucketed histograms with snapshot/merge semantics
   (worker processes ship snapshots back for parent-side aggregation);
-* :mod:`repro.telemetry.profile` — opt-in :mod:`tracemalloc` peak-memory
-  and wall-time capture per pipeline stage;
 * :mod:`repro.telemetry.session` — the :class:`TelemetrySession` context
   every instrumented layer consults.  Telemetry is **off by default**: with
   no active session every instrumentation hook is a single global read and
@@ -26,7 +24,6 @@ trace file: top spans by self-time plus the engine route-hit table.
 from __future__ import annotations
 
 from .metrics import MetricsRegistry, MetricsSnapshot, merge_snapshots
-from .profile import profile_stage
 from .session import (
     TelemetrySession,
     active_session,
@@ -50,7 +47,6 @@ __all__ = [
     "is_active",
     "merge_snapshots",
     "observe",
-    "profile_stage",
     "read_jsonl_trace",
     "set_gauge",
     "span",

@@ -100,12 +100,6 @@ class MetricsRegistry:
         with self._lock:
             self._gauges[name] = value
 
-    def max_gauge(self, name: str, value: float) -> None:
-        """Raise the gauge ``name`` to ``value`` if it is the new maximum."""
-        with self._lock:
-            if value > self._gauges.get(name, float("-inf")):
-                self._gauges[name] = value
-
     def observe(
         self, name: str, value: float, *, buckets: Sequence[float] | None = None
     ) -> None:

@@ -1,13 +1,12 @@
 """The telemetry session context and its module-level no-op fast path.
 
 A :class:`TelemetrySession` bundles one :class:`~repro.telemetry.spans.Tracer`
-and one :class:`~repro.telemetry.metrics.MetricsRegistry` (plus the opt-in
-profiling flag).  Instrumented code never holds a session reference —
-it calls the module-level helpers (:func:`span`, :func:`add_counter`,
-:func:`set_gauge`, :func:`observe`), each of which is a single global read
-plus a branch when no session is active.  That is the whole disabled-mode
-cost, which keeps telemetry's overhead within noise and is what the
-overhead-guard test enforces.
+and one :class:`~repro.telemetry.metrics.MetricsRegistry`.  Instrumented
+code never holds a session reference — it calls the module-level helpers
+(:func:`span`, :func:`add_counter`, :func:`set_gauge`, :func:`observe`), each
+of which is a single global read plus a branch when no session is active.
+That is the whole disabled-mode cost, which keeps telemetry's overhead within
+noise and is what the overhead-guard test enforces.
 
 Sessions are activated with the :func:`telemetry_session` context manager
 (re-entrant: the previous active session is restored on exit).  Worker
@@ -73,11 +72,10 @@ _NOOP_SPAN = _NoopSpan()
 
 @dataclass
 class TelemetrySession:
-    """One tracer + one metrics registry + the profiling opt-in flag."""
+    """One tracer + one metrics registry."""
 
     tracer: Tracer = field(default_factory=Tracer)
     metrics: MetricsRegistry = field(default_factory=MetricsRegistry)
-    profile_enabled: bool = False
 
     def write_trace(self, path: str | Path) -> None:
         """Write the Chrome trace-event file (metrics snapshot embedded)."""
@@ -106,18 +104,15 @@ def is_active() -> bool:
 
 
 @contextmanager
-def telemetry_session(
-    session: TelemetrySession | None = None, *, profile: bool = False
-) -> Iterator[TelemetrySession]:
+def telemetry_session(session: TelemetrySession | None = None) -> Iterator[TelemetrySession]:
     """Activate a session for the duration of the ``with`` block.
 
     Pass an existing :class:`TelemetrySession` to activate it, or omit it
-    to create a fresh one (``profile=True`` opts into the tracemalloc
-    stage profiler).  The previously active session, if any, is restored
-    on exit, so activation nests.
+    to create a fresh one.  The previously active session, if any, is
+    restored on exit, so activation nests.
     """
     global _ACTIVE
-    created = session if session is not None else TelemetrySession(profile_enabled=profile)
+    created = session if session is not None else TelemetrySession()
     previous = _ACTIVE
     _ACTIVE = created
     try:

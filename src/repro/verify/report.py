@@ -10,7 +10,7 @@ recorded in EXPERIMENTS.md.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from ..core.pipeline import SummaryBuildReport
 from ..core.summary import DatabaseSummary
@@ -135,14 +135,3 @@ class QualityReport:
                 sections.append(format_aqp_comparison(aqp, self.verification))
         return "\n".join(sections)
 
-
-def verification_rows(result: VerificationResult) -> Iterable[tuple[str, str, int, int, float]]:
-    """Tabular access to the comparisons (used by benchmarks to print rows)."""
-    for comparison in result.comparisons:
-        yield (
-            comparison.query,
-            comparison.operator,
-            comparison.original,
-            comparison.regenerated,
-            comparison.relative_error,
-        )

@@ -10,7 +10,12 @@ import pytest
 
 from repro.cli import generate_main, vendor_main, verify_main, client_main
 from repro.client.package import InformationPackage
+from repro.core.pipeline import Hydra
 from repro.core.summary import DatabaseSummary
+
+
+def _must_not_run(*_args, **_kwargs):
+    raise AssertionError("the command started work before validating its arguments")
 
 
 @pytest.fixture(scope="module")
@@ -71,6 +76,41 @@ class TestVendorAndVerify:
         captured = capsys.readouterr()
         assert "constraints satisfied" in captured.out
         assert "sample tuples of S" in captured.out
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--sample", "NOPE"], "relation 'NOPE'; the summary describes: R, S, T"),
+            (["--workers", "0"], "argument --workers: must be >= 1"),
+            (["--workers", "-1"], "argument --workers: must be >= 1"),
+            (["--rows-per-second", "-5"], "argument --rows-per-second: must be > 0"),
+            (["--rows-per-second", "0"], "argument --rows-per-second: must be > 0"),
+        ],
+        ids=["sample", "workers=0", "workers=-1", "rate=-5", "rate=0"],
+    )
+    def test_verify_rejects_values_it_cannot_honour_before_regenerating(
+        self, flags, message, package_path, tmp_path, capsys, monkeypatch
+    ):
+        summary_path = tmp_path / "summary.json"
+        vendor_main([str(package_path), "--output", str(summary_path)])
+        monkeypatch.setattr(Hydra, "regenerate", _must_not_run)
+        with pytest.raises(SystemExit) as raised:
+            verify_main([str(package_path), str(summary_path), *flags])
+        assert raised.value.code == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("workers", ["0", "-1"])
+    def test_vendor_rejects_a_worker_count_below_one_before_solving(
+        self, workers, package_path, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.setattr(Hydra, "build_summary", _must_not_run)
+        with pytest.raises(SystemExit) as raised:
+            vendor_main(
+                [str(package_path), "--materialize", "all", "--workers", workers,
+                 "--output", str(tmp_path / "summary.json")]
+            )
+        assert raised.value.code == 2
+        assert "argument --workers: must be >= 1" in capsys.readouterr().err
 
     @pytest.mark.parametrize("text", ["not json", '{"metadata": 5}'])
     def test_malformed_package_exits_with_a_message(self, text, tmp_path):
@@ -233,13 +273,6 @@ class TestVendorExtend:
                     "--extend-from", str(base_summary),
                     "--output", str(tmp_path / "s.json"),
                 ]
-            )
-
-    def test_reuse_solutions_needs_extend_from(self, split_packages, tmp_path):
-        base_path, _delta_path = split_packages
-        with pytest.raises(SystemExit):
-            vendor_main(
-                [str(base_path), "--reuse-solutions", "--output", str(tmp_path / "s.json")]
             )
 
 

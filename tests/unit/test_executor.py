@@ -158,6 +158,16 @@ class TestVirtualClock:
         with pytest.raises(ValueError):
             VirtualClock().sleep(-1)
 
+    @pytest.mark.parametrize("target_rate", [10_000, 100_000, 1_000_000])
+    def test_regulated_stream_meets_its_target_rate(self, target_rate):
+        """The demo's velocity slider: a paced dataless stream is within 1 % of its rate."""
+        limiter, _clock = RateLimiter.with_virtual_clock(float(target_rate))
+        source = TestDataGenRelation()._source(rows=50_000)
+        relation = DataGenRelation(source=source, rate_limiter=limiter, batch_size=2048)
+        relation.fetch_columns(["value"])
+        assert limiter.rows_produced == 50_000
+        assert abs(limiter.observed_rate() - target_rate) / target_rate < 0.01
+
 
 class TestRateLimiter:
     def test_unlimited_never_sleeps(self):

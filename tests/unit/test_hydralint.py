@@ -63,7 +63,7 @@ class TestModuleName:
         assert module_name_for("src/repro/lint/__init__.py") == "repro.lint"
 
     def test_non_src_path_keeps_its_prefix(self):
-        assert module_name_for("benchmarks/bench_export.py") == "benchmarks.bench_export"
+        assert module_name_for("benchmarks/trajectory/run.py") == "benchmarks.trajectory.run"
 
 
 class TestSuppressionParsing:

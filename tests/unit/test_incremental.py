@@ -16,9 +16,6 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from repro.catalog.metadata import collect_metadata
-from repro.catalog.schema import Column, Schema, Table
-from repro.catalog.types import INTEGER
 from repro.cli import vendor_main
 from repro.client.extractor import AQPExtractor
 from repro.client.package import InformationPackage
@@ -27,8 +24,6 @@ from repro.core.errors import HydraError, SummaryError
 from repro.core.pipeline import Hydra
 from repro.core.scenario import check_delta_feasibility
 from repro.core.summary import DatabaseSummary
-from repro.storage.database import Database
-from repro.storage.table import TableData
 from repro.telemetry import telemetry_session
 
 
@@ -92,9 +87,9 @@ def _solver_call_log(monkeypatch):
     calls: list[str] = []
     original = solver_module.LPSolver.solve
 
-    def counting(self, problem, targets=None, warm_start=None):
+    def counting(self, problem, targets=None):
         calls.append(problem.relation)
-        return original(self, problem, targets=targets, warm_start=warm_start)
+        return original(self, problem, targets=targets)
 
     monkeypatch.setattr(solver_module.LPSolver, "solve", counting)
     return calls
@@ -456,70 +451,6 @@ class TestSpliceAndState:
         before = base.summary.size_bytes()
         base.attach_extension_state()
         assert base.summary.size_bytes() == before
-
-
-class TestWarmSolutionReuse:
-    @pytest.fixture()
-    def single_relation_client(self):
-        schema = Schema.from_tables(
-            [
-                Table(
-                    name="U",
-                    columns=[Column("U_pk", INTEGER), Column("X", INTEGER)],
-                    primary_key="U_pk",
-                )
-            ]
-        )
-        data = TableData.from_columns(
-            schema.table("U"),
-            {
-                "U_pk": np.arange(100, dtype=np.int64),
-                "X": np.arange(100, dtype=np.int64),
-            },
-        )
-        database = Database.from_table_data(schema, [data])
-        return database, collect_metadata(database)
-
-    def test_previous_solution_reused_when_still_feasible(
-        self, single_relation_client, monkeypatch
-    ):
-        database, metadata = single_relation_client
-        base_aqp = _extract(
-            database, "select count(*) from U where U.X >= 0 and U.X < 50", "u_low"
-        )
-        # The complementary predicate: its true count equals what the base
-        # solution already assigns, and its box splits no region.
-        delta_aqp = _extract(
-            database, "select count(*) from U where U.X >= 50", "u_high"
-        )
-        hydra = Hydra(metadata=metadata)
-        base = hydra.build_summary([base_aqp])
-
-        def boom(*_args, **_kwargs):  # pragma: no cover - defensive
-            raise AssertionError("LP backend must not run on a warm-reused solve")
-
-        monkeypatch.setattr(solver_module, "_scipy_linprog", boom)
-        extended = hydra.extend_summary(
-            base, [delta_aqp], reuse_feasible_solutions=True
-        )
-        info = extended.report.relations["U"]
-        assert info.status == "warm-reused"
-        assert info.warm_start
-        assert info.max_relative_error == 0.0
-        assert extended.summary.row_count("U") == 100
-
-    def test_without_flag_the_solver_runs(self, single_relation_client):
-        database, metadata = single_relation_client
-        base_aqp = _extract(
-            database, "select count(*) from U where U.X >= 0 and U.X < 50", "u_low"
-        )
-        delta_aqp = _extract(
-            database, "select count(*) from U where U.X >= 50", "u_high"
-        )
-        hydra = Hydra(metadata=metadata)
-        base = hydra.build_summary([base_aqp])
-        extended = hydra.extend_summary(base, [delta_aqp])
-        assert extended.report.relations["U"].status != "warm-reused"
 
 
 class TestIncrementalFeasibility:

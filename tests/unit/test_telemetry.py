@@ -50,7 +50,6 @@ from repro.telemetry import (
     span,
     telemetry_session,
 )
-from repro.telemetry.profile import profile_stage
 from repro.telemetry.trace_cli import main as trace_cli_main
 
 COUNT_SQL = "select count(*) from R where R.S_fk >= 100 and R.S_fk < 700"
@@ -204,14 +203,11 @@ class TestMetricsRegistry:
         registry.increment("hits")
         registry.increment("hits", 2.0)
         registry.set_gauge("depth", 4.0)
-        registry.max_gauge("peak", 10.0)
-        registry.max_gauge("peak", 3.0)  # lower value must not win
         registry.observe("latency", 0.02)
         registry.observe("latency", 0.04)
         snapshot = registry.snapshot()
         assert snapshot["counters"]["hits"] == 3.0
         assert snapshot["gauges"]["depth"] == 4.0
-        assert snapshot["gauges"]["peak"] == 10.0
         histogram = snapshot["histograms"]["latency"]
         assert histogram["count"] == 2
         assert histogram["min"] == pytest.approx(0.02)
@@ -306,34 +302,6 @@ class TestSessionFastPath:
         assert session.metrics.counter_value("c") == 2.0
         assert session.metrics.gauge_value("g") == 7.0
         assert session.metrics.snapshot()["histograms"]["h"]["count"] == 1
-
-
-class TestProfileStage:
-    def test_profile_requires_double_opt_in(self):
-        with telemetry_session() as session:  # active, but profile_enabled=False
-            with profile_stage("stage"):
-                pass
-        assert session.metrics.snapshot()["histograms"] == {}
-
-    def test_profile_records_time_and_peak_memory(self):
-        with telemetry_session(profile=True) as session:
-            with profile_stage("outer"):
-                with profile_stage("inner"):
-                    blob = bytearray(512 * 1024)
-                    del blob
-        snapshot = session.metrics.snapshot()
-        for stage in ("outer", "inner"):
-            assert snapshot["histograms"][f"profile.{stage}.seconds"]["count"] == 1
-            assert snapshot["gauges"][f"profile.{stage}.peak_bytes"] > 0
-        # The inner stage saw the allocation.
-        assert snapshot["gauges"]["profile.inner.peak_bytes"] >= 512 * 1024
-
-    def test_profile_noop_without_session(self):
-        with profile_stage("stage"):
-            pass  # must not raise, must not start tracemalloc
-        import tracemalloc
-
-        assert not tracemalloc.is_tracing()
 
 
 class TestWorkerSpanMerge:
@@ -450,7 +418,7 @@ class TestTracingInvariance:
         self, toy_metadata, toy_aqps, toy_build
     ):
         _hydra, reference = toy_build
-        with telemetry_session(profile=True) as session:
+        with telemetry_session() as session:
             traced = Hydra(metadata=toy_metadata).build_summary(toy_aqps).summary
         assert session.tracer.finished_spans()  # tracing actually happened
         assert traced.fingerprint() == reference.fingerprint()
@@ -468,7 +436,7 @@ class TestTracingInvariance:
         untraced_dir.mkdir()
         traced_dir.mkdir()
         reference = export_summary(summary, sink_for_format("csv", untraced_dir))
-        with telemetry_session(profile=True):
+        with telemetry_session():
             traced = export_summary(
                 summary, sink_for_format("csv", traced_dir), workers=2
             )
@@ -653,7 +621,6 @@ class TestCLITelemetryFlags:
             str(package_path), "--output", str(summary_path),
             "--materialize", "all", "--workers", "2",
             "--trace", str(trace_path), "--metrics", str(metrics_path),
-            "--profile",
         ])
         assert code == 0
         document = json.loads(trace_path.read_text())
@@ -662,7 +629,6 @@ class TestCLITelemetryFlags:
         assert "pool.chunk" in names  # worker spans merged into the CLI trace
         metrics = json.loads(metrics_path.read_text())
         assert metrics["counters"]["pipeline.relations_built"] == 3.0
-        assert any(name.startswith("profile.") for name in metrics["gauges"])
         assert document["reproMetrics"]["counters"] == metrics["counters"]
         out = capsys.readouterr().out
         assert f"wrote trace {trace_path}" in out
@@ -680,12 +646,6 @@ class TestCLITelemetryFlags:
             for event in json.loads(trace_path.read_text())["traceEvents"]
         }
         assert "hydra.regenerate" in names
-
-    def test_profile_requires_an_output(self, package_path, tmp_path):
-        with pytest.raises(SystemExit):
-            vendor_main([
-                str(package_path), "--output", str(tmp_path / "s.json"), "--profile",
-            ])
 
     def test_untraced_cli_runs_leave_no_session(self, package_path, tmp_path):
         assert vendor_main(
