@@ -24,10 +24,13 @@ database summary at <field>: …``), never a raw parse exception.
 
 from __future__ import annotations
 
+import bisect
 import hashlib
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import accumulate
 from typing import Any, Mapping, Sequence
 
 import numpy as np
@@ -49,46 +52,76 @@ __all__ = [
 
 @dataclass(frozen=True)
 class FKReference:
-    """Admissible referenced-pk index intervals for one foreign-key column."""
+    """Admissible referenced-pk index intervals for one foreign-key column.
+
+    Target position ``p`` (the round-robin order) is the ``p``-th integer of
+    ``intervals``.  Every method reads one flattened form of that order,
+    derived on first use and cached: it is not part of ``==``, ``repr`` or
+    :meth:`to_dict`.
+    """
 
     ref_table: str
     intervals: IntervalSet
 
+    @cached_property
+    def _flat(self) -> tuple[tuple[Interval, ...], tuple[int, ...], tuple[int, ...]]:
+        """``(pieces, starts, bounds)`` over the intervals holding an integer.
+
+        Piece ``i`` holds target positions ``[bounds[i], bounds[i + 1])``, the
+        first of them being pk index ``starts[i]``; ``bounds[-1]`` is the
+        target count.  ``ValueError`` for an unbounded interval.
+        """
+        pieces = tuple(interval for interval in self.intervals if interval.count_integers())
+        starts = tuple(math.ceil(piece.low) for piece in pieces)
+        bounds = tuple(accumulate((piece.count_integers() for piece in pieces), initial=0))
+        return pieces, starts, bounds
+
     def target_count(self) -> int:
         """Number of distinct referenced pk indices available."""
-        return self.intervals.count_integers()
+        return self._flat[2][-1]
+
+    def _positive_count(self) -> int:
+        total = self.target_count()
+        if total <= 0:
+            raise SummaryError(
+                f"foreign-key reference to {self.ref_table!r} has no admissible target"
+            )
+        return total
 
     def kth_target(self, k: int) -> int:
-        """The k-th admissible referenced pk index (0-based, round-robin)."""
-        total = self.target_count()
-        if total <= 0:
-            raise SummaryError(
-                f"foreign-key reference to {self.ref_table!r} has no admissible target"
-            )
-        k = int(k) % total
-        for interval in self.intervals:
-            size = interval.count_integers()
-            if k < size:
-                return int(np.ceil(interval.low)) + k
-            k -= size
-        raise AssertionError("unreachable: k exceeded interval sizes")
+        """The k-th admissible referenced pk index (0-based, round-robin).
 
-    def targets_for(self, offsets: NDArray[Any]) -> NDArray[Any]:
-        """Vectorised :meth:`kth_target` for an array of per-row offsets."""
-        total = self.target_count()
-        if total <= 0:
-            raise SummaryError(
-                f"foreign-key reference to {self.ref_table!r} has no admissible target"
-            )
-        offsets = np.asarray(offsets, dtype=np.int64) % total
-        sizes = np.array([interval.count_integers() for interval in self.intervals], dtype=np.int64)
-        starts = np.array(
-            [int(np.ceil(interval.low)) for interval in self.intervals], dtype=np.int64
-        )
-        boundaries = np.cumsum(sizes)
-        which = np.searchsorted(boundaries, offsets, side="right")
-        previous = np.concatenate(([0], boundaries[:-1]))
-        return starts[which] + (offsets - previous[which])
+        The scalar reference :meth:`fill_targets` vectorises.
+        """
+        k = int(k) % self._positive_count()
+        _pieces, starts, bounds = self._flat
+        i = bisect.bisect_right(bounds, k) - 1
+        return starts[i] + k - bounds[i]
+
+    def fill_targets(self, out: NDArray[Any], offset: int) -> None:
+        """``out[j] = kth_target(offset + j)`` for every cell of ``out``, in place.
+
+        Consecutive offsets walk the flattened order, so the first
+        ``min(len(out), total)`` cells are at most ``#intervals + 1`` ``arange``
+        runs; the cells after them repeat those with period ``total``.
+        """
+        total = self._positive_count()
+        _pieces, starts, bounds = self._flat
+        size, k = len(out), int(offset) % total
+        head = min(size, total)
+        i = bisect.bisect_right(bounds, k) - 1
+        done = 0
+        while done < head:
+            run = min(bounds[i + 1] - k, head - done)
+            first = starts[i] + k - bounds[i]
+            out[done : done + run] = np.arange(first, first + run, dtype=np.int64)
+            done += run
+            i = (i + 1) % len(starts)
+            k = bounds[i]
+        while done < size:  # done is a multiple of total: copy doubling prefixes
+            step = min(done, size - done)
+            out[done : done + step] = out[:step]
+            done += step
 
     def count_matching_offsets(self, num_offsets: int, allowed: IntervalSet) -> int:
         """How many of the offsets ``0..num_offsets-1`` hit a target in ``allowed``.
@@ -105,19 +138,15 @@ class FKReference:
             return 0
         full_cycles, remainder = divmod(int(num_offsets), total)
         matched = 0
-        position = 0
-        for interval in self.intervals:
-            size = interval.count_integers()
-            base = int(np.ceil(interval.low))
+        for interval, base, position in zip(*self._flat):
             for piece in allowed.intersect(IntervalSet([interval])):
                 piece_size = piece.count_integers()
                 if piece_size == 0:
                     continue
-                lo = position + (int(np.ceil(piece.low)) - base)
+                lo = position + (math.ceil(piece.low) - base)
                 hi = lo + piece_size
                 matched += piece_size * full_cycles
                 matched += max(0, min(hi, remainder) - lo)
-            position += size
         return matched
 
     def to_dict(self) -> dict[str, Any]:
@@ -516,6 +545,8 @@ class DatabaseSummary(JsonDocument):
         A summary arrives from disk or the wire: a missing key or a value of
         the wrong type raises :class:`SummaryError` naming the offending
         field instead of leaking a raw exception from deep inside the parse.
+        So does a foreign-key reference that could not generate: an
+        unbounded interval, or no admissible target on a row with tuples.
         """
         where = "<document>"
         try:
@@ -530,6 +561,11 @@ class DatabaseSummary(JsonDocument):
                 relation = relations[name] = RelationSummary.from_dict(item)
                 if relation.table != schema.table(name).name:
                     raise ValueError(f"summarises {relation.table!r}")
+                for position, row in enumerate(relation.rows):
+                    for column, ref in row.fk_refs.items():
+                        where = f"relations[{name!r}].rows[{position}].fk_refs[{column!r}]"
+                        if ref.target_count() == 0 < row.count:
+                            raise ValueError(f"no admissible target for {row.count} tuples")
             where = "build_info"
             build_info = dict(payload.get(where, {}))
             where = "version"

@@ -118,14 +118,11 @@ class TupleGenerator:
         rules of the module docstring are vectorised.
         """
         summary_row = self.summary.rows[position]
-        offsets = None
         for name, values in arrays.items():
             if name == self.table.primary_key:
                 values[out] = np.arange(start, start + take, dtype=np.int64)
             elif name in summary_row.fk_refs:
-                if offsets is None:
-                    offsets = np.arange(offset, offset + take, dtype=np.int64)
-                values[out] = summary_row.fk_refs[name].targets_for(offsets)
+                summary_row.fk_refs[name].fill_targets(values[out], offset)
             else:
                 values[out] = summary_row.values.get(name, 0.0)
 

@@ -7,6 +7,7 @@ import pytest
 
 from repro.catalog.metadata import collect_metadata
 from repro.client.extractor import AQPExtractor
+from repro.core.errors import SummaryError
 from repro.sql.parser import parse_query
 from repro.storage.database import Database
 from repro.workload.generator import WorkloadConfig, generate_workload
@@ -119,6 +120,34 @@ def assert_same_stream():
                 assert np.array_equal(left[name], right[name])
 
     return check
+
+
+@pytest.fixture(scope="session")
+def fk_targets_oracle():
+    """``targets(ref, offsets)``: the per-offset gather ``FKReference`` once used.
+
+    The body of the retired ``FKReference.targets_for``, kept verbatim as the
+    differential oracle for ``fill_targets`` / ``kth_target`` and as the
+    brute-force enumeration behind the ``count_matching_offsets`` tests.
+    """
+
+    def targets(ref, offsets):
+        total = ref.target_count()
+        if total <= 0:
+            raise SummaryError(
+                f"foreign-key reference to {ref.ref_table!r} has no admissible target"
+            )
+        offsets = np.asarray(offsets, dtype=np.int64) % total
+        sizes = np.array([interval.count_integers() for interval in ref.intervals], dtype=np.int64)
+        starts = np.array(
+            [int(np.ceil(interval.low)) for interval in ref.intervals], dtype=np.int64
+        )
+        boundaries = np.cumsum(sizes)
+        which = np.searchsorted(boundaries, offsets, side="right")
+        previous = np.concatenate(([0], boundaries[:-1]))
+        return starts[which] + (offsets - previous[which])
+
+    return targets
 
 
 @pytest.fixture(scope="session")

@@ -1,0 +1,84 @@
+"""Property tests: the run fill of a foreign-key column equals the per-offset gather.
+
+``FKReference.fill_targets`` writes a block's FK column as at most
+``#intervals + 1`` ``arange`` runs, repeated with period = target count.
+The gather it replaced (one binary search per offset, the
+``fk_targets_oracle`` fixture) is the oracle: every cell, every dtype
+``generate_block`` passes, offsets up to 10¹² and blocks up to three
+periods long.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from repro.core.summary import FKReference
+from repro.sql.predicates import Interval, IntervalSet
+
+_FRACTIONS = st.sampled_from([0.0, 0.2, 0.5, 0.7])
+
+
+@st.composite
+def references(draw) -> FKReference:
+    """1–4 intervals with fractional bounds; some hold no integer (``[3.2, 3.7)``)."""
+    pieces = []
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        low = draw(st.integers(min_value=-20, max_value=300)) + draw(_FRACTIONS)
+        width = draw(st.integers(min_value=0, max_value=40)) + draw(_FRACTIONS)
+        pieces.append(Interval(low, low + width))
+    reference = FKReference("dim", IntervalSet(pieces))
+    assume(reference.target_count() > 0)
+    return reference
+
+
+@given(
+    reference=references(),
+    offset=st.integers(min_value=0, max_value=10**12),
+    data=st.data(),
+    dtype=st.sampled_from([np.int64, np.float64]),
+    margins=st.tuples(st.integers(0, 3), st.integers(0, 3)),
+)
+@settings(max_examples=300, deadline=None)
+def test_fill_targets_matches_the_per_offset_gather(
+    fk_targets_oracle, reference, offset, data, dtype, margins
+):
+    take = data.draw(st.integers(min_value=0, max_value=3 * reference.target_count()))
+    before, after = margins
+    column = np.full(before + take + after, -1, dtype=dtype)
+    # A slice of a larger column, as ``generate_block`` passes it.
+    reference.fill_targets(column[before : before + take], offset)
+    expected = np.full_like(column, -1)
+    expected[before : before + take] = fk_targets_oracle(
+        reference, np.arange(offset, offset + take, dtype=np.int64)
+    )
+    assert np.array_equal(column, expected)
+    if take:
+        assert reference.kth_target(offset) == column[before]
+
+
+@given(reference=references())
+@settings(max_examples=200, deadline=None)
+def test_kth_target_is_the_gather_at_every_position(fk_targets_oracle, reference):
+    positions = np.arange(2 * reference.target_count(), dtype=np.int64)
+    assert [reference.kth_target(k) for k in positions] == (
+        fk_targets_oracle(reference, positions).tolist()
+    )
+
+
+@given(
+    reference=references(),
+    allowed_low=st.integers(min_value=-30, max_value=340),
+    allowed_width=st.integers(min_value=0, max_value=120),
+    fraction=_FRACTIONS,
+    num_offsets=st.integers(min_value=0, max_value=500),
+)
+@settings(max_examples=200, deadline=None)
+def test_count_matching_offsets_skips_integer_free_pieces(
+    fk_targets_oracle, reference, allowed_low, allowed_width, fraction, num_offsets
+):
+    allowed = IntervalSet([Interval(allowed_low + fraction, allowed_low + allowed_width)])
+    targets = fk_targets_oracle(reference, np.arange(num_offsets, dtype=np.int64))
+    expected = int(allowed.membership_mask(targets.astype(np.float64)).sum())
+    assert reference.count_matching_offsets(num_offsets, allowed) == expected

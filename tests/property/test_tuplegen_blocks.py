@@ -40,12 +40,17 @@ def summaries(draw):
     num_rows = draw(st.integers(min_value=1, max_value=6))
     rows = []
     for _ in range(num_rows):
-        count = draw(st.integers(min_value=0, max_value=15))
         low = draw(st.integers(min_value=0, max_value=REF_ROWS - 2))
         high = draw(st.integers(min_value=low + 1, max_value=REF_ROWS))
         intervals = [Interval(float(low), float(high))]
         if draw(st.booleans()) and high + 2 < REF_ROWS:
             intervals.append(Interval(float(high + 1), float(REF_ROWS)))
+        # Some rows wrap their FK spread three times or more (the period repeat).
+        targets = IntervalSet(intervals).count_integers()
+        count = draw(
+            st.integers(min_value=0, max_value=15)
+            | st.integers(min_value=3 * targets, max_value=3 * targets + 7)
+        )
         rows.append(
             SummaryRow(
                 count=count,

@@ -826,7 +826,9 @@ class TestCountMatchingOffsetsProperty:
         allowed=_intervals,
         num_offsets=st.integers(0, 400),
     )
-    def test_matches_brute_force_enumeration(self, ref_intervals, allowed, num_offsets):
+    def test_matches_brute_force_enumeration(
+        self, fk_targets_oracle, ref_intervals, allowed, num_offsets
+    ):
         # Build non-overlapping reference intervals by stacking the widths.
         pieces = []
         cursor = 0
@@ -837,7 +839,7 @@ class TestCountMatchingOffsetsProperty:
         ref = FKReference("dim", IntervalSet(pieces))
         expected = 0
         if num_offsets:
-            targets = ref.targets_for(np.arange(num_offsets, dtype=np.int64))
+            targets = fk_targets_oracle(ref, np.arange(num_offsets, dtype=np.int64))
             expected = int(allowed.membership_mask(targets.astype(np.float64)).sum())
         assert ref.count_matching_offsets(num_offsets, allowed) == expected
 
@@ -846,14 +848,14 @@ class TestCountMatchingOffsetsProperty:
         num_offsets=st.integers(0, 120),
         cut=st.integers(-5, 40),
     )
-    def test_remainder_straddling_piece_boundaries(self, num_offsets, cut):
+    def test_remainder_straddling_piece_boundaries(self, fk_targets_oracle, num_offsets, cut):
         # Two pieces of sizes 7 and 13; the allowed set straddles the
         # boundary between them so remainders exercise both prefix shapes.
         ref = FKReference("dim", IntervalSet([Interval(0, 7), Interval(50, 63)]))
         allowed = IntervalSet([Interval(float(cut), float(cut + 15))])
         expected = 0
         if num_offsets:
-            targets = ref.targets_for(np.arange(num_offsets, dtype=np.int64))
+            targets = fk_targets_oracle(ref, np.arange(num_offsets, dtype=np.int64))
             expected = int(allowed.membership_mask(targets.astype(np.float64)).sum())
         assert ref.count_matching_offsets(num_offsets, allowed) == expected
 

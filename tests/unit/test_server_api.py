@@ -17,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.catalog.schema import Column, Schema, Table
+from repro.catalog.schema import Column, ForeignKey, Schema, Table
 from repro.catalog.types import INTEGER
 from repro.client.package import InformationPackage
 from repro.core.errors import HydraError, SummaryError
@@ -538,6 +538,37 @@ MALFORMED_SUMMARIES = [
     ({"schema": _SCHEMA, "version": "two"}, "version"),
     ({"schema": _SCHEMA, "build_info": 7}, "build_info"),
 ]
+_FK_SCHEMA = Schema.from_tables(
+    [
+        Table(name="d", columns=[Column("d_pk", INTEGER)], primary_key="d_pk"),
+        Table(
+            name="t",
+            columns=[Column("pk", INTEGER), Column("d_fk", INTEGER)],
+            primary_key="pk",
+            foreign_keys=[ForeignKey("d_fk", "d", "d_pk")],
+        ),
+    ]
+).to_dict()
+#: Summaries whose FK reference cannot generate: they used to load and then
+#: fail mid-stream (a raw ``ValueError`` for the unbounded one).
+UNGENERATABLE_SUMMARIES = [
+    (
+        {
+            "schema": _FK_SCHEMA,
+            "relations": {
+                "t": {
+                    "table": "t",
+                    "rows": [
+                        {"count": 4, "fk_refs": {"d_fk": {"ref_table": "d", "intervals": intervals}}}
+                    ],
+                }
+            },
+        },
+        "relations['t'].rows[0].fk_refs['d_fk']",
+    )
+    for intervals in ([{"low": 0.0, "high": float("inf")}], [])
+]
+MALFORMED_SUMMARIES += UNGENERATABLE_SUMMARIES
 #: Documents only a file can hold: not an object, not JSON at all.
 MALFORMED_DOCUMENTS = [(json.dumps(payload), field) for payload, field in MALFORMED_SUMMARIES] + [
     ("[1, 2]", "<document>"),
@@ -594,6 +625,19 @@ def test_malformed_summary_over_the_socket_is_400_and_the_server_lives_on(tmp_pa
         assert status == 200 and answer["summaries_loaded"] == 0
 
 
+def test_ungeneratable_fk_reference_over_the_socket_is_400_bad_summary():
+    payload, field = UNGENERATABLE_SUMMARIES[0]
+    with BackgroundServer(SummaryService()) as server:
+        status, answer = _exchange(
+            server.port, "POST", API_PREFIX + "/summaries",
+            body=json.dumps({"name": "bad", "summary": payload}),
+        )
+        assert (status, answer["error"]) == (400, "bad-summary"), answer
+        assert f"malformed database summary at {field}: " in answer["detail"]
+        status, answer = _exchange(server.port, "GET", API_PREFIX + "/healthz")
+        assert status == 200 and answer["summaries_loaded"] == 0
+
+
 @pytest.fixture(scope="module")
 def package_path(tmp_path_factory, toy_metadata, toy_aqps):
     path = tmp_path_factory.mktemp("api") / "package.json"
@@ -601,7 +645,12 @@ def package_path(tmp_path_factory, toy_metadata, toy_aqps):
     return path
 
 
-@pytest.mark.parametrize("text, field", MALFORMED_DOCUMENTS[:4] + MALFORMED_DOCUMENTS[-2:])
+@pytest.mark.parametrize(
+    "text, field",
+    MALFORMED_DOCUMENTS[:4]
+    + MALFORMED_DOCUMENTS[-2:]
+    + [(json.dumps(payload), field) for payload, field in UNGENERATABLE_SUMMARIES[:1]],
+)
 def test_malformed_summary_on_the_command_line(text, field, package_path, tmp_path):
     """``hydra verify`` / ``vendor --extend-from`` / ``serve --load``: exit 1, no traceback."""
     bad = tmp_path / "bad.json"

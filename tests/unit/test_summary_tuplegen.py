@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import json
+import re
+
 import numpy as np
 import pytest
 
@@ -87,21 +90,31 @@ class TestFKReference:
         ref = FKReference("dim", IntervalSet([Interval(0, 3), Interval(10, 12)]))
         assert [ref.kth_target(k) for k in range(6)] == [0, 1, 2, 10, 11, 0]
 
-    def test_targets_for_vectorised(self):
+    def test_fill_targets_vectorised(self):
         ref = FKReference("dim", IntervalSet([Interval(0, 3), Interval(10, 12)]))
-        offsets = np.arange(6)
-        assert list(ref.targets_for(offsets)) == [0, 1, 2, 10, 11, 0]
+        out = np.full(8, -1, dtype=np.int64)
+        ref.fill_targets(out[1:7], 0)
+        assert list(out) == [-1, 0, 1, 2, 10, 11, 0, -1]
+        ref.fill_targets(out, 4)
+        assert list(out) == [11, 0, 1, 2, 10, 11, 0, 1]
 
     def test_empty_reference_raises(self):
         ref = FKReference("dim", IntervalSet.empty())
         with pytest.raises(SummaryError):
             ref.kth_target(0)
         with pytest.raises(SummaryError):
-            ref.targets_for(np.array([0]))
+            ref.fill_targets(np.zeros(1, dtype=np.int64), 0)
 
     def test_roundtrip(self):
         ref = FKReference("dim", IntervalSet([Interval(3, 9)]))
         assert FKReference.from_dict(ref.to_dict()) == ref
+
+    def test_flattened_form_stays_private(self):
+        ref = FKReference("dim", IntervalSet([Interval(0, 3), Interval(10, 12)]))
+        before = (repr(ref), ref.to_dict(), hash(ref))
+        assert ref.kth_target(4) == 11
+        assert (repr(ref), ref.to_dict(), hash(ref)) == before
+        assert ref == FKReference("dim", IntervalSet([Interval(0, 3), Interval(10, 12)]))
 
 
 class TestRelationSummary:
@@ -181,6 +194,31 @@ class TestDatabaseSummary:
         path = tmp_path / "vendor" / "artifacts" / "summary.json"
         summary.save(path)
         assert DatabaseSummary.load(path).row_count("fact") == 150
+
+    @pytest.mark.parametrize(
+        "intervals",
+        [
+            [{"low": 0, "high": float("inf")}],
+            [{"low": float("-inf"), "high": 10}],
+            [],
+            [{"low": 3.2, "high": 3.7}],
+        ],
+    )
+    def test_fk_reference_that_cannot_generate_is_rejected_at_load(self, summary, intervals):
+        # Each of these used to load and then fail mid-stream.
+        payload = summary.to_dict()
+        payload["relations"]["fact"]["rows"][1]["fk_refs"]["dim_fk"]["intervals"] = intervals
+        field = "relations['fact'].rows[1].fk_refs['dim_fk']"
+        with pytest.raises(SummaryError, match=re.escape(f"malformed database summary at {field}: ")):
+            DatabaseSummary.from_json(json.dumps(payload))
+
+    def test_zero_count_row_without_targets_loads(self, summary):
+        payload = summary.to_dict()
+        row = payload["relations"]["fact"]["rows"][1]
+        row["count"], row["fk_refs"]["dim_fk"]["intervals"] = 0, []
+        restored = DatabaseSummary.from_dict(payload)
+        assert restored.row_count("fact") == 100
+        assert restored.relation("fact").rows[1].fk_refs["dim_fk"].target_count() == 0
 
 
 class TestTupleGenerator:
