@@ -56,8 +56,9 @@ def main() -> int:
 
     # 2. Serve it.
     service = SummaryService()
-    with BackgroundServer(service) as server:
-        client = ServerClient("127.0.0.1", server.port)
+    # The client keeps its connections open between calls; leaving the
+    # ``with`` closes them (each holds one server thread until then).
+    with BackgroundServer(service) as server, ServerClient("127.0.0.1", server.port) as client:
         info = client.load_summary("toy", summary=summary.to_dict())
         print(f"loaded '{info.name}' generation {info.generation} ({info.fingerprint[:12]})")
 

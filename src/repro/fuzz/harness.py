@@ -522,6 +522,8 @@ def run_fuzz(config: FuzzConfig) -> FuzzReport:
                     if config.corpus_path:
                         append_corpus(config.corpus_path, entry)
     finally:
+        if client is not None:
+            client.close()
         if server is not None:
             server.__exit__(None, None, None)
     return report

@@ -9,16 +9,22 @@ back through the row's ``from_dict()``.  Client and server can therefore
 never drift apart silently: an incompatible payload fails validation at the
 boundary on either side.
 
-Each call opens its own connection, which makes one client instance safe to
-share across threads (the concurrency tests drive one instance from many
-workers).  Failures raise :class:`ServerClientError` carrying the HTTP
-status and the parsed :class:`~repro.server.api.ErrorBody`.
+Connections are reused.  A call owns an idle (or new) connection until its
+response is read, so one instance is safe to share across threads; it goes
+back idle only if the response was read to the end without ``Connection:
+close`` (a 4xx keeps it; a 500 or a stream, finished or abandoned, does
+not).  A *reused* connection that fails before a status line (the server
+closed it while idle) is retried once on a fresh one; any other failure
+raises, non-2xx answers as :class:`ServerClientError` with the HTTP status
+and the parsed :class:`~repro.server.api.ErrorBody`.  :meth:`~ServerClient.close`
+(or ``with ServerClient(...)``) closes the idle connections.
 """
 
 from __future__ import annotations
 
 import http.client
 import json
+import threading
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, Iterator, Mapping, cast
@@ -80,6 +86,23 @@ class ServerClient:
         self.port = port
         self.tenant = tenant
         self.timeout = timeout
+        self._lock = threading.Lock()
+        self._idle: list[http.client.HTTPConnection] = []
+
+    def close(self) -> None:
+        """Close the idle connections (a call in flight closes or returns its own)."""
+        with self._lock:
+            idle, self._idle = self._idle, []
+        for connection in idle:
+            connection.close()
+
+    def __enter__(self) -> "ServerClient":
+        """The client itself; :meth:`close` runs on exit."""
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        """Close the idle connections."""
+        self.close()
 
     # -- endpoint wrappers ------------------------------------------------
 
@@ -184,26 +207,50 @@ class ServerClient:
     def _exchange(
         self, method: str, path: str, body: Mapping[str, Any] | None
     ) -> Iterator[http.client.HTTPResponse]:
-        """One request on a fresh connection (per-call connections make sharing safe).
+        """One request on a connection this call owns until it is done.
 
-        Yields the response once its status is known to be below 400 and
-        closes the connection afterwards; raises :class:`ServerClientError`
-        otherwise.
+        Yields the response once its status is known to be below 400;
+        raises :class:`ServerClientError` otherwise.  Afterwards the
+        connection goes back to the idle list or is closed (module
+        docstring).
         """
-        connection = http.client.HTTPConnection(self.host, self.port, timeout=self.timeout)
+        payload = json.dumps(body) if body is not None else None
+        with self._lock:
+            reused = bool(self._idle)
+            connection = self._idle.pop() if reused else self._connection()
         try:
-            connection.request(
-                method,
-                API_PREFIX + path,
-                body=json.dumps(body) if body is not None else None,
-                headers=self._headers(),
-            )
-            response = connection.getresponse()
-            if response.status >= 400:
-                raise self._error(response)
-            yield response
-        finally:
+            try:
+                response = self._send(connection, method, path, payload)
+            except (ConnectionResetError, BrokenPipeError):  # incl. RemoteDisconnected
+                if not reused:
+                    raise
+                connection.close()  # the server closed it while it was idle
+                connection = self._connection()
+                response = self._send(connection, method, path, payload)
+            error = self._error(response) if response.status >= 400 else None
+            if error is None:
+                yield response
+        except BaseException:
             connection.close()
+            raise
+        if response.isclosed() and not response.will_close:
+            with self._lock:
+                self._idle.append(connection)
+        else:
+            connection.close()
+        if error is not None:
+            raise error
+
+    def _connection(self) -> http.client.HTTPConnection:
+        """A new (not yet connected) connection to the server."""
+        return http.client.HTTPConnection(self.host, self.port, timeout=self.timeout)
+
+    def _send(
+        self, connection: http.client.HTTPConnection, method: str, path: str, payload: str | None
+    ) -> http.client.HTTPResponse:
+        """Send one request on ``connection`` and read its status line and headers."""
+        connection.request(method, API_PREFIX + path, body=payload, headers=self._headers())
+        return connection.getresponse()
 
     def _request(
         self, method: str, path: str, body: Mapping[str, Any] | None = None

@@ -14,15 +14,17 @@ shared :class:`~repro.server.service.SummaryService`.
 Protocol notes
 --------------
 
-* HTTP/1.1 with keep-alive: one connection serves many requests.
+* HTTP/1.1 with keep-alive: one connection, on one thread while it is
+  open, serves many requests; :meth:`HydraServer.stop` ends it too.
 * Regeneration progress streams as NDJSON with chunked transfer encoding —
   one :class:`~repro.server.api.ProgressEvent` JSON object per line,
   flushed as regeneration proceeds.
 * Every error is a JSON :class:`~repro.server.api.ErrorBody`; 429 responses
   additionally carry a ``Retry-After`` header.
-* Per-request telemetry: a ``server.request`` span, the
-  ``server.request.seconds`` histogram and one
-  ``server.requests.<endpoint>`` counter per request.
+* Per-request telemetry: a ``server.request`` span (``server.http.decode``
+  / ``.encode`` under it), the ``server.request.seconds`` histogram and one
+  ``server.requests.<endpoint>`` counter per request; ``server.connections``
+  counts accepted connections.
 
 :class:`BackgroundServer` runs the accept loop on a daemon thread with an
 ephemeral port — the harness used by tests, benchmarks and examples.
@@ -31,6 +33,7 @@ ephemeral port — the harness used by tests, benchmarks and examples.
 from __future__ import annotations
 
 import json
+import socket
 import socketserver
 import sys
 import threading
@@ -102,12 +105,12 @@ class _Request:
 
 
 def _route(request: _Request) -> tuple[_Endpoint, list[Any]]:
-    """Resolve the endpoint-table row and the handler arguments of ``request``.
+    """Resolve the endpoint-table row and the path arguments of ``request``.
 
     The arguments are the path's serving name (when the row's path has
-    one) and the validated request body (when the row declares one).
-    Raises :class:`ServiceError` 404 when no row has the path and 405
-    when rows have it but none with the method.
+    one); the caller decodes the body the row declares.  Raises
+    :class:`ServiceError` 404 when no row has the path and 405 when rows
+    have it but none with the method.
     """
     parts = [part for part in request.path.split("/") if part]
     allowed = []
@@ -119,10 +122,7 @@ def _route(request: _Request) -> tuple[_Endpoint, list[Any]]:
         if row.method != request.method:
             allowed.append(row.method)
             continue
-        args: list[Any] = [got for want, got in zip(shape, parts) if want == "{name}"]
-        if row.request is not None:
-            args.append(row.request.from_dict(request.json()))
-        return row, args
+        return row, [got for want, got in zip(shape, parts) if want == "{name}"]
     if allowed:
         raise ServiceError(
             405, "method-not-allowed", f"{request.path!r} is {'/'.join(allowed)}-only"
@@ -141,7 +141,31 @@ class _Listener(socketserver.ThreadingTCPServer):
         """Bind and listen on ``address``; connections are served from ``service``."""
         self.service = service
         self.slots = threading.BoundedSemaphore(MAX_IN_FLIGHT)
+        self.lock = threading.Lock()
+        self.connections: set[socket.socket] = set()
         super().__init__(address, _Connection)
+
+    def process_request(self, request: Any, client_address: Any) -> None:
+        """Record the connection (on the accept thread, so no stop misses it), then serve it."""
+        add_counter("server.connections")
+        with self.lock:
+            self.connections.add(request)
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request: Any) -> None:
+        """Forget the connection, then close it."""
+        with self.lock:
+            self.connections.discard(request)
+        super().shutdown_request(request)
+
+    def end_connections(self) -> None:
+        """Shut each open connection's read side: idle ones read EOF, in-flight ones answer."""
+        with self.lock:
+            for connection in self.connections:
+                try:
+                    connection.shutdown(socket.SHUT_RD)
+                except OSError:
+                    pass  # the peer already reset it
 
     def handle_error(self, request: Any, client_address: Any) -> None:
         """Log what ended a connection thread, unless its peer just went away."""
@@ -228,15 +252,19 @@ class _Connection(socketserver.StreamRequestHandler):
             row, args = _route(request)
             endpoint = row.name
             service = self.server.service
-            service.admit(request.tenant)
-            handler = getattr(service, row.handler)
             with span("server.request", endpoint=endpoint, tenant=request.tenant):
+                if row.request is not None:
+                    with span("server.http.decode"):
+                        args.append(row.request.from_dict(request.json()))
+                service.admit(request.tenant)
+                handler = getattr(service, row.handler)
                 with self.server.slots:  # held for the whole of a stream
                     if row.streamed:
                         self._stream_ndjson(handler(*args))
                         return False  # streamed responses close the connection
-                    payload = handler(*args).to_dict()
-                self._write_json(200, payload, request.keep_alive)
+                    response = handler(*args)
+                with span("server.http.encode"):
+                    self._write_json(200, response.to_dict(), request.keep_alive)
                 return request.keep_alive
         except ApiError as exc:
             body = ErrorBody(error="bad-request", detail=str(exc), status=400)
@@ -352,9 +380,10 @@ class HydraServer:
             self._listener.serve_forever()
 
     def stop(self) -> None:
-        """End a :meth:`serve_forever` running on another thread and wait for it."""
+        """End a :meth:`serve_forever` on another thread, wait for it, then end open connections."""
         if self._listener is not None:
             self._listener.shutdown()
+            self._listener.end_connections()
 
 
 class BackgroundServer:

@@ -16,9 +16,11 @@ from __future__ import annotations
 import http.client
 import json
 import socket
+import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 
 import pytest
 
@@ -38,6 +40,7 @@ from repro.server import (
 )
 from repro.server.service import external_result_columns
 from repro.sql.parser import parse_query
+from repro.telemetry import telemetry_session
 from repro.workload.toy import ToyConfig, generate_toy_database
 
 QUERIES = [
@@ -552,3 +555,219 @@ class TestConnections:
         with BackgroundServer(service, port=port) as again:  # no TIME_WAIT stall
             assert again.port == port
             assert ServerClient("127.0.0.1", port).server_info().summaries_loaded == 1
+
+    def test_stop_ends_idle_connections(self, toy_summary):
+        """A keep-alive connection opened before ``stop()`` ends with it."""
+        before = set(threading.enumerate())
+        service = SummaryService()
+        service.load(LoadSummaryRequest(name="toy", summary=toy_summary.to_dict()))
+        background = BackgroundServer(service).start()
+        connection = http.client.HTTPConnection("127.0.0.1", background.port, timeout=10)
+        try:
+            connection.request("GET", "/api/v2/healthz")
+            response = connection.getresponse()
+            response.read()
+            assert response.status == 200 and not response.will_close
+            background.stop()
+            assert _wait_until(lambda: not set(threading.enumerate()) - before), (
+                set(threading.enumerate()) - before
+            )
+            with pytest.raises(ConnectionError):
+                connection.request("GET", "/api/v2/healthz")
+                connection.getresponse()
+        finally:
+            connection.close()
+
+
+SQL = "select count(*) from S"
+
+
+@contextmanager
+def _served(summary, **options):
+    """A fresh server with ``summary`` loaded as 'toy', under its own telemetry session."""
+    service = SummaryService(**options)
+    service.load(LoadSummaryRequest(name="toy", summary=summary.to_dict()))
+    with telemetry_session() as session, BackgroundServer(service) as background:
+        yield background, session
+
+
+def _connections(session) -> float:
+    return session.metrics.counter_value("server.connections")
+
+
+def _queries(session) -> float:
+    """Served queries (counted just after each answer is written)."""
+    return session.metrics.counter_value("server.requests.query")
+
+
+def _connection_threads(before) -> list[threading.Thread]:
+    """Server connection threads started since ``before`` was taken."""
+    return [
+        thread for thread in set(threading.enumerate()) - before
+        if thread.name.endswith("(process_request_thread)")
+    ]
+
+
+class TestConnectionReuse:
+    def test_sequential_queries_use_one_connection(self, toy_summary):
+        with _served(toy_summary) as (background, session):
+            with ServerClient("127.0.0.1", background.port) as client:
+                for _ in range(50):
+                    assert client.query("toy", SQL).row_count == 1
+            assert _connections(session) == 1
+            assert _wait_until(lambda: _queries(session) == 50), _queries(session)
+            spans = session.tracer.finished_spans()
+            requests = {s.span_id for s in spans if s.name == "server.request"}
+            for name in ("server.http.decode", "server.http.encode"):
+                assert {s.parent_id for s in spans if s.name == name} <= requests
+                assert sum(s.name == name for s in spans) == 50
+
+    @pytest.mark.parametrize("threads, each", [(2, 25), (8, 10)])
+    def test_threads_sharing_a_client_use_at_most_one_connection_each(
+        self, toy_summary, threads, each
+    ):
+        """More threads than cores and a short switch interval: no connection is shared."""
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with _served(toy_summary) as (background, session):
+                with ServerClient("127.0.0.1", background.port) as client:
+                    expected = {sql: client.query("toy", sql).columns for sql in QUERIES}
+
+                    def worker(index: int) -> None:
+                        sql = QUERIES[index % len(QUERIES)]
+                        for _ in range(each):
+                            assert client.query("toy", sql).columns == expected[sql]
+
+                    with ThreadPoolExecutor(max_workers=threads) as pool:
+                        list(pool.map(worker, range(threads), timeout=60))
+                assert 1 <= _connections(session) <= threads
+                total = len(QUERIES) + threads * each
+                assert _wait_until(lambda: _queries(session) == total), _queries(session)
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("status", [404, 400, 429])
+    def test_a_4xx_answer_keeps_the_connection(self, toy_summary, status):
+        clock = VirtualClock()
+        failing = {
+            404: ("ghost", SQL), 400: ("toy", "select count(*) from NOPE"), 429: ("toy", SQL)
+        }
+        with _served(toy_summary, requests_per_second=1.0, clock=clock.now) as (
+            background, session
+        ):
+            with ServerClient("127.0.0.1", background.port) as client:
+                assert client.query("toy", SQL).row_count == 1
+                if status != 429:
+                    clock.advance(100.0)  # the budget is spent only for the 429 case
+                with pytest.raises(ServerClientError) as excinfo:
+                    client.query(*failing[status])
+                assert excinfo.value.status == status
+                clock.advance(100.0)
+                assert client.query("toy", SQL).row_count == 1
+            assert _connections(session) == 1
+
+    @pytest.mark.parametrize("answer", ["500", "stream"])
+    def test_a_500_or_a_stream_is_not_reused(self, toy_summary, answer, monkeypatch):
+        with _served(toy_summary) as (background, session):
+            with ServerClient("127.0.0.1", background.port) as client:
+                assert client.query("toy", SQL).row_count == 1
+                if answer == "500":
+                    with monkeypatch.context() as patch:
+                        patch.setattr(background.service, "query", lambda *_: 1 / 0)
+                        with pytest.raises(ServerClientError) as excinfo:
+                            client.query("toy", SQL)
+                    assert excinfo.value.status == 500
+                else:
+                    assert list(client.regenerate("toy"))[-1].event == "done"
+                assert client.query("toy", SQL).row_count == 1
+            assert _connections(session) == 2
+
+    def test_an_abandoned_stream_closes_its_socket_and_frees_its_lease(
+        self, toy_metadata, toy_aqps
+    ):
+        hydra = Hydra(
+            metadata=toy_metadata, row_count_overrides=scale_row_counts(toy_metadata, 1000)
+        )
+        big = hydra.build_summary(toy_aqps).summary
+        with _served(big) as (background, session):
+            with background.service.cache.lease("toy") as entry:
+                pass
+            with ServerClient("127.0.0.1", background.port) as client:
+                # workers=1: a forked pool worker would inherit the client's socket.
+                events = client.regenerate("toy", workers=1, batch_size=1)
+                assert next(events).event == "start"
+                assert entry.leases == 1
+                events.close()
+                assert _wait_until(lambda: entry.leases == 0), "the abandoned stream kept its lease"
+                assert not client._idle
+                assert client.query("toy", SQL).row_count == 1
+            assert _connections(session) == 2
+
+    def test_a_restarted_server_costs_exactly_one_retry(self, toy_summary, monkeypatch):
+        service = SummaryService()
+        service.load(LoadSummaryRequest(name="toy", summary=toy_summary.to_dict()))
+        with BackgroundServer(service) as first:
+            port = first.port
+            client = ServerClient("127.0.0.1", port)
+            assert client.server_info().summaries_loaded == 1
+        sends = []
+        send = ServerClient._send
+        monkeypatch.setattr(
+            ServerClient, "_send", lambda self, *args: (sends.append(args), send(self, *args))[1]
+        )
+        with telemetry_session() as session, BackgroundServer(service, port=port):
+            with client:
+                assert client.server_info().summaries_loaded == 1
+            assert len(sends) == 2  # the stale connection, then one fresh one
+            assert _connections(session) == 1
+
+    @pytest.mark.parametrize(
+        "replies, failure",
+        [
+            (
+                [
+                    b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\n{}",
+                    b'HTTP/1.1 200 OK\r\nContent-Length: 100\r\n\r\n{"cut',
+                ],
+                http.client.IncompleteRead,
+            ),
+            ([b""], http.client.RemoteDisconnected),
+        ],
+        ids=["reused-reply-cut-off-mid-body", "fresh-connection-dropped"],
+    )
+    def test_a_failure_other_than_a_stale_connection_is_not_retried(self, replies, failure):
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+
+            def serve() -> None:
+                connection, _ = listener.accept()
+                with connection, connection.makefile("rb") as reader:
+                    for reply in replies:
+                        while reader.readline() not in (b"\r\n", b""):
+                            pass  # a GET: the head is the whole request
+                        connection.sendall(reply)
+
+            thread = threading.Thread(target=serve, daemon=True)
+            thread.start()
+            client = ServerClient("127.0.0.1", listener.getsockname()[1], timeout=10)
+            for _answered in replies[:-1]:
+                assert client._request("GET", "/healthz") == {}
+            with pytest.raises(failure):
+                client._request("GET", "/healthz")
+            thread.join(timeout=10)
+            assert not client._idle
+            listener.settimeout(0.2)
+            with pytest.raises(TimeoutError):
+                listener.accept()  # no second connection was attempted
+
+    def test_close_and_with_end_the_server_threads(self, server):
+        before = set(threading.enumerate())
+        client = ServerClient("127.0.0.1", server.port)
+        assert client.query("toy", SQL).row_count == 1
+        assert len(_connection_threads(before)) == 1
+        client.close()
+        assert _wait_until(lambda: not _connection_threads(before)), _connection_threads(before)
+        with ServerClient("127.0.0.1", server.port) as client:
+            assert client.query("toy", SQL).row_count == 1
+            assert len(_connection_threads(before)) == 1
+        assert _wait_until(lambda: not _connection_threads(before)), _connection_threads(before)
