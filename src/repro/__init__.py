@@ -50,7 +50,6 @@ from .executor import (
     VirtualClock,
 )
 from .fuzz import FuzzConfig, FuzzReport, SqliteOracle, run_fuzz
-from .parallel import Shard, ShardPlan, default_workers
 from .plans import AnnotatedQueryPlan, build_plan
 from .server import (
     BackgroundServer,
@@ -145,8 +144,6 @@ __all__ = [
     "ServerClient",
     "ServerClientError",
     "ServerInfo",
-    "Shard",
-    "ShardPlan",
     "Sink",
     "SqliteOracle",
     "SqliteSink",
@@ -173,7 +170,6 @@ __all__ = [
     "build_scenario",
     "check_feasibility",
     "collect_metadata",
-    "default_workers",
     "export_summary",
     "extract_aqps",
     "generate_toy_database",

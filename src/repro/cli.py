@@ -98,14 +98,6 @@ def _ensure_writable_directory(parser: argparse.ArgumentParser, path: Path) -> N
         parser.error(f"--out {path} is not writable")
 
 
-def _worker_count(text: str) -> int:
-    """argparse ``type=`` of ``--workers``: a process count, at least 1."""
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be >= 1")
-    return value
-
-
 def _row_rate(text: str) -> float:
     """argparse ``type=`` of ``--rows-per-second``: a rate above 0."""
     value = float(text)
@@ -243,11 +235,6 @@ def vendor_main(argv: Sequence[str] | None = None) -> int:
         "MANIFEST.json with row counts and content checksums is written "
         "alongside the data files for hydra verify --against)",
     )
-    parser.add_argument(
-        "--workers", type=_worker_count, default=None, metavar="N",
-        help="worker processes for the --materialize regeneration/export "
-        "(default: REPRO_WORKERS or serial; output is bit-identical)",
-    )
     parser.add_argument("--output", type=Path, default=Path("summary.json"))
     _add_telemetry_arguments(parser)
     args = parser.parse_args(argv)
@@ -264,8 +251,6 @@ def vendor_main(argv: Sequence[str] | None = None) -> int:
     materialize_all = names == ["all"]
     if "all" in names and not materialize_all:
         parser.error("--materialize 'all' cannot be combined with relation names")
-    if args.workers is not None and not names:
-        parser.error("--workers only applies to the --materialize regeneration")
     # Export arguments are validated *before* any solving starts: a typo in
     # the format (argparse choices above), a missing/unwritable output
     # directory, a missing optional dependency or an unknown relation name
@@ -376,14 +361,11 @@ def _vendor_run(
 
     if names and materialize_all:
         names = list(result.summary.relations)
-    workers_label = args.workers if args.workers is not None else "REPRO_WORKERS/serial"
     if args.export_format is not None:
         try:
             sink = sink_for_format(args.export_format, args.out)
             start = time.perf_counter()
-            manifest = export_summary(
-                result.summary, sink, relations=names, workers=args.workers
-            )
+            manifest = export_summary(result.summary, sink, relations=names)
             elapsed = time.perf_counter() - start
         except HydraError as exc:
             raise SystemExit(str(exc))
@@ -391,15 +373,13 @@ def _vendor_run(
         rate = rows / elapsed if elapsed > 0 else float("inf")
         print(
             f"exported {', '.join(names)} to {args.out} ({args.export_format}): "
-            f"{rows:,} rows in {elapsed:.3f}s ({rate:,.0f} rows/s, "
-            f"workers={workers_label}); manifest: {args.out / 'MANIFEST.json'}"
+            f"{rows:,} rows in {elapsed:.3f}s ({rate:,.0f} rows/s); "
+            f"manifest: {args.out / 'MANIFEST.json'}"
         )
     elif names:
         try:
             start = time.perf_counter()
-            database = hydra.regenerate(
-                result.summary, materialize=names, workers=args.workers
-            )
+            database = hydra.regenerate(result.summary, materialize=names)
             elapsed = time.perf_counter() - start
         except HydraError as exc:
             raise SystemExit(str(exc))
@@ -407,7 +387,7 @@ def _vendor_run(
         rate = rows / elapsed if elapsed > 0 else float("inf")
         print(
             f"materialized {', '.join(names)}: {rows:,} rows in {elapsed:.3f}s "
-            f"({rate:,.0f} rows/s, workers={workers_label})"
+            f"({rate:,.0f} rows/s)"
         )
     return 0
 
@@ -447,19 +427,12 @@ def verify_main(argv: Sequence[str] | None = None) -> int:
         "--sample", type=str, default=None,
         help="also print sample tuples of the given relation",
     )
-    parser.add_argument(
-        "--workers", type=_worker_count, default=None, metavar="N",
-        help="regenerate each relation across N worker processes "
-        "(default: REPRO_WORKERS or serial; output is bit-identical, rate "
-        "limits pace the merged stream)",
-    )
     _add_telemetry_arguments(parser)
     args = parser.parse_args(argv)
     if args.against is not None:
         for flag, inapplicable in (
             ("--rows-per-second", args.rows_per_second is not None),
             ("--sample", args.sample is not None),
-            ("--workers", args.workers is not None),
             ("--shared-rate-limit", args.shared_rate_limit),
         ):
             if inapplicable:
@@ -497,7 +470,6 @@ def _verify_run(parser: argparse.ArgumentParser, args: argparse.Namespace) -> in
         summary,
         rate_limiter=RateLimiter(rows_per_second=args.rows_per_second),
         shared_rate_limiter=args.shared_rate_limit,
-        workers=args.workers,
     )
     result = VolumetricComparator(database=database).verify(package.aqps)
     print(format_error_cdf(result))

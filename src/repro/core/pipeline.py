@@ -37,7 +37,6 @@ from ..catalog.metadata import DatabaseMetadata
 from ..catalog.schema import Schema, Table
 from ..executor.datagen import DataGenRelation
 from ..executor.rate import RateLimiter
-from ..parallel.pool import default_workers
 from ..plans.aqp import AnnotatedQueryPlan
 from ..sql.predicates import BoxCondition
 from ..storage.database import Database, MaterializedRelation
@@ -441,7 +440,7 @@ class Hydra:
         materialize: Iterable[str] = (),
         batch_size: int = 8192,
         shared_rate_limiter: bool = False,
-        workers: int | None = None,
+        workers: int = 1,
     ) -> Database:
         """Create a (mostly dataless) database from a summary.
 
@@ -458,11 +457,8 @@ class Hydra:
         With ``workers`` > 1 every attached
         :class:`~repro.executor.datagen.DataGenRelation` regenerates its
         blocks across that many worker processes — a yield-for-yield
-        identical stream, higher tuple throughput.  ``None`` (the default)
-        consults the ``REPRO_WORKERS`` environment variable
-        (:func:`~repro.parallel.pool.default_workers`), so an existing
-        deployment can be switched to parallel regeneration without a code
-        change.
+        identical stream.  This argument is the only way to ask for worker
+        processes.
 
         ``rate_limiter`` provides the velocity configuration.  By default
         every relation gets its own fresh :meth:`~RateLimiter.clone` so each
@@ -673,7 +669,7 @@ def summary_relation_providers(
     rate_limiter: RateLimiter | None = None,
     batch_size: int = 8192,
     shared_rate_limiter: bool = False,
-    workers: int | None = None,
+    workers: int = 1,
     relations: Iterable[str] | None = None,
 ) -> Iterator[tuple[str, DataGenRelation]]:
     """Yield one configured ``datagen`` provider per relation of ``summary``.
@@ -684,10 +680,8 @@ def summary_relation_providers(
     rate-limiting semantics can never drift between the queryable database
     and an export.  Relations are yielded in summary order, restricted to
     ``relations`` when given (no provider is constructed for unselected
-    ones); ``workers=None`` consults ``REPRO_WORKERS`` exactly like
-    :meth:`Hydra.regenerate`.
+    ones).
     """
-    resolved_workers = default_workers() if workers is None else workers
     selected = None if relations is None else set(relations)
     for table_name in summary.relations:
         if selected is not None and table_name not in selected:
@@ -705,7 +699,7 @@ def summary_relation_providers(
             source=generator,
             rate_limiter=limiter,
             batch_size=batch_size,
-            workers=resolved_workers,
+            workers=workers,
         )
 
 

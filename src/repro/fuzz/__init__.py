@@ -6,8 +6,7 @@ extraction, summary build, regeneration — and then asks the *same* SQL of
 two independent implementations over the *same* regenerated tuples:
 
 * the repo's execution engine, on every supported result route (summary
-  fast path, streaming fallback, ``workers=2`` parallel regeneration, and
-  via the HTTP server); and
+  fast path, streaming fallback, and via the HTTP server); and
 * stock ``sqlite3``, over the PR 5 SQLite export of the summary.
 
 Any disagreement is shrunk by the delta-debugging minimizer to a minimal

@@ -9,13 +9,11 @@ One scenario run is the full HYDRA round trip over one synthesized seed:
 3. the same summary is exported through the SQLite sink, and stock
    ``sqlite3`` becomes the oracle over the *same* regenerated tuples;
 4. every workload query is answered on each enabled result route — summary
-   fast path, streaming fallback, ``workers=2`` parallel regeneration
-   (streamed, so the parallel providers really generate), and via the HTTP
-   server — and checked against the oracle: COUNT and ``SELECT *`` row
-   counts must agree exactly, SUM/AVG within a float-summation tolerance;
+   fast path, streaming fallback, and via the HTTP server — and checked
+   against the oracle: COUNT and ``SELECT *`` row counts must agree exactly,
+   SUM/AVG within a float-summation tolerance;
 5. plan annotations must be route-independent: the server must annotate
-   exactly like the local fast path, and the ``workers=2`` stream exactly
-   like the serial stream (parallel bit-identity);
+   exactly like the local fast path;
 6. on delta seeds the scenario's delta batches feed
    :meth:`~repro.core.pipeline.Hydra.extend_summary`; the extended summary
    is re-exported, re-checked against the oracle for every query seen so
@@ -56,7 +54,7 @@ __all__ = [
 ]
 
 #: Every result route the harness can exercise.
-ROUTES = ("fastpath", "streaming", "workers", "server")
+ROUTES = ("fastpath", "streaming", "server")
 
 _AGGREGATE_COLUMNS = ("count", "sum", "avg")
 
@@ -70,8 +68,6 @@ class FuzzConfig:
     routes: tuple[str, ...] = ROUTES
     #: Every ``delta_every``-th seed additionally runs the delta phase.
     delta_every: int = 3
-    #: Worker count of the parallel-regeneration route.
-    workers: int = 2
     #: Relative tolerance for SUM/AVG (float summation order differs).
     rel_tol: float = 1e-6
     #: Template for per-seed synth configs (its ``seed`` is overridden).
@@ -236,11 +232,8 @@ def _differential_pass(
     route_counts: dict[str, int] = {route: 0 for route in active}
 
     serial_db: Database | None = None
-    workers_db: Database | None = None
     if any(route in active for route in ("fastpath", "streaming")):
-        serial_db = setup.hydra.regenerate(summary, workers=1)
-    if "workers" in active:
-        workers_db = setup.hydra.regenerate(summary, workers=config.workers)
+        serial_db = setup.hydra.regenerate(summary)
 
     engines: dict[str, ExecutionEngine] = {}
     if serial_db is not None and "fastpath" in active:
@@ -250,11 +243,6 @@ def _differential_pass(
     if serial_db is not None and "streaming" in active:
         engines["streaming"] = ExecutionEngine(
             database=serial_db, annotate=True, summary_fastpath=False
-        )
-    if workers_db is not None:
-        # Streaming flags so the parallel providers actually generate rows.
-        engines["workers"] = ExecutionEngine(
-            database=workers_db, annotate=True, summary_fastpath=False
         )
 
     server_name = f"fuzz-{setup.seed}-{phase}"
@@ -331,29 +319,25 @@ def _annotation_mismatches(
 ) -> list[Disagreement]:
     """Route-independence of plan annotations.
 
-    Same engine flags must annotate identically regardless of transport or
-    provider parallelism: server == local fast path, and the ``workers=2``
-    stream == the serial stream.
+    Same engine flags must annotate identically regardless of transport:
+    server == local fast path.
     """
-    pairs = (("fastpath", "server"), ("streaming", "workers"))
-    found: list[Disagreement] = []
-    for left, right in pairs:
-        if left in annotations and right in annotations:
-            if annotations[left] != annotations[right]:
-                found.append(
-                    Disagreement(
-                        seed=seed,
-                        phase=phase,
-                        query_name=synth_query.name,
-                        kind=synth_query.kind,
-                        route=f"{left}-vs-{right}",
-                        sql=synth_query.sql,
-                        engine_value=annotations[left],
-                        oracle_value=annotations[right],
-                        detail="plan annotations are not route-independent",
-                    )
-                )
-    return found
+    local, served = annotations.get("fastpath"), annotations.get("server")
+    if local is None or served is None or local == served:
+        return []
+    return [
+        Disagreement(
+            seed=seed,
+            phase=phase,
+            query_name=synth_query.name,
+            kind=synth_query.kind,
+            route="fastpath-vs-server",
+            sql=synth_query.sql,
+            engine_value=local,
+            oracle_value=served,
+            detail="plan annotations are not route-independent",
+        )
+    ]
 
 
 def package_aqps(

@@ -143,9 +143,7 @@ def ddmin(
 def _serial_routes(route: str) -> tuple[str, ...]:
     """The server-free routes to reproduce ``route`` failures under."""
     parts = {part for part in route.replace("-vs-", " ").split() if part}
-    serial = tuple(
-        part for part in ("fastpath", "streaming", "workers") if part in parts
-    )
+    serial = tuple(part for part in ("fastpath", "streaming") if part in parts)
     return serial or ("fastpath", "streaming")
 
 

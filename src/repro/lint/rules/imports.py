@@ -1,7 +1,7 @@
 """HYD4xx — import-boundary rules.
 
-The executor consumes the parallel subsystem through exactly two documented
-seams; any other ``executor``/``core`` → ``parallel`` import couples the
+The executor consumes the parallel subsystem through exactly one documented
+seam; any other ``executor``/``core`` → ``parallel`` import couples the
 layers the wrong way round and reintroduces the circular-import risk the
 seams exist to avoid.  The range's first code is retired together with the
 deprecation shim it guarded (a retired code is never reused).
@@ -47,7 +47,7 @@ DEFAULT_LAYERING: tuple[LayerEdge, ...] = (
     LayerEdge(
         from_package="repro.core",
         to_package="repro.parallel",
-        allowed_files=("src/repro/core/pipeline.py",),
+        allowed_files=(),
     ),
     # repro.server is the top of the stack: nothing below it may import it,
     # through no seam at all.
@@ -117,18 +117,18 @@ def _in_package(module_name: str, package: str) -> bool:
 class LayerBoundaryRule(Rule):
     """HYD402: upward imports only through the documented seams.
 
-    The executor and the core pipeline may touch ``repro.parallel`` only in
-    ``executor/datagen.py`` (``DataGenRelation``'s pool handoff) and
-    ``core/pipeline.py`` (the facade's worker-default seam).  Any other
-    import of the parallel subsystem from those layers is flagged; extend or
-    override the edge table via ``[[tool.hydralint.layering]]``.
+    The executor may touch ``repro.parallel`` only in
+    ``executor/datagen.py`` (``DataGenRelation``'s pool handoff); the core
+    never may.  Any other import of the parallel subsystem from those layers
+    is flagged; extend or override the edge table via
+    ``[[tool.hydralint.layering]]``.
     """
 
     code: ClassVar[str] = "HYD402"
     name: ClassVar[str] = "layer-boundary"
     summary: ClassVar[str] = (
         "no executor/core imports of repro.parallel outside the documented "
-        "seams (datagen.py, pipeline.py)"
+        "seam (datagen.py)"
     )
 
     #: Edge table consulted at check time; the runner replaces it with the

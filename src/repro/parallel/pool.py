@@ -37,7 +37,6 @@ makes it, once per stream, before any process exists.
 from __future__ import annotations
 
 import multiprocessing as mp
-import os
 import pickle
 import queue as queue_module
 import time
@@ -55,7 +54,7 @@ from ..sql.predicates import BoxCondition
 from ..telemetry.session import TelemetrySession, active_session, telemetry_session
 from .sharding import Shard, ShardPlan
 
-__all__ = ["default_workers", "iter_parallel_blocks", "pool_plan"]
+__all__ = ["iter_parallel_blocks", "pool_plan"]
 
 _BLOCK = 0
 _CHUNK_END = 1
@@ -69,22 +68,6 @@ _POLL_SECONDS = 1.0
 
 #: Shared inert context manager (nullcontext is stateless and reusable).
 _NULL_CONTEXT = nullcontext()
-
-
-def default_workers() -> int:
-    """The worker count implied by the ``REPRO_WORKERS`` environment variable.
-
-    ``1`` (serial) when the variable is unset, empty, or not a positive
-    integer — the whole test suite can be re-run under ``REPRO_WORKERS=2``
-    to exercise the parallel path everywhere regeneration happens.
-    """
-    value = os.environ.get("REPRO_WORKERS", "").strip()
-    if not value:
-        return 1
-    try:
-        return max(1, int(value))
-    except ValueError:
-        return 1
 
 
 def _preferred_context() -> str:

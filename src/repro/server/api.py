@@ -51,10 +51,10 @@ __all__ = [
 ]
 
 #: Wire-format version carried by every body (see the module docstring).
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 #: URL prefix of the served API; the major version lives in the path.
-API_PREFIX = "/api/v2"
+API_PREFIX = "/api/v3"
 
 _BodyT = TypeVar("_BodyT", bound="_Body")
 _Convert = Callable[[Any], Any]  #: one compiled direction of a field's codec
@@ -147,12 +147,6 @@ class _Body:
         })
 
 
-def _check_workers(workers: int | None, what: str) -> None:
-    """Reject a worker count no stream could run with (``None`` = server default)."""
-    if workers is not None and workers < 1:
-        raise ApiError(f"{what}: 'workers' must be >= 1, got {workers}")
-
-
 @dataclass(frozen=True)
 class ErrorBody(_Body):
     """Machine-readable failure envelope of every non-2xx response."""
@@ -165,7 +159,7 @@ class ErrorBody(_Body):
 
 @dataclass(frozen=True)
 class ServerInfo(_Body):
-    """``GET /api/v2/healthz`` — liveness plus the served contract."""
+    """``GET /api/v3/healthz`` — liveness plus the served contract."""
 
     server: str
     summaries_loaded: int
@@ -175,7 +169,7 @@ class ServerInfo(_Body):
 
 @dataclass(frozen=True)
 class LoadSummaryRequest(_Body):
-    """``POST /api/v2/summaries`` — load (or refresh) a summary into the cache.
+    """``POST /api/v3/summaries`` — load (or refresh) a summary into the cache.
 
     Exactly one of ``path`` (a summary JSON on the server's filesystem) or
     ``summary`` (the inline ``DatabaseSummary.to_dict`` payload) must be
@@ -217,14 +211,14 @@ class SummaryInfo(_Body):
 
 @dataclass(frozen=True)
 class SummaryListResponse(_Body):
-    """``GET /api/v2/summaries`` — every currently-served summary."""
+    """``GET /api/v3/summaries`` — every currently-served summary."""
 
     summaries: list[SummaryInfo] = field(default_factory=list)
 
 
 @dataclass(frozen=True)
 class EvictResponse(_Body):
-    """``DELETE /api/v2/summaries/{name}`` — outcome of an eviction."""
+    """``DELETE /api/v3/summaries/{name}`` — outcome of an eviction."""
 
     name: str
     evicted: bool
@@ -232,7 +226,7 @@ class EvictResponse(_Body):
 
 @dataclass(frozen=True)
 class QueryRequest(_Body):
-    """``POST /api/v2/summaries/{name}/query`` — run one engine query.
+    """``POST /api/v3/summaries/{name}/query`` — run one engine query.
 
     The engine picks the route (summary, streaming, materialising) from the
     plan and the cached summary; the response's ``route_events`` report it.
@@ -285,7 +279,7 @@ class QueryResponse(_Body):
 
 @dataclass(frozen=True)
 class VerifyRequest(_Body):
-    """``POST /api/v2/summaries/{name}/verify`` — submit a workload verification.
+    """``POST /api/v3/summaries/{name}/verify`` — submit a workload verification.
 
     Exactly one of ``package`` (inline ``InformationPackage.to_dict``) or
     ``package_path`` (a package JSON on the server's filesystem) names the
@@ -298,7 +292,6 @@ class VerifyRequest(_Body):
     package: Mapping[str, Any] | None = None
     package_path: str | None = None
     against_dir: str | None = None
-    workers: int | None = None
 
     def __post_init__(self) -> None:
         """Enforce the exactly-one-package-source invariant."""
@@ -306,7 +299,6 @@ class VerifyRequest(_Body):
             raise ApiError(
                 "VerifyRequest: exactly one of 'package' or 'package_path' must be given"
             )
-        _check_workers(self.workers, "VerifyRequest")
 
 
 @dataclass(frozen=True)
@@ -326,19 +318,17 @@ class VerifyResponse(_Body):
 
 @dataclass(frozen=True)
 class ExportRequest(_Body):
-    """``POST /api/v2/summaries/{name}/export`` — materialise to a sink."""
+    """``POST /api/v3/summaries/{name}/export`` — materialise to a sink."""
 
     format: str
     out_dir: str
     relations: list[str] | None = None
-    workers: int | None = None
 
     def __post_init__(self) -> None:
         """Reject structurally-empty requests at construction."""
         for key in ("format", "out_dir"):
             if not getattr(self, key):
                 raise ApiError(f"ExportRequest: {key!r} must be a non-empty string")
-        _check_workers(self.workers, "ExportRequest")
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -356,22 +346,19 @@ class ExportResponse(_Body):
 
 @dataclass(frozen=True)
 class RegenerateRequest(_Body):
-    """``POST /api/v2/summaries/{name}/regenerate`` — stream regeneration.
+    """``POST /api/v3/summaries/{name}/regenerate`` — stream regeneration.
 
     The response is NDJSON: one :class:`ProgressEvent` per line, emitted as
-    regeneration proceeds (``workers`` > 1 shards each relation across that
-    many processes via :mod:`repro.parallel`).
+    regeneration proceeds in the server process.
     """
 
     relations: list[str] | None = None
-    workers: int | None = None
     batch_size: int = 8192
 
     def __post_init__(self) -> None:
-        """Reject a batch size or worker count no stream could run with."""
+        """Reject a batch size no stream could run with."""
         if self.batch_size < 1:
             raise ApiError(f"RegenerateRequest: 'batch_size' must be >= 1, got {self.batch_size}")
-        _check_workers(self.workers, "RegenerateRequest")
 
 
 @dataclass(frozen=True)

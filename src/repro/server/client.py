@@ -145,14 +145,12 @@ class ServerClient:
         package: Mapping[str, Any] | None = None,
         package_path: str | Path | None = None,
         against_dir: str | Path | None = None,
-        workers: int | None = None,
     ) -> VerifyResponse:
         """Submit a workload verification (volumetric, or export validation)."""
         request = VerifyRequest(
             package=package,
             package_path=str(package_path) if package_path is not None else None,
             against_dir=str(against_dir) if against_dir is not None else None,
-            workers=workers,
         )
         return cast(VerifyResponse, self._call("verify", name, request))
 
@@ -162,23 +160,19 @@ class ServerClient:
         format: str,
         out_dir: str | Path,
         relations: list[str] | None = None,
-        workers: int | None = None,
     ) -> ExportResponse:
         """Kick off a server-side export of the cached summary ``name``."""
-        request = ExportRequest(
-            format=format, out_dir=str(out_dir), relations=relations, workers=workers
-        )
+        request = ExportRequest(format=format, out_dir=str(out_dir), relations=relations)
         return cast(ExportResponse, self._call("export", name, request))
 
     def regenerate(
         self,
         name: str,
         relations: list[str] | None = None,
-        workers: int | None = None,
         batch_size: int = 8192,
     ) -> Iterator[ProgressEvent]:
         """Stream regeneration progress events as they are produced."""
-        request = RegenerateRequest(relations=relations, workers=workers, batch_size=batch_size)
+        request = RegenerateRequest(relations=relations, batch_size=batch_size)
         return cast("Iterator[ProgressEvent]", self._call("regenerate", name, request))
 
     # -- plumbing ---------------------------------------------------------

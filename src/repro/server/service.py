@@ -23,7 +23,6 @@ sleep, turning "how long would this request have to wait" into a 429 with
 
 from __future__ import annotations
 
-import os
 import threading
 import time
 from contextlib import contextmanager
@@ -124,15 +123,6 @@ def external_result_columns(
                 value.item() if hasattr(value, "item") else value for value in values
             ]
     return decoded
-
-
-def _effective_workers(requested: int | None) -> int | None:
-    """A request's worker count clamped to this machine's cores.
-
-    Output is bit-identical at any count, so the clamp is invisible — it
-    only keeps one request from forking more processes than can run.
-    """
-    return None if requested is None else min(requested, os.cpu_count() or 1)
 
 
 def _plan_annotations(plan: PlanNode) -> list[dict[str, Any]]:
@@ -310,7 +300,7 @@ class SummaryService:
                     rows_checked=validation.rows_checked,
                     problems=list(validation.problems),
                 )
-            database = self._database_for(entry, None, workers=request.workers)
+            database = self._database_for(entry, None)
             try:
                 with span("server.verify", summary=name, mode="volumetric"):
                     result = VolumetricComparator(database=database).verify(
@@ -341,10 +331,7 @@ class SummaryService:
             try:
                 with span("server.export", summary=name, format=request.format):
                     manifest = export_summary(
-                        entry.summary,
-                        sink,
-                        relations=request.relations,
-                        workers=_effective_workers(request.workers),
+                        entry.summary, sink, relations=request.relations
                     )
             except HydraError as exc:
                 raise ServiceError(400, "export-failed", str(exc)) from exc
@@ -390,7 +377,6 @@ class SummaryService:
             for table_name, relation in summary_relation_providers(
                 entry.summary,
                 batch_size=request.batch_size,
-                workers=_effective_workers(request.workers),
                 relations=selected,
             ):
                 target = entry.summary.row_count(table_name)
@@ -434,26 +420,19 @@ class SummaryService:
             raise ServiceError(404, "summary-not-loaded", str(exc)) from exc
 
     @staticmethod
-    def _database_for(
-        entry: CachedSummary,
-        rows_per_second: float | None,
-        workers: int | None = None,
-    ) -> Database:
+    def _database_for(entry: CachedSummary, rows_per_second: float | None) -> Database:
         """A per-request database over the entry's cached summary.
 
         The summary (rows and offsets) is shared across requests; the
         :class:`~repro.executor.datagen.DataGenRelation` wrappers (which
-        hold per-stream rate state) are fresh per request.  Without a
-        requested ``workers`` the streams stay in-process whatever
-        ``REPRO_WORKERS`` says: server concurrency comes from serving many
-        requests at once, not from forking processes inside one.
+        hold per-stream rate state) are fresh per request.  The streams stay
+        in-process: server concurrency comes from serving many requests at
+        once, not from forking processes inside one.
         """
         limiter = RateLimiter(rows_per_second=rows_per_second) if rows_per_second else None
         database = Database(schema=entry.summary.schema, providers={})
         for table_name, relation in summary_relation_providers(
-            entry.summary,
-            rate_limiter=limiter,
-            workers=_effective_workers(workers) or 1,
+            entry.summary, rate_limiter=limiter
         ):
             database.attach(table_name, relation)
         return database

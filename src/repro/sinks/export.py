@@ -86,14 +86,13 @@ def export_summary(
     rate_limiter: RateLimiter | None = None,
     batch_size: int = 8192,
     shared_rate_limiter: bool = False,
-    workers: int | None = None,
+    workers: int = 1,
 ) -> Manifest:
     """Stream every (or the named) relation of ``summary`` into ``sink``.
 
     Blocks flow straight from the ``datagen`` providers (pooled when
-    ``workers`` > 1 or ``REPRO_WORKERS`` is set — identical streams, higher
-    throughput) into the sink, so peak memory stays bounded by the
-    batch size.  Rate limiting matches :meth:`~repro.core.pipeline.Hydra.
+    ``workers`` > 1 — identical streams) into the sink, so peak memory
+    stays bounded by the batch size.  Rate limiting matches :meth:`~repro.core.pipeline.Hydra.
     regenerate`: each relation's stream is paced by its own clone of
     ``rate_limiter``, or every relation draws from the single caller-supplied
     limiter with ``shared_rate_limiter=True``.  Returns the sealed

@@ -7,7 +7,7 @@ records, per exported relation, the row count, the logical column types and
 computed over the **encoded** numeric column streams (one sha256 per column,
 fed block by block), which makes them
 
-* independent of block boundaries — a parallel (``--workers N``) export
+* independent of block boundaries — a parallel (``workers=N``) export
   hashes to the same digests as a serial one because the merged streams are
   row-identical, only chunked differently; and
 * independent of the backend — CSV, SQLite and Parquet exports of the same

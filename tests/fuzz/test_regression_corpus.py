@@ -3,7 +3,7 @@
 Every entry of ``tests/fuzz/corpus.jsonl`` is a minimized repro of a
 failure the differential fuzzer once found (see docs/FUZZING.md); replaying
 them keeps a fixed bug from silently regressing.  A small live campaign
-additionally smoke-tests the whole harness — all four result routes plus
+additionally smoke-tests the whole harness — all three result routes plus
 one delta scenario — inside tier 1.
 """
 
@@ -41,7 +41,7 @@ def test_corpus_entries_are_minimized_with_provenance():
 
 
 def test_smoke_campaign_is_green_on_every_route():
-    """Two seeds through the full harness: all four routes, one delta."""
+    """Two seeds through the full harness: all three routes, one delta."""
     report = run_fuzz(FuzzConfig(seed_count=2, delta_every=2, minimize=False))
     assert report.ok, "\n".join(d.describe() for d in report.disagreements)
     assert report.delta_scenarios == 1

@@ -196,8 +196,8 @@ def test_e14_delta_resolves_one_relation_and_matches_the_union_build(client):
             fresh.summary.relations[name].to_dict()
             == extended.summary.relations[name].to_dict()
         ), name
-    fresh_db = hydra.regenerate(fresh.summary, workers=1, materialize=names)
-    extended_db = hydra.regenerate(extended.summary, workers=1, materialize=names)
+    fresh_db = hydra.regenerate(fresh.summary, materialize=names)
+    extended_db = hydra.regenerate(extended.summary, materialize=names)
     for name in names:
         fresh_rows, extended_rows = fresh_db.table_data(name), extended_db.table_data(name)
         for column in fresh_rows.columns:

@@ -349,64 +349,30 @@ class TestRequestValidation:
             events = list(client.regenerate("toy", relations=["T"], batch_size=16))
             assert events[-1].event == "done"
 
-    @pytest.mark.parametrize("workers", [0, -1])
-    def test_non_positive_workers_is_400_on_every_endpoint(self, server, workers, tmp_path):
+    @pytest.mark.parametrize("endpoint", ["regenerate", "export", "verify"])
+    def test_workers_key_is_400_before_any_lease_or_write(self, server, endpoint, tmp_path):
+        """Version 3 has no ``workers`` key: the request is refused, not pooled."""
         client = ServerClient("127.0.0.1", server.port)
         out_dir = tmp_path / "out"
-        bodies = {
-            "regenerate": {"workers": workers},
-            "export": {"format": "csv", "out_dir": str(out_dir), "workers": workers},
-            "verify": {"package_path": str(tmp_path / "package.json"), "workers": workers},
-        }
-        for endpoint, body in bodies.items():
-            # Raw bodies: the client's own request types would refuse them locally.
-            with pytest.raises(ServerClientError) as excinfo:
-                client._request("POST", f"/summaries/toy/{endpoint}", body)
-            assert excinfo.value.status == 400, endpoint
-            assert "'workers' must be >= 1" in str(excinfo.value)
-        # Refused before any lease, fork or write.
+        body = {
+            "regenerate": {"workers": 2},
+            "export": {"format": "csv", "out_dir": str(out_dir), "workers": 2},
+            "verify": {"package_path": str(tmp_path / "package.json"), "workers": 2},
+        }[endpoint]
+        # A raw body: the client has no ``workers`` keyword left to send it.
+        with pytest.raises(ServerClientError) as excinfo:
+            client._request("POST", f"/summaries/toy/{endpoint}", body)
+        assert excinfo.value.status == 400
+        assert excinfo.value.body.error == "bad-request"
+        assert "unknown key(s) 'workers'" in str(excinfo.value)
         assert not out_dir.exists()
-        with server.service.cache.lease("toy") as entry:
-            assert entry.leases == 1
-
-    def test_huge_worker_count_is_clamped_to_the_cores(
-        self, server, toy_summary, toy_metadata, toy_aqps, tmp_path, monkeypatch
-    ):
-        """``workers=100000`` is served — by at most ``os.cpu_count()`` lanes."""
-        import multiprocessing
-
-        from repro.server import service as service_module
-
-        monkeypatch.setattr(service_module.os, "cpu_count", lambda: 2)
-        assert service_module._effective_workers(100_000) == 2
-        assert service_module._effective_workers(None) is None
-        forked = []
-        start = multiprocessing.process.BaseProcess.start
-        monkeypatch.setattr(
-            multiprocessing.process.BaseProcess,
-            "start",
-            lambda process: (forked.append(process.name), start(process))[1],
-        )
-        client = ServerClient("127.0.0.1", server.port)
-        events = list(client.regenerate("toy", relations=["S"], workers=100_000, batch_size=1))
-        assert events[-1].event == "done" and events[-1].rows == toy_summary.row_count("S")
-        assert 0 < len(set(forked)) <= 2
-
-        package_path = tmp_path / "package.json"
-        InformationPackage(metadata=toy_metadata, aqps=list(toy_aqps)).save(package_path)
-        assert client.verify("toy", package_path=str(package_path), workers=100_000).ok
-        export = client.export(
-            "toy", format="csv", out_dir=str(tmp_path / "out"), workers=100_000
-        )
-        assert export.total_rows == toy_summary.total_rows()
-        assert len(set(forked)) <= 2 * len(toy_summary.relations)
         with server.service.cache.lease("toy") as entry:
             assert entry.leases == 1
 
     @pytest.mark.parametrize("length", ["abc", "-5", "1e3", "12 12"])
     def test_invalid_content_length_is_400_and_the_server_lives_on(self, server, length, recwarn):
         request = (
-            f"POST /api/v2/summaries/toy/query HTTP/1.1\r\nHost: x\r\n"
+            f"POST /api/v3/summaries/toy/query HTTP/1.1\r\nHost: x\r\n"
             f"Content-Length: {length}\r\n\r\n" + '{"sql": "select count(*) from S"}'
         )
         with socket.create_connection(("127.0.0.1", server.port), timeout=10) as raw:
@@ -429,13 +395,13 @@ class TestRequestValidation:
         "head, status, error, detail",
         [
             (
-                "POST /api/v2/summaries/toy/query HTTP/1.1\r\n"
+                "POST /api/v3/summaries/toy/query HTTP/1.1\r\n"
                 f"Content-Length: {64 * 1024 * 1024 + 1}",
                 413, "payload-too-large", "exceeds",
             ),
             ("NOT-A-REQUEST-LINE", 400, "bad-request", "malformed request line"),
             (
-                "GET /api/v2/healthz HTTP/1.1\r\n" + "X-Filler: 0123456789abcdef\r\n" * 2340,
+                "GET /api/v3/healthz HTTP/1.1\r\n" + "X-Filler: 0123456789abcdef\r\n" * 2340,
                 400, "bad-request", "request headers exceed",
             ),
         ],
@@ -491,7 +457,7 @@ class TestConnections:
             pass
         body = b'{"batch_size": 1}'
         request = (
-            f"POST /api/v2/summaries/big/regenerate HTTP/1.1\r\nHost: x\r\n"
+            f"POST /api/v3/summaries/big/regenerate HTTP/1.1\r\nHost: x\r\n"
             f"Content-Length: {len(body)}\r\n\r\n"
         ).encode("latin-1") + body
         with BackgroundServer(service) as background:
@@ -503,8 +469,6 @@ class TestConnections:
                     assert chunk, received
                     received += chunk
                 assert entry.leases == 1  # held by the running stream
-                # Under REPRO_WORKERS the in-process server forks pool workers that
-                # inherit this very descriptor: only shutdown() ends the connection.
                 raw.shutdown(socket.SHUT_RDWR)
             assert _wait_until(lambda: entry.leases == 0), "the abandoned stream kept its lease"
             client = ServerClient("127.0.0.1", background.port)
@@ -518,7 +482,7 @@ class TestConnections:
         """Keep-alive: a 400 for a body that is not JSON does not cost the connection."""
         connection = http.client.HTTPConnection("127.0.0.1", server.port, timeout=10)
         try:
-            path = "/api/v2/summaries/toy/query"
+            path = "/api/v3/summaries/toy/query"
             statuses = []
             for body in (
                 '{"sql": "select count(*) from S"}',
@@ -564,7 +528,7 @@ class TestConnections:
         background = BackgroundServer(service).start()
         connection = http.client.HTTPConnection("127.0.0.1", background.port, timeout=10)
         try:
-            connection.request("GET", "/api/v2/healthz")
+            connection.request("GET", "/api/v3/healthz")
             response = connection.getresponse()
             response.read()
             assert response.status == 200 and not response.will_close
@@ -573,7 +537,7 @@ class TestConnections:
                 set(threading.enumerate()) - before
             )
             with pytest.raises(ConnectionError):
-                connection.request("GET", "/api/v2/healthz")
+                connection.request("GET", "/api/v3/healthz")
                 connection.getresponse()
         finally:
             connection.close()
@@ -694,8 +658,7 @@ class TestConnectionReuse:
             with background.service.cache.lease("toy") as entry:
                 pass
             with ServerClient("127.0.0.1", background.port) as client:
-                # workers=1: a forked pool worker would inherit the client's socket.
-                events = client.regenerate("toy", workers=1, batch_size=1)
+                events = client.regenerate("toy", batch_size=1)
                 assert next(events).event == "start"
                 assert entry.leases == 1
                 events.close()

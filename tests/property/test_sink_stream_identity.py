@@ -2,12 +2,10 @@
 
 For arbitrary summaries, a CSV/SQLite export must hold exactly the rows the
 ``datagen`` providers stream in memory — same values, same order, every
-dtype — and the export must re-validate against its manifest.  The CI suite
-re-runs these tests under ``REPRO_WORKERS=2``, where every provider (and
-therefore every export) regenerates through the sharded parallel pool, so
-stream identity and manifest checksums are asserted for merged parallel
-streams too.  A dedicated test additionally pins ``workers`` 1, 2 and 3
-explicitly and asserts identical block streams and byte-identical CSV files.
+dtype — and the export must re-validate against its manifest.  A dedicated
+test pins ``workers`` 1, 2 and 3 explicitly and asserts identical block
+streams and byte-identical CSV files, so stream identity and manifest
+checksums hold for merged parallel streams too.
 
 The second half is a differential oracle (as ``test_regions_property`` keeps
 the old split): the sinks convert a *column* at a time, and the per-cell

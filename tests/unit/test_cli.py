@@ -81,12 +81,10 @@ class TestVendorAndVerify:
         "flags, message",
         [
             (["--sample", "NOPE"], "relation 'NOPE'; the summary describes: R, S, T"),
-            (["--workers", "0"], "argument --workers: must be >= 1"),
-            (["--workers", "-1"], "argument --workers: must be >= 1"),
             (["--rows-per-second", "-5"], "argument --rows-per-second: must be > 0"),
             (["--rows-per-second", "0"], "argument --rows-per-second: must be > 0"),
         ],
-        ids=["sample", "workers=0", "workers=-1", "rate=-5", "rate=0"],
+        ids=["sample", "rate=-5", "rate=0"],
     )
     def test_verify_rejects_values_it_cannot_honour_before_regenerating(
         self, flags, message, package_path, tmp_path, capsys, monkeypatch
@@ -99,18 +97,21 @@ class TestVendorAndVerify:
         assert raised.value.code == 2
         assert message in capsys.readouterr().err
 
-    @pytest.mark.parametrize("workers", ["0", "-1"])
-    def test_vendor_rejects_a_worker_count_below_one_before_solving(
-        self, workers, package_path, tmp_path, capsys, monkeypatch
+    @pytest.mark.parametrize("command", ["vendor", "verify"])
+    def test_workers_flag_is_gone_from_vendor_and_verify(
+        self, command, package_path, tmp_path, capsys, monkeypatch
     ):
+        """Worker processes are a Python caller's choice: no CLI flag asks for them."""
         monkeypatch.setattr(Hydra, "build_summary", _must_not_run)
+        monkeypatch.setattr(Hydra, "regenerate", _must_not_run)
+        main, arguments = {
+            "vendor": (vendor_main, [str(package_path), "--materialize", "all"]),
+            "verify": (verify_main, [str(package_path), str(tmp_path / "summary.json")]),
+        }[command]
         with pytest.raises(SystemExit) as raised:
-            vendor_main(
-                [str(package_path), "--materialize", "all", "--workers", workers,
-                 "--output", str(tmp_path / "summary.json")]
-            )
+            main([*arguments, "--workers", "2"])
         assert raised.value.code == 2
-        assert "argument --workers: must be >= 1" in capsys.readouterr().err
+        assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
 
     @pytest.mark.parametrize("text", ["not json", '{"metadata": 5}'])
     def test_malformed_package_exits_with_a_message(self, text, tmp_path):
@@ -277,7 +278,7 @@ class TestVendorExtend:
 
 
 class TestVendorExport:
-    def _vendor_export(self, package_path, tmp_path, fmt, out_name, extra=()):
+    def _vendor_export(self, package_path, tmp_path, fmt, out_name):
         out_dir = tmp_path / out_name
         code = vendor_main(
             [
@@ -286,7 +287,6 @@ class TestVendorExport:
                 "--format", fmt,
                 "--out", str(out_dir),
                 "--output", str(tmp_path / f"{out_name}_summary.json"),
-                *extra,
             ]
         )
         assert code == 0
@@ -330,16 +330,6 @@ class TestVendorExport:
         )
         assert code == 1
         assert "FAIL" in capsys.readouterr().out
-
-    def test_workers_export_matches_serial(self, package_path, tmp_path):
-        serial_dir, _ = self._vendor_export(package_path, tmp_path, "csv", "serial")
-        parallel_dir, _ = self._vendor_export(
-            package_path, tmp_path, "csv", "parallel", extra=["--workers", "2"]
-        )
-        for name in ("R", "S", "T"):
-            assert (serial_dir / f"{name}.csv").read_bytes() == (
-                parallel_dir / f"{name}.csv"
-            ).read_bytes()
 
     def test_unknown_format_rejected_before_solving(self, package_path, tmp_path):
         with pytest.raises(SystemExit):
@@ -442,3 +432,11 @@ class TestUnifiedCli:
             cli.main(["serve", "--help"])
         assert excinfo.value.code == 0
         assert "--load" in capsys.readouterr().out
+
+    def test_fuzz_has_no_workers_route(self, capsys):
+        import repro.cli as cli
+
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["fuzz", "--routes", "workers"])
+        assert excinfo.value.code == 2
+        assert "unknown route(s) ['workers']" in capsys.readouterr().err

@@ -11,7 +11,10 @@ from __future__ import annotations
 import re
 from pathlib import Path
 
+import pytest
+
 import repro
+import repro.parallel
 
 README = Path(__file__).resolve().parents[2] / "README.md"
 
@@ -59,6 +62,13 @@ def test_server_surface_is_reexported():
         "ExportRequest", "ExportResponse", "RegenerateRequest", "ProgressEvent",
     ):
         assert name in repro.__all__, name
+
+
+@pytest.mark.parametrize("name", repro.parallel.__all__)
+def test_pool_internals_are_not_on_the_facade(name):
+    """Worker processes are reached only through a ``workers`` argument."""
+    assert name not in repro.__all__
+    assert not hasattr(repro, name)
 
 
 def test_facade_objects_are_the_canonical_ones():

@@ -97,7 +97,7 @@ def _solver_call_log(monkeypatch):
 
 def _materialized(hydra, summary):
     names = list(summary.relations)
-    database = hydra.regenerate(summary, workers=1, materialize=names)
+    database = hydra.regenerate(summary, materialize=names)
     return {name: database.table_data(name) for name in names}
 
 
@@ -461,9 +461,7 @@ class TestIncrementalFeasibility:
         # Annotate the delta against the *regenerated* database: its counts
         # live in the vendor's pk-index space and are witnessed by the
         # current solution, so the extension must be exactly feasible.
-        regenerated = hydra.regenerate(
-            base.summary, workers=1, materialize=list(base.summary.relations)
-        )
+        regenerated = hydra.regenerate(base.summary, materialize=list(base.summary.relations))
         delta = _extract(
             regenerated,
             "select count(*) from R where R.S_fk >= 100 and R.S_fk < 400",
@@ -481,9 +479,7 @@ class TestIncrementalFeasibility:
         overrides = {"R": 2 * metadata.row_count("R")}
         hydra = Hydra(metadata=metadata, row_count_overrides=overrides)
         base = hydra.build_summary(aqps)
-        regenerated = hydra.regenerate(
-            base.summary, workers=1, materialize=list(base.summary.relations)
-        )
+        regenerated = hydra.regenerate(base.summary, materialize=list(base.summary.relations))
         delta = [
             _extract(
                 regenerated,

@@ -2,9 +2,9 @@
 
 Covers the real multiprocessing path end-to-end: bit-identical materialise
 and streaming-scan/join routes against the serial reference, spawn-context
-safety, worker-failure propagation, rate limiting of the merged stream, the
-``REPRO_WORKERS`` environment default, and ``Hydra.regenerate`` materialise
-name validation.
+safety, worker-failure propagation, rate limiting of the merged stream, that
+only an explicit ``workers`` argument reaches the pool, and
+``Hydra.regenerate`` materialise name validation.
 """
 
 from __future__ import annotations
@@ -14,15 +14,24 @@ import pytest
 
 from repro.catalog.schema import Column, ForeignKey, Table
 from repro.catalog.types import FLOAT, INTEGER
+from repro.client.package import InformationPackage
 from repro.core.errors import HydraError, ParallelGenerationError
-from repro.core.pipeline import Hydra
+from repro.core.pipeline import Hydra, summary_relation_providers
 from repro.core.summary import FKReference, RelationSummary, SummaryRow
 from repro.core.tuplegen import TupleGenerator
 from repro.executor.datagen import DataGenRelation
 from repro.executor.engine import ExecutionEngine
 from repro.executor.rate import RateLimiter
-from repro.parallel import ShardPlan, default_workers, iter_parallel_blocks, pool_plan
+from repro.parallel import ShardPlan, iter_parallel_blocks, pool_plan
 from repro.plans.planner import build_plan
+from repro.server import (
+    ExportRequest,
+    LoadSummaryRequest,
+    RegenerateRequest,
+    SummaryService,
+    VerifyRequest,
+)
+from repro.sinks import CsvSink, export_summary
 from repro.sql.predicates import BoxCondition, Interval, IntervalSet
 from repro.sql.parser import parse_query
 
@@ -35,6 +44,54 @@ def toy_summary(toy_metadata, toy_aqps):
 @pytest.fixture(scope="module")
 def toy_hydra(toy_metadata):
     return Hydra(metadata=toy_metadata)
+
+
+def _served(summary):
+    service = SummaryService()
+    service.load(LoadSummaryRequest(name="toy", summary=summary.to_dict()))
+    return service
+
+
+def _regenerate(hydra, summary, package, out_dir):
+    database = hydra.regenerate(summary, materialize=summary.relations)
+    for name in summary.relations:
+        assert database.row_count(name) == summary.row_count(name)
+
+
+def _export(hydra, summary, package, out_dir):
+    assert export_summary(summary, CsvSink(out_dir)).total_rows() == summary.total_rows()
+
+
+def _providers(hydra, summary, package, out_dir):
+    for name, relation in summary_relation_providers(summary):
+        columns = relation.fetch_columns(summary.schema.table(name).column_names)
+        assert all(len(values) == summary.row_count(name) for values in columns.values())
+
+
+def _served_export(hydra, summary, package, out_dir):
+    request = ExportRequest(format="csv", out_dir=str(out_dir))
+    assert _served(summary).export("toy", request).total_rows == summary.total_rows()
+
+
+def _served_regenerate(hydra, summary, package, out_dir):
+    events = list(_served(summary).iter_regenerate("toy", RegenerateRequest()))
+    assert events[-1].event == "done" and events[-1].rows == summary.total_rows()
+
+
+def _served_verify(hydra, summary, package, out_dir):
+    verified = _served(summary).verify("toy", VerifyRequest(package=package.to_dict()))
+    assert verified.mode == "volumetric" and verified.total_edges > 0
+
+
+#: Every way to regenerate without naming a worker count, library and server.
+DEFAULT_PATHS = {
+    "Hydra.regenerate": _regenerate,
+    "export_summary": _export,
+    "summary_relation_providers": _providers,
+    "service.export": _served_export,
+    "service.iter_regenerate": _served_regenerate,
+    "service.verify": _served_verify,
+}
 
 
 def _assert_results_identical(reference, candidate):
@@ -62,17 +119,19 @@ class TestRegenerateIntegration:
         assert serial.provider("R").workers == 1
         assert parallel.provider("R").workers == 3
 
-    def test_workers_default_from_environment(self, toy_hydra, toy_summary, monkeypatch):
-        monkeypatch.delenv("REPRO_WORKERS", raising=False)
-        assert default_workers() == 1
-        assert toy_hydra.regenerate(toy_summary).provider("R").workers == 1
-
+    @pytest.mark.parametrize("path", list(DEFAULT_PATHS))
+    def test_only_an_explicit_workers_argument_reaches_the_pool(
+        self, path, toy_hydra, toy_summary, toy_metadata, toy_aqps, tmp_path, monkeypatch
+    ):
+        """No environment variable, default argument or server request forks."""
         monkeypatch.setenv("REPRO_WORKERS", "2")
-        assert default_workers() == 2
-        assert toy_hydra.regenerate(toy_summary).provider("R").workers == 2
 
-        monkeypatch.setenv("REPRO_WORKERS", "not-a-number")
-        assert default_workers() == 1
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("a default regeneration path reached the process pool")
+
+        monkeypatch.setattr("repro.parallel.pool.iter_parallel_blocks", refuse)
+        package = InformationPackage(metadata=toy_metadata, aqps=list(toy_aqps))
+        DEFAULT_PATHS[path](toy_hydra, toy_summary, package, tmp_path / "out")
 
     def test_parallel_materialize_bit_identical(self, toy_hydra, toy_summary, toy_metadata):
         serial = toy_hydra.regenerate(toy_summary, materialize=["R", "S", "T"], workers=1)

@@ -7,6 +7,7 @@ required keys, wrong types and mismatched schema versions with ApiError.
 
 import dataclasses
 import http.client
+import inspect
 import json
 import os
 import re
@@ -56,54 +57,55 @@ SUMMARY_INFO = SummaryInfo(
     cache_hit=True,
 )
 
-#: Every body next to the exact JSON the parent commit (PR 17, hand-written
-#: ``to_dict`` methods) put on the wire for it, ``null``-valued keys dropped —
-#: key order included.  The codec must reproduce these strings byte for byte.
+#: Every body next to the exact JSON the hand-written ``to_dict`` methods the
+#: codec replaced put on the wire for it, ``null``-valued keys dropped — key
+#: order included — at today's ``schema_version``.  The codec must reproduce
+#: these strings byte for byte.
 WIRE = [
     (
         ErrorBody(error="not_found", detail="no summary 'x'", status=404),
-        '{"error": "not_found", "detail": "no summary \'x\'", "status": 404, "schema_version": 2}',
+        '{"error": "not_found", "detail": "no summary \'x\'", "status": 404, "schema_version": 3}',
     ),
     (
         ErrorBody(error="rate_limited", detail="slow down", status=429, retry_after=0.25),
-        '{"error": "rate_limited", "detail": "slow down", "status": 429, "retry_after": 0.25, "schema_version": 2}',
+        '{"error": "rate_limited", "detail": "slow down", "status": 429, "retry_after": 0.25, "schema_version": 3}',
     ),
     (
         ServerInfo(server="hydra-server", schema_version=SCHEMA_VERSION,
                    summaries_loaded=2, requests_served=17),
-        '{"server": "hydra-server", "summaries_loaded": 2, "requests_served": 17, "schema_version": 2}',
+        '{"server": "hydra-server", "summaries_loaded": 2, "requests_served": 17, "schema_version": 3}',
     ),
     (
         LoadSummaryRequest(name="toy", path="/tmp/summary.json"),
-        '{"name": "toy", "path": "/tmp/summary.json", "schema_version": 2}',
+        '{"name": "toy", "path": "/tmp/summary.json", "schema_version": 3}',
     ),
     (
         LoadSummaryRequest(name="toy", summary={"relations": {}}),
-        '{"name": "toy", "summary": {"relations": {}}, "schema_version": 2}',
+        '{"name": "toy", "summary": {"relations": {}}, "schema_version": 3}',
     ),
     (
         SUMMARY_INFO,
-        '{"name": "toy", "fingerprint": "' + "ab12" * 16 + '", "summary_version": 2, "generation": 3, "relations": {"S": 2000, "T": 200}, "total_rows": 2200, "summary_bytes": 4096, "cache_hit": true, "schema_version": 2}',
+        '{"name": "toy", "fingerprint": "' + "ab12" * 16 + '", "summary_version": 2, "generation": 3, "relations": {"S": 2000, "T": 200}, "total_rows": 2200, "summary_bytes": 4096, "cache_hit": true, "schema_version": 3}',
     ),
     (
         SummaryListResponse(summaries=[SUMMARY_INFO]),
-        '{"summaries": [{"name": "toy", "fingerprint": "' + "ab12" * 16 + '", "summary_version": 2, "generation": 3, "relations": {"S": 2000, "T": 200}, "total_rows": 2200, "summary_bytes": 4096, "cache_hit": true, "schema_version": 2}], "schema_version": 2}',
+        '{"summaries": [{"name": "toy", "fingerprint": "' + "ab12" * 16 + '", "summary_version": 2, "generation": 3, "relations": {"S": 2000, "T": 200}, "total_rows": 2200, "summary_bytes": 4096, "cache_hit": true, "schema_version": 3}], "schema_version": 3}',
     ),
     (
         SummaryListResponse(),
-        '{"summaries": [], "schema_version": 2}',
+        '{"summaries": [], "schema_version": 3}',
     ),
     (
         EvictResponse(name="toy", evicted=True),
-        '{"name": "toy", "evicted": true, "schema_version": 2}',
+        '{"name": "toy", "evicted": true, "schema_version": 3}',
     ),
     (
         QueryRequest(sql="select count(*) from S"),
-        '{"sql": "select count(*) from S", "schema_version": 2}',
+        '{"sql": "select count(*) from S", "schema_version": 3}',
     ),
     (
         QueryRequest(sql="select * from S", rows_per_second=1000.0),
-        '{"sql": "select * from S", "rows_per_second": 1000.0, "schema_version": 2}',
+        '{"sql": "select * from S", "rows_per_second": 1000.0, "schema_version": 3}',
     ),
     (
         QueryResponse(
@@ -118,60 +120,60 @@ WIRE = [
             generation=1,
             elapsed_seconds=0.125,
         ),
-        '{"columns": {"S.A": [1, 2, 3], "count": [3]}, "row_count": 3, "scanned_rows": 2000, "aggregate_route": "summary", "route_events": [{"kind": "aggregate", "route": "summary", "reason": "exact"}], "annotations": [{"node_id": 1, "operator": "scan", "description": "S", "cardinality": 2000}], "fingerprint": "' + "cd34" * 16 + '", "summary_version": 1, "generation": 1, "elapsed_seconds": 0.125, "schema_version": 2}',
+        '{"columns": {"S.A": [1, 2, 3], "count": [3]}, "row_count": 3, "scanned_rows": 2000, "aggregate_route": "summary", "route_events": [{"kind": "aggregate", "route": "summary", "reason": "exact"}], "annotations": [{"node_id": 1, "operator": "scan", "description": "S", "cardinality": 2000}], "fingerprint": "' + "cd34" * 16 + '", "summary_version": 1, "generation": 1, "elapsed_seconds": 0.125, "schema_version": 3}',
     ),
     (
         VerifyRequest(package={"queries": []}),
-        '{"package": {"queries": []}, "schema_version": 2}',
+        '{"package": {"queries": []}, "schema_version": 3}',
     ),
     (
-        VerifyRequest(package_path="/tmp/package.json", against_dir="/tmp/out", workers=4),
-        '{"package_path": "/tmp/package.json", "against_dir": "/tmp/out", "workers": 4, "schema_version": 2}',
+        VerifyRequest(package_path="/tmp/package.json", against_dir="/tmp/out"),
+        '{"package_path": "/tmp/package.json", "against_dir": "/tmp/out", "schema_version": 3}',
     ),
     (
         VerifyResponse(mode="volumetric", ok=True, total_edges=12,
                        max_relative_error=0.01, mean_relative_error=0.001,
                        error_cdf=[[0.0, 0.5], [0.01, 1.0]]),
-        '{"mode": "volumetric", "ok": true, "total_edges": 12, "max_relative_error": 0.01, "mean_relative_error": 0.001, "error_cdf": [[0.0, 0.5], [0.01, 1.0]], "relations_checked": [], "rows_checked": 0, "problems": [], "schema_version": 2}',
+        '{"mode": "volumetric", "ok": true, "total_edges": 12, "max_relative_error": 0.01, "mean_relative_error": 0.001, "error_cdf": [[0.0, 0.5], [0.01, 1.0]], "relations_checked": [], "rows_checked": 0, "problems": [], "schema_version": 3}',
     ),
     (
         VerifyResponse(mode="export", ok=False, relations_checked=["S", "T"],
                        rows_checked=2200, problems=["row 7 of S differs"]),
-        '{"mode": "export", "ok": false, "total_edges": 0, "max_relative_error": 0.0, "mean_relative_error": 0.0, "error_cdf": [], "relations_checked": ["S", "T"], "rows_checked": 2200, "problems": ["row 7 of S differs"], "schema_version": 2}',
+        '{"mode": "export", "ok": false, "total_edges": 0, "max_relative_error": 0.0, "mean_relative_error": 0.0, "error_cdf": [], "relations_checked": ["S", "T"], "rows_checked": 2200, "problems": ["row 7 of S differs"], "schema_version": 3}',
     ),
     (
         ExportRequest(format="csv", out_dir="/tmp/out"),
-        '{"format": "csv", "out_dir": "/tmp/out", "schema_version": 2}',
+        '{"format": "csv", "out_dir": "/tmp/out", "schema_version": 3}',
     ),
     (
-        ExportRequest(format="sqlite", out_dir="/tmp/out", relations=["S"], workers=2),
-        '{"format": "sqlite", "out_dir": "/tmp/out", "relations": ["S"], "workers": 2, "schema_version": 2}',
+        ExportRequest(format="sqlite", out_dir="/tmp/out", relations=["S"]),
+        '{"format": "sqlite", "out_dir": "/tmp/out", "relations": ["S"], "schema_version": 3}',
     ),
     (
         ExportResponse(format="csv", out_dir="/tmp/out", relations=["S", "T"],
                        total_rows=2200, elapsed_seconds=1.5,
                        manifest_path="/tmp/out/MANIFEST.json", fingerprint="ef56" * 16),
-        '{"format": "csv", "out_dir": "/tmp/out", "relations": ["S", "T"], "total_rows": 2200, "elapsed_seconds": 1.5, "manifest_path": "/tmp/out/MANIFEST.json", "fingerprint": "' + "ef56" * 16 + '", "schema_version": 2}',
+        '{"format": "csv", "out_dir": "/tmp/out", "relations": ["S", "T"], "total_rows": 2200, "elapsed_seconds": 1.5, "manifest_path": "/tmp/out/MANIFEST.json", "fingerprint": "' + "ef56" * 16 + '", "schema_version": 3}',
     ),
     (
         RegenerateRequest(),
-        '{"batch_size": 8192, "schema_version": 2}',
+        '{"batch_size": 8192, "schema_version": 3}',
     ),
     (
-        RegenerateRequest(relations=["S"], workers=2, batch_size=512),
-        '{"relations": ["S"], "workers": 2, "batch_size": 512, "schema_version": 2}',
+        RegenerateRequest(relations=["S"], batch_size=512),
+        '{"relations": ["S"], "batch_size": 512, "schema_version": 3}',
     ),
     (
         ProgressEvent(event="start", total_rows=2200),
-        '{"event": "start", "total_rows": 2200, "schema_version": 2}',
+        '{"event": "start", "total_rows": 2200, "schema_version": 3}',
     ),
     (
         ProgressEvent(event="progress", relation="S", rows=512, total_rows=2000, seconds=0.5),
-        '{"event": "progress", "relation": "S", "rows": 512, "total_rows": 2000, "seconds": 0.5, "schema_version": 2}',
+        '{"event": "progress", "relation": "S", "rows": 512, "total_rows": 2000, "seconds": 0.5, "schema_version": 3}',
     ),
     (
         ProgressEvent(event="error", error="boom"),
-        '{"event": "error", "error": "boom", "schema_version": 2}',
+        '{"event": "error", "error": "boom", "schema_version": 3}',
     ),
     (
         RouteEventBody(kind="join", route="streaming", reason="no-streamable-leaf"),
@@ -347,29 +349,55 @@ def test_missing_required_key_rejected():
 def test_wrong_type_rejected():
     with pytest.raises(ApiError, match="'sql'"):
         QueryRequest.from_dict({"sql": 42})
-    with pytest.raises(ApiError, match="'workers'"):
-        RegenerateRequest.from_dict({"workers": "four"})
     # bool is not accepted where an int is required
     with pytest.raises(ApiError, match="'batch_size'"):
         RegenerateRequest.from_dict({"batch_size": True})
 
 
-@pytest.mark.parametrize("workers", [0, -1])
 @pytest.mark.parametrize(
-    "request_type, fields",
+    "endpoint, fields",
     [
-        (RegenerateRequest, {}),
-        (ExportRequest, {"format": "csv", "out_dir": "/tmp/out"}),
-        (VerifyRequest, {"package_path": "/tmp/package.json"}),
+        ("regenerate", {}),
+        ("export", {"format": "csv", "out_dir": "/tmp/out"}),
+        ("verify", {"package_path": "/tmp/package.json"}),
     ],
 )
-def test_non_positive_workers_rejected(request_type, fields, workers):
-    """Constructed or parsed: a stream cannot run with fewer than one worker."""
-    with pytest.raises(ApiError, match="'workers' must be >= 1"):
-        request_type(**fields, workers=workers)
-    with pytest.raises(ApiError, match="'workers' must be >= 1"):
-        request_type.from_dict({**fields, "workers": workers})
-    assert request_type.from_dict({**fields, "workers": 1}).workers == 1
+def test_removed_workers_key_is_400_unknown_key(endpoint, fields):
+    """Version 3 dropped ``workers``: no request can make the server fork."""
+    row = next(row for row in _ENDPOINTS if row.name == endpoint)
+    what = row.request.__name__
+    with pytest.raises(ApiError, match=rf"{what}: unknown key\(s\) 'workers'"):
+        row.request.from_dict({**fields, "workers": 2})
+    with pytest.raises(TypeError, match="workers"):
+        row.request(**fields, workers=2)
+    path = API_PREFIX + row.path.format(name="ghost")
+    with BackgroundServer(SummaryService()) as server:
+        body = json.dumps({**fields, "workers": 2})
+        status, answer = _exchange(server.port, "POST", path, body=body)
+    assert (status, answer["error"]) == (400, "bad-request"), answer
+    assert "unknown key(s) 'workers'" in answer["detail"]
+
+
+@pytest.mark.parametrize(
+    "row", [row for row in _ENDPOINTS if row.request is not None], ids=lambda row: row.name
+)
+def test_version_2_request_is_400_on_every_endpoint(row):
+    """A body stamped with the previous contract's version is refused, not reinterpreted."""
+    stale = {**_valid_payload(row.request), "schema_version": 2}
+    what = row.request.__name__
+    with pytest.raises(ApiError, match=f"{what}: schema_version must be 3"):
+        row.request.from_dict(stale)
+    path = API_PREFIX + row.path.format(name="ghost")
+    with BackgroundServer(SummaryService()) as server:
+        status, answer = _exchange(server.port, row.method, path, body=json.dumps(stale))
+    assert (status, answer["error"]) == (400, "bad-request"), answer
+    assert "schema_version must be 3" in answer["detail"]
+
+
+@pytest.mark.parametrize("method", ["regenerate", "export", "verify"])
+def test_client_has_no_workers_keyword(method):
+    """The three ``ServerClient`` keywords went with the wire keys."""
+    assert "workers" not in inspect.signature(getattr(ServerClient, method)).parameters
 
 
 @pytest.mark.parametrize("key", ["pushdown", "summary_fastpath", "streaming_join"])

@@ -85,7 +85,7 @@ def stream_columns(summary: DatabaseSummary, name: str) -> dict[str, np.ndarray]
     """The reference in-memory stream a sink's output must reproduce."""
     from repro.core.pipeline import summary_relation_providers
 
-    for table_name, relation in summary_relation_providers(summary, workers=1):
+    for table_name, relation in summary_relation_providers(summary):
         if table_name == name:
             return relation.fetch_columns(summary.schema.table(name).column_names)
     raise AssertionError(f"no relation {name!r}")
