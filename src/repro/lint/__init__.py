@@ -10,14 +10,15 @@ payloads (HYD2xx), float discipline in interval arithmetic and aggregation
 exception handlers (HYD5xx).
 
 Run it as ``hydra-lint src benchmarks`` (console script), ``python -m
-repro.lint``, or through :func:`repro.lint.run_lint` from tests.  Rules are
-configured via ``[tool.hydralint]`` in pyproject.toml and suppressed inline
-with ``# hydralint: disable=HYDxxx -- justification`` (the justification is
+repro.lint``, or through :func:`repro.lint.run_lint` from tests.  There is
+no configuration file: each rule's path scope is its ``Rule.paths`` and the
+HYD402 edge table is ``rules/imports.py::LAYERING``, so the linter gives the
+same answer on every interpreter.  A finding is suppressed inline with
+``# hydralint: disable=HYDxxx -- justification`` (the justification is
 mandatory).  ``docs/STATIC_ANALYSIS.md`` catalogues every rule with the
 invariant it protects.
 """
 
-from .config import ConfigError, LintConfig, load_config
 from .framework import (
     FileContext,
     Finding,
@@ -31,16 +32,13 @@ from .framework import (
 from .runner import LintReport, lint_file, run_lint
 
 __all__ = [
-    "ConfigError",
     "FileContext",
     "Finding",
-    "LintConfig",
     "LintReport",
     "Rule",
     "all_rules",
     "build_context",
     "lint_file",
-    "load_config",
     "register",
     "registered_codes",
     "rule_for_code",

@@ -5,13 +5,10 @@ Usage::
     hydra-lint src benchmarks                 # text report, exit 1 on findings
     hydra-lint src --format json              # machine-readable report
     hydra-lint --list-rules                   # the registered rule catalogue
-    hydra-lint src --select HYD501,HYD502     # run a subset
-    hydra-lint src --ignore HYD302            # drop a rule
 
-Exit codes: ``0`` clean, ``1`` findings reported, ``2`` usage or
-configuration error.  Configuration is read from the project root's
-pyproject.toml ``[tool.hydralint]`` section (``--config`` points elsewhere,
-``--no-config`` skips it).
+Exit codes: ``0`` clean, ``1`` findings reported, ``2`` usage error.  Every
+run applies every registered rule within its own path scope; there are no
+flags or configuration files that select rules or change a scope.
 """
 
 from __future__ import annotations
@@ -22,7 +19,6 @@ import sys
 from pathlib import Path
 from typing import Sequence
 
-from .config import ConfigError, LintConfig, load_config
 from .framework import all_rules
 from .runner import find_project_root, run_lint
 
@@ -53,31 +49,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="report format (default: text)",
     )
     parser.add_argument(
-        "--select",
-        default="",
-        metavar="CODES",
-        help="comma-separated rule codes to run (default: all registered)",
-    )
-    parser.add_argument(
-        "--ignore",
-        default="",
-        metavar="CODES",
-        help="comma-separated rule codes to skip",
-    )
-    parser.add_argument(
-        "--config",
-        type=Path,
-        default=None,
-        metavar="PYPROJECT",
-        help="pyproject.toml to read [tool.hydralint] from "
-        "(default: the project root's)",
-    )
-    parser.add_argument(
-        "--no-config",
-        action="store_true",
-        help="ignore pyproject configuration entirely",
-    )
-    parser.add_argument(
         "--list-rules",
         action="store_true",
         help="print the registered rule catalogue and exit",
@@ -89,16 +60,11 @@ def _list_rules() -> str:
     """The ``--list-rules`` catalogue text."""
     lines = []
     for rule_class in all_rules():
-        scope = ", ".join(rule_class.default_paths)
+        scope = ", ".join(rule_class.paths)
         lines.append(f"{rule_class.code}  {rule_class.name}")
         lines.append(f"    {rule_class.summary}")
         lines.append(f"    scope: {scope}")
     return "\n".join(lines)
-
-
-def _codes_argument(raw: str) -> tuple[str, ...]:
-    """Split a comma-separated ``--select``/``--ignore`` value."""
-    return tuple(code.strip() for code in raw.split(",") if code.strip())
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -126,29 +92,7 @@ def _main(argv: Sequence[str] | None) -> int:
     for path in args.paths:
         if not path.exists():
             parser.error(f"path does not exist: {path}")
-    try:
-        if args.no_config:
-            config = LintConfig()
-        else:
-            pyproject = args.config if args.config is not None else root / "pyproject.toml"
-            config = load_config(pyproject)
-    except ConfigError as exc:
-        print(f"hydra-lint: configuration error: {exc}", file=sys.stderr)
-        return 2
-    select = _codes_argument(args.select)
-    ignore = _codes_argument(args.ignore)
-    if select or ignore:
-        config = LintConfig(
-            select=select or config.select,
-            ignore=tuple(set(config.ignore) | set(ignore)),
-            exclude=config.exclude,
-            rule_paths=config.rule_paths,
-            layering=config.layering,
-            config_skipped=config.config_skipped,
-        )
-    report = run_lint(args.paths, config, root=root)
-    for notice in report.notices:
-        print(notice, file=sys.stderr)
+    report = run_lint(args.paths, root=root)
     if args.format == "json":
         print(report.render_json())
     else:

@@ -249,11 +249,11 @@ class Rule:
     Subclasses set the class attributes and implement :meth:`check`; the
     registry decorator :func:`register` makes them discoverable by code.
 
-    ``default_paths`` holds :mod:`fnmatch` globs (matched against the
+    ``paths`` holds :mod:`fnmatch` globs (matched against the
     project-relative POSIX path, ``*`` crosses ``/``) restricting where the
-    rule applies; ``("*",)`` means every linted file.  A
-    ``[tool.hydralint.rule-paths]`` entry in pyproject.toml overrides the
-    default scope per rule code.
+    rule applies; ``("*",)`` means every linted file.  It is the rule's only
+    scope: widening or narrowing it is a code change, made together with
+    the rule's tests.
     """
 
     #: Stable rule code, e.g. ``"HYD101"``; never reused once released.
@@ -262,8 +262,8 @@ class Rule:
     name: ClassVar[str]
     #: One-line description shown by ``hydra-lint --list-rules``.
     summary: ClassVar[str]
-    #: Default fnmatch path scope of the rule.
-    default_paths: ClassVar[tuple[str, ...]] = ("*",)
+    #: fnmatch path scope of the rule.
+    paths: ClassVar[tuple[str, ...]] = ("*",)
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
         """Yield the rule's findings for one file (already scope-filtered)."""

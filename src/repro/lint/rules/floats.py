@@ -58,7 +58,7 @@ class FloatEqualityRule(Rule):
         "no ==/!= on float-typed expressions in interval-arithmetic modules "
         "(use math.isinf / explicit epsilon tests)"
     )
-    default_paths: ClassVar[tuple[str, ...]] = (
+    paths: ClassVar[tuple[str, ...]] = (
         "src/repro/core/regions.py",
         "src/repro/core/grid.py",
         "src/repro/sql/predicates.py",
@@ -104,7 +104,7 @@ class BareFloatSumRule(Rule):
         "no bare builtin sum() in engine aggregation paths (math.fsum keeps "
         "float accumulation block-boundary independent)"
     )
-    default_paths: ClassVar[tuple[str, ...]] = ("src/repro/executor/engine.py",)
+    paths: ClassVar[tuple[str, ...]] = ("src/repro/executor/engine.py",)
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
         """Flag builtin ``sum(...)`` calls (method ``.sum()`` is exempt)."""

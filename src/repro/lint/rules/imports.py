@@ -3,8 +3,10 @@
 The executor consumes the parallel subsystem through exactly one documented
 seam; any other ``executor``/``core`` → ``parallel`` import couples the
 layers the wrong way round and reintroduces the circular-import risk the
-seams exist to avoid.  The range's first code is retired together with the
-deprecation shim it guarded (a retired code is never reused).
+seams exist to avoid.  :data:`LAYERING` is the one table of forbidden edges;
+a new boundary is a new row there, added together with a rule test.  The
+range's first code is retired together with the deprecation shim it guarded
+(a retired code is never reused).
 """
 
 from __future__ import annotations
@@ -36,21 +38,25 @@ class LayerEdge:
         self.allowed_files = allowed_files
 
 
-#: The repository's documented layering (overridable via
-#: ``[[tool.hydralint.layering]]`` in pyproject.toml).
-DEFAULT_LAYERING: tuple[LayerEdge, ...] = (
+#: The repository's documented layering: every forbidden import edge.
+LAYERING: tuple[LayerEdge, ...] = (
+    # repro.executor may touch repro.parallel only through the documented
+    # seam in datagen.py (DataGenRelation's pool handoff).
     LayerEdge(
         from_package="repro.executor",
         to_package="repro.parallel",
         allowed_files=("src/repro/executor/datagen.py",),
     ),
+    # repro.core may never touch repro.parallel: the worker count reaches the
+    # pool as a plain argument, through DataGenRelation.
     LayerEdge(
         from_package="repro.core",
         to_package="repro.parallel",
         allowed_files=(),
     ),
-    # repro.server is the top of the stack: nothing below it may import it,
-    # through no seam at all.
+    # repro.server is the top of the stack: it may import everything below
+    # (core, executor, parallel, sinks, telemetry), but nothing below may
+    # import it, through no seam at all.
     LayerEdge(
         from_package="repro.core",
         to_package="repro.server",
@@ -120,8 +126,7 @@ class LayerBoundaryRule(Rule):
     The executor may touch ``repro.parallel`` only in
     ``executor/datagen.py`` (``DataGenRelation``'s pool handoff); the core
     never may.  Any other import of the parallel subsystem from those layers
-    is flagged; extend or override the edge table via
-    ``[[tool.hydralint.layering]]``.
+    is flagged, and so is every other edge of :data:`LAYERING`.
     """
 
     code: ClassVar[str] = "HYD402"
@@ -131,15 +136,11 @@ class LayerBoundaryRule(Rule):
         "seam (datagen.py)"
     )
 
-    #: Edge table consulted at check time; the runner replaces it with the
-    #: pyproject-configured table when one is present.
-    layering: tuple[LayerEdge, ...] = DEFAULT_LAYERING
-
     def check(self, ctx: FileContext) -> Iterator[Finding]:
         """Flag imports crossing a forbidden edge outside its seams."""
         applicable = [
             edge
-            for edge in self.layering
+            for edge in LAYERING
             if _in_package(ctx.module_name, edge.from_package)
             and ctx.rel_path not in edge.allowed_files
         ]

@@ -2,8 +2,10 @@
 
 :func:`run_lint` is the library entry point the CLI (and the test suite's
 repo-is-clean meta-test) calls: collect files, parse each into a
-:class:`~repro.lint.framework.FileContext`, run every selected rule whose
+:class:`~repro.lint.framework.FileContext`, run every registered rule whose
 path scope matches, apply suppressions, and return a :class:`LintReport`.
+There is nothing to configure: a rule's scope is its ``paths`` attribute and
+the files never linted are :data:`EXCLUDES`.
 """
 
 from __future__ import annotations
@@ -14,16 +16,7 @@ from fnmatch import fnmatch
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .config import LintConfig
-from .framework import (
-    FileContext,
-    Finding,
-    Rule,
-    all_rules,
-    build_context,
-    registered_codes,
-)
-from .rules.imports import LayerBoundaryRule
+from .framework import Finding, Rule, all_rules, build_context, registered_codes
 
 __all__ = ["LintReport", "collect_files", "find_project_root", "lint_file", "run_lint"]
 
@@ -33,6 +26,18 @@ JSON_REPORT_VERSION = 1
 #: Code reported for files that fail to parse.
 CODE_PARSE_ERROR = "HYD000"
 
+#: fnmatch patterns (against the project-relative POSIX path) never linted.
+EXCLUDES: tuple[str, ...] = (
+    "*/__pycache__/*",
+    "*/.git/*",
+    "*/.hypothesis/*",
+    "*/build/*",
+    "*/dist/*",
+    "*.egg-info*",
+    "*/.venv/*",
+    "*/examples/out*",
+)
+
 
 @dataclass
 class LintReport:
@@ -40,8 +45,6 @@ class LintReport:
 
     findings: list[Finding] = field(default_factory=list)
     files_scanned: int = 0
-    #: Non-finding diagnostics (config notices) surfaced before the report.
-    notices: list[str] = field(default_factory=list)
 
     @property
     def exit_code(self) -> int:
@@ -93,18 +96,16 @@ def find_project_root(start: Path) -> Path:
     return base
 
 
-def _is_excluded(rel_path: str, exclude: Sequence[str]) -> bool:
-    """Whether a project-relative path matches an exclude pattern."""
-    return any(fnmatch(rel_path, pattern) for pattern in exclude)
+def _matches(rel_path: str, patterns: Sequence[str]) -> bool:
+    """Whether a project-relative path matches any fnmatch pattern."""
+    return any(fnmatch(rel_path, pattern) for pattern in patterns)
 
 
-def collect_files(
-    targets: Sequence[Path], root: Path, exclude: Sequence[str]
-) -> list[tuple[Path, str]]:
+def collect_files(targets: Sequence[Path], root: Path) -> list[tuple[Path, str]]:
     """Expand targets into ``(absolute_path, rel_path)`` pairs, sorted.
 
     Directories are walked recursively for ``*.py``; explicit file targets
-    are taken as-is (still subject to ``exclude``).  Paths outside ``root``
+    are taken as-is (still subject to :data:`EXCLUDES`).  Paths outside ``root``
     keep their absolute form as the report path.
     """
     collected: dict[str, Path] = {}
@@ -120,42 +121,20 @@ def collect_files(
                 rel = candidate.relative_to(root).as_posix()
             except ValueError:
                 rel = candidate.as_posix()
-            if not _is_excluded(rel, exclude):
+            if not _matches(rel, EXCLUDES):
                 collected[rel] = candidate
     return [(collected[rel], rel) for rel in sorted(collected)]
-
-
-def _selected_rules(config: LintConfig) -> list[Rule]:
-    """Instantiate the registered rules the config selects."""
-    instances: list[Rule] = []
-    for rule_class in all_rules():
-        code = rule_class.code
-        if config.select and code not in config.select:
-            continue
-        if code in config.ignore:
-            continue
-        rule = rule_class()
-        if isinstance(rule, LayerBoundaryRule):
-            rule.layering = config.layering
-        instances.append(rule)
-    return instances
-
-
-def _rule_applies(rule: Rule, rel_path: str, config: LintConfig) -> bool:
-    """Whether the rule's (possibly overridden) path scope matches the file."""
-    patterns = config.rule_paths.get(rule.code, rule.default_paths)
-    return any(fnmatch(rel_path, pattern) for pattern in patterns)
 
 
 def lint_file(
     path: Path,
     rel_path: str,
-    config: LintConfig,
     rules: Sequence[Rule] | None = None,
     source: str | None = None,
 ) -> list[Finding]:
     """Lint one file and return its (suppression-filtered, sorted) findings."""
-    active_rules = list(rules) if rules is not None else _selected_rules(config)
+    if rules is None:
+        rules = [rule_class() for rule_class in all_rules()]
     text = source if source is not None else path.read_text(encoding="utf-8")
     try:
         ctx = build_context(path, text, rel_path, known_codes=registered_codes())
@@ -171,8 +150,8 @@ def lint_file(
             )
         ]
     findings: list[Finding] = list(ctx.suppressions.errors)
-    for rule in active_rules:
-        if not _rule_applies(rule, rel_path, config):
+    for rule in rules:
+        if not _matches(rel_path, rule.paths):
             continue
         for finding in rule.check(ctx):
             if not ctx.suppressions.is_suppressed(finding):
@@ -180,24 +159,15 @@ def lint_file(
     return sorted(findings)
 
 
-def run_lint(
-    targets: Sequence[Path],
-    config: LintConfig,
-    root: Path | None = None,
-) -> LintReport:
+def run_lint(targets: Sequence[Path], root: Path | None = None) -> LintReport:
     """Lint every Python file under the targets and return the report."""
     if root is None:
         anchor = targets[0] if targets else Path.cwd()
         root = find_project_root(anchor.resolve())
     report = LintReport()
-    if config.config_skipped:
-        report.notices.append(
-            "notice: pyproject [tool.hydralint] skipped (no TOML parser on "
-            "this interpreter; Python >= 3.11 reads it)"
-        )
-    rules = _selected_rules(config)
-    for path, rel_path in collect_files(targets, root, config.exclude):
+    rules = [rule_class() for rule_class in all_rules()]
+    for path, rel_path in collect_files(targets, root):
         report.files_scanned += 1
-        report.findings.extend(lint_file(path, rel_path, config, rules=rules))
+        report.findings.extend(lint_file(path, rel_path, rules=rules))
     report.findings.sort()
     return report

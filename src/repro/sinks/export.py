@@ -128,7 +128,7 @@ def export_summary(
                 with span("export.relation", relation=table_name) as relation_span:
                     # Sanctioned wall-clock read (rows/s gauge): timings feed
                     # telemetry only, never the manifest or its checksums —
-                    # see the HYD102 rule-paths note in pyproject.toml.
+                    # see WallClockRule.paths in repro/lint/rules/determinism.py.
                     started = time.perf_counter()
                     rows = 0
                     sink.open_relation(summary.schema.table(table_name))

@@ -5,8 +5,8 @@ The package is a *leaf* dependency (it imports nothing from the rest of
 context that ties them together:
 
 * :mod:`repro.telemetry.spans` — a nested-span tracer with thread- and
-  process-safe span identifiers and exporters for JSONL and the Chrome
-  trace-event format (loadable in ``chrome://tracing`` / Perfetto);
+  process-safe span identifiers and an exporter for the Chrome trace-event
+  format (loadable in ``chrome://tracing`` / Perfetto);
 * :mod:`repro.telemetry.metrics` — a thread-safe registry of named
   counters, gauges and bucketed histograms with snapshot/merge semantics
   (worker processes ship snapshots back for parent-side aggregation);
@@ -34,7 +34,7 @@ from .session import (
     span,
     telemetry_session,
 )
-from .spans import Span, Tracer, read_jsonl_trace
+from .spans import Span, Tracer
 
 __all__ = [
     "MetricsRegistry",
@@ -47,7 +47,6 @@ __all__ = [
     "is_active",
     "merge_snapshots",
     "observe",
-    "read_jsonl_trace",
     "set_gauge",
     "span",
     "telemetry_session",

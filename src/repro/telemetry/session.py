@@ -81,10 +81,6 @@ class TelemetrySession:
         """Write the Chrome trace-event file (metrics snapshot embedded)."""
         self.tracer.write_chrome_trace(path, metrics=self.metrics.snapshot())
 
-    def write_trace_jsonl(self, path: str | Path) -> None:
-        """Write the JSONL span export (one span per line)."""
-        self.tracer.write_jsonl(path)
-
     def write_metrics(self, path: str | Path) -> None:
         """Write the metrics snapshot as pretty-printed JSON."""
         self.metrics.write_json(path)

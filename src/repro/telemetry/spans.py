@@ -1,4 +1,4 @@
-"""Nested-span tracer with JSONL and Chrome trace-event exporters.
+"""Nested-span tracer with a Chrome trace-event exporter.
 
 A :class:`Tracer` records a tree of timed spans.  Span identifiers are
 unique within a process (a lock-protected counter) and made unique *across*
@@ -14,14 +14,12 @@ caller observed (typically the parent-side start of the pool span), so a
 merged trace is causally ordered even though worker clocks are never
 synchronized (documented skew, not corrected skew).
 
-Two export formats are supported:
-
-* **JSONL** — one JSON object per span per line, schema-stable for other
-  tooling (see ``read_jsonl_trace`` for the round-trip reader);
-* **Chrome trace-event JSON** — an object with a ``traceEvents`` array of
-  complete (``"ph": "X"``) events, loadable in ``chrome://tracing`` and
-  Perfetto.  Extra top-level keys are permitted by the format and used to
-  embed the metrics snapshot so one file feeds ``hydra-trace`` entirely.
+The one file format is **Chrome trace-event JSON**: an object with a
+``traceEvents`` array of complete (``"ph": "X"``) events, loadable in
+``chrome://tracing`` and Perfetto.  Extra top-level keys are permitted by the
+format and used to embed the metrics snapshot so one file feeds
+``hydra-trace`` entirely.  :meth:`Span.to_dict` / :meth:`Span.from_dict` are
+the in-memory transport of worker span buffers, not a file format.
 """
 
 from __future__ import annotations
@@ -36,7 +34,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
-__all__ = ["Span", "Tracer", "read_jsonl_trace"]
+__all__ = ["Span", "Tracer"]
 
 
 @dataclass
@@ -62,7 +60,7 @@ class Span:
         self.attributes.update(attributes)
 
     def to_dict(self) -> dict[str, Any]:
-        """Return the stable JSONL-schema dict for this span."""
+        """Return the stable transport dict for this span (worker buffers)."""
         return {
             "name": self.name,
             "span_id": self.span_id,
@@ -169,9 +167,9 @@ class Tracer:
     def export_buffer(self) -> list[dict[str, Any]]:
         """Drain finished spans into a picklable buffer (for workers).
 
-        The returned dicts use the JSONL schema; span IDs are only unique
-        within this tracer and must be rebased by the receiving side via
-        :meth:`merge_remote`.
+        The returned dicts are :meth:`Span.to_dict` payloads; span IDs are
+        only unique within this tracer and must be rebased by the receiving
+        side via :meth:`merge_remote`.
         """
         with self._lock:
             drained = self._finished
@@ -213,15 +211,7 @@ class Tracer:
         with self._lock:
             self._finished.extend(merged)
 
-    # -- exporters ---------------------------------------------------------
-
-    def write_jsonl(self, path: str | Path) -> None:
-        """Write all finished spans as JSON Lines (one span per line)."""
-        spans = self.finished_spans()
-        with open(path, "w", encoding="utf-8") as handle:
-            for record in spans:
-                handle.write(json.dumps(record.to_dict(), sort_keys=True, default=str))
-                handle.write("\n")
+    # -- exporter ----------------------------------------------------------
 
     def chrome_trace_events(self) -> list[dict[str, Any]]:
         """Return the spans as Chrome trace-event ``"X"`` (complete) events.
@@ -268,14 +258,3 @@ class Tracer:
         with open(path, "w", encoding="utf-8") as handle:
             json.dump(document, handle, sort_keys=True, default=str)
             handle.write("\n")
-
-
-def read_jsonl_trace(path: str | Path) -> list[Span]:
-    """Read a JSONL trace file back into :class:`Span` records."""
-    spans: list[Span] = []
-    with open(path, encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if line:
-                spans.append(Span.from_dict(json.loads(line)))
-    return spans

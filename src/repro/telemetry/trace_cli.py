@@ -1,8 +1,8 @@
 """``hydra-trace`` — summarize a trace file written by ``--trace``.
 
-Accepts either trace format the tracer writes: the Chrome trace-event
-object (``traceEvents`` array, optionally with the embedded
-``reproMetrics`` snapshot) or the JSONL span export.  Prints:
+Reads the one trace format the tracer writes: the Chrome trace-event object
+(``traceEvents`` array, optionally with the embedded ``reproMetrics``
+snapshot).  Prints:
 
 * the top spans aggregated by name, ordered by **self-time** (duration
   minus the duration of direct children — the time actually spent in the
@@ -13,7 +13,8 @@ object (``traceEvents`` array, optionally with the embedded
 * any remaining counters, so ad-hoc instrumentation shows up without a
   schema change.
 
-Exit status is non-zero when the file cannot be parsed as either format.
+Exit status is 1, with a one-line ``cannot read`` message, when the file is
+not such an object.
 """
 
 from __future__ import annotations
@@ -29,44 +30,39 @@ __all__ = ["main", "summarize_trace"]
 
 
 def _load_document(path: Path) -> tuple[list[dict[str, Any]], dict[str, Any]]:
-    """Return ``(span_dicts, metrics_snapshot)`` from either trace format.
+    """Return ``(span_dicts, metrics_snapshot)`` from a Chrome trace file.
 
-    Span dicts are normalized to the JSONL schema (``name``/``span_id``/
-    ``parent_id``/``start``/``duration`` in seconds).
+    Span dicts carry ``name``/``span_id``/``parent_id``/``start``/``duration``
+    (seconds).  Raises :class:`ValueError` unless the file is a JSON object
+    whose ``traceEvents`` is a list of event objects.
     """
-    text = path.read_text(encoding="utf-8")
-    # Both formats start with "{": the Chrome file is one JSON object with a
-    # ``traceEvents`` key, JSONL is one object per line (which only parses
-    # as a whole when the trace has a single span).  Try the object first.
-    document: Any = None
-    try:
-        document = json.loads(text)
-    except json.JSONDecodeError:
-        document = None
-    if isinstance(document, dict) and "traceEvents" in document:
-        spans: list[dict[str, Any]] = []
-        for event in document.get("traceEvents", []):
-            if event.get("ph") != "X":
-                continue
-            args = event.get("args", {})
-            spans.append(
-                {
-                    "name": event.get("name", "?"),
-                    "span_id": args.get("span_id"),
-                    "parent_id": args.get("parent_id"),
-                    "start": float(event.get("ts", 0.0)) / 1_000_000.0,
-                    "duration": float(event.get("dur", 0.0)) / 1_000_000.0,
-                    "attributes": {
-                        key: value
-                        for key, value in args.items()
-                        if key not in ("span_id", "parent_id")
-                    },
-                }
-            )
-        metrics = document.get("reproMetrics", {})
-        return spans, metrics if isinstance(metrics, dict) else {}
-    spans = [json.loads(line) for line in text.splitlines() if line.strip()]
-    return spans, {}
+    document: Any = json.loads(path.read_text(encoding="utf-8"))
+    events = document.get("traceEvents") if isinstance(document, dict) else None
+    if not isinstance(events, list) or not all(
+        isinstance(event, dict) and isinstance(event.get("args", {}), dict) for event in events
+    ):
+        raise ValueError("not a Chrome trace: expected an object with a 'traceEvents' list")
+    spans: list[dict[str, Any]] = []
+    for event in events:
+        if event.get("ph") != "X":
+            continue
+        args = event.get("args", {})
+        spans.append(
+            {
+                "name": event.get("name", "?"),
+                "span_id": args.get("span_id"),
+                "parent_id": args.get("parent_id"),
+                "start": float(event.get("ts", 0.0)) / 1_000_000.0,
+                "duration": float(event.get("dur", 0.0)) / 1_000_000.0,
+                "attributes": {
+                    key: value
+                    for key, value in args.items()
+                    if key not in ("span_id", "parent_id")
+                },
+            }
+        )
+    metrics = document.get("reproMetrics", {})
+    return spans, metrics if isinstance(metrics, dict) else {}
 
 
 def _aggregate_spans(spans: Sequence[Mapping[str, Any]]) -> list[dict[str, Any]]:
@@ -140,9 +136,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     """Entry point for the ``hydra-trace`` console script."""
     parser = argparse.ArgumentParser(
         prog="hydra-trace",
-        description="Summarize a trace file written by --trace (Chrome or JSONL format).",
+        description="Summarize a trace file written by --trace (Chrome trace-event format).",
     )
-    parser.add_argument("trace", type=Path, help="trace file (Chrome trace-event JSON or JSONL)")
+    parser.add_argument("trace", type=Path, help="trace file (Chrome trace-event JSON)")
     parser.add_argument(
         "--top", type=int, default=15, help="number of span rows to show (default: 15)"
     )

@@ -13,13 +13,13 @@ from pathlib import Path
 
 import pytest
 
-from repro.lint.config import LintConfig, load_config
 from repro.lint.framework import (
     Finding,
     build_context,
     registered_codes,
     rule_for_code,
 )
+from repro.lint.rules.imports import LAYERING
 from repro.lint.runner import lint_file, run_lint
 
 #: The released rule catalogue.  Hard-coded on purpose: a deleted or
@@ -60,7 +60,7 @@ class TestRegistry:
             assert rule_class.code == code
             assert rule_class.name
             assert rule_class.summary
-            assert rule_class.default_paths
+            assert rule_class.paths
 
 
 class TestHYD101UnseededRng:
@@ -157,8 +157,16 @@ class TestHYD102WallClock:
 
     def test_scope_is_fingerprint_modules(self):
         rule = rule_for_code("HYD102")
-        assert "src/repro/serialization.py" in rule.default_paths
-        assert "src/repro/sinks/manifest.py" in rule.default_paths
+        assert "src/repro/serialization.py" in rule.paths
+        assert "src/repro/sinks/manifest.py" in rule.paths
+
+    def test_export_driver_clock_reads_are_out_of_scope(self, tmp_path):
+        """The export driver's rows/s timing is not a checksum input; manifests are."""
+        path = tmp_path / "fixture.py"
+        path.write_text("import time\nstarted = time.perf_counter()\n")
+        assert lint_file(path, "src/repro/sinks/export.py") == []
+        findings = lint_file(path, "src/repro/sinks/manifest.py")
+        assert [f.code for f in findings] == ["HYD102"]
 
 
 class TestHYD103SetIteration:
@@ -392,6 +400,20 @@ class TestHYD402LayerBoundary:
         )
         assert findings == []
 
+    def test_layering_is_the_released_edge_table(self):
+        """Every forbidden edge with its seams; a new boundary extends this list."""
+        below_server = ["repro.core", "repro.executor", "repro.parallel", "repro.sinks"]
+        below_fuzz = ["repro.core", "repro.executor", "repro.server", "repro.workload"]
+        expected = [
+            ("repro.executor", "repro.parallel", ("src/repro/executor/datagen.py",)),
+            ("repro.core", "repro.parallel", ()),
+            *[(layer, "repro.server", ()) for layer in [*below_server, "repro.telemetry"]],
+            *[(layer, "repro.fuzz", ()) for layer in below_fuzz],
+            ("repro.server", "asyncio", ()),
+        ]
+        actual = [(e.from_package, e.to_package, e.allowed_files) for e in LAYERING]
+        assert actual == expected
+
     @pytest.mark.parametrize(
         "source", ["import asyncio\n", "from asyncio import Queue\n", "import asyncio.events\n"]
     )
@@ -483,7 +505,7 @@ class TestSuppressionsEndToEnd:
             "import random\n"
             "x = random.random()  # hydralint: disable=HYD101 -- fixture exercises it\n"
         )
-        findings = lint_file(path, "fixture.py", LintConfig())
+        findings = lint_file(path, "fixture.py")
         assert findings == []
 
     def test_unjustified_suppression_reports_and_still_flags(self, tmp_path):
@@ -491,7 +513,7 @@ class TestSuppressionsEndToEnd:
         path.write_text(
             "import random\nx = random.random()  # hydralint: disable=HYD101\n"
         )
-        findings = lint_file(path, "fixture.py", LintConfig())
+        findings = lint_file(path, "fixture.py")
         assert sorted(f.code for f in findings) == ["HYD001", "HYD101"]
 
     def test_standalone_justified_block_suppresses_next_statement(self, tmp_path):
@@ -504,7 +526,7 @@ class TestSuppressionsEndToEnd:
             "except Exception:\n"
             "    pass\n"
         )
-        findings = lint_file(path, "fixture.py", LintConfig())
+        findings = lint_file(path, "fixture.py")
         assert findings == []
 
 
@@ -512,10 +534,7 @@ class TestRepositoryIsClean:
     """The meta-test: the repository must satisfy its own invariant checker."""
 
     def test_src_and_benchmarks_are_hydralint_clean(self):
-        config = load_config(REPO_ROOT / "pyproject.toml")
-        report = run_lint(
-            [REPO_ROOT / "src", REPO_ROOT / "benchmarks"], config, root=REPO_ROOT
-        )
+        report = run_lint([REPO_ROOT / "src", REPO_ROOT / "benchmarks"], root=REPO_ROOT)
         assert report.findings == [], report.render_text()
         assert report.files_scanned > 80
 

@@ -45,7 +45,6 @@ from repro.telemetry import (
     is_active,
     merge_snapshots,
     observe,
-    read_jsonl_trace,
     set_gauge,
     span,
     telemetry_session,
@@ -156,18 +155,6 @@ class TestTracer:
 
 
 class TestTraceExports:
-    def test_jsonl_round_trip(self, tmp_path):
-        tracer = Tracer()
-        with tracer.span("outer", kind="demo"):
-            with tracer.span("inner"):
-                pass
-        path = tmp_path / "trace.jsonl"
-        tracer.write_jsonl(path)
-        restored = read_jsonl_trace(path)
-        assert [record.to_dict() for record in restored] == [
-            record.to_dict() for record in tracer.finished_spans()
-        ]
-
     def test_chrome_trace_schema(self, tmp_path):
         tracer = Tracer()
         with tracer.span("outer") as outer:
@@ -575,13 +562,11 @@ class TestTraceCLI:
             add_counter("engine.fallback.aggregate.fastpath-disabled", 1.0)
             add_counter("solver.lp_solves", 2.0)
         chrome = tmp_path / "trace.json"
-        jsonl = tmp_path / "trace.jsonl"
         session.write_trace(chrome)
-        session.write_trace_jsonl(jsonl)
-        return chrome, jsonl
+        return chrome
 
     def test_summarises_chrome_trace(self, tmp_path, capsys):
-        chrome, _jsonl = self._write_session(tmp_path)
+        chrome = self._write_session(tmp_path)
         assert trace_cli_main([str(chrome)]) == 0
         out = capsys.readouterr().out
         assert "hydra.build_summary" in out
@@ -590,17 +575,19 @@ class TestTraceCLI:
         assert "fastpath-disabled" in out
         assert "solver.lp_solves" in out
 
-    def test_summarises_jsonl_trace(self, tmp_path, capsys):
-        _chrome, jsonl = self._write_session(tmp_path)
-        assert trace_cli_main([str(jsonl)]) == 0
-        out = capsys.readouterr().out
-        assert "hydra.build_summary" in out
-
-    def test_rejects_unparseable_file(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "text",
+        ["not a trace", '{"counters": {"x": 1}}', "[1, 2]", '{"traceEvents": [1]}'],
+        ids=["not-json", "no-trace-events", "top-level-list", "non-object-event"],
+    )
+    def test_rejects_unparseable_file(self, tmp_path, capsys, text):
         bad = tmp_path / "bad.json"
-        bad.write_text("not a trace")
+        bad.write_text(text)
         assert trace_cli_main([str(bad)]) == 1
-        assert "cannot read" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"hydra-trace: cannot read {bad}: ")
+        assert "Traceback" not in captured.err
 
 
 class TestCLITelemetryFlags:
