@@ -49,7 +49,7 @@ def main() -> int:
 
     # Direct serial engine run: the correctness baseline.
     direct_db = hydra.regenerate(summary)
-    engine = ExecutionEngine(database=direct_db, annotate=True)
+    engine = ExecutionEngine(database=direct_db)
     plan = build_plan(parse_query(QUERY, direct_db.schema), direct_db.schema)
     direct = engine.execute(plan)
     expected = external_result_columns(direct_db, direct.columns)

@@ -30,7 +30,7 @@ from .catalog import (
     Table,
     collect_metadata,
 )
-from .client import AQPExtractor, Anonymizer, InformationPackage, extract_aqps
+from .client import AQPExtractor, Anonymizer, InformationPackage
 from .core import (
     DatabaseSummary,
     Hydra,
@@ -171,7 +171,6 @@ __all__ = [
     "check_feasibility",
     "collect_metadata",
     "export_summary",
-    "extract_aqps",
     "generate_toy_database",
     "generate_tpcds_database",
     "generate_tpch_database",

@@ -32,14 +32,6 @@ class DatabaseMetadata:
             return self.statistics[table].row_count
         raise KeyError(f"no statistics recorded for table {table!r}")
 
-    def table_statistics(self, table: str) -> TableStatistics:
-        if table not in self.statistics:
-            raise KeyError(f"no statistics recorded for table {table!r}")
-        return self.statistics[table]
-
-    def column_statistics(self, table: str, column: str) -> ColumnStatistics:
-        return self.table_statistics(table).column(column)
-
     # -- serialisation ---------------------------------------------------
 
     def to_dict(self) -> dict[str, Any]:

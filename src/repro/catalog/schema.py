@@ -128,15 +128,6 @@ class Table:
         """
         return [column for column in self.columns if column.name != self.primary_key]
 
-    def non_key_columns(self) -> list[Column]:
-        """Columns that are neither the primary key nor foreign keys."""
-        fk_columns = self.foreign_key_columns
-        return [
-            column
-            for column in self.columns
-            if column.name != self.primary_key and column.name not in fk_columns
-        ]
-
     # -- serialisation ---------------------------------------------------
 
     def to_dict(self) -> dict[str, Any]:
@@ -173,12 +164,6 @@ class Schema:
     @classmethod
     def from_tables(cls, tables: Iterable[Table]) -> "Schema":
         return cls(tables={table.name: table for table in tables})
-
-    def add_table(self, table: Table) -> None:
-        if table.name in self.tables:
-            raise SchemaError(f"table {table.name!r} already exists")
-        self.tables[table.name] = table
-        self._validate_references()
 
     def _validate_references(self) -> None:
         for table in self.tables.values():

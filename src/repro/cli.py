@@ -2,10 +2,9 @@
 
 One console script, ``hydra``, fronts every tool as a subcommand:
 
-* ``hydra generate`` — create a synthetic client environment (database +
-  workload) and write the client-site information package to a JSON file;
-* ``hydra client`` — the client step on its own: given a built-in dataset
-  name, profile metadata, extract AQPs and (optionally) anonymise;
+* ``hydra client`` — the client step: generate a built-in synthetic client
+  environment (database + workload), profile its metadata, extract AQPs,
+  optionally anonymise, and write the information package to a JSON file;
 * ``hydra vendor`` — the vendor step: read an information package, build the
   regeneration summary, print the build report and save the summary.  With
   ``--materialize`` plus ``--format {csv,sqlite,parquet} --out DIR`` the
@@ -68,7 +67,6 @@ from .workload.tpch import TPCHConfig, generate_tpch_database
 __all__ = [
     "SUBCOMMANDS",
     "client_main",
-    "generate_main",
     "main",
     "resolve_subcommand",
     "vendor_main",
@@ -155,26 +153,6 @@ def _build_package(dataset: str, scale: float, seed: int, queries: int) -> Infor
     return InformationPackage(metadata=metadata, aqps=aqps, client_name=dataset)
 
 
-def generate_main(argv: Sequence[str] | None = None) -> int:
-    """Generate a synthetic client environment and write its package."""
-    parser = argparse.ArgumentParser(
-        prog="hydra generate",
-        description="Generate a synthetic client information package.",
-    )
-    parser.add_argument("--dataset", default="tpcds", choices=["tpcds", "tpch", "toy"])
-    parser.add_argument("--scale", type=float, default=0.2, help="data scale factor")
-    parser.add_argument("--queries", type=int, default=30, help="number of workload queries")
-    parser.add_argument("--seed", type=int, default=2018)
-    parser.add_argument("--output", type=Path, default=Path("package.json"))
-    args = parser.parse_args(argv)
-
-    package = _build_package(args.dataset, args.scale, args.seed, args.queries)
-    package.save(args.output)
-    print(package.describe())
-    print(f"wrote {args.output}")
-    return 0
-
-
 def client_main(argv: Sequence[str] | None = None) -> int:
     """Client site: profile, extract AQPs and optionally anonymise."""
     parser = argparse.ArgumentParser(
@@ -182,8 +160,8 @@ def client_main(argv: Sequence[str] | None = None) -> int:
         description="Build (and optionally anonymise) the client information package.",
     )
     parser.add_argument("--dataset", default="tpcds", choices=["tpcds", "tpch", "toy"])
-    parser.add_argument("--scale", type=float, default=0.2)
-    parser.add_argument("--queries", type=int, default=30)
+    parser.add_argument("--scale", type=float, default=0.2, help="data scale factor")
+    parser.add_argument("--queries", type=int, default=30, help="number of workload queries")
     parser.add_argument("--seed", type=int, default=2018)
     parser.add_argument("--anonymize", action="store_true")
     parser.add_argument("--output", type=Path, default=Path("package.json"))
@@ -298,14 +276,6 @@ def _vendor_run(
             previous = DatabaseSummary.load(args.extend_from)
         except HydraError as exc:
             raise SystemExit(str(exc))
-        for key in ("mode", "alignment"):
-            recorded = previous.build_info.get(key)
-            requested = getattr(args, key)
-            if recorded is not None and recorded != requested:
-                raise SystemExit(
-                    f"--extend-from summary was built with {key}={recorded!r}, "
-                    f"which does not match the requested {key}={requested!r}"
-                )
         # The package must describe the same database the summary was built
         # for — a fingerprint pin when the delta carries one, and always at
         # least the schema (catches a wrong client's package up front instead
@@ -485,11 +455,10 @@ def _verify_run(parser: argparse.ArgumentParser, args: argparse.Namespace) -> in
 
 
 #: The ``hydra`` subcommand table: name -> (module, entry-point attribute).
-#: Modules are imported lazily so ``hydra generate`` never pays for the
+#: Modules are imported lazily so ``hydra client`` never pays for the
 #: server or lint stacks; the unit tests assert this table and the argparse
 #: choices stay in sync, so a new subcommand cannot be forgotten here.
 SUBCOMMANDS: dict[str, tuple[str, str]] = {
-    "generate": ("repro.cli", "generate_main"),
     "client": ("repro.cli", "client_main"),
     "vendor": ("repro.cli", "vendor_main"),
     "verify": ("repro.cli", "verify_main"),
@@ -512,7 +481,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     """The unified ``hydra`` dispatcher (``hydra <command> ...``).
 
     One console script fronts every tool: ``hydra
-    generate|client|vendor|verify|serve|trace|lint|fuzz``; ``hydra-trace``
+    client|vendor|verify|serve|trace|lint|fuzz``; ``hydra-trace``
     and ``hydra-lint`` stay first-class spellings of ``hydra trace`` /
     ``hydra lint``.
     """

@@ -1,7 +1,7 @@
 """Client site: AQP extraction, anonymisation and the information package."""
 
 from .anonymizer import AnonymizationMap, Anonymizer
-from .extractor import AQPExtractor, extract_aqps
+from .extractor import AQPExtractor
 from .package import InformationPackage
 
 __all__ = [
@@ -9,5 +9,4 @@ __all__ = [
     "AnonymizationMap",
     "Anonymizer",
     "InformationPackage",
-    "extract_aqps",
 ]

@@ -40,15 +40,6 @@ class AnonymizationMap:
     tables: dict[str, str] = field(default_factory=dict)          # real -> pseudonym
     columns: dict[tuple[str, str], str] = field(default_factory=dict)
 
-    def table_pseudonym(self, table: str) -> str:
-        return self.tables.get(table, table)
-
-    def column_pseudonym(self, table: str, column: str) -> str:
-        return self.columns.get((table, column), column)
-
-    def reverse_tables(self) -> dict[str, str]:
-        return {pseudonym: real for real, pseudonym in self.tables.items()}
-
 
 @dataclass
 class Anonymizer:

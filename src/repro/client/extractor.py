@@ -10,7 +10,7 @@ cardinalities become the plan annotations.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from ..catalog.metadata import DatabaseMetadata, collect_metadata
 from ..executor.engine import ExecutionEngine
@@ -20,7 +20,7 @@ from ..sql.parser import parse_query
 from ..sql.query import Query
 from ..storage.database import Database
 
-__all__ = ["AQPExtractor", "extract_aqps"]
+__all__ = ["AQPExtractor"]
 
 
 @dataclass
@@ -31,7 +31,7 @@ class AQPExtractor:
     _engine: ExecutionEngine = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        self._engine = ExecutionEngine(database=self.database, annotate=True)
+        self._engine = ExecutionEngine(database=self.database)
 
     def extract(self, query: Query) -> AnnotatedQueryPlan:
         """Plan, execute and annotate one query."""
@@ -50,11 +50,3 @@ class AQPExtractor:
     def profile_metadata(self) -> DatabaseMetadata:
         """Collect CODD-style metadata for the client database."""
         return collect_metadata(self.database)
-
-
-def extract_aqps(
-    database: Database, queries: Sequence[Query]
-) -> tuple[DatabaseMetadata, list[AnnotatedQueryPlan]]:
-    """One-call client-site pipeline: metadata profiling plus AQP extraction."""
-    extractor = AQPExtractor(database=database)
-    return extractor.profile_metadata(), extractor.extract_workload(queries)

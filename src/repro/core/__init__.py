@@ -21,7 +21,7 @@ from .lp import LPProblem, build_lp
 from .pipeline import Hydra, HydraBuildResult, RelationBuildInfo, SummaryBuildReport
 from .preprocessor import WorkloadConstraints, decompose_plan, decompose_workload
 from .refint import ReferentialReport, enforce_referential_integrity
-from .regions import Region, RegionPartitioner, box_difference, box_is_empty
+from .regions import Region, RegionPartitioner, box_is_empty
 from .sampling import SamplingAligner
 from .scenario import (
     FeasibilityReport,
@@ -69,7 +69,6 @@ __all__ = [
     "SymbolicPredicate",
     "TupleGenerator",
     "WorkloadConstraints",
-    "box_difference",
     "box_is_empty",
     "build_lp",
     "build_scenario",

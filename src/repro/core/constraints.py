@@ -98,12 +98,6 @@ class SymbolicPredicate:
                 merged_refs[column] = referenced
         return SymbolicPredicate.make(box=merged_box, references=merged_refs)
 
-    def with_reference(self, column: str, referenced: ReferencedPredicate) -> "SymbolicPredicate":
-        return self.conjoin(SymbolicPredicate.make(references={column: referenced}))
-
-    def with_box(self, box: BoxCondition) -> "SymbolicPredicate":
-        return self.conjoin(SymbolicPredicate.make(box=box))
-
     # -- serialisation ---------------------------------------------------
 
     def to_dict(self) -> dict[str, Any]:
@@ -205,10 +199,3 @@ class RelationConstraints:
             seen.add(key)
             unique.append(constraint)
         return unique
-
-    def conflicting_predicates(self) -> list[SymbolicPredicate]:
-        """Predicates that appear with more than one distinct cardinality."""
-        by_predicate: dict[SymbolicPredicate, set[int]] = {}
-        for constraint in self.constraints:
-            by_predicate.setdefault(constraint.predicate, set()).add(constraint.cardinality)
-        return [predicate for predicate, counts in by_predicate.items() if len(counts) > 1]

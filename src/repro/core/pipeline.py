@@ -86,15 +86,9 @@ class RelationBuildInfo:
     solve_seconds: float
     status: str
     max_relative_error: float
-    fallback_to_soft: bool = False
+    soft_fallback: bool = False
     reused: bool = False
     warm_start: bool = False
-
-    def variable_reduction_factor(self) -> float | None:
-        """How many times fewer variables than the grid baseline."""
-        if self.grid_variables is None or self.num_regions == 0:
-            return None
-        return self.grid_variables / self.num_regions
 
 
 @dataclass
@@ -266,35 +260,29 @@ class Hydra:
     metadata:
         CODD-style metadata (schema + statistics) received from the client.
     mode:
-        ``"exact"`` raises on infeasible constraint sets, ``"soft"`` minimises
-        the L1 violation instead.  With ``fallback_to_soft`` (default) an
-        exact-mode infeasibility automatically falls back to the soft solve
-        for that relation, which mirrors HYDRA absorbing small
-        inconsistencies rather than failing the whole build.
+        ``"exact"`` solves each relation's LP exactly and, for relations
+        referenced through foreign keys, picks the feasible solution closest
+        (L1) to per-region estimates derived from the client statistics —
+        this keeps predicate overlaps of referenced relations populated,
+        which preserves the feasibility of the referencing relations'
+        constraints.  An infeasible relation falls back to the soft solve,
+        which mirrors HYDRA absorbing small inconsistencies rather than
+        failing the whole build.  ``"soft"`` minimises the L1 violation
+        throughout (what injected what-if scenarios need, paper §4.4).
     alignment:
         ``"deterministic"`` (the paper's strategy) or ``"sampling"`` (the
         DataSynth-style baseline used by the ablation experiment).
-    compute_grid_baseline:
-        Also compute the grid-partitioning variable count per relation (cheap,
-        used by the LP-complexity experiment).
-    guided_solutions:
-        In exact mode, pick — for relations that are referenced through
-        foreign keys — the feasible LP solution closest (L1) to per-region
-        estimates derived from the client statistics.  This keeps predicate
-        overlaps of referenced relations populated, which preserves the
-        feasibility of the referencing relations' constraints; disabling it
-        reverts to an arbitrary vertex solution (useful for ablations).
+
+    Every relation is built for the row count ``metadata`` reports (a scaled
+    scenario scales the metadata, :func:`~repro.core.scenario.scale_metadata`),
+    partitioned within :class:`~repro.core.regions.RegionPartitioner`'s
+    region budget, and its grid-baseline variable count (experiment E3) is
+    recorded alongside.
     """
 
     metadata: DatabaseMetadata
     mode: SolveMode = "exact"
     alignment: AlignmentStrategy = "deterministic"
-    fallback_to_soft: bool = True
-    compute_grid_baseline: bool = True
-    guided_solutions: bool = True
-    max_regions: int = 200_000
-    sampling_seed: int = 0
-    row_count_overrides: dict[str, int] = field(default_factory=dict)
 
     # -- public API --------------------------------------------------------
 
@@ -341,7 +329,11 @@ class Hydra:
 
         ``result`` must come from :meth:`build_summary`,
         :meth:`extend_summary` or :meth:`restore_result` of a Hydra with the
-        same configuration (mode, alignment, row-count overrides).
+        same alignment; a summary built with another one raises
+        :class:`HydraError` instead of being spliced into a summary aligned
+        two ways.  The mode may differ:
+        :func:`~repro.core.scenario.check_delta_feasibility` extends an
+        exact build in soft mode on purpose, to probe a delta.
         """
         with span("hydra.extend_summary"):
             if not result.supports_extension:
@@ -349,6 +341,7 @@ class Hydra:
                     "build result carries no extension state; use build_summary, "
                     "or restore_result on a summary saved with extension state"
                 )
+            self._check_built_with(result.summary, ("alignment",))
             # Deduplicate replayed AQPs by content: a delta batch that is
             # retried (or a full package replayed against its own summary)
             # must not grow the stored workload — otherwise the persisted
@@ -382,9 +375,10 @@ class Hydra:
         alone: ``ground`` takes the persisted boxes instead of grounding
         predicates, ``partition`` and ``align`` run exactly as in a live
         build, and the persisted counts stand in for ``formulate`` /
-        ``solve``.  The Hydra configuration must match the one that produced
-        the summary.
+        ``solve``.  A summary whose ``build_info`` records another mode or
+        alignment than this Hydra's raises :class:`HydraError`.
         """
+        self._check_built_with(summary, ("mode", "alignment"))
         schema = self.metadata.schema
         aqps, persisted = _parse_extension_state(summary.extension_state, schema)
         workload = decompose_workload(aqps, self.metadata)
@@ -395,7 +389,7 @@ class Hydra:
             table = schema.table(table_name)
             boxes, counts, built_rows = persisted[table_name]
             constraints = workload.for_relation(table_name)
-            row_count = self._row_count(table_name)
+            row_count = self.metadata.row_count(table_name)
             grounded = stages.ground(self.metadata, table, constraints, row_count, aligned, boxes)
             if built_rows is not None:
                 # The diffing baseline is the row count the summary was
@@ -404,7 +398,7 @@ class Hydra:
                 # touched-set diff must flag the relation rather than
                 # compare new-vs-new.
                 grounded = grounded._replace(row_count=built_rows)
-            state = stages.partition(table, grounded, self.max_regions).state
+            state = stages.partition(table, grounded).state
             if counts.shape != (len(state.regions),):
                 raise HydraError(
                     f"extension state of {table_name!r} is stale: "
@@ -582,31 +576,28 @@ class Hydra:
         """Run the stage sequence of :mod:`repro.core.stages` for one relation."""
         with span("solve.relation", relation=table.name) as relation_span:
             constraints = workload.for_relation(table.name)
-            row_count = self._row_count(table.name)
+            row_count = self.metadata.row_count(table.name)
             grounded = stages.ground(self.metadata, table, constraints, row_count, aligned)
-            part = stages.partition(table, grounded, self.max_regions, prev)
-            guided = self.mode == "exact" and self.guided_solutions
+            part = stages.partition(table, grounded, prev)
+            guided = self.mode == "exact"
             problem = stages.formulate(self.metadata, table, grounded, part, guided, aligned, prev)
             state = part.state
-            solution = stages.solve(problem, state, self.mode, self.fallback_to_soft, prev)
+            solution = stages.solve(problem, state, self.mode, prev)
             counts = solution.integral_counts
             aligned_relation = stages.align(self._aligner(table), table, state, counts, aligned)
             lp_skipped = prev is not None and solution is prev.solution
-            grid = None
-            if self.compute_grid_baseline:
-                grounded_boxes = grounded.boxes[: len(grounded.constraints)]
-                grid = grid_variable_count(grounded_boxes, state.domain)
+            grounded_boxes = grounded.boxes[: len(grounded.constraints)]
             info = RelationBuildInfo(
                 relation=table.name,
                 row_count=row_count,
                 num_constraints=len(grounded.constraints),
                 num_regions=len(state.regions),
-                grid_variables=grid,
+                grid_variables=grid_variable_count(grounded_boxes, state.domain),
                 partition_seconds=part.seconds,
                 solve_seconds=0.0 if lp_skipped else solution.solve_seconds,
                 status=solution.status,
                 max_relative_error=solution.max_relative_error,
-                fallback_to_soft=state.fallback,
+                soft_fallback=state.fallback,
                 warm_start=part.resumed or lp_skipped,
             )
             relation_span.annotate(
@@ -631,7 +622,7 @@ class Hydra:
                 touched.add(table.name)
                 continue
             constraints = workload.for_relation(table.name)
-            row_count = self._row_count(table.name)
+            row_count = self.metadata.row_count(table.name)
             _, _, signature = relation_signatures(constraints, row_count)
             if (signature, tuple(constraints.tracking), row_count) != (
                 state.constraint_signature, state.tracking_signature, state.row_count
@@ -647,15 +638,20 @@ class Hydra:
                     frontier.append(referencing_table.name)
         return touched
 
-    def _row_count(self, table_name: str) -> int:
-        if table_name in self.row_count_overrides:
-            return int(self.row_count_overrides[table_name])
-        return self.metadata.row_count(table_name)
+    def _check_built_with(self, summary: DatabaseSummary, keys: tuple[str, ...]) -> None:
+        """Refuse a summary whose ``build_info`` records another configuration."""
+        for key in keys:
+            recorded, requested = summary.build_info.get(key), getattr(self, key)
+            if recorded is not None and recorded != requested:
+                raise HydraError(
+                    f"summary was built with {key}={recorded!r}, "
+                    f"which does not match the requested {key}={requested!r}"
+                )
 
     def _aligner(self, table: Table) -> SamplingAligner | DeterministicAligner:
         statistics = self.metadata.statistics.get(table.name)
         if self.alignment == "sampling":
-            return SamplingAligner(statistics=statistics, seed=self.sampling_seed)
+            return SamplingAligner(statistics=statistics)
         return DeterministicAligner(statistics=statistics)
 
 
@@ -701,11 +697,3 @@ def summary_relation_providers(
             batch_size=batch_size,
             workers=workers,
         )
-
-
-def scale_row_counts(metadata: DatabaseMetadata, factor: float) -> dict[str, int]:
-    """Row-count overrides scaling every relation by ``factor``."""
-    return {
-        name: max(1, int(round(stats.row_count * factor)))
-        for name, stats in metadata.statistics.items()
-    }

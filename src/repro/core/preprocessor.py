@@ -62,13 +62,6 @@ class WorkloadConstraints:
     def total_constraints(self) -> int:
         return sum(len(rel.constraints) for rel in self.relations.values())
 
-    def constrained_relations(self) -> list[str]:
-        return [
-            name
-            for name, relation in self.relations.items()
-            if relation.constraints
-        ]
-
 
 @dataclass
 class _TableNode:

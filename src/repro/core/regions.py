@@ -40,7 +40,6 @@ __all__ = [
     "PartitionCheckpoint",
     "RegionPartitioner",
     "box_is_empty",
-    "box_difference",
 ]
 
 
@@ -114,18 +113,6 @@ def _cut(
             return None, True
         current = current.replacing(column, kept)
     return current, current is not box
-
-
-def box_difference(box: BoxCondition, cut: BoxCondition) -> list[BoxCondition]:
-    """Decompose ``box \\ cut`` into disjoint boxes.
-
-    Column-by-column: for the k-th constrained column of ``cut``, the part of
-    ``box`` outside the cut on that column and inside it on all earlier ones.
-    """
-    pieces: list[BoxCondition] = []
-    if not box.is_empty:
-        _cut(box, cut, dict.fromkeys(cut.conditions, False), pieces)
-    return pieces
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 from ..catalog.metadata import DatabaseMetadata
 from ..plans.aqp import AnnotatedQueryPlan
@@ -116,9 +116,7 @@ def scale_metadata(metadata: DatabaseMetadata, factor: float) -> DatabaseMetadat
     return scaled
 
 
-def check_feasibility(
-    scenario: Scenario, max_regions: int = 200_000
-) -> FeasibilityReport:
+def check_feasibility(scenario: Scenario) -> FeasibilityReport:
     """Check whether a scenario's constraint set is exactly satisfiable.
 
     The per-relation LPs are solved in soft mode; any constraint with a
@@ -126,14 +124,8 @@ def check_feasibility(
     when some constraint is off by more than 1% — the threshold below which
     the paper treats discrepancies as the unavoidable "minor additive errors".
     """
-    hydra = Hydra(
-        metadata=scenario.metadata,
-        mode="soft",
-        compute_grid_baseline=False,
-        max_regions=max_regions,
-    )
     try:
-        result = hydra.build_summary(scenario.aqps)
+        result = Hydra(metadata=scenario.metadata, mode="soft").build_summary(scenario.aqps)
     except InfeasibleConstraintsError as exc:
         return FeasibilityReport(
             feasible=False,
@@ -175,23 +167,12 @@ def check_delta_feasibility(
     repeated what-if probing against a large base workload cheap.
 
     ``hydra`` is the pipeline that built ``base_result``; the soft probe
-    inherits its configuration (row-count overrides, alignment, region
-    budget), because a configuration mismatch would change every relation's
-    build inputs and silently degrade the probe into a full soft rebuild
-    judged against the wrong row counts.  ``base_result`` must carry
+    shares its metadata and alignment (extending under another alignment
+    raises), and only its mode differs.  ``base_result`` must carry
     extension state (a :meth:`Hydra.build_summary` result, or one restored
     via :meth:`Hydra.restore_result`).
     """
-    probe = Hydra(
-        metadata=hydra.metadata,
-        mode="soft",
-        alignment=hydra.alignment,
-        compute_grid_baseline=False,
-        guided_solutions=hydra.guided_solutions,
-        max_regions=hydra.max_regions,
-        sampling_seed=hydra.sampling_seed,
-        row_count_overrides=dict(hydra.row_count_overrides),
-    )
+    probe = Hydra(metadata=hydra.metadata, mode="soft", alignment=hydra.alignment)
     try:
         extended = probe.extend_summary(base_result, list(new_aqps))
     except InfeasibleConstraintsError as exc:
@@ -222,19 +203,9 @@ def check_delta_feasibility(
     )
 
 
-def build_scenario(
-    scenario: Scenario,
-    mode: str = "soft",
-    max_regions: int = 200_000,
-    row_count_overrides: Mapping[str, int] | None = None,
-) -> HydraBuildResult:
+def build_scenario(scenario: Scenario, mode: str = "soft") -> HydraBuildResult:
     """Build the regeneration summary for a (validated) scenario."""
-    hydra = Hydra(
-        metadata=scenario.metadata,
-        mode="soft" if mode == "soft" else "exact",
-        max_regions=max_regions,
-        row_count_overrides=dict(row_count_overrides or {}),
-    )
+    hydra = Hydra(metadata=scenario.metadata, mode="soft" if mode == "soft" else "exact")
     return hydra.build_summary(scenario.aqps)
 
 
@@ -259,8 +230,3 @@ def exabyte_extrapolation(
 def total_rows(metadata: DatabaseMetadata) -> int:
     """Total rows across all relations of a metadata package."""
     return sum(stats.row_count for stats in metadata.statistics.values())
-
-
-def annotation_totals(aqps: Sequence[AnnotatedQueryPlan]) -> int:
-    """Sum of all AQP annotations (used by scenario sanity checks)."""
-    return sum(edge.cardinality for aqp in aqps for edge in aqp.edges())

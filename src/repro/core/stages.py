@@ -143,9 +143,10 @@ def relation_signatures(
     ``signature`` is the hashable (predicate, cardinality) tuple the
     incremental pipeline compares across builds — two builds with equal
     signatures (and equal tracking predicates, domains and referenced
-    alignments) derive the identical LP.  When ``row_count`` overrides the
-    annotated size (scenario scaling), the workload's absolute cardinalities
-    are scaled proportionally so the constraint set stays consistent.
+    alignments) derive the identical LP.  When ``row_count`` differs from the
+    annotated size (metadata scaled for a scenario), the workload's absolute
+    cardinalities are scaled proportionally so the constraint set stays
+    consistent.
     """
     annotated_rows = relation_constraints.row_count
     scale = row_count / annotated_rows if annotated_rows > 0 else 1.0
@@ -241,7 +242,7 @@ def ground(
 
 
 def partition(
-    table: Table, grounded: Grounded, max_regions: int, prev: RelationBuildState | None = None
+    table: Table, grounded: Grounded, prev: RelationBuildState | None = None
 ) -> Partitioned:
     """Stage 2: split the relation's value space into regions.
 
@@ -259,7 +260,7 @@ def partition(
     with span("solve.partition", relation=table.name, boxes=len(boxes)) as handle:
         start = time.perf_counter()
         discrete = {column.name: column.dtype.is_discrete for column in table.columns}
-        partitioner = RegionPartitioner(discrete, grounded.domain, max_regions)
+        partitioner = RegionPartitioner(discrete, grounded.domain)
         stored: tuple[PartitionCheckpoint | None, ...] = ()
         if prev is not None and prev.domain == grounded.domain:
             stored = (prev.checkpoint, prev.grounded_checkpoint)
@@ -396,15 +397,14 @@ def solve(
     problem: LPProblem,
     state: RelationBuildState,
     mode: SolveMode,
-    fallback_to_soft: bool,
     prev: RelationBuildState | None = None,
 ) -> LPSolution:
     """Stage 4: solve the LP; fills ``state.solution`` / ``state.fallback``.
 
     Reuse: when the problem *is* the one ``prev`` solved, its solution is
     kept without touching the backend (a fresh deterministic solve would
-    reproduce it).  ``fallback_to_soft`` retries an exact-mode infeasibility
-    as a soft solve.
+    reproduce it).  An exact-mode infeasibility is retried as a soft solve
+    and marked in ``state.fallback``.
     """
     with span("solve.lp", relation=problem.relation):
         if prev is not None and prev.solution is not None and problem is prev.problem:
@@ -414,7 +414,7 @@ def solve(
         try:
             state.solution = LPSolver(mode=mode).solve(problem, targets=state.targets)
         except InfeasibleConstraintsError:
-            if not (mode == "exact" and fallback_to_soft):
+            if mode != "exact":
                 raise
             state.solution, state.fallback = LPSolver(mode="soft").solve(problem), True
         return state.solution

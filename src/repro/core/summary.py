@@ -407,9 +407,6 @@ class RelationSummary:
                 pieces.append(Interval(float(start), float(end)))
         return IntervalSet(pieces)
 
-    def non_empty_rows(self) -> list[SummaryRow]:
-        return [row for row in self.rows if row.count > 0]
-
     def to_dict(self) -> dict[str, Any]:
         return {"table": self.table, "rows": [row.to_dict() for row in self.rows]}
 

@@ -242,9 +242,3 @@ class TupleGenerator:
                         block = {name: block[name][mask] for name in requested}
                 yield cursor, take, matched, {name: block[name] for name in requested}
                 cursor += take
-
-    def sample_rows(self, indices: Sequence[int], decoded: bool = True) -> list[tuple]:
-        """Generate an arbitrary set of rows (used by the demo-style preview)."""
-        if decoded:
-            return [self.decoded_row(int(i)) for i in indices]
-        return [self.row(int(i)) for i in indices]

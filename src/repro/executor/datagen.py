@@ -165,13 +165,6 @@ class DataGenRelation:
             return self.source.generate_block(0, 0, columns)
         return {name: np.concatenate([block[name] for block in blocks]) for name in columns}
 
-    def iter_rows(self, batch_size: int | None = None) -> Iterator[tuple]:
-        """Stream decodable row tuples (used by examples and the CLI)."""
-        names = self.column_names
-        for _start, count, block in self.iter_blocks(batch_size):
-            for offset in range(count):
-                yield tuple(block[name][offset] for name in names)
-
     def materialize(self, table: "Table") -> TableData:
         """Materialise the full relation into a :class:`TableData`.
 

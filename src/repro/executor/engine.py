@@ -58,6 +58,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = ["ExecutionResult", "ExecutionEngine", "ExecutorError", "RouteEvent"]
 
+#: Rows per block a dataless leaf streams through its filter.
+BATCH_SIZE = 65536
+
 
 class ExecutorError(RuntimeError):
     """Raised when a plan cannot be executed against the given database."""
@@ -193,11 +196,13 @@ class ExecutionEngine:
       interval arithmetic, O(#summary rows)) whenever every pushed filter is
       an exact box the summaries can count; otherwise the child plan runs.
 
-    Every route leaves every AQP annotation and every output block
-    bit-identical; :attr:`ExecutionResult.route_events` reports which ran
-    and why a faster one did not.  ``summary_fastpath=False`` keeps
-    aggregates off the summary route — the differential fuzzer compares the
-    two.
+    Every executed node is annotated in place with its output cardinality
+    (``PlanNode.cardinality``) — that is how the client extracts AQPs and
+    how the vendor verifies them.  Every route leaves every annotation and
+    every output block bit-identical; :attr:`ExecutionResult.route_events`
+    reports which ran and why a faster one did not.
+    ``summary_fastpath=False`` keeps aggregates off the summary route — the
+    differential fuzzer compares the two.
 
     Parallel regeneration is transparent to the engine: a
     :class:`~repro.executor.datagen.DataGenRelation` delivers the same
@@ -206,8 +211,6 @@ class ExecutionEngine:
     """
 
     database: Database
-    annotate: bool = True
-    batch_size: int = 65536
     summary_fastpath: bool = True
     _scanned_rows: int = field(default=0, init=False)
     _route_events: list[RouteEvent] = field(default_factory=list, init=False)
@@ -224,7 +227,7 @@ class ExecutionEngine:
     # -- public API ------------------------------------------------------
 
     def execute(self, plan: PlanNode) -> ExecutionResult:
-        """Execute a plan, optionally annotating node cardinalities in place."""
+        """Execute a plan, annotating node cardinalities in place."""
         self._scanned_rows = 0
         self._route_events = []
         self._plan = plan
@@ -341,8 +344,7 @@ class ExecutionEngine:
             block = self._execute_aggregate(node)
         else:
             raise ExecutorError(f"unsupported plan node {type(node).__name__}")
-        if self.annotate:
-            node.cardinality = block.row_count
+        node.cardinality = block.row_count
         return block
 
     # -- leaves ------------------------------------------------------------
@@ -367,7 +369,7 @@ class ExecutionEngine:
             predicate=None if leaf.filter is None else leaf.filter.predicate,
             box=leaf.box,
             columns=self._output_columns(leaf),
-            batch_size=self.batch_size,
+            batch_size=BATCH_SIZE,
             skip_box=skip_box,
         ):
             self._scanned_rows += generated
@@ -382,10 +384,9 @@ class ExecutionEngine:
                     matched = int(mask.sum())
                     block = {name: values[mask] for name, values in block.items()}
             yield matched, _qualified(leaf.table, block)
-        if self.annotate:
-            leaf.scan.cardinality = leaf.provider.row_count
-            if leaf.filter is not None:
-                leaf.filter.cardinality = matched_total
+        leaf.scan.cardinality = leaf.provider.row_count
+        if leaf.filter is not None:
+            leaf.filter.cardinality = matched_total
 
     def _leaf_template(self, leaf: _Leaf) -> dict[str, NDArray[Any]]:
         """Zero-row output columns of a leaf, in the schema dtypes."""
@@ -656,13 +657,12 @@ class ExecutionEngine:
                 self._fallback("join-not-exactly-countable")
             join_counts.append(joined)
 
-        if self.annotate:
-            for name, leaf in leaves.items():
-                leaf.scan.cardinality = leaf.provider.row_count
-                if leaf.filter is not None:
-                    leaf.filter.cardinality = filter_counts[name]
-            for join, joined in zip(spine, join_counts):
-                join.cardinality = joined
+        for name, leaf in leaves.items():
+            leaf.scan.cardinality = leaf.provider.row_count
+            if leaf.filter is not None:
+                leaf.filter.cardinality = filter_counts[name]
+        for join, joined in zip(spine, join_counts):
+            join.cardinality = joined
         return (join_counts[-1] if spine else filter_counts[root.scan.table]), total
 
     def _count_fk_prefix(

@@ -86,10 +86,6 @@ class RateLimiter:
     def rows_produced(self) -> int:
         return self._produced
 
-    def reset(self) -> None:
-        self._start = None
-        self._produced = 0
-
     def clone(self) -> "RateLimiter":
         """A fresh limiter with the same configuration but zeroed pacing state.
 

@@ -237,13 +237,9 @@ def _differential_pass(
 
     engines: dict[str, ExecutionEngine] = {}
     if serial_db is not None and "fastpath" in active:
-        engines["fastpath"] = ExecutionEngine(
-            database=serial_db, annotate=True, summary_fastpath=True
-        )
+        engines["fastpath"] = ExecutionEngine(database=serial_db, summary_fastpath=True)
     if serial_db is not None and "streaming" in active:
-        engines["streaming"] = ExecutionEngine(
-            database=serial_db, annotate=True, summary_fastpath=False
-        )
+        engines["streaming"] = ExecutionEngine(database=serial_db, summary_fastpath=False)
 
     server_name = f"fuzz-{setup.seed}-{phase}"
     if client is not None and "server" in active:

@@ -27,7 +27,6 @@ from .framework import (
     build_context,
     register,
     registered_codes,
-    rule_for_code,
 )
 from .runner import LintReport, lint_file, run_lint
 
@@ -41,6 +40,5 @@ __all__ = [
     "lint_file",
     "register",
     "registered_codes",
-    "rule_for_code",
     "run_lint",
 ]

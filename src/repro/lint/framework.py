@@ -33,7 +33,6 @@ __all__ = [
     "build_context",
     "register",
     "registered_codes",
-    "rule_for_code",
 ]
 
 #: Framework-level code: a disable comment without the required justification.
@@ -309,12 +308,6 @@ def registered_codes() -> list[str]:
     """The sorted codes of every registered rule (plus framework codes)."""
     _ensure_rules_loaded()
     return sorted(_REGISTRY) + [CODE_MISSING_JUSTIFICATION, CODE_UNKNOWN_RULE]
-
-
-def rule_for_code(code: str) -> type[Rule]:
-    """The registered rule class for ``code`` (:class:`KeyError` if absent)."""
-    _ensure_rules_loaded()
-    return _REGISTRY[code]
 
 
 def dotted_name(node: ast.AST) -> str | None:

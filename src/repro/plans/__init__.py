@@ -1,6 +1,6 @@
 """Query plans: logical operators, join graph, deterministic planner and AQPs."""
 
-from .aqp import AnnotatedQueryPlan, AQPEdge, total_constraint_count
+from .aqp import AnnotatedQueryPlan, AQPEdge
 from .joingraph import JoinEdge, JoinGraph, classify_fk_edge
 from .logical import (
     AggregateNode,
@@ -37,5 +37,4 @@ __all__ = [
     "classify_fk_edge",
     "compute_pushdowns",
     "plan_from_dict",
-    "total_constraint_count",
 ]

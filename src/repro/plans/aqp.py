@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Iterable, Mapping
+from typing import Any, Mapping
 
 from ..sql.query import Query
 from .logical import PlanNode, plan_from_dict
@@ -41,10 +41,6 @@ class AnnotatedQueryPlan:
     @property
     def name(self) -> str:
         return self.query.name
-
-    @property
-    def is_annotated(self) -> bool:
-        return all(node.cardinality is not None for node in self.plan.iter_nodes())
 
     def edges(self) -> list[AQPEdge]:
         """All annotated operator output edges (skipping unannotated nodes)."""
@@ -122,9 +118,3 @@ class AnnotatedQueryPlan:
 
     def pretty(self) -> str:
         return f"-- {self.query.name}\n{self.query.sql}\n{self.plan.pretty()}"
-
-
-def total_constraint_count(aqps: Iterable[AnnotatedQueryPlan]) -> int:
-    """Total number of annotated edges across a workload's AQPs."""
-    return sum(len(aqp.edges()) for aqp in aqps)
-

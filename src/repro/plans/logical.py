@@ -61,9 +61,6 @@ class PlanNode:
         for child in self.children:
             yield from child.iter_nodes()
 
-    def annotated_nodes(self) -> list["PlanNode"]:
-        return [node for node in self.iter_nodes() if node.cardinality is not None]
-
     def clear_annotations(self) -> None:
         for node in self.iter_nodes():
             node.cardinality = None

@@ -257,7 +257,7 @@ class SummaryService:
         started = time.perf_counter()
         with self._leased(name) as entry:
             database = self._database_for(entry, request.rows_per_second)
-            engine = ExecutionEngine(database=database, annotate=True)
+            engine = ExecutionEngine(database=database)
             try:
                 with span("server.query", summary=name):
                     query = parse_query(request.sql, entry.summary.schema)

@@ -11,7 +11,7 @@ profiling.  All values are stored in their *internal* numeric encoding (see
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterable, Iterator, Mapping, Sequence
+from typing import Any, Iterable, Mapping, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
@@ -99,10 +99,6 @@ class TableData:
             values.append(column.dtype.decode(raw) if decoded else raw)
         return tuple(values)
 
-    def iter_rows(self, decoded: bool = False) -> Iterator[tuple[Any, ...]]:
-        for index in range(self.row_count):
-            yield self.row(index, decoded=decoded)
-
     # -- bulk operations -------------------------------------------------
 
     def select(self, mask: NDArray[Any]) -> "TableData":
@@ -126,8 +122,3 @@ class TableData:
     def memory_bytes(self) -> int:
         """Approximate memory footprint of the stored columns."""
         return int(sum(values.nbytes for values in self.columns.values()))
-
-    def decoded_rows(self, limit: int | None = None) -> list[tuple[Any, ...]]:
-        """Convenience: first ``limit`` rows decoded to external values."""
-        count = self.row_count if limit is None else min(limit, self.row_count)
-        return [self.row(index, decoded=True) for index in range(count)]

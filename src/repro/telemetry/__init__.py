@@ -23,7 +23,7 @@ trace file: top spans by self-time plus the engine route-hit table.
 
 from __future__ import annotations
 
-from .metrics import MetricsRegistry, MetricsSnapshot, merge_snapshots
+from .metrics import MetricsRegistry, MetricsSnapshot
 from .session import (
     TelemetrySession,
     active_session,
@@ -45,7 +45,6 @@ __all__ = [
     "active_session",
     "add_counter",
     "is_active",
-    "merge_snapshots",
     "observe",
     "set_gauge",
     "span",

@@ -3,7 +3,7 @@
 All mutation goes through a single registry-level lock, which keeps the
 implementation simple and makes :meth:`MetricsRegistry.snapshot` a
 consistent point-in-time view.  Snapshots are plain JSON-serializable
-dicts; :func:`merge_snapshots` and :meth:`MetricsRegistry.merge` combine
+dicts; :meth:`MetricsRegistry.merge` combines
 snapshots additively (counters and histogram buckets sum, gauges take the
 last writer), which is how worker-process deltas are folded into the
 parent registry.
@@ -21,7 +21,7 @@ from collections.abc import Mapping, Sequence
 from pathlib import Path
 from typing import Any
 
-__all__ = ["DEFAULT_BUCKETS", "MetricsRegistry", "MetricsSnapshot", "merge_snapshots"]
+__all__ = ["DEFAULT_BUCKETS", "MetricsRegistry", "MetricsSnapshot"]
 
 MetricsSnapshot = dict[str, Any]
 """JSON-serializable point-in-time view of a registry (see ``snapshot``)."""
@@ -121,11 +121,6 @@ class MetricsRegistry:
         with self._lock:
             return self._counters.get(name, 0.0)
 
-    def gauge_value(self, name: str) -> float | None:
-        """Return the gauge's current value, or ``None`` if never set."""
-        with self._lock:
-            return self._gauges.get(name)
-
     def snapshot(self) -> MetricsSnapshot:
         """Return a consistent JSON-serializable view of all instruments."""
         with self._lock:
@@ -190,11 +185,3 @@ class MetricsRegistry:
         with open(path, "w", encoding="utf-8") as handle:
             json.dump(self.snapshot(), handle, indent=2, sort_keys=True)
             handle.write("\n")
-
-
-def merge_snapshots(base: MetricsSnapshot, delta: Mapping[str, Any]) -> MetricsSnapshot:
-    """Return ``base`` with ``delta`` folded in (both stay unmodified)."""
-    registry = MetricsRegistry()
-    registry.merge(base)
-    registry.merge(delta)
-    return registry.snapshot()

@@ -111,11 +111,6 @@ class Tracer:
         self._stacks = _ThreadStacks()
         self._pid = os.getpid()
 
-    @property
-    def epoch(self) -> float:
-        """The ``time.perf_counter()`` value all span times are relative to."""
-        return self._epoch
-
     def now(self) -> float:
         """Return the current epoch-relative timestamp in seconds."""
         return time.perf_counter() - self._epoch
@@ -125,11 +120,6 @@ class Tracer:
             span_id = self._next_id
             self._next_id += 1
             return span_id
-
-    def current_span_id(self) -> int | None:
-        """Return the innermost open span ID on this thread, if any."""
-        stack = self._stacks.stack
-        return stack[-1] if stack else None
 
     @contextmanager
     def span(self, name: str, **attributes: object) -> Iterator[Span]:

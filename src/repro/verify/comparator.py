@@ -99,7 +99,7 @@ class VolumetricComparator:
     database: Database
 
     def verify(self, aqps: Iterable[AnnotatedQueryPlan]) -> VerificationResult:
-        engine = ExecutionEngine(database=self.database, annotate=True)
+        engine = ExecutionEngine(database=self.database)
         result = VerificationResult()
         for aqp in aqps:
             # Clone the plan so the original annotations are left untouched.

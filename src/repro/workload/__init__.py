@@ -3,10 +3,7 @@
 from .generator import (
     WorkloadConfig,
     WorkloadGenerator,
-    distinct_filter_columns,
     generate_workload,
-    queries_per_table,
-    workload_signature,
 )
 from .synth import (
     QuerySynthesizer,
@@ -32,15 +29,12 @@ __all__ = [
     "ToyConfig",
     "WorkloadConfig",
     "WorkloadGenerator",
-    "distinct_filter_columns",
     "generate_toy_database",
     "generate_tpcds_database",
     "generate_tpch_database",
     "generate_workload",
-    "queries_per_table",
     "synthesize_scenario",
     "toy_schema",
     "tpcds_schema",
     "tpch_schema",
-    "workload_signature",
 ]

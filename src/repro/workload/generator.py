@@ -348,29 +348,3 @@ def generate_workload(
     """Convenience wrapper: generate a workload with the given configuration."""
     generator = WorkloadGenerator(metadata=metadata, config=config or WorkloadConfig())
     return generator.generate()
-
-
-def workload_signature(queries: Sequence[Query]) -> list[tuple[str, int, int]]:
-    """Per-query (name, #tables, #filters) listing used by reports and tests."""
-    return [
-        (query.name, len(query.tables), len(query.filters))
-        for query in queries
-    ]
-
-
-def distinct_filter_columns(queries: Sequence[Query]) -> set[str]:
-    """All ``table.column`` names filtered anywhere in a workload."""
-    names = set()
-    for query in queries:
-        for table, predicate in query.filters.items():
-            names.update(f"{table}.{column}" for column in predicate.columns())
-    return names
-
-
-def queries_per_table(queries: Sequence[Query]) -> dict[str, int]:
-    """How many queries touch each table (workload profiling helper)."""
-    counter: dict[str, int] = {}
-    for query in queries:
-        for table in query.tables:
-            counter[table] = counter.get(table, 0) + 1
-    return counter

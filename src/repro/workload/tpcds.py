@@ -34,23 +34,7 @@ __all__ = [
     "generate_tpcds_database",
     "ITEM_CLASSES",
     "ITEM_CATEGORIES",
-    "STORE_SALES_SUM_QUERY",
-    "STAR_COUNT_QUERY",
 ]
-
-
-# A fact-side SUM over an integer measure, filtered on the same relation.
-STORE_SALES_SUM_QUERY = (
-    "select sum(ss_quantity) from store_sales where ss_quantity between 10 and 40"
-)
-
-# A two-dimension star COUNT: the fact table fans out to two dimensions, the
-# multi-way summary fast path's star shape (both FK edges leave store_sales).
-STAR_COUNT_QUERY = (
-    "select count(*) from store_sales, item, store "
-    "where store_sales.ss_item_sk = item.i_item_sk "
-    "and store_sales.ss_store_sk = store.s_store_sk"
-)
 
 
 ITEM_CATEGORIES = (

@@ -23,7 +23,6 @@ __all__ = [
     "tpch_schema",
     "generate_tpch_database",
     "CHAIN_COUNT_QUERY",
-    "LINEITEM_SUM_QUERY",
 ]
 
 
@@ -35,11 +34,6 @@ CHAIN_COUNT_QUERY = (
     "where lineitem.l_orderkey = orders.o_orderkey "
     "and orders.o_custkey = customer.c_custkey "
     "and customer.c_mktsegment = 'BUILDING'"
-)
-
-# A fact-side SUM with a filter on the same relation.
-LINEITEM_SUM_QUERY = (
-    "select sum(l_quantity) from lineitem where l_shipdate >= 3000"
 )
 
 

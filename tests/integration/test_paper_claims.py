@@ -158,7 +158,7 @@ def test_e8_deterministic_alignment_is_no_worse_than_sampling(scenario):
         return _verify(hydra, hydra.build_summary(scenario.aqps).summary, scenario.aqps)
 
     deterministic = verification(alignment="deterministic")
-    sampled = verification(alignment="sampling", sampling_seed=17)
+    sampled = verification(alignment="sampling")
     assert deterministic.fraction_within(0.001) >= sampled.fraction_within(0.001)
     assert deterministic.mean_relative_error() <= sampled.mean_relative_error()
 

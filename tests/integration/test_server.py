@@ -25,7 +25,8 @@ from contextlib import contextmanager
 import pytest
 
 from repro.client.package import InformationPackage
-from repro.core.pipeline import Hydra, scale_row_counts
+from repro.core.pipeline import Hydra
+from repro.core.scenario import scale_metadata
 from repro.executor.engine import ExecutionEngine
 from repro.executor.rate import VirtualClock
 from repro.plans.planner import build_plan
@@ -86,7 +87,7 @@ def server(toy_summary):
 def _direct_responses(metadata, summary):
     """Serial direct-engine execution of QUERIES: the bit-identity baseline."""
     database = Hydra(metadata=metadata).regenerate(summary)
-    engine = ExecutionEngine(database=database, annotate=True)
+    engine = ExecutionEngine(database=database)
     expected = {}
     for sql in QUERIES:
         plan = build_plan(parse_query(sql, database.schema), database.schema)
@@ -447,9 +448,7 @@ class TestConnections:
     def test_client_abandoning_a_stream_releases_its_lease(self, toy_metadata, toy_aqps):
         """Closing the socket mid-stream stops regeneration and frees the entry."""
         # Large enough that the stream cannot simply finish into the socket buffers.
-        hydra = Hydra(
-            metadata=toy_metadata, row_count_overrides=scale_row_counts(toy_metadata, 1000)
-        )
+        hydra = Hydra(metadata=scale_metadata(toy_metadata, 1000))
         summary = hydra.build_summary(toy_aqps).summary
         service = SummaryService()
         service.load(LoadSummaryRequest(name="big", summary=summary.to_dict()))
@@ -650,9 +649,7 @@ class TestConnectionReuse:
     def test_an_abandoned_stream_closes_its_socket_and_frees_its_lease(
         self, toy_metadata, toy_aqps
     ):
-        hydra = Hydra(
-            metadata=toy_metadata, row_count_overrides=scale_row_counts(toy_metadata, 1000)
-        )
+        hydra = Hydra(metadata=scale_metadata(toy_metadata, 1000))
         big = hydra.build_summary(toy_aqps).summary
         with _served(big) as (background, session):
             with background.service.cache.lease("toy") as entry:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.client.extractor import AQPExtractor, extract_aqps
+from repro.client.extractor import AQPExtractor
 from repro.client.package import InformationPackage
 from repro.core.pipeline import Hydra
 from repro.core.summary import DatabaseSummary
@@ -118,7 +118,8 @@ class TestMixedWorkload:
 
 class TestPackageRoundTrip:
     def test_summary_and_package_survive_serialisation(self, toy_database, toy_workload, tmp_path):
-        metadata, aqps = extract_aqps(toy_database, toy_workload)
+        extractor = AQPExtractor(database=toy_database)
+        metadata, aqps = extractor.profile_metadata(), extractor.extract_workload(toy_workload)
         package = InformationPackage(metadata=metadata, aqps=aqps)
         package_path = tmp_path / "package.json"
         package.save(package_path)

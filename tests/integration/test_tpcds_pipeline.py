@@ -34,7 +34,7 @@ class TestSummaryConstruction:
             for name, info in result.report.relations.items()
             if name in ("store_sales", "web_sales", "catalog_sales") and info.num_constraints > 0
         ]
-        assert any(info.variable_reduction_factor() > 2 for info in fact_infos)
+        assert any(info.grid_variables > 2 * info.num_regions for info in fact_infos)
 
     def test_summary_much_smaller_than_database(self, tpcds_build, tpcds_database):
         _hydra, result = tpcds_build
@@ -67,7 +67,7 @@ class TestSamplingAblation:
     def test_sampling_alignment_is_less_accurate(self, tpcds_metadata, tpcds_aqps):
         """E8: deterministic alignment dominates the sampling baseline."""
         deterministic = Hydra(metadata=tpcds_metadata, alignment="deterministic")
-        sampling = Hydra(metadata=tpcds_metadata, alignment="sampling", sampling_seed=13)
+        sampling = Hydra(metadata=tpcds_metadata, alignment="sampling")
         det_result = deterministic.build_summary(tpcds_aqps)
         samp_result = sampling.build_summary(tpcds_aqps)
 

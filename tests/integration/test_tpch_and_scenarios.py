@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.client.extractor import AQPExtractor, extract_aqps
+from repro.client.extractor import AQPExtractor
 from repro.core.pipeline import Hydra
 from repro.core.scenario import Scenario, build_scenario, check_feasibility
 from repro.verify.comparator import VolumetricComparator
@@ -53,7 +53,8 @@ class TestScenarioScaling:
 
     @pytest.fixture(scope="class")
     def toy_scenario(self, toy_database, toy_workload):
-        metadata, aqps = extract_aqps(toy_database, toy_workload)
+        extractor = AQPExtractor(database=toy_database)
+        metadata, aqps = extractor.profile_metadata(), extractor.extract_workload(toy_workload)
         return Scenario(name="toy", metadata=metadata, aqps=aqps)
 
     @pytest.mark.parametrize("factor", [10, 1_000, 100_000])

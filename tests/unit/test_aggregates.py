@@ -84,7 +84,7 @@ def _run(route, sql):
     """Plan and execute ``sql`` on a database or a ``(database, options)`` route."""
     database, options = route if isinstance(route, tuple) else (route, {})
     plan = build_plan(parse_query(sql, database.schema), database.schema)
-    engine = ExecutionEngine(database=database, annotate=True, **options)
+    engine = ExecutionEngine(database=database, **options)
     return engine.execute(plan)
 
 
@@ -302,7 +302,7 @@ class TestChainFastPath:
         plans = {}
         for name, (database, options) in engine_routes(chain_database).items():
             plan = build_plan(parse_query(CHAIN_SQL, database.schema), database.schema)
-            ExecutionEngine(database=database, annotate=True, **options).execute(plan)
+            ExecutionEngine(database=database, **options).execute(plan)
             plans[name] = [node.cardinality for node in plan.iter_nodes()]
         assert plans["materialised"] == plans["streaming"] == plans["default"]
 

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from repro.cli import generate_main, vendor_main, verify_main, client_main
+from repro.cli import _build_package, client_main, vendor_main, verify_main
 from repro.client.package import InformationPackage
 from repro.core.pipeline import Hydra
 from repro.core.summary import DatabaseSummary
@@ -21,7 +21,7 @@ def _must_not_run(*_args, **_kwargs):
 @pytest.fixture(scope="module")
 def package_path(tmp_path_factory):
     path = tmp_path_factory.mktemp("cli") / "package.json"
-    code = generate_main(
+    code = client_main(
         [
             "--dataset", "toy",
             "--queries", "4",
@@ -33,7 +33,7 @@ def package_path(tmp_path_factory):
     return path
 
 
-class TestGenerate:
+class TestClient:
     def test_package_written(self, package_path):
         package = InformationPackage.load(package_path)
         assert package.query_count == 4
@@ -41,10 +41,24 @@ class TestGenerate:
 
     def test_unknown_dataset_rejected(self, tmp_path):
         with pytest.raises(SystemExit):
-            generate_main(["--dataset", "nope", "--output", str(tmp_path / "p.json")])
+            client_main(["--dataset", "nope", "--output", str(tmp_path / "p.json")])
 
+    def test_package_is_what_generate_wrote(self, package_path, tmp_path):
+        """Without --anonymize the package is byte for byte what the former
+        ``hydra generate`` wrote for the same flags: the built package, saved."""
+        generated = tmp_path / "generated.json"
+        _build_package("toy", 0.2, 3, 4).save(generated)
+        assert package_path.read_bytes() == generated.read_bytes()
 
-class TestClient:
+    def test_generate_is_no_longer_a_command(self, tmp_path, capsys):
+        import repro.cli as cli
+
+        with pytest.raises(SystemExit) as exited:
+            cli.main(["generate", "--dataset", "toy", "--output", str(tmp_path / "p.json")])
+        assert exited.value.code == 2
+        assert "invalid choice: 'generate'" in capsys.readouterr().err
+        assert not (tmp_path / "p.json").exists()
+
     def test_anonymized_package(self, tmp_path):
         path = tmp_path / "anon.json"
         code = client_main(
@@ -398,8 +412,7 @@ class TestUnifiedCli:
         import repro.cli as cli
 
         assert set(cli.SUBCOMMANDS) == {
-            "generate", "client", "vendor", "verify", "serve", "trace", "lint",
-            "fuzz",
+            "client", "vendor", "verify", "serve", "trace", "lint", "fuzz",
         }
 
     def test_every_subcommand_resolves_to_a_callable(self):
@@ -414,7 +427,7 @@ class TestUnifiedCli:
 
         path = tmp_path / "package.json"
         code = cli.main(
-            ["generate", "--dataset", "toy", "--queries", "2", "--output", str(path)]
+            ["client", "--dataset", "toy", "--queries", "2", "--output", str(path)]
         )
         assert code == 0
         assert path.exists()

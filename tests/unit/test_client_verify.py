@@ -7,7 +7,7 @@ import json
 import pytest
 
 from repro.client.anonymizer import Anonymizer
-from repro.client.extractor import AQPExtractor, extract_aqps
+from repro.client.extractor import AQPExtractor
 from repro.client.package import DeltaPackage, InformationPackage, load_package_file
 from repro.core.errors import HydraError
 from repro.core.pipeline import Hydra
@@ -27,7 +27,7 @@ class TestAQPExtractor:
     def test_extract_annotates_every_node(self, toy_database):
         extractor = AQPExtractor(database=toy_database)
         aqp = extractor.extract_sql(FIGURE1_QUERY, name="fig1")
-        assert aqp.is_annotated
+        assert all(node.cardinality is not None for node in aqp.plan.iter_nodes())
 
     def test_scan_annotation_equals_row_count(self, toy_database):
         extractor = AQPExtractor(database=toy_database)
@@ -39,17 +39,15 @@ class TestAQPExtractor:
         extractor = AQPExtractor(database=toy_database)
         aqps = extractor.extract_workload(toy_workload)
         assert len(aqps) == len(toy_workload)
-        assert all(aqp.is_annotated for aqp in aqps)
-
-    def test_extract_aqps_helper(self, toy_database, toy_workload):
-        metadata, aqps = extract_aqps(toy_database, toy_workload)
-        assert metadata.row_count("R") == toy_database.row_count("R")
-        assert len(aqps) == len(toy_workload)
+        assert all(
+            node.cardinality is not None for aqp in aqps for node in aqp.plan.iter_nodes()
+        )
 
 
 class TestInformationPackage:
     def _package(self, toy_database, toy_workload) -> InformationPackage:
-        metadata, aqps = extract_aqps(toy_database, toy_workload)
+        extractor = AQPExtractor(database=toy_database)
+        metadata, aqps = extractor.profile_metadata(), extractor.extract_workload(toy_workload)
         return InformationPackage(metadata=metadata, aqps=aqps, client_name="acme")
 
     def test_counts_and_lookup(self, toy_database, toy_workload):
@@ -149,7 +147,8 @@ class TestInformationPackage:
 
 class TestDeltaPackage:
     def _package(self, toy_database, toy_workload) -> InformationPackage:
-        metadata, aqps = extract_aqps(toy_database, toy_workload)
+        extractor = AQPExtractor(database=toy_database)
+        metadata, aqps = extractor.profile_metadata(), extractor.extract_workload(toy_workload)
         return InformationPackage(metadata=metadata, aqps=aqps, client_name="acme")
 
     def test_make_and_apply_delta(self, toy_database, toy_workload):
@@ -196,7 +195,8 @@ class TestDeltaPackage:
 
 class TestAnonymizer:
     def _package(self, toy_database, toy_workload) -> InformationPackage:
-        metadata, aqps = extract_aqps(toy_database, toy_workload)
+        extractor = AQPExtractor(database=toy_database)
+        metadata, aqps = extractor.profile_metadata(), extractor.extract_workload(toy_workload)
         return InformationPackage(metadata=metadata, aqps=aqps, client_name="acme")
 
     def test_identifiers_renamed_consistently(self, toy_database, toy_workload):
@@ -243,13 +243,6 @@ class TestAnonymizer:
         for table_stats in anonymized.metadata.statistics.values():
             for column_stats in table_stats.columns.values():
                 assert len(column_stats.most_common_values) <= 2
-
-    def test_mapping_lookup_helpers(self, toy_database, toy_workload):
-        package = self._package(toy_database, toy_workload)
-        _anonymized, mapping = Anonymizer().anonymize(package)
-        pseudonym = mapping.table_pseudonym("R")
-        assert mapping.reverse_tables()[pseudonym] == "R"
-        assert mapping.column_pseudonym("R", "S_fk").startswith(pseudonym)
 
 
 class TestVerification:

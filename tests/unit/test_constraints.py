@@ -79,13 +79,6 @@ class TestSymbolicPredicate:
         restored = SymbolicPredicate.from_dict(predicate.to_dict())
         assert restored == predicate
 
-    def test_with_helpers(self):
-        base = SymbolicPredicate.make(box=box(a=(0, 10)))
-        extended = base.with_reference("fk", ReferencedPredicate("dim", SymbolicPredicate.make()))
-        assert "fk" in extended.reference_map
-        narrowed = base.with_box(box(a=(5, 8)))
-        assert narrowed.box.condition_for("a") == IntervalSet([Interval(5, 8)])
-
 
 class TestCardinalityConstraint:
     def test_roundtrip(self):
@@ -115,13 +108,3 @@ class TestRelationConstraints:
         constraints.add(CardinalityConstraint("fact", predicate, 7, source="q3"))
         unique = constraints.deduplicated()
         assert len(unique) == 2  # (predicate, 5) and (predicate, 7)
-
-    def test_conflicting_predicates(self):
-        constraints = RelationConstraints(relation="fact", row_count=10)
-        predicate = SymbolicPredicate.make(box=box(a=(0, 10)))
-        constraints.add(CardinalityConstraint("fact", predicate, 5))
-        constraints.add(CardinalityConstraint("fact", predicate, 7))
-        other = SymbolicPredicate.make(box=box(a=(20, 30)))
-        constraints.add(CardinalityConstraint("fact", other, 3))
-        conflicts = constraints.conflicting_predicates()
-        assert conflicts == [predicate]

@@ -26,7 +26,7 @@ def database():
 
 @pytest.fixture()
 def engine(database):
-    return ExecutionEngine(database=database, annotate=True)
+    return ExecutionEngine(database=database)
 
 
 class TestScanAndFilter:
@@ -52,15 +52,6 @@ class TestScanAndFilter:
         )
         engine.execute(plan)
         assert all(node.cardinality is not None for node in plan.iter_nodes())
-
-    def test_annotate_false_leaves_plan_untouched(self, database):
-        engine = ExecutionEngine(database=database, annotate=False)
-        plan = build_plan(
-            parse_query("select * from S where S.A >= 20", database.schema),
-            database.schema,
-        )
-        engine.execute(plan)
-        assert all(node.cardinality is None for node in plan.iter_nodes())
 
 
 class TestJoins:
@@ -188,12 +179,6 @@ class TestRateLimiter:
         with pytest.raises(ValueError):
             limiter.throttle(-1)
 
-    def test_reset(self):
-        limiter, _clock = RateLimiter.with_virtual_clock(10.0)
-        limiter.throttle(5)
-        limiter.reset()
-        assert limiter.rows_produced == 0
-
     def test_no_sleep_when_behind_schedule(self):
         clock = VirtualClock()
         limiter = RateLimiter(rows_per_second=1000.0, clock=clock.now, sleep=clock.sleep)
@@ -239,9 +224,3 @@ class TestDataGenRelation:
         assert clock.now() == pytest.approx(2.0)
         assert relation.stats.rows_generated == 1000
         assert relation.stats.seconds_throttled > 0
-
-    def test_iter_rows(self):
-        relation = DataGenRelation(source=self._source(10), batch_size=4)
-        rows = list(relation.iter_rows())
-        assert len(rows) == 10
-        assert rows[3] == (3, 0)

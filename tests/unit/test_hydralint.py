@@ -17,8 +17,8 @@ from repro.lint.framework import (
     build_context,
     module_name_for,
     parse_suppressions,
+    all_rules,
     registered_codes,
-    rule_for_code,
 )
 from repro.lint.runner import (
     CODE_PARSE_ERROR,
@@ -161,8 +161,9 @@ class TestRunner:
                 pass
             """,
         )
-        unseeded_rng = rule_for_code("HYD101")()
-        bare_except = rule_for_code("HYD501")()
+        rules = {rule.code: rule for rule in all_rules()}
+        unseeded_rng = rules["HYD101"]()
+        bare_except = rules["HYD501"]()
         assert lint_file(path, "bad.py", rules=[unseeded_rng]) == []
         findings = lint_file(path, "bad.py", rules=[bare_except])
         assert [f.code for f in findings] == ["HYD501"]

@@ -2,7 +2,7 @@
 
 Every registered rule code gets at least one flagging and one non-flagging
 fixture, driven off the hard-coded ``EXPECTED_CODES`` list: deleting a rule
-implementation makes ``rule_for_code`` raise and the fixture test fail, so
+implementation makes the ``RULES`` lookup raise and the fixture test fail, so
 no rule can silently become vacuous.
 """
 
@@ -15,9 +15,9 @@ import pytest
 
 from repro.lint.framework import (
     Finding,
+    all_rules,
     build_context,
     registered_codes,
-    rule_for_code,
 )
 from repro.lint.rules.imports import LAYERING
 from repro.lint.runner import lint_file, run_lint
@@ -39,10 +39,13 @@ EXPECTED_CODES = [
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
+#: Every registered rule class by code.
+RULES = {rule.code: rule for rule in all_rules()}
+
 
 def check(code: str, source: str, rel_path: str = "src/repro/fixture.py") -> list[Finding]:
     """Run one rule over a dedented source snippet and return its findings."""
-    rule = rule_for_code(code)()
+    rule = RULES[code]()
     ctx = build_context(
         Path(rel_path), textwrap.dedent(source), rel_path, known_codes=registered_codes()
     )
@@ -56,7 +59,7 @@ class TestRegistry:
 
     def test_every_rule_has_code_name_summary(self):
         for code in EXPECTED_CODES:
-            rule_class = rule_for_code(code)
+            rule_class = RULES[code]
             assert rule_class.code == code
             assert rule_class.name
             assert rule_class.summary
@@ -156,7 +159,7 @@ class TestHYD102WallClock:
         assert findings == []
 
     def test_scope_is_fingerprint_modules(self):
-        rule = rule_for_code("HYD102")
+        rule = RULES["HYD102"]
         assert "src/repro/serialization.py" in rule.paths
         assert "src/repro/sinks/manifest.py" in rule.paths
 

@@ -22,7 +22,7 @@ from repro.client.package import InformationPackage
 from repro.core import solver as solver_module
 from repro.core.errors import HydraError, SummaryError
 from repro.core.pipeline import Hydra
-from repro.core.scenario import check_delta_feasibility
+from repro.core.scenario import check_delta_feasibility, scale_metadata
 from repro.core.summary import DatabaseSummary
 from repro.telemetry import telemetry_session
 
@@ -435,10 +435,7 @@ class TestSpliceAndState:
         base.attach_extension_state()
         reloaded = DatabaseSummary.from_json(base.summary.to_json())
 
-        drifted = Hydra(
-            metadata=metadata,
-            row_count_overrides={"R": 2 * metadata.row_count("R")},
-        )
+        drifted = Hydra(metadata=scale_metadata(metadata, 2))
         restored = drifted.restore_result(reloaded)
         assert restored.states["R"].row_count == metadata.row_count("R")
         assert "R" in drifted.touched_relations(restored, [])
@@ -451,6 +448,52 @@ class TestSpliceAndState:
         before = base.summary.size_bytes()
         base.attach_extension_state()
         assert base.summary.size_bytes() == before
+
+
+class TestConfigurationMismatch:
+    """A build is extended or restored only under the alignment (and, for a
+    restore, the mode) it was built with; a mismatch raises instead of
+    splicing relations aligned two ways into one summary."""
+
+    @pytest.fixture(scope="class")
+    def deterministic_build(self, toy_client):
+        _db, metadata, aqps = toy_client
+        base = Hydra(metadata=metadata).build_summary(aqps)
+        base.attach_extension_state()
+        return base
+
+    def test_extend_refuses_another_alignment(self, toy_client, deterministic_build, r_only_delta):
+        _db, metadata, _aqps = toy_client
+        sampling = Hydra(metadata=metadata, alignment="sampling")
+        with pytest.raises(HydraError, match="alignment='deterministic'.*alignment='sampling'"):
+            sampling.extend_summary(deterministic_build, r_only_delta)
+
+    def test_restore_refuses_another_alignment(self, toy_client, deterministic_build):
+        _db, metadata, _aqps = toy_client
+        reloaded = DatabaseSummary.from_json(deterministic_build.summary.to_json())
+        with pytest.raises(HydraError, match="alignment='deterministic'.*alignment='sampling'"):
+            Hydra(metadata=metadata, alignment="sampling").restore_result(reloaded)
+
+    def test_restore_refuses_another_mode(self, toy_client, deterministic_build):
+        _db, metadata, _aqps = toy_client
+        reloaded = DatabaseSummary.from_json(deterministic_build.summary.to_json())
+        with pytest.raises(HydraError, match="mode='exact'.*mode='soft'"):
+            Hydra(metadata=metadata, mode="soft").restore_result(reloaded)
+
+    def test_cli_extend_under_another_mode_exits_cleanly(self, toy_client, tmp_path):
+        _db, metadata, aqps = toy_client
+        package = InformationPackage(metadata=metadata, aqps=aqps[:2])
+        package_path, summary_path = tmp_path / "package.json", tmp_path / "summary.json"
+        package.save(package_path)
+        assert vendor_main([str(package_path), "--output", str(summary_path)]) == 0
+        with pytest.raises(SystemExit) as exited:
+            vendor_main(
+                [str(package_path), "--extend-from", str(summary_path), "--mode", "soft",
+                 "--output", str(tmp_path / "extended.json")]
+            )
+        assert str(exited.value) == (
+            "summary was built with mode='exact', which does not match the requested mode='soft'"
+        )
 
 
 class TestIncrementalFeasibility:
@@ -471,13 +514,12 @@ class TestIncrementalFeasibility:
         assert report.feasible
         assert report.max_relative_error <= 0.01
 
-    def test_probe_inherits_row_count_overrides(self, toy_client, monkeypatch):
-        """A base built with scaled row counts is probed with the same
-        scaling — only the delta's touched relations are soft-solved, not
-        every relation (which a config mismatch would silently cause)."""
+    def test_probe_shares_the_builds_scaled_metadata(self, toy_client, monkeypatch):
+        """A base built for scaled row counts is probed with the same
+        metadata — only the delta's touched relations are soft-solved, not
+        every relation (which a row-count mismatch would silently cause)."""
         _db, metadata, aqps = toy_client
-        overrides = {"R": 2 * metadata.row_count("R")}
-        hydra = Hydra(metadata=metadata, row_count_overrides=overrides)
+        hydra = Hydra(metadata=scale_metadata(metadata, 2))
         base = hydra.build_summary(aqps)
         regenerated = hydra.regenerate(base.summary, materialize=list(base.summary.relations))
         delta = [

@@ -22,7 +22,8 @@ from repro.catalog.metadata import collect_metadata
 from repro.catalog.schema import Column, ForeignKey, Schema, Table
 from repro.catalog.types import FLOAT, INTEGER
 from repro.client.extractor import AQPExtractor
-from repro.core.pipeline import Hydra, scale_row_counts
+from repro.core.pipeline import Hydra
+from repro.core.scenario import scale_metadata
 from repro.core.summary import (
     DatabaseSummary,
     FKReference,
@@ -31,6 +32,7 @@ from repro.core.summary import (
 )
 from repro.core.tuplegen import TupleGenerator
 from repro.executor.datagen import DataGenRelation
+from repro.executor import engine as engine_module
 from repro.executor.engine import ExecutionEngine, ExecutorError
 from repro.executor.rate import RateLimiter
 from repro.plans.logical import FilterNode, JoinNode, ScanNode, plan_from_dict
@@ -90,7 +92,7 @@ def vendor_routes(vendor_database, engine_routes):
 def _run_route(route, plan):
     """Execute a fresh clone of ``plan`` on one ``(database, options)`` route."""
     database, options = route
-    engine = ExecutionEngine(database=database, annotate=True, **options)
+    engine = ExecutionEngine(database=database, **options)
     cloned = plan_from_dict(plan.to_dict())
     cloned.clear_annotations()
     result = engine.execute(cloned)
@@ -250,13 +252,14 @@ class TestOneJoin:
         return databases
 
     @pytest.mark.parametrize("shape", sorted(JOIN_SHAPES))
-    def test_shape_on_every_attachment(self, attachments, shape):
+    def test_shape_on_every_attachment(self, attachments, shape, monkeypatch):
+        monkeypatch.setattr(engine_module, "BATCH_SIZE", 512)
         make, expected = JOIN_SHAPES[shape]
         schema = attachments["dataless"].schema
         outcomes = {}
         for name, database in attachments.items():
             plan = build_plan(parse_query(make, schema), schema) if isinstance(make, str) else make()
-            result = ExecutionEngine(database=database, batch_size=512).execute(plan)
+            result = ExecutionEngine(database=database).execute(plan)
             outcomes[name] = (result, [node.cardinality for node in plan.iter_nodes()])
             joins = [(e.route, e.reason) for e in result.route_events if e.kind == "join"]
             assert (result.scanned_rows, joins) == expected[name], (shape, name)
@@ -292,7 +295,7 @@ class TestMemoryBound:
     @pytest.fixture(scope="class")
     def scaled(self, client_database, client_aqps):
         metadata = collect_metadata(client_database)
-        hydra = Hydra(metadata=metadata, row_count_overrides=scale_row_counts(metadata, 100))
+        hydra = Hydra(metadata=scale_metadata(metadata, 100))
         return hydra, hydra.build_summary(client_aqps).summary
 
     @staticmethod
@@ -305,17 +308,17 @@ class TestMemoryBound:
             tracemalloc.stop()
 
     @pytest.mark.parametrize("name", sorted(QUERIES))
-    def test_streaming_peaks_5x_below_materialise_then_execute(self, scaled, name):
+    def test_streaming_peaks_5x_below_materialise_then_execute(self, scaled, name, monkeypatch):
+        monkeypatch.setattr(engine_module, "BATCH_SIZE", 8192)
         hydra, summary = scaled
         schema = summary.schema
-        options = {"annotate": False, "batch_size": 8192, "summary_fastpath": False}
 
         def execute(materialize):
             plan = build_plan(parse_query(self.QUERIES[name], schema), schema)
             database = hydra.regenerate(
                 summary, materialize=plan.output_tables() if materialize else ()
             )
-            return ExecutionEngine(database=database, **options).execute(plan)
+            return ExecutionEngine(database=database, summary_fastpath=False).execute(plan)
 
         streamed, streaming_peak = self._peak(lambda: execute(False))
         reference, materialised_peak = self._peak(lambda: execute(True))
@@ -709,7 +712,6 @@ class TestEmptyDisjunctionBox(object):
         from repro.core.regions import (
             Region,
             RegionPartitioner,
-            box_difference,
             box_is_empty,
         )
 
@@ -720,9 +722,6 @@ class TestEmptyDisjunctionBox(object):
         assert not region.contained_in(never)
         assert not region.overlaps(never)
         assert not _cell_inside(domain, never)
-        # Subtracting the falsum removes nothing — the region must survive.
-        assert box_difference(domain, never) == [domain]
-        assert box_difference(never, domain) == []
         # An all-false predicate box partitions the domain into one region
         # that satisfies nothing, instead of dropping or blanket-matching it.
         partitioner = RegionPartitioner(discrete={"x": True}, domain=domain)

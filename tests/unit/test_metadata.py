@@ -30,18 +30,18 @@ class TestCollectMetadata:
 
     def test_every_column_has_statistics(self, database, metadata):
         for table in database.schema:
-            stats = metadata.table_statistics(table.name)
+            stats = metadata.statistics[table.name]
             for column in table.columns:
                 assert column.name in stats.columns
 
     def test_column_statistics_bounds(self, database, metadata):
-        stats = metadata.column_statistics("S", "A")
+        stats = metadata.statistics["S"].column("A")
         values = database.table_data("S").column("A")
         assert stats.min_value == values.min()
         assert stats.max_value == values.max()
 
     def test_primary_key_statistics_distinct(self, metadata):
-        stats = metadata.column_statistics("S", "S_pk")
+        stats = metadata.statistics["S"].column("S_pk")
         assert stats.distinct_count == 300
 
     def test_statistics_contain_no_tuples(self, metadata):
@@ -56,8 +56,8 @@ class TestSerialisation:
         restored = DatabaseMetadata.from_json(metadata.to_json())
         assert set(restored.statistics) == set(metadata.statistics)
         assert restored.row_count("R") == metadata.row_count("R")
-        restored_stats = restored.column_statistics("S", "A")
-        original_stats = metadata.column_statistics("S", "A")
+        restored_stats = restored.statistics["S"].column("A")
+        original_stats = metadata.statistics["S"].column("A")
         assert restored_stats.histogram_bounds == original_stats.histogram_bounds
 
     def test_save_and_load(self, metadata, tmp_path):

@@ -20,6 +20,7 @@ from repro.core.pipeline import Hydra, summary_relation_providers
 from repro.core.summary import FKReference, RelationSummary, SummaryRow
 from repro.core.tuplegen import TupleGenerator
 from repro.executor.datagen import DataGenRelation
+from repro.executor import engine as engine_module
 from repro.executor.engine import ExecutionEngine
 from repro.executor.rate import RateLimiter
 from repro.parallel import ShardPlan, iter_parallel_blocks, pool_plan
@@ -154,12 +155,15 @@ class TestRegenerateIntegration:
             "and S.A >= 20 and S.A < 60 and T.C >= 2 and T.C < 5",
         ],
     )
-    def test_streaming_routes_bit_identical(self, toy_hydra, toy_summary, toy_metadata, sql):
+    def test_streaming_routes_bit_identical(
+        self, toy_hydra, toy_summary, toy_metadata, sql, monkeypatch
+    ):
         """Scans, joins and aggregates are worker-count-independent.
 
         ``summary_fastpath`` is disabled so the engine really streams blocks
         through the parallel iterators instead of answering from the summary.
         """
+        monkeypatch.setattr(engine_module, "BATCH_SIZE", 1024)
         schema = toy_metadata.schema
         serial_db = toy_hydra.regenerate(toy_summary, workers=1)
         parallel_db = toy_hydra.regenerate(toy_summary, workers=2)
@@ -167,9 +171,7 @@ class TestRegenerateIntegration:
         results = []
         for database in (serial_db, parallel_db):
             plan = build_plan(parse_query(sql, schema), schema)
-            engine = ExecutionEngine(
-                database=database, annotate=True, batch_size=1024, summary_fastpath=False
-            )
+            engine = ExecutionEngine(database=database, summary_fastpath=False)
             results.append(engine.execute(plan))
             annotations.append([node.cardinality for node in plan.iter_nodes()])
         assert annotations[0] == annotations[1]

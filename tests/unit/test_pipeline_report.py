@@ -1,12 +1,14 @@
-"""Unit tests for the pipeline build report and Hydra configuration knobs."""
+"""Unit tests for the pipeline build report and the settings Hydra keeps."""
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
-from repro.core.errors import InfeasibleConstraintsError, RegionExplosionError
-from repro.core.pipeline import Hydra, scale_row_counts
-from repro.verify.comparator import VolumetricComparator
+from repro.core.pipeline import Hydra
+from repro.core.scenario import Scenario, build_scenario, check_feasibility, scale_metadata
+from repro.executor.engine import ExecutionEngine
 
 
 class TestBuildReport:
@@ -22,10 +24,9 @@ class TestBuildReport:
         assert "LP variables" in text
         assert "constraints" in text
 
-    def test_variable_reduction_factor(self, result):
+    def test_grid_baseline_recorded(self, result):
         info = result.report.relations["R"]
-        assert info.grid_variables is not None
-        assert info.variable_reduction_factor() >= 1.0
+        assert info.grid_variables >= info.num_regions
 
     def test_result_size_helper(self, result):
         assert result.size_bytes() == result.summary.size_bytes()
@@ -35,42 +36,56 @@ class TestBuildReport:
         assert result.summary.build_info["lp_variables"] == result.report.total_lp_variables()
 
 
-class TestHydraKnobs:
-    def test_grid_baseline_can_be_disabled(self, toy_metadata, toy_aqps):
-        result = Hydra(metadata=toy_metadata, compute_grid_baseline=False).build_summary(toy_aqps)
-        assert all(info.grid_variables is None for info in result.report.relations.values())
+class TestHydraSettings:
+    def test_only_mode_and_alignment_are_settable(self):
+        assert [item.name for item in dataclasses.fields(Hydra)] == [
+            "metadata", "mode", "alignment",
+        ]
+        init_fields = [item.name for item in dataclasses.fields(ExecutionEngine) if item.init]
+        assert init_fields == ["database", "summary_fastpath"]
 
-    def test_unguided_solutions_still_regenerate(self, toy_metadata, toy_aqps):
-        hydra = Hydra(metadata=toy_metadata, guided_solutions=False)
-        result = hydra.build_summary(toy_aqps)
-        verification = VolumetricComparator(database=hydra.regenerate(result.summary)).verify(toy_aqps)
-        assert verification.fraction_within(0.25) >= 0.9
+    def test_scaled_metadata_scales_constraints(self, toy_metadata, toy_aqps):
+        metadata = scale_metadata(toy_metadata, 2)
+        result = Hydra(metadata=metadata).build_summary(toy_aqps)
+        assert result.summary.row_count("R") == 2 * toy_metadata.row_count("R")
 
-    def test_region_budget_enforced(self, tpcds_metadata, tpcds_aqps):
-        with pytest.raises(RegionExplosionError):
-            Hydra(metadata=tpcds_metadata, max_regions=3).build_summary(tpcds_aqps)
-
-    def test_row_count_override_scales_constraints(self, toy_metadata, toy_aqps):
-        target = 2 * toy_metadata.row_count("R")
-        hydra = Hydra(metadata=toy_metadata, row_count_overrides={"R": target})
-        result = hydra.build_summary(toy_aqps)
-        assert result.summary.row_count("R") == target
-
-    def test_exact_mode_without_fallback_raises_on_conflict(self, toy_metadata, toy_aqps):
+    def test_exact_mode_falls_back_to_soft_on_conflict(self, toy_metadata, toy_aqps):
         # Conflicting duplicate: same predicate with two different cardinalities.
         conflicting = [toy_aqps[0], toy_aqps[0].scale_annotations(3)]
-        hydra = Hydra(metadata=toy_metadata, fallback_to_soft=False)
-        with pytest.raises(InfeasibleConstraintsError):
-            hydra.build_summary(conflicting)
+        result = Hydra(metadata=toy_metadata).build_summary(conflicting)
+        assert any(info.soft_fallback for info in result.report.relations.values())
 
-    def test_exact_mode_with_fallback_absorbs_conflict(self, toy_metadata, toy_aqps):
-        conflicting = [toy_aqps[0], toy_aqps[0].scale_annotations(3)]
-        result = Hydra(metadata=toy_metadata, fallback_to_soft=True).build_summary(conflicting)
-        assert any(info.fallback_to_soft for info in result.report.relations.values())
+    @pytest.mark.parametrize(
+        "keyword, value",
+        [
+            ("fallback_to_soft", False),
+            ("compute_grid_baseline", False),
+            ("guided_solutions", False),
+            ("max_regions", 3),
+            ("sampling_seed", 17),
+            ("row_count_overrides", {"R": 10}),
+        ],
+    )
+    def test_removed_hydra_keyword_is_rejected(self, toy_metadata, keyword, value):
+        with pytest.raises(TypeError, match=keyword):
+            Hydra(metadata=toy_metadata, **{keyword: value})
 
+    @pytest.mark.parametrize("keyword, value", [("annotate", False), ("batch_size", 512)])
+    def test_removed_engine_keyword_is_rejected(self, toy_database, keyword, value):
+        with pytest.raises(TypeError, match=keyword):
+            ExecutionEngine(database=toy_database, **{keyword: value})
 
-class TestScaleRowCounts:
-    def test_scale_helper(self, toy_metadata):
-        overrides = scale_row_counts(toy_metadata, 10)
-        assert overrides["R"] == 10 * toy_metadata.row_count("R")
-        assert all(count >= 1 for count in overrides.values())
+    @pytest.mark.parametrize(
+        "call, keyword, value",
+        [
+            (check_feasibility, "max_regions", 3),
+            (build_scenario, "max_regions", 3),
+            (build_scenario, "row_count_overrides", {"R": 10}),
+        ],
+    )
+    def test_removed_scenario_keyword_is_rejected(
+        self, toy_metadata, toy_aqps, call, keyword, value
+    ):
+        scenario = Scenario(name="toy", metadata=toy_metadata, aqps=list(toy_aqps))
+        with pytest.raises(TypeError, match=keyword):
+            call(scenario, **{keyword: value})

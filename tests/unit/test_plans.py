@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.plans.aqp import AnnotatedQueryPlan, total_constraint_count
+from repro.plans.aqp import AnnotatedQueryPlan
 from repro.plans.logical import (
     AggregateNode,
     FilterNode,
@@ -145,11 +145,9 @@ class TestAnnotatedQueryPlan:
             node.cardinality = (index + 1) * 10
         return AnnotatedQueryPlan(query=query, plan=plan)
 
-    def test_is_annotated_and_edges(self, schema):
+    def test_edges(self, schema):
         aqp = self._aqp(schema)
-        assert aqp.is_annotated
         assert len(aqp.edges()) == 7
-        assert total_constraint_count([aqp]) == 7
 
     def test_json_roundtrip(self, schema):
         aqp = self._aqp(schema)

@@ -79,7 +79,6 @@ class TestFigure1Decomposition:
     def test_total_constraints(self, toy_database, toy_metadata, toy_aqps):
         workload = decompose_workload(toy_aqps, toy_metadata)
         assert workload.total_constraints() > 0
-        assert set(workload.constrained_relations()) <= {"R", "S", "T"}
 
 
 class TestSnowflakeDecomposition:

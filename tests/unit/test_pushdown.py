@@ -77,7 +77,7 @@ def _execute_routes(routes, plan):
     """Run one plan along the materialised, streaming and default routes."""
     outcomes = []
     for database, options in routes.values():
-        engine = ExecutionEngine(database=database, annotate=True, **options)
+        engine = ExecutionEngine(database=database, **options)
         cloned = plan_from_dict(plan.to_dict())
         cloned.clear_annotations()
         result = engine.execute(cloned)
@@ -178,7 +178,7 @@ class TestRouteEquivalence:
             parse_query("select count(*) from S where S.A >= 10", schema), schema
         )
         engine = ExecutionEngine(
-            database=vendor_database, annotate=True, summary_fastpath=False
+            database=vendor_database, summary_fastpath=False
         )
         provider = vendor_database.provider("S")
         before = provider.stats.rows_generated

@@ -9,7 +9,6 @@ from repro.core.errors import RegionExplosionError
 from repro.core.regions import (
     Region,
     RegionPartitioner,
-    box_difference,
     box_is_empty,
 )
 from repro.sql.predicates import BoxCondition, Interval, IntervalSet
@@ -32,30 +31,6 @@ class TestBoxHelpers:
 
     def test_box_is_empty_unbounded_is_nonempty(self):
         assert not box_is_empty(BoxCondition({"a": IntervalSet([Interval(float("-inf"), 5)])}))
-
-    def test_box_difference_single_column(self):
-        pieces = box_difference(box(a=(0, 10)), box(a=(3, 5)))
-        union = IntervalSet.empty()
-        for piece in pieces:
-            union = union.union(piece.condition_for("a"))
-        assert union == IntervalSet([Interval(0, 3), Interval(5, 10)])
-
-    def test_box_difference_two_columns_disjoint_pieces(self):
-        outer = box(a=(0, 10), b=(0, 10))
-        cut = box(a=(2, 4), b=(2, 4))
-        pieces = box_difference(outer, cut)
-        # Pieces are disjoint and none of them intersects the cut.
-        for piece in pieces:
-            assert box_is_empty(piece.intersect(cut)) or piece.intersect(cut).is_empty
-        # The piece count follows the column-by-column decomposition (≤ 2 per column).
-        assert 1 <= len(pieces) <= 4
-
-    def test_box_difference_no_overlap_returns_original(self):
-        outer = box(a=(0, 10))
-        cut = box(a=(20, 30))
-        pieces = box_difference(outer, cut)
-        assert len(pieces) == 1
-        assert pieces[0].condition_for("a") == IntervalSet([Interval(0, 10)])
 
     def test_domain_box_bounds_are_half_open(self):
         domain = BoxCondition(

@@ -4,10 +4,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.client.extractor import extract_aqps
+from repro.client.extractor import AQPExtractor
 from repro.core.scenario import (
     Scenario,
-    annotation_totals,
     build_scenario,
     check_feasibility,
     exabyte_extrapolation,
@@ -21,15 +20,20 @@ from repro.core.scenario import (
 def toy_scenario(request):
     database = request.getfixturevalue("toy_database")
     workload = request.getfixturevalue("toy_workload")
-    metadata, aqps = extract_aqps(database, workload)
+    extractor = AQPExtractor(database=database)
+    metadata, aqps = extractor.profile_metadata(), extractor.extract_workload(workload)
     return Scenario(name="toy", metadata=metadata, aqps=aqps)
+
+
+def _annotation_total(aqps):
+    return sum(edge.cardinality for aqp in aqps for edge in aqp.edges())
 
 
 class TestScaling:
     def test_scale_workload_multiplies_annotations(self, toy_scenario):
         scaled = scale_workload(toy_scenario.aqps, 10)
-        assert annotation_totals(scaled) == pytest.approx(
-            10 * annotation_totals(toy_scenario.aqps), rel=0.01
+        assert _annotation_total(scaled) == pytest.approx(
+            10 * _annotation_total(toy_scenario.aqps), rel=0.01
         )
 
     def test_scale_metadata_multiplies_row_counts(self, toy_scenario):
@@ -90,11 +94,6 @@ class TestBuildScenario:
         assert result.summary.total_summary_rows() == pytest.approx(
             baseline.summary.total_summary_rows(), abs=10
         )
-
-    def test_build_with_row_count_overrides(self, toy_scenario):
-        overrides = {"R": 2 * toy_scenario.metadata.row_count("R")}
-        result = build_scenario(toy_scenario, row_count_overrides=overrides)
-        assert result.summary.row_count("R") == overrides["R"]
 
     def test_injected_scenario_soft_build_reports_errors(self, toy_scenario):
         aqp = toy_scenario.aqps[0]

@@ -48,10 +48,9 @@ class TestTable:
         with pytest.raises(SchemaError):
             table.column("nope")
 
-    def test_value_and_non_key_columns(self):
+    def test_value_columns(self):
         fact = make_fact(["d1"])
         assert [c.name for c in fact.value_columns()] == ["measure", "d1_fk"]
-        assert [c.name for c in fact.non_key_columns()] == ["measure"]
 
     def test_foreign_key_for(self):
         fact = make_fact(["d1"])
@@ -74,11 +73,6 @@ class TestSchema:
         assert schema.table("d1").primary_key == "d1_pk"
         with pytest.raises(SchemaError):
             schema.table("missing")
-
-    def test_add_table_rejects_duplicates(self):
-        schema = Schema.from_tables([make_dim("d1")])
-        with pytest.raises(SchemaError):
-            schema.add_table(make_dim("d1"))
 
     def test_invalid_fk_reference_detected(self):
         dim = Table(

@@ -88,11 +88,9 @@ class TestTableData:
         data = TableData.from_rows(simple_table, [(0, 1.0, "low")] * 10)
         assert data.memory_bytes() > 0
 
-    def test_iter_and_decoded_rows(self, simple_table):
+    def test_decoded_row(self, simple_table):
         data = TableData.from_rows(simple_table, [(0, 1.0, "low"), (1, 2.0, "high")])
-        rows = list(data.iter_rows(decoded=True))
-        assert rows[1][2] == "high"
-        assert data.decoded_rows(limit=1) == [rows[0]]
+        assert data.row(1, decoded=True)[2] == "high"
 
 
 def _star_schema() -> Schema:

@@ -136,12 +136,6 @@ class TestRelationSummary:
         dim = summary.relation("dim")
         assert dim.pk_interval_of_row(1) == (917, 938)
 
-    def test_non_empty_rows(self):
-        relation = RelationSummary(
-            table="t", rows=[SummaryRow(count=0), SummaryRow(count=5)]
-        )
-        assert len(relation.non_empty_rows()) == 1
-
     def test_roundtrip(self, summary):
         dim = summary.relation("dim")
         restored = RelationSummary.from_dict(dim.to_dict())
@@ -279,11 +273,6 @@ class TestTupleGenerator:
         generator = TupleGenerator(table=schema.table("fact"), summary=summary.relation("fact"))
         with pytest.raises(ValueError, match="batch size must be >= 1"):
             next(generator.iter_filtered_blocks(BoxCondition({}), batch_size=batch_size))
-
-    def test_sample_rows(self, summary, schema):
-        generator = TupleGenerator(table=schema.table("dim"), summary=summary.relation("dim"))
-        sample = generator.sample_rows([0, 917, 938])
-        assert [row[0] for row in sample] == [0, 917, 938]
 
 
 class TestReferentialIntegrity:

@@ -24,7 +24,7 @@ import pytest
 
 from repro.catalog.schema import Column, ForeignKey, Table
 from repro.catalog.types import FLOAT, INTEGER
-from repro.cli import generate_main, vendor_main, verify_main
+from repro.cli import client_main, vendor_main, verify_main
 from repro.core.errors import ParallelGenerationError
 from repro.core.pipeline import Hydra
 from repro.core.summary import FKReference, RelationSummary, SummaryRow
@@ -43,7 +43,6 @@ from repro.telemetry import (
     active_session,
     add_counter,
     is_active,
-    merge_snapshots,
     observe,
     set_gauge,
     span,
@@ -85,7 +84,7 @@ class TestTracer:
         tracer = Tracer()
         with tracer.span("outer") as outer:
             with tracer.span("inner", detail=1) as inner:
-                assert tracer.current_span_id() == inner.span_id
+                assert inner.parent_id == outer.span_id
             with tracer.span("sibling"):
                 pass
         spans = {record.name: record for record in tracer.finished_spans()}
@@ -235,14 +234,6 @@ class TestMetricsRegistry:
         assert snapshot["gauges"]["g"] == 1.0
         assert snapshot["histograms"]["h"]["count"] == 1
 
-    def test_merge_snapshots_pure(self):
-        base = {"counters": {"a": 1.0}, "gauges": {}, "histograms": {}}
-        delta = {"counters": {"a": 2.0, "b": 1.0}, "gauges": {"g": 3.0}, "histograms": {}}
-        merged = merge_snapshots(base, delta)
-        assert merged["counters"] == {"a": 3.0, "b": 1.0}
-        assert merged["gauges"] == {"g": 3.0}
-        assert base["counters"] == {"a": 1.0}  # inputs untouched
-
     def test_write_json(self, tmp_path):
         registry = MetricsRegistry()
         registry.increment("c")
@@ -287,7 +278,7 @@ class TestSessionFastPath:
         assert record.name == "stage"
         assert record.attributes == {"size": 3, "result": "ok"}
         assert session.metrics.counter_value("c") == 2.0
-        assert session.metrics.gauge_value("g") == 7.0
+        assert session.metrics.snapshot()["gauges"]["g"] == 7.0
         assert session.metrics.snapshot()["histograms"]["h"]["count"] == 1
 
 
@@ -552,6 +543,56 @@ class TestRouteCatalogue:
         assert "no-streamable-leaf" in reasons and "disjunctive-condition" not in reasons
 
 
+class TestMetricCatalogue:
+    """docs/OBSERVABILITY.md names exactly the spans and metrics src/repro emits."""
+
+    REPO = Path(__file__).resolve().parents[2]
+    EMITTERS = {"span", "add_counter", "set_gauge", "observe", "increment"}
+
+    @classmethod
+    def _names(cls, node: ast.expr) -> set[str]:
+        """A literal name argument: a string, an f-string or either branch of an ``IfExp``."""
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            return {node.value}
+        if isinstance(node, ast.JoinedStr):
+            return {
+                "".join(
+                    part.value if isinstance(part, ast.Constant) else "{…}"
+                    for part in node.values
+                )
+            }
+        if isinstance(node, ast.IfExp):
+            return cls._names(node.body) | cls._names(node.orelse)
+        return set()
+
+    def _emitted(self) -> set[str]:
+        names: set[str] = set()
+        for path in (self.REPO / "src/repro").rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if not (isinstance(node, ast.Call) and node.args):
+                    continue
+                func = node.func
+                called = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if called in self.EMITTERS:
+                    names |= self._names(node.args[0])
+        return names
+
+    def _documented(self) -> set[str]:
+        text = (self.REPO / "docs/OBSERVABILITY.md").read_text(encoding="utf-8")
+        names: set[str] = set()
+        for heading in ("## Span taxonomy", "## Metric catalogue"):
+            section = text.split(heading, 1)[1].split("\n## ", 1)[0]
+            for first_cell in re.findall(r"^\| (`[^|]+) \|", section, re.M):
+                names |= set(re.findall(r"`([^`]+)`", first_cell))
+        return {re.sub(r"\{[^}]*\}", "{…}", name) for name in names}
+
+    def test_documented_spans_and_metrics_match_the_source(self):
+        emitted, documented = self._emitted(), self._documented()
+        assert "solve.partition" in emitted and "engine.route.{…}.{…}" in emitted
+        assert sorted(emitted - documented) == [], "emitted but not documented"
+        assert sorted(documented - emitted) == [], "documented but never emitted"
+
+
 class TestTraceCLI:
     def _write_session(self, tmp_path):
         with telemetry_session() as session:
@@ -594,7 +635,7 @@ class TestCLITelemetryFlags:
     @pytest.fixture(scope="class")
     def package_path(self, tmp_path_factory):
         path = tmp_path_factory.mktemp("telemetry_cli") / "package.json"
-        assert generate_main(
+        assert client_main(
             ["--dataset", "toy", "--queries", "4", "--seed", "3",
              "--output", str(path)]
         ) == 0

@@ -9,10 +9,7 @@ from repro.plans.planner import build_plan
 from repro.workload.generator import (
     WorkloadConfig,
     WorkloadGenerator,
-    distinct_filter_columns,
     generate_workload,
-    queries_per_table,
-    workload_signature,
 )
 from repro.workload.toy import FIGURE1_QUERY, ToyConfig, generate_toy_database, toy_schema
 from repro.workload.tpcds import TPCDSConfig, tpcds_schema
@@ -133,15 +130,16 @@ class TestWorkloadGenerator:
 
     def test_workload_spreads_over_fact_tables(self, tpcds_metadata):
         queries = generate_workload(tpcds_metadata, WorkloadConfig(num_queries=60, seed=9))
-        counts = queries_per_table(queries)
-        used_facts = {t for t in counts if t in {"store_sales", "web_sales", "catalog_sales"}}
+        facts = {"store_sales", "web_sales", "catalog_sales"}
+        used_facts = {table for query in queries for table in query.tables if table in facts}
         assert len(used_facts) >= 2
 
     def test_filters_reference_existing_columns(self, tpcds_metadata, tpcds_workload):
         schema = tpcds_metadata.schema
-        for name in distinct_filter_columns(tpcds_workload):
-            table, column = name.split(".")
-            assert schema.table(table).has_column(column)
+        for query in tpcds_workload:
+            for table, predicate in query.filters.items():
+                for column in predicate.columns():
+                    assert schema.table(table).has_column(column)
 
     def test_deterministic_given_seed(self, tpcds_metadata):
         a = generate_workload(tpcds_metadata, WorkloadConfig(num_queries=10, seed=4))
@@ -152,11 +150,6 @@ class TestWorkloadGenerator:
         config = WorkloadConfig(num_queries=500, templates_per_dimension=2, seed=0)
         with pytest.raises(ValueError):
             WorkloadGenerator(metadata=toy_metadata, config=config).generate()
-
-    def test_workload_signature_helper(self, tpcds_workload):
-        rows = workload_signature(tpcds_workload)
-        assert len(rows) == len(tpcds_workload)
-        assert all(num_tables >= 2 for _name, num_tables, _filters in rows)
 
     def test_works_on_toy_schema(self, toy_metadata):
         queries = generate_workload(toy_metadata, WorkloadConfig(num_queries=5, seed=2))
