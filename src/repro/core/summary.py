@@ -38,7 +38,7 @@ from numpy.typing import NDArray
 
 from ..catalog.schema import Schema, Table
 from ..serialization import JsonDocument
-from ..sql.predicates import BoxCondition, Interval, IntervalSet
+from ..sql.predicates import BoxCondition, Interval, IntervalSet, Predicate
 from .errors import SummaryError
 
 __all__ = [
@@ -48,6 +48,22 @@ __all__ = [
     "RelationSummary",
     "DatabaseSummary",
 ]
+
+
+def _pk_window(intervals: IntervalSet, start: int, end: int) -> IntervalSet:
+    """``intervals`` ∩ ``[start, end)``, visiting only the pieces that overlap it.
+
+    A bisect on the sorted piece ends skips every piece before the window, so
+    a pk box of many ranges (a decided box has one per passing summary row)
+    costs O(log #ranges + overlaps) per summary row instead of O(#ranges).
+    """
+    pieces = intervals.intervals
+    index = bisect.bisect_right(pieces, start, key=lambda piece: piece.high)
+    window = []
+    while index < len(pieces) and pieces[index].low < end:
+        window.append(Interval(max(pieces[index].low, start), min(pieces[index].high, end)))
+        index += 1
+    return IntervalSet(window)
 
 
 @dataclass(frozen=True)
@@ -128,25 +144,32 @@ class FKReference:
 
         The round-robin spread assigns offset ``k`` the ``(k mod total)``-th
         admissible target, so the answer only depends on which *positions* in
-        the flattened target order fall inside ``allowed``.  Each admissible
-        interval maps onto a contiguous position range, which makes the count
-        computable in O(#intervals²) interval arithmetic — no target is ever
-        enumerated, keeping the summary-fast-path O(#summary rows).
+        the flattened target order fall inside ``allowed``.  Each overlap of an
+        admissible piece with an allowed interval is a contiguous position
+        range; one forward merge walk over both sorted lists visits every
+        overlap, so the count costs O(#pieces + #allowed) and allocates no
+        interval — no target is ever enumerated, keeping the summary fast path
+        O(#summary rows).
         """
         total = self.target_count()
         if total <= 0 or num_offsets <= 0:
             return 0
         full_cycles, remainder = divmod(int(num_offsets), total)
-        matched = 0
-        for interval, base, position in zip(*self._flat):
-            for piece in allowed.intersect(IntervalSet([interval])):
-                piece_size = piece.count_integers()
-                if piece_size == 0:
-                    continue
-                lo = position + (math.ceil(piece.low) - base)
-                hi = lo + piece_size
-                matched += piece_size * full_cycles
-                matched += max(0, min(hi, remainder) - lo)
+        pieces, starts, bounds = self._flat
+        ranges = allowed.intervals
+        matched = first = 0
+        for piece, base, position in zip(pieces, starts, bounds):
+            # Allowed intervals ending at or before this piece end before every later one.
+            while first < len(ranges) and ranges[first].high <= piece.low:
+                first += 1
+            index = first
+            while index < len(ranges) and ranges[index].low < piece.high:
+                low = math.ceil(max(piece.low, ranges[index].low))
+                size = math.ceil(min(piece.high, ranges[index].high)) - low
+                if size > 0:
+                    lo = position + (low - base)
+                    matched += size * full_cycles + max(0, min(lo + size, remainder) - lo)
+                index += 1
         return matched
 
     def to_dict(self) -> dict[str, Any]:
@@ -255,6 +278,49 @@ class RelationSummary:
 
     # -- predicate pushdown support ----------------------------------------
 
+    def decided_box(self, predicate: Predicate, table: Table) -> BoxCondition | None:
+        """``predicate`` over this summary's tuples as an exact pk-range box.
+
+        Every tuple of a summary row carries the row's value-column
+        constants, so a filter reading only value columns has one verdict per
+        row.  The predicate is evaluated once per row, on the values
+        generation writes (``row.values`` with its 0.0 default, assigned into
+        the column's dtype as :meth:`TupleGenerator._fill_segment
+        <repro.core.tuplegen.TupleGenerator._fill_segment>` does), and the pk
+        ranges of the passing rows are *exactly* the matching tuples.
+
+        ``None`` when the table has no primary key or the predicate reads no
+        column, the primary key, a foreign-key column of any row or a column
+        the table does not have — the block stream then masks with the
+        predicate (and raises for the unknown column).  Nothing is cached:
+        editing ``row.values`` in place is legal.
+        """
+        pk = table.primary_key
+        columns = predicate.columns()
+        if (
+            pk is None
+            or not columns
+            or pk in columns
+            or not all(table.has_column(column) for column in columns)
+            or any(column in row.fk_refs for row in self.rows for column in columns)
+        ):
+            return None
+        block: dict[str, NDArray[Any]] = {}
+        for column in columns:
+            values = np.empty(len(self.rows), dtype=table.column(column).dtype.numpy_dtype)
+            for position, row in enumerate(self.rows):
+                values[position : position + 1] = row.values.get(column, 0.0)
+            block[column] = values
+        offsets = self.cumulative_offsets
+        return BoxCondition(
+            {
+                pk: IntervalSet(
+                    Interval(float(offsets[position]), float(offsets[position + 1]))
+                    for position in np.flatnonzero(predicate.evaluate(block))
+                )
+            }
+        )
+
     def row_excluded(self, position: int, box: BoxCondition, pk_column: str | None = None) -> bool:
         """True when no tuple of summary row ``position`` can satisfy ``box``.
 
@@ -267,8 +333,7 @@ class RelationSummary:
         start, end = self.pk_interval_of_row(position)
         for column, intervals in box.conditions.items():
             if pk_column is not None and column == pk_column:
-                window = intervals.intersect(IntervalSet([Interval(float(start), float(end))]))
-                if window.count_integers() == 0:
+                if _pk_window(intervals, start, end).count_integers() == 0:
                     return True
             elif column in row.fk_refs:
                 reachable = row.fk_refs[column].intervals.intersect(intervals)
@@ -302,9 +367,7 @@ class RelationSummary:
         partial_fks: dict[str, tuple[IntervalSet, int]] = {}
         for column, intervals in box.conditions.items():
             if pk_column is not None and column == pk_column:
-                window = intervals.intersect(
-                    IntervalSet([Interval(float(start), float(end))])
-                )
+                window = _pk_window(intervals, start, end)
                 matched = window.count_integers()
                 if matched < count:
                     pk_window = window
@@ -544,6 +607,9 @@ class DatabaseSummary(JsonDocument):
         field instead of leaking a raw exception from deep inside the parse.
         So does a foreign-key reference that could not generate: an
         unbounded interval, or no admissible target on a row with tuples.
+        So does a value generation would not write as stored: a non-finite
+        one, or a non-integral one on a discrete column (generation would
+        truncate it, and the summary route would count the stored value).
         """
         where = "<document>"
         try:
@@ -556,9 +622,17 @@ class DatabaseSummary(JsonDocument):
             for name, item in payload.get(where, {}).items():
                 where = f"relations[{name!r}]"
                 relation = relations[name] = RelationSummary.from_dict(item)
-                if relation.table != schema.table(name).name:
+                table = schema.table(name)
+                if relation.table != table.name:
                     raise ValueError(f"summarises {relation.table!r}")
+                discrete = {column.name for column in table.columns if column.dtype.is_discrete}
                 for position, row in enumerate(relation.rows):
+                    for column, value in row.values.items():
+                        where = f"relations[{name!r}].rows[{position}].values[{column!r}]"
+                        if not math.isfinite(value):
+                            raise ValueError(f"non-finite value {value!r}")
+                        if column in discrete and not value.is_integer():
+                            raise ValueError(f"non-integral value {value!r} on a discrete column")
                     for column, ref in row.fk_refs.items():
                         where = f"relations[{name!r}].rows[{position}].fk_refs[{column!r}]"
                         if ref.target_count() == 0 < row.count:

@@ -157,10 +157,13 @@ class _Leaf:
     Everything the routes observe about a leaf, derived once per
     ``execute``: ``summary`` is the relation summary behind a dataless
     provider (``None`` for a materialised one), ``box`` the pushed filter as
-    an *exactly equivalent* box — unconstrained without a filter, ``None``
-    when only an epsilon-approximation exists, in which case the block
-    stream masks with the original predicate and the summary route does not
-    apply.
+    an *exactly equivalent* box — unconstrained without a filter, the
+    filter's own box when it is exact, and over a dataless provider
+    otherwise the pk ranges of the summary rows the filter passes
+    (:meth:`~repro.core.summary.RelationSummary.decided_box`).  ``None``
+    only when neither exists (a non-box filter over a materialised relation,
+    or one reading a pk or FK column): the block stream then masks with the
+    original predicate and the summary route does not apply.
     """
 
     scan: ScanNode
@@ -195,6 +198,9 @@ class ExecutionEngine:
       single one, are answered from the relation summaries (count ×
       interval arithmetic, O(#summary rows)) whenever every pushed filter is
       an exact box the summaries can count; otherwise the child plan runs.
+      A filter reading only value columns always is one: without an exact
+      box of its own it is decided once per summary row into a pk-range box
+      (:class:`_Leaf`), which the streaming route also uses to skip segments.
 
     Every executed node is annotated in place with its output cardinality
     (``PlanNode.cardinality``) — that is how the client extracts AQPs and
@@ -309,17 +315,21 @@ class ExecutionEngine:
                     "which has no iter_filtered_blocks block stream for the engine to read"
                 )
             datagen = self._datagen(scan.table)
+            summary = None if datagen is None else datagen.source.summary
+            box: BoxCondition | None = BoxCondition({})
+            if filter_node is not None:
+                box = exact_predicate_box(filter_node.predicate, table)
+                if box is None and summary is not None:
+                    box = summary.decided_box(filter_node.predicate, table)
+                    if box is not None:
+                        add_counter("engine.leaf.decided")
             leaf = self._leaves[node.node_id] = _Leaf(
                 scan=scan,
                 filter=filter_node,
                 table=table,
                 provider=provider,
-                summary=None if datagen is None else datagen.source.summary,
-                box=(
-                    BoxCondition({})
-                    if filter_node is None
-                    else exact_predicate_box(filter_node.predicate, table)
-                ),
+                summary=summary,
+                box=box,
             )
         return leaf
 

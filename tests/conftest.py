@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import math
+from itertools import accumulate
+
 import numpy as np
 import pytest
 
@@ -9,6 +12,7 @@ from repro.catalog.metadata import collect_metadata
 from repro.client.extractor import AQPExtractor
 from repro.core.errors import SummaryError
 from repro.sql.parser import parse_query
+from repro.sql.predicates import IntervalSet
 from repro.storage.database import Database
 from repro.workload.generator import WorkloadConfig, generate_workload
 from repro.workload.toy import FIGURE1_QUERY, ToyConfig, generate_toy_database, toy_schema
@@ -148,6 +152,39 @@ def fk_targets_oracle():
         return starts[which] + (offsets - previous[which])
 
     return targets
+
+
+@pytest.fixture(scope="session")
+def fk_count_oracle():
+    """``count(ref, num_offsets, allowed)``: the nested loop ``count_matching_offsets`` once ran.
+
+    One ``IntervalSet`` intersection per (admissible piece × allowed
+    interval) pair, kept as the second differential oracle for the merge
+    walk that replaced it — the first is the brute-force enumeration through
+    ``fk_targets_oracle``, which cannot reach large offset counts.
+    """
+
+    def count(ref, num_offsets, allowed):
+        total = ref.target_count()
+        if total <= 0 or num_offsets <= 0:
+            return 0
+        full_cycles, remainder = divmod(int(num_offsets), total)
+        pieces = [interval for interval in ref.intervals if interval.count_integers()]
+        starts = [math.ceil(piece.low) for piece in pieces]
+        bounds = list(accumulate((piece.count_integers() for piece in pieces), initial=0))
+        matched = 0
+        for interval, base, position in zip(pieces, starts, bounds):
+            for piece in allowed.intersect(IntervalSet([interval])):
+                piece_size = piece.count_integers()
+                if piece_size == 0:
+                    continue
+                lo = position + (math.ceil(piece.low) - base)
+                hi = lo + piece_size
+                matched += piece_size * full_cycles
+                matched += max(0, min(hi, remainder) - lo)
+        return matched
+
+    return count
 
 
 @pytest.fixture(scope="session")

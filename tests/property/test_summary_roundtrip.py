@@ -11,6 +11,7 @@ ends.
 from __future__ import annotations
 
 import json
+import math
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -65,9 +66,16 @@ def summary_rows(draw) -> SummaryRow:
 
 
 def _loadable(row: SummaryRow) -> SummaryRow:
-    """A row ``DatabaseSummary.from_dict`` accepts: no tuples without an FK target."""
+    """A row ``DatabaseSummary.from_dict`` accepts.
+
+    No tuples without an FK target, and whole values on the toy schema's
+    integer columns ``A`` / ``B`` (generation would truncate a fraction).
+    """
     if any(ref.target_count() == 0 for ref in row.fk_refs.values()):
         row.count = 0
+    for column in ("A", "B"):
+        if column in row.values:
+            row.values[column] = float(math.floor(row.values[column]))
     return row
 
 

@@ -11,11 +11,12 @@ fixes (empty disjunction boxes, provider kinds, ``observed_rate`` semantics,
 
 from __future__ import annotations
 
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.catalog.metadata import collect_metadata
@@ -35,13 +36,16 @@ from repro.executor.datagen import DataGenRelation
 from repro.executor import engine as engine_module
 from repro.executor.engine import ExecutionEngine, ExecutorError
 from repro.executor.rate import RateLimiter
-from repro.plans.logical import FilterNode, JoinNode, ScanNode, plan_from_dict
+from repro.plans.logical import AggregateNode, FilterNode, JoinNode, ScanNode, plan_from_dict
 from repro.plans.planner import build_plan, compute_semijoin_pushdowns
 from repro.sql.predicates import (
+    And,
     BoxCondition,
     Comparison,
+    InList,
     Interval,
     IntervalSet,
+    Not,
     Or,
     box_semantics_exact,
 )
@@ -451,12 +455,12 @@ class TestSemiJoinPushdown:
         assert streaming_cards == reference_cards
         assert int(streaming.column("count")[0]) == int(reference.column("count")[0])
 
-    def test_inexact_probe_predicate_masks_instead_of_skipping(
+    def test_inexact_probe_predicate_is_decided_per_summary_row(
         self, dataless_star, engine_routes
     ):
-        # qty <= 2.5 on a discrete column is not box-exact: the probe falls
-        # back to predicate masking (no segment skipping) while the semi-join
-        # box still masks rows with no partner — all routes must agree.
+        # qty <= 2.5 on a discrete column is not box-exact: the probe's box is
+        # decided per summary row (a pk-range box) while the semi-join box
+        # still masks rows with no partner — all routes must agree.
         database, _summary = dataless_star
         sql = (
             "select count(*) from fact, dim "
@@ -482,11 +486,11 @@ class TestSemiJoinPushdown:
 
 class TestJoinCountFastPath:
     @staticmethod
-    def _counts(routes, sql):
+    def _counts(routes, sql, names=("materialised", "default")):
         schema = routes["default"][0].schema
         plan = build_plan(parse_query(sql, schema), schema)
         outcomes = {}
-        for name in ("materialised", "default"):
+        for name in names:
             result, cards = _run_route(routes[name], plan)
             outcomes[name] = (int(result.column("count")[0]), cards, result.scanned_rows)
         return outcomes
@@ -523,16 +527,25 @@ class TestJoinCountFastPath:
     @pytest.mark.parametrize(
         "sql",
         [
-            # Epsilon-approximated float comparison on the referenced side.
+            # Epsilon-approximated float comparisons on the referenced side,
+            # a non-integral constant on the referencing side: no exact box of
+            # their own, so each leaf's filter is decided per summary row.
             "select count(*) from fact, dim where fact.dim_fk = dim.dim_pk and dim.price = 90",
+            "select count(*) from fact, dim where fact.dim_fk = dim.dim_pk and dim.price != 10",
+            "select count(*) from fact, dim where fact.dim_fk = dim.dim_pk and dim.price <= 10",
+            "select count(*) from fact, dim "
+            "where fact.dim_fk = dim.dim_pk and dim.price > 10 and fact.qty <= 3.5",
         ],
     )
-    def test_inexact_cases_fall_back_but_stay_exact(self, dataless_star, engine_routes, sql):
-        database, _summary = dataless_star
-        outcomes = self._counts(engine_routes(database), sql)
-        assert outcomes["default"][0] == outcomes["materialised"][0], sql
-        assert outcomes["default"][1] == outcomes["materialised"][1], sql
-        assert outcomes["default"][2] > 0, sql  # it really streamed
+    def test_inexact_cases_are_decided_on_the_summary(self, dataless_star, engine_routes, sql):
+        database, summary = dataless_star
+        # Plant a representative inside the epsilon window of 10.0.
+        summary.relation("dim").rows[0].values["price"] = 10.0 + 1e-12
+        routes = engine_routes(database)
+        outcomes = self._counts(routes, sql, ("materialised", "streaming", "default"))
+        assert outcomes["default"][:2] == outcomes["materialised"][:2], sql
+        assert outcomes["default"][:2] == outcomes["streaming"][:2], sql
+        assert outcomes["default"][2] == 0, sql  # decided on the summary: nothing generated
 
     def test_constant_fk_summary_row(self, engine_routes):
         dim = Table(
@@ -618,6 +631,101 @@ class TestJoinCountFastPath:
         assert outcomes["default"][2] > 0  # fell back to streaming
 
 
+_PRICES = st.sampled_from([0.0, 9.5, 10.0, 10.0 + 2**-40, 50.0, 90.0, 90.25])
+_QTYS = st.sampled_from([0.0, 2.5, 3.0, 3.5, 7.75, 8.0])
+
+
+def _value_filters(column, constants):
+    """Filters on one value column: comparisons, ``IN`` lists, ``Or`` / ``And`` / ``Not``."""
+    ops = st.sampled_from(["=", "!=", "<", "<=", ">", ">="])
+    leaves = st.builds(Comparison, st.just(column), ops, constants) | st.builds(
+        InList, st.just(column), st.lists(constants, max_size=3).map(tuple)
+    )
+    return st.recursive(
+        leaves,
+        lambda children: st.lists(children, min_size=1, max_size=3).map(Or)
+        | st.lists(children, min_size=1, max_size=3).map(And)
+        | children.map(Not),
+        max_leaves=6,
+    )
+
+
+class TestDecidedBox:
+    """Value-column filters are decided per summary row, exactly, on every shape."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        dim_filter=st.none() | _value_filters("price", _PRICES),
+        fact_filter=st.none() | _value_filters("qty", _QTYS),
+        shape=st.sampled_from(["count-dim", "sum-dim", "avg-fact", "sum-fact", "count-join"]),
+        planted=st.booleans(),
+    )
+    def test_every_route_agrees_and_nothing_is_generated(
+        self, engine_routes, dim_filter, fact_filter, shape, planted
+    ):
+        database, summary = _dataless_star()
+        if planted:
+            # Inside the epsilon window of 10.0, and dyadic, so the per-row
+            # SUM terms the summary route adds up stay exact.
+            summary.relation("dim").rows[0].values["price"] = 10.0 + 2**-40
+        dim, fact = _leaf("dim", dim_filter), _leaf("fact", fact_filter)
+        join = JoinNode(
+            left=fact, right=dim, condition=JoinCondition("fact", "dim_fk", "dim", "dim_pk")
+        )
+        function, child, argument = {
+            "count-dim": ("count", dim, None),
+            "sum-dim": ("sum", dim, "dim.price"),
+            "avg-fact": ("avg", fact, "fact.qty"),
+            "sum-fact": ("sum", fact, "fact.qty"),
+            "count-join": ("count", join, None),
+        }[shape]
+        plan = AggregateNode(child=child, function=function, argument=argument)
+        outcomes = _run_routes(engine_routes(database), plan)
+        _assert_bit_identical(outcomes, (shape, dim_filter, fact_filter))
+        result, _cards = outcomes["default"]
+        assert result.aggregate_route == "summary" and result.fallback_reasons == []
+        assert result.scanned_rows == 0
+
+    @pytest.mark.parametrize(
+        "predicate",
+        [
+            Comparison("fact_pk", "<=", 200.5),
+            Comparison("dim_fk", "!=", 20.5),
+            Or([Comparison("qty", "=", 3.0), Comparison("dim_fk", "<", 10.0)]),
+            Or([Comparison("qty", "<=", 2.5), Comparison("fact_pk", ">=", 600.0)]),
+        ],
+    )
+    def test_non_box_filter_reading_a_key_still_streams(self, engine_routes, predicate):
+        database, _summary = _dataless_star()
+        plan = AggregateNode(child=_leaf("fact", predicate))
+        outcomes = _run_routes(engine_routes(database), plan)
+        _assert_bit_identical(outcomes, predicate)
+        result, _cards = outcomes["default"]
+        assert result.fallback_reasons == ["predicate-not-box"]
+        assert result.scanned_rows == 750
+
+    def test_values_are_read_as_generation_writes_them(self, engine_routes):
+        # An in-place edit skips load validation: generation truncates 3.75 on
+        # the integer column to 3, and the decided box must see that 3.
+        database, summary = _dataless_star()
+        fact = summary.relation("fact")
+        fact.rows[0].values["qty"] = 3.75
+        predicate = Comparison("qty", "<=", 3.5)
+        box = fact.decided_box(predicate, database.schema.table("fact"))
+        assert box == BoxCondition({"fact_pk": IntervalSet([Interval(0.0, 500.0)])})
+        outcomes = _run_routes(engine_routes(database), AggregateNode(child=_leaf("fact", predicate)))
+        _assert_bit_identical(outcomes, predicate)
+        assert int(outcomes["default"][0].column("count")[0]) == 500
+
+    def test_unknown_column_in_a_value_column_filter_still_raises(self, engine_routes):
+        database, _summary = _dataless_star()
+        predicate = Or([Comparison("qty", "=", 2.5), Comparison("typo", ">=", 0.0)])
+        for route_database, options in engine_routes(database).values():
+            engine = ExecutionEngine(database=route_database, **options)
+            with pytest.raises(KeyError, match="typo"):
+                engine.execute(AggregateNode(child=_leaf("fact", predicate)))
+
+
 class TestMatchingPkIntervals:
     def test_value_and_pk_constraints(self):
         summary = RelationSummary(
@@ -653,6 +761,29 @@ class TestMatchingPkIntervals:
         superset = summary.matching_pk_intervals(box, pk_column="fact_pk")
         assert superset == IntervalSet([Interval(0.0, 10.0)])
         assert summary.matching_pk_intervals(box, pk_column="fact_pk", exact=True) is None
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        ranges=st.lists(
+            st.tuples(st.integers(-2, 17), st.sampled_from([0.0, 0.5]), st.integers(0, 6)),
+            max_size=12,
+        )
+    )
+    def test_pk_ranges_against_each_row_window(self, ranges):
+        # Rows own pks [0, 5), [5, 12), [12, 16): ranges on a domain that
+        # small keep landing on, just inside and just outside a row's ends.
+        summary = RelationSummary(
+            table="dim", rows=[SummaryRow(count=count) for count in (5, 7, 4)]
+        )
+        pks = IntervalSet(
+            Interval(low + fraction, low + fraction + width) for low, fraction, width in ranges
+        )
+        box = BoxCondition({"dim_pk": pks})
+        for position in range(3):
+            start, end = summary.pk_interval_of_row(position)
+            expected = int(pks.membership_mask(np.arange(start, end, dtype=np.float64)).sum())
+            assert summary.count_matching_row(position, box, pk_column="dim_pk") == expected
+            assert summary.row_excluded(position, box, pk_column="dim_pk") == (expected == 0)
 
 
 class TestEmptyDisjunctionBox(object):
@@ -814,6 +945,36 @@ class TestObservedRate:
 _intervals = st.lists(
     st.tuples(st.integers(-30, 300), st.integers(1, 40)), min_size=1, max_size=4
 ).map(lambda pairs: IntervalSet([Interval(low, low + width) for low, width in pairs]))
+_FRACTIONS = st.sampled_from([0.0, 0.25, 0.5, 0.75])
+
+
+@st.composite
+def _pieces_and_allowed(draw):
+    """An FK reference of 1–4 fractional pieces and an allowed set around them.
+
+    Up to 12 allowed intervals per piece, fractional ends, and optionally an
+    allowed interval unbounded below and one unbounded above.
+    """
+    pieces = []
+    cursor = draw(st.integers(-20, 50))
+    for _ in range(draw(st.integers(1, 4))):
+        low = cursor + draw(st.integers(0, 30)) + draw(_FRACTIONS)
+        high = low + draw(st.integers(0, 40)) + draw(_FRACTIONS)
+        pieces.append(Interval(low, high))
+        cursor = math.ceil(high) + 1
+    ref = FKReference("dim", IntervalSet(pieces))
+    assume(ref.target_count() > 0)
+    allowed = []
+    for piece in pieces:
+        for _ in range(draw(st.integers(0, 12))):
+            low = draw(st.integers(math.floor(piece.low) - 3, math.ceil(piece.high) + 3))
+            low += draw(_FRACTIONS)
+            allowed.append(Interval(low, low + draw(st.integers(0, 6)) + draw(_FRACTIONS)))
+    if draw(st.booleans()):
+        allowed.append(Interval(-math.inf, draw(st.integers(-25, 250)) + draw(_FRACTIONS)))
+    if draw(st.booleans()):
+        allowed.append(Interval(draw(st.integers(-25, 250)) + draw(_FRACTIONS), math.inf))
+    return ref, IntervalSet(allowed)
 
 
 class TestCountMatchingOffsetsProperty:
@@ -866,14 +1027,17 @@ class TestCountMatchingOffsetsProperty:
         allowed=_intervals,
         leading_rows=st.integers(0, 50),
         count=st.integers(1, 300),
-        window=st.tuples(st.integers(-20, 360), st.integers(0, 200)),
+        windows=st.lists(
+            st.tuples(st.integers(-20, 360), st.integers(0, 200)), min_size=1, max_size=12
+        ),
     )
     def test_pk_window_times_partial_fk_matches_brute_force(
-        self, ref_intervals, allowed, leading_rows, count, window
+        self, ref_intervals, allowed, leading_rows, count, windows
     ):
         # One summary row behind ``leading_rows`` others (so its segment does
-        # not start at pk 0), a pk window and an FK allowed set that may each
-        # cover it fully, partially or not at all.
+        # not start at pk 0), pk ranges (up to 12, as a decided box has one
+        # per passing row) and an FK allowed set that may each cover it fully,
+        # partially or not at all.
         pieces = []
         cursor = 0
         for gap, width in ref_intervals:
@@ -891,10 +1055,11 @@ class TestCountMatchingOffsetsProperty:
             primary_key="fact_pk",
             foreign_keys=[ForeignKey("dim_fk", "dim", "dim_pk")],
         )
-        low, width = window
         box = BoxCondition(
             {
-                "fact_pk": IntervalSet([Interval(float(low), float(low + width))]),
+                "fact_pk": IntervalSet(
+                    Interval(float(low), float(low + width)) for low, width in windows
+                ),
                 "dim_fk": allowed,
             }
         )
@@ -902,3 +1067,21 @@ class TestCountMatchingOffsetsProperty:
         expected = int(box.evaluate(block).sum())
         position = len(rows) - 1
         assert summary.count_matching_row(position, box, pk_column="fact_pk") == expected
+        assert expected == 0 or not summary.row_excluded(position, box, pk_column="fact_pk")
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=_pieces_and_allowed(), num_offsets=st.integers(0, 400), many=st.integers(0, 10**12))
+    def test_merge_walk_matches_both_oracles(
+        self, fk_targets_oracle, fk_count_oracle, case, num_offsets, many
+    ):
+        # Fractional piece and allowed bounds, unbounded allowed ends and up
+        # to 12 allowed intervals per piece; offset counts far past what the
+        # enumeration can reach are checked against the nested loop alone.
+        ref, allowed = case
+        expected = 0
+        if num_offsets:
+            targets = fk_targets_oracle(ref, np.arange(num_offsets, dtype=np.int64))
+            expected = int(allowed.membership_mask(targets.astype(np.float64)).sum())
+        assert ref.count_matching_offsets(num_offsets, allowed) == expected
+        assert fk_count_oracle(ref, num_offsets, allowed) == expected
+        assert ref.count_matching_offsets(many, allowed) == fk_count_oracle(ref, many, allowed)

@@ -8,6 +8,8 @@ satellite bugfix regressions of this PR.
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from repro.catalog.metadata import collect_metadata
 from repro.catalog.schema import Column, ForeignKey, Schema, Table
 from repro.catalog.types import FLOAT, INTEGER
 from repro.client.extractor import AQPExtractor
+from repro.core.errors import SummaryError
 from repro.core.pipeline import Hydra
 from repro.core.summary import (
     DatabaseSummary,
@@ -369,23 +372,29 @@ class TestFastpathOnHandBuiltSummary:
         "sql",
         [
             # On continuous columns =, !=, <= and > are epsilon-approximated
-            # by the box conversion: the engine must refuse box semantics and
-            # keep masking with the original predicate so all routes agree,
-            # even when a representative lands inside the epsilon window.
+            # by the box conversion, so the filter has no exact box of its
+            # own; it reads only a value column, so the engine decides it once
+            # per summary row instead — exact even when a representative
+            # lands inside the epsilon window.
             "select count(*) from dim where dim.price != 10",
             "select count(*) from dim where dim.price = 90",
             "select count(*) from dim where dim.price <= 10",
             "select count(*) from dim where dim.price > 10",
+            "select sum(dim.dim_pk) from dim where dim.price > 10",
+            "select avg(dim.dim_pk) from dim where dim.price <= 10",
         ],
     )
-    def test_inexact_float_boxes_fall_back_but_stay_exact(self, dataless, engine_routes, sql):
+    def test_inexact_float_boxes_are_decided_on_the_summary(self, dataless, engine_routes, sql):
         # Plant a representative inside the epsilon window of 10.0.
         dim_summary = dataless.provider("dim").source.summary
         dim_summary.rows[0].values["price"] = 10.0 + 1e-12
         plan = build_plan(parse_query(sql, dataless.schema), dataless.schema)
         materialised, streaming, default = _execute_routes(engine_routes(dataless), plan)
         assert materialised[3] == streaming[3] == default[3]
-        assert default[2] > 0  # predicate-not-box: it really streamed
+        assert materialised[0] == streaming[0] == default[0]
+        assert default[2] == 0  # decided on the summary: nothing generated
+        result = ExecutionEngine(database=dataless).execute(plan_from_dict(plan.to_dict()))
+        assert result.aggregate_route == "summary" and result.fallback_reasons == []
 
     def test_exact_float_range_still_uses_fastpath(self, dataless):
         # < and >= are exact on continuous domains, so the fast path applies.
@@ -400,8 +409,9 @@ class TestFastpathOnHandBuiltSummary:
         "sql",
         [
             # Non-integral constants on a discrete column: the box rounds the
-            # bound (= 2.5 becomes [2.5, 3.5), matching qty == 3) so the exact
-            # routes must refuse box semantics and mask with the predicate.
+            # bound (= 2.5 becomes [2.5, 3.5), matching qty == 3) so the
+            # engine must refuse the filter's own box and decide the
+            # predicate per summary row instead.
             "select count(*) from fact where fact.qty = 2.5",
             "select count(*) from fact where fact.qty != 2.5",
             "select count(*) from fact where fact.qty <= 2.5",
@@ -414,6 +424,7 @@ class TestFastpathOnHandBuiltSummary:
         plan = build_plan(parse_query(sql, dataless.schema), dataless.schema)
         materialised, streaming, default = _execute_routes(engine_routes(dataless), plan)
         assert materialised[3] == streaming[3] == default[3]
+        assert default[2] == 0  # qty is a value column: decided per summary row
 
     @pytest.mark.parametrize("payload", [{"op": "true"}, {"op": "or", "children": []}])
     def test_column_free_predicates_from_aqp_payloads(self, dataless, engine_routes, payload):
@@ -471,6 +482,24 @@ class TestFastpathOnHandBuiltSummary:
 
 
 class TestSatelliteRegressions:
+    def test_fraction_on_an_integer_column_is_refused_at_load(self, vendor_database):
+        # A planted -2.5 on S.A used to load: the summary route then counted
+        # it inside ``S.A >= -3 and S.A < -2`` while generation truncated it
+        # to -2, so the routes answered the row's count and 0.
+        schema = vendor_database.schema
+        summary = DatabaseSummary(
+            schema=schema,
+            relations={
+                name: vendor_database.provider(name).source.summary for name in schema.table_names
+            },
+        )
+        payload = summary.to_dict()
+        DatabaseSummary.from_dict(payload)  # as built, it loads
+        payload["relations"]["S"]["rows"][0]["values"]["A"] = -2.5
+        field = "relations['S'].rows[0].values['A']"
+        with pytest.raises(SummaryError, match=re.escape(f"malformed database summary at {field}: ")):
+            DatabaseSummary.from_dict(payload)
+
     def test_result_column_ambiguity_error_lists_candidates(self):
         result = ExecutionResult(
             columns={"R.x": np.arange(3), "S.x": np.arange(3)}, row_count=3

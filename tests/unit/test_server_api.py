@@ -597,6 +597,19 @@ UNGENERATABLE_SUMMARIES = [
     for intervals in ([{"low": 0.0, "high": float("inf")}], [])
 ]
 MALFORMED_SUMMARIES += UNGENERATABLE_SUMMARIES
+#: Summaries holding a value generation would not write as stored: they used
+#: to load, and the summary route then counted a value no tuple carries.
+UNWRITABLE_VALUES = [
+    (
+        {
+            "schema": _SCHEMA,
+            "relations": {"t": {"table": "t", "rows": [{"count": 3, "values": {"v": value}}]}},
+        },
+        "relations['t'].rows[0].values['v']",
+    )
+    for value in (2.5, float("inf"))
+]
+MALFORMED_SUMMARIES += UNWRITABLE_VALUES
 #: Documents only a file can hold: not an object, not JSON at all.
 MALFORMED_DOCUMENTS = [(json.dumps(payload), field) for payload, field in MALFORMED_SUMMARIES] + [
     ("[1, 2]", "<document>"),
@@ -666,6 +679,17 @@ def test_ungeneratable_fk_reference_over_the_socket_is_400_bad_summary():
         assert status == 200 and answer["summaries_loaded"] == 0
 
 
+def test_fraction_on_a_discrete_column_over_the_socket_is_400_bad_summary():
+    payload, field = UNWRITABLE_VALUES[0]
+    with BackgroundServer(SummaryService()) as server:
+        status, answer = _exchange(
+            server.port, "POST", API_PREFIX + "/summaries",
+            body=json.dumps({"name": "bad", "summary": payload}),
+        )
+        assert (status, answer["error"]) == (400, "bad-summary"), answer
+        assert f"malformed database summary at {field}: " in answer["detail"]
+
+
 @pytest.fixture(scope="module")
 def package_path(tmp_path_factory, toy_metadata, toy_aqps):
     path = tmp_path_factory.mktemp("api") / "package.json"
@@ -677,7 +701,10 @@ def package_path(tmp_path_factory, toy_metadata, toy_aqps):
     "text, field",
     MALFORMED_DOCUMENTS[:4]
     + MALFORMED_DOCUMENTS[-2:]
-    + [(json.dumps(payload), field) for payload, field in UNGENERATABLE_SUMMARIES[:1]],
+    + [
+        (json.dumps(payload), field)
+        for payload, field in UNGENERATABLE_SUMMARIES[:1] + UNWRITABLE_VALUES[:1]
+    ],
 )
 def test_malformed_summary_on_the_command_line(text, field, package_path, tmp_path):
     """``hydra verify`` / ``vendor --extend-from`` / ``serve --load``: exit 1, no traceback."""

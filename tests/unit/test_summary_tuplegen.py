@@ -206,6 +206,32 @@ class TestDatabaseSummary:
         with pytest.raises(SummaryError, match=re.escape(f"malformed database summary at {field}: ")):
             DatabaseSummary.from_json(json.dumps(payload))
 
+    @pytest.mark.parametrize(
+        "relation, column, value",
+        [
+            ("fact", "quantity", 2.5),
+            ("dim", "category", -0.5),
+            ("dim", "price", float("inf")),
+            ("dim", "price", float("nan")),
+            ("fact", "quantity", float("-inf")),
+        ],
+    )
+    def test_value_generation_would_not_write_is_rejected_at_load(
+        self, summary, relation, column, value
+    ):
+        # Generation truncates a fraction on a discrete column; the summary
+        # route would count the stored value instead — the two used to split.
+        payload = summary.to_dict()
+        payload["relations"][relation]["rows"][0]["values"][column] = value
+        field = f"relations[{relation!r}].rows[0].values[{column!r}]"
+        with pytest.raises(SummaryError, match=re.escape(f"malformed database summary at {field}: ")):
+            DatabaseSummary.from_json(json.dumps(payload))
+
+    def test_fraction_on_a_continuous_column_loads(self, summary):
+        payload = summary.to_dict()
+        payload["relations"]["dim"]["rows"][0]["values"]["price"] = -2.5
+        assert DatabaseSummary.from_dict(payload).relation("dim").rows[0].values["price"] == -2.5
+
     def test_zero_count_row_without_targets_loads(self, summary):
         payload = summary.to_dict()
         row = payload["relations"]["fact"]["rows"][1]
