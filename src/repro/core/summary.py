@@ -31,7 +31,7 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate
-from typing import Any, Mapping, Sequence
+from typing import Any, Iterator, Mapping, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
@@ -139,25 +139,17 @@ class FKReference:
             out[done : done + step] = out[:step]
             done += step
 
-    def count_matching_offsets(self, num_offsets: int, allowed: IntervalSet) -> int:
-        """How many of the offsets ``0..num_offsets-1`` hit a target in ``allowed``.
+    def _overlaps(self, allowed: IntervalSet) -> Iterator[tuple[int, int, int]]:
+        """``(pk, size, position)`` of every overlap of an admissible piece with ``allowed``.
 
-        The round-robin spread assigns offset ``k`` the ``(k mod total)``-th
-        admissible target, so the answer only depends on which *positions* in
-        the flattened target order fall inside ``allowed``.  Each overlap of an
-        admissible piece with an allowed interval is a contiguous position
-        range; one forward merge walk over both sorted lists visits every
-        overlap, so the count costs O(#pieces + #allowed) and allocates no
-        interval — no target is ever enumerated, keeping the summary fast path
-        O(#summary rows).
+        The targets ``pk .. pk + size - 1`` sit at positions ``position ..
+        position + size - 1`` of the flattened order.  One forward merge walk
+        over both sorted lists visits every overlap in O(#pieces + #allowed)
+        and allocates no interval.
         """
-        total = self.target_count()
-        if total <= 0 or num_offsets <= 0:
-            return 0
-        full_cycles, remainder = divmod(int(num_offsets), total)
         pieces, starts, bounds = self._flat
         ranges = allowed.intervals
-        matched = first = 0
+        first = 0
         for piece, base, position in zip(pieces, starts, bounds):
             # Allowed intervals ending at or before this piece end before every later one.
             while first < len(ranges) and ranges[first].high <= piece.low:
@@ -167,10 +159,68 @@ class FKReference:
                 low = math.ceil(max(piece.low, ranges[index].low))
                 size = math.ceil(min(piece.high, ranges[index].high)) - low
                 if size > 0:
-                    lo = position + (low - base)
-                    matched += size * full_cycles + max(0, min(lo + size, remainder) - lo)
+                    yield low, size, position + (low - base)
                 index += 1
+
+    def count_matching_offsets(self, num_offsets: int, allowed: IntervalSet) -> int:
+        """How many of the offsets ``0..num_offsets-1`` hit a target in ``allowed``.
+
+        The round-robin spread assigns offset ``k`` the ``(k mod total)``-th
+        admissible target, so the answer only depends on which *positions* in
+        the flattened target order fall inside ``allowed``: each overlap of an
+        admissible piece with an allowed interval (:meth:`_overlaps`) is a
+        contiguous position range, hit once per full cycle plus once more if
+        it starts before the remainder.  No target is ever enumerated,
+        keeping the summary fast path O(#summary rows).
+        """
+        total = self.target_count()
+        if total <= 0 or num_offsets <= 0:
+            return 0
+        full_cycles, remainder = divmod(int(num_offsets), total)
+        matched = 0
+        for _pk, size, position in self._overlaps(allowed):
+            matched += size * full_cycles + max(0, min(position + size, remainder) - position)
         return matched
+
+    def add_matching_offsets_by_row(
+        self,
+        start: int,
+        stop: int,
+        allowed: IntervalSet,
+        row_bounds: Sequence[int],
+        counts: list[int],
+    ) -> None:
+        """Add the offsets ``start..stop-1`` hitting ``allowed`` to ``counts``, per referenced row.
+
+        ``row_bounds`` are the referenced relation's cumulative pk offsets
+        (:attr:`RelationSummary.cumulative_offsets`): an offset whose target
+        lies in ``[row_bounds[j], row_bounds[j + 1])`` adds one to
+        ``counts[j]``; a target outside every row adds nothing.  The same
+        merge walk as :meth:`count_matching_offsets`, with each overlap cut at
+        the row boundaries, so with ``start = 0`` and ``allowed`` inside the
+        rows the added counts total ``count_matching_offsets(stop, allowed)``.
+        A window ``start > 0`` is the prefix difference ``[0, stop) − [0, start)``.
+        """
+        total = self.target_count()
+        if total <= 0 or stop <= start:
+            return
+        stop_cycles, stop_rest = divmod(int(stop), total)
+        start_cycles, start_rest = divmod(int(start), total)
+        for pk, size, position in self._overlaps(allowed):
+            end = min(pk + size, row_bounds[-1])
+            if pk < row_bounds[0]:
+                position += row_bounds[0] - pk
+                pk = row_bounds[0]
+            row = bisect.bisect_right(row_bounds, pk) - 1
+            while pk < end:
+                cut = min(end, row_bounds[row + 1])
+                run = cut - pk
+                counts[row] += (
+                    run * (stop_cycles - start_cycles)
+                    + max(0, min(position + run, stop_rest) - position)
+                    - max(0, min(position + run, start_rest) - position)
+                )
+                pk, position, row = cut, position + run, row + 1
 
     def to_dict(self) -> dict[str, Any]:
         return {"ref_table": self.ref_table, "intervals": self.intervals.to_dict()}

@@ -23,6 +23,7 @@ above it.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Iterator, Mapping, NoReturn, TYPE_CHECKING, cast
@@ -193,11 +194,13 @@ class ExecutionEngine:
       (``join:streaming``), and semi-join FK pushdown skips probe summary
       segments that cannot join; without one the left input probes as a
       single block (``join:materializing`` / ``no-streamable-leaf``);
-    * ``COUNT`` over a summary-backed relation or a left-deep tree of
-      key/foreign-key joins of such relations, and ``SUM``/``AVG`` over a
-      single one, are answered from the relation summaries (count ×
-      interval arithmetic, O(#summary rows)) whenever every pushed filter is
-      an exact box the summaries can count; otherwise the child plan runs.
+    * ``COUNT``, ``SUM`` and ``AVG`` over a summary-backed relation or a
+      left-deep tree of key/foreign-key joins of such relations are answered
+      from the relation summaries (count × interval arithmetic, O(#summary
+      rows); a sum owned by the join's FK root or a table it references
+      directly, folded exactly and rounded once) whenever every pushed
+      filter is an exact box the summaries can count; otherwise the child
+      plan runs.
       A filter reading only value columns always is one: without an exact
       box of its own it is decided once per summary row into a pk-range box
       (:class:`_Leaf`), which the streaming route also uses to skip segments.
@@ -589,27 +592,28 @@ class ExecutionEngine:
     def _summary_aggregate(self, node: AggregateNode) -> tuple[int, float]:
         """``(count, sum)`` of an aggregate straight from the relation summaries.
 
-        Applies to ``COUNT`` over a left-deep FK–PK join tree — a single
-        leaf is its zero-join case — and to ``SUM``/``AVG`` over a single
-        leaf, when every input is the leaf access path of a summary-backed
-        dataless relation, every join condition follows a schema
-        foreign-key edge onto the referenced primary key
-        (:func:`~repro.plans.joingraph.classify_fk_edge`) and every pushed filter
-        is an exact box.  This covers the single FK–PK join, multi-way
-        chains (``A→B→C``: the middle relation's matching pks are first
-        narrowed by *its own* FK condition toward ``C``) and stars (one fact
-        referencing several dimensions) — any join subset whose FK edges
-        form an out-tree from a single referencing root.
+        Applies to ``COUNT``, ``SUM`` and ``AVG`` over a left-deep FK–PK join
+        tree — a single leaf is its zero-join case — when every input is the
+        leaf access path of a summary-backed dataless relation, every join
+        condition follows a schema foreign-key edge onto the referenced
+        primary key (:func:`~repro.plans.joingraph.classify_fk_edge`) and
+        every pushed filter is an exact box.  This covers the single FK–PK
+        join, multi-way chains (``A→B→C``: the middle relation's matching
+        pks are first narrowed by *its own* FK condition toward ``C``) and
+        stars (one fact referencing several dimensions) — any join subset
+        whose FK edges form an out-tree from a single referencing root.
 
         Every leaf's own filter is counted with
-        :meth:`~repro.core.summary.RelationSummary.count_matching`; each
-        intermediate join is counted against only the tables joined so far
-        (:meth:`_count_fk_prefix`).  O(#summary rows × #joins) total, zero
-        tuples generated, and exact because every referencing tuple joins at
-        most one (unique, auto-numbered) referenced pk.  Bails whenever a
-        step is not exactly countable, so the caller executes the child
-        plan instead; otherwise annotates every leaf and join node with the
-        cardinalities that execution would produce.
+        :meth:`~repro.core.summary.RelationSummary.count_matching`; each join
+        is the FK root's tuples matching its combined box over the tables
+        joined so far (:meth:`_fk_root`), and a ``SUM``/``AVG`` adds its
+        argument over the rows of the whole tree (:meth:`_summary_sum`).
+        O(#summary rows × #joins) total, zero tuples generated, and exact
+        because every referencing tuple joins at most one (unique,
+        auto-numbered) referenced pk.  Bails whenever a step is not exactly
+        countable, so the caller executes the child plan instead; otherwise
+        annotates every leaf and join node with the cardinalities that
+        execution would produce.
         """
         spine: list[JoinNode] = []
         anchor = node.child
@@ -617,10 +621,10 @@ class ExecutionEngine:
             spine.append(anchor)
             anchor = anchor.left
         spine.reverse()
-        root = self._leaf(anchor)
-        if root is None or (spine and node.function != "count"):
+        first = self._leaf(anchor)
+        if first is None:
             self._fallback("no-leaf-scan")
-        leaves = {root.scan.table: root}
+        leaves = {first.scan.table: first}
         for join in spine:
             leaf = self._leaf(join.right)
             if leaf is None or leaf.scan.table in leaves:
@@ -641,14 +645,11 @@ class ExecutionEngine:
                 self._fallback("predicate-not-box")
             summaries[name], boxes[name] = leaf.summary, leaf.box
 
-        # Filter annotations: tuples matching each table's own box only.
+        counting = node.function == "count"
+        # Filter annotations: tuples matching each table's own box only.  A
+        # single-leaf SUM/AVG counts its leaf while summing.
         filter_counts: dict[str, int] = {}
-        total = 0.0
-        if node.function != "count":
-            filter_counts[root.scan.table], total = self._summary_sum(
-                root.table, summaries[root.scan.table], boxes[root.scan.table], node.argument
-            )
-        else:
+        if spine or counting:
             for name, leaf in leaves.items():
                 count = summaries[name].count_matching(
                     boxes[name], pk_column=leaf.table.primary_key
@@ -656,16 +657,31 @@ class ExecutionEngine:
                 if count is None:
                     self._fallback("summary-not-exact")
                 filter_counts[name] = count
-        # Each intermediate join is the join of the tables attached so far,
-        # so its cardinality uses only the edges inside that prefix.
+        # Each join is the join of the tables attached so far: its FK root's
+        # tuples matching the root's combined box over that prefix.  A
+        # SUM/AVG counts the whole tree's rows while summing.
+        tables = list(leaves)
+        root, combined = tables[0], boxes[tables[0]]
         join_counts: list[int] = []
         for index in range(len(spine)):
-            joined = self._count_fk_prefix(
-                list(leaves)[: index + 2], edges[: index + 1], boxes, summaries
-            )
-            if joined is None:
+            rooted = self._fk_root(tables[: index + 2], edges[: index + 1], boxes, summaries)
+            if rooted is None:
                 self._fallback("join-not-exactly-countable")
-            join_counts.append(joined)
+            root, combined = rooted
+            if counting or index + 1 < len(spine):
+                joined = summaries[root].count_matching(
+                    combined, pk_column=leaves[root].table.primary_key
+                )
+                if joined is None:
+                    self._fallback("join-not-exactly-countable")
+                join_counts.append(joined)
+        total = 0.0
+        if not counting:
+            count, total = self._summary_sum(root, combined, leaves, edges, node.argument)
+            if spine:
+                join_counts.append(count)
+            else:
+                filter_counts[root] = count
 
         for name, leaf in leaves.items():
             leaf.scan.cardinality = leaf.provider.row_count
@@ -673,29 +689,31 @@ class ExecutionEngine:
                 leaf.filter.cardinality = filter_counts[name]
         for join, joined in zip(spine, join_counts):
             join.cardinality = joined
-        return (join_counts[-1] if spine else filter_counts[root.scan.table]), total
+        return (join_counts[-1] if spine else filter_counts[root]), total
 
-    def _count_fk_prefix(
+    def _fk_root(
         self,
         tables: list[str],
         edges: list[tuple[str, str, str, str]],
         boxes: Mapping[str, BoxCondition],
         summaries: "Mapping[str, RelationSummary]",
-    ) -> int | None:
-        """Exact row count of an FK out-tree join over ``tables``.
+    ) -> tuple[str, BoxCondition] | None:
+        """The FK root of an out-tree join over ``tables`` and its combined box.
 
         ``edges`` are ``(fk_table, fk_column, ref_table, ref_column)``
         resolutions.  The join must form an out-tree from a single
-        referencing root (every other table is the referenced side of
-        exactly one edge); every table's exactly-matching pk intervals are
+        referencing root — the one table no edge references, whatever its
+        place in ``FROM`` — every other table being the referenced side of
+        exactly one edge.  Every table's exactly-matching pk intervals are
         computed bottom-up
         (:meth:`~repro.core.summary.RelationSummary.matching_pk_intervals`
         with ``exact=True``) — own box plus the FK conditions toward its
-        referenced children — and the root's tuples are counted against its
-        box plus its own FK conditions.  Returns ``None`` when the shape
-        does not apply (two facts sharing a dimension multiply
-        cardinalities, which interval arithmetic cannot express) or a step
-        is not exactly countable.
+        referenced children — and the root's combined box is its own box plus
+        its FK conditions toward the tables it references: the join's rows
+        are exactly the root's tuples matching it, each joined to one tuple of
+        every other table.  ``None`` when the shape does not apply (two facts
+        sharing a dimension multiply cardinalities, which interval arithmetic
+        cannot express) or a referenced side's matching pks are not pk ranges.
         """
         ref_tables = [edge[2] for edge in edges]
         if len(set(ref_tables)) != len(ref_tables):
@@ -727,63 +745,155 @@ class ExecutionEngine:
             )
 
         combined = conditioned_box(roots[0])
-        if combined is None:
-            return None
-        return summaries[roots[0]].count_matching(
-            combined, pk_column=self.schema.table(roots[0]).primary_key
-        )
+        return None if combined is None else (roots[0], combined)
 
     def _summary_sum(
-        self, table: Table, summary: "RelationSummary", box: BoxCondition, argument: str | None
+        self,
+        root: str,
+        combined: BoxCondition,
+        leaves: Mapping[str, _Leaf],
+        edges: list[tuple[str, str, str, str]],
+        argument: str | None,
     ) -> tuple[int, float]:
-        """``(count, sum)`` of column ``argument`` over the tuples matching ``box``.
+        """``(count, sum)`` of column ``argument`` over the join's rows.
 
-        Every matching region's contribution must be exactly summable:
+        The rows are the FK root's tuples matching ``combined`` (:meth:`_fk_root`;
+        a single leaf is its own root under its own box), each joined to one
+        tuple of every referenced table.  ``argument`` names a column of one
+        joined table: a qualified name picks its table, a bare one needs a
+        unique owner.  Each summary row's contribution must be exactly
+        summable:
 
-        * a **value column** is generated as its region's constant
-          representative, so the contribution is ``matched × value`` —
-          exact for any countable matched subset;
-        * the **primary key** is the tuple index, so a fully-matching region
-          or a pk window sums as an arithmetic series
-          (:meth:`~repro.sql.predicates.IntervalSet.sum_integers`); a
-          partial FK match scatters the matching pks, which is not summable;
-        * a **foreign-key column** varies tuple-by-tuple with the
-          round-robin spread: never summable from the summary.
+        * **the owner is the root** — a *value column* is generated as its
+          row's constant representative, so the row adds ``matched × value``;
+          the *primary key* is the tuple index, so a fully-matching row or a
+          pk window sums as an arithmetic series
+          (:meth:`~repro.sql.predicates.IntervalSet.sum_integers`), while a
+          partial FK match scatters the matching pks; a *foreign-key column*
+          varies tuple-by-tuple with the round-robin spread;
+        * **the root references the owner through FK column** ``f`` — each
+          root row's matching offsets are spread over the owner's summary
+          rows by one merge walk
+          (:meth:`~repro.core.summary.FKReference.add_matching_offsets_by_row`;
+          a pk window is a prefix difference), and each owner row adds its
+          count × its value.  Another partial FK of the root row is
+          correlated with ``f`` through the tuple offset; the owner's primary
+          key or an FK column of it vary per joined tuple;
+        * **the owner is further from the root** — not attempted.
 
-        Region terms are combined with :func:`math.fsum`; execution
-        computes :func:`math.fsum` over the generated tuples, so the two
-        routes agree exactly whenever the per-region products are exact
-        (integer or dyadic representatives — every workload in this repo).
+        Terms are folded exactly and rounded once (:func:`_exact_sum`), which
+        is what :func:`math.fsum` returns over the streamed column: the two
+        routes agree to the last bit.
         """
         prefix, _, column = (argument or "").rpartition(".")
-        if prefix not in ("", table.name) or not table.has_column(column):
+        owners = [
+            name
+            for name, leaf in leaves.items()
+            if prefix in ("", name) and leaf.table.has_column(column)
+        ]
+        if len(owners) != 1:
             self._fallback("argument-not-resolvable")
+        (owner,) = owners
+        table, summary = leaves[root].table, cast("RelationSummary", leaves[root].summary)
         pk_column = table.primary_key
-        count_total = 0
-        terms: list[float] = []
+        weights: dict[float, int] = {}
+        count = 0
+        if owner == root:
+            for position, row in enumerate(summary.rows):
+                matched = summary.count_matching_row(position, combined, pk_column=pk_column)
+                if matched is None:
+                    self._fallback("summary-not-exact")
+                if matched == 0:
+                    continue
+                count += matched
+                if column == pk_column:
+                    match = summary.classify_row(position, combined, pk_column=pk_column)
+                    assert match is not None  # matched > 0
+                    if match.partial_fks:
+                        # Matching pks scattered by the fk spread: not summable.
+                        self._fallback("pk-scattered-by-fk")
+                    if match.pk_window is not None:
+                        pks = match.pk_window.sum_integers()
+                    else:
+                        start, end = summary.pk_interval_of_row(position)
+                        pks = Interval(float(start), float(end)).sum_integers()
+                    # The pks' exact integer sum, as a weight on 1.0.
+                    weights[1.0] = weights.get(1.0, 0) + pks
+                elif column in row.fk_refs:
+                    self._fallback("fk-argument-not-summable")  # targets vary per tuple
+                else:
+                    value = float(row.values.get(column, 0.0))
+                    weights[value] = weights.get(value, 0) + matched
+            return count, _exact_sum(weights)
+
+        via = next(
+            (edge[1] for edge in edges if edge[0] == root and edge[2] == owner), None
+        )
+        if via is None:
+            self._fallback("argument-beyond-one-edge")
+        owned = leaves[owner]
+        if column == owned.table.primary_key:
+            self._fallback("fk-argument-not-summable")  # the joined pks are the FK's targets
+        owner_summary = cast("RelationSummary", owned.summary)
+        bounds = owner_summary.cumulative_offsets.tolist()
+        allowed = combined.condition_for(via)
+        per_row = [0] * len(owner_summary.rows)
         for position, row in enumerate(summary.rows):
-            matched = summary.count_matching_row(position, box, pk_column=pk_column)
-            if matched is None:
-                self._fallback("summary-not-exact")
+            match = summary.classify_row(position, combined, pk_column=pk_column)
+            if match is None:
+                continue
+            ref = row.fk_refs.get(via)
+            if ref is None:
+                # A constant FK: every matching tuple joins the one pk it stores.
+                matched = summary.count_matching_row(position, combined, pk_column=pk_column)
+                if matched is None:
+                    self._fallback("summary-not-exact")
+                per_row[bisect.bisect_right(bounds, row.values.get(via, 0.0)) - 1] += matched
+                continue
+            if any(other != via for other in match.partial_fks):
+                self._fallback("summary-not-exact")  # correlated with via through the offset
+            if match.pk_window is None:
+                ref.add_matching_offsets_by_row(0, match.count, allowed, bounds, per_row)
+                continue
+            start, _end = summary.pk_interval_of_row(position)
+            for piece in match.pk_window:
+                low = math.ceil(piece.low) - start
+                ref.add_matching_offsets_by_row(
+                    low, low + piece.count_integers(), allowed, bounds, per_row
+                )
+        for position, matched in enumerate(per_row):
             if matched == 0:
                 continue
-            count_total += matched
-            if column == pk_column:
-                match = summary.classify_row(position, box, pk_column=pk_column)
-                assert match is not None  # matched > 0
-                if match.partial_fks:
-                    # Matching pks scattered by the fk spread: not summable.
-                    self._fallback("pk-scattered-by-fk")
-                if match.pk_window is not None:
-                    terms.append(match.pk_window.sum_integers())
-                else:
-                    start, end = summary.pk_interval_of_row(position)
-                    terms.append(Interval(float(start), float(end)).sum_integers())
-            elif column in row.fk_refs:
+            row = owner_summary.rows[position]
+            if column in row.fk_refs:
                 self._fallback("fk-argument-not-summable")  # targets vary per tuple
-            else:
-                terms.append(matched * float(row.values.get(column, 0.0)))
-        return count_total, math.fsum(terms)
+            count += matched
+            value = float(row.values.get(column, 0.0))
+            weights[value] = weights.get(value, 0) + matched
+        return count, _exact_sum(weights)
+
+
+def _exact_sum(weights: Mapping[float, int]) -> float:
+    """``Σ count × value`` over ``{value: count}``, exact and rounded once.
+
+    A finite float is an integer over a power of two
+    (:meth:`float.as_integer_ratio`), so the terms add up exactly as one
+    integer numerator over the largest denominator, and ``int / int`` true
+    division rounds it correctly — the value :func:`math.fsum` returns over
+    the same multiset of floats.  Summing rounded ``count × value`` products
+    instead can differ in the last bit.
+    """
+    if not all(map(math.isfinite, weights)):
+        return math.fsum(value * count for value, count in weights.items())
+    numerator = shift = 0
+    for value, count in weights.items():
+        top, bottom = value.as_integer_ratio()
+        scale = bottom.bit_length() - 1
+        if scale > shift:
+            numerator <<= scale - shift
+            shift = scale
+        numerator += (count * top) << (shift - scale)
+    return numerator / (1 << shift)
 
 
 def _qualified(table: Table, columns: Mapping[str, NDArray[Any]]) -> dict[str, NDArray[Any]]:

@@ -12,8 +12,9 @@ One scenario run is the full HYDRA round trip over one synthesized seed:
    fast path, streaming fallback, and via the HTTP server — and checked
    against the oracle: COUNT and ``SELECT *`` row counts must agree exactly,
    SUM/AVG within a float-summation tolerance;
-5. plan annotations must be route-independent: the server must annotate
-   exactly like the local fast path;
+5. results and plan annotations must be route-independent: the fast path
+   and the streaming route must return the same value to the last bit, and
+   the server must annotate exactly like the local fast path;
 6. on delta seeds the scenario's delta batches feed
    :meth:`~repro.core.pipeline.Hydra.extend_summary`; the extended summary
    is re-exported, re-checked against the oracle for every query seen so
@@ -68,7 +69,7 @@ class FuzzConfig:
     routes: tuple[str, ...] = ROUTES
     #: Every ``delta_every``-th seed additionally runs the delta phase.
     delta_every: int = 3
-    #: Relative tolerance for SUM/AVG (float summation order differs).
+    #: Relative tolerance for SUM/AVG against the SQLite oracle (its summation order differs).
     rel_tol: float = 1e-6
     #: Template for per-seed synth configs (its ``seed`` is overridden).
     synth: SynthConfig = field(default_factory=SynthConfig)
@@ -249,10 +250,11 @@ def _differential_pass(
         for synth_query in queries:
             oracle_value = oracle.scalar(synth_query.oracle_sql)
             annotations: dict[str, list[tuple[str, int]]] = {}
+            values: dict[str, Any] = {}
             for route, engine in engines.items():
                 plan = build_plan(synth_query.query, schema)
                 result = engine.execute(plan)
-                engine_value = _engine_value(
+                engine_value = values[route] = _engine_value(
                     synth_query.kind, result.columns, result.row_count
                 )
                 route_counts[route] += 1
@@ -302,6 +304,7 @@ def _differential_pass(
             disagreements.extend(
                 _annotation_mismatches(setup.seed, phase, synth_query, annotations)
             )
+            disagreements.extend(_value_mismatches(setup.seed, phase, synth_query, values))
     if client is not None and "server" in active:
         client.evict(server_name)
     return disagreements, len(queries), route_counts
@@ -332,6 +335,33 @@ def _annotation_mismatches(
             engine_value=local,
             oracle_value=served,
             detail="plan annotations are not route-independent",
+        )
+    ]
+
+
+def _value_mismatches(
+    seed: int, phase: str, synth_query: SynthQuery, values: dict[str, Any]
+) -> list[Disagreement]:
+    """Bit-identity of results across the local routes.
+
+    The oracle check allows SUM/AVG a float-summation tolerance against
+    SQLite; the summary fast path and the streaming route owe each other
+    the same value to the last bit (both round the exact sum once).
+    """
+    summary, streamed = values.get("fastpath"), values.get("streaming")
+    if summary is None or streamed is None or summary == streamed:
+        return []
+    return [
+        Disagreement(
+            seed=seed,
+            phase=phase,
+            query_name=synth_query.name,
+            kind=synth_query.kind,
+            route="fastpath-vs-streaming",
+            sql=synth_query.sql,
+            engine_value=summary,
+            oracle_value=streamed,
+            detail="summary and streaming results are not bit-identical",
         )
     ]
 

@@ -2,11 +2,12 @@
 
 The interval arithmetic in the region partitioner and the grid baseline is
 exact as long as comparisons stay on the lattice operations (min/max,
-``<=``); the aggregate fast paths are bit-stable across block boundaries
-only because every float accumulation goes through :func:`math.fsum` (a PR 6
-invariant: the summary fast path and the streaming fallback must agree to
-the last bit).  These rules flag the two spellings that break the
-discipline: ``==``/``!=`` on float-typed expressions and bare ``sum()`` in
+``<=``); the aggregates are bit-stable across block boundaries and routes
+only because every float accumulation is exact and rounded once — the
+streaming route with :func:`math.fsum`, the summary route with integer
+numerators over power-of-two denominators (a PR 6 invariant: the summary
+fast path and the streaming fallback must agree to the last bit).  These
+rules flag the two spellings that break the discipline: ``==``/``!=`` on float-typed expressions and bare ``sum()`` in
 aggregation paths.
 """
 
@@ -87,22 +88,24 @@ class FloatEqualityRule(Rule):
 
 @register
 class BareFloatSumRule(Rule):
-    """HYD302: aggregation paths must accumulate floats with ``math.fsum``.
+    """HYD302: aggregation paths must accumulate floats exactly, rounded once.
 
-    ``sum()`` over a float stream accumulates rounding error dependent on
-    block boundaries — the exact bug class the PR 6 SUM/AVG work had to
-    avoid so the summary fast path and the streaming fallback stay
-    bit-identical.  Inside the engine's aggregation module every builtin
-    ``sum()`` call is flagged; integer sums must either use an explicitly
-    integer spelling (``int`` accumulators, ``np.sum`` on integer arrays) or
-    carry a justified suppression.
+    ``sum()`` over a float stream rounds after every addition, so its result
+    depends on block boundaries and term order — the exact bug class the
+    PR 6 SUM/AVG work had to avoid so the summary fast path and the
+    streaming fallback stay bit-identical.  The invariant is "exact, rounded
+    once": :func:`math.fsum` over a column, or an exact integer fold (the
+    summary route's ``_exact_sum``).  Inside the engine's aggregation module
+    every builtin ``sum()`` call is flagged; integer sums must either use an
+    explicitly integer spelling (``int`` accumulators, ``np.sum`` on integer
+    arrays) or carry a justified suppression.
     """
 
     code: ClassVar[str] = "HYD302"
     name: ClassVar[str] = "bare-float-sum"
     summary: ClassVar[str] = (
-        "no bare builtin sum() in engine aggregation paths (math.fsum keeps "
-        "float accumulation block-boundary independent)"
+        "no bare builtin sum() in engine aggregation paths (exact accumulation, "
+        "rounded once, keeps floats block-boundary and route independent)"
     )
     paths: ClassVar[tuple[str, ...]] = ("src/repro/executor/engine.py",)
 
@@ -119,6 +122,6 @@ class BareFloatSumRule(Rule):
                     ctx,
                     node,
                     "builtin sum() in an aggregation path; float accumulation "
-                    "must use math.fsum (suppress with a justification for "
-                    "provably-integer sums)",
+                    "must be exact and rounded once, e.g. math.fsum (suppress "
+                    "with a justification for provably-integer sums)",
                 )

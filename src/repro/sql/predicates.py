@@ -140,18 +140,18 @@ class Interval:
             raise ValueError("cannot count integers of an unbounded interval")
         return max(0, high - low)
 
-    def sum_integers(self) -> float:
-        """Sum of the integer points inside the interval (0.0 when empty).
+    def sum_integers(self) -> int:
+        """Sum of the integer points inside the interval (0 when empty).
 
-        Evaluated as an arithmetic series, so the summary fast path can sum a
-        primary-key column over a pk window without enumerating indices.
+        Evaluated as an arithmetic series in exact integer arithmetic, so the
+        summary fast path can sum a primary-key column over a pk window
+        without enumerating indices or rounding.
         """
         count = self.count_integers()
         if count == 0:
-            return 0.0
-        first = float(math.ceil(self.low))
-        last = first + count - 1
-        return (first + last) * count / 2.0
+            return 0
+        first = math.ceil(self.low)
+        return (2 * first + count - 1) * count // 2
 
     def to_dict(self) -> dict[str, float]:
         """Serialise to a ``{"low": ..., "high": ...}`` mapping."""
@@ -354,7 +354,7 @@ class IntervalSet:
         """Number of integer points inside the set."""
         return sum(interval.count_integers() for interval in self.intervals)
 
-    def sum_integers(self) -> float:
+    def sum_integers(self) -> int:
         """Sum of the integer points inside the set (intervals are disjoint)."""
         return sum(interval.sum_integers() for interval in self.intervals)
 

@@ -5,7 +5,10 @@
 The gather it replaced (one binary search per offset, the
 ``fk_targets_oracle`` fixture) is the oracle: every cell, every dtype
 ``generate_block`` passes, offsets up to 10¹² and blocks up to three
-periods long.
+periods long.  ``FKReference.add_matching_offsets_by_row`` — the per-row
+split of ``count_matching_offsets`` the summary route's join SUM walks — is
+checked against the same gather binned by referenced row, and its row
+counts against the one-number count they split.
 """
 
 from __future__ import annotations
@@ -82,3 +85,71 @@ def test_count_matching_offsets_skips_integer_free_pieces(
     targets = fk_targets_oracle(reference, np.arange(num_offsets, dtype=np.int64))
     expected = int(allowed.membership_mask(targets.astype(np.float64)).sum())
     assert reference.count_matching_offsets(num_offsets, allowed) == expected
+
+
+@st.composite
+def allowed_sets(draw) -> IntervalSet:
+    """0–5 allowed intervals with fractional ends, optionally unbounded on one side."""
+    pieces = []
+    for _ in range(draw(st.integers(min_value=0, max_value=5))):
+        low = draw(st.integers(min_value=-30, max_value=340)) + draw(_FRACTIONS)
+        pieces.append(Interval(low, low + draw(st.integers(0, 80)) + draw(_FRACTIONS)))
+    if draw(st.booleans()):
+        pieces.append(Interval(-np.inf, draw(st.integers(-30, 340)) + draw(_FRACTIONS)))
+    return IntervalSet(pieces)
+
+
+@st.composite
+def row_bounds(draw) -> list[int]:
+    """Cumulative pk offsets of a referenced relation; zero-count rows included."""
+    first = draw(st.integers(min_value=-25, max_value=60))
+    counts = draw(st.lists(st.integers(min_value=0, max_value=90), min_size=1, max_size=8))
+    bounds = [first]
+    for count in counts:
+        bounds.append(bounds[-1] + count)
+    return bounds
+
+
+@given(
+    reference=references(),
+    allowed=allowed_sets(),
+    bounds=row_bounds(),
+    start=st.integers(min_value=0, max_value=300),
+    length=st.integers(min_value=0, max_value=300),
+)
+@settings(max_examples=300, deadline=None)
+def test_matching_offsets_by_row_are_the_gather_binned_by_row(
+    fk_targets_oracle, reference, allowed, bounds, start, length
+):
+    counts = [0] * (len(bounds) - 1)
+    reference.add_matching_offsets_by_row(start, start + length, allowed, bounds, counts)
+    targets = fk_targets_oracle(reference, np.arange(start, start + length, dtype=np.int64))
+    hits = targets[allowed.membership_mask(targets.astype(np.float64))]
+    hits = hits[(hits >= bounds[0]) & (hits < bounds[-1])]
+    rows = np.searchsorted(np.asarray(bounds), hits, side="right") - 1
+    assert counts == np.bincount(rows, minlength=len(counts)).tolist()
+
+
+@given(
+    reference=references(),
+    allowed=allowed_sets(),
+    cuts=st.lists(st.integers(min_value=-20, max_value=400), max_size=8),
+    start=st.integers(min_value=0, max_value=10**12),
+    length=st.integers(min_value=0, max_value=10**12),
+)
+@settings(max_examples=300, deadline=None)
+def test_matching_offsets_by_row_add_up_to_count_matching_offsets(
+    reference, allowed, cuts, start, length
+):
+    # Rows covering every admissible target: the per-row counts of a walk
+    # over offsets [start, stop) add up to the prefix difference of the
+    # one-number count, at offset counts no enumeration can reach.
+    bounds = sorted({-21, 401, *cuts})
+    counts = [0] * (len(bounds) - 1)
+    stop = start + length
+    reference.add_matching_offsets_by_row(start, stop, allowed, bounds, counts)
+    assert min(counts) >= 0
+    assert sum(counts) == (
+        reference.count_matching_offsets(stop, allowed)
+        - reference.count_matching_offsets(start, allowed)
+    )

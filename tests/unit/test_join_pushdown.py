@@ -665,8 +665,7 @@ class TestDecidedBox:
     ):
         database, summary = _dataless_star()
         if planted:
-            # Inside the epsilon window of 10.0, and dyadic, so the per-row
-            # SUM terms the summary route adds up stay exact.
+            # Inside the epsilon window of 10.0.
             summary.relation("dim").rows[0].values["price"] = 10.0 + 2**-40
         dim, fact = _leaf("dim", dim_filter), _leaf("fact", fact_filter)
         join = JoinNode(
