@@ -14,6 +14,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
+from ..serialization import write_atomic
+
 from .schema import Schema
 from .statistics import ColumnStatistics, TableStatistics, build_column_statistics
 
@@ -60,7 +62,7 @@ class DatabaseMetadata:
         return cls.from_dict(json.loads(text))
 
     def save(self, path: str | Path) -> None:
-        Path(path).write_text(self.to_json())
+        write_atomic(path, self.to_json())
 
     @classmethod
     def load(cls, path: str | Path) -> "DatabaseMetadata":

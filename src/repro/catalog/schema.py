@@ -13,8 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Iterator
 
-import networkx as nx
-
 from .types import DataType, type_from_dict
 
 __all__ = ["Column", "ForeignKey", "Table", "Schema", "SchemaError"]
@@ -219,29 +217,40 @@ class Schema:
 
     # -- foreign-key graph ----------------------------------------------
 
-    def foreign_key_graph(self) -> nx.DiGraph:
-        """Directed graph with an edge ``referencing -> referenced`` per FK."""
-        graph = nx.DiGraph()
-        graph.add_nodes_from(self.tables)
-        for table in self.tables.values():
-            for fk in table.foreign_keys:
-                graph.add_edge(table.name, fk.ref_table, column=fk.column)
-        return graph
-
     def topological_order(self) -> list[str]:
         """Tables ordered so that referenced tables come before referencing ones.
 
         This is the processing order of the HYDRA preprocessor / summary
-        generator: dimensions before facts in a star schema.
+        generator: dimensions before facts in a star schema.  Kahn's
+        algorithm by generations over the ``referencing -> referenced``
+        graph — nodes in schema order (a referenced name the schema lacks
+        after them), each table's references in foreign-key order, a
+        repeated edge once — then reversed, so referenced tables come first.
         """
-        graph = self.foreign_key_graph()
-        try:
-            order = list(nx.topological_sort(graph))
-        except nx.NetworkXUnfeasible as exc:
-            raise SchemaError("foreign-key graph contains a cycle") from exc
-        # topological_sort on referencing->referenced edges puts fact tables
-        # first; reverse so referenced tables come first.
-        return list(reversed(order))
+        graph: dict[str, list[str]] = {name: [] for name in self.tables}
+        for table in self.tables.values():
+            for fk in table.foreign_keys:
+                graph.setdefault(fk.ref_table, [])
+                if fk.ref_table not in graph[table.name]:
+                    graph[table.name].append(fk.ref_table)
+        indegree = dict.fromkeys(graph, 0)
+        for targets in graph.values():
+            for target in targets:
+                indegree[target] += 1
+        order: list[str] = []
+        generation = [name for name, degree in indegree.items() if degree == 0]
+        while generation:
+            order.extend(generation)
+            following = []
+            for name in generation:
+                for target in graph[name]:
+                    indegree[target] -= 1
+                    if indegree[target] == 0:
+                        following.append(target)
+            generation = following
+        if len(order) < len(graph):
+            raise SchemaError("foreign-key graph contains a cycle")
+        return order[::-1]
 
     def referencing_tables(self, name: str) -> list[tuple[Table, ForeignKey]]:
         """All (table, fk) pairs that reference the given table."""

@@ -538,9 +538,8 @@ class Hydra:
                 summary = DatabaseSummary(schema=schema, relations=replacements)
             else:
                 summary = base.summary.splice(replacements)
-            # Restricted to the re-solved relations: the untouched ones share
-            # their row objects with the base summary and must never be
-            # mutated by this pass (see enforce_referential_integrity).
+            # Restricted to the re-solved relations: the untouched ones are
+            # shared with the base summary, which already enforced them.
             with span("hydra.referential_integrity"):
                 report.referential = enforce_referential_integrity(summary, only=replacements)
             summary.validate()

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from ..sql.predicates import Interval, IntervalSet
-from .summary import DatabaseSummary, FKReference
+from .summary import DatabaseSummary, FKReference, RelationSummary, SummaryRow
 
 __all__ = ["ReferentialRepair", "ReferentialReport", "enforce_referential_integrity"]
 
@@ -69,7 +69,9 @@ def enforce_referential_integrity(
 ) -> ReferentialReport:
     """Clamp every FK reference interval to the referenced relation's size.
 
-    Modifies ``summary`` in place and returns the list of repairs.  A
+    Rows are read-only, so a relation with a repaired row is replaced in
+    ``summary`` by a new :class:`RelationSummary` of replacement rows;
+    returns the list of repairs.  A
     reference whose intervals become empty after clamping is remapped to the
     full referenced pk range — the "minor additive error" case, since those
     tuples may now join with partners outside the intended predicate region.
@@ -79,32 +81,27 @@ def enforce_referential_integrity(
     left untouched *share* their row objects with the base summary, were
     already enforced by the base build, and reference totals that cannot
     have changed (the LP's row-count row is hard, and a row-count change
-    marks every referencing relation as touched) — so skipping them both
-    avoids redundant work and guarantees the shared base rows are never
-    mutated by a later extend.
+    marks every referencing relation as touched) — so skipping them
+    avoids redundant work.
     """
     report = ReferentialReport()
     names = set(summary.relations) if only is None else set(only)
-    for table_name, relation in summary.relations.items():
+    for table_name, relation in list(summary.relations.items()):
         if table_name not in names:
             continue
+        repaired = len(report.repairs)
+        rows = []
         for row_index, row in enumerate(relation.rows):
-            for column, reference in list(row.fk_refs.items()):
+            fk_refs = dict(row.fk_refs)
+            for column, reference in row.fk_refs.items():
                 ref_total = summary.row_count(reference.ref_table)
                 bound = IntervalSet([Interval(0.0, float(ref_total))])
                 clamped = reference.intervals.intersect(bound)
                 if clamped == reference.intervals:
                     continue
-                if not clamped.is_empty:
-                    row.fk_refs[column] = FKReference(
-                        ref_table=reference.ref_table, intervals=clamped
-                    )
-                    action = "clamped"
-                else:
-                    row.fk_refs[column] = FKReference(
-                        ref_table=reference.ref_table, intervals=bound
-                    )
-                    action = "remapped"
+                fk_refs[column] = FKReference(
+                    ref_table=reference.ref_table, intervals=bound if clamped.is_empty else clamped
+                )
                 report.repairs.append(
                     ReferentialRepair(
                         table=table_name,
@@ -112,7 +109,10 @@ def enforce_referential_integrity(
                         column=column,
                         ref_table=reference.ref_table,
                         affected_tuples=row.count,
-                        action=action,
+                        action="remapped" if clamped.is_empty else "clamped",
                     )
                 )
+            rows.append(SummaryRow(row.count, row.values, fk_refs))
+        if len(report.repairs) > repaired:
+            summary.add_relation(RelationSummary(table=table_name, rows=rows))
     return report

@@ -31,7 +31,8 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate
-from typing import Any, Iterator, Mapping, Sequence
+from types import MappingProxyType
+from typing import Any, Iterator, Mapping, Sequence, cast
 
 import numpy as np
 from numpy.typing import NDArray
@@ -39,31 +40,15 @@ from numpy.typing import NDArray
 from ..catalog.schema import Schema, Table
 from ..serialization import JsonDocument
 from ..sql.predicates import BoxCondition, Interval, IntervalSet, Predicate
+from .columns import RowMatches, SummaryColumns
 from .errors import SummaryError
 
 __all__ = [
     "FKReference",
     "SummaryRow",
-    "RowBoxMatch",
     "RelationSummary",
     "DatabaseSummary",
 ]
-
-
-def _pk_window(intervals: IntervalSet, start: int, end: int) -> IntervalSet:
-    """``intervals`` ∩ ``[start, end)``, visiting only the pieces that overlap it.
-
-    A bisect on the sorted piece ends skips every piece before the window, so
-    a pk box of many ranges (a decided box has one per passing summary row)
-    costs O(log #ranges + overlaps) per summary row instead of O(#ranges).
-    """
-    pieces = intervals.intervals
-    index = bisect.bisect_right(pieces, start, key=lambda piece: piece.high)
-    window = []
-    while index < len(pieces) and pieces[index].low < end:
-        window.append(Interval(max(pieces[index].low, start), min(pieces[index].high, end)))
-        index += 1
-    return IntervalSet(window)
 
 
 @dataclass(frozen=True)
@@ -72,15 +57,19 @@ class FKReference:
 
     Target position ``p`` (the round-robin order) is the ``p``-th integer of
     ``intervals``.  Every method reads one flattened form of that order,
-    derived on first use and cached: it is not part of ``==``, ``repr`` or
-    :meth:`to_dict`.
+    derived on first use and cached (:attr:`flat`, which the summary's
+    column view concatenates): it is not part of ``==``, ``repr``,
+    :meth:`to_dict` or a pickle.
     """
 
     ref_table: str
     intervals: IntervalSet
 
+    def __getstate__(self) -> dict[str, Any]:
+        return {"ref_table": self.ref_table, "intervals": self.intervals}
+
     @cached_property
-    def _flat(self) -> tuple[tuple[Interval, ...], tuple[int, ...], tuple[int, ...]]:
+    def flat(self) -> tuple[tuple[Interval, ...], tuple[int, ...], tuple[int, ...]]:
         """``(pieces, starts, bounds)`` over the intervals holding an integer.
 
         Piece ``i`` holds target positions ``[bounds[i], bounds[i + 1])``, the
@@ -94,7 +83,7 @@ class FKReference:
 
     def target_count(self) -> int:
         """Number of distinct referenced pk indices available."""
-        return self._flat[2][-1]
+        return self.flat[2][-1]
 
     def _positive_count(self) -> int:
         total = self.target_count()
@@ -110,7 +99,7 @@ class FKReference:
         The scalar reference :meth:`fill_targets` vectorises.
         """
         k = int(k) % self._positive_count()
-        _pieces, starts, bounds = self._flat
+        _pieces, starts, bounds = self.flat
         i = bisect.bisect_right(bounds, k) - 1
         return starts[i] + k - bounds[i]
 
@@ -122,7 +111,7 @@ class FKReference:
         runs; the cells after them repeat those with period ``total``.
         """
         total = self._positive_count()
-        _pieces, starts, bounds = self._flat
+        _pieces, starts, bounds = self.flat
         size, k = len(out), int(offset) % total
         head = min(size, total)
         i = bisect.bisect_right(bounds, k) - 1
@@ -147,7 +136,7 @@ class FKReference:
         over both sorted lists visits every overlap in O(#pieces + #allowed)
         and allocates no interval.
         """
-        pieces, starts, bounds = self._flat
+        pieces, starts, bounds = self.flat
         ranges = allowed.intervals
         first = 0
         for piece, base, position in zip(pieces, starts, bounds):
@@ -233,13 +222,25 @@ class FKReference:
         )
 
 
-@dataclass
+@dataclass(frozen=True)
 class SummaryRow:
-    """One region's contribution to a relation summary."""
+    """One region's contribution to a relation summary.
+
+    Read-only, down to its mappings: a changed row is a new row, so the
+    column view a :class:`RelationSummary` derives from its rows cannot go
+    stale.  Pickles as plain dicts.
+    """
 
     count: int
-    values: dict[str, float] = field(default_factory=dict)
-    fk_refs: dict[str, FKReference] = field(default_factory=dict)
+    values: Mapping[str, float] = field(default_factory=dict)
+    fk_refs: Mapping[str, FKReference] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "values", MappingProxyType(dict(self.values)))
+        object.__setattr__(self, "fk_refs", MappingProxyType(dict(self.fk_refs)))
+
+    def __reduce__(self) -> tuple[Any, ...]:
+        return SummaryRow, (self.count, dict(self.values), dict(self.fk_refs))
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -260,38 +261,15 @@ class SummaryRow:
         )
 
 
-@dataclass(frozen=True)
-class RowBoxMatch:
-    """How one summary row's tuples relate to a box condition.
-
-    Produced by :meth:`RelationSummary.classify_row` — the single source of
-    truth for the per-row pass/fail/partial column arithmetic that every
-    exact summary consumer (:meth:`RelationSummary.count_matching_row`,
-    pk-interval projection, the engine's SUM route) builds on.  ``count`` is the row's tuple count;
-    columns whose constraint passes for *all* tuples are omitted entirely;
-    ``pk_window`` is the sub-segment of pk indices matching a partial
-    primary-key constraint (``None`` when the pk is unconstrained or fully
-    covered); ``partial_fks`` maps each foreign-key column whose round-robin
-    spread matches the box only partially to ``(allowed_intervals,
-    matched_count)``.  Partial columns are correlated through the tuple
-    offset; :meth:`RelationSummary.count_matching_row` says which
-    combinations are still exactly countable.
-    """
-
-    count: int
-    pk_window: "IntervalSet | None" = None
-    partial_fks: Mapping[str, tuple[IntervalSet, int]] = field(default_factory=dict)
-
-
 @dataclass
 class RelationSummary:
-    """Summary of one relation: an ordered, fixed sequence of summary rows.
+    """Summary of one relation: an ordered, fixed sequence of read-only summary rows.
 
-    ``rows`` is stored as a tuple, so the cumulative pk offsets that back
-    :meth:`locate` are computed once, at construction, and cannot go stale:
-    a different row sequence is a different :class:`RelationSummary`.  Editing
-    an existing row's ``values`` / ``fk_refs`` in place is fine (offsets only
-    depend on the counts).
+    ``rows`` is stored as a tuple of frozen :class:`SummaryRow`, so the
+    cumulative pk offsets that back :meth:`locate` (computed at
+    construction) and the column view every box classification reads
+    (derived on first use, dropped when pickled) cannot go stale: a
+    different row is a different :class:`RelationSummary`.
     """
 
     table: str
@@ -303,6 +281,16 @@ class RelationSummary:
         self.cumulative_offsets: NDArray[Any] = np.cumsum(
             [0] + [max(0, int(row.count)) for row in self.rows]
         )
+
+    def __getstate__(self) -> dict[str, Any]:
+        state = dict(self.__dict__)
+        state.pop("columns", None)
+        return state
+
+    @cached_property
+    def columns(self) -> SummaryColumns:
+        """The column view of :attr:`rows` (derived on first use, dropped when pickled)."""
+        return SummaryColumns(self.rows, self.cumulative_offsets)
 
     @property
     def total_rows(self) -> int:
@@ -328,22 +316,47 @@ class RelationSummary:
 
     # -- predicate pushdown support ----------------------------------------
 
+    def pk_window(self, position: int, intervals: IntervalSet) -> IntervalSet:
+        """``intervals`` ∩ the pk segment of row ``position``, visiting only the pieces inside it.
+
+        A bisect on the sorted piece ends skips every piece before the
+        segment, so a pk box of many ranges costs O(log #ranges + overlaps).
+        """
+        start, end = self.pk_interval_of_row(position)
+        pieces = intervals.intervals
+        index = bisect.bisect_right(pieces, start, key=lambda piece: piece.high)
+        window = []
+        while index < len(pieces) and pieces[index].low < end:
+            window.append(Interval(max(pieces[index].low, start), min(pieces[index].high, end)))
+            index += 1
+        return IntervalSet(window)
+
+    def segments(self, rows: NDArray[np.bool_]) -> list[Interval]:
+        """The pk segments of the non-empty ``rows``, adjacent ones merged into runs."""
+        offsets = self.cumulative_offsets
+        positions = (rows & (self.columns.counts > 0)).nonzero()[0]
+        if not len(positions):
+            return []
+        lows, highs = offsets[positions], offsets[positions + 1]
+        gaps = lows[1:] != highs[:-1]  # a run ends where the next segment does not touch it
+        starts, ends = np.concatenate(([True], gaps)), np.concatenate((gaps, [True]))
+        return list(map(Interval, lows[starts].tolist(), highs[ends].tolist()))
+
     def decided_box(self, predicate: Predicate, table: Table) -> BoxCondition | None:
         """``predicate`` over this summary's tuples as an exact pk-range box.
 
         Every tuple of a summary row carries the row's value-column
         constants, so a filter reading only value columns has one verdict per
-        row.  The predicate is evaluated once per row, on the values
-        generation writes (``row.values`` with its 0.0 default, assigned into
-        the column's dtype as :meth:`TupleGenerator._fill_segment
-        <repro.core.tuplegen.TupleGenerator._fill_segment>` does), and the pk
-        ranges of the passing rows are *exactly* the matching tuples.
+        row.  The predicate is evaluated once, over the column view: the
+        values generation writes (``row.values`` with its 0.0 default, cast
+        to the column's dtype as :meth:`TupleGenerator._fill_segment
+        <repro.core.tuplegen.TupleGenerator._fill_segment>` assigns it), and
+        the pk ranges of the passing rows are *exactly* the matching tuples.
 
         ``None`` when the table has no primary key or the predicate reads no
         column, the primary key, a foreign-key column of any row or a column
         the table does not have — the block stream then masks with the
-        predicate (and raises for the unknown column).  Nothing is cached:
-        editing ``row.values`` in place is legal.
+        predicate (and raises for the unknown column).
         """
         pk = table.primary_key
         columns = predicate.columns()
@@ -352,172 +365,115 @@ class RelationSummary:
             or not columns
             or pk in columns
             or not all(table.has_column(column) for column in columns)
-            or any(column in row.fk_refs for row in self.rows for column in columns)
+            or not columns.isdisjoint(self.columns.fk_columns)
         ):
             return None
-        block: dict[str, NDArray[Any]] = {}
-        for column in columns:
-            values = np.empty(len(self.rows), dtype=table.column(column).dtype.numpy_dtype)
-            for position, row in enumerate(self.rows):
-                values[position : position + 1] = row.values.get(column, 0.0)
-            block[column] = values
-        offsets = self.cumulative_offsets
-        return BoxCondition(
-            {
-                pk: IntervalSet(
-                    Interval(float(offsets[position]), float(offsets[position + 1]))
-                    for position in np.flatnonzero(predicate.evaluate(block))
-                )
-            }
-        )
+        block = {
+            column: self.columns.value(column).astype(table.column(column).dtype.numpy_dtype)
+            for column in columns
+        }
+        return BoxCondition({pk: IntervalSet(self.segments(predicate.evaluate(block)))})
 
-    def row_excluded(self, position: int, box: BoxCondition, pk_column: str | None = None) -> bool:
-        """True when no tuple of summary row ``position`` can satisfy ``box``.
+    def excluded(self, box: BoxCondition, pk_column: str | None = None) -> NDArray[np.bool_]:
+        """The rows no tuple of which can satisfy ``box``, as one mask.
 
-        This is the cheap per-segment check the filtered block iterator uses
-        to skip whole summary-row segments without generating a single tuple.
+        The check the filtered block stream uses to skip whole summary-row
+        segments without generating a tuple.  Looser than ``~alive`` of
+        :meth:`classify` for an FK spread: a row is excluded only when *no*
+        admissible target is in the box, whatever its count.
         """
         if box.is_empty:
-            return True
-        row = self.rows[position]
-        start, end = self.pk_interval_of_row(position)
-        for column, intervals in box.conditions.items():
-            if pk_column is not None and column == pk_column:
-                if _pk_window(intervals, start, end).count_integers() == 0:
-                    return True
-            elif column in row.fk_refs:
-                reachable = row.fk_refs[column].intervals.intersect(intervals)
-                if reachable.count_integers() == 0:
-                    return True
-            else:
-                if not intervals.contains(float(row.values.get(column, 0.0))):
-                    return True
-        return False
+            return np.ones(len(self.rows), dtype=bool)
+        mask = np.zeros(len(self.rows), dtype=bool)
+        if box.conditions:  # the unfiltered stream never builds the column view
+            for _column, _matched, excluded in self.columns.column_counts(box, pk_column):
+                mask |= excluded
+        return mask
 
-    def classify_row(
-        self, position: int, box: BoxCondition, pk_column: str | None = None
-    ) -> RowBoxMatch | None:
-        """Classify summary row ``position`` against ``box`` column by column.
+    def classify(self, box: BoxCondition, pk_column: str | None = None) -> RowMatches:
+        """Classify every summary row against ``box`` in one pass over the column view.
 
-        Returns ``None`` when no tuple of the row can satisfy the box (some
-        constrained column fails entirely, the row is empty, or the box is
-        unsatisfiable).  Otherwise each constrained column either passes for
-        *all* tuples — representative value inside the box, every actual fk
-        target / pk index covered — and is omitted from the result, or
-        matches an exactly countable subset recorded in
-        :class:`RowBoxMatch` (a pk window, or a partially-covered round-robin
-        fk spread counted via :meth:`FKReference.count_matching_offsets`).
+        A column's constraint either passes for *all* of a row's tuples,
+        fails for all of them (the row is not ``alive``), or matches an
+        exactly countable subset: a pk window or a partially covered FK
+        spread.  A row's matched count is its count, its pk window's, or its
+        one partial spread's; a pk window *plus* one partial spread is still
+        countable, because offsets are pk indices shifted by the segment
+        start (prefix differences of
+        :meth:`FKReference.count_matching_offsets`, per such row).  Two
+        partial spreads correlate through the tuple offset: ``-1``.
         """
-        row = self.rows[position]
-        count = max(0, int(row.count))
-        if count == 0 or box.is_empty:
-            return None
-        start, end = self.pk_interval_of_row(position)
-        pk_window: IntervalSet | None = None
-        partial_fks: dict[str, tuple[IntervalSet, int]] = {}
-        for column, intervals in box.conditions.items():
-            if pk_column is not None and column == pk_column:
-                window = _pk_window(intervals, start, end)
-                matched = window.count_integers()
-                if matched < count:
-                    pk_window = window
-            elif column in row.fk_refs:
-                matched = row.fk_refs[column].count_matching_offsets(count, intervals)
-                if matched < count:
-                    partial_fks[column] = (intervals, matched)
-            else:
-                value = float(row.values.get(column, 0.0))
-                matched = count if intervals.contains(value) else 0
-            if matched == 0:
-                return None
-        return RowBoxMatch(count=count, pk_window=pk_window, partial_fks=partial_fks)
-
-    def count_matching_row(
-        self, position: int, box: BoxCondition, pk_column: str | None = None
-    ) -> int | None:
-        """Exact number of tuples of summary row ``position`` satisfying ``box``.
-
-        The one exact per-row count every summary consumer shares (the
-        engine's summary route and build/probe size estimate, the filtered
-        block iterator's skip path, the shard planner).  A partial pk window
-        *plus* one partially-matching FK spread is still countable: offsets
-        are pk indices shifted by the segment start, so the window is an
-        offset range and prefix-count differences of
-        :meth:`FKReference.count_matching_offsets` count its matching tuples.
-        Two partial FK columns are correlated through the tuple offset: the
-        method returns ``None`` and the caller must generate the segment.
-        """
-        match = self.classify_row(position, box, pk_column=pk_column)
-        if match is None:
-            return 0
-        if not match.partial_fks:
-            if match.pk_window is not None:
-                return match.pk_window.count_integers()
-            return match.count
-        if len(match.partial_fks) > 1:
-            return None
-        ((column, (allowed, matched)),) = match.partial_fks.items()
-        if match.pk_window is None:
-            return matched
-        ref = self.rows[position].fk_refs[column]
-        start, _end = self.pk_interval_of_row(position)
-        counted = 0
-        for piece in match.pk_window:
-            low = int(math.ceil(piece.low)) - start
-            high = low + piece.count_integers()
-            counted += ref.count_matching_offsets(
-                high, allowed
-            ) - ref.count_matching_offsets(low, allowed)
-        return counted
+        view = self.columns
+        counts = matched = view.counts
+        alive = (counts > 0) & box.satisfiable
+        windowed = np.zeros(len(counts), dtype=bool)
+        fk_matched: dict[str, NDArray[np.int64]] = {}
+        for column, column_matched, _excluded in view.column_counts(box, pk_column):
+            alive &= column_matched > 0
+            if column == pk_column:
+                windowed, matched = column_matched < counts, column_matched
+            elif column in view.fk_columns:
+                fk_matched[column] = column_matched
+        windowed &= alive
+        partial = {column: alive & (fk < counts) for column, fk in fk_matched.items()}
+        spreads = np.zeros(len(counts), dtype=np.int64)
+        if partial:
+            for column, mask in partial.items():
+                spreads += mask
+                matched = np.where(mask & ~windowed, fk_matched[column], matched)
+            if len(partial) > 1:
+                matched = np.where(spreads > 1, -1, matched)
+            for position in (windowed & (spreads == 1)).nonzero()[0]:
+                (column,) = (column for column, mask in partial.items() if mask[position])
+                ref, allowed = self.rows[position].fk_refs[column], box.conditions[column]
+                start, _end = self.pk_interval_of_row(position)
+                matched[position] = 0
+                for piece in self.pk_window(position, box.conditions[cast(str, pk_column)]):
+                    low = math.ceil(piece.low) - start
+                    high = low + piece.count_integers()
+                    matched[position] += ref.count_matching_offsets(
+                        high, allowed
+                    ) - ref.count_matching_offsets(low, allowed)
+        matched = np.where(alive, matched, 0)
+        return RowMatches(matched, alive, partial, spreads, windowed)
 
     def count_matching(self, box: BoxCondition, pk_column: str | None = None) -> int | None:
         """Exact number of regenerated tuples satisfying ``box`` — or ``None``.
 
-        Answered purely from the summary in O(#summary rows) by summing
-        :meth:`count_matching_row`; returns ``None`` as soon as any row's
-        matched subset is not exactly countable.
+        Answered purely from the summary in O(#summary rows): the sum of
+        :meth:`classify`'s matched counts, ``None`` when some row's matched
+        subset is not exactly countable.
         """
         if box.is_empty:
             return 0
-        total_matched = 0
-        for position in range(len(self.rows)):
-            matched = self.count_matching_row(position, box, pk_column=pk_column)
-            if matched is None:
-                return None
-            total_matched += matched
-        return total_matched
+        matched = self.classify(box, pk_column).matched
+        return None if (matched < 0).any() else int(matched.sum())
 
     def matching_pk_intervals(
         self, box: BoxCondition, pk_column: str | None = None, exact: bool = False
     ) -> IntervalSet | None:
         """Pk *index* intervals whose tuples may satisfy ``box``.
 
-        Walks the summary rows once and projects the box onto the relation's
-        contiguous pk index space (the deterministic alignment assigns each
-        summary row the pk range :meth:`pk_interval_of_row`).  By default the
-        result is a sound *superset*: a summary row whose fk spread matches
-        the box only partially keeps its whole segment, because the matching
-        offsets are scattered by the round-robin and do not form a pk range.
-        With ``exact=True`` the method instead returns exactly the matching
-        pk indices, or ``None`` when some row's matching subset is not a pk
-        range — the contract the join-COUNT fast path needs.
+        Projects the box onto the relation's contiguous pk index space (the
+        deterministic alignment assigns each summary row the pk range
+        :meth:`pk_interval_of_row`): the segments of the :meth:`classify`
+        alive rows, a pk-windowed row contributing its window only.  By
+        default the result is a sound *superset*: a summary row whose fk
+        spread matches the box only partially keeps its whole segment,
+        because the matching offsets are scattered by the round-robin and do
+        not form a pk range.  With ``exact=True`` the method instead returns
+        exactly the matching pk indices, or ``None`` when some row's matching
+        subset is not a pk range — the contract the join-COUNT fast path
+        needs.
         """
         if box.is_empty:
             return IntervalSet.empty()
-        pieces: list[Interval] = []
-        for position in range(len(self.rows)):
-            match = self.classify_row(position, box, pk_column=pk_column)
-            if match is None:
-                continue
-            if match.partial_fks and exact:
-                # Matching offsets are round-robin-scattered across the
-                # segment: not representable as pk intervals.
-                return None
-            if match.pk_window is not None:
-                pieces.extend(match.pk_window.intervals)
-            else:
-                start, end = self.pk_interval_of_row(position)
-                pieces.append(Interval(float(start), float(end)))
+        rows = self.classify(box, pk_column)
+        if exact and rows.spreads.any():
+            return None
+        pieces = self.segments(rows.alive & ~rows.windowed)
+        for position in rows.windowed.nonzero()[0]:
+            pieces.extend(self.pk_window(position, box.conditions[cast(str, pk_column)]))
         return IntervalSet(pieces)
 
     def to_dict(self) -> dict[str, Any]:

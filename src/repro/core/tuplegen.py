@@ -172,9 +172,10 @@ class TupleGenerator:
         case; ``generated`` is how many tuples were actually produced for the
         batch (the velocity the rate limiter should pace).  Summary-row
         segments that provably cannot contain a match
-        (:meth:`RelationSummary.row_excluded`) are skipped without generating
-        a single tuple, so a selective scan costs O(matching summary rows +
-        output), not O(relation size) — and peak memory stays O(batch_size).
+        (:meth:`RelationSummary.excluded`, one mask per stream) are skipped
+        without generating a single tuple, so a selective scan costs
+        O(matching summary rows + output), not O(relation size) — and peak
+        memory stays O(batch_size).
 
         ``skip_box`` is an *additional* condition (in practice a semi-join
         pushdown on a foreign-key column) whose rows the consumer does not
@@ -182,7 +183,7 @@ class TupleGenerator:
         for ``box``.  A segment that provably cannot satisfy ``skip_box`` is
         skipped by yielding ``(segment_start, 0, matched, {})`` where
         ``matched`` is the *exact* number of the segment's tuples satisfying
-        ``box`` (:meth:`RelationSummary.count_matching_row`); when that count
+        ``box`` (:meth:`RelationSummary.classify`); when that count
         is not exactly computable the segment is generated normally so the
         consumer can mask it itself.
 
@@ -205,6 +206,15 @@ class TupleGenerator:
         # earlier segment ends at or before ``lo``.  Keeps a shard window
         # O(#covered segments), not O(#summary rows).
         first_position = self.summary.locate(lo)[0] if 0 < lo < self.row_count else 0
+        excluded = self.summary.excluded(box, pk_column=pk)
+        # Per row: the exact ``box`` count of a segment ``skip_box`` excludes, else -1.
+        skipped = None
+        if skip_box is not None:
+            skipped = np.where(
+                self.summary.excluded(skip_box, pk_column=pk),
+                self.summary.classify(box, pk_column=pk).matched,
+                -1,
+            )
         for position in range(first_position, len(self.summary.rows)):
             segment_start, segment_end = self.summary.pk_interval_of_row(position)
             if segment_end <= segment_start:
@@ -213,18 +223,14 @@ class TupleGenerator:
                 break  # segments are ordered: no later yield can start < hi
             if segment_end <= lo:
                 continue  # every yield of this segment starts before lo
-            if self.summary.row_excluded(position, box, pk_column=pk):
+            if excluded[position]:
                 add_counter("tuplegen.segments_skipped")
                 continue
-            if skip_box is not None and self.summary.row_excluded(
-                position, skip_box, pk_column=pk
-            ):
-                matched = self.summary.count_matching_row(position, box, pk_column=pk)
-                if matched is not None:
-                    add_counter("tuplegen.segments_semijoin_skipped")
-                    if matched and segment_start >= lo:
-                        yield segment_start, 0, matched, {}
-                    continue
+            if skipped is not None and skipped[position] >= 0:
+                add_counter("tuplegen.segments_semijoin_skipped")
+                if skipped[position] and segment_start >= lo:
+                    yield segment_start, 0, int(skipped[position]), {}
+                continue
             add_counter("tuplegen.segments_scanned")
             # First batch whose (segment-anchored) start falls in the shard.
             cursor = first_owned_batch_start(segment_start, lo, batch_size)

@@ -23,7 +23,6 @@ above it.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Iterator, Mapping, NoReturn, TYPE_CHECKING, cast
@@ -48,7 +47,7 @@ from ..plans.planner import (
     compute_semijoin_pushdowns,
     exact_predicate_box,
 )
-from ..sql.predicates import BoxCondition, Interval, IntervalSet
+from ..sql.predicates import BoxCondition, IntervalSet
 from ..sql.query import DisjunctiveJoinCondition, JoinCondition
 from ..storage.database import Database, RelationProvider
 from ..telemetry.session import add_counter, is_active, span
@@ -794,37 +793,30 @@ class ExecutionEngine:
         if len(owners) != 1:
             self._fallback("argument-not-resolvable")
         (owner,) = owners
-        table, summary = leaves[root].table, cast("RelationSummary", leaves[root].summary)
-        pk_column = table.primary_key
-        weights: dict[float, int] = {}
-        count = 0
+        summary = cast("RelationSummary", leaves[root].summary)
+        pk_column = leaves[root].table.primary_key
+        rows = summary.classify(combined, pk_column=pk_column)
         if owner == root:
-            for position, row in enumerate(summary.rows):
-                matched = summary.count_matching_row(position, combined, pk_column=pk_column)
-                if matched is None:
+            hit = rows.matched != 0
+            vary = rows.spreads > 0 if column == pk_column else summary.columns.spread(column)
+            failing = hit & ((rows.matched < 0) | vary)
+            if failing.any():
+                if rows.matched[np.argmax(failing)] < 0:
                     self._fallback("summary-not-exact")
-                if matched == 0:
-                    continue
-                count += matched
                 if column == pk_column:
-                    match = summary.classify_row(position, combined, pk_column=pk_column)
-                    assert match is not None  # matched > 0
-                    if match.partial_fks:
-                        # Matching pks scattered by the fk spread: not summable.
-                        self._fallback("pk-scattered-by-fk")
-                    if match.pk_window is not None:
-                        pks = match.pk_window.sum_integers()
-                    else:
-                        start, end = summary.pk_interval_of_row(position)
-                        pks = Interval(float(start), float(end)).sum_integers()
-                    # The pks' exact integer sum, as a weight on 1.0.
-                    weights[1.0] = weights.get(1.0, 0) + pks
-                elif column in row.fk_refs:
-                    self._fallback("fk-argument-not-summable")  # targets vary per tuple
-                else:
-                    value = float(row.values.get(column, 0.0))
-                    weights[value] = weights.get(value, 0) + matched
-            return count, _exact_sum(weights)
+                    # Matching pks scattered by the fk spread: not summable.
+                    self._fallback("pk-scattered-by-fk")
+                self._fallback("fk-argument-not-summable")  # targets vary per tuple
+            count = int(rows.matched[hit].sum())
+            if column != pk_column:
+                values = summary.columns.value(column)[hit]
+                return count, _exact_sum(_weights(values, rows.matched[hit]))
+            # The pks' exact integer sum, as a weight on 1.0.
+            pieces = summary.segments(hit & ~rows.windowed)
+            for position in np.flatnonzero(hit & rows.windowed):
+                pieces.extend(summary.pk_window(position, combined.condition_for(column)))
+            pks = IntervalSet(pieces).sum_integers()
+            return count, _exact_sum({1.0: pks})
 
         via = next(
             (edge[1] for edge in edges if edge[0] == root and edge[2] == owner), None
@@ -835,42 +827,46 @@ class ExecutionEngine:
         if column == owned.table.primary_key:
             self._fallback("fk-argument-not-summable")  # the joined pks are the FK's targets
         owner_summary = cast("RelationSummary", owned.summary)
-        bounds = owner_summary.cumulative_offsets.tolist()
+        bounds = owner_summary.cumulative_offsets
         allowed = combined.condition_for(via)
+        spread = summary.columns.spread(via)
+        constant, spreading = rows.alive & ~spread, rows.alive & spread
+        # Another partial FK of a spreading row is correlated with via through the offset.
+        others = rows.spreads - rows.partial.get(via, 0)
+        if (rows.matched[constant] < 0).any() or others[spreading].any():
+            self._fallback("summary-not-exact")
         per_row = [0] * len(owner_summary.rows)
-        for position, row in enumerate(summary.rows):
-            match = summary.classify_row(position, combined, pk_column=pk_column)
-            if match is None:
-                continue
-            ref = row.fk_refs.get(via)
-            if ref is None:
-                # A constant FK: every matching tuple joins the one pk it stores.
-                matched = summary.count_matching_row(position, combined, pk_column=pk_column)
-                if matched is None:
-                    self._fallback("summary-not-exact")
-                per_row[bisect.bisect_right(bounds, row.values.get(via, 0.0)) - 1] += matched
-                continue
-            if any(other != via for other in match.partial_fks):
-                self._fallback("summary-not-exact")  # correlated with via through the offset
-            if match.pk_window is None:
-                ref.add_matching_offsets_by_row(0, match.count, allowed, bounds, per_row)
+        # A constant FK: every matching tuple joins the one pk it stores.
+        targets = np.searchsorted(bounds, summary.columns.value(via)[constant], side="right") - 1
+        for target, matched in zip(targets.tolist(), rows.matched[constant].tolist()):
+            per_row[target] += matched
+        owner_bounds = bounds.tolist()
+        for position in np.flatnonzero(spreading):
+            ref = summary.rows[position].fk_refs[via]
+            if not rows.windowed[position]:
+                count = int(summary.columns.counts[position])
+                ref.add_matching_offsets_by_row(0, count, allowed, owner_bounds, per_row)
                 continue
             start, _end = summary.pk_interval_of_row(position)
-            for piece in match.pk_window:
+            for piece in summary.pk_window(position, combined.conditions[cast(str, pk_column)]):
                 low = math.ceil(piece.low) - start
                 ref.add_matching_offsets_by_row(
-                    low, low + piece.count_integers(), allowed, bounds, per_row
+                    low, low + piece.count_integers(), allowed, owner_bounds, per_row
                 )
-        for position, matched in enumerate(per_row):
-            if matched == 0:
-                continue
-            row = owner_summary.rows[position]
-            if column in row.fk_refs:
-                self._fallback("fk-argument-not-summable")  # targets vary per tuple
-            count += matched
-            value = float(row.values.get(column, 0.0))
-            weights[value] = weights.get(value, 0) + matched
-        return count, _exact_sum(weights)
+        joined = np.array(per_row, dtype=np.int64)
+        hit = joined != 0
+        if (hit & owner_summary.columns.spread(column)).any():
+            self._fallback("fk-argument-not-summable")  # targets vary per tuple
+        values = owner_summary.columns.value(column)[hit]
+        return int(joined.sum()), _exact_sum(_weights(values, joined[hit]))
+
+
+def _weights(values: NDArray[Any], counts: NDArray[Any]) -> dict[float, int]:
+    """``{value: total count}`` over parallel per-row arrays: :func:`_exact_sum`'s terms."""
+    weights: dict[float, int] = {}
+    for value, count in zip(values.tolist(), counts.tolist()):
+        weights[value] = weights.get(value, 0) + count
+    return weights
 
 
 def _exact_sum(weights: Mapping[float, int]) -> float:

@@ -20,6 +20,7 @@ from pathlib import Path
 from typing import Sequence
 
 from ..workload.synth import SynthConfig
+from ..serialization import write_atomic
 from .harness import ROUTES, FuzzConfig, FuzzReport, run_fuzz
 from .minimize import load_corpus, replay_entry
 
@@ -156,7 +157,7 @@ def _emit(report: FuzzReport, artifact: Path | None) -> None:
         )
     if artifact is not None:
         artifact.parent.mkdir(parents=True, exist_ok=True)
-        artifact.write_text(json.dumps(report.to_dict(), indent=2) + "\n")
+        write_atomic(artifact, json.dumps(report.to_dict(), indent=2) + "\n")
         print(f"wrote {artifact}")
 
 

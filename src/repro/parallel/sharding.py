@@ -222,20 +222,15 @@ def _segment_workloads(
     everything else is generated in full.
     """
     effective_box = box if box is not None else BoxCondition({})
+    excluded = summary.excluded(effective_box, pk_column=pk_column)
+    if skip_box is not None:
+        countable = summary.classify(effective_box, pk_column=pk_column).matched >= 0
+        excluded |= countable & summary.excluded(skip_box, pk_column=pk_column)
     segments: list[tuple[int, int, int]] = []
     for position in range(len(summary.rows)):
         start, end = summary.pk_interval_of_row(position)
-        if end <= start:
-            continue
-        generated = end - start
-        if summary.row_excluded(position, effective_box, pk_column=pk_column):
-            generated = 0
-        elif skip_box is not None and summary.row_excluded(
-            position, skip_box, pk_column=pk_column
-        ):
-            if summary.count_matching_row(position, effective_box, pk_column=pk_column) is not None:
-                generated = 0
-        segments.append((start, end, generated))
+        if end > start:
+            segments.append((start, end, 0 if excluded[position] else end - start))
     return segments
 
 

@@ -14,6 +14,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Mapping
 
+from ..serialization import write_atomic
+
 from ..sql.query import Query
 from .logical import PlanNode, plan_from_dict
 
@@ -110,7 +112,7 @@ class AnnotatedQueryPlan:
         return cls.from_dict(json.loads(text))
 
     def save(self, path: str | Path) -> None:
-        Path(path).write_text(self.to_json())
+        write_atomic(path, self.to_json())
 
     @classmethod
     def load(cls, path: str | Path) -> "AnnotatedQueryPlan":

@@ -4,18 +4,40 @@ Everything that crosses a process or session boundary — information
 packages, delta packages, database summaries — shares the same wire
 behaviour: ``to_dict``/``from_dict`` define the payload, and this mixin
 keeps the JSON encoding, two-space indentation on save, and
-parent-directory creation in one place.
+parent-directory creation in one place.  Every file the program writes
+whole goes through :func:`write_atomic`.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import threading
 from pathlib import Path
 from typing import Any, Mapping, TypeVar
 
-__all__ = ["JsonDocument"]
+__all__ = ["JsonDocument", "write_atomic"]
 
-_DocumentT = TypeVar("_DocumentT", bound="JsonDocument")
+
+def write_atomic(path: str | Path, text: str) -> None:
+    """Write ``text`` to ``path`` whole or not at all.
+
+    The text goes to a temporary file next to ``path`` (named for the
+    writing process and thread), which then replaces ``path`` in one
+    ``os.replace``: a write that fails or a process killed halfway leaves
+    the previous file byte for byte, and a failed write removes its
+    temporary file.  No fsync: the failure handled is a killed process, not
+    a lost disk cache.
+    """
+    path = Path(path)
+    temporary = path.with_name(f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
+    try:
+        with open(temporary, "w", encoding="utf-8") as stream:
+            stream.write(text)
+        os.replace(temporary, path)
+    except BaseException:
+        temporary.unlink(missing_ok=True)
+        raise
 
 
 class JsonDocument:
@@ -40,7 +62,7 @@ class JsonDocument:
     def save(self, path: str | Path) -> None:
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(self.to_json(indent=2))
+        write_atomic(path, self.to_json(indent=2))
 
     @classmethod
     def load(cls: type[_DocumentT], path: str | Path) -> _DocumentT:

@@ -29,6 +29,7 @@ from numpy.typing import NDArray
 
 from ..catalog.schema import Table
 from ..core.errors import HydraError
+from ..serialization import write_atomic
 
 __all__ = [
     "MANIFEST_NAME",
@@ -185,7 +186,7 @@ class Manifest:
     def save(self, out_dir: str | Path) -> Path:
         """Write ``MANIFEST.json`` into ``out_dir`` and return its path."""
         path = Path(out_dir) / MANIFEST_NAME
-        path.write_text(json.dumps(self.to_dict(), indent=2, sort_keys=True))
+        write_atomic(path, json.dumps(self.to_dict(), indent=2, sort_keys=True))
         return path
 
     @classmethod

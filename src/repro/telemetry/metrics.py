@@ -21,6 +21,8 @@ from collections.abc import Mapping, Sequence
 from pathlib import Path
 from typing import Any
 
+from ..serialization import write_atomic
+
 __all__ = ["DEFAULT_BUCKETS", "MetricsRegistry", "MetricsSnapshot"]
 
 MetricsSnapshot = dict[str, Any]
@@ -182,6 +184,4 @@ class MetricsRegistry:
 
     def write_json(self, path: str | Path) -> None:
         """Write the current snapshot to ``path`` as pretty-printed JSON."""
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(self.snapshot(), handle, indent=2, sort_keys=True)
-            handle.write("\n")
+        write_atomic(path, json.dumps(self.snapshot(), indent=2, sort_keys=True) + "\n")

@@ -34,6 +34,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
+from ..serialization import write_atomic
+
 __all__ = ["Span", "Tracer"]
 
 
@@ -245,6 +247,4 @@ class Tracer:
         }
         if metrics is not None:
             document["reproMetrics"] = dict(metrics)
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(document, handle, sort_keys=True, default=str)
-            handle.write("\n")
+        write_atomic(path, json.dumps(document, sort_keys=True, default=str) + "\n")

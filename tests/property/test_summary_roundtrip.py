@@ -71,12 +71,12 @@ def _loadable(row: SummaryRow) -> SummaryRow:
     No tuples without an FK target, and whole values on the toy schema's
     integer columns ``A`` / ``B`` (generation would truncate a fraction).
     """
-    if any(ref.target_count() == 0 for ref in row.fk_refs.values()):
-        row.count = 0
+    values = dict(row.values)
     for column in ("A", "B"):
-        if column in row.values:
-            row.values[column] = float(math.floor(row.values[column]))
-    return row
+        if column in values:
+            values[column] = float(math.floor(values[column]))
+    unreachable = any(ref.target_count() == 0 for ref in row.fk_refs.values())
+    return SummaryRow(count=0 if unreachable else row.count, values=values, fk_refs=row.fk_refs)
 
 
 @st.composite

@@ -353,7 +353,8 @@ class TestBuildSideChoice:
         assert r_generated > 0
 
 
-def _dataless_star():
+def _dataless_star(price: float = 10.0, qty: float = 3.0):
+    """The star fixture; ``price`` / ``qty`` are the first dim / fact row's values."""
     dim = Table(
         name="dim",
         columns=[Column("dim_pk", INTEGER), Column("price", FLOAT)],
@@ -375,7 +376,7 @@ def _dataless_star():
         RelationSummary(
             table="dim",
             rows=[
-                SummaryRow(count=60, values={"price": 10.0}),
+                SummaryRow(count=60, values={"price": price}),
                 SummaryRow(count=40, values={"price": 90.0}),
             ],
         )
@@ -386,7 +387,7 @@ def _dataless_star():
             rows=[
                 SummaryRow(
                     count=500,
-                    values={"qty": 3.0},
+                    values={"qty": qty},
                     fk_refs={"dim_fk": FKReference("dim", IntervalSet([Interval(0, 60)]))},
                 ),
                 SummaryRow(
@@ -537,10 +538,9 @@ class TestJoinCountFastPath:
             "where fact.dim_fk = dim.dim_pk and dim.price > 10 and fact.qty <= 3.5",
         ],
     )
-    def test_inexact_cases_are_decided_on_the_summary(self, dataless_star, engine_routes, sql):
-        database, summary = dataless_star
+    def test_inexact_cases_are_decided_on_the_summary(self, engine_routes, sql):
         # Plant a representative inside the epsilon window of 10.0.
-        summary.relation("dim").rows[0].values["price"] = 10.0 + 1e-12
+        database, _summary = _dataless_star(price=10.0 + 1e-12)
         routes = engine_routes(database)
         outcomes = self._counts(routes, sql, ("materialised", "streaming", "default"))
         assert outcomes["default"][:2] == outcomes["materialised"][:2], sql
@@ -663,10 +663,8 @@ class TestDecidedBox:
     def test_every_route_agrees_and_nothing_is_generated(
         self, engine_routes, dim_filter, fact_filter, shape, planted
     ):
-        database, summary = _dataless_star()
-        if planted:
-            # Inside the epsilon window of 10.0.
-            summary.relation("dim").rows[0].values["price"] = 10.0 + 2**-40
+        # A planted price lies inside the epsilon window of 10.0.
+        database, _summary = _dataless_star(price=10.0 + 2**-40 if planted else 10.0)
         dim, fact = _leaf("dim", dim_filter), _leaf("fact", fact_filter)
         join = JoinNode(
             left=fact, right=dim, condition=JoinCondition("fact", "dim_fk", "dim", "dim_pk")
@@ -704,11 +702,10 @@ class TestDecidedBox:
         assert result.scanned_rows == 750
 
     def test_values_are_read_as_generation_writes_them(self, engine_routes):
-        # An in-place edit skips load validation: generation truncates 3.75 on
+        # A hand-built row skips load validation: generation truncates 3.75 on
         # the integer column to 3, and the decided box must see that 3.
-        database, summary = _dataless_star()
+        database, summary = _dataless_star(qty=3.75)
         fact = summary.relation("fact")
-        fact.rows[0].values["qty"] = 3.75
         predicate = Comparison("qty", "<=", 3.5)
         box = fact.decided_box(predicate, database.schema.table("fact"))
         assert box == BoxCondition({"fact_pk": IntervalSet([Interval(0.0, 500.0)])})
@@ -778,11 +775,13 @@ class TestMatchingPkIntervals:
             Interval(low + fraction, low + fraction + width) for low, fraction, width in ranges
         )
         box = BoxCondition({"dim_pk": pks})
+        matched = summary.classify(box, pk_column="dim_pk").matched
+        excluded = summary.excluded(box, pk_column="dim_pk")
         for position in range(3):
             start, end = summary.pk_interval_of_row(position)
             expected = int(pks.membership_mask(np.arange(start, end, dtype=np.float64)).sum())
-            assert summary.count_matching_row(position, box, pk_column="dim_pk") == expected
-            assert summary.row_excluded(position, box, pk_column="dim_pk") == (expected == 0)
+            assert matched[position] == expected
+            assert excluded[position] == (expected == 0)
 
 
 class TestEmptyDisjunctionBox(object):
@@ -863,7 +862,7 @@ class TestEmptyDisjunctionBox(object):
         assert box_semantics_exact(Or(()), {"qty": True})
         summary = RelationSummary(table="t", rows=[SummaryRow(count=5)])
         assert summary.count_matching(Or(()).to_box(), pk_column="t_pk") == 0
-        assert summary.row_excluded(0, Or(()).to_box(), pk_column="t_pk")
+        assert summary.excluded(Or(()).to_box(), pk_column="t_pk").all()
 
     def test_engine_routes_agree_on_empty_disjunction(self, dataless_star, engine_routes):
         database, _summary = dataless_star
@@ -1065,8 +1064,8 @@ class TestCountMatchingOffsetsProperty:
         block = TupleGenerator(table=table, summary=summary).generate_block(leading_rows, count)
         expected = int(box.evaluate(block).sum())
         position = len(rows) - 1
-        assert summary.count_matching_row(position, box, pk_column="fact_pk") == expected
-        assert expected == 0 or not summary.row_excluded(position, box, pk_column="fact_pk")
+        assert summary.classify(box, pk_column="fact_pk").matched[position] == expected
+        assert expected == 0 or not summary.excluded(box, pk_column="fact_pk")[position]
 
     @settings(max_examples=300, deadline=None)
     @given(case=_pieces_and_allowed(), num_offsets=st.integers(0, 400), many=st.integers(0, 10**12))

@@ -353,17 +353,16 @@ def _relation(draw, values, fks, max_count, totals):
     """1–4 summary rows; the first is never empty, so the relation can be referenced."""
     rows = []
     for index in range(draw(st.integers(1, 4))):
-        row = SummaryRow(
-            count=draw(st.integers(1 if index == 0 else 0, max_count)),
-            values={column: draw(strategy) for column, strategy in values.items()},
-        )
+        count = draw(st.integers(1 if index == 0 else 0, max_count))
+        row_values = {column: draw(strategy) for column, strategy in values.items()}
+        fk_refs = {}
         for column, ref_table in fks.items():
             ref, constant = draw(_fk_column(ref_table, totals[ref_table]))
             if constant is None:
-                row.fk_refs[column] = ref
+                fk_refs[column] = ref
             else:
-                row.values[column] = constant
-        rows.append(row)
+                row_values[column] = constant
+        rows.append(SummaryRow(count=count, values=row_values, fk_refs=fk_refs))
     return rows
 
 

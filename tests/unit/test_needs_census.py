@@ -63,9 +63,6 @@ ALLOWED: dict[str, str] = {
         "structural LP identity of extend vs. union build (test_incremental.py)"
     ),
     "repro.storage.table.TableData.from_rows": "row-literal fixture builder (test_storage.py)",
-    "repro.core.summary.DatabaseSummary.add_relation": (
-        "hand-built summary fixtures (test_summary_tuplegen.py, test_aggregates.py)"
-    ),
     "repro.executor.rate.RateLimiter.with_virtual_clock": (
         "deterministic pacing seam (test_executor.py, test_parallel.py)"
     ),

@@ -290,7 +290,7 @@ class TestSummaryCounting:
         )
         assert summary.count_matching(two_fks, pk_column="fact_pk") is None
 
-    def test_row_excluded_skips_unreachable_segments(self):
+    def test_excluded_skips_unreachable_segments(self):
         summary = RelationSummary(
             table="dim",
             rows=[
@@ -299,57 +299,61 @@ class TestSummaryCounting:
             ],
         )
         box = BoxCondition({"price": IntervalSet([Interval(40.0, 60.0)])})
-        assert summary.row_excluded(0, box, pk_column="dim_pk")
-        assert not summary.row_excluded(1, box, pk_column="dim_pk")
+        assert summary.excluded(box, pk_column="dim_pk").tolist() == [True, False]
+
+
+def _hand_built_star(price: float = 10.0) -> Database:
+    """A dataless dim/fact star; ``price`` is the first dim row's value."""
+    dim = Table(
+        name="dim",
+        columns=[Column("dim_pk", INTEGER), Column("price", FLOAT)],
+        primary_key="dim_pk",
+    )
+    fact = Table(
+        name="fact",
+        columns=[Column("fact_pk", INTEGER), Column("dim_fk", INTEGER), Column("qty", INTEGER)],
+        primary_key="fact_pk",
+        foreign_keys=[ForeignKey("dim_fk", "dim", "dim_pk")],
+    )
+    schema = Schema.from_tables([fact, dim])
+    summary = DatabaseSummary(schema=schema)
+    summary.add_relation(
+        RelationSummary(
+            table="dim",
+            rows=[
+                SummaryRow(count=60, values={"price": price}),
+                SummaryRow(count=40, values={"price": 90.0}),
+            ],
+        )
+    )
+    summary.add_relation(
+        RelationSummary(
+            table="fact",
+            rows=[
+                SummaryRow(
+                    count=500,
+                    values={"qty": 3.0},
+                    fk_refs={"dim_fk": FKReference("dim", IntervalSet([Interval(0, 60)]))},
+                ),
+                SummaryRow(
+                    count=250,
+                    values={"qty": 8.0},
+                    fk_refs={"dim_fk": FKReference("dim", IntervalSet([Interval(60, 100)]))},
+                ),
+            ],
+        )
+    )
+    database = Database(schema=schema, providers={})
+    for name in ("dim", "fact"):
+        generator = TupleGenerator(table=schema.table(name), summary=summary.relation(name))
+        database.attach(name, DataGenRelation(source=generator))
+    return database
 
 
 class TestFastpathOnHandBuiltSummary:
     @pytest.fixture()
     def dataless(self):
-        dim = Table(
-            name="dim",
-            columns=[Column("dim_pk", INTEGER), Column("price", FLOAT)],
-            primary_key="dim_pk",
-        )
-        fact = Table(
-            name="fact",
-            columns=[Column("fact_pk", INTEGER), Column("dim_fk", INTEGER), Column("qty", INTEGER)],
-            primary_key="fact_pk",
-            foreign_keys=[ForeignKey("dim_fk", "dim", "dim_pk")],
-        )
-        schema = Schema.from_tables([fact, dim])
-        summary = DatabaseSummary(schema=schema)
-        summary.add_relation(
-            RelationSummary(
-                table="dim",
-                rows=[
-                    SummaryRow(count=60, values={"price": 10.0}),
-                    SummaryRow(count=40, values={"price": 90.0}),
-                ],
-            )
-        )
-        summary.add_relation(
-            RelationSummary(
-                table="fact",
-                rows=[
-                    SummaryRow(
-                        count=500,
-                        values={"qty": 3.0},
-                        fk_refs={"dim_fk": FKReference("dim", IntervalSet([Interval(0, 60)]))},
-                    ),
-                    SummaryRow(
-                        count=250,
-                        values={"qty": 8.0},
-                        fk_refs={"dim_fk": FKReference("dim", IntervalSet([Interval(60, 100)]))},
-                    ),
-                ],
-            )
-        )
-        database = Database(schema=schema, providers={})
-        for name in ("dim", "fact"):
-            generator = TupleGenerator(table=schema.table(name), summary=summary.relation(name))
-            database.attach(name, DataGenRelation(source=generator))
-        return database
+        return _hand_built_star()
 
     @pytest.mark.parametrize(
         "sql",
@@ -384,10 +388,9 @@ class TestFastpathOnHandBuiltSummary:
             "select avg(dim.dim_pk) from dim where dim.price <= 10",
         ],
     )
-    def test_inexact_float_boxes_are_decided_on_the_summary(self, dataless, engine_routes, sql):
+    def test_inexact_float_boxes_are_decided_on_the_summary(self, engine_routes, sql):
         # Plant a representative inside the epsilon window of 10.0.
-        dim_summary = dataless.provider("dim").source.summary
-        dim_summary.rows[0].values["price"] = 10.0 + 1e-12
+        dataless = _hand_built_star(price=10.0 + 1e-12)
         plan = build_plan(parse_query(sql, dataless.schema), dataless.schema)
         materialised, streaming, default = _execute_routes(engine_routes(dataless), plan)
         assert materialised[3] == streaming[3] == default[3]

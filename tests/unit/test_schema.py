@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import networkx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.catalog.schema import Column, ForeignKey, Schema, SchemaError, Table
 from repro.catalog.types import FLOAT, INTEGER
@@ -136,7 +139,36 @@ class TestSchema:
         restored = Schema.from_dict(schema.to_dict())
         assert set(restored.table_names) == set(schema.table_names)
 
-    def test_foreign_key_graph_edges(self):
-        schema = Schema.from_tables([make_dim("d1"), make_fact(["d1"])])
-        graph = schema.foreign_key_graph()
-        assert graph.has_edge("fact", "d1")
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_topological_order_is_networkx_order(self, data):
+        # The order fixes relation order in every summary, so it must stay
+        # the one networkx's topological sort gave: ties in schema order,
+        # references in FK order, repeated edges once, unknown targets last.
+        names = data.draw(st.lists(st.sampled_from("abcdefg"), min_size=1, max_size=6, unique=True))
+        tables = []
+        for name in names:
+            refs = data.draw(st.lists(st.sampled_from(names + ["ghost"]), max_size=4))
+            tables.append(
+                Table(
+                    name=name,
+                    columns=[Column(f"{name}_pk", INTEGER)]
+                    + [Column(f"fk{i}", INTEGER) for i in range(len(refs))],
+                    primary_key=f"{name}_pk",
+                    foreign_keys=[
+                        ForeignKey(f"fk{i}", ref, f"{ref}_pk") for i, ref in enumerate(refs)
+                    ],
+                )
+            )
+        schema = Schema.from_tables(tables)
+        graph = networkx.DiGraph()
+        graph.add_nodes_from(schema.tables)
+        for table in tables:
+            graph.add_edges_from((table.name, fk.ref_table) for fk in table.foreign_keys)
+        try:
+            expected = list(reversed(list(networkx.topological_sort(graph))))
+        except networkx.NetworkXUnfeasible:
+            with pytest.raises(SchemaError):
+                schema.topological_order()
+        else:
+            assert schema.topological_order() == expected

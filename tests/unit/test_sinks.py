@@ -7,6 +7,7 @@ import datetime
 import json
 import sqlite3
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -123,7 +124,9 @@ class TestManifestChecksums:
         """-0.0 == 0.0, and SQLite cannot round-trip the sign bit: exports
         and checksums must treat the two as the same value everywhere."""
         summary = build_summary()
-        summary.relation("fact").rows[0].values["val"] = -0.0
+        fact = summary.relation("fact")
+        first = replace(fact.rows[0], values={**fact.rows[0].values, "val": -0.0})
+        summary.add_relation(RelationSummary(table="fact", rows=[first, *fact.rows[1:]]))
         csv_manifest = export_summary(summary, CsvSink(tmp_path / "csv"))
         sqlite_manifest = export_summary(summary, SqliteSink(tmp_path / "sqlite"))
         assert (

@@ -143,6 +143,19 @@ class TestRelationSummary:
         assert len(restored.rows) == len(dim.rows)
 
 
+def _replace_row(summary, table, position, values=(), fk_refs=()):
+    """Swap in ``table``'s relation with row ``position`` extended: rows are read-only."""
+    relation = summary.relation(table)
+    rows = list(relation.rows)
+    row = rows[position]
+    rows[position] = SummaryRow(
+        count=row.count,
+        values={**row.values, **dict(values)},
+        fk_refs={**row.fk_refs, **dict(fk_refs)},
+    )
+    summary.add_relation(RelationSummary(table=table, rows=rows))
+
+
 class TestDatabaseSummary:
     def test_row_counts(self, summary):
         assert summary.row_count("dim") == 1000
@@ -154,18 +167,18 @@ class TestDatabaseSummary:
         summary.validate()
 
     def test_validate_rejects_unknown_column(self, summary, schema):
-        summary.relation("dim").rows[0].values["zzz"] = 1.0
+        _replace_row(summary, "dim", 0, values={"zzz": 1.0})
         with pytest.raises(SummaryError):
             summary.validate()
 
     def test_validate_rejects_pk_storage(self, summary):
-        summary.relation("dim").rows[0].values["dim_pk"] = 0.0
+        _replace_row(summary, "dim", 0, values={"dim_pk": 0.0})
         with pytest.raises(SummaryError):
             summary.validate()
 
     def test_validate_rejects_wrong_fk_target(self, summary):
-        row = summary.relation("fact").rows[0]
-        row.fk_refs["dim_fk"] = FKReference("fact", IntervalSet([Interval(0, 1)]))
+        wrong = FKReference("fact", IntervalSet([Interval(0, 1)]))
+        _replace_row(summary, "fact", 0, fk_refs={"dim_fk": wrong})
         with pytest.raises(SummaryError):
             summary.validate()
 
@@ -308,23 +321,22 @@ class TestReferentialIntegrity:
         assert "no repairs" in report.describe()
 
     def test_out_of_range_reference_clamped(self, summary):
-        fact = summary.relation("fact")
-        fact.rows[0].fk_refs["dim_fk"] = FKReference(
-            "dim", IntervalSet([Interval(0, 5000)])
-        )
+        reference = FKReference("dim", IntervalSet([Interval(0, 5000)]))
+        _replace_row(summary, "fact", 0, fk_refs={"dim_fk": reference})
+        planted = summary.relation("fact")
         report = enforce_referential_integrity(summary)
         assert not report.is_clean
         assert report.repairs[0].action == "clamped"
-        clamped = fact.rows[0].fk_refs["dim_fk"].intervals
+        clamped = summary.relation("fact").rows[0].fk_refs["dim_fk"].intervals
+        # Rows are read-only: the repair replaced the relation, not its rows.
+        assert planted.rows[0].fk_refs["dim_fk"] is reference
         assert clamped == IntervalSet([Interval(0, 1000)])
 
     def test_fully_dangling_reference_remapped(self, summary):
-        fact = summary.relation("fact")
-        fact.rows[1].fk_refs["dim_fk"] = FKReference(
-            "dim", IntervalSet([Interval(5000, 6000)])
-        )
+        dangling = FKReference("dim", IntervalSet([Interval(5000, 6000)]))
+        _replace_row(summary, "fact", 1, fk_refs={"dim_fk": dangling})
         report = enforce_referential_integrity(summary)
         assert report.repairs[0].action == "remapped"
         assert report.affected_tuples == 50
-        remapped = fact.rows[1].fk_refs["dim_fk"].intervals
+        remapped = summary.relation("fact").rows[1].fk_refs["dim_fk"].intervals
         assert remapped == IntervalSet([Interval(0, 1000)])
