@@ -75,6 +75,9 @@ class RelationBuildInfo:
     left untouched (their statistics are carried over from the base build);
     ``warm_start`` marks re-solved relations whose partition, targets or LP
     solution were warm-started from the previous build state.
+    ``boxes_visited`` / ``boxes_split`` are the partition's box x cut pairs
+    classified and cut by this build (a resumed partition counts only the
+    appended cuts), as on the ``solve.partition`` span.
     """
 
     relation: str
@@ -89,6 +92,8 @@ class RelationBuildInfo:
     soft_fallback: bool = False
     reused: bool = False
     warm_start: bool = False
+    boxes_visited: int = 0
+    boxes_split: int = 0
 
 
 @dataclass
@@ -131,14 +136,17 @@ class SummaryBuildReport:
         """Render the per-relation build table (the demo's LP statistics view)."""
         lines = [
             f"{'relation':<20} {'rows':>12} {'constraints':>12} {'regions':>9} "
-            f"{'grid vars':>14} {'solve (s)':>10} {'max rel err':>12}"
+            f"{'grid vars':>14} {'partition (s)':>13} {'split/visited':>15} "
+            f"{'solve (s)':>10} {'max rel err':>12}"
         ]
         for info in self.relations.values():
             grid = "-" if info.grid_variables is None else str(info.grid_variables)
+            cuts = f"{info.boxes_split}/{info.boxes_visited}"
             flag = " (reused)" if info.reused else (" (warm)" if info.warm_start else "")
             lines.append(
                 f"{info.relation:<20} {info.row_count:>12} {info.num_constraints:>12} "
-                f"{info.num_regions:>9} {grid:>14} {info.solve_seconds:>10.4f} "
+                f"{info.num_regions:>9} {grid:>14} {info.partition_seconds:>13.4f} "
+                f"{cuts:>15} {info.solve_seconds:>10.4f} "
                 f"{info.max_relative_error:>12.4%}{flag}"
             )
         lines.append(
@@ -598,6 +606,8 @@ class Hydra:
                 max_relative_error=solution.max_relative_error,
                 soft_fallback=state.fallback,
                 warm_start=part.resumed or lp_skipped,
+                boxes_visited=part.boxes_visited,
+                boxes_split=part.boxes_split,
             )
             relation_span.annotate(
                 regions=info.num_regions, status=info.status, warm_start=info.warm_start

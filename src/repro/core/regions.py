@@ -15,14 +15,18 @@ disjoint hyper-boxes.  Empty parts — including parts that contain no integer
 point for discrete columns — are discarded immediately, so the number of
 regions tracks the number of *realisable* predicate signatures.
 
-The split is **classify, then cut**.  Most box x predicate pairs need no new
-object: walking the predicate's columns in sorted order and comparing interval
-endpoints (:meth:`IntervalSet.side_of`) tells whether the box is contained in
-the predicate (it joins the inside part as it is) or disjoint from it on some
-column (it joins the outside part as it is).  Only a column the predicate
-straddles is cut, once, and only the interval set that cut produced is checked
-for emptiness.  The working state is immutable, so whatever a split leaves
-alone — a box, a region's boxes, a whole region — is shared, not copied.
+The split is **classify, then cut**.  Each predicate is prepared once per
+step: per column, its interval set and whether the column is discrete.  Most
+box x predicate pairs need no new object: walking the predicate's columns in
+sorted order and comparing interval endpoints (:meth:`IntervalSet.side_of`)
+tells whether the box is contained in the predicate (it joins the inside part
+as it is) or disjoint from it on some column (it joins the outside part as it
+is).  A column the predicate straddles is cut by one
+:meth:`IntervalSet.split`, a merge walk that returns both halves already
+normalised, and each half gets one point test.  :func:`_cut` is the only
+place a box is split.  The working state is immutable, so whatever a split
+leaves alone — an interval, a box, a region's boxes, a whole region — is
+shared, not copied.
 """
 
 from __future__ import annotations
@@ -44,15 +48,16 @@ __all__ = [
 
 
 def _condition_is_empty(intervals: IntervalSet, discrete: bool) -> bool:
-    """True if no admissible point exists in the interval set."""
-    if intervals.is_empty:
-        return True
+    """True if no admissible point exists in the interval set.
+
+    The point test of the cut: on a discrete column an interval holds a point
+    when it is unbounded or reaches past an integer.
+    """
     if not discrete:
-        return False
-    for interval in intervals:
-        if math.isinf(interval.low) or math.isinf(interval.high):
-            return False
-        if interval.count_integers() > 0:
+        return not intervals.intervals
+    for interval in intervals.intervals:
+        low, high = interval.low, interval.high
+        if math.isinf(low) or math.isinf(high) or math.ceil(high) > math.ceil(low):
             return False
     return True
 
@@ -61,55 +66,63 @@ def box_is_empty(box: BoxCondition, discrete: Mapping[str, bool] | None = None) 
     """True if the box contains no admissible point."""
     if not box.satisfiable:
         return True
-    for column, intervals in box.conditions.items():
-        is_discrete = True if discrete is None else discrete.get(column, True)
-        if _condition_is_empty(intervals, is_discrete):
-            return True
-    return False
+    return any(
+        _condition_is_empty(intervals, discrete is None or discrete.get(column, True))
+        for column, intervals in box.conditions.items()
+    )
 
 
-_EVERYTHING = IntervalSet.everything()
+#: One column of a cut, prepared once per cut: the column, its interval set
+#: and whether the column is discrete.
+_CutColumn = tuple[str, IntervalSet, bool]
+
+
+def _prepare(
+    cut: BoxCondition, discrete: Mapping[str, bool] | None
+) -> tuple[_CutColumn, ...] | None:
+    """``cut`` as :func:`_cut` reads it; ``None`` for the falsum box.
+
+    The falsum cut contains nothing: its (empty or vestigial) per-column
+    conditions must not read as constraints.
+    """
+    if not cut.satisfiable:
+        return None
+    return tuple(
+        (column, cut_set, discrete is None or discrete.get(column, True))
+        for column, cut_set in cut.conditions.items()
+    )
 
 
 def _cut(
     box: BoxCondition,
-    cut: BoxCondition,
-    discrete: Mapping[str, bool] | None,
+    cut: tuple[_CutColumn, ...] | None,
     outside: list[BoxCondition],
 ) -> tuple[BoxCondition | None, bool]:
-    """Split ``box`` by ``cut``: classify per cut column, cut only a straddler.
+    """Split ``box`` by a prepared ``cut``: classify per cut column, cut only a straddler.
 
     Returns the part of ``box`` inside ``cut`` (``None`` when there is none)
     and whether any column had to be cut; the disjoint parts outside go onto
     ``outside``.  A box contained in the cut on every column comes back as
     the same object, one disjoint from it on its first non-contained column
     goes onto ``outside`` as the same object.  ``box`` must be non-empty, so
-    only the one interval set a cut produces needs its emptiness checked.
+    only the two halves a cut produces need their points tested.
     """
-    if not cut.satisfiable:
-        # The falsum cut contains nothing; its (empty or vestigial) per-column
-        # conditions must not read as constraints.
+    if cut is None:
         outside.append(box)
         return None, False
     current = box
-    for column, cut_set in cut.conditions.items():
-        held = current.conditions.get(column)
-        if held is None:
-            held = _EVERYTHING
-            side = -1 if cut_set.is_empty else 0
-        else:
-            side = held.side_of(cut_set)
+    for column, cut_set, discrete in cut:
+        held = current.condition_for(column)
+        side = held.side_of(cut_set)
         if side > 0:
             continue
         if side < 0:
             outside.append(current)
             return None, current is not box
-        is_discrete = discrete is None or discrete.get(column, True)
-        rest = held.subtract(cut_set)
-        if not _condition_is_empty(rest, is_discrete):
+        kept, rest = held.split(cut_set)
+        if not _condition_is_empty(rest, discrete):
             outside.append(current.replacing(column, rest))
-        kept = held.intersect(cut_set)
-        if _condition_is_empty(kept, is_discrete):
+        if _condition_is_empty(kept, discrete):
             return None, True
         current = current.replacing(column, kept)
     return current, current is not box
@@ -143,7 +156,8 @@ class Region:
         ``discrete`` marks the integer-valued columns (all of them when
         omitted): only there must a shared stretch hold an integer point.
         """
-        return any(_cut(piece, box, discrete, [])[0] is not None for piece in self.boxes)
+        cut = _prepare(box, discrete)
+        return any(_cut(piece, cut, [])[0] is not None for piece in self.boxes)
 
     def representative_box(self) -> BoxCondition:
         """The first box of the region (used to pick representative values)."""
@@ -257,15 +271,16 @@ class RegionPartitioner:
             # Only the domain box can be empty (every later box is checked
             # when it is cut); the first cut, whatever it is, drops it.
             regions = tuple(r for r in regions if not box_is_empty(r[1][0], self.discrete))
-        for index, cut in enumerate(boxes, start):
+        for index, box in enumerate(boxes, start):
+            cut = _prepare(box, self.discrete)
             result: list[_WorkingRegion] = []
             for region in regions:
                 signature, pieces = region
                 inside: list[BoxCondition] = []
                 outside: list[BoxCondition] = []
                 whole = True
-                for box in pieces:
-                    kept, was_cut = _cut(box, cut, self.discrete, outside)
+                for piece in pieces:
+                    kept, was_cut = _cut(piece, cut, outside)
                     if kept is not None:
                         inside.append(kept)
                     if was_cut:

@@ -123,12 +123,16 @@ class Partitioned(NamedTuple):
     ``state`` carries regions, checkpoints, domain and signatures; later
     stages fill in its LP fields.  ``resumed`` / ``identical`` tell how much
     of the previous partition was reused (a prefix / all of it).
+    ``boxes_visited`` / ``boxes_split`` count the box x cut pairs this call
+    classified and those of them a cut went through.
     """
 
     state: RelationBuildState
     resumed: bool
     identical: bool
     seconds: float
+    boxes_visited: int
+    boxes_split: int
 
 
 # -- ground ------------------------------------------------------------------
@@ -278,10 +282,9 @@ def partition(
         regions = partitioner.resume(checkpoint, ())
         seconds = time.perf_counter() - start
         # Work this call did: the checkpoint counts from the domain box.
-        handle.annotate(
-            boxes_visited=checkpoint.boxes_visited - (best.boxes_visited if best else 0),
-            boxes_split=checkpoint.boxes_split - (best.boxes_split if best else 0),
-        )
+        visited = checkpoint.boxes_visited - (best.boxes_visited if best else 0)
+        split = checkpoint.boxes_split - (best.boxes_split if best else 0)
+        handle.annotate(boxes_visited=visited, boxes_split=split)
     observe("solve.partition_seconds", seconds)
     identical = best is not None and best.num_boxes == len(boxes)
     if best is not None:
@@ -297,7 +300,7 @@ def partition(
         row_count=grounded.row_count,
         grounded_checkpoint=at_boundary,
     )
-    return Partitioned(state, best is not None, identical, seconds)
+    return Partitioned(state, best is not None, identical, seconds, visited, split)
 
 
 # -- formulate ---------------------------------------------------------------

@@ -180,19 +180,53 @@ class Interval:
         return f"[{self.low}, {self.high})"
 
 
+def _trusted_interval(low: float, high: float) -> Interval:
+    """``Interval(low, high)`` without the checks, for endpoints already checked.
+
+    Only :meth:`IntervalSet.split` calls it, with endpoints copied from
+    validated intervals: floats, never NaN, and ``low < high``.
+    """
+    interval = object.__new__(Interval)
+    object.__setattr__(interval, "low", low)
+    object.__setattr__(interval, "high", high)
+    return interval
+
+
 class IntervalSet:
     """A union of disjoint, sorted, half-open intervals.
 
     Supports the set algebra (intersection, union, difference) needed to split
     the value space into regions, plus point membership and vectorised
-    membership tests for predicate evaluation.
+    membership tests for predicate evaluation.  Immutable: every operation
+    returns a new set, so sets (and :meth:`everything`) are shared freely.
     """
 
     __slots__ = ("intervals",)
 
+    intervals: tuple[Interval, ...]
+
     def __init__(self, intervals: Iterable[Interval] = ()) -> None:
         """Normalise ``intervals`` into a sorted, disjoint, merged tuple."""
-        self.intervals: tuple[Interval, ...] = self._normalise(intervals)
+        object.__setattr__(self, "intervals", self._normalise(intervals))
+
+    @classmethod
+    def _trusted(cls, intervals: tuple[Interval, ...]) -> "IntervalSet":
+        """A set over ``intervals`` as they are: already sorted, disjoint, non-touching."""
+        result = object.__new__(cls)
+        object.__setattr__(result, "intervals", intervals)
+        return result
+
+    def __setattr__(self, name: str, value: object) -> None:
+        """Refuse: a set is shared, so it must never change."""
+        raise AttributeError(f"IntervalSet is immutable (cannot set {name!r})")
+
+    def __delattr__(self, name: str) -> None:
+        """Refuse: a set is shared, so it must never change."""
+        raise AttributeError(f"IntervalSet is immutable (cannot delete {name!r})")
+
+    def __reduce__(self) -> tuple[Any, ...]:
+        """Pickle as the interval tuple (the slot is not settable after creation)."""
+        return (IntervalSet, (self.intervals,))
 
     @staticmethod
     def _normalise(intervals: Iterable[Interval]) -> tuple[Interval, ...]:
@@ -224,8 +258,8 @@ class IntervalSet:
 
     @classmethod
     def everything(cls) -> "IntervalSet":
-        """The set covering the whole domain."""
-        return cls([Interval.everything()])
+        """The set covering the whole domain (one shared instance)."""
+        return _EVERYTHING
 
     @classmethod
     def empty(cls) -> "IntervalSet":
@@ -312,41 +346,63 @@ class IntervalSet:
 
     # -- algebra ---------------------------------------------------------
 
+    def split(self, other: "IntervalSet") -> tuple["IntervalSet", "IntervalSet"]:
+        """``(self & other, self - other)`` in one merge walk over both sets.
+
+        Both halves come out sorted, disjoint and non-touching, so neither is
+        re-normalised.  An interval of ``self`` that ``other`` leaves whole —
+        inside one interval of ``other``, or apart from all of them — is
+        passed on as the same object; a cut piece takes each endpoint from
+        ``self`` unless ``other``'s lies strictly inside (so ``-0.0`` vs
+        ``0.0`` ties keep ``self``'s).  O(n + m + pieces).
+        """
+        theirs = other.intervals
+        count = len(theirs)
+        inside: list[Interval] = []
+        outside: list[Interval] = []
+        position = 0
+        for interval in self.intervals:
+            low, high = interval.low, interval.high
+            # Cuts wholly left of this interval are left of every later one.
+            while position < count and theirs[position].high <= low:
+                position += 1
+            index = position
+            cursor = low  # where the part not yet inside a cut starts
+            while index < count:
+                cut = theirs[index]
+                if cut.low >= high:
+                    break
+                if cut.low > cursor:
+                    outside.append(_trusted_interval(cursor, cut.low))
+                piece_low = cut.low if cut.low > low else low
+                piece_high = cut.high if cut.high < high else high
+                if piece_low is low and piece_high is high:
+                    inside.append(interval)
+                else:
+                    inside.append(_trusted_interval(piece_low, piece_high))
+                cursor = cut.high
+                index += 1
+            if index == position:
+                outside.append(interval)
+            elif cursor < high:
+                outside.append(_trusted_interval(cursor, high))
+        return IntervalSet._trusted(tuple(inside)), IntervalSet._trusted(tuple(outside))
+
     def intersect(self, other: "IntervalSet") -> "IntervalSet":
-        """The intersection with ``other``."""
-        result: list[Interval] = []
-        for a in self.intervals:
-            for b in other.intervals:
-                piece = a.intersect(b)
-                if not piece.is_empty:
-                    result.append(piece)
-        return IntervalSet(result)
+        """The intersection with ``other`` (the inside half of :meth:`split`)."""
+        return self.split(other)[0]
 
     def union(self, other: "IntervalSet") -> "IntervalSet":
         """The union with ``other``."""
         return IntervalSet(list(self.intervals) + list(other.intervals))
 
     def subtract(self, other: "IntervalSet") -> "IntervalSet":
-        """The set difference ``self - other``."""
-        remaining = list(self.intervals)
-        for cut in other.intervals:
-            next_remaining: list[Interval] = []
-            for interval in remaining:
-                if not interval.overlaps(cut):
-                    next_remaining.append(interval)
-                    continue
-                left = Interval(interval.low, min(interval.high, cut.low))
-                right = Interval(max(interval.low, cut.high), interval.high)
-                if not left.is_empty:
-                    next_remaining.append(left)
-                if not right.is_empty:
-                    next_remaining.append(right)
-            remaining = next_remaining
-        return IntervalSet(remaining)
+        """The set difference ``self - other`` (the outside half of :meth:`split`)."""
+        return self.split(other)[1]
 
     def complement(self) -> "IntervalSet":
         """The complement with respect to the whole domain."""
-        return IntervalSet.everything().subtract(self)
+        return _EVERYTHING.subtract(self)
 
     # -- measurements ----------------------------------------------------
 
@@ -407,6 +463,11 @@ class IntervalSet:
         if self.is_empty:
             return "IntervalSet(∅)"
         return "IntervalSet(" + " ∪ ".join(repr(iv) for iv in self.intervals) + ")"
+
+
+#: The whole domain, shared by :meth:`IntervalSet.everything` and every
+#: unconstrained column of :meth:`BoxCondition.condition_for`.
+_EVERYTHING = IntervalSet([Interval.everything()])
 
 
 # ---------------------------------------------------------------------------
@@ -944,7 +1005,7 @@ class BoxCondition:
 
     def condition_for(self, column: str) -> IntervalSet:
         """The interval set of one column (everything when unconstrained)."""
-        return self.conditions.get(column, IntervalSet.everything())
+        return self.conditions.get(column, _EVERYTHING)
 
     # -- algebra ---------------------------------------------------------
 

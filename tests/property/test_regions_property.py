@@ -202,6 +202,35 @@ def domains(draw):
     return BoxCondition(conditions)
 
 
+@st.composite
+def single_intervals(draw):
+    """One interval: the box side of almost every ``_cut``."""
+    low = draw(endpoints)
+    return IntervalSet([Interval(low, low + draw(st.integers(min_value=1, max_value=12)) / 2)])
+
+
+@st.composite
+def in_lists(draw):
+    """Two or three separate intervals: an IN-list."""
+    pieces, low = [], draw(endpoints)
+    for _ in range(draw(st.integers(min_value=2, max_value=3))):
+        high = low + draw(st.integers(min_value=1, max_value=6)) / 2
+        pieces.append(Interval(low, high))
+        low = high + draw(st.integers(min_value=1, max_value=6)) / 2
+    return IntervalSet(pieces)
+
+
+def boxes_of(interval_sets, columns=None):
+    """Boxes whose every constrained column draws from ``interval_sets``."""
+    if columns is None:
+        columns = st.lists(st.sampled_from(COLUMNS), min_size=1, max_size=3, unique=True)
+    return columns.flatmap(
+        lambda chosen: st.tuples(*(interval_sets for _ in chosen)).map(
+            lambda sets: BoxCondition(dict(zip(chosen, sets)))
+        )
+    )
+
+
 class TestSplitAgainstReference:
     """Classify-then-cut yields exactly what intersect + difference yielded."""
 
@@ -212,6 +241,24 @@ class TestSplitAgainstReference:
     )
     @settings(max_examples=300, deadline=None)
     def test_same_ordered_regions(self, boxes, domain):
+        regions = RegionPartitioner(discrete=DISCRETE, domain=domain).partition(boxes)
+        assert _listing(regions) == _reference_partition(boxes, DISCRETE, domain)
+
+    @given(
+        st.lists(boxes_of(in_lists()), min_size=1, max_size=5),
+        boxes_of(single_intervals(), st.just(list(COLUMNS))),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_one_interval_boxes_against_in_list_cuts(self, boxes, domain):
+        regions = RegionPartitioner(discrete=DISCRETE, domain=domain).partition(boxes)
+        assert _listing(regions) == _reference_partition(boxes, DISCRETE, domain)
+
+    @given(
+        st.lists(boxes_of(single_intervals()), min_size=1, max_size=5),
+        boxes_of(in_lists(), st.just(list(COLUMNS))),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_multi_interval_boxes_against_one_interval_cuts(self, boxes, domain):
         regions = RegionPartitioner(discrete=DISCRETE, domain=domain).partition(boxes)
         assert _listing(regions) == _reference_partition(boxes, DISCRETE, domain)
 

@@ -24,6 +24,19 @@ class TestBuildReport:
         assert "LP variables" in text
         assert "constraints" in text
 
+    def test_partition_work_recorded_per_relation(self, result):
+        """The ``solve.partition`` counts reach the report and its table."""
+        text = result.report.describe()
+        assert "partition (s)" in text and "split/visited" in text
+        for name, info in result.report.relations.items():
+            checkpoint = result.states[name].checkpoint
+            assert (info.boxes_visited, info.boxes_split) == (
+                checkpoint.boxes_visited,
+                checkpoint.boxes_split,
+            )
+            assert f"{info.boxes_split}/{info.boxes_visited}" in text
+        assert result.report.relations["R"].boxes_split > 0
+
     def test_grid_baseline_recorded(self, result):
         info = result.report.relations["R"]
         assert info.grid_variables >= info.num_regions
