@@ -136,7 +136,12 @@ class ExecutionResult:
 
 @dataclass
 class _Block:
-    """Internal intermediate result: qualified column arrays + row count."""
+    """Internal intermediate result: qualified column arrays + row count.
+
+    Block arrays are never written in place: a join passes a probe batch
+    whose every row finds one partner through uncopied, so one array can be
+    shared by several blocks.
+    """
 
     columns: dict[str, NDArray[Any]]
     row_count: int
@@ -191,8 +196,14 @@ class ExecutionEngine:
       a dataless leaf input the side with the smaller summary cardinality is
       the build table, the other side streams through it
       (``join:streaming``), and semi-join FK pushdown skips probe summary
-      segments that cannot join; without one the left input probes as a
-      single block (``join:materializing`` / ``no-streamable-leaf``);
+      segments that cannot join — except when the leaf is joined on its own
+      primary key above a join result with no more rows than that result:
+      the leaf is then the build table and the already-executed left block
+      probes it as one batch (``join:keyed``); without a dataless leaf the
+      left input probes as a single block (``join:materializing`` /
+      ``no-streamable-leaf``).  A single build key that is strictly
+      increasing (a unique key, observed from the data) is probed by
+      position instead of by sort-merge;
     * ``COUNT``, ``SUM`` and ``AVG`` over a summary-backed relation or a
       left-deep tree of key/foreign-key joins of such relations are answered
       from the relation summaries (count × interval arithmetic, O(#summary
@@ -448,48 +459,74 @@ class ExecutionEngine:
         count = leaf.summary.count_matching(leaf.box, pk_column=leaf.table.primary_key)
         return total if count is None else count
 
-    def _choose_probe(self, node: JoinNode) -> tuple[_Leaf | None, bool]:
-        """``(streaming probe leaf, probe is the left input)`` of a join.
+    def _choose_probe(self, node: JoinNode) -> tuple[_Leaf | None, bool, _Block | None]:
+        """``(streaming probe leaf, probe is the left input, left block)`` of a join.
 
         An input streams when it is the leaf access path of a dataless
         relation; with two candidates the one with the larger summary
-        cardinality streams and the smaller becomes the build table.
-        Without a candidate the left input is the (single-block) probe.
+        cardinality streams and the smaller becomes the build table
+        (``join:streaming``, recorded once the stream is drained).  Without a
+        candidate the left input is the single-block probe
+        (``join:materializing``).  A left input that is not a leaf is
+        executed here, as either route needs it whole; when the right input
+        is then a dataless leaf joined on its own primary key
+        (:func:`~repro.plans.joingraph.classify_fk_edge`) with no more
+        estimated rows than that block has, the leaf is the build side and
+        the block probes it as one batch (``join:keyed``, every upper join
+        of a left-deep FK chain) — streaming the leaf would argsort the
+        block twice.  A larger leaf still streams, so peak memory stays
+        O(block + batch + output).  The left block is returned whenever it
+        was executed (``None`` while it streams).
         """
+        left_leaf = self._leaf(node.left)
         left, right = (
             leaf if leaf is not None and leaf.summary is not None else None
-            for leaf in (self._leaf(node.left), self._leaf(node.right))
+            for leaf in (left_leaf, self._leaf(node.right))
         )
-        if left is not None and right is not None:
-            probe_is_left = self._estimated_rows(left) >= self._estimated_rows(right)
-        else:
-            probe_is_left = right is None
-        return (left if probe_is_left else right), probe_is_left
+        if left is not None:
+            if right is None or self._estimated_rows(left) >= self._estimated_rows(right):
+                return left, True, None
+        if right is None:
+            self._record_route("join", "materializing", "no-streamable-leaf")
+            return None, True, self._execute_node(node.left)
+        block = self._execute_node(node.left)
+        if left_leaf is None and self._estimated_rows(right) <= block.row_count:
+            edge = classify_fk_edge(node.condition, self.schema)
+            if edge is not None and edge[2] == right.table.name:
+                self._record_route("join", "keyed")
+                return None, True, block
+        return right, False, block
 
     def _execute_join(self, node: JoinNode) -> _Block:
-        """The one join: build a sorted key table, probe it batch by batch.
+        """The one join: build a key table, probe it batch by batch.
 
         The probe batches are the block stream of a dataless leaf input
         (:meth:`_choose_probe`) — peak memory O(build + batch + output)
         instead of O(both relations), and a semi-join box computed by the
         planner (:func:`~repro.plans.planner.compute_semijoin_pushdowns`)
-        lets whole probe summary segments be skipped — or, when no input is
-        one, the single executed block of the left input.  The other input
-        is executed and each of its key columns sorted once.  An equi-join
-        has one key pair, a disjunctive join one per alternative
-        (:func:`_index_pairs`); output rows are ordered by left row, each
-        left row's partners by right row, whichever side probed.
+        lets whole probe summary segments be skipped — or, when no input
+        streams, the single executed block of the left input.  The other
+        input is executed and each of its key columns prepared once
+        (:class:`_BuildKey`: sorted, or kept as it is when strictly
+        increasing).  An equi-join has one key pair, a disjunctive join one
+        per alternative (:func:`_index_pairs`); output rows are ordered by
+        left row, each left row's partners by right row, whichever side
+        probed.  A probe batch whose every row finds exactly one partner is
+        passed through uncopied.
         """
-        probe, probe_is_left = self._choose_probe(node)
+        probe, probe_is_left, left = self._choose_probe(node)
         batches: Iterable[tuple[int, dict[str, NDArray[Any]]]]
         if probe is None:
-            self._record_route("join", "materializing", "no-streamable-leaf")
-            left = self._execute_node(node.left)
+            assert left is not None  # executed by _choose_probe unless it streams
             batches = [(left.row_count, left.columns)]
             template = {name: values[:0] for name, values in left.columns.items()}
         else:
             template = self._leaf_template(probe)
-        build = self._execute_node(node.right if probe_is_left else node.left)
+        if probe_is_left:
+            build = self._execute_node(node.right)
+        else:
+            assert left is not None
+            build = left
         # (probe key, build key) per alternative, resolved in left/right orientation.
         if probe_is_left:
             keys = _join_keys(node.condition, template, build.columns)
@@ -503,19 +540,22 @@ class ExecutionEngine:
                 semijoin = None  # sound only on the foreign key this join probes with
             batches = self._stream_leaf(probe, semijoin)
 
-        sorted_keys = []
-        for _probe_key, build_key in keys:
-            values = np.asarray(build.columns[build_key])
-            order = np.argsort(values, kind="stable")
-            sorted_keys.append((order, values[order]))
+        build_keys = [
+            _BuildKey.of(build.columns[build_key], template[probe_key].dtype)
+            for probe_key, build_key in keys
+        ]
         probe_chunks: list[dict[str, NDArray[Any]]] = []
         index_chunks: list[NDArray[Any]] = []
         for _rows, batch in batches:
-            probe_idx, build_idx = _index_pairs(
-                [batch[probe_key] for probe_key, _build_key in keys], sorted_keys, build.row_count
+            selector, build_idx = _index_pairs(
+                [batch[probe_key] for probe_key, _build_key in keys], build_keys, build.row_count
             )
-            if len(probe_idx):
-                probe_chunks.append({name: values[probe_idx] for name, values in batch.items()})
+            if len(build_idx):
+                probe_chunks.append(
+                    batch
+                    if selector is None
+                    else {name: values[selector] for name, values in batch.items()}
+                )
                 index_chunks.append(build_idx)
         if probe is not None:
             self._record_route("join", "streaming")
@@ -930,32 +970,91 @@ def _join_keys(
     return pairs
 
 
+@dataclass(frozen=True)
+class _BuildKey:
+    """One build key column, prepared once per join for :func:`_index_pairs`.
+
+    ``values`` are the column's values in ascending order and ``order`` the
+    build rows they come from (a stable argsort) — or ``None`` when the
+    column already is strictly increasing, which one O(n) pass observes: a
+    unique key, its own sorted form, whose partner is found by position.  A
+    unique key is held in the dtype it promotes to with the probe key's, the
+    dtype the sort-merge compares in, so both paths find the same partners.
+    """
+
+    values: NDArray[Any]
+    order: NDArray[Any] | None
+
+    @classmethod
+    def of(cls, values: NDArray[Any], probe_dtype: np.dtype[Any]) -> "_BuildKey":
+        values = np.asarray(values)
+        if values.dtype.kind in "iuf" and probe_dtype.kind in "iuf":
+            common = values.astype(np.result_type(values.dtype, probe_dtype), copy=False)
+            if (common[1:] > common[:-1]).all():
+                return cls(common, None)
+        order = np.argsort(values, kind="stable")
+        return cls(values[order], order)
+
+
+def _unique_pairs(
+    keys: NDArray[Any], build: _BuildKey
+) -> tuple[NDArray[Any] | None, NDArray[Any]] | None:
+    """:func:`_index_pairs` of one probe key column against a unique build key.
+
+    Each probe row has at most one partner, found by one ``searchsorted``
+    plus an equality test.  ``None`` when ``keys`` would promote the build
+    key to another dtype than it was prepared for.
+    """
+    keys = np.asarray(keys)
+    values = build.values
+    if np.result_type(values.dtype, keys.dtype) != values.dtype:
+        return None
+    keys = keys.astype(values.dtype, copy=False)
+    if not len(values):
+        return np.zeros(len(keys), dtype=bool), np.empty(0, dtype=np.int64)
+    positions = np.searchsorted(values, keys).astype(np.int64, copy=False)
+    np.minimum(positions, len(values) - 1, out=positions)
+    hit = values[positions] == keys
+    if hit.all():
+        return None, positions
+    return hit, positions[hit]
+
+
 def _index_pairs(
     probe_keys: list[NDArray[Any]],
-    sorted_keys: list[tuple[NDArray[Any], NDArray[Any]]],
+    build_keys: list[_BuildKey],
     build_rows: int,
-) -> tuple[NDArray[Any], NDArray[Any]]:
-    """Index pairs ``(probe_idx, build_idx)`` matching *any* key alternative.
+) -> tuple[NDArray[Any] | None, NDArray[Any]]:
+    """``(probe selector, build positions)`` of the pairs matching *any* key alternative.
 
-    ``sorted_keys`` holds, per alternative, the build key column's stable
-    sort order and its sorted values; each alternative is a fully vectorised
-    sort-merge equi-join (duplicates on either side are handled), which keeps
-    the client-site AQP extraction fast even for multi-hundred-thousand-row
-    fact tables.  Pairs are ordered by probe row, each probe row's partners
-    ascending by build row; with several alternatives (a disjunctive join)
-    the pairs are unioned, a row pair satisfying two of them appearing once.
+    ``probe_keys[i][selector]`` are the pairs' probe rows — ``None`` when
+    every probe row pairs exactly once, in order (the batch passes
+    through), else a boolean mask or int64 row indices — and the int64
+    build positions their partners.  A single unique build key
+    (:class:`_BuildKey`) is looked up by position (:func:`_unique_pairs`);
+    otherwise each alternative is a fully vectorised sort-merge equi-join
+    (duplicates on either side are handled), which keeps the client-site
+    AQP extraction fast even for multi-hundred-thousand-row fact tables.
+    Pairs are ordered by probe row, each probe row's partners ascending by
+    build row; with several alternatives (a disjunctive join) the pairs are
+    unioned, a row pair satisfying two of them appearing once.
     """
+    if len(build_keys) == 1 and build_keys[0].order is None:
+        pairs = _unique_pairs(probe_keys[0], build_keys[0])
+        if pairs is not None:
+            return pairs
     found: list[tuple[NDArray[Any], NDArray[Any]]] = []
-    for keys, (order, sorted_build) in zip(probe_keys, sorted_keys):
+    for keys, build in zip(probe_keys, build_keys):
         keys = np.asarray(keys)
-        run_start = np.searchsorted(sorted_build, keys, side="left")
-        counts = np.searchsorted(sorted_build, keys, side="right") - run_start
+        run_start = np.searchsorted(build.values, keys, side="left")
+        counts = np.searchsorted(build.values, keys, side="right") - run_start
         total = int(counts.sum())
         if total == 0:
             continue
         probe_idx = np.repeat(np.arange(len(keys), dtype=np.int64), counts)
         offsets = np.arange(total, dtype=np.int64) - np.repeat(np.cumsum(counts) - counts, counts)
-        found.append((probe_idx, order[np.repeat(run_start, counts) + offsets]))
+        rows = np.repeat(run_start, counts) + offsets
+        found.append((probe_idx, rows if build.order is None else build.order[rows]))
     if len(found) == 1:
         return found[0]
     if not found:

@@ -11,7 +11,9 @@ One scenario run is the full HYDRA round trip over one synthesized seed:
 4. every workload query is answered on each enabled result route — summary
    fast path, streaming fallback, and via the HTTP server — and checked
    against the oracle: COUNT and ``SELECT *`` row counts must agree exactly,
-   SUM/AVG within a float-summation tolerance;
+   and so must a ``SELECT *``'s sum of each joined table's primary key (a
+   wrong join partner changes it); SUM/AVG within a float-summation
+   tolerance;
 5. results and plan annotations must be route-independent: the fast path
    and the streaming route must return the same value to the last bit, and
    the server must annotate exactly like the local fast path;
@@ -29,6 +31,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from typing import Any, Iterable, Sequence
+
+import numpy as np
 
 from ..catalog.metadata import DatabaseMetadata
 from ..client.extractor import AQPExtractor
@@ -174,10 +178,17 @@ def _annotations(plan: PlanNode) -> list[tuple[str, int]]:
     ]
 
 
-def _engine_value(kind: str, columns: dict[str, Any], row_count: int) -> Any:
-    """Extract the checked value from an engine/server result."""
+def _engine_value(
+    kind: str, columns: dict[str, Any], row_count: int, pk_columns: Sequence[str] = ()
+) -> Any:
+    """Extract the checked value from an engine/server result.
+
+    A ``SELECT *`` is checked as its row count plus the sum of each of
+    ``pk_columns`` (:attr:`~repro.workload.synth.SynthQuery.pk_columns`).
+    """
     if kind == "select_star":
-        return int(row_count)
+        sums = (int(np.asarray(columns[name], dtype=np.int64).sum()) for name in pk_columns)
+        return (int(row_count), *sums)
     for name in _AGGREGATE_COLUMNS:
         if name in columns:
             cell = columns[name][0]
@@ -189,10 +200,13 @@ def _engine_value(kind: str, columns: dict[str, Any], row_count: int) -> Any:
 
 def _values_agree(kind: str, engine: Any, oracle: Any, rel_tol: float) -> bool:
     """Whether an engine value matches the oracle's under the route contract."""
+    if kind == "select_star":
+        # SQLite sums no rows to NULL; the engine's sum is 0.
+        return tuple(engine) == tuple(0 if value is None else int(value) for value in oracle)
     if oracle is None:
         # SQLite SUM/AVG over zero rows is NULL; the engine reports 0.0.
         oracle = 0
-    if kind in ("select_star",) or isinstance(engine, int):
+    if isinstance(engine, int):
         return int(engine) == int(oracle)
     engine_f = float(engine)
     oracle_f = float(oracle)
@@ -248,14 +262,18 @@ def _differential_pass(
 
     with SqliteOracle.from_summary(summary) as oracle:
         for synth_query in queries:
-            oracle_value = oracle.scalar(synth_query.oracle_sql)
+            pk_columns = synth_query.pk_columns
+            if synth_query.kind == "select_star":
+                oracle_value: Any = oracle.rows(synth_query.oracle_sql)[0]
+            else:
+                oracle_value = oracle.scalar(synth_query.oracle_sql)
             annotations: dict[str, list[tuple[str, int]]] = {}
             values: dict[str, Any] = {}
             for route, engine in engines.items():
                 plan = build_plan(synth_query.query, schema)
                 result = engine.execute(plan)
                 engine_value = values[route] = _engine_value(
-                    synth_query.kind, result.columns, result.row_count
+                    synth_query.kind, result.columns, result.row_count, pk_columns
                 )
                 route_counts[route] += 1
                 annotations[route] = _annotations(plan)
@@ -278,7 +296,7 @@ def _differential_pass(
             if client is not None and "server" in active:
                 response = client.query(server_name, synth_query.sql)
                 engine_value = _engine_value(
-                    synth_query.kind, response.columns, response.row_count
+                    synth_query.kind, response.columns, response.row_count, pk_columns
                 )
                 route_counts["server"] += 1
                 annotations["server"] = [

@@ -182,8 +182,11 @@ class SynthQuery:
     """One generated workload query.
 
     ``oracle_sql`` is what the SQLite oracle runs for it: identical to
-    ``sql`` for aggregates, the COUNT(*) rewrite for ``SELECT *`` queries
-    (whose engine-side check is the row count).
+    ``sql`` for aggregates; for ``SELECT *`` queries a rewrite to
+    ``COUNT(*)`` plus the sum of each of ``pk_columns`` — the qualified
+    primary keys of the tables it reads, in ``FROM`` order — which the
+    engine-side check computes over the rows it returns: a join returning
+    the right number of wrong partners changes a sum.
     """
 
     name: str
@@ -191,6 +194,7 @@ class SynthQuery:
     sql: str
     oracle_sql: str
     query: Query
+    pk_columns: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -689,9 +693,19 @@ class QuerySynthesizer:
             except (SQLParseError, PlannerError):  # pragma: no cover - guard
                 continue
             self._seen_sql.add(sql)
+            pk_columns: tuple[str, ...] = ()
             if kind == "select_star":
-                # The oracle counts what the engine materialises.
-                oracle_sql = "select count(*)" + sql[len("select *"):]
+                # The oracle counts what the engine materialises and sums
+                # each joined table's primary key over it; primary keys are
+                # integers in the engine's result and in the SQLite export
+                # alike, so the sums compare exactly.
+                pk_columns = tuple(
+                    f"{table}.{self.schema.table(table).primary_key}"
+                    for table in query.tables
+                    if self.schema.table(table).primary_key
+                )
+                sums = "".join(f", sum({column})" for column in pk_columns)
+                oracle_sql = "select count(*)" + sums + sql[len("select *"):]
             else:
                 oracle_sql = sql
             results.append(
@@ -701,6 +715,7 @@ class QuerySynthesizer:
                     sql=sql,
                     oracle_sql=oracle_sql,
                     query=query,
+                    pk_columns=pk_columns,
                 )
             )
         return results

@@ -179,6 +179,7 @@ def _leaf(table, predicate=None):
 
 
 STREAMING = ("streaming", None)
+KEYED = ("keyed", None)
 MATERIALIZING = ("materializing", "no-streamable-leaf")
 
 #: Relations attached materialised per attachment (the rest stay dataless).
@@ -220,10 +221,33 @@ JOIN_SHAPES = {
         {"dataless": (1420, [STREAMING]), "materialised": (4400, [MATERIALIZING]),
          "mixed": (4123, [STREAMING])},
     ),
+    # The upper join's right input is the dataless T joined on its primary
+    # key: it is the build side and the R-S block probes it (keyed).  In
+    # "mixed" T is materialised, so that join keeps materialising.
     "join_of_join": (
         FIGURE1_QUERY,
-        {"dataless": (984, [STREAMING] * 2), "materialised": (4440, [MATERIALIZING] * 2),
+        {"dataless": (984, [STREAMING, KEYED]), "materialised": (4440, [MATERIALIZING] * 2),
          "mixed": (4208, [MATERIALIZING, STREAMING])},
+    ),
+    # q10-shaped: a filtered dimension at the first join, then two unfiltered
+    # dimensions above it (the toy schema has two, so S is joined again).
+    "dimension_chain": (
+        lambda: JoinNode(
+            left=JoinNode(
+                left=JoinNode(
+                    left=_leaf("R"),
+                    right=_leaf("S", Comparison("A", "<", 50.0)),
+                    condition=JoinCondition("R", "S_fk", "S", "S_pk"),
+                ),
+                right=_leaf("T"),
+                condition=JoinCondition("R", "T_fk", "T", "T_pk"),
+            ),
+            right=_leaf("S"),
+            condition=JoinCondition("R", "S_fk", "S", "S_pk"),
+        ),
+        {"dataless": (2466, [STREAMING, KEYED, KEYED]),
+         "materialised": (4840, [MATERIALIZING] * 3),
+         "mixed": (4693, [MATERIALIZING, STREAMING, KEYED])},
     ),
     # Both inputs scan S, so the qualified output names collide and the right
     # input's columns win: behaves as it did on the materialising join.
@@ -333,6 +357,38 @@ class TestMemoryBound:
         assert materialised_peak > rows * 8  # at least one full int64 column
         assert streaming_peak < materialised_peak / 5, (streaming_peak, materialised_peak)
         assert streaming_peak < rows * 8  # never a whole column of the probe relation
+
+    def test_a_dimension_larger_than_the_join_below_streams(self, scaled, monkeypatch):
+        """A selective lower join, then an unfiltered dimension 200x its size.
+
+        The dimension is not made the build side (``join:keyed``): it streams
+        through the small intermediate, so the peak stays below one column of
+        the dimension, which the build side alone would hold twice over.
+        """
+        monkeypatch.setattr(engine_module, "BATCH_SIZE", 1024)
+        hydra, summary = scaled
+        schema = summary.schema
+        sql = (
+            "select count(*) from R, T, S "
+            "where R.T_fk = T.T_pk and R.S_fk = S.S_pk and R.R_pk < 200"
+        )
+
+        def execute(materialize=False):
+            plan = build_plan(parse_query(sql, schema), schema)
+            database = hydra.regenerate(
+                summary, materialize=plan.output_tables() if materialize else ()
+            )
+            return ExecutionEngine(database=database, summary_fastpath=False).execute(plan)
+
+        reference = execute(materialize=True)
+        execute()  # summary caches are built once per summary, not per query
+        streamed, peak = self._peak(execute)
+        assert int(streamed.column("count")[0]) == int(reference.column("count")[0]) == 200
+        assert [e.route for e in streamed.route_events if e.kind == "join"] == [
+            "streaming",
+            "streaming",
+        ]
+        assert peak < summary.row_count("S") * 8, peak
 
 
 class TestBuildSideChoice:

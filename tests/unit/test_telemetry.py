@@ -538,6 +538,7 @@ class TestRouteCatalogue:
         assert "fastpath-disabled" in reasons and len(reasons) > 10
         assert {(kind, route) for kind, route in routes if kind == "join"} == {
             ("join", "streaming"),
+            ("join", "keyed"),
             ("join", "materializing"),
         }
         assert "no-streamable-leaf" in reasons and "disjunctive-condition" not in reasons
