@@ -162,6 +162,7 @@ class TupleGenerator:
         columns: Sequence[str] | None = None,
         skip_box: BoxCondition | None = None,
         offsets: tuple[int, int] | None = None,
+        out: dict[str, NDArray[Any]] | None = None,
     ) -> Iterator[tuple[int, int, int, dict[str, NDArray[Any]]]]:
         """The relation's one block stream: ``(start, generated, matched, block)``.
 
@@ -195,11 +196,25 @@ class TupleGenerator:
         ``[0, row_count)`` in shard order is therefore yield-for-yield
         identical to the serial stream, which is the contract
         ``repro.parallel`` workers rely on.
+
+        ``out`` maps each requested column to an array with room for exactly
+        the rows the stream's blocks carry (the matched rows, less those of
+        segments ``skip_box`` skips).  The rows are then written into it
+        consecutively and each yielded block is the view of ``out`` just
+        written; the yields are otherwise those of the buffered stream.  A
+        segment every tuple of which satisfies ``box``
+        (:meth:`RelationSummary.classify`; every segment of the unfiltered
+        stream) is generated straight into ``out`` — no batch buffer, no box
+        evaluation — and a partly matching one into a batch buffer, of which
+        only the matches are copied.  A stream that ends with ``out`` not
+        filled to its end raises ``ValueError``.
         """
         if batch_size < 1:
             raise ValueError(f"batch size must be >= 1, got {batch_size}")
         requested = list(columns) if columns is not None else self.column_names
         dtypes = self._dtypes(columns_with_dependencies(requested, box.conditions))
+        if out is not None and sorted(out) != sorted(requested):
+            raise ValueError(f"out holds {sorted(out)}, the stream yields {sorted(requested)}")
         pk = self.table.primary_key
         lo, hi = offsets if offsets is not None else (0, self.row_count)
         # Fast-forward to the first segment that can own a yield: every
@@ -207,14 +222,22 @@ class TupleGenerator:
         # O(#covered segments), not O(#summary rows).
         first_position = self.summary.locate(lo)[0] if 0 < lo < self.row_count else 0
         excluded = self.summary.excluded(box, pk_column=pk)
+        matched_rows = None
+        if skip_box is not None or (out is not None and box.conditions):
+            matched_rows = self.summary.classify(box, pk_column=pk).matched
         # Per row: the exact ``box`` count of a segment ``skip_box`` excludes, else -1.
         skipped = None
         if skip_box is not None:
-            skipped = np.where(
-                self.summary.excluded(skip_box, pk_column=pk),
-                self.summary.classify(box, pk_column=pk).matched,
-                -1,
+            skipped = np.where(self.summary.excluded(skip_box, pk_column=pk), matched_rows, -1)
+        # Per row: every tuple satisfies ``box``, so the segment is generated into ``out``.
+        whole = np.zeros(len(self.summary.rows), dtype=bool)
+        if out is not None:
+            whole = (
+                np.ones(len(self.summary.rows), dtype=bool)
+                if matched_rows is None
+                else matched_rows == self.summary.columns.counts
             )
+        written = 0
         for position in range(first_position, len(self.summary.rows)):
             segment_start, segment_end = self.summary.pk_interval_of_row(position)
             if segment_end <= segment_start:
@@ -236,15 +259,33 @@ class TupleGenerator:
             cursor = first_owned_batch_start(segment_start, lo, batch_size)
             while cursor < segment_end and cursor < hi:
                 take = min(batch_size, segment_end - cursor)
+                if out is not None and whole[position]:
+                    view = {name: out[name][written : written + take] for name in requested}
+                    self._fill_segment(
+                        view, slice(None), position, cursor, cursor - segment_start, take
+                    )
+                    yield cursor, take, take, view
+                    written += take
+                    cursor += take
+                    continue
                 block = {name: np.empty(take, dtype=dtype) for name, dtype in dtypes.items()}
                 self._fill_segment(
                     block, slice(None), position, cursor, cursor - segment_start, take
                 )
                 matched = take
-                if box.conditions:
+                if box.conditions:  # (with ``out``, a box-free segment is whole)
                     mask = box.evaluate(block)
                     matched = int(mask.sum())
-                    if matched < take:
+                    if out is not None:
+                        view = {name: out[name][written : written + matched] for name in requested}
+                        for name, values in view.items():
+                            np.compress(mask, block[name], out=values)
+                        block, written = view, written + matched
+                    elif matched < take:
                         block = {name: block[name][mask] for name in requested}
                 yield cursor, take, matched, {name: block[name] for name in requested}
                 cursor += take
+        if out and written != len(next(iter(out.values()))):
+            raise ValueError(
+                f"out has room for {len(next(iter(out.values())))} rows, the stream wrote {written}"
+            )

@@ -83,11 +83,13 @@ class DataGenRelation:
         skip_box: BoxCondition | None,
         columns: Sequence[str] | None,
         batch_size: int | None,
+        out: dict[str, NDArray[Any]] | None = None,
     ) -> Iterator[tuple[int, int, int, dict[str, NDArray[Any]]]]:
         """The relation's block stream under ``box``: accounted, paced, maybe pooled.
 
         The serial-or-pool choice (:func:`~repro.parallel.pool.pool_plan`)
-        is made here, once per stream, and nowhere else.
+        is made here, once per stream, and nowhere else.  ``out`` is handed
+        to the serial stream, or filled here from the blocks the workers ship.
         """
         # Imported lazily: ``repro.parallel`` imports ``repro.core``, whose
         # package init imports this module.
@@ -97,11 +99,13 @@ class DataGenRelation:
         source = self.source
         plan = pool_plan(source, self.workers, batch, box, skip_box)
         if plan is None:
-            blocks = source.iter_filtered_blocks(box, batch, columns, skip_box)
+            blocks = source.iter_filtered_blocks(box, batch, columns, skip_box, out=out)
         else:
             blocks = iter_parallel_blocks(
                 source.table, source.summary, plan, box, columns, skip_box
             )
+            if out is not None:
+                blocks = _written_into(blocks, out)
         for start, generated, matched, block in blocks:
             self.stats.rows_generated += generated
             if generated:
@@ -127,6 +131,7 @@ class DataGenRelation:
         columns: Sequence[str] | None = None,
         batch_size: int | None = None,
         skip_box: BoxCondition | None = None,
+        out: dict[str, NDArray[Any]] | None = None,
     ) -> Iterator[tuple[int, int, int, dict[str, NDArray[Any]]]]:
         """Stream ``(start, generated, matched, block)`` with only matching rows.
 
@@ -137,12 +142,25 @@ class DataGenRelation:
         is masked here and ``skip_box`` is left to the consumer.  Either way
         peak memory is bounded by the batch size plus the matching rows, and
         the rate limiter paces the *generated* tuples.
+
+        ``out`` maps each requested column to an array with room for exactly
+        the rows the blocks carry: they are written into it consecutively and
+        each yielded block is the view just written
+        (:meth:`~repro.core.tuplegen.TupleGenerator.iter_filtered_blocks`),
+        whichever way the stream was generated.
         """
         if box is not None or predicate is None:
             unfiltered = BoxCondition({}) if box is None else box
-            yield from self._stream(unfiltered, skip_box, columns, batch_size)
+            yield from self._stream(unfiltered, skip_box, columns, batch_size, out)
             return
         requested = list(columns) if columns is not None else self.column_names
+        masked = self._masked(predicate, requested, batch_size)
+        yield from masked if out is None else _written_into(masked, out)
+
+    def _masked(
+        self, predicate: "Predicate", requested: list[str], batch_size: int | None
+    ) -> Iterator[tuple[int, int, int, dict[str, NDArray[Any]]]]:
+        """The unfiltered stream masked by ``predicate``, reduced to ``requested``."""
         needed = columns_with_dependencies(requested, predicate.columns())
         for start, count, _matched, block in self._stream(
             BoxCondition({}), None, needed, batch_size
@@ -156,14 +174,19 @@ class DataGenRelation:
     def fetch_columns(
         self, columns: Sequence[str], batch_size: int | None = None
     ) -> dict[str, NDArray[Any]]:
-        """Generate the requested columns for the whole relation."""
-        blocks = [block for _start, _count, block in self.iter_blocks(batch_size, columns)]
-        if not blocks:
-            # A zero-row relation streams no block; a zero-row block keeps
-            # each column's schema dtype instead of collapsing to float64
-            # (which would poison join/key dtypes downstream).
-            return self.source.generate_block(0, 0, columns)
-        return {name: np.concatenate([block[name] for block in blocks]) for name in columns}
+        """Generate the requested columns for the whole relation.
+
+        Each column is allocated once, in its schema dtype, and the unfiltered
+        stream is generated straight into it.
+        """
+        table = self.source.table
+        out = {
+            name: np.empty(self.row_count, dtype=table.column(name).dtype.numpy_dtype)
+            for name in columns
+        }
+        for _block in self._stream(BoxCondition({}), None, columns, batch_size, out):
+            pass
+        return out
 
     def materialize(self, table: "Table") -> TableData:
         """Materialise the full relation into a :class:`TableData`.
@@ -173,3 +196,19 @@ class DataGenRelation:
         "materialise instead of dynamic generation" switch.
         """
         return TableData.from_columns(table, self.fetch_columns(table.column_names))
+
+
+def _written_into(
+    blocks: Iterator[tuple[int, int, int, dict[str, NDArray[Any]]]],
+    out: dict[str, NDArray[Any]],
+) -> Iterator[tuple[int, int, int, dict[str, NDArray[Any]]]]:
+    """``blocks`` with their rows copied into ``out`` consecutively, yielding the views."""
+    written = 0
+    for start, generated, matched, block in blocks:
+        if block:
+            rows = len(next(iter(block.values())))
+            view = {name: out[name][written : written + rows] for name in block}
+            for name, values in view.items():
+                values[...] = block[name]
+            block, written = view, written + rows
+        yield start, generated, matched, block

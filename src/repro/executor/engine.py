@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Iterable, Iterator, Mapping, NoReturn, TYPE_CHECKING, cast
 
 import numpy as np
@@ -138,9 +139,10 @@ class ExecutionResult:
 class _Block:
     """Internal intermediate result: qualified column arrays + row count.
 
-    Block arrays are never written in place: a join passes a probe batch
-    whose every row finds one partner through uncopied, so one array can be
-    shared by several blocks.
+    Block arrays are never written after the block is returned; the
+    operator that allocated them may compact them first.  A join passes a
+    probe batch whose every row finds one partner through uncopied, so one
+    array can be shared by several blocks.
     """
 
     columns: dict[str, NDArray[Any]]
@@ -178,6 +180,21 @@ class _Leaf:
     summary: "RelationSummary | None"
     box: BoxCondition | None
 
+    @cached_property
+    def exact_rows(self) -> int | None:
+        """The rows the leaf outputs, when its summary counts them exactly.
+
+        The relation's row count without a filter, the summary count of
+        ``box`` with one
+        (:meth:`~repro.core.summary.RelationSummary.count_matching`);
+        ``None`` for a materialised provider or an inexact count.
+        """
+        if self.summary is None or self.box is None:
+            return None
+        if self.filter is None:
+            return self.provider.row_count
+        return self.summary.count_matching(self.box, pk_column=self.table.primary_key)
+
 
 @dataclass
 class ExecutionEngine:
@@ -191,7 +208,9 @@ class ExecutionEngine:
       is read as the provider's filtered block stream and produces only the
       columns referenced upstream; a dataless relation streams
       batch-by-batch through the predicate, so peak memory is bounded by the
-      batch size plus the matching rows, a materialised one is one block;
+      batch size plus the matching rows — written once, straight into
+      output columns of the exact size, when the summary counts them — a
+      materialised one is one block;
     * every join — equi or disjunctive — is one build/probe operator.  With
       a dataless leaf input the side with the smaller summary cardinality is
       the build table, the other side streams through it
@@ -203,7 +222,10 @@ class ExecutionEngine:
       left input probes as a single block (``join:materializing`` /
       ``no-streamable-leaf``).  A single build key that is strictly
       increasing (a unique key, observed from the data) is probed by
-      position instead of by sort-merge;
+      position instead of by sort-merge — by subtraction when it is also
+      contiguous — and a probe streamed onto the unfiltered primary-key leaf
+      its foreign key references writes its rows in place
+      (:meth:`_execute_join`);
     * ``COUNT``, ``SUM`` and ``AVG`` over a summary-backed relation or a
       left-deep tree of key/foreign-key joins of such relations are answered
       from the relation summaries (count × interval arithmetic, O(#summary
@@ -373,7 +395,10 @@ class ExecutionEngine:
     # -- leaves ------------------------------------------------------------
 
     def _stream_leaf(
-        self, leaf: _Leaf, skip_box: BoxCondition | None = None
+        self,
+        leaf: _Leaf,
+        skip_box: BoxCondition | None = None,
+        out: dict[str, NDArray[Any]] | None = None,
     ) -> Iterator[tuple[int, dict[str, NDArray[Any]]]]:
         """The one leaf access path: ``(rows, qualified columns)`` per block.
 
@@ -385,15 +410,19 @@ class ExecutionEngine:
         without generating a tuple) yet still counted for the filter.  Once
         exhausted the scan is annotated with the full relation cardinality
         and the filter with its exact match count, i.e. the annotations of
-        an unfused filter over a full scan.
+        an unfused filter over a full scan.  ``out`` (a dataless leaf's,
+        :meth:`_leaf_columns`) receives the rows, each yielded block being
+        the view of it just written.
         """
         matched_total = 0
+        arguments: dict[str, Any] = {} if out is None else {"out": out}
         for _start, generated, matched, block in leaf.provider.iter_filtered_blocks(
             predicate=None if leaf.filter is None else leaf.filter.predicate,
             box=leaf.box,
             columns=self._output_columns(leaf),
             batch_size=BATCH_SIZE,
             skip_box=skip_box,
+            **arguments,
         ):
             self._scanned_rows += generated
             matched_total += matched
@@ -411,24 +440,37 @@ class ExecutionEngine:
         if leaf.filter is not None:
             leaf.filter.cardinality = matched_total
 
-    def _leaf_template(self, leaf: _Leaf) -> dict[str, NDArray[Any]]:
-        """Zero-row output columns of a leaf, in the schema dtypes."""
-        return _qualified(
-            leaf.table,
-            {
-                name: np.empty(0, dtype=leaf.table.column(name).dtype.numpy_dtype)
-                for name in self._output_columns(leaf)
-            },
-        )
+    def _leaf_columns(self, leaf: _Leaf, rows: int) -> dict[str, NDArray[Any]]:
+        """Unqualified output columns of a leaf with room for ``rows``, in the schema dtypes."""
+        return {
+            name: np.empty(rows, dtype=leaf.table.column(name).dtype.numpy_dtype)
+            for name in self._output_columns(leaf)
+        }
 
     def _execute_leaf(self, leaf: _Leaf) -> _Block:
-        """Scan, or fused filter+scan, of any provider: gather the leaf's stream."""
+        """Scan, or fused filter+scan, of any provider.
+
+        A dataless leaf whose output rows the summary counts exactly
+        (:attr:`_Leaf.exact_rows`) streams straight into its output columns,
+        allocated once at that size (``engine.output.in_place``); any other
+        leaf gathers its stream.
+        """
+        rows = leaf.exact_rows
+        if rows is not None:
+            out = self._leaf_columns(leaf, rows)
+            for _block in self._stream_leaf(leaf, out=out):
+                pass
+            _record_output(None)
+            return _Block(_qualified(leaf.table, out), rows)
+        if leaf.summary is not None:
+            _record_output("count-not-exact")
         row_count = 0
         chunks = []
-        for rows, block in self._stream_leaf(leaf):
-            row_count += rows
+        for count, block in self._stream_leaf(leaf):
+            row_count += count
             chunks.append(block)
-        return _Block(_gathered(self._leaf_template(leaf), chunks), row_count)
+        template = _qualified(leaf.table, self._leaf_columns(leaf, 0))
+        return _Block(_gathered(template, chunks), row_count)
 
     # -- filters ----------------------------------------------------------
 
@@ -453,11 +495,8 @@ class ExecutionEngine:
     @staticmethod
     def _estimated_rows(leaf: _Leaf) -> int:
         """Summary-estimated output rows of a leaf (exact when computable)."""
-        total = leaf.provider.row_count
-        if leaf.filter is None or leaf.summary is None or leaf.box is None:
-            return total
-        count = leaf.summary.count_matching(leaf.box, pk_column=leaf.table.primary_key)
-        return total if count is None else count
+        rows = leaf.exact_rows
+        return leaf.provider.row_count if rows is None else rows
 
     def _choose_probe(self, node: JoinNode) -> tuple[_Leaf | None, bool, _Block | None]:
         """``(streaming probe leaf, probe is the left input, left block)`` of a join.
@@ -501,18 +540,29 @@ class ExecutionEngine:
         """The one join: build a key table, probe it batch by batch.
 
         The probe batches are the block stream of a dataless leaf input
-        (:meth:`_choose_probe`) — peak memory O(build + batch + output)
-        instead of O(both relations), and a semi-join box computed by the
-        planner (:func:`~repro.plans.planner.compute_semijoin_pushdowns`)
-        lets whole probe summary segments be skipped — or, when no input
-        streams, the single executed block of the left input.  The other
-        input is executed and each of its key columns prepared once
+        (:meth:`_choose_probe`), so the probe relation is never held whole,
+        and a semi-join box computed by the planner
+        (:func:`~repro.plans.planner.compute_semijoin_pushdowns`) lets whole
+        probe summary segments be skipped — or, when no input streams, the
+        single executed block of the left input.  The other input is
+        executed and each of its key columns prepared once
         (:class:`_BuildKey`: sorted, or kept as it is when strictly
         increasing).  An equi-join has one key pair, a disjunctive join one
         per alternative (:func:`_index_pairs`); output rows are ordered by
         left row, each left row's partners by right row, whichever side
         probed.  A probe batch whose every row finds exactly one partner is
         passed through uncopied.
+
+        Peak memory is O(build + output + batch) — plus, when the probe
+        writes in place, the probe leaf's matching rows: when the build is
+        the unfiltered primary-key leaf the probe's foreign key references
+        (:meth:`_gathered_reason`), every probe row has at most one partner,
+        so the probe leaf's exact row count bounds the output and the
+        stream writes into probe columns allocated once at that size; the
+        join keeps a write cursor into them and moves each batch's paired
+        rows down to it (nothing to move when the batch passes through at
+        the cursor).  Any other streamed probe gathers its paired rows per
+        batch and concatenates them once.
         """
         probe, probe_is_left, left = self._choose_probe(node)
         batches: Iterable[tuple[int, dict[str, NDArray[Any]]]]
@@ -521,7 +571,7 @@ class ExecutionEngine:
             batches = [(left.row_count, left.columns)]
             template = {name: values[:0] for name, values in left.columns.items()}
         else:
-            template = self._leaf_template(probe)
+            template = _qualified(probe.table, self._leaf_columns(probe, 0))
         if probe_is_left:
             build = self._execute_node(node.right)
         else:
@@ -532,48 +582,104 @@ class ExecutionEngine:
             keys = _join_keys(node.condition, template, build.columns)
         else:
             keys = [pair[::-1] for pair in _join_keys(node.condition, build.columns, template)]
+        build_keys = [
+            _BuildKey.of(build.columns[build_key], template[probe_key].dtype)
+            for probe_key, build_key in keys
+        ]
+        out: dict[str, NDArray[Any]] | None = None
         if probe is not None:
             semijoin = self._analysis()[1].get(probe.scan.node_id)
             if semijoin is not None and [
                 f"{probe.table.name}.{name}" for name in semijoin.conditions
             ] != [keys[0][0]]:
                 semijoin = None  # sound only on the foreign key this join probes with
-            batches = self._stream_leaf(probe, semijoin)
+            reason = self._gathered_reason(node, probe, probe_is_left, build_keys, semijoin)
+            if reason is None:
+                out = self._leaf_columns(probe, cast(int, probe.exact_rows))
+            _record_output(reason)
+            batches = self._stream_leaf(probe, semijoin, out)
 
-        build_keys = [
-            _BuildKey.of(build.columns[build_key], template[probe_key].dtype)
-            for probe_key, build_key in keys
-        ]
-        probe_chunks: list[dict[str, NDArray[Any]]] = []
-        index_chunks: list[NDArray[Any]] = []
-        for _rows, batch in batches:
-            selector, build_idx = _index_pairs(
-                [batch[probe_key] for probe_key, _build_key in keys], build_keys, build.row_count
-            )
-            if len(build_idx):
-                probe_chunks.append(
-                    batch
-                    if selector is None
-                    else {name: values[selector] for name, values in batch.items()}
+        probe_keys = [probe_key for probe_key, _build_key in keys]
+        build_indices: NDArray[Any] | None
+        build_side: dict[str, NDArray[Any]] | None = None
+        if out is None:
+            probe_chunks: list[dict[str, NDArray[Any]]] = []
+            index_chunks: list[NDArray[Any]] = []
+            for _rows, batch in batches:
+                selector, build_idx = _index_pairs(
+                    [batch[name] for name in probe_keys], build_keys, build.row_count
                 )
-                index_chunks.append(build_idx)
+                if len(build_idx):
+                    probe_chunks.append(
+                        batch
+                        if selector is None
+                        else {name: values[selector] for name, values in batch.items()}
+                    )
+                    index_chunks.append(build_idx)
+            build_indices = (
+                np.concatenate(index_chunks) if index_chunks else np.empty(0, dtype=np.int64)
+            )
+            probe_side = _gathered(template, probe_chunks)
+            row_count = len(build_indices)
+        else:
+            probe_side, build_indices, build_side = _paired_in_place(
+                batches,
+                probe_keys,
+                build_keys,
+                build,
+                _qualified(cast(_Leaf, probe).table, out),
+                gather_build=probe_is_left,
+            )
+            row_count = len(probe_side[probe_keys[0]])
         if probe is not None:
             self._record_route("join", "streaming")
 
-        build_indices = (
-            np.concatenate(index_chunks) if index_chunks else np.empty(0, dtype=np.int64)
-        )
-        probe_side = _gathered(template, probe_chunks)
         if not probe_is_left:
             # Output is ordered by left (here: build) row, each left row's
             # matches in probe order; a stable sort on the accumulated build
             # indices restores exactly that order.
+            assert build_indices is not None  # only a left probe gathers its build side
             perm = np.argsort(build_indices, kind="stable")
             build_indices = build_indices[perm]
             probe_side = {name: values[perm] for name, values in probe_side.items()}
-        build_side = {name: values[build_indices] for name, values in build.columns.items()}
+        if build_side is None:
+            build_side = {name: values[build_indices] for name, values in build.columns.items()}
         columns = {**probe_side, **build_side} if probe_is_left else {**build_side, **probe_side}
-        return _Block(columns=columns, row_count=int(len(build_indices)))
+        return _Block(columns=columns, row_count=int(row_count))
+
+    def _gathered_reason(
+        self,
+        node: JoinNode,
+        probe: _Leaf,
+        probe_is_left: bool,
+        build_keys: "list[_BuildKey]",
+        semijoin: BoxCondition | None,
+    ) -> str | None:
+        """Why a streamed probe gathers its paired rows (``None``: it writes in place).
+
+        In place needs every probe row to have at most one partner and the
+        output bounded by the probe leaf's exact row count without wasting
+        memory on rows that cannot pair: the build side is the primary-key
+        leaf the probe's foreign key references
+        (:func:`~repro.plans.joingraph.classify_fk_edge`), observed unique,
+        unfiltered and not skipping probe segments.
+        """
+        build = self._leaf(node.right if probe_is_left else node.left)
+        edge = classify_fk_edge(node.condition, self.schema)
+        if (
+            build is None
+            or edge is None
+            or (edge[0], edge[2]) != (probe.table.name, build.table.name)
+            or build_keys[0].order is not None
+        ):
+            return "several-partners"
+        if build.filter is not None:
+            return "build-filtered"
+        if semijoin is not None:
+            return "semijoin-skip"
+        if probe.exact_rows is None:
+            return "count-not-exact"
+        return None
 
     # -- projection / aggregation -----------------------------------------
 
@@ -932,6 +1038,11 @@ def _exact_sum(weights: Mapping[float, int]) -> float:
     return numerator / (1 << shift)
 
 
+def _record_output(reason: str | None) -> None:
+    """Count how a dataless leaf or streamed probe wrote its rows: in place, or gathered and why."""
+    add_counter("engine.output.in_place" if reason is None else f"engine.output.gathered.{reason}")
+
+
 def _qualified(table: Table, columns: Mapping[str, NDArray[Any]]) -> dict[str, NDArray[Any]]:
     """``columns`` keyed by qualified ``table.column`` names."""
     return {f"{table.name}.{name}": values for name, values in columns.items()}
@@ -946,6 +1057,57 @@ def _gathered(
     if not chunks:
         return dict(template)
     return {name: np.concatenate([chunk[name] for chunk in chunks]) for name in template}
+
+
+def _paired_in_place(
+    batches: Iterable[tuple[int, dict[str, NDArray[Any]]]],
+    probe_keys: list[str],
+    build_keys: "list[_BuildKey]",
+    build: _Block,
+    target: dict[str, NDArray[Any]],
+    gather_build: bool,
+) -> tuple[dict[str, NDArray[Any]], NDArray[Any] | None, dict[str, NDArray[Any]] | None]:
+    """``(probe side, build positions, build side)`` of a probe streamed into ``target``.
+
+    ``batches`` are consecutive views of ``target``'s columns, and every
+    probe row has at most one partner.  Each batch's paired rows are moved
+    down to the join's write cursor (nothing moves when the batch passes
+    through at the cursor), so the probe side is ``target`` up to the
+    cursor.  With ``gather_build`` the build side's output columns are
+    allocated once at ``target``'s size and written batch by batch — no
+    array of build positions is held (``None`` stands for it); otherwise
+    the positions are, in probe order.
+    """
+    capacity = len(next(iter(target.values())))
+    build_side = {
+        name: np.empty(capacity if gather_build else 0, dtype=values.dtype)
+        for name, values in build.columns.items()
+    }
+    positions = np.empty(0 if gather_build else capacity, dtype=np.int64)
+    cursor = written = 0  # the join's write position, the stream's
+    for rows, batch in batches:
+        selector, build_idx = _index_pairs(
+            [batch[name] for name in probe_keys], build_keys, build.row_count
+        )
+        paired = len(build_idx)
+        if selector is not None or written != cursor:
+            for name, values in batch.items():
+                target[name][cursor : cursor + paired] = (
+                    values if selector is None else values[selector]
+                )
+        if gather_build:
+            for name, values in build_side.items():
+                # The positions are in range: "clip" only spares "raise"'s buffer.
+                segment = values[cursor : cursor + paired]
+                np.take(build.columns[name], build_idx, out=segment, mode="clip")
+        else:
+            positions[cursor : cursor + paired] = build_idx
+        cursor += paired
+        written += rows
+    probe_side = {name: values[:cursor] for name, values in target.items()}
+    if gather_build:
+        return probe_side, None, {name: values[:cursor] for name, values in build_side.items()}
+    return probe_side, positions[:cursor], None
 
 
 def _join_keys(
@@ -980,10 +1142,14 @@ class _BuildKey:
     unique key, its own sorted form, whose partner is found by position.  A
     unique key is held in the dtype it promotes to with the probe key's, the
     dtype the sort-merge compares in, so both paths find the same partners.
+    ``first`` is the first value of a unique integer key that is also
+    contiguous (last − first = n − 1, an auto-numbered primary key): a
+    partner's position is then the probe key minus ``first``.
     """
 
     values: NDArray[Any]
     order: NDArray[Any] | None
+    first: Any = None
 
     @classmethod
     def of(cls, values: NDArray[Any], probe_dtype: np.dtype[Any]) -> "_BuildKey":
@@ -991,7 +1157,12 @@ class _BuildKey:
         if values.dtype.kind in "iuf" and probe_dtype.kind in "iuf":
             common = values.astype(np.result_type(values.dtype, probe_dtype), copy=False)
             if (common[1:] > common[:-1]).all():
-                return cls(common, None)
+                contiguous = (
+                    common.dtype.kind in "iu"
+                    and len(common) > 0
+                    and int(common[-1]) - int(common[0]) == len(common) - 1
+                )
+                return cls(common, None, common[0] if contiguous else None)
         order = np.argsort(values, kind="stable")
         return cls(values[order], order)
 
@@ -1001,15 +1172,24 @@ def _unique_pairs(
 ) -> tuple[NDArray[Any] | None, NDArray[Any]] | None:
     """:func:`_index_pairs` of one probe key column against a unique build key.
 
-    Each probe row has at most one partner, found by one ``searchsorted``
-    plus an equality test.  ``None`` when ``keys`` would promote the build
-    key to another dtype than it was prepared for.
+    Each probe row has at most one partner: at the key minus ``build.first``
+    when the key is contiguous, else found by one ``searchsorted`` plus an
+    equality test.  ``None`` when ``keys`` would promote the build key to
+    another dtype than it was prepared for.
     """
     keys = np.asarray(keys)
     values = build.values
     if np.result_type(values.dtype, keys.dtype) != values.dtype:
         return None
     keys = keys.astype(values.dtype, copy=False)
+    if build.first is not None:
+        # In the key dtype a difference out of range wraps, never into
+        # [0, n); read as unsigned, a negative one is out of range too.
+        offsets = keys - build.first
+        hit = offsets.view(f"u{offsets.dtype.itemsize}") < len(values)
+        if hit.all():
+            return None, offsets.astype(np.int64, copy=False)
+        return hit, offsets[hit].astype(np.int64, copy=False)
     if not len(values):
         return np.zeros(len(keys), dtype=bool), np.empty(0, dtype=np.int64)
     positions = np.searchsorted(values, keys).astype(np.int64, copy=False)

@@ -13,17 +13,22 @@ Connections are reused.  A call owns an idle (or new) connection until its
 response is read, so one instance is safe to share across threads; it goes
 back idle only if the response was read to the end without ``Connection:
 close`` (a 4xx keeps it; a 500 or a stream, finished or abandoned, does
-not).  A *reused* connection that fails before a status line (the server
-closed it while idle) is retried once on a fresh one; any other failure
-raises, non-2xx answers as :class:`ServerClientError` with the HTTP status
-and the parsed :class:`~repro.server.api.ErrorBody`.  :meth:`~ServerClient.close`
-(or ``with ServerClient(...)``) closes the idle connections.
+not).  A connection the server closed while it was idle is noticed before
+the send when its end has already arrived (the idle socket is readable) and
+replaced by a fresh one; a *reused* connection that fails before a status
+line (the close arrived after the send) is retried once on a fresh one.
+Either way a stale connection costs exactly one new connection and at most
+one retry.  Any other failure raises, non-2xx answers as
+:class:`ServerClientError` with the HTTP status and the parsed
+:class:`~repro.server.api.ErrorBody`.  :meth:`~ServerClient.close` (or
+``with ServerClient(...)``) closes the idle connections.
 """
 
 from __future__ import annotations
 
 import http.client
 import json
+import socket
 import threading
 from contextlib import contextmanager
 from pathlib import Path
@@ -212,6 +217,9 @@ class ServerClient:
         with self._lock:
             reused = bool(self._idle)
             connection = self._idle.pop() if reused else self._connection()
+        if reused and _closed_while_idle(connection):
+            connection.close()  # noticed before the send: nothing to retry
+            connection, reused = self._connection(), False
         try:
             try:
                 response = self._send(connection, method, path, payload)
@@ -279,3 +287,25 @@ class ServerClient:
         return ServerClientError(
             response.status, body, f"HTTP {response.status}: {detail}"
         )
+
+
+def _closed_while_idle(connection: http.client.HTTPConnection) -> bool:
+    """Whether an idle connection has something to read: the server's close (or a reset).
+
+    An idle HTTP/1.1 connection has no response due, so any readable byte —
+    an end of stream above all — means it must not carry a request.
+    """
+    sock = connection.sock
+    if sock is None:
+        return True
+    timeout = sock.gettimeout()
+    sock.settimeout(0)
+    try:
+        sock.recv(1, socket.MSG_PEEK)
+    except BlockingIOError:
+        return False
+    except OSError:
+        return True
+    finally:
+        sock.settimeout(timeout)
+    return True

@@ -143,6 +143,8 @@ class _Listener(socketserver.ThreadingTCPServer):
         self.slots = threading.BoundedSemaphore(MAX_IN_FLIGHT)
         self.lock = threading.Lock()
         self.connections: set[socket.socket] = set()
+        #: Set by :meth:`end_connections`: a request read from now on is not answered.
+        self.ending = False
         super().__init__(address, _Connection)
 
     def process_request(self, request: Any, client_address: Any) -> None:
@@ -159,8 +161,15 @@ class _Listener(socketserver.ThreadingTCPServer):
         super().shutdown_request(request)
 
     def end_connections(self) -> None:
-        """Shut each open connection's read side: idle ones read EOF, in-flight ones answer."""
+        """Shut each open connection's read side: idle ones read EOF, in-flight ones answer.
+
+        A request a connection reads after this — one that reached a
+        connection thread late — is not answered either: the connection
+        closes, and a client reusing it retries on a fresh one, never on a
+        server that has stopped.
+        """
         with self.lock:
+            self.ending = True
             for connection in self.connections:
                 try:
                     connection.shutdown(socket.SHUT_RD)
@@ -194,7 +203,7 @@ class _Connection(socketserver.StreamRequestHandler):
                 # too far), so answer and close rather than read on.
                 self._write_json(exc.status, exc.body().to_dict(), False)
                 break
-            if request is None or not self._dispatch(request):
+            if request is None or self.server.ending or not self._dispatch(request):
                 break
 
     def _read_request(self) -> _Request | None:

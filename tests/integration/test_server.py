@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import http.client
 import json
+import select
 import socket
 import sys
 import threading
@@ -39,6 +40,7 @@ from repro.server import (
     ServiceError,
     SummaryService,
 )
+from repro.server import client as client_module
 from repro.server.service import external_result_columns
 from repro.sql.parser import parse_query
 from repro.telemetry import telemetry_session
@@ -664,23 +666,62 @@ class TestConnectionReuse:
                 assert client.query("toy", SQL).row_count == 1
             assert _connections(session) == 2
 
-    def test_a_restarted_server_costs_exactly_one_retry(self, toy_summary, monkeypatch):
+    @staticmethod
+    def _restarted(toy_summary, monkeypatch):
+        """A client whose one idle connection went to a server that has since stopped.
+
+        Returns the client, the service and port to restart the server on,
+        and the list each request send is recorded in from then on.
+        """
         service = SummaryService()
         service.load(LoadSummaryRequest(name="toy", summary=toy_summary.to_dict()))
         with BackgroundServer(service) as first:
             port = first.port
             client = ServerClient("127.0.0.1", port)
             assert client.server_info().summaries_loaded == 1
-        sends = []
+        sends: list[tuple] = []
         send = ServerClient._send
         monkeypatch.setattr(
             ServerClient, "_send", lambda self, *args: (sends.append(args), send(self, *args))[1]
         )
+        return client, service, port, sends
+
+    def test_a_restarted_server_costs_exactly_one_retry(self, toy_summary, monkeypatch):
+        """The stale connection is noticed after the send: one retry, one new connection.
+
+        The check before the send is made to miss the close, as it does
+        when the close arrives between the check and the send.
+        """
+        client, service, port, sends = self._restarted(toy_summary, monkeypatch)
+        monkeypatch.setattr(client_module, "_closed_while_idle", lambda connection: False)
         with telemetry_session() as session, BackgroundServer(service, port=port):
             with client:
                 assert client.server_info().summaries_loaded == 1
             assert len(sends) == 2  # the stale connection, then one fresh one
             assert _connections(session) == 1
+
+    def test_a_close_noticed_before_the_send_costs_no_retry(self, toy_summary, monkeypatch):
+        client, service, port, sends = self._restarted(toy_summary, monkeypatch)
+        (idle,) = client._idle
+        assert select.select([idle.sock], [], [], 10)[0], "the stopped server never closed"
+        with telemetry_session() as session, BackgroundServer(service, port=port):
+            with client:
+                assert client.server_info().summaries_loaded == 1
+            assert len(sends) == 1  # only on the one fresh connection
+            assert _connections(session) == 1
+
+    def test_a_stopped_server_answers_no_request_read_after_the_stop(self, toy_summary):
+        """A request reaching a connection thread after ``stop`` is dropped, not answered."""
+        service = SummaryService()
+        service.load(LoadSummaryRequest(name="toy", summary=toy_summary.to_dict()))
+        with BackgroundServer(service) as server:
+            with socket.create_connection(("127.0.0.1", server.port), timeout=10) as raw:
+                request = b"GET /api/v3/healthz HTTP/1.1\r\nHost: x\r\n\r\n"
+                raw.sendall(request)
+                assert raw.recv(65536).startswith(b"HTTP/1.1 200")
+                server._server._listener.ending = True  # what stop() sets before shutting reads
+                raw.sendall(request)
+                assert raw.recv(65536) == b""  # closed without an answer
 
     @pytest.mark.parametrize(
         "replies, failure",

@@ -2,11 +2,14 @@
 
 ``_index_pairs`` finds a join's partners by position when its one build key
 column is strictly increasing (``_BuildKey.of`` observes it): one
-``searchsorted`` plus an equality test.  The sort-merge path it skips (a
-stable argsort, two ``searchsorted`` runs, ``repeat``) and a nested loop
-over Python values are the oracles, on contiguous, gapped and empty build keys, probe keys that are
-negative or out of range, every int64 / uint64 / float64 mix, and a build
-column with one duplicate, which must fall back to the sort-merge.
+``searchsorted`` plus an equality test — or, when the integer key is also
+contiguous, the probe key minus the first build key.  The sort-merge path it
+skips (a stable argsort, two ``searchsorted`` runs, ``repeat``), the
+``searchsorted`` lookup the subtraction skips and a nested loop over Python
+values are the oracles, on contiguous (from 0, from a non-zero value, one
+row), gapped and empty build keys, probe keys that are negative, out of range
+or at the ends of their dtype, every int64 / uint64 / float64 mix, and a
+build column with one duplicate, which must fall back to the sort-merge.
 """
 
 from __future__ import annotations
@@ -111,3 +114,45 @@ def test_uint64_against_int64_never_yields_float_positions():
         [build], [_BuildKey.of(keys, build.dtype)], len(keys)
     )
     assert positions.dtype == np.int64 and positions.tolist() == [1, 2]
+
+
+_BOUNDS = {np.int64: (-(2**63), 2**63 - 1), np.uint64: (0, 2**64 - 1)}
+
+
+@st.composite
+def contiguous_builds(draw) -> np.ndarray:
+    """An auto-numbered key from 0 or a non-zero value (negative if signed); one row, or none."""
+    dtype = draw(st.sampled_from([np.int64, np.uint64]))
+    low = -(2**40) if dtype is np.int64 else 1
+    first = draw(st.just(0) | st.integers(min_value=low, max_value=2**40))
+    rows = draw(st.sampled_from([0, 1]) | st.integers(min_value=2, max_value=40))
+    return np.array([first + offset for offset in range(rows)], dtype=dtype)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    build=contiguous_builds(), probe_dtype=st.sampled_from([np.int64, np.uint64]), data=st.data()
+)
+def test_contiguous_lookup_equals_searchsorted_and_nested_loop(build, probe_dtype, data):
+    lowest, highest = _BOUNDS[probe_dtype]
+    first = int(build[0]) if len(build) else 0
+    low, high = max(lowest, first - 30), min(highest, first + len(build) + 30)
+    near = st.integers(min_value=low, max_value=max(low, high))
+    extremes = st.sampled_from(sorted({lowest, highest, max(lowest, -1), 0}))
+    keys = np.array(data.draw(st.lists(near | extremes, max_size=60), "keys"), dtype=probe_dtype)
+    prepared = _BuildKey.of(build, keys.dtype)
+    # int64 against uint64 compares in float64: never the contiguous path.
+    integral = np.result_type(build.dtype, keys.dtype).kind in "iu"
+    assert (prepared.first is not None) == (integral and len(build) > 0)
+    expected = _nested_loop(keys, build)
+    assert _pairs(keys, prepared, len(build)) == expected
+    searchsorted = _BuildKey(prepared.values, None)
+    assert _pairs(keys, searchsorted, len(build)) == expected
+    assert _pairs(keys, _sort_merge(build), len(build)) == expected
+
+
+def test_a_gapped_or_float_key_is_not_contiguous():
+    assert _BuildKey.of(np.array([3, 4, 6], dtype=np.int64), np.dtype(np.int64)).first is None
+    floats = np.arange(3, dtype=np.float64)
+    assert _BuildKey.of(floats, np.dtype(np.int64)).first is None
+    assert _BuildKey.of(np.arange(5, 9, dtype=np.int64), np.dtype(np.int64)).first == 5

@@ -9,6 +9,7 @@ streaming pushdown scan and the summary-fast-path both lean on this.
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -174,3 +175,104 @@ class TestFilteredBlocks:
             assert len(box.conditions) >= 2 and total > 0
         else:
             assert counted == expected
+
+
+def _spread(*pieces: tuple[int, int]) -> FKReference:
+    return FKReference("dim", IntervalSet([Interval(float(lo), float(hi)) for lo, hi in pieces]))
+
+
+def _buffered_and_written(generator, box, batch_size, columns, skip_box, offsets):
+    """The buffered stream and the ``out=`` stream of the same arguments, plus ``out``."""
+    arguments = dict(batch_size=batch_size, columns=columns, skip_box=skip_box, offsets=offsets)
+    buffered = [
+        (start, generated, matched, {name: values.copy() for name, values in block.items()})
+        for start, generated, matched, block in generator.iter_filtered_blocks(box, **arguments)
+    ]
+    rows = sum(len(next(iter(block.values()))) for *_triple, block in buffered if block)
+    requested = columns if columns is not None else generator.column_names
+    out = {name: np.empty(rows, dtype=TABLE.column(name).dtype.numpy_dtype) for name in requested}
+    written = []
+    for start, generated, matched, block in generator.iter_filtered_blocks(
+        box, out=out, **arguments
+    ):
+        for name, values in block.items():
+            assert not len(values) or np.shares_memory(values, out[name])
+        # Each block is a view of ``out``: compare a copy, as the buffered one is.
+        written.append((start, generated, matched, {n: v.copy() for n, v in block.items()}))
+    return buffered, written, out
+
+
+class TestWrittenIntoOut:
+    """``iter_filtered_blocks(out=...)`` is the buffered stream, written once into ``out``."""
+
+    @given(
+        summary=summaries(),
+        box=boxes() | st.just(BoxCondition({})),
+        data=st.data(),
+        columns=st.none() | st.sets(st.sampled_from(["pk", "fk", "val", "label", "day"])),
+        semijoin=st.booleans(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_out_stream_is_the_buffered_stream(self, summary, box, data, columns, semijoin):
+        generator = TupleGenerator(table=TABLE, summary=summary)
+        total = generator.row_count
+        batch_size = data.draw(st.integers(min_value=1, max_value=max(1, total)), "batch_size")
+        lo = data.draw(st.integers(min_value=0, max_value=total), "lo")
+        hi = data.draw(st.integers(min_value=lo, max_value=total), "hi")
+        skip_box = None
+        if semijoin:
+            low = data.draw(st.integers(min_value=0, max_value=REF_ROWS), "skip_low")
+            skip_box = BoxCondition({"fk": IntervalSet([Interval(float(low), float(low + 8))])})
+        requested = None if columns is None else sorted(columns)
+        buffered, written, out = _buffered_and_written(
+            generator, box, batch_size, requested, skip_box, (lo, hi)
+        )
+        assert [triple[:3] for triple in written] == [triple[:3] for triple in buffered]
+        cursor = 0
+        for (*_triple, expected), (*_same, block) in zip(buffered, written):
+            assert block.keys() == expected.keys()
+            for name, values in expected.items():
+                assert values.dtype == block[name].dtype
+                assert np.array_equal(block[name], values), name
+                assert np.array_equal(out[name][cursor : cursor + len(values)], values)
+            if expected:
+                cursor += len(next(iter(expected.values())))
+        assert all(len(values) == cursor for values in out.values())  # filled to its end
+
+    def test_whole_partial_and_excluded_segments(self):
+        """One stream crossing all three kinds of segment, with batches splitting them."""
+        summary = RelationSummary(
+            table="fact",
+            rows=[
+                SummaryRow(count=7, values={"val": 1.0}, fk_refs={"fk": _spread((0, 10))}),
+                SummaryRow(count=5, values={"val": 99.0}, fk_refs={"fk": _spread((0, 10))}),
+                SummaryRow(count=9, values={"val": 2.0}, fk_refs={"fk": _spread((0, 4), (30, 38))}),
+            ],
+        )
+        generator = TupleGenerator(table=TABLE, summary=summary)
+        box = BoxCondition(
+            {"val": IntervalSet([Interval(0.0, 10.0)]), "fk": IntervalSet([Interval(0.0, 20.0)])}
+        )
+        matched = summary.classify(box, pk_column="pk").matched.tolist()
+        assert matched == [7, 0, 4]  # whole, excluded, partial
+        for batch_size in (1, 2, 3, 21):
+            buffered, written, out = _buffered_and_written(
+                generator, box, batch_size, ["pk", "fk"], None, None
+            )
+            assert [triple[:3] for triple in written] == [triple[:3] for triple in buffered]
+            assert out["pk"].tolist() == [0, 1, 2, 3, 4, 5, 6, 12, 13, 14, 15]
+
+    def test_zero_row_relation(self):
+        summary = RelationSummary(table="fact", rows=[SummaryRow(count=0, values={"val": 1.0})])
+        generator = TupleGenerator(table=TABLE, summary=summary)
+        out = {"pk": np.empty(0, dtype=np.int64)}
+        assert list(generator.iter_filtered_blocks(BoxCondition({}), columns=["pk"], out=out)) == []
+
+    def test_out_must_hold_exactly_the_requested_columns_and_rows(self):
+        summary = RelationSummary(table="fact", rows=[SummaryRow(count=4, values={"val": 1.0})])
+        generator = TupleGenerator(table=TABLE, summary=summary)
+        with pytest.raises(ValueError, match="out holds"):
+            list(generator.iter_filtered_blocks(BoxCondition({}), columns=["pk"], out={}))
+        short = {"pk": np.empty(5, dtype=np.int64)}
+        with pytest.raises(ValueError, match="room for 5 rows"):
+            list(generator.iter_filtered_blocks(BoxCondition({}), columns=["pk"], out=short))

@@ -52,6 +52,7 @@ from repro.sql.predicates import (
 from repro.sql.parser import parse_query
 from repro.sql.query import JoinCondition
 from repro.storage.database import Database, MaterializedRelation
+from repro.telemetry import telemetry_session
 from repro.verify.comparator import VolumetricComparator
 from repro.workload.toy import FIGURE1_QUERY, ToyConfig, generate_toy_database
 
@@ -389,6 +390,65 @@ class TestMemoryBound:
             "streaming",
         ]
         assert peak < summary.row_count("S") * 8, peak
+
+    @staticmethod
+    def _row_bytes(schema, table):
+        columns = schema.table(table).columns
+        return sum(np.dtype(column.dtype.numpy_dtype).itemsize for column in columns)
+
+    def test_an_fk_join_onto_an_unfiltered_dimension_writes_its_output_once(
+        self, scaled, monkeypatch
+    ):
+        """``select *`` of R joined to all of S: both sides are written straight into the output.
+
+        The probe streams into R's output columns and the build side's output
+        is gathered batch by batch, so the peak is the output plus the build
+        block plus one batch — a second copy of either side would not fit.
+        """
+        batch = 8192
+        monkeypatch.setattr(engine_module, "BATCH_SIZE", batch)
+        hydra, summary = scaled
+        schema = summary.schema
+        database = hydra.regenerate(summary)
+        sql = "select * from R, S where R.S_fk = S.S_pk"
+
+        def execute():
+            plan = build_plan(parse_query(sql, schema), schema)
+            return ExecutionEngine(database=database).execute(plan)
+
+        reference = execute()  # summary caches are built once per summary, not per query
+        with telemetry_session() as session:
+            streamed, peak = self._peak(execute)
+        counters = session.metrics.snapshot()["counters"]
+        assert counters["engine.output.in_place"] == 2  # the S leaf and the R probe
+        assert not [name for name in counters if name.startswith("engine.output.gathered")]
+        assert streamed.row_count == reference.row_count == summary.row_count("R")
+        output = sum(values.nbytes for values in streamed.columns.values())
+        build = summary.row_count("S") * self._row_bytes(schema, "S")
+        probe_batch = batch * self._row_bytes(schema, "R")
+        assert peak <= output + build + probe_batch, (peak, output, build, probe_batch)
+
+    def test_a_join_onto_a_filtered_dimension_never_allocates_at_the_probe_size(
+        self, scaled, monkeypatch
+    ):
+        monkeypatch.setattr(engine_module, "BATCH_SIZE", 1024)
+        hydra, summary = scaled
+        schema = summary.schema
+        database = hydra.regenerate(summary)
+        sql = "select * from R, S where R.S_fk = S.S_pk and S.A >= 10 and S.A < 12"
+
+        def execute():
+            plan = build_plan(parse_query(sql, schema), schema)
+            return ExecutionEngine(database=database).execute(plan)
+
+        execute()
+        with telemetry_session() as session:
+            streamed, peak = self._peak(execute)
+        counters = session.metrics.snapshot()["counters"]
+        assert counters["engine.output.gathered.build-filtered"] == 1
+        rows = summary.row_count("R")
+        assert 0 < streamed.row_count < rows / 4
+        assert peak < rows * 8, (peak, rows)  # not one int64 column of the probe relation
 
 
 class TestBuildSideChoice:
