@@ -77,7 +77,6 @@ from .server import (
 from .sinks import (
     CsvSink,
     Manifest,
-    ParquetSink,
     Sink,
     SqliteSink,
     export_summary,
@@ -130,7 +129,6 @@ __all__ = [
     "InformationPackage",
     "LoadSummaryRequest",
     "Manifest",
-    "ParquetSink",
     "ProgressEvent",
     "QualityReport",
     "Query",

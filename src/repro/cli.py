@@ -7,7 +7,7 @@ One console script, ``hydra``, fronts every tool as a subcommand:
   optionally anonymise, and write the information package to a JSON file;
 * ``hydra vendor`` — the vendor step: read an information package, build the
   regeneration summary, print the build report and save the summary.  With
-  ``--materialize`` plus ``--format {csv,sqlite,parquet} --out DIR`` the
+  ``--materialize`` plus ``--format {csv,sqlite} --out DIR`` the
   regenerated relations are additionally *exported* through a streaming
   sink (``repro.sinks``) into a directory any database client can open;
 * ``hydra verify`` — regenerate a database from a summary and verify
@@ -47,7 +47,6 @@ from .executor.rate import RateLimiter
 from .sinks import (
     EXPORT_FORMATS,
     export_summary,
-    parquet_available,
     sink_for_format,
     validate_export_against,
 )
@@ -204,8 +203,7 @@ def vendor_main(argv: Sequence[str] | None = None) -> int:
     )
     parser.add_argument(
         "--format", dest="export_format", default=None, choices=list(EXPORT_FORMATS),
-        help="export backend for the --materialize streams (requires --out); "
-        "csv and sqlite are stdlib-only, parquet needs the optional pyarrow",
+        help="export backend for the --materialize streams (requires --out)",
     )
     parser.add_argument(
         "--out", type=Path, default=None, metavar="DIR",
@@ -231,16 +229,13 @@ def vendor_main(argv: Sequence[str] | None = None) -> int:
         parser.error("--materialize 'all' cannot be combined with relation names")
     # Export arguments are validated *before* any solving starts: a typo in
     # the format (argparse choices above), a missing/unwritable output
-    # directory, a missing optional dependency or an unknown relation name
-    # must not cost the user a full summary build first.
+    # directory or an unknown relation name must not cost the user a full
+    # summary build first.
     if (args.export_format is None) != (args.out is None):
         parser.error("--format and --out must be given together")
     if args.export_format is not None and not names:
         parser.error("--format/--out export the --materialize relations; "
                      "pass --materialize REL[,REL...] or --materialize all")
-    if args.export_format == "parquet" and not parquet_available():
-        parser.error("--format parquet requires the optional 'pyarrow' "
-                     "dependency, which is not installed; use csv or sqlite")
     if args.out is not None:
         _ensure_writable_directory(parser, args.out)
 

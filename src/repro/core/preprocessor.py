@@ -26,6 +26,7 @@ from typing import Iterable
 from ..catalog.metadata import DatabaseMetadata
 from ..catalog.schema import Schema, Table
 from ..plans.aqp import AnnotatedQueryPlan
+from ..plans.joingraph import classify_fk_edge
 from ..plans.logical import (
     AggregateNode,
     FilterNode,
@@ -191,35 +192,7 @@ def _join_state(
             "the LP decomposition only supports key/foreign-key equi-joins"
         )
 
-    def orientation() -> tuple[str, str, str, str] | None:
-        """Return (fk_table, fk_column, ref_table, ref_column) if key/FK join."""
-        left_fk = schema.table(condition.left_table).foreign_key_for(condition.left_column)
-        if (
-            left_fk is not None
-            and left_fk.ref_table == condition.right_table
-            and left_fk.ref_column == condition.right_column
-        ):
-            return (
-                condition.left_table,
-                condition.left_column,
-                condition.right_table,
-                condition.right_column,
-            )
-        right_fk = schema.table(condition.right_table).foreign_key_for(condition.right_column)
-        if (
-            right_fk is not None
-            and right_fk.ref_table == condition.left_table
-            and right_fk.ref_column == condition.left_column
-        ):
-            return (
-                condition.right_table,
-                condition.right_column,
-                condition.left_table,
-                condition.left_column,
-            )
-        return None
-
-    oriented = orientation()
+    oriented = classify_fk_edge(condition, schema)
     if oriented is None:
         raise DecompositionError(
             f"join {condition!r} in query {aqp.name!r} is not along a declared "

@@ -42,12 +42,7 @@ from ..plans.logical import (
     ScanNode,
     leaf_scan,
 )
-from ..plans.planner import (
-    ScanPushdown,
-    compute_pushdowns,
-    compute_semijoin_pushdowns,
-    exact_predicate_box,
-)
+from ..plans.planner import compute_pushdowns, exact_predicate_box
 from ..sql.predicates import BoxCondition, IntervalSet
 from ..sql.query import DisjunctiveJoinCondition, JoinCondition
 from ..storage.database import Database, RelationProvider
@@ -256,10 +251,9 @@ class ExecutionEngine:
     _scanned_rows: int = field(default=0, init=False)
     _route_events: list[RouteEvent] = field(default_factory=list, init=False)
     _plan: PlanNode = field(init=False, repr=False)
-    _analysed: "tuple[dict[int, ScanPushdown], dict[int, BoxCondition]] | None" = field(
-        default=None, init=False
-    )
+    _outputs: dict[int, tuple[str, ...] | None] | None = field(default=None, init=False)
     _leaves: dict[int, _Leaf] = field(default_factory=dict, init=False)
+    _edges: dict[int, tuple[str, str, str, str] | None] = field(default_factory=dict, init=False)
 
     @property
     def schema(self) -> Schema:
@@ -272,8 +266,9 @@ class ExecutionEngine:
         self._scanned_rows = 0
         self._route_events = []
         self._plan = plan
-        self._analysed = None
+        self._outputs = None
         self._leaves = {}
+        self._edges = {}
         with span("engine.execute") as execute_span:
             block = self._execute_node(plan)
             if is_active() and self._route_events:
@@ -310,30 +305,6 @@ class ExecutionEngine:
 
     # -- what the routes observe -------------------------------------------
 
-    def _analysis(self) -> tuple[dict[int, ScanPushdown], dict[int, BoxCondition]]:
-        """Scan pushdowns and semi-join boxes of the running plan.
-
-        Derived on first use: a plan the summaries answer never asks.
-        """
-        if self._analysed is None:
-            plan = self._plan
-            summaries = {
-                node.table: datagen.source.summary
-                for node in plan.iter_nodes()
-                if isinstance(node, ScanNode)
-                and (datagen := self._datagen(node.table)) is not None
-            }
-            self._analysed = (
-                compute_pushdowns(plan, self.schema),
-                compute_semijoin_pushdowns(plan, self.schema, summaries),
-            )
-        return self._analysed
-
-    def _datagen(self, table_name: str) -> DataGenRelation | None:
-        """The relation's provider when it is the dataless kind."""
-        provider = self.database.provider(table_name)
-        return provider if isinstance(provider, DataGenRelation) else None
-
     def _leaf(self, node: PlanNode) -> _Leaf | None:
         """The resolved leaf access path rooted at ``node``, if it is one."""
         leaf = self._leaves.get(node.node_id)
@@ -349,8 +320,9 @@ class ExecutionEngine:
                     f"relation {table.name!r} is attached as a {type(provider).__name__}, "
                     "which has no iter_filtered_blocks block stream for the engine to read"
                 )
-            datagen = self._datagen(scan.table)
-            summary = None if datagen is None else datagen.source.summary
+            summary = (
+                provider.source.summary if isinstance(provider, DataGenRelation) else None
+            )
             box: BoxCondition | None = BoxCondition({})
             if filter_node is not None:
                 box = exact_predicate_box(filter_node.predicate, table)
@@ -369,9 +341,26 @@ class ExecutionEngine:
         return leaf
 
     def _output_columns(self, leaf: _Leaf) -> list[str]:
-        """The columns that must survive past the leaf's own filter."""
-        selection = self._analysis()[0][leaf.scan.node_id].output_columns
+        """The columns that must survive past the leaf's own filter.
+
+        The plan's pushdowns are derived on first use: a plan the summaries
+        answer never asks.
+        """
+        if self._outputs is None:
+            self._outputs = compute_pushdowns(self._plan, self.schema)
+        selection = self._outputs[leaf.scan.node_id]
         return leaf.table.column_names if selection is None else list(selection)
+
+    def _edge(self, node: JoinNode) -> tuple[str, str, str, str] | None:
+        """The join's ``(fk_table, fk_column, ref_table, ref_column)``, ``None`` off an FK edge.
+
+        :func:`~repro.plans.joingraph.classify_fk_edge`, resolved on first
+        use and kept for the rest of the ``execute``: every route reads this
+        one answer.
+        """
+        if node.node_id not in self._edges:
+            self._edges[node.node_id] = classify_fk_edge(node.condition, self.schema)
+        return self._edges[node.node_id]
 
     # -- node dispatch ---------------------------------------------------
 
@@ -508,13 +497,12 @@ class ExecutionEngine:
         candidate the left input is the single-block probe
         (``join:materializing``).  A left input that is not a leaf is
         executed here, as either route needs it whole; when the right input
-        is then a dataless leaf joined on its own primary key
-        (:func:`~repro.plans.joingraph.classify_fk_edge`) with no more
-        estimated rows than that block has, the leaf is the build side and
-        the block probes it as one batch (``join:keyed``, every upper join
-        of a left-deep FK chain) — streaming the leaf would argsort the
-        block twice.  A larger leaf still streams, so peak memory stays
-        O(block + batch + output).  The left block is returned whenever it
+        is then a dataless leaf joined on its own primary key (:meth:`_edge`)
+        with no more estimated rows than that block has, the leaf is the
+        build side and the block probes it as one batch (``join:keyed``,
+        every upper join of a left-deep FK chain) — streaming the leaf would
+        argsort the block twice.  A larger leaf still streams, so peak
+        memory stays O(block + batch + output).  The left block is returned whenever it
         was executed (``None`` while it streams).
         """
         left_leaf = self._leaf(node.left)
@@ -530,7 +518,7 @@ class ExecutionEngine:
             return None, True, self._execute_node(node.left)
         block = self._execute_node(node.left)
         if left_leaf is None and self._estimated_rows(right) <= block.row_count:
-            edge = classify_fk_edge(node.condition, self.schema)
+            edge = self._edge(node)
             if edge is not None and edge[2] == right.table.name:
                 self._record_route("join", "keyed")
                 return None, True, block
@@ -541,10 +529,10 @@ class ExecutionEngine:
 
         The probe batches are the block stream of a dataless leaf input
         (:meth:`_choose_probe`), so the probe relation is never held whole,
-        and a semi-join box computed by the planner
-        (:func:`~repro.plans.planner.compute_semijoin_pushdowns`) lets whole
-        probe summary segments be skipped — or, when no input streams, the
-        single executed block of the left input.  The other input is
+        and a probe on the foreign-key side of the join's edge skips whole
+        summary segments outside the semi-join box the join builds from the
+        referenced side (:meth:`_semijoin_box`) — or, when no input streams,
+        the single executed block of the left input.  The other input is
         executed and each of its key columns prepared once
         (:class:`_BuildKey`: sorted, or kept as it is when strictly
         increasing).  An equi-join has one key pair, a disjunctive join one
@@ -588,11 +576,7 @@ class ExecutionEngine:
         ]
         out: dict[str, NDArray[Any]] | None = None
         if probe is not None:
-            semijoin = self._analysis()[1].get(probe.scan.node_id)
-            if semijoin is not None and [
-                f"{probe.table.name}.{name}" for name in semijoin.conditions
-            ] != [keys[0][0]]:
-                semijoin = None  # sound only on the foreign key this join probes with
+            semijoin = self._semijoin_box(node, probe, node.right if probe_is_left else node.left)
             reason = self._gathered_reason(node, probe, probe_is_left, build_keys, semijoin)
             if reason is None:
                 out = self._leaf_columns(probe, cast(int, probe.exact_rows))
@@ -647,6 +631,49 @@ class ExecutionEngine:
         columns = {**probe_side, **build_side} if probe_is_left else {**build_side, **probe_side}
         return _Block(columns=columns, row_count=int(row_count))
 
+    def _semijoin_box(
+        self, node: JoinNode, probe: _Leaf, build_input: PlanNode
+    ) -> BoxCondition | None:
+        """The box a probe streamed on the FK side of the join's edge may skip outside.
+
+        ``{fk_column: matching pk intervals}`` of the referenced table's
+        leaf in the build input — its box, exact or decided (:class:`_Leaf`),
+        projected onto the pk index space
+        (:meth:`~repro.core.summary.RelationSummary.matching_pk_intervals`).
+        Probe summary segments whose admissible FK targets all fall outside
+        it are skipped without generating a tuple, and generated probe rows
+        outside it are masked before the probe: either way no join partner
+        exists for them, since the projection is a sound superset of the
+        referenced pks reaching the build side.  Only the join directly
+        above the probe leaf builds one: a box borrowed from a later join
+        would change this join's output and annotation.  ``None`` off an FK
+        edge, for a probe on the referenced side, without a summary-backed
+        referenced leaf with a box, and when the box covers every
+        referenced pk (FK targets are valid pks by construction, so it
+        could skip nothing).
+        """
+        edge = self._edge(node)
+        if edge is None or edge[0] != probe.table.name:
+            return None
+        _fk_table, fk_column, ref_table, ref_column = edge
+        ref = next(
+            (
+                self._leaf(candidate)
+                for candidate in build_input.iter_nodes()
+                if (pair := leaf_scan(candidate)) is not None and pair[0].table == ref_table
+            ),
+            None,
+        )
+        if ref is None or ref.summary is None or ref.box is None:
+            return None
+        intervals = ref.summary.matching_pk_intervals(ref.box, pk_column=ref_column)
+        if intervals is None:
+            return None
+        total = ref.summary.total_rows
+        if total > 0 and intervals.count_integers() == total:
+            return None  # every referenced pk is reachable
+        return BoxCondition({fk_column: intervals})
+
     def _gathered_reason(
         self,
         node: JoinNode,
@@ -660,12 +687,11 @@ class ExecutionEngine:
         In place needs every probe row to have at most one partner and the
         output bounded by the probe leaf's exact row count without wasting
         memory on rows that cannot pair: the build side is the primary-key
-        leaf the probe's foreign key references
-        (:func:`~repro.plans.joingraph.classify_fk_edge`), observed unique,
-        unfiltered and not skipping probe segments.
+        leaf the probe's foreign key references (:meth:`_edge`), observed
+        unique, unfiltered and not skipping probe segments.
         """
         build = self._leaf(node.right if probe_is_left else node.left)
-        edge = classify_fk_edge(node.condition, self.schema)
+        edge = self._edge(node)
         if (
             build is None
             or edge is None
@@ -741,12 +767,12 @@ class ExecutionEngine:
         tree — a single leaf is its zero-join case — when every input is the
         leaf access path of a summary-backed dataless relation, every join
         condition follows a schema foreign-key edge onto the referenced
-        primary key (:func:`~repro.plans.joingraph.classify_fk_edge`) and
-        every pushed filter is an exact box.  This covers the single FK–PK
-        join, multi-way chains (``A→B→C``: the middle relation's matching
-        pks are first narrowed by *its own* FK condition toward ``C``) and
-        stars (one fact referencing several dimensions) — any join subset
-        whose FK edges form an out-tree from a single referencing root.
+        primary key (:meth:`_edge`) and every pushed filter is an exact box.
+        This covers the single FK–PK join, multi-way chains (``A→B→C``: the
+        middle relation's matching pks are first narrowed by *its own* FK
+        condition toward ``C``) and stars (one fact referencing several
+        dimensions) — any join subset whose FK edges form an out-tree from a
+        single referencing root.
 
         Every leaf's own filter is counted with
         :meth:`~repro.core.summary.RelationSummary.count_matching`; each join
@@ -777,7 +803,7 @@ class ExecutionEngine:
             leaves[leaf.scan.table] = leaf
         edges: list[tuple[str, str, str, str]] = []
         for join in spine:
-            edge = classify_fk_edge(join.condition, self.schema)
+            edge = self._edge(join)
             if edge is None or not set(edge[::2]) <= set(leaves):
                 self._fallback("non-fk-join")
             edges.append(edge)

@@ -54,6 +54,14 @@ LAYERING: tuple[LayerEdge, ...] = (
         to_package="repro.parallel",
         allowed_files=(),
     ),
+    # repro.plans is plan shape over the catalog and the SQL layer: the core
+    # (decomposition, summaries) builds on plans, never the reverse, through
+    # no seam at all.
+    LayerEdge(
+        from_package="repro.plans",
+        to_package="repro.core",
+        allowed_files=(),
+    ),
     # repro.server is the top of the stack: it may import everything below
     # (core, executor, parallel, sinks, telemetry), but nothing below may
     # import it, through no seam at all.
@@ -125,15 +133,15 @@ class LayerBoundaryRule(Rule):
 
     The executor may touch ``repro.parallel`` only in
     ``executor/datagen.py`` (``DataGenRelation``'s pool handoff); the core
-    never may.  Any other import of the parallel subsystem from those layers
-    is flagged, and so is every other edge of :data:`LAYERING`.
+    never may, and plan shape (``repro.plans``) never imports the core.
+    Every edge of :data:`LAYERING` is flagged outside its seams.
     """
 
     code: ClassVar[str] = "HYD402"
     name: ClassVar[str] = "layer-boundary"
     summary: ClassVar[str] = (
-        "no executor/core imports of repro.parallel outside the documented "
-        "seam (datagen.py)"
+        "no import along a forbidden LAYERING edge (e.g. core -> parallel, "
+        "plans -> core) outside its documented seams"
     )
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:

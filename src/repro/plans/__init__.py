@@ -1,7 +1,7 @@
 """Query plans: logical operators, join graph, deterministic planner and AQPs."""
 
 from .aqp import AnnotatedQueryPlan, AQPEdge
-from .joingraph import JoinEdge, JoinGraph, classify_fk_edge
+from .joingraph import JoinGraph, classify_fk_edge
 from .logical import (
     AggregateNode,
     FilterNode,
@@ -13,7 +13,6 @@ from .logical import (
 )
 from .planner import (
     PlannerError,
-    ScanPushdown,
     build_plan,
     choose_anchor,
     compute_pushdowns,
@@ -24,14 +23,12 @@ __all__ = [
     "AggregateNode",
     "AnnotatedQueryPlan",
     "FilterNode",
-    "JoinEdge",
     "JoinGraph",
     "JoinNode",
     "PlanNode",
     "PlannerError",
     "ProjectNode",
     "ScanNode",
-    "ScanPushdown",
     "build_plan",
     "choose_anchor",
     "classify_fk_edge",

@@ -1,46 +1,43 @@
-"""Join graph: tables as nodes, classified join predicates as edges.
+"""Join graph: tables as nodes, join conditions as edges, and the one FK test.
 
-The planner, the semi-join pushdown pass and the engine's join fast paths all
-need the same questions answered about a query's joins: *which tables does
-each join relate* (classification), *which table anchors the left-deep
+The planner needs plan shape only: *which table anchors the left-deep
 chain* and *in which deterministic order does the chain attach the others*
-(plan shape; an edge that never attaches is how the planner detects a
-disconnected query).  :class:`JoinGraph` answers them once, from the
-predicate algebra, instead of each consumer pattern-matching on raw
-conditions.
+(an edge that never attaches is how the planner detects a disconnected
+query).  :class:`JoinGraph` answers both from the query's
+:class:`repro.sql.query.JoinCondition` /
+:class:`repro.sql.query.DisjunctiveJoinCondition` edges.  Every traversal
+sweeps the edges in query join order, so what the planner derives is a pure
+function of the query text — the same determinism contract the planner
+gives.
 
-Edges are built from :class:`repro.sql.query.JoinCondition` /
-:class:`repro.sql.query.DisjunctiveJoinCondition` and carry both the
-condition and its resolution onto the schema's foreign-key graph
-(:func:`classify_fk_edge`).  Every traversal sweeps the edges in query join
-order, so what the planner derives is a pure function of the query text —
-the same determinism contract the planner gives.
+Whether a join follows a foreign-key → primary-key edge, and which side
+references, is :func:`classify_fk_edge` — the one FK test, called by the
+operator that uses the answer: the execution engine, once per join node per
+``execute``, and the preprocessor's decomposition.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from ..catalog.schema import Schema
-from ..sql.predicates import AbstractPredicate
 from ..sql.query import DisjunctiveJoinCondition, JoinCondition, Query
 
-__all__ = ["JoinEdge", "JoinGraph", "classify_fk_edge"]
+__all__ = ["JoinGraph", "classify_fk_edge"]
 
 
 def classify_fk_edge(
-    condition: "JoinCondition | DisjunctiveJoinCondition", schema: Schema
+    condition: JoinCondition | DisjunctiveJoinCondition, schema: Schema
 ) -> tuple[str, str, str, str] | None:
     """Resolve a join condition onto the schema's foreign-key graph.
 
     Returns ``(fk_table, fk_column, ref_table, ref_column)`` when the
     condition equi-joins a foreign-key column onto the primary key it
     references (in either orientation), else ``None``.  This is the single
-    eligibility check shared by the planner's semi-join pushdown pass and
-    the engine's join fast paths, so consumers can never disagree about
-    which joins follow an FK–PK edge.  Disjunctive joins never classify:
-    no single column pair carries the edge.
+    FK test: the engine's join routes and the preprocessor's decomposition
+    read its answer, so they can never disagree about which joins follow an
+    FK–PK edge.  Disjunctive joins never classify: no single column pair
+    carries the edge.
     """
     if isinstance(condition, DisjunctiveJoinCondition):
         return None
@@ -63,64 +60,8 @@ def classify_fk_edge(
     return None
 
 
-@dataclass(frozen=True)
-class JoinEdge:
-    """One edge of the join graph: a join condition plus its classification.
-
-    ``fk_table``/``fk_column``/``ref_table``/``ref_column`` are the
-    foreign-key resolution from :func:`classify_fk_edge` (all ``None`` when
-    the condition does not follow an FK–PK edge, e.g. a disjunctive join).
-    """
-
-    condition: "JoinCondition | DisjunctiveJoinCondition"
-    fk_table: str | None = None
-    fk_column: str | None = None
-    ref_table: str | None = None
-    ref_column: str | None = None
-
-    @classmethod
-    def classify(
-        cls, condition: "JoinCondition | DisjunctiveJoinCondition", schema: Schema
-    ) -> "JoinEdge":
-        """Build an edge from a condition, resolving its FK orientation."""
-        resolved = classify_fk_edge(condition, schema)
-        if resolved is None:
-            return cls(condition=condition)
-        fk_table, fk_column, ref_table, ref_column = resolved
-        return cls(
-            condition=condition,
-            fk_table=fk_table,
-            fk_column=fk_column,
-            ref_table=ref_table,
-            ref_column=ref_column,
-        )
-
-    @property
-    def tables(self) -> tuple[str, str]:
-        """The ``(left, right)`` table pair the edge relates."""
-        return self.condition.left_table, self.condition.right_table
-
-    def involves(self, table: str) -> bool:
-        """Whether ``table`` is one of the edge's endpoints."""
-        return self.condition.involves(table)
-
-    def predicate(self) -> AbstractPredicate:
-        """The edge's condition as a classified join predicate.
-
-        The returned predicate satisfies ``is_join()`` — its qualified
-        column references span both endpoint tables.
-        """
-        return self.condition.as_predicate()
-
-    def __repr__(self) -> str:
-        """Render the underlying condition with its FK orientation."""
-        if self.fk_table is not None:
-            return f"JoinEdge({self.condition!r}, fk={self.fk_table}.{self.fk_column})"
-        return f"JoinEdge({self.condition!r})"
-
-
 class JoinGraph:
-    """The query's tables and classified join edges as an undirected graph.
+    """The query's tables and join conditions as an undirected graph.
 
     Node order is the query's FROM order and edge order is the query's join
     order; every traversal below iterates in those orders, so everything the
@@ -130,20 +71,17 @@ class JoinGraph:
 
     def __init__(
         self,
-        tables: "list[str] | tuple[str, ...]",
-        edges: "list[JoinEdge] | tuple[JoinEdge, ...]",
+        tables: Sequence[str],
+        joins: Sequence[JoinCondition | DisjunctiveJoinCondition],
     ) -> None:
         """Store the nodes (FROM order) and edges (join order)."""
         self.tables: tuple[str, ...] = tuple(tables)
-        self.edges: tuple[JoinEdge, ...] = tuple(edges)
+        self.joins: tuple[JoinCondition | DisjunctiveJoinCondition, ...] = tuple(joins)
 
     @classmethod
-    def from_query(cls, query: Query, schema: Schema) -> "JoinGraph":
-        """Build the classified join graph of a query against a schema."""
-        return cls(
-            tables=query.tables,
-            edges=[JoinEdge.classify(condition, schema) for condition in query.joins],
-        )
+    def from_query(cls, query: Query) -> "JoinGraph":
+        """The join graph of a query."""
+        return cls(tables=query.tables, joins=query.joins)
 
     # -- planner services -------------------------------------------------
 
@@ -160,11 +98,10 @@ class JoinGraph:
         fk_side = 0
         participations = 0
         table_obj = schema.table(table)
-        for edge in self.edges:
-            if not edge.involves(table):
+        for condition in self.joins:
+            if not condition.involves(table):
                 continue
             participations += 1
-            condition = edge.condition
             alternatives = (
                 condition.alternatives
                 if isinstance(condition, DisjunctiveJoinCondition)
@@ -196,10 +133,10 @@ class JoinGraph:
 
     def left_deep_steps(
         self, anchor: str
-    ) -> Iterator[tuple[JoinEdge, str | None]]:
+    ) -> Iterator[tuple[JoinCondition | DisjunctiveJoinCondition, str | None]]:
         """Deterministic left-deep attachment order from ``anchor``.
 
-        Yields ``(edge, new_table)`` pairs: repeatedly sweeps the edges in
+        Yields ``(condition, new_table)`` pairs: repeatedly sweeps the edges in
         query join order, attaching any edge with exactly one endpoint
         already joined (``new_table`` is the endpoint it brings in) and
         discarding edges whose endpoints are both joined already
@@ -208,28 +145,28 @@ class JoinGraph:
         the attached tables against the node set.
         """
         joined = {anchor}
-        remaining = list(self.edges)
+        remaining = list(self.joins)
         while remaining:
             progressed = False
-            for edge in list(remaining):
-                left, right = edge.tables
+            for condition in list(remaining):
+                left, right = condition.left_table, condition.right_table
                 left_in = left in joined
                 right_in = right in joined
                 if left_in and right_in:
-                    remaining.remove(edge)
+                    remaining.remove(condition)
                     progressed = True
-                    yield edge, None
+                    yield condition, None
                     continue
                 if not left_in and not right_in:
                     continue
                 new_table = right if left_in else left
                 joined.add(new_table)
-                remaining.remove(edge)
+                remaining.remove(condition)
                 progressed = True
-                yield edge, new_table
+                yield condition, new_table
             if not progressed:
                 return
 
     def __repr__(self) -> str:
-        """Render the node and edge counts."""
-        return f"JoinGraph(tables={list(self.tables)}, edges={len(self.edges)})"
+        """Render the nodes and the edge count."""
+        return f"JoinGraph(tables={list(self.tables)}, joins={len(self.joins)})"

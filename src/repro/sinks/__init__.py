@@ -8,10 +8,9 @@ block stream into exactly that, without ever holding a relation in memory:
 * :class:`~repro.sinks.base.Sink` — the common streaming interface
   (``open_relation`` / ``write_block`` / ``close_relation`` /
   ``finalize``) with shared manifest/checksum accounting;
-* :class:`~repro.sinks.csv_sink.CsvSink`,
-  :class:`~repro.sinks.sqlite_sink.SqliteSink` (both stdlib-only) and
-  :class:`~repro.sinks.parquet_sink.ParquetSink` (optional ``pyarrow``) —
-  the shipped backends;
+* :class:`~repro.sinks.csv_sink.CsvSink` and
+  :class:`~repro.sinks.sqlite_sink.SqliteSink` (both stdlib-only) — the
+  shipped backends;
 * :func:`~repro.sinks.export.export_summary` — the streaming export driver
   (``hydra vendor --format ... --out`` and the server's export endpoint; it
   builds its providers exactly like ``Hydra.regenerate``);
@@ -32,15 +31,12 @@ from .export import (
     verify_export,
 )
 from .manifest import MANIFEST_NAME, ColumnHasher, Manifest, RelationManifest
-from .parquet_sink import ParquetSink, parquet_available
 from .sqlite_sink import SqliteSink
 
 __all__ = [
     "Sink",
     "CsvSink",
     "SqliteSink",
-    "ParquetSink",
-    "parquet_available",
     "Manifest",
     "RelationManifest",
     "ColumnHasher",

@@ -39,7 +39,7 @@ def external_columns(table: Table, block: Mapping[str, NDArray[Any]]) -> dict[st
 
     A backend receives one Python list per schema column — ``int`` / ``float``
     / ``str`` cells, dates as ISO-8601 strings — the one representation CSV
-    cells, SQLite ``TEXT`` and Parquet strings store verbatim, so an export
+    cells and SQLite ``TEXT`` store verbatim, so an export
     re-encodes losslessly during verification.
     """
     return {

@@ -8,7 +8,7 @@ without ever materialising a relation, and seals the export with its
 :func:`verify_export` is the inverse check used by ``hydra verify
 --against``: given a summary and an export directory, it validates the
 manifest's summary fingerprint and per-relation row counts, then re-reads
-the backend files (CSV / SQLite / Parquet), re-encodes the external values
+the backend files (CSV / SQLite), re-encodes the external values
 through the schema types and recomputes the content checksums — proving the
 export byte-stream matches what the summary regenerates, **without
 regenerating a single tuple**.
@@ -39,7 +39,6 @@ from ..telemetry.session import add_counter, set_gauge, span
 from .base import Sink, encode_external
 from .csv_sink import CsvSink
 from .manifest import ColumnHasher, Manifest, combine_checksums
-from .parquet_sink import ParquetSink
 from .sqlite_sink import SqliteSink
 
 __all__ = [
@@ -55,12 +54,11 @@ __all__ = [
 _Block = dict[str, NDArray[Any]]
 
 #: Formats ``sink_for_format`` (and the CLI) accepts, in documentation order.
-EXPORT_FORMATS = ("csv", "sqlite", "parquet")
+EXPORT_FORMATS = ("csv", "sqlite")
 
 _SINK_CLASSES = {
     "csv": CsvSink,
     "sqlite": SqliteSink,
-    "parquet": ParquetSink,
 }
 
 
@@ -68,7 +66,7 @@ def sink_for_format(format_name: str, out_dir: str | Path) -> Sink:
     """Instantiate the sink backend for ``format_name`` rooted at ``out_dir``.
 
     Unknown formats raise :class:`~repro.core.errors.HydraError` listing the
-    supported ones; the parquet backend raises when ``pyarrow`` is missing.
+    supported ones.
     """
     sink_class = _SINK_CLASSES.get(format_name)
     if sink_class is None:
@@ -372,23 +370,7 @@ def _read_sqlite(export_dir: Path, table: Table, batch_size: int) -> Iterator[_B
         connection.close()
 
 
-def _read_parquet(export_dir: Path, table: Table, batch_size: int) -> Iterator[_Block]:
-    """Stream encoded blocks back out of a Parquet export."""
-    from .parquet_sink import _import_pyarrow
-
-    _pa, pq = _import_pyarrow()
-    path = ParquetSink.relation_path(export_dir, table.name)
-    if not path.is_file():
-        raise HydraError(f"{path} does not exist")
-    dtype, encode = _row_decoder(table)
-    parquet_file = pq.ParquetFile(path)
-    for batch in parquet_file.iter_batches(batch_size=batch_size):
-        rows = zip(*(batch.column(name).to_pylist() for name in table.column_names))
-        yield encode(np.array(list(rows), dtype=dtype))
-
-
 _READERS = {
     "csv": _read_csv,
     "sqlite": _read_sqlite,
-    "parquet": _read_parquet,
 }

@@ -10,7 +10,7 @@ fed block by block), which makes them
 * independent of block boundaries — a parallel (``workers=N``) export
   hashes to the same digests as a serial one because the merged streams are
   row-identical, only chunked differently; and
-* independent of the backend — CSV, SQLite and Parquet exports of the same
+* independent of the backend — CSV and SQLite exports of the same
   summary share the same checksums, and so does the in-memory stream, which
   is what lets ``hydra verify --against`` validate an export without
   regenerating a single tuple.

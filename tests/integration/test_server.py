@@ -301,6 +301,18 @@ class TestVerifyAndExport:
         assert not against.problems
 
 
+    def test_parquet_export_is_400_bad_export(self, server, tmp_path):
+        client = ServerClient("127.0.0.1", server.port)
+        out_dir = tmp_path / "export"
+        with pytest.raises(ServerClientError) as excinfo:
+            client.export("toy", format="parquet", out_dir=str(out_dir))
+        assert excinfo.value.status == 400
+        assert excinfo.value.body.error == "bad-export"
+        assert "unknown export format 'parquet'; choose from csv, sqlite" in str(excinfo.value)
+        assert not out_dir.exists()
+        with server.service.cache.lease("toy") as entry:
+            assert entry.leases == 1
+
     @pytest.mark.parametrize(
         "package", [{"aqps": []}, {"metadata": 5}, {"metadata": {"schema": []}, "aqps": 3}]
     )

@@ -11,7 +11,7 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.plans.joingraph import JoinEdge, classify_fk_edge
+from repro.plans.joingraph import classify_fk_edge
 from repro.sql.predicates import (
     And,
     Comparison,
@@ -140,13 +140,14 @@ def disjunctive_conditions(draw):
     return DisjunctiveJoinCondition(tuple(alternatives))
 
 
-class TestJoinEdgeClassification:
+class TestJoinConditionClassification:
     @given(st.one_of(join_conditions(), disjunctive_conditions()))
     @settings(max_examples=200)
     def test_edge_is_a_join_over_its_tables_and_conditions_round_trip(self, condition):
-        edge = JoinEdge.classify(condition, toy_schema())
-        assert edge.predicate().is_join()
-        assert edge.predicate().tables() == frozenset(edge.tables)
-        assert all(edge.involves(table) for table in edge.tables)
-        assert (edge.fk_table is None) == (classify_fk_edge(condition, toy_schema()) is None)
+        tables = (condition.left_table, condition.right_table)
+        assert condition.as_predicate().is_join()
+        assert condition.as_predicate().tables() == frozenset(tables)
+        assert all(condition.involves(table) for table in tables)
+        edge = classify_fk_edge(condition, toy_schema())
+        assert edge is None or {edge[0], edge[2]} == set(tables)
         assert join_condition_from_dict(condition.to_dict()) == condition

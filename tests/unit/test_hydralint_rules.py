@@ -410,12 +410,27 @@ class TestHYD402LayerBoundary:
         expected = [
             ("repro.executor", "repro.parallel", ("src/repro/executor/datagen.py",)),
             ("repro.core", "repro.parallel", ()),
+            ("repro.plans", "repro.core", ()),
             *[(layer, "repro.server", ()) for layer in [*below_server, "repro.telemetry"]],
             *[(layer, "repro.fuzz", ()) for layer in below_fuzz],
             ("repro.server", "asyncio", ()),
         ]
         actual = [(e.from_package, e.to_package, e.allowed_files) for e in LAYERING]
         assert actual == expected
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            "from ..core.summary import RelationSummary\n",
+            "from repro.core import errors\n",
+            "if TYPE_CHECKING:\n    from ..core.summary import RelationSummary\n",
+        ],
+    )
+    def test_plans_may_not_import_the_core(self, source):
+        """Plan shape sits below the core: not even a typing-only import crosses."""
+        findings = check("HYD402", source, rel_path="src/repro/plans/fixture.py")
+        assert [f.code for f in findings] == ["HYD402"]
+        assert check("HYD402", source, rel_path="src/repro/executor/fixture.py") == []
 
     @pytest.mark.parametrize(
         "source", ["import asyncio\n", "from asyncio import Queue\n", "import asyncio.events\n"]

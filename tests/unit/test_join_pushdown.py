@@ -2,11 +2,11 @@
 
 Covers the join operator on every condition shape and attachment
 (:class:`TestOneJoin`: bit-identical output blocks, annotations, pinned
-``scanned_rows`` and route events), its peak-memory bound, the planner's
-semi-join FK pushdown pass and its segment-skipping contract, the join-COUNT
-summary fast path with its exact-only fallback rules, and earlier satellite
-fixes (empty disjunction boxes, provider kinds, ``observed_rate`` semantics,
-``count_matching_offsets`` property coverage).
+``scanned_rows`` and route events), its peak-memory bound, the semi-join
+box a join builds for its FK probe and its segment-skipping contract, the
+join-COUNT summary fast path with its exact-only fallback rules, and earlier
+satellite fixes (empty disjunction boxes, provider kinds, ``observed_rate``
+semantics, ``count_matching_offsets`` property coverage).
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from repro.executor import engine as engine_module
 from repro.executor.engine import ExecutionEngine, ExecutorError
 from repro.executor.rate import RateLimiter
 from repro.plans.logical import AggregateNode, FilterNode, JoinNode, ScanNode, plan_from_dict
-from repro.plans.planner import build_plan, compute_semijoin_pushdowns
+from repro.plans.planner import build_plan, exact_predicate_box
 from repro.sql.predicates import (
     And,
     BoxCondition,
@@ -526,30 +526,74 @@ def dataless_star():
     return _dataless_star()
 
 
-class TestSemiJoinPushdown:
-    def test_projects_matching_pk_intervals_onto_fk_column(self, dataless_star):
-        database, summary = dataless_star
-        sql = "select count(*) from fact, dim where fact.dim_fk = dim.dim_pk and dim.price >= 50"
-        plan = build_plan(parse_query(sql, database.schema), database.schema)
-        semis = compute_semijoin_pushdowns(
-            plan, database.schema, {name: summary.relation(name) for name in ("fact", "dim")}
-        )
-        assert len(semis) == 1
-        box = next(iter(semis.values()))
-        # Only dim's second summary row (price=90, pk indices [60, 100))
-        # matches the referenced-side filter.
-        assert box.conditions["dim_fk"] == IntervalSet([Interval(60.0, 100.0)])
+def _skip_boxes(database, table, monkeypatch):
+    """Record the ``skip_box`` each stream of ``table``'s provider is given."""
+    provider = database.provider(table)
+    stream = provider.iter_filtered_blocks
+    seen = []
 
-    def test_unselective_referenced_filter_produces_no_box(self, dataless_star):
-        database, summary = dataless_star
-        sql = "select count(*) from fact, dim where fact.dim_fk = dim.dim_pk"
-        plan = build_plan(parse_query(sql, database.schema), database.schema)
-        semis = compute_semijoin_pushdowns(
-            plan, database.schema, {name: summary.relation(name) for name in ("fact", "dim")}
+    def recording(*args, **kwargs):
+        seen.append(kwargs.get("skip_box"))
+        return stream(*args, **kwargs)
+
+    monkeypatch.setattr(provider, "iter_filtered_blocks", recording)
+    return seen
+
+
+def _streamed(database, sql):
+    """Execute ``sql`` with the join streamed; ``(result, the run's metrics registry)``."""
+    plan = build_plan(parse_query(sql, database.schema), database.schema)
+    with telemetry_session() as session:
+        result = ExecutionEngine(database=database, summary_fastpath=False).execute(plan)
+    return result, session.metrics
+
+
+class TestSemiJoinPushdown:
+    def test_projects_matching_pk_intervals_onto_fk_column(self, dataless_star, monkeypatch):
+        database, _summary = dataless_star
+        boxes = _skip_boxes(database, "fact", monkeypatch)
+        sql = "select count(*) from fact, dim where fact.dim_fk = dim.dim_pk and dim.price >= 50"
+        result, metrics = _streamed(database, sql)
+        # Only dim's second summary row (price=90, pk indices [60, 100))
+        # matches the referenced-side filter: the fact probe skips outside it.
+        assert boxes == [BoxCondition({"dim_fk": IntervalSet([Interval(60.0, 100.0)])})]
+        assert metrics.counter_value("tuplegen.segments_semijoin_skipped") == 1
+        assert result.scanned_rows == 250 + 40
+        assert int(result.column("count")[0]) == 250
+
+    def test_unselective_referenced_filter_produces_no_box(self, dataless_star, monkeypatch):
+        database, _summary = dataless_star
+        boxes = _skip_boxes(database, "fact", monkeypatch)
+        result, metrics = _streamed(
+            database, "select count(*) from fact, dim where fact.dim_fk = dim.dim_pk"
         )
         # Every referenced pk index is reachable: skipping/masking can never
-        # fire, so no box should be emitted at all.
-        assert semis == {}
+        # fire, so the probe is given no box at all.
+        assert boxes == [None]
+        assert metrics.counter_value("tuplegen.segments_semijoin_skipped") == 0
+        assert result.scanned_rows == 750 + 100
+
+    @pytest.mark.parametrize("select", ["*", "count(*)"])
+    def test_a_decided_referenced_box_narrows_the_probe(
+        self, engine_routes, monkeypatch, select
+    ):
+        # price > 50 on a continuous column is not an exact box: the dim leaf
+        # is decided per summary row into the pk range [60, 100), and the join
+        # projects that exact box onto the fact probe's FK column.
+        database, _summary = _dataless_star()
+        sql = f"select {select} from fact, dim where fact.dim_fk = dim.dim_pk and dim.price > 50"
+        plan = build_plan(parse_query(sql, database.schema), database.schema)
+        dim_filter = next(node for node in plan.iter_nodes() if isinstance(node, FilterNode))
+        assert exact_predicate_box(dim_filter.predicate, database.schema.table("dim")) is None
+        boxes = _skip_boxes(database, "fact", monkeypatch)
+        outcomes = _run_routes(engine_routes(database), plan)
+        _assert_bit_identical(outcomes, sql)
+        assert BoxCondition({"dim_fk": IntervalSet([Interval(60.0, 100.0)])}) in boxes
+        streaming, _cards = outcomes["streaming"]
+        # The fact segment referencing [0, 60) is never generated: 250 fact
+        # rows plus dim's 40 (without the box the probe generates all 750).
+        assert streaming.scanned_rows == 250 + 40
+        assert streaming.row_count == (250 if select == "*" else 1)
 
     def test_segment_skipping_preserves_filter_annotation(self, dataless_star, engine_routes):
         database, _summary = dataless_star

@@ -6,7 +6,8 @@ spreads of several pieces, constant-FK rows and empty rows.  Every case runs
 on the three engine routes (the materialised reference, streaming with the
 summary route off, and the default dataless engine) and asserts the result
 bits and every node cardinality equal, no tuple generated when the summary
-answers, and the catalogued reason when it does not.
+answers, and the catalogued reason when it does not.  The engine's FK test
+runs at most once per join node per ``execute`` on every route.
 """
 
 from __future__ import annotations
@@ -25,6 +26,8 @@ from repro.core.tuplegen import TupleGenerator
 from repro.executor import engine as engine_module
 from repro.executor.datagen import DataGenRelation
 from repro.executor.engine import ExecutionEngine, ExecutorError
+from repro.plans import joingraph as joingraph_module
+from repro.plans.joingraph import classify_fk_edge
 from repro.plans.logical import AggregateNode, FilterNode, JoinNode, ScanNode, plan_from_dict
 from repro.plans.planner import build_plan
 from repro.sql.parser import parse_query
@@ -438,6 +441,42 @@ def _expected_reasons(tables, argument):
         # Summable only over rows that store the FK as a constant.
         return EXACTNESS | {None, "fk-argument-not-summable"}
     return EXACTNESS | {None}
+
+
+class TestOneFkTestPerJoin:
+    """The FK test runs in the engine only, at most once per join node per ``execute``."""
+
+    @pytest.mark.parametrize(
+        "sql",
+        [
+            # Chains: the summary route bails, then the joins stream.
+            f"select count(*) from fact, dim, sub where {JOIN_FD} and {JOIN_DS} and sub.level > 1",
+            f"select * from fact, dim, sub where {JOIN_FD} and {JOIN_DS}",
+            # Stars: answered from the summaries, or streamed.
+            f"select sum(fact.amt) from fact, dim, aux where {JOIN_FD} and {JOIN_FA} "
+            "and aux.weight < 4.5",
+            f"select * from fact, dim, aux where {JOIN_FD} and {JOIN_FA} and aux.weight < 4.5",
+        ],
+    )
+    @pytest.mark.parametrize("fastpath", [True, False])
+    def test_each_join_is_classified_at_most_once(self, monkeypatch, sql, fastpath):
+        calls = []
+
+        def counting(condition, schema):
+            calls.append(condition)
+            return classify_fk_edge(condition, schema)
+
+        for module in (joingraph_module, engine_module):
+            monkeypatch.setattr(module, "classify_fk_edge", counting)
+        plan = build_plan(parse_query(sql, SCHEMA), SCHEMA)
+        assert calls == []
+        joins = [node.condition for node in plan.iter_nodes() if isinstance(node, JoinNode)]
+        engine = ExecutionEngine(database=_fixed(), summary_fastpath=fastpath)
+        for _ in range(2):
+            calls.clear()
+            engine.execute(plan)
+            assert 0 < len(calls) <= len(joins)
+            assert all(sum(call is join for call in calls) <= 1 for join in joins)
 
 
 class TestRandomSnowflakes:

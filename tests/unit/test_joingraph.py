@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.plans.joingraph import JoinEdge, JoinGraph, classify_fk_edge
+from repro.catalog.schema import Column, ForeignKey, Schema, Table
+from repro.catalog.types import INTEGER
+from repro.plans.joingraph import JoinGraph, classify_fk_edge
 from repro.plans.logical import JoinNode
 from repro.plans.planner import PlannerError, build_plan, choose_anchor
 from repro.sql.parser import parse_query
@@ -34,7 +36,7 @@ def tpch():
 
 def _graph(sql, schema):
     query = parse_query(sql, schema)
-    return JoinGraph.from_query(query, schema), query
+    return JoinGraph.from_query(query), query
 
 
 class TestClassifyFkEdge:
@@ -58,20 +60,30 @@ class TestClassifyFkEdge:
         condition = query.joins[0]
         assert isinstance(condition, DisjunctiveJoinCondition)
         assert classify_fk_edge(condition, toy) is None
-        edge = JoinEdge.classify(condition, toy)
-        assert edge.fk_table is None
+
+    def test_fk_onto_a_non_key_column_does_not_classify(self):
+        dim = Table(
+            name="dim",
+            columns=[Column("dim_pk", INTEGER), Column("code", INTEGER)],
+            primary_key="dim_pk",
+        )
+        fact = Table(
+            name="fact",
+            columns=[Column("fact_pk", INTEGER), Column("dim_code", INTEGER)],
+            primary_key="fact_pk",
+            foreign_keys=[ForeignKey("dim_code", "dim", "code")],
+        )
+        schema = Schema.from_tables([fact, dim])
+        query = parse_query("select count(*) from fact, dim where fact.dim_code = dim.code", schema)
+        assert classify_fk_edge(query.joins[0], schema) is None
 
 
-class TestJoinEdge:
-    def test_predicate_is_join_shaped(self, toy):
-        query = parse_query("select count(*) from R, S where R.S_fk = S.S_pk", toy)
-        edge = JoinEdge.classify(query.joins[0], toy)
-        predicate = edge.predicate()
-        assert predicate.is_join()
-        assert predicate.tables() == {"R", "S"}
-        assert edge.tables == ("R", "S")
-        assert edge.involves("R") and not edge.involves("T")
-        assert repr(edge) == "JoinEdge(R.S_fk = S.S_pk, fk=R.S_fk)"
+class TestJoinGraph:
+    def test_edges_are_the_query_join_conditions(self, toy):
+        graph, query = _graph(FIGURE1_QUERY, toy)
+        assert graph.tables == tuple(query.tables)
+        assert graph.joins == tuple(query.joins)
+        assert repr(graph) == "JoinGraph(tables=['R', 'S', 'T'], joins=2)"
 
 
 class TestAnchorChoice:
@@ -95,7 +107,7 @@ class TestLeftDeepSteps:
     def test_attachment_order_matches_query_joins(self, tpch):
         graph, _ = _graph(CHAIN_COUNT_QUERY, tpch)
         steps = list(graph.left_deep_steps("orders"))
-        assert [(edge.tables, new) for edge, new in steps] == [
+        assert [((c.left_table, c.right_table), new) for c, new in steps] == [
             (("lineitem", "orders"), "lineitem"),
             (("orders", "customer"), "customer"),
         ]

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.catalog.metadata import collect_metadata
+from repro.catalog.schema import Column, ForeignKey, Schema, Table
+from repro.catalog.types import INTEGER
 from repro.client.extractor import AQPExtractor
 from repro.core.errors import DecompositionError
 from repro.core.preprocessor import decompose_workload
@@ -13,6 +16,8 @@ from repro.plans.logical import FilterNode, JoinNode, ScanNode
 from repro.sql.predicates import Comparison
 from repro.sql.parser import parse_query
 from repro.sql.query import JoinCondition, Query
+from repro.storage.database import Database
+from repro.storage.table import TableData
 from repro.workload.toy import FIGURE1_QUERY
 from repro.workload.tpch import TPCHConfig, generate_tpch_database
 
@@ -134,6 +139,35 @@ class TestErrors:
         aqp = AnnotatedQueryPlan(query=query, plan=plan)
         with pytest.raises(DecompositionError):
             decompose_workload([aqp], toy_metadata)
+
+    def test_fk_declared_onto_a_non_key_column_rejected(self):
+        # fact.dim_code references dim.code, which is not dim's primary key:
+        # regeneration writes every FK value as a referenced pk index, so the
+        # join cannot be decomposed as if it followed an FK -> PK edge.
+        dim = Table(
+            name="dim",
+            columns=[Column("dim_pk", INTEGER), Column("code", INTEGER)],
+            primary_key="dim_pk",
+        )
+        fact = Table(
+            name="fact",
+            columns=[Column("fact_pk", INTEGER), Column("dim_code", INTEGER)],
+            primary_key="fact_pk",
+            foreign_keys=[ForeignKey("dim_code", "dim", "code")],
+        )
+        schema = Schema.from_tables([fact, dim])
+        database = Database.from_table_data(
+            schema,
+            [
+                TableData(dim, {"dim_pk": np.arange(4), "code": np.arange(4) * 10}),
+                TableData(fact, {"fact_pk": np.arange(8), "dim_code": np.arange(8) % 4 * 10}),
+            ],
+        )
+        aqp = AQPExtractor(database=database).extract_sql(
+            "select count(*) from fact, dim where fact.dim_code = dim.code", name="non_key"
+        )
+        with pytest.raises(DecompositionError, match="not along a declared key/foreign-key edge"):
+            decompose_workload([aqp], collect_metadata(database))
 
     def test_filter_above_join_attributed_to_anchor(self, toy_database, toy_metadata):
         """A filter that was not pushed below the join still decomposes correctly."""

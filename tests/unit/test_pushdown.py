@@ -29,10 +29,11 @@ from repro.core.tuplegen import TupleGenerator
 from repro.executor.datagen import DataGenRelation
 from repro.executor.engine import ExecutionEngine, ExecutionResult
 from repro.executor.rate import RateLimiter
-from repro.plans.logical import plan_from_dict
+from repro.plans.logical import AggregateNode, FilterNode, JoinNode, ScanNode, plan_from_dict
 from repro.plans.planner import build_plan, compute_pushdowns
-from repro.sql.predicates import BoxCondition, Interval, IntervalSet
+from repro.sql.predicates import BoxCondition, Comparison, Interval, IntervalSet
 from repro.sql.parser import parse_query
+from repro.sql.query import JoinCondition
 from repro.storage.database import Database
 from repro.workload.toy import FIGURE1_QUERY, ToyConfig, generate_toy_database
 
@@ -95,29 +96,30 @@ def _execute_routes(routes, plan):
     return outcomes
 
 
+def _scan_columns(plan, schema):
+    """``{table: output columns}`` of every scan of ``plan``."""
+    pushdowns = compute_pushdowns(plan, schema)
+    return {
+        node.table: pushdowns[node.node_id]
+        for node in plan.iter_nodes()
+        if isinstance(node, ScanNode)
+    }
+
+
 class TestComputePushdowns:
-    def test_count_star_pushes_predicate_and_drops_output_columns(self, client_database):
+    def test_count_star_drops_the_fused_filter_columns(self, client_database):
         query = parse_query(
             "select count(*) from S where S.A >= 10 and S.A < 30",
             client_database.schema,
         )
         plan = build_plan(query, client_database.schema)
-        pushdowns = compute_pushdowns(plan, client_database.schema)
-        scan = next(node for node in plan.iter_nodes() if node.operator == "SCAN")
-        push = pushdowns[scan.node_id]
-        assert push.table == "S"
-        assert push.generate_columns == ("A",)
-        assert push.output_columns == ()
-        assert push.predicate is not None
+        # A is only read by the filter fused into the scan: nothing survives it.
+        assert _scan_columns(plan, client_database.schema) == {"S": ()}
 
     def test_select_star_keeps_all_columns(self, client_database):
         query = parse_query("select * from S where S.A >= 10", client_database.schema)
         plan = build_plan(query, client_database.schema)
-        pushdowns = compute_pushdowns(plan, client_database.schema)
-        scan = next(node for node in plan.iter_nodes() if node.operator == "SCAN")
-        push = pushdowns[scan.node_id]
-        assert push.generate_columns is None
-        assert push.output_columns is None
+        assert _scan_columns(plan, client_database.schema) == {"S": None}
 
     def test_join_keys_and_projection_are_required(self, client_database):
         query = parse_query(
@@ -125,20 +127,30 @@ class TestComputePushdowns:
             client_database.schema,
         )
         plan = build_plan(query, client_database.schema)
-        pushdowns = compute_pushdowns(plan, client_database.schema)
-        by_table = {push.table: push for push in pushdowns.values()}
-        assert by_table["R"].generate_columns == ("S_fk",)
-        assert set(by_table["S"].generate_columns) == {"S_pk", "A", "B"}
+        by_table = _scan_columns(plan, client_database.schema)
+        assert by_table["R"] == ("S_fk",)
         # B is only referenced by the pushed filter: generated, not output.
-        assert set(by_table["S"].output_columns) == {"S_pk", "A"}
+        assert set(by_table["S"]) == {"S_pk", "A"}
 
-    def test_plain_scan_has_no_pushdowns_entry_effect(self, client_database):
-        from repro.plans.logical import ScanNode
+    def test_a_filter_above_its_scan_keeps_its_columns(self, client_database):
+        schema = client_database.schema
+        plan = AggregateNode(
+            child=FilterNode(
+                child=JoinNode(
+                    left=ScanNode(table="R"),
+                    right=ScanNode(table="S"),
+                    condition=JoinCondition("R", "S_fk", "S", "S_pk"),
+                ),
+                table="S",
+                predicate=Comparison("B", "<", 25),
+            ),
+            function="count",
+        )
+        assert _scan_columns(plan, schema) == {"R": ("S_fk",), "S": ("S_pk", "B")}
 
-        pushdowns = compute_pushdowns(ScanNode(table="S"), client_database.schema)
-        push = next(iter(pushdowns.values()))
-        assert push.generate_columns is None
-        assert push.predicate is None
+    def test_plain_scan_outputs_every_column(self, client_database):
+        scan = ScanNode(table="S")
+        assert compute_pushdowns(scan, client_database.schema) == {scan.node_id: None}
 
 
 class TestRouteEquivalence:
@@ -433,7 +445,6 @@ class TestFastpathOnHandBuiltSummary:
     def test_column_free_predicates_from_aqp_payloads(self, dataless, engine_routes, payload):
         # Deserialised AQPs can carry trivial or empty predicates; fused
         # scans must give them the same constant verdict on every route.
-        from repro.plans.logical import AggregateNode, FilterNode, ScanNode
         from repro.sql.predicates import predicate_from_dict
 
         plan = AggregateNode(
@@ -450,9 +461,6 @@ class TestFastpathOnHandBuiltSummary:
     def test_unknown_column_raises_on_every_route(self, dataless, engine_routes):
         # A malformed AQP package can carry a predicate on a column the table
         # does not have; no route may silently fabricate a count for it.
-        from repro.plans.logical import AggregateNode, FilterNode, ScanNode
-        from repro.sql.predicates import Comparison
-
         plan = AggregateNode(
             child=FilterNode(
                 child=ScanNode(table="fact"),

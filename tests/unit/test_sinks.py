@@ -14,6 +14,7 @@ import pytest
 
 from repro.catalog.schema import Column, ForeignKey, Schema, Table
 from repro.catalog.types import DATE, FLOAT, INTEGER, StringType
+from repro.cli import vendor_main
 from repro.core.errors import HydraError
 from repro.core.summary import (
     DatabaseSummary,
@@ -26,10 +27,8 @@ from repro.sinks import (
     ColumnHasher,
     CsvSink,
     Manifest,
-    ParquetSink,
     SqliteSink,
     export_summary,
-    parquet_available,
     sink_for_format,
     verify_export,
 )
@@ -457,23 +456,28 @@ class TestSinkProtocol:
         assert not (tmp_path / MANIFEST_NAME).exists()
 
 
-class TestParquetSink:
-    @pytest.mark.skipif(parquet_available(), reason="pyarrow installed")
-    def test_missing_pyarrow_raises_clear_error(self, tmp_path):
-        with pytest.raises(HydraError, match="pyarrow"):
-            ParquetSink(tmp_path)
+class TestParquetIsNotAFormat:
+    """The two stdlib backends are the only formats; ``parquet`` gets the typed rejection."""
 
-    @pytest.mark.skipif(not parquet_available(), reason="pyarrow not installed")
-    def test_parquet_round_trip(self, tmp_path):
-        summary = build_summary()
-        csv_manifest = export_summary(summary, CsvSink(tmp_path / "csv"))
-        parquet_manifest = export_summary(summary, ParquetSink(tmp_path / "pq"))
-        for name in summary.relations:
-            assert (
-                parquet_manifest.relations[name].checksum
-                == csv_manifest.relations[name].checksum
+    def test_sink_for_format_rejects_parquet(self, tmp_path):
+        out_dir = tmp_path / "out"
+        expected = "unknown export format 'parquet'; choose from csv, sqlite"
+        with pytest.raises(HydraError, match=expected):
+            sink_for_format("parquet", out_dir)
+        assert not out_dir.exists()
+
+    def test_vendor_cli_rejects_parquet_before_building(self, tmp_path, capsys):
+        out_dir = tmp_path / "out"
+        with pytest.raises(SystemExit) as raised:
+            vendor_main(
+                [
+                    str(tmp_path / "package.json"),
+                    "--materialize", "all", "--format", "parquet", "--out", str(out_dir),
+                ]
             )
-        assert verify_export(summary, tmp_path / "pq").ok
+        assert raised.value.code == 2
+        assert "invalid choice: 'parquet'" in capsys.readouterr().err
+        assert not out_dir.exists()
 
 
 class TestRegenerateSinkWiring:

@@ -79,7 +79,7 @@ class TestTypingPackaging:
         overridden = set()
         for override in payload["tool"]["mypy"]["overrides"]:
             overridden.update(override["module"])
-        assert {"scipy.*", "networkx.*", "pyarrow.*"} <= overridden
+        assert {"scipy.*", "networkx.*"} <= overridden
 
 
 class TestCheckerRunners:
