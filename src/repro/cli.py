@@ -53,7 +53,6 @@ from .sinks import (
 from .telemetry.session import telemetry_session
 from .verify.comparator import VolumetricComparator
 from .verify.report import (
-    format_build_report,
     format_error_cdf,
     format_sample_tuples,
     format_summary_table,
@@ -319,7 +318,7 @@ def _vendor_run(
 
     result.summary.save(args.output)
 
-    print(format_build_report(result.report))
+    print(result.report.describe())
     print()
     print(format_summary_table(result.summary))
     print(f"wrote {args.output}")

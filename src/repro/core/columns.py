@@ -7,28 +7,35 @@ row's flattened target pieces concatenated.  A
 :class:`~repro.core.summary.RelationSummary` derives the view on first use
 (:attr:`~repro.core.summary.RelationSummary.columns`) and never serialises
 it.  Each constrained column of a box is then one array pass over all rows,
-built on one primitive, :func:`integer_prefix`.
+built on one primitive, :func:`integer_prefix` — which an FK spread reads
+through :meth:`FKColumn.matched`, as it reads the :class:`Prefix` a join's
+fold gives the relation it references (:meth:`SummaryColumns.fold`).
 """
 
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Callable, Iterator, Mapping, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
 
-from ..sql.predicates import BoxCondition, IntervalSet
+from ..sql.predicates import BoxCondition, Interval, IntervalSet
 
 if TYPE_CHECKING:
     from .summary import SummaryRow
 
-__all__ = ["FKColumn", "RowMatches", "SummaryColumns", "integer_prefix"]
+__all__ = ["FKColumn", "Prefix", "RowMatches", "SummaryColumns", "integer_prefix"]
+
+#: Weighs the targets below each pk ``x``: ``F(x)``, one row (or one count) per ``x``.
+Weigh = Callable[[NDArray[Any]], NDArray[Any]]
+#: ``(lo, hi, row)``: pk runs ``[lo, hi)``, each inside summary row ``row``.
+Runs = tuple[NDArray[Any], NDArray[Any], NDArray[Any]]
+#: A :class:`Prefix` array that is never read (no run has a varying spread).
+_UNREAD: NDArray[np.int64] = np.zeros(0, dtype=np.int64)
 
 
-def integer_prefix(
-    intervals: IntervalSet, low: int, high: int
-) -> Callable[[NDArray[np.int64]], NDArray[np.int64]]:
+def integer_prefix(intervals: IntervalSet, low: int, high: int) -> Weigh:
     """``F(x)``: how many integers of ``intervals`` lie in ``[low, x)``, for ``low <= x <= high``.
 
     ``[a, b)`` holds the integers ``ceil(a) .. ceil(b) - 1``, so the ceiled
@@ -70,6 +77,8 @@ class FKColumn:
     ``i`` belongs to row ``row[i]``, holds the targets ``first[i] ..
     stop[i] - 1`` at spread positions from ``position[i]``; the pieces of
     row ``r`` are ``bounds[r]:bounds[r + 1]``, all inside pks ``[low, high)``.
+    ``key`` numbers every spread position of every row consecutively, and an
+    empty last piece past every row gives each key a piece at or below it.
     """
 
     def __init__(self, rows: Sequence[SummaryRow], column: str) -> None:
@@ -77,46 +86,106 @@ class FKColumn:
         self.spread = np.array([flat is not None for flat in flats], dtype=bool)
         self.every_row = bool(self.spread.all())
         pieces = [
-            (position, first, flat[2][i + 1] - flat[2][i], flat[2][i])
+            (position, first, flat[1][i + 1] - flat[1][i], flat[1][i])
             for position, flat in enumerate(flats)
             if flat is not None
-            for i, first in enumerate(flat[1])
+            for i, first in enumerate(flat[0])
         ]
-        table = np.array(pieces, dtype=np.int64).reshape(-1, 4)
+        table = np.array(pieces + [(len(rows), 0, 0, 0)], dtype=np.int64)
         self.row, self.first, self.size, self.position = table.T
         self.stop = self.first + self.size
         self.total = np.array(
-            [0 if flat is None else flat[2][-1] for flat in flats], dtype=np.int64
+            [0 if flat is None else flat[1][-1] for flat in flats], dtype=np.int64
         )
+        self.period, self.every = np.maximum(self.total, 1), np.arange(len(rows))
         self.bounds = self.row.searchsorted(np.arange(len(rows) + 1))
-        self.low = int(self.first.min(initial=0))
-        self.high = int(self.stop.max(initial=0))
+        self.origin = np.concatenate(([0], self.total.cumsum()))
+        self.key = self.origin[self.row] + self.position
+        self.low = int(self.first.min())
+        self.high = int(self.stop.max())
 
     def matched(
-        self, allowed: IntervalSet, counts: NDArray[np.int64]
+        self, prefix: Weigh, counts: NDArray[Any], rows: NDArray[Any] | None = None
     ) -> tuple[NDArray[np.int64], NDArray[np.int64]]:
-        """Per spread row: ``(matched, reachable)`` against ``allowed``.
+        """``(matched, reachable)``: the weight of offsets ``0..counts[i]-1`` of row ``rows[i]``.
 
-        ``matched`` counts the row's offsets ``0..count-1`` whose target is in
-        ``allowed`` (:meth:`~repro.core.summary.FKReference.count_matching_offsets`):
-        ``cycles × G(total) + G(rest)`` for ``cycles, rest = divmod(count,
-        total)``, where ``G(x)`` counts the spread positions below ``x``
-        hitting ``allowed``, summed over the row's pieces from the integer
-        prefix of ``allowed``.  ``reachable = G(total)`` counts the
-        admissible targets in ``allowed``.
+        ``prefix(x)`` weighs the targets below pk ``x`` — the integer prefix
+        of an allowed set, or the :class:`Prefix` of the referenced relation
+        (a trailing weight axis is kept).  Offset ``k`` reaches the spread's
+        ``(k mod total)``-th target, so ``matched`` is ``cycles × G(total) +
+        G(rest)`` for ``cycles, rest = divmod(count, total)``, where ``G(y)``
+        weighs the spread positions below ``y``: the pieces before ``y``'s
+        (one cumulative sum) plus the head of its own.  ``reachable =
+        G(total)`` per row.  ``rows`` defaults to every row once; a row that
+        does not spread matches nothing.
         """
-        cycles, rest = np.divmod(counts, np.maximum(self.total, 1))
-        take = np.minimum(np.maximum(rest[self.row] - self.position, 0), self.size)
-        at = integer_prefix(allowed, self.low, self.high)(
-            np.concatenate((self.first, self.stop, self.first + take))
-        )
+        rows = self.every if rows is None else rows
+        cycles, rest = np.divmod(counts, self.period[rows])
+        piece = self.key.searchsorted(self.origin[rows] + rest, side="right") - 1
         pieces = len(self.first)
-        # Per piece: its allowed targets, and those among its first ``take``.
-        hits = at[pieces:].reshape(2, pieces) - at[:pieces]
-        summed = np.zeros((2, pieces + 1), dtype=np.int64)
-        hits.cumsum(axis=1, out=summed[:, 1:])
-        reachable, head = summed[:, self.bounds[1:]] - summed[:, self.bounds[:-1]]
-        return cycles * reachable + head, reachable
+        at = prefix(
+            np.concatenate((self.first, self.stop, self.first[piece] + rest - self.position[piece]))
+        )
+        summed = np.zeros((pieces + 1,) + at.shape[1:], dtype=np.int64)
+        np.cumsum(at[pieces : 2 * pieces] - at[:pieces], axis=0, out=summed[1:])
+        reachable = summed[self.bounds[1:]] - summed[self.bounds[:-1]]
+        head = summed[piece] - summed[self.bounds[rows]] + at[2 * pieces :] - at[piece]
+        return reachable[rows] * cycles.reshape((-1,) + (1,) * (at.ndim - 1)) + head, reachable
+
+
+class Prefix:
+    """``F(x)`` of one relation of an FK out-tree: the weight of its joining tuples below pk ``x``.
+
+    Built by :meth:`SummaryColumns.fold` over pk runs ``[lo, hi)``, run
+    ``i`` inside summary row ``row[i]``.  A run weighs ``gained``:
+    ``factor`` per tuple or, where ``chosen`` (per run; ``-1`` for none)
+    indexes a spread of ``spreads`` whose targets weigh differently,
+    ``factor`` times its tuples' targets' weight — :meth:`FKColumn.matched`
+    at the tuples' offsets into their row (which starts at ``offsets[row]``)
+    less ``begun``, its value at ``lo``.  ``chosen``, ``begun`` and
+    ``offsets`` are read only when ``spreads`` is non-empty.  ``total`` is
+    ``F`` past the last pk; a weight has one entry per owner row of a
+    ``SUM``, else one.
+    """
+
+    def __init__(
+        self,
+        runs: Runs,
+        factor: NDArray[np.int64],
+        gained: NDArray[np.int64],
+        spreads: Sequence[tuple[FKColumn, Weigh]] = (),
+        chosen: NDArray[np.int64] = _UNREAD,
+        begun: NDArray[np.int64] = _UNREAD,
+        offsets: NDArray[np.int64] = _UNREAD,
+    ) -> None:
+        self.lo, self.hi, self.row = runs
+        self.factor, self.gained = factor, gained
+        self.spreads, self.chosen, self.begun, self.offsets = spreads, chosen, begun, offsets
+        self.cumulative = np.zeros((len(gained) + 1, gained.shape[1]), dtype=np.int64)
+        gained.cumsum(axis=0, out=self.cumulative[1:])
+        self.total = self.cumulative[-1]
+
+    def __call__(self, x: NDArray[np.int64]) -> NDArray[np.int64]:
+        if not len(self.lo):
+            return np.zeros((len(x), self.gained.shape[1]), dtype=np.int64)
+        # The run at or below x; below the first run, the first run's start.
+        run = np.maximum(self.lo.searchsorted(x, side="right") - 1, 0)
+        upto = np.minimum(np.maximum(x, self.lo[run]), self.hi[run])
+        value = self.cumulative[run] + self.factor[run] * (upto - self.lo[run])[:, None]
+        for index, (fk, prefix) in enumerate(self.spreads):
+            mine = np.flatnonzero(self.chosen[run] == index)
+            if len(mine):
+                at, row = run[mine], self.row[run[mine]]
+                weighed = fk.matched(prefix, upto[mine] - self.offsets[row], row)[0]
+                value[mine] = self.cumulative[at] + self.factor[at] * (weighed - self.begun[at])
+        return value
+
+    def ranges(self) -> list[Interval] | None:
+        """The pk runs of the weighed tuples; ``None`` when a varying spread scatters them."""
+        hit = self.gained.any(axis=1)
+        if self.spreads and (hit & (self.chosen >= 0)).any():
+            return None
+        return list(map(Interval, self.lo[hit].tolist(), self.hi[hit].tolist()))
 
 
 class SummaryColumns:
@@ -131,6 +200,7 @@ class SummaryColumns:
         self.rows = rows
         self.offsets = offsets
         self.counts = offsets[1:] - offsets[:-1]
+        self.nonempty, self.unit = self.counts > 0, np.ones((len(rows), 1), dtype=np.int64)
         self.fk_columns = frozenset(column for row in rows for column in row.fk_refs)
         self._values: dict[str, NDArray[np.float64]] = {}
         self._fks: dict[str, FKColumn] = {}
@@ -158,6 +228,99 @@ class SummaryColumns:
         fk = self.fk(column)
         return np.zeros(len(self.counts), dtype=bool) if fk is None else fk.spread
 
+    def runs(self, intervals: IntervalSet) -> Runs:
+        """The pk runs of ``intervals``, cut at the rows' ends."""
+        offsets = self.offsets
+        total = int(offsets[-1])
+        counted = integer_prefix(intervals, 0, total)
+        at = counted(offsets)
+        matched = at[1:] - at[:-1]
+        if ((matched == 0) | (matched == self.counts)).all():  # whole rows, as a decided box
+            row = np.flatnonzero(matched)
+            return offsets[row], offsets[row + 1], row
+        ends = [math.ceil(min(max(end, 0), total)) for p in intervals for end in (p.low, p.high)]
+        cuts = np.union1d(offsets, np.array(ends, dtype=np.int64))
+        at = counted(cuts)
+        inside = np.flatnonzero(at[1:] > at[:-1])
+        lo = cuts[inside]
+        return lo, cuts[inside + 1], offsets.searchsorted(lo, side="right") - 1
+
+    def fold(
+        self,
+        box: BoxCondition,
+        pk_column: str | None,
+        refs: Mapping[str, Prefix],
+        weights: NDArray[np.int64] | None,
+    ) -> Prefix | None:
+        """This relation's :class:`Prefix`: its tuples matching ``box`` whose FKs in ``refs`` join.
+
+        ``refs`` maps an FK column to the prefix of the relation it references
+        (whose box holds ``box``'s condition on the column); another FK column
+        of ``box`` references its allowed set (:func:`integer_prefix`).  A
+        tuple weighs ``weights[row]`` (1 for ``None``) times its targets'
+        weights: a constant target ``t`` reads ``F(t + 1) - F(t)``, a spread
+        whose targets weigh the same scales its row, one whose targets differ
+        weighs each tuple by its own.  ``None`` when a row with weight has two
+        such spreads: they correlate through the tuple offset.
+        """
+        factor = self.unit if weights is None else weights
+        if box.is_empty:  # no tuple can match: no run, as wide as the weights
+            width = max([factor.shape[1]] + [len(ref.total) for ref in refs.values()])
+            none, nothing = self.offsets[:0], np.zeros((0, width), dtype=np.int64)
+            return Prefix((none, none, none), nothing, nothing)
+        live = self.nonempty & box.satisfiable
+        prefixes: dict[str, Weigh] = dict(refs)
+        for column, intervals in box.conditions.items():
+            if column == pk_column or column in refs:
+                continue
+            fk = self.fk(column)
+            member = _members(intervals, self.value(column))
+            live &= member if fk is None else fk.spread | member
+            if fk is not None:
+                counted = integer_prefix(intervals, fk.low, fk.high)
+                prefixes[column] = lambda x, counted=counted: counted(x)[:, None]
+        intervals = None if pk_column is None else box.conditions.get(pk_column)
+        if intervals is None:
+            row = np.flatnonzero(live)
+            lo, hi = self.offsets[row], self.offsets[row + 1]
+        else:
+            lo, hi, row = self.runs(intervals)
+            keep = live[row]
+            lo, hi, row = lo[keep], hi[keep], row[keep]
+        chosen: Any = -1  # per row, its one varying spread; -2: two of them
+        spreads: list[tuple[FKColumn, Weigh]] = []
+        weighed: list[NDArray[np.int64]] = []
+        for column, prefix in prefixes.items():
+            fk = self.fk(column)
+            if column in refs and (fk is None or not fk.every_row):
+                target = self.value(column).astype(np.int64)
+                joins = prefix(target + 1) - prefix(target)
+                factor = factor * (joins if fk is None else np.where(fk.spread[:, None], 1, joins))
+            if fk is None:
+                continue
+            twice = np.concatenate((row, row))
+            at, reach = fk.matched(prefix, np.concatenate((lo, hi)) - self.offsets[twice], twice)
+            varies = fk.spread & reach.any(axis=1) & (reach.max(axis=1) != fk.total)
+            whole = (fk.spread & ~varies)[:, None]
+            factor = factor * np.where(whole, reach // fk.period[:, None], 1)
+            if varies.any():
+                chosen = np.where(varies, np.where(chosen == -1, len(spreads), -2), chosen)
+                spreads.append((fk, prefix))
+                weighed.append(at.reshape(2, len(row), at.shape[1]))
+        span = (hi - lo)[:, None]
+        if factor is self.unit:
+            return Prefix((lo, hi, row), self.unit[: len(row)], span)
+        factor = factor[row]
+        if not weighed:
+            return Prefix((lo, hi, row), factor, factor * span)
+        chosen, begun = chosen[row], np.zeros_like(span)
+        if (chosen[factor.any(axis=1)] == -2).any():
+            return None
+        for index, at in enumerate(weighed):
+            mine = (chosen == index)[:, None]
+            span, begun = np.where(mine, at[1] - at[0], span), np.where(mine, at[0], begun)
+        return Prefix((lo, hi, row), factor, factor * span, spreads, chosen, begun, self.offsets)
+
     def column_counts(
         self, box: BoxCondition, pk_column: str | None
     ) -> Iterator[tuple[str, NDArray[np.int64], NDArray[np.bool_]]]:
@@ -180,7 +343,7 @@ class SummaryColumns:
                 member = _members(intervals, self.value(column))
                 yield column, np.where(member, self.counts, 0), ~member
                 continue
-            matched, reachable = fk.matched(intervals, self.counts)
+            matched, reachable = fk.matched(integer_prefix(intervals, fk.low, fk.high), self.counts)
             excluded = reachable == 0
             if not fk.every_row:  # a row storing a constant target is all or nothing
                 member = _members(intervals, self.value(column))

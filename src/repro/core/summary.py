@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate
 from types import MappingProxyType
-from typing import Any, Iterator, Mapping, Sequence, cast
+from typing import Any, Mapping, Sequence, cast
 
 import numpy as np
 from numpy.typing import NDArray
@@ -40,7 +40,7 @@ from numpy.typing import NDArray
 from ..catalog.schema import Schema, Table
 from ..serialization import JsonDocument
 from ..sql.predicates import BoxCondition, Interval, IntervalSet, Predicate
-from .columns import RowMatches, SummaryColumns
+from .columns import FKColumn, RowMatches, SummaryColumns, integer_prefix
 from .errors import SummaryError
 
 __all__ = [
@@ -69,21 +69,21 @@ class FKReference:
         return {"ref_table": self.ref_table, "intervals": self.intervals}
 
     @cached_property
-    def flat(self) -> tuple[tuple[Interval, ...], tuple[int, ...], tuple[int, ...]]:
-        """``(pieces, starts, bounds)`` over the intervals holding an integer.
+    def flat(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """``(starts, bounds)`` over the intervals holding an integer.
 
         Piece ``i`` holds target positions ``[bounds[i], bounds[i + 1])``, the
         first of them being pk index ``starts[i]``; ``bounds[-1]`` is the
         target count.  ``ValueError`` for an unbounded interval.
         """
-        pieces = tuple(interval for interval in self.intervals if interval.count_integers())
+        pieces = [interval for interval in self.intervals if interval.count_integers()]
         starts = tuple(math.ceil(piece.low) for piece in pieces)
         bounds = tuple(accumulate((piece.count_integers() for piece in pieces), initial=0))
-        return pieces, starts, bounds
+        return starts, bounds
 
     def target_count(self) -> int:
         """Number of distinct referenced pk indices available."""
-        return self.flat[2][-1]
+        return self.flat[1][-1]
 
     def _positive_count(self) -> int:
         total = self.target_count()
@@ -99,7 +99,7 @@ class FKReference:
         The scalar reference :meth:`fill_targets` vectorises.
         """
         k = int(k) % self._positive_count()
-        _pieces, starts, bounds = self.flat
+        starts, bounds = self.flat
         i = bisect.bisect_right(bounds, k) - 1
         return starts[i] + k - bounds[i]
 
@@ -111,7 +111,7 @@ class FKReference:
         runs; the cells after them repeat those with period ``total``.
         """
         total = self._positive_count()
-        _pieces, starts, bounds = self.flat
+        starts, bounds = self.flat
         size, k = len(out), int(offset) % total
         head = min(size, total)
         i = bisect.bisect_right(bounds, k) - 1
@@ -127,89 +127,6 @@ class FKReference:
             step = min(done, size - done)
             out[done : done + step] = out[:step]
             done += step
-
-    def _overlaps(self, allowed: IntervalSet) -> Iterator[tuple[int, int, int]]:
-        """``(pk, size, position)`` of every overlap of an admissible piece with ``allowed``.
-
-        The targets ``pk .. pk + size - 1`` sit at positions ``position ..
-        position + size - 1`` of the flattened order.  One forward merge walk
-        over both sorted lists visits every overlap in O(#pieces + #allowed)
-        and allocates no interval.
-        """
-        pieces, starts, bounds = self.flat
-        ranges = allowed.intervals
-        first = 0
-        for piece, base, position in zip(pieces, starts, bounds):
-            # Allowed intervals ending at or before this piece end before every later one.
-            while first < len(ranges) and ranges[first].high <= piece.low:
-                first += 1
-            index = first
-            while index < len(ranges) and ranges[index].low < piece.high:
-                low = math.ceil(max(piece.low, ranges[index].low))
-                size = math.ceil(min(piece.high, ranges[index].high)) - low
-                if size > 0:
-                    yield low, size, position + (low - base)
-                index += 1
-
-    def count_matching_offsets(self, num_offsets: int, allowed: IntervalSet) -> int:
-        """How many of the offsets ``0..num_offsets-1`` hit a target in ``allowed``.
-
-        The round-robin spread assigns offset ``k`` the ``(k mod total)``-th
-        admissible target, so the answer only depends on which *positions* in
-        the flattened target order fall inside ``allowed``: each overlap of an
-        admissible piece with an allowed interval (:meth:`_overlaps`) is a
-        contiguous position range, hit once per full cycle plus once more if
-        it starts before the remainder.  No target is ever enumerated,
-        keeping the summary fast path O(#summary rows).
-        """
-        total = self.target_count()
-        if total <= 0 or num_offsets <= 0:
-            return 0
-        full_cycles, remainder = divmod(int(num_offsets), total)
-        matched = 0
-        for _pk, size, position in self._overlaps(allowed):
-            matched += size * full_cycles + max(0, min(position + size, remainder) - position)
-        return matched
-
-    def add_matching_offsets_by_row(
-        self,
-        start: int,
-        stop: int,
-        allowed: IntervalSet,
-        row_bounds: Sequence[int],
-        counts: list[int],
-    ) -> None:
-        """Add the offsets ``start..stop-1`` hitting ``allowed`` to ``counts``, per referenced row.
-
-        ``row_bounds`` are the referenced relation's cumulative pk offsets
-        (:attr:`RelationSummary.cumulative_offsets`): an offset whose target
-        lies in ``[row_bounds[j], row_bounds[j + 1])`` adds one to
-        ``counts[j]``; a target outside every row adds nothing.  The same
-        merge walk as :meth:`count_matching_offsets`, with each overlap cut at
-        the row boundaries, so with ``start = 0`` and ``allowed`` inside the
-        rows the added counts total ``count_matching_offsets(stop, allowed)``.
-        A window ``start > 0`` is the prefix difference ``[0, stop) − [0, start)``.
-        """
-        total = self.target_count()
-        if total <= 0 or stop <= start:
-            return
-        stop_cycles, stop_rest = divmod(int(stop), total)
-        start_cycles, start_rest = divmod(int(start), total)
-        for pk, size, position in self._overlaps(allowed):
-            end = min(pk + size, row_bounds[-1])
-            if pk < row_bounds[0]:
-                position += row_bounds[0] - pk
-                pk = row_bounds[0]
-            row = bisect.bisect_right(row_bounds, pk) - 1
-            while pk < end:
-                cut = min(end, row_bounds[row + 1])
-                run = cut - pk
-                counts[row] += (
-                    run * (stop_cycles - start_cycles)
-                    + max(0, min(position + run, stop_rest) - position)
-                    - max(0, min(position + run, start_rest) - position)
-                )
-                pk, position, row = cut, position + run, row + 1
 
     def to_dict(self) -> dict[str, Any]:
         return {"ref_table": self.ref_table, "intervals": self.intervals.to_dict()}
@@ -399,9 +316,10 @@ class RelationSummary:
         spread.  A row's matched count is its count, its pk window's, or its
         one partial spread's; a pk window *plus* one partial spread is still
         countable, because offsets are pk indices shifted by the segment
-        start (prefix differences of
-        :meth:`FKReference.count_matching_offsets`, per such row).  Two
-        partial spreads correlate through the tuple offset: ``-1``.
+        start: the spread's count (:meth:`FKColumn.matched
+        <repro.core.columns.FKColumn.matched>`) at the window's pk runs'
+        ends, differenced.  Two partial spreads correlate through the tuple
+        offset: ``-1``.
         """
         view = self.columns
         counts = matched = view.counts
@@ -423,17 +341,17 @@ class RelationSummary:
                 matched = np.where(mask & ~windowed, fk_matched[column], matched)
             if len(partial) > 1:
                 matched = np.where(spreads > 1, -1, matched)
-            for position in (windowed & (spreads == 1)).nonzero()[0]:
-                (column,) = (column for column, mask in partial.items() if mask[position])
-                ref, allowed = self.rows[position].fk_refs[column], box.conditions[column]
-                start, _end = self.pk_interval_of_row(position)
-                matched[position] = 0
-                for piece in self.pk_window(position, box.conditions[cast(str, pk_column)]):
-                    low = math.ceil(piece.low) - start
-                    high = low + piece.count_integers()
-                    matched[position] += ref.count_matching_offsets(
-                        high, allowed
-                    ) - ref.count_matching_offsets(low, allowed)
+            single = windowed & (spreads == 1)
+            if single.any():
+                lo, hi, row = view.runs(box.conditions[cast(str, pk_column)])
+                matched = np.where(single, 0, matched)
+                for column, mask in partial.items():
+                    mine = (single & mask)[row]
+                    fk, twice = cast(FKColumn, view.fk(column)), np.concatenate((row[mine],) * 2)
+                    ends = np.concatenate((lo[mine], hi[mine])) - view.offsets[twice]
+                    allowed = integer_prefix(box.conditions[column], fk.low, fk.high)
+                    at = fk.matched(allowed, ends, twice)[0].reshape(2, -1)
+                    np.add.at(matched, row[mine], at[1] - at[0])
         matched = np.where(alive, matched, 0)
         return RowMatches(matched, alive, partial, spreads, windowed)
 
@@ -449,28 +367,20 @@ class RelationSummary:
         matched = self.classify(box, pk_column).matched
         return None if (matched < 0).any() else int(matched.sum())
 
-    def matching_pk_intervals(
-        self, box: BoxCondition, pk_column: str | None = None, exact: bool = False
-    ) -> IntervalSet | None:
+    def matching_pk_intervals(self, box: BoxCondition, pk_column: str | None = None) -> IntervalSet:
         """Pk *index* intervals whose tuples may satisfy ``box``.
 
         Projects the box onto the relation's contiguous pk index space (the
         deterministic alignment assigns each summary row the pk range
         :meth:`pk_interval_of_row`): the segments of the :meth:`classify`
-        alive rows, a pk-windowed row contributing its window only.  By
-        default the result is a sound *superset*: a summary row whose fk
-        spread matches the box only partially keeps its whole segment,
-        because the matching offsets are scattered by the round-robin and do
-        not form a pk range.  With ``exact=True`` the method instead returns
-        exactly the matching pk indices, or ``None`` when some row's matching
-        subset is not a pk range — the contract the join-COUNT fast path
-        needs.
+        alive rows, a pk-windowed row contributing its window only.  The
+        result is a sound *superset*: a summary row whose fk spread matches
+        the box only partially keeps its whole segment, because the matching
+        offsets are scattered by the round-robin and do not form a pk range.
         """
         if box.is_empty:
             return IntervalSet.empty()
         rows = self.classify(box, pk_column)
-        if exact and rows.spreads.any():
-            return None
         pieces = self.segments(rows.alive & ~rows.windowed)
         for position in rows.windowed.nonzero()[0]:
             pieces.extend(self.pk_window(position, box.conditions[cast(str, pk_column)]))

@@ -50,6 +50,7 @@ from ..telemetry.session import add_counter, is_active, span
 from .datagen import DataGenRelation
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..core.columns import Prefix
     from ..core.summary import RelationSummary
 
 __all__ = ["ExecutionResult", "ExecutionEngine", "ExecutorError", "RouteEvent"]
@@ -223,11 +224,10 @@ class ExecutionEngine:
       (:meth:`_execute_join`);
     * ``COUNT``, ``SUM`` and ``AVG`` over a summary-backed relation or a
       left-deep tree of key/foreign-key joins of such relations are answered
-      from the relation summaries (count × interval arithmetic, O(#summary
-      rows); a sum owned by the join's FK root or a table it references
-      directly, folded exactly and rounded once) whenever every pushed
-      filter is an exact box the summaries can count; otherwise the child
-      plan runs.
+      from the relation summaries by one bottom-up fold over the FK tree
+      (O(#summary rows) per table; a sum owned by any table of the tree,
+      folded exactly and rounded once) whenever every pushed filter is an
+      exact box the summaries can count; otherwise the child plan runs.
       A filter reading only value columns always is one: without an exact
       box of its own it is decided once per summary row into a pk-range box
       (:class:`_Leaf`), which the streaming route also uses to skip segments.
@@ -667,8 +667,6 @@ class ExecutionEngine:
         if ref is None or ref.summary is None or ref.box is None:
             return None
         intervals = ref.summary.matching_pk_intervals(ref.box, pk_column=ref_column)
-        if intervals is None:
-            return None
         total = ref.summary.total_rows
         if total > 0 and intervals.count_integers() == total:
             return None  # every referenced pk is reachable
@@ -764,27 +762,25 @@ class ExecutionEngine:
         """``(count, sum)`` of an aggregate straight from the relation summaries.
 
         Applies to ``COUNT``, ``SUM`` and ``AVG`` over a left-deep FK–PK join
-        tree — a single leaf is its zero-join case — when every input is the
-        leaf access path of a summary-backed dataless relation, every join
-        condition follows a schema foreign-key edge onto the referenced
-        primary key (:meth:`_edge`) and every pushed filter is an exact box.
-        This covers the single FK–PK join, multi-way chains (``A→B→C``: the
-        middle relation's matching pks are first narrowed by *its own* FK
-        condition toward ``C``) and stars (one fact referencing several
-        dimensions) — any join subset whose FK edges form an out-tree from a
-        single referencing root.
-
-        Every leaf's own filter is counted with
-        :meth:`~repro.core.summary.RelationSummary.count_matching`; each join
-        is the FK root's tuples matching its combined box over the tables
-        joined so far (:meth:`_fk_root`), and a ``SUM``/``AVG`` adds its
-        argument over the rows of the whole tree (:meth:`_summary_sum`).
-        O(#summary rows × #joins) total, zero tuples generated, and exact
-        because every referencing tuple joins at most one (unique,
-        auto-numbered) referenced pk.  Bails whenever a step is not exactly
-        countable, so the caller executes the child plan instead; otherwise
-        annotates every leaf and join node with the cardinalities that
-        execution would produce.
+        tree — a single leaf is its zero-join case — of leaf access paths of
+        summary-backed dataless relations, every join condition on a schema
+        foreign-key edge onto the referenced primary key (:meth:`_edge`), the
+        edges an out-tree from one referencing root (the one table no edge
+        references, whatever its place in ``FROM``) and every pushed filter an
+        exact box.  One bottom-up fold over the tree, the semi-join reduction,
+        answers every node: each table's :class:`~repro.core.columns.Prefix`
+        weighs its tuples matching its own box whose every FK joins a weighed
+        tuple below (:meth:`~repro.core.columns.SummaryColumns.fold`), a join
+        counts its FK root's weight over its prefix of the spine and a leaf's
+        filter its own fold with nothing joined.  A ``SUM``/``AVG`` owned below
+        the root weighs the owner's tuples by one unit vector per owner row
+        (every weight is as wide as the owner's summary), owned by the root
+        per run of its rows; either is folded exactly and rounded once
+        (:func:`_exact_sum`) — :func:`math.fsum` over the streamed column.
+        O(#summary rows) per table, times the owner's rows on the path from
+        a weighed owner; no tuple generated.  Bails when a step is not
+        exactly countable, else annotates every leaf and join node with the
+        cardinalities execution would give.
         """
         spine: list[JoinNode] = []
         anchor = node.child
@@ -817,220 +813,90 @@ class ExecutionEngine:
             summaries[name], boxes[name] = leaf.summary, leaf.box
 
         counting = node.function == "count"
-        # Filter annotations: tuples matching each table's own box only.  A
-        # single-leaf SUM/AVG counts its leaf while summing.
-        filter_counts: dict[str, int] = {}
-        if spine or counting:
-            for name, leaf in leaves.items():
-                count = summaries[name].count_matching(
-                    boxes[name], pk_column=leaf.table.primary_key
-                )
-                if count is None:
+        weighed: str | None = None  # a SUM's owner below the root: one unit weight per row
+        children: dict[str, list[tuple[str, str]]] = {}
+        folds: dict[tuple[Any, ...], Prefix] = {}
+
+        def fold(name: str, pks: IntervalSet | None) -> tuple[tuple[Any, ...], Prefix]:
+            """``name``'s prefix over its subtree so far, folded once per plan and subtree."""
+            leaf, box = leaves[name], boxes[name]
+            if pks is not None:
+                box = box.with_condition(cast(str, leaf.table.primary_key), pks)
+            key: tuple[Any, ...] = (name, pks, name == weighed)
+            refs: dict[str, Prefix] = {}
+            for column, target in children.get(name, ()):
+                below, refs[column] = fold(target, box.conditions.get(column))
+                key += (below,)
+            if key not in folds:
+                view = summaries[name].columns
+                weights = np.eye(len(view.counts), dtype=np.int64) if name == weighed else None
+                folded = view.fold(box, leaf.table.primary_key, refs, weights)
+                if folded is None:
                     self._fallback("summary-not-exact")
-                filter_counts[name] = count
-        # Each join is the join of the tables attached so far: its FK root's
-        # tuples matching the root's combined box over that prefix.  A
-        # SUM/AVG counts the whole tree's rows while summing.
-        tables = list(leaves)
-        root, combined = tables[0], boxes[tables[0]]
-        join_counts: list[int] = []
-        for index in range(len(spine)):
-            rooted = self._fk_root(tables[: index + 2], edges[: index + 1], boxes, summaries)
-            if rooted is None:
+                folds[key] = folded
+            return key, folds[key]
+
+        # Filter annotations: each table's tuples matching its own box only.
+        filter_counts = {name: int(fold(name, None)[1].total.sum()) for name in leaves}
+        # Each join adds a table at one end of its edge, the other end joined
+        # already and referenced by no earlier edge: the root moves up when
+        # the new table references it.
+        place = {name: index for index, name in enumerate(leaves)}
+        roots, referenced = [first.scan.table], set[str]()
+        for index, (fk_table, _fk_column, ref_table, _ref_column) in enumerate(edges):
+            low, high = sorted((place[fk_table], place[ref_table]))
+            if high != index + 1 or low == high or ref_table in referenced:
                 self._fallback("join-not-exactly-countable")
-            root, combined = rooted
-            if counting or index + 1 < len(spine):
-                joined = summaries[root].count_matching(
-                    combined, pk_column=leaves[root].table.primary_key
-                )
-                if joined is None:
-                    self._fallback("join-not-exactly-countable")
-                join_counts.append(joined)
+            referenced.add(ref_table)
+            roots.append(fk_table if ref_table == roots[-1] else roots[-1])
+
+        join_counts: list[int] = []
+        for index, (fk_table, fk_column, ref_table, _ref_column) in enumerate(edges):
+            children.setdefault(fk_table, []).append((fk_column, ref_table))
+            if counting or index + 1 < len(edges):
+                join_counts.append(int(fold(roots[index + 1], None)[1].total.sum()))
         total = 0.0
         if not counting:
-            count, total = self._summary_sum(root, combined, leaves, edges, node.argument)
-            if spine:
-                join_counts.append(count)
+            prefix, _, column = (node.argument or "").rpartition(".")
+            owners = [
+                name
+                for name, leaf in leaves.items()
+                if prefix in ("", name) and leaf.table.has_column(column)
+            ]
+            if len(owners) != 1:
+                self._fallback("argument-not-resolvable")
+            (owner,) = owners
+            root, view = roots[-1], summaries[owner].columns
+            on_pk = column == leaves[owner].table.primary_key
+            if on_pk and owner != root:
+                self._fallback("fk-argument-not-summable")  # the joined pks are FK targets
+            values, spread = view.value(column), view.spread(column)
+            if owner == root:  # the joined tuples per run of the root's own rows
+                rooted = fold(root, None)[1]
+                values, spread, joined = values[rooted.row], spread[rooted.row], rooted.gained[:, 0]
+            else:  # the joined tuples per owner row, carried up to the root
+                weighed = owner
+                joined = fold(root, None)[1].total
+            hit = joined != 0
+            if on_pk:
+                ranges = rooted.ranges()
+                if ranges is None:
+                    self._fallback("pk-scattered-by-fk")
+                total = _exact_sum({1.0: IntervalSet(ranges).sum_integers()})
+            elif spread[hit].any():
+                self._fallback("fk-argument-not-summable")  # targets vary per tuple
             else:
-                filter_counts[root] = count
+                total = _exact_sum(_weights(values[hit], joined[hit]))
+            join_counts.append(int(joined.sum()))
+        del fold  # it calls itself: free its folds now, not at the next cycle collection
 
         for name, leaf in leaves.items():
             leaf.scan.cardinality = leaf.provider.row_count
             if leaf.filter is not None:
                 leaf.filter.cardinality = filter_counts[name]
-        for join, joined in zip(spine, join_counts):
-            join.cardinality = joined
-        return (join_counts[-1] if spine else filter_counts[root]), total
-
-    def _fk_root(
-        self,
-        tables: list[str],
-        edges: list[tuple[str, str, str, str]],
-        boxes: Mapping[str, BoxCondition],
-        summaries: "Mapping[str, RelationSummary]",
-    ) -> tuple[str, BoxCondition] | None:
-        """The FK root of an out-tree join over ``tables`` and its combined box.
-
-        ``edges`` are ``(fk_table, fk_column, ref_table, ref_column)``
-        resolutions.  The join must form an out-tree from a single
-        referencing root — the one table no edge references, whatever its
-        place in ``FROM`` — every other table being the referenced side of
-        exactly one edge.  Every table's exactly-matching pk intervals are
-        computed bottom-up
-        (:meth:`~repro.core.summary.RelationSummary.matching_pk_intervals`
-        with ``exact=True``) — own box plus the FK conditions toward its
-        referenced children — and the root's combined box is its own box plus
-        its FK conditions toward the tables it references: the join's rows
-        are exactly the root's tuples matching it, each joined to one tuple of
-        every other table.  ``None`` when the shape does not apply (two facts
-        sharing a dimension multiply cardinalities, which interval arithmetic
-        cannot express) or a referenced side's matching pks are not pk ranges.
-        """
-        ref_tables = [edge[2] for edge in edges]
-        if len(set(ref_tables)) != len(ref_tables):
-            return None
-        roots = [table for table in tables if table not in ref_tables]
-        if len(roots) != 1:
-            return None
-        out_edges: dict[str, list[tuple[str, str]]] = {}
-        for fk_table, fk_column, ref_table, _ref_column in edges:
-            out_edges.setdefault(fk_table, []).append((fk_column, ref_table))
-
-        def conditioned_box(table_name: str) -> BoxCondition | None:
-            box = boxes[table_name]
-            for fk_column, ref_table in out_edges.get(table_name, ()):
-                intervals = effective_intervals(ref_table)
-                if intervals is None:
-                    return None
-                box = box.intersect(BoxCondition({fk_column: intervals}))
-            return box
-
-        def effective_intervals(table_name: str) -> IntervalSet | None:
-            box = conditioned_box(table_name)
-            if box is None:
-                return None
-            return summaries[table_name].matching_pk_intervals(
-                box,
-                pk_column=self.schema.table(table_name).primary_key,
-                exact=True,
-            )
-
-        combined = conditioned_box(roots[0])
-        return None if combined is None else (roots[0], combined)
-
-    def _summary_sum(
-        self,
-        root: str,
-        combined: BoxCondition,
-        leaves: Mapping[str, _Leaf],
-        edges: list[tuple[str, str, str, str]],
-        argument: str | None,
-    ) -> tuple[int, float]:
-        """``(count, sum)`` of column ``argument`` over the join's rows.
-
-        The rows are the FK root's tuples matching ``combined`` (:meth:`_fk_root`;
-        a single leaf is its own root under its own box), each joined to one
-        tuple of every referenced table.  ``argument`` names a column of one
-        joined table: a qualified name picks its table, a bare one needs a
-        unique owner.  Each summary row's contribution must be exactly
-        summable:
-
-        * **the owner is the root** — a *value column* is generated as its
-          row's constant representative, so the row adds ``matched × value``;
-          the *primary key* is the tuple index, so a fully-matching row or a
-          pk window sums as an arithmetic series
-          (:meth:`~repro.sql.predicates.IntervalSet.sum_integers`), while a
-          partial FK match scatters the matching pks; a *foreign-key column*
-          varies tuple-by-tuple with the round-robin spread;
-        * **the root references the owner through FK column** ``f`` — each
-          root row's matching offsets are spread over the owner's summary
-          rows by one merge walk
-          (:meth:`~repro.core.summary.FKReference.add_matching_offsets_by_row`;
-          a pk window is a prefix difference), and each owner row adds its
-          count × its value.  Another partial FK of the root row is
-          correlated with ``f`` through the tuple offset; the owner's primary
-          key or an FK column of it vary per joined tuple;
-        * **the owner is further from the root** — not attempted.
-
-        Terms are folded exactly and rounded once (:func:`_exact_sum`), which
-        is what :func:`math.fsum` returns over the streamed column: the two
-        routes agree to the last bit.
-        """
-        prefix, _, column = (argument or "").rpartition(".")
-        owners = [
-            name
-            for name, leaf in leaves.items()
-            if prefix in ("", name) and leaf.table.has_column(column)
-        ]
-        if len(owners) != 1:
-            self._fallback("argument-not-resolvable")
-        (owner,) = owners
-        summary = cast("RelationSummary", leaves[root].summary)
-        pk_column = leaves[root].table.primary_key
-        rows = summary.classify(combined, pk_column=pk_column)
-        if owner == root:
-            hit = rows.matched != 0
-            vary = rows.spreads > 0 if column == pk_column else summary.columns.spread(column)
-            failing = hit & ((rows.matched < 0) | vary)
-            if failing.any():
-                if rows.matched[np.argmax(failing)] < 0:
-                    self._fallback("summary-not-exact")
-                if column == pk_column:
-                    # Matching pks scattered by the fk spread: not summable.
-                    self._fallback("pk-scattered-by-fk")
-                self._fallback("fk-argument-not-summable")  # targets vary per tuple
-            count = int(rows.matched[hit].sum())
-            if column != pk_column:
-                values = summary.columns.value(column)[hit]
-                return count, _exact_sum(_weights(values, rows.matched[hit]))
-            # The pks' exact integer sum, as a weight on 1.0.
-            pieces = summary.segments(hit & ~rows.windowed)
-            for position in np.flatnonzero(hit & rows.windowed):
-                pieces.extend(summary.pk_window(position, combined.condition_for(column)))
-            pks = IntervalSet(pieces).sum_integers()
-            return count, _exact_sum({1.0: pks})
-
-        via = next(
-            (edge[1] for edge in edges if edge[0] == root and edge[2] == owner), None
-        )
-        if via is None:
-            self._fallback("argument-beyond-one-edge")
-        owned = leaves[owner]
-        if column == owned.table.primary_key:
-            self._fallback("fk-argument-not-summable")  # the joined pks are the FK's targets
-        owner_summary = cast("RelationSummary", owned.summary)
-        bounds = owner_summary.cumulative_offsets
-        allowed = combined.condition_for(via)
-        spread = summary.columns.spread(via)
-        constant, spreading = rows.alive & ~spread, rows.alive & spread
-        # Another partial FK of a spreading row is correlated with via through the offset.
-        others = rows.spreads - rows.partial.get(via, 0)
-        if (rows.matched[constant] < 0).any() or others[spreading].any():
-            self._fallback("summary-not-exact")
-        per_row = [0] * len(owner_summary.rows)
-        # A constant FK: every matching tuple joins the one pk it stores.
-        targets = np.searchsorted(bounds, summary.columns.value(via)[constant], side="right") - 1
-        for target, matched in zip(targets.tolist(), rows.matched[constant].tolist()):
-            per_row[target] += matched
-        owner_bounds = bounds.tolist()
-        for position in np.flatnonzero(spreading):
-            ref = summary.rows[position].fk_refs[via]
-            if not rows.windowed[position]:
-                count = int(summary.columns.counts[position])
-                ref.add_matching_offsets_by_row(0, count, allowed, owner_bounds, per_row)
-                continue
-            start, _end = summary.pk_interval_of_row(position)
-            for piece in summary.pk_window(position, combined.conditions[cast(str, pk_column)]):
-                low = math.ceil(piece.low) - start
-                ref.add_matching_offsets_by_row(
-                    low, low + piece.count_integers(), allowed, owner_bounds, per_row
-                )
-        joined = np.array(per_row, dtype=np.int64)
-        hit = joined != 0
-        if (hit & owner_summary.columns.spread(column)).any():
-            self._fallback("fk-argument-not-summable")  # targets vary per tuple
-        values = owner_summary.columns.value(column)[hit]
-        return int(joined.sum()), _exact_sum(_weights(values, joined[hit]))
+        for join, joined_count in zip(spine, join_counts):
+            join.cardinality = joined_count
+        return (join_counts[-1] if spine else filter_counts[roots[0]]), total
 
 
 def _weights(values: NDArray[Any], counts: NDArray[Any]) -> dict[float, int]:

@@ -4,7 +4,6 @@ from .comparator import EdgeComparison, VerificationResult, VolumetricComparator
 from .report import (
     QualityReport,
     format_aqp_comparison,
-    format_build_report,
     format_error_cdf,
     format_relation_summary,
     format_sample_tuples,
@@ -17,7 +16,6 @@ __all__ = [
     "VerificationResult",
     "VolumetricComparator",
     "format_aqp_comparison",
-    "format_build_report",
     "format_error_cdf",
     "format_relation_summary",
     "format_sample_tuples",

@@ -3,8 +3,8 @@
 Everything the demo's vendor interface visualises — the per-relation summary
 table, the LP complexity table, the constraint-satisfaction CDF and the
 per-query AQP comparison with relative errors — is rendered here as plain
-text so it can be printed by the examples, the CLI and the benchmarks, and
-recorded in EXPERIMENTS.md.
+text so that the examples and the CLI (``hydra vendor``, ``hydra verify``)
+can print it.
 """
 
 from __future__ import annotations
@@ -21,20 +21,18 @@ from .comparator import VerificationResult
 __all__ = [
     "format_summary_table",
     "format_error_cdf",
-    "format_build_report",
     "format_aqp_comparison",
     "format_sample_tuples",
     "QualityReport",
 ]
 
 
-def format_summary_table(summary: DatabaseSummary, limit_rows: int = 10) -> str:
+def format_summary_table(summary: DatabaseSummary) -> str:
     """Per-relation overview: summary rows, regenerated rows, size."""
     lines = [f"{'relation':<20} {'summary rows':>14} {'regenerated rows':>18}"]
     for name, relation in summary.relations.items():
         lines.append(f"{name:<20} {len(relation.rows):>14} {relation.total_rows:>18}")
     lines.append(f"summary size: {summary.size_bytes()} bytes")
-    del limit_rows
     return "\n".join(lines)
 
 
@@ -73,11 +71,6 @@ def format_error_cdf(result: VerificationResult) -> str:
         f"mean: {result.mean_relative_error():.3%}"
     )
     return "\n".join(lines)
-
-
-def format_build_report(report: SummaryBuildReport) -> str:
-    """LP complexity / runtime table (the vendor's LP-solving screen)."""
-    return report.describe()
 
 
 def format_aqp_comparison(
@@ -123,7 +116,7 @@ class QualityReport:
             format_summary_table(self.summary),
             "",
             "== summary construction ==",
-            format_build_report(self.build_report),
+            self.build_report.describe(),
             "",
             "== volumetric similarity ==",
             format_error_cdf(self.verification),

@@ -10,9 +10,11 @@ import pytest
 
 from repro.catalog.metadata import collect_metadata
 from repro.client.extractor import AQPExtractor
+from repro.core.columns import FKColumn, integer_prefix
 from repro.core.errors import SummaryError
+from repro.core.summary import SummaryRow
 from repro.sql.parser import parse_query
-from repro.sql.predicates import IntervalSet
+from repro.sql.predicates import Interval, IntervalSet
 from repro.storage.database import Database
 from repro.workload.generator import WorkloadConfig, generate_workload
 from repro.workload.toy import FIGURE1_QUERY, ToyConfig, generate_toy_database, toy_schema
@@ -132,7 +134,7 @@ def fk_targets_oracle():
 
     The body of the retired ``FKReference.targets_for``, kept verbatim as the
     differential oracle for ``fill_targets`` / ``kth_target`` and as the
-    brute-force enumeration behind the ``count_matching_offsets`` tests.
+    brute-force enumeration behind the ``FKColumn.matched`` tests.
     """
 
     def targets(ref, offsets):
@@ -156,12 +158,13 @@ def fk_targets_oracle():
 
 @pytest.fixture(scope="session")
 def fk_count_oracle():
-    """``count(ref, num_offsets, allowed)``: the nested loop ``count_matching_offsets`` once ran.
+    """``count(ref, num_offsets, allowed)``: the nested loop of the first scalar FK count.
 
     One ``IntervalSet`` intersection per (admissible piece × allowed
-    interval) pair, kept as the second differential oracle for the merge
-    walk that replaced it — the first is the brute-force enumeration through
-    ``fk_targets_oracle``, which cannot reach large offset counts.
+    interval) pair, kept as the second differential oracle for the
+    vectorised count (``fk_matched``) — the first is the brute-force
+    enumeration through ``fk_targets_oracle``, which cannot reach large
+    offset counts.
     """
 
     def count(ref, num_offsets, allowed):
@@ -185,6 +188,37 @@ def fk_count_oracle():
         return matched
 
     return count
+
+
+@pytest.fixture(scope="session")
+def fk_matched():
+    """``matched(ref, start, stop, allowed, bounds=None)``: ``FKColumn.matched`` over one spread.
+
+    How many offsets ``start..stop-1`` of a row spreading ``ref`` reach a
+    target in ``allowed``, as the difference of the vectorised primitive at
+    the two ends.  With ``bounds`` (a referenced relation's cumulative pk
+    offsets) one count per referenced row, through a prefix with one weight
+    per row — as the summary route's fold weighs a ``SUM``'s owner rows.
+    """
+
+    def matched(ref, start, stop, allowed, bounds=None):
+        fk = FKColumn([SummaryRow(count=0, fk_refs={"fk": ref})], "fk")
+        if bounds is not None:
+            rows = [Interval(low, high) for low, high in zip(bounds, bounds[1:])]
+            allowed = [allowed.intersect(IntervalSet([row])) for row in rows]
+        prefixes = [
+            integer_prefix(part, fk.low, fk.high)
+            for part in ([allowed] if bounds is None else allowed)
+        ]
+        at, _reachable = fk.matched(
+            lambda x: np.stack([prefix(x) for prefix in prefixes], axis=1),
+            np.array([start, stop], dtype=np.int64),
+            np.zeros(2, dtype=np.int64),
+        )
+        counts = (at[1] - at[0]).tolist()
+        return counts[0] if bounds is None else counts
+
+    return matched
 
 
 @pytest.fixture(scope="session")

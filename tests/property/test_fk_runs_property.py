@@ -5,10 +5,11 @@
 The gather it replaced (one binary search per offset, the
 ``fk_targets_oracle`` fixture) is the oracle: every cell, every dtype
 ``generate_block`` passes, offsets up to 10¹² and blocks up to three
-periods long.  ``FKReference.add_matching_offsets_by_row`` — the per-row
-split of ``count_matching_offsets`` the summary route's join SUM walks — is
-checked against the same gather binned by referenced row, and its row
-counts against the one-number count they split.
+periods long.  The vectorised count the summary route reads,
+``FKColumn.matched`` (the ``fk_matched`` fixture), is checked against the
+same gather; its per-referenced-row split — a prefix with one weight per
+row, as the route's fold weighs a ``SUM``'s owner rows — against the gather
+binned by row, and its row counts against the one-number count they split.
 """
 
 from __future__ import annotations
@@ -78,13 +79,13 @@ def test_kth_target_is_the_gather_at_every_position(fk_targets_oracle, reference
     num_offsets=st.integers(min_value=0, max_value=500),
 )
 @settings(max_examples=200, deadline=None)
-def test_count_matching_offsets_skips_integer_free_pieces(
-    fk_targets_oracle, reference, allowed_low, allowed_width, fraction, num_offsets
+def test_fk_matched_skips_integer_free_pieces(
+    fk_targets_oracle, fk_matched, reference, allowed_low, allowed_width, fraction, num_offsets
 ):
     allowed = IntervalSet([Interval(allowed_low + fraction, allowed_low + allowed_width)])
     targets = fk_targets_oracle(reference, np.arange(num_offsets, dtype=np.int64))
     expected = int(allowed.membership_mask(targets.astype(np.float64)).sum())
-    assert reference.count_matching_offsets(num_offsets, allowed) == expected
+    assert fk_matched(reference, 0, num_offsets, allowed) == expected
 
 
 @st.composite
@@ -118,11 +119,10 @@ def row_bounds(draw) -> list[int]:
     length=st.integers(min_value=0, max_value=300),
 )
 @settings(max_examples=300, deadline=None)
-def test_matching_offsets_by_row_are_the_gather_binned_by_row(
-    fk_targets_oracle, reference, allowed, bounds, start, length
+def test_fk_matched_by_row_is_the_gather_binned_by_row(
+    fk_targets_oracle, fk_matched, reference, allowed, bounds, start, length
 ):
-    counts = [0] * (len(bounds) - 1)
-    reference.add_matching_offsets_by_row(start, start + length, allowed, bounds, counts)
+    counts = fk_matched(reference, start, start + length, allowed, bounds)
     targets = fk_targets_oracle(reference, np.arange(start, start + length, dtype=np.int64))
     hits = targets[allowed.membership_mask(targets.astype(np.float64))]
     hits = hits[(hits >= bounds[0]) & (hits < bounds[-1])]
@@ -138,18 +138,16 @@ def test_matching_offsets_by_row_are_the_gather_binned_by_row(
     length=st.integers(min_value=0, max_value=10**12),
 )
 @settings(max_examples=300, deadline=None)
-def test_matching_offsets_by_row_add_up_to_count_matching_offsets(
-    reference, allowed, cuts, start, length
+def test_fk_matched_by_row_adds_up_to_the_one_count(
+    fk_count_oracle, fk_matched, reference, allowed, cuts, start, length
 ):
-    # Rows covering every admissible target: the per-row counts of a walk
-    # over offsets [start, stop) add up to the prefix difference of the
+    # Rows covering every admissible target: the per-row counts over
+    # offsets [start, stop) add up to the prefix difference of the
     # one-number count, at offset counts no enumeration can reach.
     bounds = sorted({-21, 401, *cuts})
-    counts = [0] * (len(bounds) - 1)
     stop = start + length
-    reference.add_matching_offsets_by_row(start, stop, allowed, bounds, counts)
+    counts = fk_matched(reference, start, stop, allowed, bounds)
     assert min(counts) >= 0
-    assert sum(counts) == (
-        reference.count_matching_offsets(stop, allowed)
-        - reference.count_matching_offsets(start, allowed)
+    assert sum(counts) == fk_matched(reference, start, stop, allowed) == (
+        fk_count_oracle(reference, stop, allowed) - fk_count_oracle(reference, start, allowed)
     )

@@ -58,6 +58,11 @@ def _pk_window(intervals: IntervalSet, start: int, end: int) -> IntervalSet:
     return IntervalSet(window)
 
 
+def _offsets_hitting(ref, start, stop, allowed):
+    """How many offsets ``start..stop-1`` of ``ref``'s spread reach a target in ``allowed``."""
+    return sum(allowed.contains(float(ref.kth_target(k))) for k in range(start, stop))
+
+
 def row_excluded(summary, position, box, pk_column):
     if box.is_empty:
         return True
@@ -90,7 +95,7 @@ def classify_row(summary, position, box, pk_column):
             if matched < count:
                 pk_window = window
         elif column in row.fk_refs:
-            matched = row.fk_refs[column].count_matching_offsets(count, intervals)
+            matched = _offsets_hitting(row.fk_refs[column], 0, count, intervals)
             if matched < count:
                 partial_fks[column] = (intervals, matched)
         else:
@@ -118,9 +123,7 @@ def count_matching_row(summary, position, box, pk_column):
     for piece in pk_window:
         low = int(math.ceil(piece.low)) - start
         high = low + piece.count_integers()
-        counted += ref.count_matching_offsets(high, allowed) - ref.count_matching_offsets(
-            low, allowed
-        )
+        counted += _offsets_hitting(ref, low, high, allowed)
     return counted
 
 
@@ -136,7 +139,7 @@ def count_matching(summary, box, pk_column):
     return total
 
 
-def matching_pk_intervals(summary, box, pk_column, exact):
+def matching_pk_intervals(summary, box, pk_column):
     if box.is_empty:
         return IntervalSet.empty()
     pieces = []
@@ -144,9 +147,7 @@ def matching_pk_intervals(summary, box, pk_column, exact):
         match = classify_row(summary, position, box, pk_column)
         if match is None:
             continue
-        _count, pk_window, partial_fks = match
-        if partial_fks and exact:
-            return None
+        _count, pk_window, _partial_fks = match
         if pk_window is not None:
             pieces.extend(pk_window.intervals)
         else:
@@ -251,14 +252,9 @@ def test_one_pass_equals_the_per_row_methods_and_brute_force(case):
     assert counted == count_matching(summary, box, PK)
     assert counted is None or counted == int(mask.sum())
     matching = np.flatnonzero(mask).astype(np.float64)
-    for exact in (False, True):
-        projected = summary.matching_pk_intervals(box, PK, exact=exact)
-        assert projected == matching_pk_intervals(summary, box, PK, exact)
-        if projected is not None:
-            assert projected.membership_mask(matching).all()
-    exact = summary.matching_pk_intervals(box, PK, exact=True)
-    if exact is not None:
-        assert exact.count_integers() == len(matching)
+    projected = summary.matching_pk_intervals(box, PK)
+    assert projected == matching_pk_intervals(summary, box, PK)
+    assert projected.membership_mask(matching).all()
 
 
 @settings(max_examples=100, deadline=None)

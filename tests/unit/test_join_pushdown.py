@@ -6,7 +6,7 @@ Covers the join operator on every condition shape and attachment
 box a join builds for its FK probe and its segment-skipping contract, the
 join-COUNT summary fast path with its exact-only fallback rules, and earlier
 satellite fixes (empty disjunction boxes, provider kinds, ``observed_rate``
-semantics, ``count_matching_offsets`` property coverage).
+semantics, ``FKColumn.matched`` property coverage).
 """
 
 from __future__ import annotations
@@ -738,11 +738,11 @@ class TestJoinCountFastPath:
         assert outcomes["default"][0] == outcomes["materialised"][0] == 7
         assert outcomes["default"][2] == 0
 
-    def test_chained_reference_falls_back_when_referenced_side_scattered(self, engine_routes):
+    def test_chained_reference_scattered_by_its_own_fk_is_counted(self, engine_routes):
         # c -> b -> a: the referenced side b is filtered on *its own* FK
         # column, which matches some b summary rows only partially — the
-        # matching b pks are round-robin-scattered, so no exact pk interval
-        # projection exists and the fast path must fall back.
+        # matching b pks are round-robin-scattered, so they form no pk
+        # ranges; b's prefix still weighs every b pk c's spread reaches.
         a = Table(name="a", columns=[Column("a_pk", INTEGER)], primary_key="a_pk")
         b = Table(
             name="b",
@@ -787,8 +787,9 @@ class TestJoinCountFastPath:
             database.attach(name, DataGenRelation(source=generator))
         sql = "select count(*) from c, b where c.b_fk = b.b_pk and b.a_fk >= 3 and b.a_fk < 6"
         outcomes = self._counts(engine_routes(database), sql)
-        assert outcomes["default"][0] == outcomes["materialised"][0]
-        assert outcomes["default"][2] > 0  # fell back to streaming
+        assert outcomes["default"][:2] == outcomes["materialised"][:2]
+        assert 0 < outcomes["default"][0] < 20
+        assert outcomes["default"][2] == 0  # answered from the summaries
 
 
 _PRICES = st.sampled_from([0.0, 9.5, 10.0, 10.0 + 2**-40, 50.0, 90.0, 90.25])
@@ -903,7 +904,7 @@ class TestMatchingPkIntervals:
             IntervalSet.empty()
         )
 
-    def test_fk_partial_superset_vs_exact(self):
+    def test_fk_partial_keeps_the_whole_segment(self):
         summary = RelationSummary(
             table="fact",
             rows=[
@@ -916,7 +917,6 @@ class TestMatchingPkIntervals:
         box = BoxCondition({"dim_fk": IntervalSet([Interval(1.0, 3.0)])})
         superset = summary.matching_pk_intervals(box, pk_column="fact_pk")
         assert superset == IntervalSet([Interval(0.0, 10.0)])
-        assert summary.matching_pk_intervals(box, pk_column="fact_pk", exact=True) is None
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -1145,7 +1145,7 @@ class TestCountMatchingOffsetsProperty:
         num_offsets=st.integers(0, 400),
     )
     def test_matches_brute_force_enumeration(
-        self, fk_targets_oracle, ref_intervals, allowed, num_offsets
+        self, fk_targets_oracle, fk_matched, ref_intervals, allowed, num_offsets
     ):
         # Build non-overlapping reference intervals by stacking the widths.
         pieces = []
@@ -1159,14 +1159,16 @@ class TestCountMatchingOffsetsProperty:
         if num_offsets:
             targets = fk_targets_oracle(ref, np.arange(num_offsets, dtype=np.int64))
             expected = int(allowed.membership_mask(targets.astype(np.float64)).sum())
-        assert ref.count_matching_offsets(num_offsets, allowed) == expected
+        assert fk_matched(ref, 0, num_offsets, allowed) == expected
 
     @settings(max_examples=100, deadline=None)
     @given(
         num_offsets=st.integers(0, 120),
         cut=st.integers(-5, 40),
     )
-    def test_remainder_straddling_piece_boundaries(self, fk_targets_oracle, num_offsets, cut):
+    def test_remainder_straddling_piece_boundaries(
+        self, fk_targets_oracle, fk_matched, num_offsets, cut
+    ):
         # Two pieces of sizes 7 and 13; the allowed set straddles the
         # boundary between them so remainders exercise both prefix shapes.
         ref = FKReference("dim", IntervalSet([Interval(0, 7), Interval(50, 63)]))
@@ -1175,7 +1177,7 @@ class TestCountMatchingOffsetsProperty:
         if num_offsets:
             targets = fk_targets_oracle(ref, np.arange(num_offsets, dtype=np.int64))
             expected = int(allowed.membership_mask(targets.astype(np.float64)).sum())
-        assert ref.count_matching_offsets(num_offsets, allowed) == expected
+        assert fk_matched(ref, 0, num_offsets, allowed) == expected
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -1229,8 +1231,8 @@ class TestCountMatchingOffsetsProperty:
 
     @settings(max_examples=300, deadline=None)
     @given(case=_pieces_and_allowed(), num_offsets=st.integers(0, 400), many=st.integers(0, 10**12))
-    def test_merge_walk_matches_both_oracles(
-        self, fk_targets_oracle, fk_count_oracle, case, num_offsets, many
+    def test_vectorised_count_matches_both_oracles(
+        self, fk_targets_oracle, fk_count_oracle, fk_matched, case, num_offsets, many
     ):
         # Fractional piece and allowed bounds, unbounded allowed ends and up
         # to 12 allowed intervals per piece; offset counts far past what the
@@ -1240,6 +1242,6 @@ class TestCountMatchingOffsetsProperty:
         if num_offsets:
             targets = fk_targets_oracle(ref, np.arange(num_offsets, dtype=np.int64))
             expected = int(allowed.membership_mask(targets.astype(np.float64)).sum())
-        assert ref.count_matching_offsets(num_offsets, allowed) == expected
+        assert fk_matched(ref, 0, num_offsets, allowed) == expected
         assert fk_count_oracle(ref, num_offsets, allowed) == expected
-        assert ref.count_matching_offsets(many, allowed) == fk_count_oracle(ref, many, allowed)
+        assert fk_matched(ref, 0, many, allowed) == fk_count_oracle(ref, many, allowed)

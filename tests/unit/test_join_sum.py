@@ -7,12 +7,15 @@ on the three engine routes (the materialised reference, streaming with the
 summary route off, and the default dataless engine) and asserts the result
 bits and every node cardinality equal, no tuple generated when the summary
 answers, and the catalogued reason when it does not.  The engine's FK test
-runs at most once per join node per ``execute`` on every route.
+runs at most once per join node per ``execute`` on every route, and the
+fold's work — its per-table steps and prefix evaluations — is the same on a
+copy of the snowflake scaled by 10⁶.
 """
 
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -21,6 +24,7 @@ from hypothesis import strategies as st
 
 from repro.catalog.schema import Column, ForeignKey, Schema, Table
 from repro.catalog.types import FLOAT, INTEGER
+from repro.core.columns import Prefix, SummaryColumns
 from repro.core.summary import DatabaseSummary, FKReference, RelationSummary, SummaryRow
 from repro.core.tuplegen import TupleGenerator
 from repro.executor import engine as engine_module
@@ -76,8 +80,8 @@ SCHEMA = Schema.from_tables(
 #: ``(referencing table, referenced table) -> FK column`` of every schema edge.
 EDGES = {("fact", "dim"): "dim_fk", ("fact", "aux"): "aux_fk", ("dim", "sub"): "sub_fk"}
 
-#: Reasons any shape may give when a referenced side or the root is not exactly countable.
-EXACTNESS = {"summary-not-exact", "join-not-exactly-countable"}
+#: The reason any shape may give when a row is not exactly countable.
+EXACTNESS = {"summary-not-exact"}
 
 
 def _ref(table, *pieces):
@@ -96,51 +100,54 @@ def _database(relations):
 
 
 def _fixed():
-    return _database(
-        {
-            "sub": [
-                SummaryRow(count=3, values={"level": 0.1}),
-                SummaryRow(count=5, values={"level": 2.35}),
-            ],
-            "aux": [
-                SummaryRow(count=7, values={"weight": 4.8}),
-                SummaryRow(count=6, values={"weight": 4.14}),
-                SummaryRow(count=4, values={"weight": 0.7}),
-            ],
-            "dim": [
-                SummaryRow(
-                    count=20,
-                    values={"price": 4.8, "grade": 2.0},
-                    fk_refs={"sub_fk": _ref("sub", (0, 8))},
-                ),
-                SummaryRow(
-                    count=15,
-                    values={"price": 4.14, "grade": 5.0},
-                    fk_refs={"sub_fk": _ref("sub", (3, 8))},
-                ),
-                # A constant FK: every tuple references sub pk 1.
-                SummaryRow(count=10, values={"price": 1.1, "grade": 5.0, "sub_fk": 1.0}),
-            ],
-            "fact": [
-                SummaryRow(
-                    count=300,
-                    values={"qty": 3.0, "amt": 0.3},
-                    fk_refs={"dim_fk": _ref("dim", (0, 20), (30, 45)), "aux_fk": _ref("aux", (0, 17))},
-                ),
-                SummaryRow(count=0, values={"qty": 5.0, "amt": 9.9}, fk_refs={"dim_fk": _ref("dim", (0, 45))}),
-                SummaryRow(
-                    count=250,
-                    values={"qty": 8.0, "amt": 7.77},
-                    fk_refs={"dim_fk": _ref("dim", (10, 45)), "aux_fk": _ref("aux", (5, 13))},
-                ),
-                SummaryRow(
-                    count=90,
-                    values={"qty": 1.0, "amt": 0.01, "dim_fk": 36.0},
-                    fk_refs={"aux_fk": _ref("aux", (0, 7))},
-                ),
-            ],
-        }
-    )
+    return _database(_fixed_rows())
+
+
+def _fixed_rows():
+    """The snowflake's summary rows, ``{table: [SummaryRow, ...]}``."""
+    return {
+        "sub": [
+            SummaryRow(count=3, values={"level": 0.1}),
+            SummaryRow(count=5, values={"level": 2.35}),
+        ],
+        "aux": [
+            SummaryRow(count=7, values={"weight": 4.8}),
+            SummaryRow(count=6, values={"weight": 4.14}),
+            SummaryRow(count=4, values={"weight": 0.7}),
+        ],
+        "dim": [
+            SummaryRow(
+                count=20,
+                values={"price": 4.8, "grade": 2.0},
+                fk_refs={"sub_fk": _ref("sub", (0, 8))},
+            ),
+            SummaryRow(
+                count=15,
+                values={"price": 4.14, "grade": 5.0},
+                fk_refs={"sub_fk": _ref("sub", (3, 8))},
+            ),
+            # A constant FK: every tuple references sub pk 1.
+            SummaryRow(count=10, values={"price": 1.1, "grade": 5.0, "sub_fk": 1.0}),
+        ],
+        "fact": [
+            SummaryRow(
+                count=300,
+                values={"qty": 3.0, "amt": 0.3},
+                fk_refs={"dim_fk": _ref("dim", (0, 20), (30, 45)), "aux_fk": _ref("aux", (0, 17))},
+            ),
+            SummaryRow(count=0, values={"qty": 5.0, "amt": 9.9}, fk_refs={"dim_fk": _ref("dim", (0, 45))}),
+            SummaryRow(
+                count=250,
+                values={"qty": 8.0, "amt": 7.77},
+                fk_refs={"dim_fk": _ref("dim", (10, 45)), "aux_fk": _ref("aux", (5, 13))},
+            ),
+            SummaryRow(
+                count=90,
+                values={"qty": 1.0, "amt": 0.01, "dim_fk": 36.0},
+                fk_refs={"aux_fk": _ref("aux", (0, 7))},
+            ),
+        ],
+    }
 
 
 def _run_routes(routes, plan):
@@ -217,13 +224,28 @@ CASES = [
     (f"select sum(dim.sub_fk) from fact, dim, sub where {JOIN_FD} and {JOIN_DS}",
      "fk-argument-not-summable"),
     # The owner is deeper.
-    (f"select sum(sub.level) from fact, dim, sub where {JOIN_FD} and {JOIN_DS}",
-     "argument-beyond-one-edge"),
+    (f"select sum(sub.level) from fact, dim, sub where {JOIN_FD} and {JOIN_DS}", None),
     (f"select avg(sub.level) from sub, dim, fact where {JOIN_DS} and {JOIN_FD} and dim.grade = 5",
-     "argument-beyond-one-edge"),
-    # A referenced side scattered by its own partial FK: not countable at all.
+     None),
+    # A referenced side scattered by its own partial FK: its prefix weighs each target.
     (f"select sum(dim.price) from fact, dim, sub where {JOIN_FD} and {JOIN_DS} and sub.level > 1",
-     "join-not-exactly-countable"),
+     None),
+    # Depth 3, filters at every level.
+    (f"select sum(sub.level) from fact, dim, sub where {JOIN_FD} and {JOIN_DS} "
+     "and fact.qty >= 3 and dim.price != 4.8 and sub.level > 1", None),
+    (f"select avg(sub.level) from sub, dim, fact where {JOIN_DS} and {JOIN_FD} "
+     "and fact.fact_pk >= 37 and fact.fact_pk < 433 and dim.grade = 5 and sub.sub_pk >= 2", None),
+    (f"select sum(sub.level) from fact, dim, sub, aux where {JOIN_FD} and {JOIN_DS} and {JOIN_FA} "
+     "and fact.dim_fk >= 12 and fact.dim_fk < 40 and dim.sub_fk >= 2 and aux.weight > 0.5", None),
+    (f"select count(*) from fact, dim, sub where {JOIN_FD} and {JOIN_DS} "
+     "and fact.amt < 5.0 and dim.dim_pk >= 6 and sub.level > 1", None),
+    (f"select avg(sub.level) from dim, sub, fact where {JOIN_DS} and {JOIN_FD} "
+     "and fact.aux_fk < 6 and dim.price > 4.5 and sub.level > 1", "summary-not-exact"),
+    (f"select sum(sub.sub_pk) from fact, dim, sub where {JOIN_FD} and {JOIN_DS} and dim.grade = 5",
+     "fk-argument-not-summable"),
+    # A contradictory filter on the root: nothing joins, the owner's weights stay as wide.
+    (f"select sum(sub.level) from fact, dim, sub where {JOIN_FD} and {JOIN_DS} "
+     "and fact.qty > 5 and fact.qty < 2", None),
     # Zero joins: the single leaf is its own root.
     ("select sum(fact.amt) from fact where fact.qty >= 3", None),
     ("select sum(fact.fact_pk) from fact where fact.fact_pk >= 7 and fact.fact_pk < 611", None),
@@ -238,6 +260,29 @@ class TestFixedSnowflake:
         plan = build_plan(parse_query(sql, SCHEMA), SCHEMA)
         result = _assert_routes_agree(_run_routes(engine_routes(database), plan), sql)
         _assert_reason(result, reason, sql)
+
+    def test_a_deep_owner_is_weighed_once_per_table_on_its_path(self, monkeypatch):
+        # One unit weight per owner row, carried up owner → root: the plan's
+        # memo folds each table of that path once with the owner's width, and
+        # no table off the path (aux) at all.
+        folded = []
+        fold = SummaryColumns.fold
+
+        def recorded(view, box, pk_column, refs, weights):
+            prefix = fold(view, box, pk_column, refs, weights)
+            folded.append((pk_column, prefix.total.shape[0]))
+            return prefix
+
+        monkeypatch.setattr(SummaryColumns, "fold", recorded)
+        sql = (
+            f"select sum(sub.level) from fact, dim, sub, aux where {JOIN_FD} and {JOIN_DS} "
+            f"and {JOIN_FA} and aux.weight > 0.5"
+        )
+        plan = build_plan(parse_query(sql, SCHEMA), SCHEMA)
+        result = ExecutionEngine(database=_fixed()).execute(plan)
+        _assert_reason(result, None, sql)
+        width = len(_fixed_rows()["sub"])
+        assert [pk for pk, entries in folded if entries == width] == ["sub_pk", "dim_pk", "fact_pk"]
 
     def test_the_root_is_not_the_anchor(self):
         # The planner anchors a chain at its middle table; the FK root is
@@ -299,6 +344,87 @@ class TestFixedSnowflake:
         assert counted.aggregate_route == averaged.aggregate_route == "summary"
         # The AVG plan's join annotation is the walk's per-owner-row total.
         assert averaged_plan.child.cardinality == int(counted.columns["count"][0]) > 0
+
+
+def _scaled(relations, factor):
+    """``relations`` with every count and pk/FK coordinate multiplied by ``factor``."""
+    scaled = {}
+    for name, rows in relations.items():
+        fks = set(SCHEMA.table(name).foreign_key_columns)
+        scaled[name] = [
+            SummaryRow(
+                count=row.count * factor,
+                values={
+                    column: value * factor if column in fks else value
+                    for column, value in row.values.items()
+                },
+                fk_refs={
+                    column: _ref(
+                        ref.ref_table,
+                        *((piece.low * factor, piece.high * factor) for piece in ref.intervals),
+                    )
+                    for column, ref in row.fk_refs.items()
+                },
+            )
+            for row in rows
+        ]
+    return scaled
+
+
+def _scaled_sql(sql, factor):
+    """``sql`` with every pk/FK literal multiplied by ``factor``."""
+    return re.sub(
+        r"(_(?:pk|fk) (?:>=|<=|<|>|=) )(\d+)",
+        lambda match: f"{match.group(1)}{int(match.group(2)) * factor}",
+        sql,
+    )
+
+
+class TestScaleFree:
+    """The fold's work depends on the summary rows, never on the tuples they stand for."""
+
+    SQLS = [sql for sql, reason in CASES if reason is None] + [
+        re.sub(r"select \w+\([\w.]+\)", "select count(*)", sql)
+        for sql, reason in CASES
+        if reason is None and "," in sql.split(" where ")[0]
+    ]
+
+    def _evaluations(self, monkeypatch, database, sql):
+        """``(result, fold steps, prefix evaluations)`` of one default-route run."""
+        steps, calls = [], []
+        fold, evaluate = SummaryColumns.fold, Prefix.__call__
+
+        def counted_fold(view, *args, **kwargs):
+            steps.append(view)
+            return fold(view, *args, **kwargs)
+
+        def counted_call(prefix, x):
+            calls.append(len(x))
+            return evaluate(prefix, x)
+
+        monkeypatch.setattr(SummaryColumns, "fold", counted_fold)
+        monkeypatch.setattr(Prefix, "__call__", counted_call)
+        result = ExecutionEngine(database=database).execute(
+            build_plan(parse_query(sql, SCHEMA), SCHEMA)
+        )
+        monkeypatch.undo()
+        return result, len(steps), len(calls)
+
+    @pytest.mark.parametrize("sql", SQLS)
+    def test_evaluations_are_equal_at_one_and_a_million(self, monkeypatch, sql):
+        relations = _fixed_rows()
+        small, small_steps, small_calls = self._evaluations(
+            monkeypatch, _database(relations), sql
+        )
+        large, large_steps, large_calls = self._evaluations(
+            monkeypatch, _database(_scaled(relations, 10**6)), _scaled_sql(sql, 10**6)
+        )
+        for result in (small, large):
+            _assert_reason(result, None, sql)
+        assert small_steps > 0
+        assert (small_steps, small_calls) == (large_steps, large_calls)
+        if "count(*)" in sql:
+            assert large.columns["count"][0] == small.columns["count"][0] * 10**6
 
 
 # -- Hypothesis: random snowflake summaries, left-deep orders, filters, arguments --
@@ -431,8 +557,6 @@ def _expected_reasons(tables, argument):
     owner, column = argument.split(".")
     (root,) = [table for table in tables if not any((other, table) in EDGES for other in tables)]
     table = SCHEMA.table(owner)
-    if owner != root and (root, owner) not in EDGES:
-        return EXACTNESS | {"argument-beyond-one-edge"}
     if column == table.primary_key:
         if owner == root:
             return EXACTNESS | {None, "pk-scattered-by-fk"}
@@ -449,7 +573,7 @@ class TestOneFkTestPerJoin:
     @pytest.mark.parametrize(
         "sql",
         [
-            # Chains: the summary route bails, then the joins stream.
+            # Chains: answered from the summaries, or streamed.
             f"select count(*) from fact, dim, sub where {JOIN_FD} and {JOIN_DS} and sub.level > 1",
             f"select * from fact, dim, sub where {JOIN_FD} and {JOIN_DS}",
             # Stars: answered from the summaries, or streamed.

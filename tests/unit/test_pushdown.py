@@ -205,7 +205,7 @@ class TestRouteEquivalence:
 
 
 class TestSummaryCounting:
-    def test_count_matching_offsets_matches_brute_force(self, fk_targets_oracle):
+    def test_fk_matched_matches_brute_force(self, fk_targets_oracle, fk_matched):
         def brute_force(ref: FKReference, num_offsets: int, allowed: IntervalSet) -> int:
             targets = fk_targets_oracle(ref, np.arange(num_offsets, dtype=np.int64))
             return int(allowed.membership_mask(targets.astype(np.float64)).sum())
@@ -222,7 +222,7 @@ class TestSummaryCounting:
         for allowed in cases:
             for num in (0, 1, 3, 7, 14, 15, 50):
                 expected = brute_force(ref, num, allowed) if num else 0
-                assert ref.count_matching_offsets(num, allowed) == expected, (allowed, num)
+                assert fk_matched(ref, 0, num, allowed) == expected, (allowed, num)
 
     def test_count_matching_value_and_pk(self):
         summary = RelationSummary(
