@@ -1,4 +1,4 @@
-"""The column view of a relation summary: its rows as arrays, classified in one pass.
+"""The column view of a relation summary: its rows as arrays, a box's tuples counted by one fold.
 
 The summary route answers aggregates in O(#summary rows) and reads few
 columns of every row, so it reads the rows column-wise: tuple counts,
@@ -9,13 +9,16 @@ row's flattened target pieces concatenated.  A
 it.  Each constrained column of a box is then one array pass over all rows,
 built on one primitive, :func:`integer_prefix` — which an FK spread reads
 through :meth:`FKColumn.matched`, as it reads the :class:`Prefix` a join's
-fold gives the relation it references (:meth:`SummaryColumns.fold`).
+fold gives the relation it references.  :meth:`SummaryColumns.fold` is the
+one counter of a box: the summary route, the per-row counts
+(:meth:`SummaryColumns.matched`) and the pk runs a box may hold all read it,
+and it alone decides which counts are exact.
 """
 
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Any, Callable, Iterator, Mapping, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
@@ -25,14 +28,15 @@ from ..sql.predicates import BoxCondition, Interval, IntervalSet
 if TYPE_CHECKING:
     from .summary import SummaryRow
 
-__all__ = ["FKColumn", "Prefix", "RowMatches", "SummaryColumns", "integer_prefix"]
+__all__ = ["FKColumn", "Prefix", "SummaryColumns", "integer_prefix"]
 
 #: Weighs the targets below each pk ``x``: ``F(x)``, one row (or one count) per ``x``.
 Weigh = Callable[[NDArray[Any]], NDArray[Any]]
 #: ``(lo, hi, row)``: pk runs ``[lo, hi)``, each inside summary row ``row``.
 Runs = tuple[NDArray[Any], NDArray[Any], NDArray[Any]]
-#: A :class:`Prefix` array that is never read (no run has a varying spread).
+#: :class:`Prefix` arrays that are never read (no run has a partial spread).
 _UNREAD: NDArray[np.int64] = np.zeros(0, dtype=np.int64)
+_UNREAD_MASK: NDArray[np.bool_] = np.zeros(0, dtype=bool)
 
 
 def integer_prefix(intervals: IntervalSet, low: int, high: int) -> Weigh:
@@ -84,7 +88,6 @@ class FKColumn:
     def __init__(self, rows: Sequence[SummaryRow], column: str) -> None:
         flats = [row.fk_refs[column].flat if column in row.fk_refs else None for row in rows]
         self.spread = np.array([flat is not None for flat in flats], dtype=bool)
-        self.every_row = bool(self.spread.all())
         pieces = [
             (position, first, flat[1][i + 1] - flat[1][i], flat[1][i])
             for position, flat in enumerate(flats)
@@ -139,13 +142,16 @@ class Prefix:
     Built by :meth:`SummaryColumns.fold` over pk runs ``[lo, hi)``, run
     ``i`` inside summary row ``row[i]``.  A run weighs ``gained``:
     ``factor`` per tuple or, where ``chosen`` (per run; ``-1`` for none)
-    indexes a spread of ``spreads`` whose targets weigh differently,
+    indexes the one spread of ``spreads`` that matches the run partially,
     ``factor`` times its tuples' targets' weight — :meth:`FKColumn.matched`
     at the tuples' offsets into their row (which starts at ``offsets[row]``)
-    less ``begun``, its value at ``lo``.  ``chosen``, ``begun`` and
-    ``offsets`` are read only when ``spreads`` is non-empty.  ``total`` is
-    ``F`` past the last pk; a weight has one entry per owner row of a
-    ``SUM``, else one.
+    less ``begun``, its value at ``lo``.  ``inexact`` marks the runs with
+    weight that two partial spreads (``chosen == -2``) weigh through the
+    same tuple offsets: their ``gained`` is no count.  ``chosen``,
+    ``begun``, ``offsets`` and ``inexact`` are read only when ``spreads``
+    is non-empty.
+    ``total`` is ``F`` past the last pk; a weight has one entry per owner
+    row of a ``SUM``, else one.
     """
 
     def __init__(
@@ -157,13 +163,25 @@ class Prefix:
         chosen: NDArray[np.int64] = _UNREAD,
         begun: NDArray[np.int64] = _UNREAD,
         offsets: NDArray[np.int64] = _UNREAD,
+        inexact: NDArray[np.bool_] = _UNREAD_MASK,
     ) -> None:
         self.lo, self.hi, self.row = runs
         self.factor, self.gained = factor, gained
         self.spreads, self.chosen, self.begun, self.offsets = spreads, chosen, begun, offsets
+        self.inexact = inexact
         self.cumulative = np.zeros((len(gained) + 1, gained.shape[1]), dtype=np.int64)
         gained.cumsum(axis=0, out=self.cumulative[1:])
         self.total = self.cumulative[-1]
+
+    @property
+    def exact(self) -> bool:
+        """Whether every run's weight is a count: no run is ``inexact``."""
+        return not (self.spreads and self.inexact.any())
+
+    @property
+    def scattered(self) -> bool:
+        """Whether a partial spread picks some run's weighed tuples one by one, off a pk range."""
+        return bool(self.spreads) and bool((self.gained.any(axis=1) & (self.chosen != -1)).any())
 
     def __call__(self, x: NDArray[np.int64]) -> NDArray[np.int64]:
         if not len(self.lo):
@@ -180,11 +198,11 @@ class Prefix:
                 value[mine] = self.cumulative[at] + self.factor[at] * (weighed - self.begun[at])
         return value
 
-    def ranges(self) -> list[Interval] | None:
-        """The pk runs of the weighed tuples; ``None`` when a varying spread scatters them."""
+    def ranges(self) -> list[Interval]:
+        """The pk runs that may hold weighed tuples: exactly theirs unless :attr:`scattered`."""
         hit = self.gained.any(axis=1)
-        if self.spreads and (hit & (self.chosen >= 0)).any():
-            return None
+        if self.spreads:
+            hit |= self.inexact
         return list(map(Interval, self.lo[hit].tolist(), self.hi[hit].tolist()))
 
 
@@ -251,17 +269,21 @@ class SummaryColumns:
         pk_column: str | None,
         refs: Mapping[str, Prefix],
         weights: NDArray[np.int64] | None,
-    ) -> Prefix | None:
+    ) -> Prefix:
         """This relation's :class:`Prefix`: its tuples matching ``box`` whose FKs in ``refs`` join.
 
         ``refs`` maps an FK column to the prefix of the relation it references
         (whose box holds ``box``'s condition on the column); another FK column
         of ``box`` references its allowed set (:func:`integer_prefix`).  A
         tuple weighs ``weights[row]`` (1 for ``None``) times its targets'
-        weights: a constant target ``t`` reads ``F(t + 1) - F(t)``, a spread
-        whose targets weigh the same scales its row, one whose targets differ
-        weighs each tuple by its own.  ``None`` when a row with weight has two
-        such spreads: they correlate through the tuple offset.
+        weights: a constant target ``t`` reads ``F(t + 1) - F(t)``.  A
+        target weighs 0 or one unit vector (an FK–PK join pairs a tuple with
+        at most one tuple below), so each pk run decides, once, here, how a
+        spread weighs it: one whose tuples all reach targets of the same
+        weight scales the run by it (0 when none joins), one matching the run
+        partially weighs each tuple by its own.  A run with weight that two
+        partial spreads weigh is inexact: they correlate through the tuple
+        offset.
         """
         factor = self.unit if weights is None else weights
         if box.is_empty:  # no tuple can match: no run, as wide as the weights
@@ -287,86 +309,66 @@ class SummaryColumns:
             lo, hi, row = self.runs(intervals)
             keep = live[row]
             lo, hi, row = lo[keep], hi[keep], row[keep]
-        chosen: Any = -1  # per row, its one varying spread; -2: two of them
+        span = length = (hi - lo)[:, None]
+        if weights is None and not prefixes:
+            return Prefix((lo, hi, row), self.unit[: len(row)], span)
+        factor = factor[row]
+        chosen: Any = -1  # per run, its one partial spread; -2: two of them
         spreads: list[tuple[FKColumn, Weigh]] = []
-        weighed: list[NDArray[np.int64]] = []
+        begun = np.zeros_like(span)
         for column, prefix in prefixes.items():
             fk = self.fk(column)
-            if column in refs and (fk is None or not fk.every_row):
-                target = self.value(column).astype(np.int64)
-                joins = prefix(target + 1) - prefix(target)
-                factor = factor * (joins if fk is None else np.where(fk.spread[:, None], 1, joins))
+            mine = np.zeros(len(row), dtype=bool) if fk is None else fk.spread[row]
+            if column in refs and not mine.all():  # a constant target t
+                target = self.value(column)[row].astype(np.int64)
+                factor = factor * np.where(mine[:, None], 1, prefix(target + 1) - prefix(target))
             if fk is None:
                 continue
             twice = np.concatenate((row, row))
-            at, reach = fk.matched(prefix, np.concatenate((lo, hi)) - self.offsets[twice], twice)
-            varies = fk.spread & reach.any(axis=1) & (reach.max(axis=1) != fk.total)
-            whole = (fk.spread & ~varies)[:, None]
-            factor = factor * np.where(whole, reach // fk.period[:, None], 1)
-            if varies.any():
-                chosen = np.where(varies, np.where(chosen == -1, len(spreads), -2), chosen)
+            at = fk.matched(prefix, np.concatenate((lo, hi)) - self.offsets[twice], twice)[0]
+            at = at.reshape(2, len(row), at.shape[1])
+            gained = at[1] - at[0]
+            partial = mine & gained.any(axis=1) & (gained.max(axis=1) != length[:, 0])
+            factor = factor * np.where((mine & ~partial)[:, None], gained // length, 1)
+            if partial.any():
+                chosen = np.where(partial, np.where(chosen == -1, len(spreads), -2), chosen)
+                span = np.where(partial[:, None], gained, span)
+                begun = np.where(partial[:, None], at[0], begun)
                 spreads.append((fk, prefix))
-                weighed.append(at.reshape(2, len(row), at.shape[1]))
-        span = (hi - lo)[:, None]
-        if factor is self.unit:
-            return Prefix((lo, hi, row), self.unit[: len(row)], span)
-        factor = factor[row]
-        if not weighed:
+        if not spreads:
             return Prefix((lo, hi, row), factor, factor * span)
-        chosen, begun = chosen[row], np.zeros_like(span)
-        if (chosen[factor.any(axis=1)] == -2).any():
-            return None
-        for index, at in enumerate(weighed):
-            mine = (chosen == index)[:, None]
-            span, begun = np.where(mine, at[1] - at[0], span), np.where(mine, at[0], begun)
-        return Prefix((lo, hi, row), factor, factor * span, spreads, chosen, begun, self.offsets)
+        inexact = (chosen == -2) & factor.any(axis=1)
+        return Prefix(
+            (lo, hi, row), factor, factor * span, spreads, chosen, begun, self.offsets, inexact
+        )
 
-    def column_counts(
-        self, box: BoxCondition, pk_column: str | None
-    ) -> Iterator[tuple[str, NDArray[np.int64], NDArray[np.bool_]]]:
-        """Per constrained column of ``box``: each row's matching tuples, and the rows none can.
+    def matched(self, box: BoxCondition, pk_column: str | None) -> NDArray[np.int64]:
+        """Each row's tuples matching ``box``: its :meth:`fold` runs summed, or -1 if inexact."""
+        folded = self.fold(box, pk_column, {}, None)
+        matched = np.zeros(len(self.counts), dtype=np.int64)
+        np.add.at(matched, folded.row, folded.gained[:, 0])
+        if not folded.exact:
+            matched[folded.row[folded.inexact]] = -1
+        return matched
 
-        The pk matches a row's integers of the box in its segment; an FK
-        column a row spreads matches the offsets :meth:`FKColumn.matched`
-        counts, and no tuple can match when no admissible target is in the
-        box; any other column — a value column, or an FK column a row stores
-        as a constant — matches all or none of the row's tuples.
+    def excluded(self, box: BoxCondition, pk_column: str | None) -> NDArray[np.bool_]:
+        """The rows no tuple of which can satisfy one of ``box``'s conditions, as one mask.
+
+        Deliberately looser than a zero :meth:`matched`, as skipping is not
+        counting: each column is read alone, a row spreading an FK column is
+        excluded only when none of its targets is in the box, whatever its
+        count, and a row storing a value (or a constant target) when the
+        value is not.
         """
+        mask = np.zeros(len(self.counts), dtype=bool)
         for column, intervals in box.conditions.items():
-            if pk_column is not None and column == pk_column:
+            if column == pk_column:
                 at = integer_prefix(intervals, 0, int(self.offsets[-1]))(self.offsets)
-                matched = at[1:] - at[:-1]
-                yield column, matched, matched == 0
+                mask |= at[1:] == at[:-1]
                 continue
-            fk = self.fk(column)
-            if fk is None:
-                member = _members(intervals, self.value(column))
-                yield column, np.where(member, self.counts, 0), ~member
-                continue
-            matched, reachable = fk.matched(integer_prefix(intervals, fk.low, fk.high), self.counts)
-            excluded = reachable == 0
-            if not fk.every_row:  # a row storing a constant target is all or nothing
-                member = _members(intervals, self.value(column))
-                matched = np.where(fk.spread, matched, np.where(member, self.counts, 0))
-                excluded = np.where(fk.spread, excluded, ~member)
-            yield column, matched, excluded
-
-
-class RowMatches(NamedTuple):
-    """How every row of a relation summary relates to one box condition.
-
-    Produced by :meth:`~repro.core.summary.RelationSummary.classify`.
-    ``alive`` marks the rows some tuple of which can satisfy the box;
-    ``matched`` is each row's exact number of matching tuples (0 off
-    ``alive``), ``-1`` where two partially matching FK spreads correlate
-    through the tuple offset.  ``partial[c]`` marks the alive rows whose
-    spread of FK column ``c`` matches partially, ``spreads`` counts them per
-    row, and ``windowed`` marks the alive rows a pk condition cuts into a
-    window.
-    """
-
-    matched: NDArray[np.int64]
-    alive: NDArray[np.bool_]
-    partial: Mapping[str, NDArray[np.bool_]]
-    spreads: NDArray[np.int64]
-    windowed: NDArray[np.bool_]
+            fk, member = self.fk(column), _members(intervals, self.value(column))
+            if fk is not None:
+                reachable = fk.matched(integer_prefix(intervals, fk.low, fk.high), self.counts)[1]
+                member = np.where(fk.spread, reachable > 0, member)
+            mask |= ~member
+        return mask

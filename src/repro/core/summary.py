@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate
 from types import MappingProxyType
-from typing import Any, Mapping, Sequence, cast
+from typing import Any, Mapping, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
@@ -40,7 +40,7 @@ from numpy.typing import NDArray
 from ..catalog.schema import Schema, Table
 from ..serialization import JsonDocument
 from ..sql.predicates import BoxCondition, Interval, IntervalSet, Predicate
-from .columns import FKColumn, RowMatches, SummaryColumns, integer_prefix
+from .columns import SummaryColumns
 from .errors import SummaryError
 
 __all__ = [
@@ -184,7 +184,7 @@ class RelationSummary:
 
     ``rows`` is stored as a tuple of frozen :class:`SummaryRow`, so the
     cumulative pk offsets that back :meth:`locate` (computed at
-    construction) and the column view every box classification reads
+    construction) and the column view every count of a box reads
     (derived on first use, dropped when pickled) cannot go stale: a
     different row is a different :class:`RelationSummary`.
     """
@@ -233,21 +233,6 @@ class RelationSummary:
 
     # -- predicate pushdown support ----------------------------------------
 
-    def pk_window(self, position: int, intervals: IntervalSet) -> IntervalSet:
-        """``intervals`` ∩ the pk segment of row ``position``, visiting only the pieces inside it.
-
-        A bisect on the sorted piece ends skips every piece before the
-        segment, so a pk box of many ranges costs O(log #ranges + overlaps).
-        """
-        start, end = self.pk_interval_of_row(position)
-        pieces = intervals.intervals
-        index = bisect.bisect_right(pieces, start, key=lambda piece: piece.high)
-        window = []
-        while index < len(pieces) and pieces[index].low < end:
-            window.append(Interval(max(pieces[index].low, start), min(pieces[index].high, end)))
-            index += 1
-        return IntervalSet(window)
-
     def segments(self, rows: NDArray[np.bool_]) -> list[Interval]:
         """The pk segments of the non-empty ``rows``, adjacent ones merged into runs."""
         offsets = self.cumulative_offsets
@@ -295,96 +280,36 @@ class RelationSummary:
         """The rows no tuple of which can satisfy ``box``, as one mask.
 
         The check the filtered block stream uses to skip whole summary-row
-        segments without generating a tuple.  Looser than ``~alive`` of
-        :meth:`classify` for an FK spread: a row is excluded only when *no*
-        admissible target is in the box, whatever its count.
+        segments without generating a tuple
+        (:meth:`SummaryColumns.excluded <repro.core.columns.SummaryColumns.excluded>`).
         """
         if box.is_empty:
             return np.ones(len(self.rows), dtype=bool)
-        mask = np.zeros(len(self.rows), dtype=bool)
-        if box.conditions:  # the unfiltered stream never builds the column view
-            for _column, _matched, excluded in self.columns.column_counts(box, pk_column):
-                mask |= excluded
-        return mask
-
-    def classify(self, box: BoxCondition, pk_column: str | None = None) -> RowMatches:
-        """Classify every summary row against ``box`` in one pass over the column view.
-
-        A column's constraint either passes for *all* of a row's tuples,
-        fails for all of them (the row is not ``alive``), or matches an
-        exactly countable subset: a pk window or a partially covered FK
-        spread.  A row's matched count is its count, its pk window's, or its
-        one partial spread's; a pk window *plus* one partial spread is still
-        countable, because offsets are pk indices shifted by the segment
-        start: the spread's count (:meth:`FKColumn.matched
-        <repro.core.columns.FKColumn.matched>`) at the window's pk runs'
-        ends, differenced.  Two partial spreads correlate through the tuple
-        offset: ``-1``.
-        """
-        view = self.columns
-        counts = matched = view.counts
-        alive = (counts > 0) & box.satisfiable
-        windowed = np.zeros(len(counts), dtype=bool)
-        fk_matched: dict[str, NDArray[np.int64]] = {}
-        for column, column_matched, _excluded in view.column_counts(box, pk_column):
-            alive &= column_matched > 0
-            if column == pk_column:
-                windowed, matched = column_matched < counts, column_matched
-            elif column in view.fk_columns:
-                fk_matched[column] = column_matched
-        windowed &= alive
-        partial = {column: alive & (fk < counts) for column, fk in fk_matched.items()}
-        spreads = np.zeros(len(counts), dtype=np.int64)
-        if partial:
-            for column, mask in partial.items():
-                spreads += mask
-                matched = np.where(mask & ~windowed, fk_matched[column], matched)
-            if len(partial) > 1:
-                matched = np.where(spreads > 1, -1, matched)
-            single = windowed & (spreads == 1)
-            if single.any():
-                lo, hi, row = view.runs(box.conditions[cast(str, pk_column)])
-                matched = np.where(single, 0, matched)
-                for column, mask in partial.items():
-                    mine = (single & mask)[row]
-                    fk, twice = cast(FKColumn, view.fk(column)), np.concatenate((row[mine],) * 2)
-                    ends = np.concatenate((lo[mine], hi[mine])) - view.offsets[twice]
-                    allowed = integer_prefix(box.conditions[column], fk.low, fk.high)
-                    at = fk.matched(allowed, ends, twice)[0].reshape(2, -1)
-                    np.add.at(matched, row[mine], at[1] - at[0])
-        matched = np.where(alive, matched, 0)
-        return RowMatches(matched, alive, partial, spreads, windowed)
+        if not box.conditions:  # the unfiltered stream never builds the column view
+            return np.zeros(len(self.rows), dtype=bool)
+        return self.columns.excluded(box, pk_column)
 
     def count_matching(self, box: BoxCondition, pk_column: str | None = None) -> int | None:
         """Exact number of regenerated tuples satisfying ``box`` — or ``None``.
 
-        Answered purely from the summary in O(#summary rows): the sum of
-        :meth:`classify`'s matched counts, ``None`` when some row's matched
-        subset is not exactly countable.
+        Answered purely from the summary in O(#summary rows): the total of
+        the box's :meth:`SummaryColumns.fold
+        <repro.core.columns.SummaryColumns.fold>`, ``None`` when a run of it
+        is not exactly countable.
         """
-        if box.is_empty:
-            return 0
-        matched = self.classify(box, pk_column).matched
-        return None if (matched < 0).any() else int(matched.sum())
+        folded = self.columns.fold(box, pk_column, {}, None)
+        return int(folded.total[0]) if folded.exact else None
 
     def matching_pk_intervals(self, box: BoxCondition, pk_column: str | None = None) -> IntervalSet:
         """Pk *index* intervals whose tuples may satisfy ``box``.
 
-        Projects the box onto the relation's contiguous pk index space (the
+        The merged pk runs of the box's fold that carry weight (the
         deterministic alignment assigns each summary row the pk range
-        :meth:`pk_interval_of_row`): the segments of the :meth:`classify`
-        alive rows, a pk-windowed row contributing its window only.  The
-        result is a sound *superset*: a summary row whose fk spread matches
-        the box only partially keeps its whole segment, because the matching
-        offsets are scattered by the round-robin and do not form a pk range.
+        :meth:`pk_interval_of_row`).  A sound *superset*: a run a spread
+        matches partially is kept whole, because the matching offsets are
+        scattered by the round-robin and do not form a pk range.
         """
-        if box.is_empty:
-            return IntervalSet.empty()
-        rows = self.classify(box, pk_column)
-        pieces = self.segments(rows.alive & ~rows.windowed)
-        for position in rows.windowed.nonzero()[0]:
-            pieces.extend(self.pk_window(position, box.conditions[cast(str, pk_column)]))
-        return IntervalSet(pieces)
+        return IntervalSet(self.columns.fold(box, pk_column, {}, None).ranges())
 
     def to_dict(self) -> dict[str, Any]:
         return {"table": self.table, "rows": [row.to_dict() for row in self.rows]}

@@ -33,6 +33,10 @@ from .summary import RelationSummary
 
 __all__ = ["TupleGenerator", "first_owned_batch_start"]
 
+#: ``0, 1, 2, …``: a pk run is this plus its first pk, written once into its output.
+_IOTA = np.arange(8192, dtype=np.int64)
+_IOTA.flags.writeable = False
+
 
 def first_owned_batch_start(segment_start: int, lo: int, batch_size: int) -> int:
     """First segment-anchored batch start at or after ``lo``.
@@ -120,7 +124,10 @@ class TupleGenerator:
         summary_row = self.summary.rows[position]
         for name, values in arrays.items():
             if name == self.table.primary_key:
-                values[out] = np.arange(start, start + take, dtype=np.int64)
+                run = values[out]
+                for done in range(0, take, len(_IOTA)):
+                    chunk = run[done : done + len(_IOTA)]
+                    np.add(_IOTA[: len(chunk)], start + done, out=chunk)
             elif name in summary_row.fk_refs:
                 summary_row.fk_refs[name].fill_targets(values[out], offset)
             else:
@@ -184,7 +191,8 @@ class TupleGenerator:
         for ``box``.  A segment that provably cannot satisfy ``skip_box`` is
         skipped by yielding ``(segment_start, 0, matched, {})`` where
         ``matched`` is the *exact* number of the segment's tuples satisfying
-        ``box`` (:meth:`RelationSummary.classify`); when that count
+        ``box`` (the per-row counts of the box's fold,
+        :meth:`~repro.core.columns.SummaryColumns.matched`); when that count
         is not exactly computable the segment is generated normally so the
         consumer can mask it itself.
 
@@ -202,11 +210,11 @@ class TupleGenerator:
         segments ``skip_box`` skips).  The rows are then written into it
         consecutively and each yielded block is the view of ``out`` just
         written; the yields are otherwise those of the buffered stream.  A
-        segment every tuple of which satisfies ``box``
-        (:meth:`RelationSummary.classify`; every segment of the unfiltered
-        stream) is generated straight into ``out`` — no batch buffer, no box
-        evaluation — and a partly matching one into a batch buffer, of which
-        only the matches are copied.  A stream that ends with ``out`` not
+        segment every tuple of which satisfies ``box`` (its per-row count is
+        its tuple count; every segment of the unfiltered stream) is
+        generated straight into ``out`` — no batch buffer, no box evaluation
+        — and a partly matching one into a batch buffer, of which only the
+        matches are copied.  A stream that ends with ``out`` not
         filled to its end raises ``ValueError``.
         """
         if batch_size < 1:
@@ -224,7 +232,7 @@ class TupleGenerator:
         excluded = self.summary.excluded(box, pk_column=pk)
         matched_rows = None
         if skip_box is not None or (out is not None and box.conditions):
-            matched_rows = self.summary.classify(box, pk_column=pk).matched
+            matched_rows = self.summary.columns.matched(box, pk)
         # Per row: the exact ``box`` count of a segment ``skip_box`` excludes, else -1.
         skipped = None
         if skip_box is not None:

@@ -831,7 +831,7 @@ class ExecutionEngine:
                 view = summaries[name].columns
                 weights = np.eye(len(view.counts), dtype=np.int64) if name == weighed else None
                 folded = view.fold(box, leaf.table.primary_key, refs, weights)
-                if folded is None:
+                if not folded.exact:
                     self._fallback("summary-not-exact")
                 folds[key] = folded
             return key, folds[key]
@@ -879,10 +879,9 @@ class ExecutionEngine:
                 joined = fold(root, None)[1].total
             hit = joined != 0
             if on_pk:
-                ranges = rooted.ranges()
-                if ranges is None:
+                if rooted.scattered:
                     self._fallback("pk-scattered-by-fk")
-                total = _exact_sum({1.0: IntervalSet(ranges).sum_integers()})
+                total = _exact_sum({1.0: IntervalSet(rooted.ranges()).sum_integers()})
             elif spread[hit].any():
                 self._fallback("fk-argument-not-summable")  # targets vary per tuple
             else:

@@ -224,7 +224,7 @@ def _segment_workloads(
     effective_box = box if box is not None else BoxCondition({})
     excluded = summary.excluded(effective_box, pk_column=pk_column)
     if skip_box is not None:
-        countable = summary.classify(effective_box, pk_column=pk_column).matched >= 0
+        countable = summary.columns.matched(effective_box, pk_column) >= 0
         excluded |= countable & summary.excluded(skip_box, pk_column=pk_column)
     segments: list[tuple[int, int, int]] = []
     for position in range(len(summary.rows)):

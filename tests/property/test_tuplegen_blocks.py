@@ -253,7 +253,7 @@ class TestWrittenIntoOut:
         box = BoxCondition(
             {"val": IntervalSet([Interval(0.0, 10.0)]), "fk": IntervalSet([Interval(0.0, 20.0)])}
         )
-        matched = summary.classify(box, pk_column="pk").matched.tolist()
+        matched = summary.columns.matched(box, "pk").tolist()
         assert matched == [7, 0, 4]  # whole, excluded, partial
         for batch_size in (1, 2, 3, 21):
             buffered, written, out = _buffered_and_written(

@@ -935,7 +935,7 @@ class TestMatchingPkIntervals:
             Interval(low + fraction, low + fraction + width) for low, fraction, width in ranges
         )
         box = BoxCondition({"dim_pk": pks})
-        matched = summary.classify(box, pk_column="dim_pk").matched
+        matched = summary.columns.matched(box, "dim_pk")
         excluded = summary.excluded(box, pk_column="dim_pk")
         for position in range(3):
             start, end = summary.pk_interval_of_row(position)
@@ -1226,7 +1226,7 @@ class TestCountMatchingOffsetsProperty:
         block = TupleGenerator(table=table, summary=summary).generate_block(leading_rows, count)
         expected = int(box.evaluate(block).sum())
         position = len(rows) - 1
-        assert summary.classify(box, pk_column="fact_pk").matched[position] == expected
+        assert summary.columns.matched(box, "fact_pk")[position] == expected
         assert expected == 0 or not summary.excluded(box, pk_column="fact_pk")[position]
 
     @settings(max_examples=300, deadline=None)

@@ -260,7 +260,7 @@ class TestSummaryCounting:
         expected = int(box.evaluate(block).sum())
         assert summary.count_matching(box, pk_column="fact_pk") == expected
 
-    def test_count_matching_pk_window_plus_one_partial_fk_is_exact(self):
+    def test_count_matching_pk_window_plus_one_partial_fk_is_exact(self, engine_routes):
         summary = RelationSummary(
             table="fact",
             rows=[
@@ -301,6 +301,35 @@ class TestSummaryCounting:
             }
         )
         assert summary.count_matching(two_fks, pk_column="fact_pk") is None
+        # Two spreads over 5 targets each, on a row of 2 tuples: a box
+        # admitting the 2 targets both reach matches every tuple, so neither
+        # spread is partial and the count — and the summary route — is exact.
+        targets = ("dim", "other")
+        schema = Schema.from_tables(
+            [table]
+            + [Table(name=t, columns=[Column(f"{t}_pk", INTEGER)], primary_key=f"{t}_pk")
+               for t in targets]
+        )
+        spreads = {f"{t}_fk": FKReference(t, IntervalSet([Interval(0, 5)])) for t in targets}
+        relations = {
+            "fact": RelationSummary(table="fact", rows=[SummaryRow(count=2, fk_refs=spreads)]),
+            **{t: RelationSummary(table=t, rows=[SummaryRow(count=5)]) for t in targets},
+        }
+        reached = BoxCondition(
+            {column: IntervalSet([Interval(0.0, 2.0)]) for column in ("dim_fk", "other_fk")}
+        )
+        assert relations["fact"].count_matching(reached, pk_column="fact_pk") == 2
+        dataless = Database(schema=schema, providers={})
+        for name, relation in relations.items():
+            generator = TupleGenerator(table=schema.table(name), summary=relation)
+            dataless.attach(name, DataGenRelation(source=generator))
+        sql = "select count(*) from fact where fact.dim_fk < 2 and fact.other_fk < 2"
+        plan = build_plan(parse_query(sql, schema), schema)
+        materialised, streaming, default = _execute_routes(engine_routes(dataless), plan)
+        assert materialised[:2] == streaming[:2] == default[:2]
+        assert default[3] == streaming[3] == {"count": [2]} and default[2] == 0
+        result = ExecutionEngine(database=dataless).execute(plan_from_dict(plan.to_dict()))
+        assert result.aggregate_route == "summary" and result.fallback_reasons == []
 
     def test_excluded_skips_unreachable_segments(self):
         summary = RelationSummary(
