@@ -10,10 +10,11 @@ One console script, ``hydra``, fronts every tool as a subcommand:
   ``--materialize`` plus ``--format {csv,sqlite} --out DIR`` the
   regenerated relations are additionally *exported* through a streaming
   sink (``repro.sinks``) into a directory any database client can open;
-* ``hydra verify`` — regenerate a database from a summary and verify
-  volumetric similarity against the package's AQPs, or — with ``--against
-  EXPORT_DIR`` — validate a previously written export against its summary
-  from the export's ``MANIFEST.json`` without regenerating tuples;
+* ``hydra verify`` — count the package's AQPs over the (dataless) database
+  a summary regenerates and verify volumetric similarity, or — with
+  ``--against EXPORT_DIR`` — validate a previously written export against
+  its summary from the export's ``MANIFEST.json`` without regenerating
+  tuples;
 * ``hydra serve`` — run the concurrent summary server (``repro.server``):
   load summaries once into a versioned cache and answer
   query/verify/export/regenerate requests over HTTP/JSON;
@@ -43,7 +44,6 @@ from .core.errors import HydraError
 from .core.pipeline import Hydra
 from .core.summary import DatabaseSummary
 from .storage.database import Database
-from .executor.rate import RateLimiter
 from .sinks import (
     EXPORT_FORMATS,
     export_summary,
@@ -92,14 +92,6 @@ def _ensure_writable_directory(parser: argparse.ArgumentParser, path: Path) -> N
         parser.error(f"--out {path} cannot be created: {exc}")
     if not os.access(path, os.W_OK):
         parser.error(f"--out {path} is not writable")
-
-
-def _row_rate(text: str) -> float:
-    """argparse ``type=`` of ``--rows-per-second``: a rate above 0."""
-    value = float(text)
-    if not value > 0:
-        raise argparse.ArgumentTypeError("must be > 0 (omit the flag for an unpaced stream)")
-    return value
 
 
 def _add_telemetry_arguments(parser: argparse.ArgumentParser) -> None:
@@ -378,29 +370,13 @@ def verify_main(argv: Sequence[str] | None = None) -> int:
         "counts and content checksums, without regenerating tuples",
     )
     parser.add_argument(
-        "--rows-per-second", type=_row_rate, default=None,
-        help="pace each regenerated relation's stream at this rate "
-        "(per relation; combine with --shared-rate-limit for one global budget)",
-    )
-    parser.add_argument(
-        "--shared-rate-limit", action="store_true",
-        help="draw all relations from a single --rows-per-second budget "
-        "instead of pacing each stream independently",
-    )
-    parser.add_argument(
         "--sample", type=str, default=None,
         help="also print sample tuples of the given relation",
     )
     _add_telemetry_arguments(parser)
     args = parser.parse_args(argv)
-    if args.against is not None:
-        for flag, inapplicable in (
-            ("--rows-per-second", args.rows_per_second is not None),
-            ("--sample", args.sample is not None),
-            ("--shared-rate-limit", args.shared_rate_limit),
-        ):
-            if inapplicable:
-                parser.error(f"{flag} does not apply to --against export validation")
+    if args.against is not None and args.sample is not None:
+        parser.error("--sample does not apply to --against export validation")
 
     with _telemetry_scope(args):
         return _verify_run(parser, args)
@@ -430,12 +406,7 @@ def _verify_run(parser: argparse.ArgumentParser, args: argparse.Namespace) -> in
             + ", ".join(sorted(summary.relations))
         )
     hydra = Hydra(metadata=package.metadata)
-    database = hydra.regenerate(
-        summary,
-        rate_limiter=RateLimiter(rows_per_second=args.rows_per_second),
-        shared_rate_limiter=args.shared_rate_limit,
-    )
-    result = VolumetricComparator(database=database).verify(package.aqps)
+    result = VolumetricComparator(database=hydra.regenerate(summary)).verify(package.aqps)
     print(format_error_cdf(result))
 
     if args.sample is not None:

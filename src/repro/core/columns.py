@@ -286,10 +286,8 @@ class SummaryColumns:
         offset.
         """
         factor = self.unit if weights is None else weights
-        if box.is_empty:  # no tuple can match: no run, as wide as the weights
-            width = max([factor.shape[1]] + [len(ref.total) for ref in refs.values()])
-            none, nothing = self.offsets[:0], np.zeros((0, width), dtype=np.int64)
-            return Prefix((none, none, none), nothing, nothing)
+        if box.is_empty:
+            return self._no_run(factor, refs)
         live = self.nonempty & box.satisfiable
         prefixes: dict[str, Weigh] = dict(refs)
         for column, intervals in box.conditions.items():
@@ -309,6 +307,8 @@ class SummaryColumns:
             lo, hi, row = self.runs(intervals)
             keep = live[row]
             lo, hi, row = lo[keep], hi[keep], row[keep]
+        if not len(row):
+            return self._no_run(factor, refs)
         span = length = (hi - lo)[:, None]
         if weights is None and not prefixes:
             return Prefix((lo, hi, row), self.unit[: len(row)], span)
@@ -341,6 +341,12 @@ class SummaryColumns:
         return Prefix(
             (lo, hi, row), factor, factor * span, spreads, chosen, begun, self.offsets, inexact
         )
+
+    def _no_run(self, factor: NDArray[np.int64], refs: Mapping[str, Prefix]) -> Prefix:
+        """The prefix of a box no tuple matches: no run, as wide as the weights below."""
+        width = max([factor.shape[1]] + [len(ref.total) for ref in refs.values()])
+        none, nothing = self.offsets[:0], np.zeros((0, width), dtype=np.int64)
+        return Prefix((none, none, none), nothing, nothing)
 
     def matched(self, box: BoxCondition, pk_column: str | None) -> NDArray[np.int64]:
         """Each row's tuples matching ``box``: its :meth:`fold` runs summed, or -1 if inexact."""

@@ -48,7 +48,19 @@ __all__ = [
     "SummaryRow",
     "RelationSummary",
     "DatabaseSummary",
+    "fill_run",
 ]
+
+#: ``0, 1, 2, …``: an arithmetic run is this plus its first term.
+_IOTA = np.arange(8192, dtype=np.int64)
+_IOTA.flags.writeable = False
+
+
+def fill_run(out: NDArray[Any], first: int) -> None:
+    """``out[j] = first + j`` in place: chunks of :data:`_IOTA` added into ``out``, no temporary."""
+    for done in range(0, len(out), len(_IOTA)):
+        chunk = out[done : done + len(_IOTA)]
+        np.add(_IOTA[: len(chunk)], first + done, out=chunk)
 
 
 @dataclass(frozen=True)
@@ -107,8 +119,9 @@ class FKReference:
         """``out[j] = kth_target(offset + j)`` for every cell of ``out``, in place.
 
         Consecutive offsets walk the flattened order, so the first
-        ``min(len(out), total)`` cells are at most ``#intervals + 1`` ``arange``
-        runs; the cells after them repeat those with period ``total``.
+        ``min(len(out), total)`` cells are at most ``#intervals + 1``
+        arithmetic runs (:func:`fill_run`); the cells after them repeat those
+        with period ``total``.
         """
         total = self._positive_count()
         starts, bounds = self.flat
@@ -119,7 +132,7 @@ class FKReference:
         while done < head:
             run = min(bounds[i + 1] - k, head - done)
             first = starts[i] + k - bounds[i]
-            out[done : done + run] = np.arange(first, first + run, dtype=np.int64)
+            fill_run(out[done : done + run], first)
             done += run
             i = (i + 1) % len(starts)
             k = bounds[i]

@@ -29,14 +29,9 @@ from ..catalog.schema import Table
 from ..sql.predicates import BoxCondition, columns_with_dependencies
 from ..telemetry.session import add_counter
 from .errors import SummaryError
-from .summary import RelationSummary
+from .summary import RelationSummary, fill_run
 
 __all__ = ["TupleGenerator", "first_owned_batch_start"]
-
-#: ``0, 1, 2, …``: a pk run is this plus its first pk, written once into its output.
-_IOTA = np.arange(8192, dtype=np.int64)
-_IOTA.flags.writeable = False
-
 
 def first_owned_batch_start(segment_start: int, lo: int, batch_size: int) -> int:
     """First segment-anchored batch start at or after ``lo``.
@@ -124,10 +119,7 @@ class TupleGenerator:
         summary_row = self.summary.rows[position]
         for name, values in arrays.items():
             if name == self.table.primary_key:
-                run = values[out]
-                for done in range(0, take, len(_IOTA)):
-                    chunk = run[done : done + len(_IOTA)]
-                    np.add(_IOTA[: len(chunk)], start + done, out=chunk)
+                fill_run(values[out], start)
             elif name in summary_row.fk_refs:
                 summary_row.fk_refs[name].fill_targets(values[out], offset)
             else:

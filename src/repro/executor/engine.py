@@ -236,9 +236,9 @@ class ExecutionEngine:
     (``PlanNode.cardinality``) — that is how the client extracts AQPs and
     how the vendor verifies them.  Every route leaves every annotation and
     every output block bit-identical; :attr:`ExecutionResult.route_events`
-    reports which ran and why a faster one did not.
-    ``summary_fastpath=False`` keeps aggregates off the summary route — the
-    differential fuzzer compares the two.
+    reports which ran and why a faster one did not.  The differential
+    fuzzer checks the summary route against the same summary regenerated
+    and materialised, which shares no block stream with it.
 
     Parallel regeneration is transparent to the engine: a
     :class:`~repro.executor.datagen.DataGenRelation` delivers the same
@@ -247,7 +247,6 @@ class ExecutionEngine:
     """
 
     database: Database
-    summary_fastpath: bool = True
     _scanned_rows: int = field(default=0, init=False)
     _route_events: list[RouteEvent] = field(default_factory=list, init=False)
     _plan: PlanNode = field(init=False, repr=False)
@@ -735,8 +734,6 @@ class ExecutionEngine:
         answer: tuple[int, float] | None = None
         reason: str | None = None
         try:
-            if not self.summary_fastpath:
-                self._fallback("fastpath-disabled")
             answer = self._summary_aggregate(node)
         except _Bail as bail:
             reason = bail.reason

@@ -5,8 +5,9 @@ The harness round-trips every synthesized scenario (see
 extraction, summary build, regeneration — and then asks the *same* SQL of
 two independent implementations over the *same* regenerated tuples:
 
-* the repo's execution engine, on every supported result route (summary
-  fast path, streaming fallback, and via the HTTP server); and
+* the repo's execution engine, on every supported result route (the
+  dataless database, the same tuples materialised, and via the HTTP
+  server); and
 * stock ``sqlite3``, over the PR 5 SQLite export of the summary.
 
 Any disagreement is shrunk by the delta-debugging minimizer to a minimal

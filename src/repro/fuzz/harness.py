@@ -8,15 +8,17 @@ One scenario run is the full HYDRA round trip over one synthesized seed:
    summary and regenerates a (dataless) database from it;
 3. the same summary is exported through the SQLite sink, and stock
    ``sqlite3`` becomes the oracle over the *same* regenerated tuples;
-4. every workload query is answered on each enabled result route — summary
-   fast path, streaming fallback, and via the HTTP server — and checked
+4. every workload query is answered on each enabled result route — the
+   dataless database (its summary fast path), the same regenerated tuples
+   materialised, and via the HTTP server — and checked
    against the oracle: COUNT and ``SELECT *`` row counts must agree exactly,
    and so must a ``SELECT *``'s sum of each joined table's primary key (a
    wrong join partner changes it); SUM/AVG within a float-summation
    tolerance;
-5. results and plan annotations must be route-independent: the fast path
-   and the streaming route must return the same value to the last bit, and
-   the server must annotate exactly like the local fast path;
+5. results and plan annotations must be route-independent: the dataless
+   and the materialised database must return the same value to the last bit
+   and annotate every node alike, and the server must annotate exactly like
+   the local fast path;
 6. on delta seeds the scenario's delta batches feed
    :meth:`~repro.core.pipeline.Hydra.extend_summary`; the extended summary
    is re-exported, re-checked against the oracle for every query seen so
@@ -30,6 +32,7 @@ corpus entries.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Any, Iterable, Sequence
 
 import numpy as np
@@ -59,7 +62,10 @@ __all__ = [
 ]
 
 #: Every result route the harness can exercise.
-ROUTES = ("fastpath", "streaming", "server")
+ROUTES = ("fastpath", "materialised", "server")
+
+#: The routes answered in this process (no server).
+_LOCAL_ROUTES = ("fastpath", "materialised")
 
 _AGGREGATE_COLUMNS = ("count", "sum", "avg")
 
@@ -246,15 +252,19 @@ def _differential_pass(
     disagreements: list[Disagreement] = []
     route_counts: dict[str, int] = {route: 0 for route in active}
 
-    serial_db: Database | None = None
-    if any(route in active for route in ("fastpath", "streaming")):
-        serial_db = setup.hydra.regenerate(summary)
-
     engines: dict[str, ExecutionEngine] = {}
-    if serial_db is not None and "fastpath" in active:
-        engines["fastpath"] = ExecutionEngine(database=serial_db, summary_fastpath=True)
-    if serial_db is not None and "streaming" in active:
-        engines["streaming"] = ExecutionEngine(database=serial_db, summary_fastpath=False)
+    if any(route in active for route in _LOCAL_ROUTES):
+        dataless = setup.hydra.regenerate(summary)
+        if "fastpath" in active:
+            engines["fastpath"] = ExecutionEngine(database=dataless)
+        if "materialised" in active:
+            # The same tuples, scanned: no block stream, segment skipping or
+            # semi-join box of the dataless route is shared.
+            materialised = Database.from_table_data(
+                schema,
+                [dataless.provider(name).materialize(schema.table(name)) for name in dataless],
+            )
+            engines["materialised"] = ExecutionEngine(database=materialised)
 
     server_name = f"fuzz-{setup.seed}-{phase}"
     if client is not None and "server" in active:
@@ -272,14 +282,25 @@ def _differential_pass(
             for route, engine in engines.items():
                 plan = build_plan(synth_query.query, schema)
                 result = engine.execute(plan)
-                engine_value = values[route] = _engine_value(
+                values[route] = _engine_value(
                     synth_query.kind, result.columns, result.row_count, pk_columns
                 )
-                route_counts[route] += 1
                 annotations[route] = _annotations(plan)
+            if client is not None and "server" in active:
+                response = client.query(server_name, synth_query.sql)
+                values["server"] = _engine_value(
+                    synth_query.kind, response.columns, response.row_count, pk_columns
+                )
+                annotations["server"] = [
+                    (str(item["operator"]), int(item["cardinality"]))
+                    for item in response.annotations
+                ]
+            for route, engine_value in values.items():
+                route_counts[route] += 1
                 if not _values_agree(
                     synth_query.kind, engine_value, oracle_value, config.rel_tol
                 ):
+                    source = "served" if route == "server" else "engine"
                     disagreements.append(
                         Disagreement(
                             seed=setup.seed,
@@ -290,84 +311,39 @@ def _differential_pass(
                             sql=synth_query.sql,
                             engine_value=engine_value,
                             oracle_value=oracle_value,
-                            detail="engine result disagrees with SQLite oracle",
+                            detail=f"{source} result disagrees with SQLite oracle",
                         )
                     )
-            if client is not None and "server" in active:
-                response = client.query(server_name, synth_query.sql)
-                engine_value = _engine_value(
-                    synth_query.kind, response.columns, response.row_count, pk_columns
-                )
-                route_counts["server"] += 1
-                annotations["server"] = [
-                    (str(item["operator"]), int(item["cardinality"]))
-                    for item in response.annotations
-                ]
-                if not _values_agree(
-                    synth_query.kind, engine_value, oracle_value, config.rel_tol
-                ):
-                    disagreements.append(
-                        Disagreement(
-                            seed=setup.seed,
-                            phase=phase,
-                            query_name=synth_query.name,
-                            kind=synth_query.kind,
-                            route="server",
-                            sql=synth_query.sql,
-                            engine_value=engine_value,
-                            oracle_value=oracle_value,
-                            detail="served result disagrees with SQLite oracle",
-                        )
-                    )
+            mismatch = partial(_route_mismatches, setup.seed, phase, synth_query)
             disagreements.extend(
-                _annotation_mismatches(setup.seed, phase, synth_query, annotations)
+                mismatch("materialised", values, "results are not bit-identical")
             )
-            disagreements.extend(_value_mismatches(setup.seed, phase, synth_query, values))
+            for other in ("materialised", "server"):
+                disagreements.extend(
+                    mismatch(other, annotations, "plan annotations are not route-independent")
+                )
     if client is not None and "server" in active:
         client.evict(server_name)
     return disagreements, len(queries), route_counts
 
 
-def _annotation_mismatches(
+def _route_mismatches(
     seed: int,
     phase: str,
     synth_query: SynthQuery,
-    annotations: dict[str, list[tuple[str, int]]],
+    other: str,
+    observed: dict[str, Any],
+    detail: str,
 ) -> list[Disagreement]:
-    """Route-independence of plan annotations.
-
-    Same engine flags must annotate identically regardless of transport:
-    server == local fast path.
-    """
-    local, served = annotations.get("fastpath"), annotations.get("server")
-    if local is None or served is None or local == served:
-        return []
-    return [
-        Disagreement(
-            seed=seed,
-            phase=phase,
-            query_name=synth_query.name,
-            kind=synth_query.kind,
-            route="fastpath-vs-server",
-            sql=synth_query.sql,
-            engine_value=local,
-            oracle_value=served,
-            detail="plan annotations are not route-independent",
-        )
-    ]
-
-
-def _value_mismatches(
-    seed: int, phase: str, synth_query: SynthQuery, values: dict[str, Any]
-) -> list[Disagreement]:
-    """Bit-identity of results across the local routes.
+    """Route-independence: the fast path and ``other`` must observe the same thing.
 
     The oracle check allows SUM/AVG a float-summation tolerance against
-    SQLite; the summary fast path and the streaming route owe each other
-    the same value to the last bit (both round the exact sum once).
+    SQLite; the local routes owe each other the same value to the last bit
+    (both round the exact sum once), and every route annotates every node
+    alike.
     """
-    summary, streamed = values.get("fastpath"), values.get("streaming")
-    if summary is None or streamed is None or summary == streamed:
+    mine, theirs = observed.get("fastpath"), observed.get(other)
+    if mine is None or theirs is None or mine == theirs:
         return []
     return [
         Disagreement(
@@ -375,11 +351,11 @@ def _value_mismatches(
             phase=phase,
             query_name=synth_query.name,
             kind=synth_query.kind,
-            route="fastpath-vs-streaming",
+            route=f"fastpath-vs-{other}",
             sql=synth_query.sql,
-            engine_value=summary,
-            oracle_value=streamed,
-            detail="summary and streaming results are not bit-identical",
+            engine_value=mine,
+            oracle_value=theirs,
+            detail=detail,
         )
     ]
 
@@ -476,7 +452,7 @@ def run_scenario(
             base_package = base_package.apply_delta(delta)
             checked_queries.extend(batch)
             delta_routes = [
-                route for route in config.routes if route in ("fastpath", "streaming")
+                route for route in config.routes if route in _LOCAL_ROUTES
             ] or list(config.routes[:1])
             more, extra_checked, extra_routes = _differential_pass(
                 setup,

@@ -143,8 +143,8 @@ def ddmin(
 def _serial_routes(route: str) -> tuple[str, ...]:
     """The server-free routes to reproduce ``route`` failures under."""
     parts = {part for part in route.replace("-vs-", " ").split() if part}
-    serial = tuple(part for part in ("fastpath", "streaming") if part in parts)
-    return serial or ("fastpath", "streaming")
+    serial = tuple(part for part in ("fastpath", "materialised") if part in parts)
+    return serial or ("fastpath", "materialised")
 
 
 def minimize_failure(

@@ -283,7 +283,7 @@ class VerifyRequest(_Body):
 
     Exactly one of ``package`` (inline ``InformationPackage.to_dict``) or
     ``package_path`` (a package JSON on the server's filesystem) names the
-    workload.  Without ``against_dir`` the AQPs are re-executed over the
+    workload.  Without ``against_dir`` the AQPs are counted over the
     regenerated database and compared volumetrically; with it, the export
     directory is validated against the cached summary through the same
     helper ``hydra verify --against`` uses — no tuple is regenerated.

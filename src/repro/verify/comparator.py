@@ -4,7 +4,7 @@ The objective of HYDRA's regeneration is *volumetric similarity*: with common
 query plans, the output row cardinalities of individual operators on the
 regenerated database should be (almost) identical to the ones observed at the
 client (paper §1/§2).  The comparator makes that check explicit, exactly as
-the demo's vendor interface does: every AQP's plan is re-executed over the
+the demo's vendor interface does: every AQP's plan is counted over the
 regenerated (dataless or materialised) database, and each operator's output
 cardinality is compared against the client-side annotation.
 """
@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 
 from ..executor.engine import ExecutionEngine
 from ..plans.aqp import AnnotatedQueryPlan
-from ..plans.logical import plan_from_dict
+from ..plans.logical import AggregateNode, plan_from_dict
 from ..storage.database import Database
 
 __all__ = ["EdgeComparison", "VerificationResult", "VolumetricComparator"]
@@ -88,12 +88,14 @@ class VerificationResult:
 
 @dataclass
 class VolumetricComparator:
-    """Re-executes a workload on a regenerated database and compares AQPs.
+    """Counts a workload's plans on a regenerated database and compares AQPs.
 
-    The engine picks its route per relation from how ``database`` attaches
-    it — dataless relations stream or are answered from their summaries,
-    materialised ones are scanned.  Every route annotates plans with
-    identical cardinalities, so verification results do not depend on it.
+    Each plan runs under a ``COUNT`` (an aggregate plan as it is), so over
+    dataless relations the summary route annotates every node from the
+    relation summaries without generating a tuple, whatever the data scale;
+    a plan it cannot answer executes.  Materialised relations are scanned.
+    Every route annotates plans with identical cardinalities, so
+    verification results do not depend on it.
     """
 
     database: Database
@@ -105,7 +107,10 @@ class VolumetricComparator:
             # Clone the plan so the original annotations are left untouched.
             regenerated_plan = plan_from_dict(aqp.plan.to_dict())
             regenerated_plan.clear_annotations()
-            engine.execute(regenerated_plan)
+            counted = regenerated_plan
+            if not isinstance(counted, AggregateNode):
+                counted = AggregateNode(child=regenerated_plan, function="count")
+            engine.execute(counted)
 
             original_nodes = list(aqp.plan.iter_nodes())
             regenerated_nodes = list(regenerated_plan.iter_nodes())

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import math
+from functools import partial
 from itertools import accumulate
+from typing import Any, Callable
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from repro.client.extractor import AQPExtractor
 from repro.core.columns import FKColumn, integer_prefix
 from repro.core.errors import SummaryError
 from repro.core.summary import SummaryRow
+from repro.executor.engine import ExecutionEngine
 from repro.sql.parser import parse_query
 from repro.sql.predicates import Interval, IntervalSet
 from repro.storage.database import Database
@@ -20,6 +23,8 @@ from repro.workload.generator import WorkloadConfig, generate_workload
 from repro.workload.toy import FIGURE1_QUERY, ToyConfig, generate_toy_database, toy_schema
 from repro.workload.tpcds import TPCDSConfig, generate_tpcds_database
 from repro.workload.tpch import TPCHConfig, generate_tpch_database
+
+from aggregate_reference import stream_aggregate
 
 
 @pytest.fixture(scope="session")
@@ -223,25 +228,27 @@ def fk_matched():
 
 @pytest.fixture(scope="session")
 def engine_routes():
-    """``routes(dataless_database)``: the three ways the engine can run a plan.
+    """``routes(dataless_database)``: the three ways a plan can run.
 
     The engine picks its route from what it observes, so a route is a
-    ``(database, engine options)`` pair, not a flag set: *materialised*
-    (every relation materialised — scans, generic filters and the
-    materialising hash join; the independent reference), *streaming*
-    (dataless, aggregates kept off the summaries) and *default* (dataless).
+    ``(database, execute)`` pair, ``execute(plan)`` running the plan on
+    that database: *materialised* (every relation materialised — scans,
+    generic filters and the materialising hash join; the independent
+    reference), *streaming* (dataless, an aggregate taken over its executed
+    child: :func:`aggregate_reference.stream_aggregate`) and *default*
+    (dataless).
     """
 
-    def routes(dataless: Database) -> dict[str, tuple[Database, dict[str, bool]]]:
+    def routes(dataless: Database) -> dict[str, tuple[Database, Callable[..., Any]]]:
         schema = dataless.schema
         materialised = Database.from_table_data(
             schema,
             [dataless.provider(name).materialize(schema.table(name)) for name in dataless],
         )
         return {
-            "materialised": (materialised, {}),
-            "streaming": (dataless, {"summary_fastpath": False}),
-            "default": (dataless, {}),
+            "materialised": (materialised, ExecutionEngine(database=materialised).execute),
+            "streaming": (dataless, partial(stream_aggregate, dataless)),
+            "default": (dataless, ExecutionEngine(database=dataless).execute),
         }
 
     return routes

@@ -9,11 +9,14 @@ checked for feasibility and extrapolated to any volume, deterministic
 alignment beats sampling, and a delta workload re-solves only what it touches.
 This module builds that workload once and asserts exactly those counts and
 ratios.  Wall-clock claims are not made here: they are the trajectory's
-(``benchmarks/trajectory/run.py``).
+(``benchmarks/trajectory/run.py``).  The one clock read is a ceiling two
+orders of magnitude above the expected time, which only a verification that
+generates tuples at 10^10 rows can reach.
 """
 
 from __future__ import annotations
 
+import time
 from types import SimpleNamespace
 
 import numpy as np
@@ -31,6 +34,7 @@ from repro.core.scenario import (
     total_rows,
 )
 from repro.sql.predicates import BoxCondition, Interval, IntervalSet
+from repro.telemetry import telemetry_session
 from repro.verify.comparator import VolumetricComparator
 from repro.workload.generator import WorkloadConfig, generate_workload
 from repro.workload.tpcds import TPCDSConfig, generate_tpcds_database
@@ -128,6 +132,31 @@ def test_e4_summary_is_data_scale_free(scenario):
         assert summary.total_summary_rows() == base.total_summary_rows(), factor
         assert summary.size_bytes() < 1.25 * base.size_bytes(), factor
         assert summary.total_rows() == factor * base.total_rows(), factor
+
+
+def test_e4_whole_client_is_built_and_verified_at_a_million_times_its_rows(client):
+    """The 131-query client scaled 10^6 times: store_sales holds ~10^10 rows.
+
+    The LP has exactly the variables of the x1 build, and verification counts
+    every plan from the summaries: no join runs and no segment is generated.
+    """
+    scaled = Scenario(name="client", metadata=client.metadata, aqps=client.aqps).scaled(10**6)
+    assert scaled.metadata.row_count("store_sales") > 10**9
+    hydra = Hydra(metadata=scaled.metadata)
+    build = hydra.build_summary(scaled.aqps)
+    assert build.report.total_lp_variables() == client.build.report.total_lp_variables()
+    database = hydra.regenerate(build.summary)
+    with telemetry_session() as session:
+        start = time.perf_counter()
+        verification = VolumetricComparator(database=database).verify(scaled.aqps)
+        elapsed = time.perf_counter() - start
+    counters = session.metrics.snapshot()["counters"]
+    assert [name for name in counters if name.startswith("engine.route.join.")] == []
+    assert session.metrics.counter_value("tuplegen.segments_scanned") == 0
+    assert verification.total_edges == client.verification.total_edges
+    assert verification.fraction_within(0.001) > 0.9
+    assert verification.fraction_within(0.1) == 1.0
+    assert elapsed < 10.0, elapsed
 
 
 def test_e7_injected_scenarios_are_checked_for_feasibility(client):

@@ -93,6 +93,7 @@ class TestMixedWorkload:
         vendor_db = hydra.regenerate(result.summary, rate_limiter=limiter)
         verification = VolumetricComparator(database=vendor_db).verify(toy_aqps)
         assert verification.fraction_within(0.1) == 1.0
+        _assert_streams_every_row(vendor_db)
         # Each relation is paced by its own clone of the configured limiter;
         # the caller's template instance itself stays untouched.
         assert limiter.rows_produced == 0
@@ -113,7 +114,15 @@ class TestMixedWorkload:
         )
         verification = VolumetricComparator(database=vendor_db).verify(toy_aqps)
         assert verification.fraction_within(0.1) == 1.0
+        _assert_streams_every_row(vendor_db)
         assert limiter.rows_produced > 0
+
+
+def _assert_streams_every_row(database):
+    """Stream every relation once (verification counts from the summaries, generating nothing)."""
+    for name in database:
+        streamed = sum(count for _start, count, _block in database.provider(name).iter_blocks())
+        assert streamed == database.row_count(name), name
 
 
 class TestPackageRoundTrip:

@@ -6,6 +6,8 @@ import pytest
 
 from repro.core.pipeline import Hydra
 from repro.executor.datagen import DataGenRelation
+from repro.executor.engine import ExecutionEngine
+from repro.plans.logical import plan_from_dict
 from repro.verify.comparator import VolumetricComparator
 
 
@@ -59,7 +61,11 @@ class TestVolumetricSimilarity:
         vendor_db = hydra.regenerate(result.summary)
         provider = vendor_db.provider("store_sales")
         assert isinstance(provider, DataGenRelation)
+        # Verification counts from the summaries; executing a plan streams.
         VolumetricComparator(database=vendor_db).verify(tpcds_aqps[:3])
+        assert provider.stats.rows_generated == 0
+        plan = next(aqp.plan for aqp in tpcds_aqps if "store_sales" in aqp.plan.output_tables())
+        ExecutionEngine(database=vendor_db).execute(plan_from_dict(plan.to_dict()))
         assert provider.stats.rows_generated > 0
 
 

@@ -95,10 +95,11 @@ class TestVendorAndVerify:
         "flags, message",
         [
             (["--sample", "NOPE"], "relation 'NOPE'; the summary describes: R, S, T"),
-            (["--rows-per-second", "-5"], "argument --rows-per-second: must be > 0"),
-            (["--rows-per-second", "0"], "argument --rows-per-second: must be > 0"),
+            # Verification generates no tuple, so there is no stream to pace.
+            (["--rows-per-second", "100"], "unrecognized arguments: --rows-per-second 100"),
+            (["--shared-rate-limit"], "unrecognized arguments: --shared-rate-limit"),
         ],
-        ids=["sample", "rate=-5", "rate=0"],
+        ids=["sample", "rows-per-second", "shared-rate-limit"],
     )
     def test_verify_rejects_values_it_cannot_honour_before_regenerating(
         self, flags, message, package_path, tmp_path, capsys, monkeypatch

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -56,6 +57,8 @@ from repro.telemetry import telemetry_session
 from repro.verify.comparator import VolumetricComparator
 from repro.workload.toy import FIGURE1_QUERY, ToyConfig, generate_toy_database
 
+from aggregate_reference import stream_aggregate
+
 JOIN_SQLS = [
     ("figure1", FIGURE1_QUERY),
     ("join_count", "select count(*) from R, S where R.S_fk = S.S_pk and S.A >= 10 and S.A < 30"),
@@ -95,12 +98,11 @@ def vendor_routes(vendor_database, engine_routes):
 
 
 def _run_route(route, plan):
-    """Execute a fresh clone of ``plan`` on one ``(database, options)`` route."""
-    database, options = route
-    engine = ExecutionEngine(database=database, **options)
+    """Execute a fresh clone of ``plan`` on one ``(database, execute)`` route."""
+    _database, execute = route
     cloned = plan_from_dict(plan.to_dict())
     cloned.clear_annotations()
-    result = engine.execute(cloned)
+    result = execute(cloned)
     return result, [node.cardinality for node in cloned.iter_nodes()]
 
 
@@ -132,8 +134,11 @@ class TestJoinRouteEquivalence:
     def test_client_database_reproduces_its_own_annotations(self, client_database, client_aqps):
         for aqp in client_aqps:
             expected = [node.cardinality for node in aqp.plan.iter_nodes()]
-            for options in ({}, {"summary_fastpath": False}):
-                _result, cards = _run_route((client_database, options), aqp.plan)
+            for execute in (
+                ExecutionEngine(database=client_database).execute,
+                partial(stream_aggregate, client_database),
+            ):
+                _result, cards = _run_route((client_database, execute), aqp.plan)
                 assert cards == expected, aqp.name
 
     def test_join_count_summary_route_generates_nothing(self, vendor_routes, client_aqps):
@@ -149,26 +154,25 @@ class TestJoinRouteEquivalence:
         """A silent summary-route regression fails even when the counts agree.
 
         ``summary`` on the default dataless database, ``streaming`` on the
-        materialised one and with ``summary_fastpath=False`` (formerly the
-        "Aggregate route reporting" CI step over E11 / E12).
+        materialised one (formerly the "Aggregate route reporting" CI step
+        over E11 / E12).
         """
         schema = vendor_routes["default"][0].schema
-        reasons = {"default": [], "streaming": ["fastpath-disabled"],
-                   "materialised": ["not-summary-backed"]}
+        reasons = {"default": [], "materialised": ["not-summary-backed"]}
         for sql in (
             "select count(*) from R where R.T_fk >= 5",
             "select count(*) from R, S where R.S_fk = S.S_pk and S.A >= 10 and S.A < 30",
         ):
             plan = build_plan(parse_query(sql, schema), schema)
-            for name, route in vendor_routes.items():
-                result, _cards = _run_route(route, plan)
+            for name in reasons:
+                result, _cards = _run_route(vendor_routes[name], plan)
                 assert result.aggregate_route == ("summary" if name == "default" else "streaming")
                 assert result.fallback_reasons[-1:] == reasons[name], (sql, name)
                 assert (result.scanned_rows == 0) == (name == "default"), (sql, name)
 
     def test_verification_is_route_independent(self, vendor_routes, client_aqps):
-        materialised, _options = vendor_routes["materialised"]
-        dataless, _options = vendor_routes["default"]
+        materialised, _execute = vendor_routes["materialised"]
+        dataless, _execute = vendor_routes["default"]
         baseline = VolumetricComparator(database=materialised).verify(client_aqps).comparisons
         assert baseline
         assert VolumetricComparator(database=dataless).verify(client_aqps).comparisons == baseline
@@ -347,7 +351,7 @@ class TestMemoryBound:
             database = hydra.regenerate(
                 summary, materialize=plan.output_tables() if materialize else ()
             )
-            return ExecutionEngine(database=database, summary_fastpath=False).execute(plan)
+            return stream_aggregate(database, plan)
 
         streamed, streaming_peak = self._peak(lambda: execute(False))
         reference, materialised_peak = self._peak(lambda: execute(True))
@@ -379,7 +383,7 @@ class TestMemoryBound:
             database = hydra.regenerate(
                 summary, materialize=plan.output_tables() if materialize else ()
             )
-            return ExecutionEngine(database=database, summary_fastpath=False).execute(plan)
+            return stream_aggregate(database, plan)
 
         reference = execute(materialize=True)
         execute()  # summary caches are built once per summary, not per query
@@ -454,12 +458,11 @@ class TestMemoryBound:
 class TestBuildSideChoice:
     def test_probe_is_larger_side_by_summary_cardinality(self, vendor_database, client_aqps):
         aqp = next(a for a in client_aqps if a.name == "join_count")
-        engine = ExecutionEngine(database=vendor_database, summary_fastpath=False)
         r_before = vendor_database.provider("R").stats.rows_generated
         s_before = vendor_database.provider("S").stats.rows_generated
         plan = plan_from_dict(aqp.plan.to_dict())
         plan.clear_annotations()
-        engine.execute(plan)
+        stream_aggregate(vendor_database, plan)
         r_generated = vendor_database.provider("R").stats.rows_generated - r_before
         s_generated = vendor_database.provider("S").stats.rows_generated - s_before
         # S (400 rows) is the build side and is generated at most once in
@@ -544,7 +547,7 @@ def _streamed(database, sql):
     """Execute ``sql`` with the join streamed; ``(result, the run's metrics registry)``."""
     plan = build_plan(parse_query(sql, database.schema), database.schema)
     with telemetry_session() as session:
-        result = ExecutionEngine(database=database, summary_fastpath=False).execute(plan)
+        result = stream_aggregate(database, plan)
     return result, session.metrics
 
 
@@ -877,10 +880,9 @@ class TestDecidedBox:
     def test_unknown_column_in_a_value_column_filter_still_raises(self, engine_routes):
         database, _summary = _dataless_star()
         predicate = Or([Comparison("qty", "=", 2.5), Comparison("typo", ">=", 0.0)])
-        for route_database, options in engine_routes(database).values():
-            engine = ExecutionEngine(database=route_database, **options)
+        for _route_database, execute in engine_routes(database).values():
             with pytest.raises(KeyError, match="typo"):
-                engine.execute(AggregateNode(child=_leaf("fact", predicate)))
+                execute(AggregateNode(child=_leaf("fact", predicate)))
 
 
 class TestMatchingPkIntervals:

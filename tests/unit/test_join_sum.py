@@ -16,10 +16,11 @@ from __future__ import annotations
 
 import math
 import re
+from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.catalog.schema import Column, ForeignKey, Schema, Table
@@ -38,6 +39,8 @@ from repro.sql.parser import parse_query
 from repro.sql.predicates import And, Comparison, Interval, IntervalSet
 from repro.sql.query import JoinCondition
 from repro.storage.database import Database
+
+from aggregate_reference import stream_aggregate
 
 SCHEMA = Schema.from_tables(
     [
@@ -153,10 +156,10 @@ def _fixed_rows():
 def _run_routes(routes, plan):
     """``{route: (result, cardinalities)}`` of a fresh clone of ``plan`` per route."""
     outcomes = {}
-    for name, (database, options) in routes.items():
+    for name, (_database, execute) in routes.items():
         cloned = plan_from_dict(plan.to_dict())
         cloned.clear_annotations()
-        result = ExecutionEngine(database=database, **options).execute(cloned)
+        result = execute(cloned)
         outcomes[name] = (result, [node.cardinality for node in cloned.iter_nodes()])
     return outcomes
 
@@ -298,7 +301,7 @@ class TestFixedSnowflake:
     def test_unresolvable_argument_is_not_answered_from_the_summary(self):
         # The planner rejects an argument no joined table owns; a hand-built
         # plan reaches the engine, whose summary route declines it
-        # (argument-not-resolvable) and leaves it to the streaming route's
+        # (argument-not-resolvable) and leaves it to the executed child's
         # error instead of answering.
         plan = AggregateNode(
             child=JoinNode(
@@ -309,11 +312,13 @@ class TestFixedSnowflake:
             function="sum",
             argument="pk_of_nothing",
         )
-        for options in ({}, {"summary_fastpath": False}):
+        database = _fixed()
+        for execute in (
+            ExecutionEngine(database=database).execute,
+            partial(stream_aggregate, database),
+        ):
             with pytest.raises(ExecutorError, match="pk_of_nothing"):
-                ExecutionEngine(database=_fixed(), **options).execute(
-                    plan_from_dict(plan.to_dict())
-                )
+                execute(plan_from_dict(plan.to_dict()))
 
     def test_single_leaf_sum_is_rounded_once(self, engine_routes):
         # 1 × 4.8 + 7 × 4.14: the rounded products 4.8 and 28.98 add up to
@@ -582,8 +587,8 @@ class TestOneFkTestPerJoin:
             f"select * from fact, dim, aux where {JOIN_FD} and {JOIN_FA} and aux.weight < 4.5",
         ],
     )
-    @pytest.mark.parametrize("fastpath", [True, False])
-    def test_each_join_is_classified_at_most_once(self, monkeypatch, sql, fastpath):
+    @pytest.mark.parametrize("streamed", [False, True])
+    def test_each_join_is_classified_at_most_once(self, monkeypatch, sql, streamed):
         calls = []
 
         def counting(condition, schema):
@@ -595,17 +600,49 @@ class TestOneFkTestPerJoin:
         plan = build_plan(parse_query(sql, SCHEMA), SCHEMA)
         assert calls == []
         joins = [node.condition for node in plan.iter_nodes() if isinstance(node, JoinNode)]
-        engine = ExecutionEngine(database=_fixed(), summary_fastpath=fastpath)
+        database = _fixed()
+        engine = ExecutionEngine(database=database)
+        execute = partial(stream_aggregate, database) if streamed else engine.execute
         for _ in range(2):
             calls.clear()
-            engine.execute(plan)
+            execute(plan)
             assert 0 < len(calls) <= len(joins)
             assert all(sum(call is join for call in calls) <= 1 for join in joins)
+
+
+#: dim stores its FK to sub as a constant and no dim row passes the filter:
+#: dim's fold has no run, yet its weight must still carry one entry per row
+#: of sub, the SUM's owner (the fold once indexed sub's two rows with one).
+_NO_RUN_BELOW_THE_ROOT = {
+    "relations": {
+        "sub": [
+            SummaryRow(count=1, values={"level": 0.1}),
+            SummaryRow(count=0, values={"level": 0.1}),
+        ],
+        "aux": [SummaryRow(count=1, values={"weight": 0.1})],
+        "dim": [SummaryRow(count=1, values={"price": 0.1, "grade": 0.0, "sub_fk": 0.0})],
+        "fact": [
+            SummaryRow(count=1, values={"qty": 0.0, "amt": 0.1, "dim_fk": 0.0, "aux_fk": 0.0})
+        ],
+    },
+    "case": (
+        build_plan(
+            parse_query(
+                f"select sum(sub.level) from fact, dim, sub where {JOIN_FD} and {JOIN_DS} "
+                "and dim.grade = 5",
+                SCHEMA,
+            ),
+            SCHEMA,
+        ),
+        ("fact", "dim", "sub"),
+    ),
+}
 
 
 class TestRandomSnowflakes:
     @settings(max_examples=150, deadline=None)
     @given(relations=snowflakes(), case=join_sums())
+    @example(**_NO_RUN_BELOW_THE_ROOT)
     def test_routes_agree_and_bails_are_catalogued(self, engine_routes, relations, case):
         plan, tables = case
         database = _database(relations)

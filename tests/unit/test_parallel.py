@@ -21,7 +21,6 @@ from repro.core.summary import FKReference, RelationSummary, SummaryRow
 from repro.core.tuplegen import TupleGenerator
 from repro.executor.datagen import DataGenRelation
 from repro.executor import engine as engine_module
-from repro.executor.engine import ExecutionEngine
 from repro.executor.rate import RateLimiter
 from repro.parallel import ShardPlan, iter_parallel_blocks, pool_plan
 from repro.plans.planner import build_plan
@@ -35,6 +34,8 @@ from repro.server import (
 from repro.sinks import CsvSink, export_summary
 from repro.sql.predicates import BoxCondition, Interval, IntervalSet
 from repro.sql.parser import parse_query
+
+from aggregate_reference import stream_aggregate
 
 
 @pytest.fixture(scope="module")
@@ -160,8 +161,9 @@ class TestRegenerateIntegration:
     ):
         """Scans, joins and aggregates are worker-count-independent.
 
-        ``summary_fastpath`` is disabled so the engine really streams blocks
-        through the parallel iterators instead of answering from the summary.
+        An aggregate is taken over its executed child, so the engine really
+        streams blocks through the parallel iterators instead of answering
+        from the summary.
         """
         monkeypatch.setattr(engine_module, "BATCH_SIZE", 1024)
         schema = toy_metadata.schema
@@ -171,8 +173,7 @@ class TestRegenerateIntegration:
         results = []
         for database in (serial_db, parallel_db):
             plan = build_plan(parse_query(sql, schema), schema)
-            engine = ExecutionEngine(database=database, summary_fastpath=False)
-            results.append(engine.execute(plan))
+            results.append(stream_aggregate(database, plan))
             annotations.append([node.cardinality for node in plan.iter_nodes()])
         assert annotations[0] == annotations[1]
         _assert_results_identical(results[0], results[1])

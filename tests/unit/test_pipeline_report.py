@@ -55,7 +55,7 @@ class TestHydraSettings:
             "metadata", "mode", "alignment",
         ]
         init_fields = [item.name for item in dataclasses.fields(ExecutionEngine) if item.init]
-        assert init_fields == ["database", "summary_fastpath"]
+        assert init_fields == ["database"]
 
     def test_scaled_metadata_scales_constraints(self, toy_metadata, toy_aqps):
         metadata = scale_metadata(toy_metadata, 2)

@@ -9,6 +9,7 @@ satellite bugfix regressions of this PR.
 from __future__ import annotations
 
 import re
+from functools import partial
 
 import numpy as np
 import pytest
@@ -36,6 +37,8 @@ from repro.sql.parser import parse_query
 from repro.sql.query import JoinCondition
 from repro.storage.database import Database
 from repro.workload.toy import FIGURE1_QUERY, ToyConfig, generate_toy_database
+
+from aggregate_reference import stream_aggregate
 
 
 @pytest.fixture(scope="module")
@@ -80,11 +83,10 @@ def vendor_routes(vendor_database, engine_routes):
 def _execute_routes(routes, plan):
     """Run one plan along the materialised, streaming and default routes."""
     outcomes = []
-    for database, options in routes.values():
-        engine = ExecutionEngine(database=database, **options)
+    for _database, execute in routes.values():
         cloned = plan_from_dict(plan.to_dict())
         cloned.clear_annotations()
-        result = engine.execute(cloned)
+        result = execute(cloned)
         outcomes.append(
             (
                 [node.cardinality for node in cloned.iter_nodes()],
@@ -155,11 +157,12 @@ class TestComputePushdowns:
 
 class TestRouteEquivalence:
     def test_client_database_reproduces_its_own_annotations(self, client_database, client_aqps):
-        # Every provider is materialised: asking for the summary route or
-        # not must make no difference, and re-execution is deterministic.
+        # Every provider is materialised: the engine's aggregate and one
+        # taken over the executed child must agree, and re-execution is
+        # deterministic.
         routes = {
-            "streaming": (client_database, {"summary_fastpath": False}),
-            "default": (client_database, {}),
+            "streaming": (client_database, partial(stream_aggregate, client_database)),
+            "default": (client_database, ExecutionEngine(database=client_database).execute),
         }
         for aqp in client_aqps:
             expected = [node.cardinality for node in aqp.plan.iter_nodes()]
@@ -192,12 +195,9 @@ class TestRouteEquivalence:
         plan = build_plan(
             parse_query("select count(*) from S where S.A >= 10", schema), schema
         )
-        engine = ExecutionEngine(
-            database=vendor_database, summary_fastpath=False
-        )
         provider = vendor_database.provider("S")
         before = provider.stats.rows_generated
-        result = engine.execute(plan)
+        result = stream_aggregate(vendor_database, plan)
         generated = provider.stats.rows_generated - before
         # Only the matching summary-row segments were generated, and only once.
         assert generated <= provider.row_count
@@ -497,10 +497,9 @@ class TestFastpathOnHandBuiltSummary:
                 predicate=Comparison("typo", ">=", 0.0),
             )
         )
-        for database, options in engine_routes(dataless).values():
-            engine = ExecutionEngine(database=database, **options)
+        for _database, execute in engine_routes(dataless).values():
             with pytest.raises(KeyError):
-                engine.execute(plan_from_dict(plan.to_dict()))
+                execute(plan_from_dict(plan.to_dict()))
 
     def test_correlated_straddle_is_counted_from_the_summary(self, dataless, engine_routes):
         # Both the pk and the fk constraints are partial on the same summary

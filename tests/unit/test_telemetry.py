@@ -471,13 +471,14 @@ class TestRouteEventViews:
         assert RouteEvent(kind="aggregate", route="summary") in result.route_events
         assert result.fallback_reasons == []
 
-    def test_streaming_route_records_fallback_reason(self, regenerated_toy, toy_metadata):
-        engine = ExecutionEngine(database=regenerated_toy, summary_fastpath=False)
+    def test_streaming_route_records_fallback_reason(self, toy_database, toy_metadata):
+        # The client database is materialised: no summary answers the count.
+        engine = ExecutionEngine(database=toy_database)
         result = engine.execute(self._plan(toy_metadata))
         assert result.aggregate_route == "streaming"
         events = [event for event in result.route_events if event.kind == "aggregate"]
         assert events and events[-1].route == "streaming"
-        assert "fastpath-disabled" in result.fallback_reasons
+        assert "not-summary-backed" in result.fallback_reasons
 
     def test_route_counters_feed_metrics(self, regenerated_toy, toy_metadata):
         with telemetry_session() as session:
@@ -535,7 +536,7 @@ class TestRouteCatalogue:
         documented_routes, documented_reasons = self._documented_catalogue()
         assert routes == documented_routes
         assert reasons == documented_reasons
-        assert "fastpath-disabled" in reasons and len(reasons) > 10
+        assert "not-summary-backed" in reasons and len(reasons) > 10
         assert {(kind, route) for kind, route in routes if kind == "join"} == {
             ("join", "streaming"),
             ("join", "keyed"),
@@ -601,7 +602,7 @@ class TestTraceCLI:
                 with span("solve.relation", relation="R"):
                     pass
             add_counter("engine.route.aggregate.summary", 3.0)
-            add_counter("engine.fallback.aggregate.fastpath-disabled", 1.0)
+            add_counter("engine.fallback.aggregate.not-summary-backed", 1.0)
             add_counter("solver.lp_solves", 2.0)
         chrome = tmp_path / "trace.json"
         session.write_trace(chrome)
@@ -614,7 +615,7 @@ class TestTraceCLI:
         assert "hydra.build_summary" in out
         assert "solve.relation" in out
         assert "aggregate" in out and "summary" in out  # route table
-        assert "fastpath-disabled" in out
+        assert "not-summary-backed" in out
         assert "solver.lp_solves" in out
 
     @pytest.mark.parametrize(
